@@ -64,8 +64,3 @@ def hessian(f, x: np.ndarray, scale: float = SECOND_ORDER_STEP) -> np.ndarray:
             out[i, j] = out[j, i] = mixed / (4.0 * h * h)
     return out
 
-
-def scalar_derivative(f, t: float, scale: float = FIRST_ORDER_STEP) -> float:
-    """Central difference of a scalar function of one scalar variable."""
-    h = scale * max(1.0, abs(t))
-    return (float(f(t + h)) - float(f(t - h))) / (2.0 * h)

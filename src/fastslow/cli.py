@@ -34,7 +34,8 @@ import numpy as np
 from . import __version__
 from .averaging import AveragedSystem
 from .bundle_geometry import PhaseStateFull, PhaseStateReduced
-from .integrators import (ClosenessReport, IntegratorConfig, Trajectory,
+from .integrators import (ClosenessReport, IntegrationError,
+                          IntegratorConfig, Trajectory,
                           closeness_report, integrate_autonomous,
                           integrate_full, integrate_reduced_canonical,
                           integrate_reduced_magnetic)
@@ -712,20 +713,26 @@ def shipped_config_text(experiment: str) -> str:
     return ref.read_text()
 
 
-def _cmd_run(path: str) -> int:
-    config = load_config(path)
-    report = run_experiment(config, base_dir=Path(path).resolve().parent)
+def _run_and_print(config: ExperimentConfig, base_dir: Path) -> int:
+    """Run an experiment and print its report; return the exit status."""
+    try:
+        report = run_experiment(config, base_dir=base_dir)
+    except (IntegrationError, OSError) as err:
+        print(f"experiment {config.experiment} failed: {err}",
+              file=sys.stderr)
+        return 2
     for line in report.lines():
         print(line)
     return 0 if report.overall else 1
+
+
+def _cmd_run(path: str) -> int:
+    return _run_and_print(load_config(path), Path(path).resolve().parent)
 
 
 def _cmd_verify(experiment: str) -> int:
-    config = parse_config(shipped_config_text(experiment))
-    report = run_experiment(config, base_dir=Path.cwd())
-    for line in report.lines():
-        print(line)
-    return 0 if report.overall else 1
+    return _run_and_print(parse_config(shipped_config_text(experiment)),
+                          Path.cwd())
 
 
 def _cmd_list() -> int:

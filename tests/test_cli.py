@@ -12,7 +12,8 @@ import json
 import numpy as np
 import pytest
 
-from fastslow import IntegratorConfig, Trajectory
+from fastslow import IntegrationError, IntegratorConfig, Trajectory
+from fastslow import cli
 from fastslow.cli import (ConfigError, ExperimentConfig, emit_csv, emit_json,
                           load_config, main, parse_config, read_csv,
                           run_experiment, serialize_config,
@@ -285,6 +286,34 @@ class TestCommandLine:
     def test_run_exit_two_on_missing_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 2
         assert capsys.readouterr().err
+
+    def test_run_exit_two_on_integration_error(self, tmp_path, capsys,
+                                               monkeypatch):
+        def fail(*args, **kwargs):
+            raise IntegrationError("step 7 (t=0.07): Newton iterate "
+                                   "became non-finite", step=7)
+
+        monkeypatch.setattr(cli, "integrate_euler", fail)
+        path = tmp_path / "euler.cfg"
+        path.write_text(EULER_FAST_CONFIG)
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert "euler" in lines[0]
+        assert "step 7 (t=0.07)" in lines[0]
+
+    def test_run_exit_two_on_unwritable_output(self, tmp_path, capsys):
+        (tmp_path / "blocker").write_text("a regular file\n")
+        path = tmp_path / "euler.cfg"
+        path.write_text(EULER_FAST_CONFIG.replace(
+            "output_dir = out", "output_dir = blocker/out"))
+        assert main(["run", str(path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert "euler" in lines[0]
+        assert "blocker" in lines[0]
 
     def test_verify_shipped_euler(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -6,12 +6,15 @@ charged particle in a uniform magnetic field moves on a circle of
 radius |P1| / b, and a fast-slow system with phi-independent
 coefficients generates identical slow dynamics through the full and
 the reduced route, so those two integrations must agree to stepper
-accuracy.
+accuracy. On a linear field dz/dt = A z the midpoint step is the closed
+form (I - dt/2 A)^-1 (I + dt/2 A), and the chord Newton solver must
+reproduce steps that build a fresh Jacobian each time.
 """
 
 import numpy as np
 import pytest
 
+from fastslow import integrators
 from fastslow import (AveragedSystem, FastSlowSystem, IntegrationError,
                       IntegratorConfig, PendulumParams, PhaseStateFull,
                       PhaseStateReduced, Trajectory, average_coefficients,
@@ -109,6 +112,88 @@ class TestSteppers:
             IntegratorConfig(newton_tol=1e-3)
         with pytest.raises(ValueError, match="newton_max_iter"):
             IntegratorConfig(newton_max_iter=0)
+
+
+def counted_jacobians(monkeypatch):
+    """Record the point of every Jacobian the midpoint solver builds."""
+    points = []
+    original = integrators.jacobian
+
+    def counting(f, x, *args, **kwargs):
+        points.append(np.array(x, dtype=float))
+        return original(f, x, *args, **kwargs)
+
+    monkeypatch.setattr(integrators, "jacobian", counting)
+    return points
+
+
+def midpoint_map(a, dt):
+    """Exact one-step map of the implicit midpoint rule on dz/dt = A z."""
+    eye = np.eye(a.shape[0])
+    return np.linalg.solve(eye - 0.5 * dt * a, eye + 0.5 * dt * a)
+
+
+class TestChordNewton:
+    A = np.array([[-0.3, 1.0], [-2.0, 0.1]])
+
+    def linear_run(self, horizon, config, backward=False):
+        return integrate_autonomous(
+            lambda z: self.A @ z, np.array([1.0, -0.5]), horizon, config,
+            state_labels=("x", "y"), kind="generic", dim_base=1,
+            backward=backward)
+
+    def test_single_update_accepted_when_converged(self):
+        # Newton is exact on a linear field, so one update per step meets
+        # tolerance and newton_max_iter = 1 must not raise.
+        config = IntegratorConfig(dt=0.1, newton_max_iter=1)
+        traj = self.linear_run(1.0, config)
+        step = midpoint_map(self.A, 0.1)
+        want = np.array([1.0, -0.5])
+        for row in traj.values[1:]:
+            want = step @ want
+            assert np.max(np.abs(row - want)) < 1e-12
+
+    def test_one_jacobian_per_integration_at_constant_dt(self, monkeypatch):
+        points = counted_jacobians(monkeypatch)
+        traj = self.linear_run(1.0, IntegratorConfig(dt=0.01))
+        assert len(traj) == 101
+        assert len(points) == 1
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_partial_last_step_builds_a_new_jacobian(self, monkeypatch,
+                                                     backward):
+        points = counted_jacobians(monkeypatch)
+        traj = self.linear_run(0.25, IntegratorConfig(dt=0.1),
+                               backward=backward)
+        assert len(traj) == 4
+        assert len(points) == 2
+        sign = -1.0 if backward else 1.0
+        want = np.array([1.0, -0.5])
+        for dt in (0.1, 0.1, 0.05):
+            want = midpoint_map(self.A, sign * dt) @ want
+        assert np.max(np.abs(traj.values[-1] - want)) < 1e-12
+
+    def test_poor_contraction_refreshes_and_matches_fresh_steps(
+            self, monkeypatch):
+        # Large steps of dz/dt = -sin z from near the unstable rest point
+        # swing the Jacobian -cos z from about +1 to -1, so the cached
+        # matrix stops contracting and must be rebuilt mid-integration.
+        f = lambda z: -np.sin(z)
+        config = IntegratorConfig(dt=0.5)
+        z0 = np.array([3.0])
+        points = counted_jacobians(monkeypatch)
+        traj = integrate_autonomous(
+            f, z0, 10.0, config, state_labels=("x",), kind="generic",
+            dim_base=1)
+        assert len(traj) == 21
+        assert len(points) > 1
+        z, z_prev = z0, None
+        for row in traj.values[1:]:
+            guess = z + 0.5 * f(z) if z_prev is None else 2.0 * z - z_prev
+            z_prev = z
+            z, _ = integrators._midpoint_step(
+                f, z, 0.5, guess, config.newton_tol, config.newton_max_iter)
+            assert np.max(np.abs(row - z)) <= config.newton_tol
 
 
 class TestTrajectory:
