@@ -26,7 +26,7 @@ def gradient(f, x: np.ndarray, scale: float = FIRST_ORDER_STEP) -> np.ndarray:
     h = step_size(x, scale)
     g = np.empty_like(x)
     for i in range(x.size):
-        e = np.zeros_like(x)
+        e = np.zeros(x.size)
         e[i] = h
         g[i] = (f(x + e) - f(x - e)) / (2.0 * h)
     return g
@@ -38,29 +38,35 @@ def jacobian(f, x: np.ndarray, scale: float = FIRST_ORDER_STEP) -> np.ndarray:
     h = step_size(x, scale)
     cols = []
     for i in range(x.size):
-        e = np.zeros_like(x)
+        e = np.zeros(x.size)
         e[i] = h
         cols.append((np.asarray(f(x + e), dtype=float)
                      - np.asarray(f(x - e), dtype=float)) / (2.0 * h))
-    return np.stack(cols, axis=0)
+    return np.array(cols)
 
 
 def hessian(f, x: np.ndarray, scale: float = SECOND_ORDER_STEP) -> np.ndarray:
-    """Central-difference Hessian of a scalar function (wide step)."""
+    """Central-difference Hessian (wide step); entry [i, j] is d2f/dx_i dx_j.
+
+    f may be array-valued; the shape of its values trails the two indices.
+    """
     x = np.asarray(x, dtype=float)
     n = x.size
     h = step_size(x, scale)
-    out = np.empty((n, n))
-    f0 = float(f(x))
+
+    def fx(y):
+        return np.asarray(f(y), dtype=float)
+
+    f0 = fx(x)
+    out = np.empty((n, n) + f0.shape)
     for i in range(n):
         ei = np.zeros(n)
         ei[i] = h
-        out[i, i] = (float(f(x + ei)) - 2.0 * f0 + float(f(x - ei))) / (h * h)
+        out[i, i] = (fx(x + ei) - 2.0 * f0 + fx(x - ei)) / (h * h)
         for j in range(i + 1, n):
             ej = np.zeros(n)
             ej[j] = h
-            mixed = (float(f(x + ei + ej)) - float(f(x + ei - ej))
-                     - float(f(x - ei + ej)) + float(f(x - ei - ej)))
+            mixed = (fx(x + ei + ej) - fx(x + ei - ej)
+                     - fx(x - ei + ej) + fx(x - ei - ej))
             out[i, j] = out[j, i] = mixed / (4.0 * h * h)
     return out
-

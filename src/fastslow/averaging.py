@@ -39,6 +39,7 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from ._derivatives import jacobian, gradient
+from .bundle_geometry import _default_base_samples
 
 ZERO_MEAN_TOL = 1e-10
 TWO_PI = 2.0 * np.pi
@@ -293,12 +294,7 @@ def average_coefficients(system: FastSlowSystem,
     """
     rule = rule or QuadratureRule()
     if sample_points is None:
-        pts = [
-            np.zeros(system.dim_base),
-            np.full(system.dim_base, 0.7),
-            np.full(system.dim_base, -1.3),
-            np.linspace(0.3, 1.1, system.dim_base),
-        ]
+        pts = _default_base_samples(system.dim_base)
     else:
         pts = [np.asarray(p, dtype=float) for p in sample_points]
     nodes, _ = rule.nodes_weights()

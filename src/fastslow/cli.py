@@ -6,25 +6,20 @@
 configured output directory, prints one line per verification check,
 and exits 0 exactly when every check passes. `fastslow verify
 <experiment>` does the same for the shipped config of that experiment,
-and `fastslow list` prints the experiment registry with parameter
-schemas.
+and `fastslow list` prints the experiments with their parameter
+schemas. What each experiment computes and checks is defined in
+fastslow.experiments.
 
 Runs are deterministic: the same config produces byte-identical output
 files (no wall-clock content, fixed float formatting with 17 significant
-digits). Epsilon sweeps run in parallel across processes; the
-FASTSLOW_THREADS environment variable caps the worker count (default:
-all cores), and results are assembled in sweep order regardless of
-completion order.
+digits), whether an epsilon sweep runs serially or across processes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -32,43 +27,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .averaging import AveragedSystem
-from .bundle_geometry import PhaseStateFull, PhaseStateReduced
-from .integrators import (ClosenessReport, IntegrationError,
-                          IntegratorConfig, Trajectory,
-                          closeness_report, integrate_autonomous,
-                          integrate_full, integrate_reduced_canonical,
-                          integrate_reduced_magnetic)
-from .lie_poisson import (BUILTIN_ALGEBRAS, EulerSystem,
-                          extended_hamiltonian_field, integrate_euler,
-                          load_algebra, shift_cocycle)
-from .systems import (REGISTRY, DiskParams, PendulumParams, disk_mass_matrix,
-                      disk_momentum, disk_reduced_system,
-                      curvature_identity_residual, exponential_surface,
-                      particle_potential_1d, particle_systems,
-                      pendulum_systems, plane_surface, sphere_surface,
-                      spinning_disk_rhs)
+from .experiments import TABLE, CheckRecord, parse_value
+# integrate_autonomous is not called here; perfbench's self-test checks
+# that its tracer also rewraps this imported binding.
+from .integrators import IntegrationError, Trajectory, integrate_autonomous
 
-RATIO_WINDOW = (1.5, 3.0)
-EXPERIMENTS = ("pendulum", "disk", "particle", "euler", "custom")
 SECTIONS = ("parameters", "sweep", "integrator", "output")
-
-EXTRA_SCHEMAS = {
-    "euler": (
-        ("algebra", "so3", "one of: " + ", ".join(sorted(BUILTIN_ALGEBRAS))),
-        ("inertia", "1.0, 2.0, 3.0", "diagonal of the inertia tensor"),
-        ("shift", "0.0, 0.0, 0.0", "momentum shift L"),
-        ("xi0", "0.1, 1.0, 0.1", "initial momentum"),
-        ("horizon", "100.0", "integration time"),
-    ),
-    "custom": (
-        ("algebra_file", "", "path to a `dim N` / `i j k value` file"),
-        ("inertia", "1.0, 2.0, 3.0", "diagonal of the inertia tensor"),
-        ("shift", "0.0, 0.0, 0.0", "momentum shift L"),
-        ("xi0", "0.1, 1.0, 0.1", "initial momentum"),
-        ("horizon", "100.0", "integration time"),
-    ),
-}
 
 
 class ConfigError(ValueError):
@@ -103,26 +67,31 @@ class ExperimentConfig:
     formats: tuple[str, ...] = ("csv", "json")
 
 
-def _parse_value(raw: str):
-    raw = raw.strip()
-    if "," in raw:
-        parts = [p.strip() for p in raw.split(",") if p.strip()]
-        try:
-            return tuple(float(p) for p in parts)
-        except ValueError:
-            return raw
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
+# Accepted value types and their wording, by the type of the schema
+# default; a list key also takes a single float.
+_VALUE_KINDS = {float: (float, "a float"),
+                tuple: ((tuple, float), "a float or a comma list of floats"),
+                str: (str, "a string")}
 
 
-def _schema_keys(experiment: str) -> set[str]:
-    if experiment in REGISTRY:
-        return {k for k, _, _ in REGISTRY[experiment].parameters}
-    if experiment in EXTRA_SCHEMAS:
-        return {k for k, _, _ in EXTRA_SCHEMAS[experiment]}
-    return set()
+def _parameter_errors(experiment: str,
+                      parameters: dict) -> list[tuple[str, str]]:
+    """(key, message) for unknown keys, values of another type than the
+    schema default, and keys with an empty default (required) unset."""
+    defaults = {key: parse_value(text)
+                for key, text, _ in TABLE[experiment].parameters}
+    errors = [(key, f"unknown parameter {key!r} for experiment "
+               f"{experiment!r}") for key in parameters.keys() - defaults]
+    for key, default in defaults.items():
+        value = parameters.get(key)
+        accepted, kind = _VALUE_KINDS[type(default)]
+        if default == "" and value in (None, ""):
+            errors.append((key, f"missing parameter {key!r} for experiment "
+                           f"{experiment!r}"))
+        elif value is not None and not isinstance(value, accepted):
+            errors.append((key, f"parameter {key!r} must be {kind}, "
+                           f"got {value!r}"))
+    return errors
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -136,12 +105,9 @@ def parse_config(text: str) -> ExperimentConfig:
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            if name not in SECTIONS:
-                errors.append((lineno, f"unknown section [{name}]"))
-                section = name
-            else:
-                section = name
+            section = line[1:-1].strip()
+            if section not in SECTIONS:
+                errors.append((lineno, f"unknown section [{section}]"))
             continue
         if "=" not in line:
             errors.append((lineno, f"expected `key = value`, got {raw!r}"))
@@ -156,7 +122,7 @@ def parse_config(text: str) -> ExperimentConfig:
                            f"line {seen[(section, key)]})"))
             continue
         seen[(section, key)] = lineno
-        values[(section, key)] = _parse_value(raw_val)
+        values[(section, key)] = parse_value(raw_val)
 
     def take(sec, key, default=None):
         return values.pop((sec, key), default)
@@ -168,21 +134,18 @@ def parse_config(text: str) -> ExperimentConfig:
     if experiment is None:
         errors.append((0, "missing top-level `experiment = ...`"))
         experiment = ""
-    elif experiment not in EXPERIMENTS:
+    elif experiment not in TABLE:
         errors.append((lineof(None, "experiment"),
                        f"unknown experiment {experiment!r}; expected one of "
-                       + ", ".join(EXPERIMENTS)))
+                       + ", ".join(TABLE)))
 
     parameters = {}
     for (sec, key) in list(values):
         if sec == "parameters":
             parameters[key] = values.pop((sec, key))
-    allowed = _schema_keys(str(experiment))
-    for key in parameters:
-        if allowed and key not in allowed:
-            errors.append((lineof("parameters", key),
-                           f"unknown parameter {key!r} for experiment "
-                           f"{experiment!r}"))
+    if experiment in TABLE:
+        errors += [(lineof("parameters", key), message) for key, message
+                   in _parameter_errors(experiment, parameters)]
 
     sweep = take("sweep", "epsilon_sweep", (1e-2, 5e-3, 2.5e-3))
     if isinstance(sweep, float):
@@ -358,17 +321,6 @@ def emit_json(trajectory: Trajectory, path: str | Path,
 
 
 @dataclass(frozen=True)
-class CheckRecord:
-    """One named check: observed value against a threshold."""
-
-    name: str
-    observed: float
-    threshold: float
-    relation: str
-    passed: bool
-
-
-@dataclass(frozen=True)
 class VerificationReport:
     """Outcome of an experiment run; overall passes iff every record does."""
 
@@ -399,268 +351,6 @@ class VerificationReport:
         }
 
 
-def _check(name: str, observed: float, threshold: float,
-           relation: str) -> CheckRecord:
-    if relation == "<=":
-        ok = observed <= threshold
-    elif relation == ">=":
-        ok = observed >= threshold
-    else:
-        raise ValueError(f"unknown relation {relation!r}")
-    return CheckRecord(name=name, observed=float(observed),
-                       threshold=float(threshold), relation=relation,
-                       passed=bool(ok))
-
-
-# ---------------------------------------------------------------------------
-# Experiment runners
-
-
-def _param(config: ExperimentConfig, key: str, default):
-    return config.parameters.get(key, default)
-
-
-def _integrator_configs(config: ExperimentConfig
-                        ) -> tuple[IntegratorConfig, IntegratorConfig]:
-    full = IntegratorConfig(method=config.method, dt=config.dt_full,
-                            newton_tol=config.newton_tol,
-                            newton_max_iter=config.newton_max_iter)
-    reduced = IntegratorConfig(method=config.method, dt=config.dt_reduced,
-                               newton_tol=config.newton_tol,
-                               newton_max_iter=config.newton_max_iter)
-    return full, reduced
-
-
-def _closeness_case(config: ExperimentConfig,
-                    eps: float) -> tuple[Trajectory, Trajectory,
-                                         ClosenessReport]:
-    cfg_full, cfg_red = _integrator_configs(config)
-    if config.experiment == "pendulum":
-        params = PendulumParams(
-            length=_param(config, "length", 1.0),
-            gravity=_param(config, "gravity", 1.0),
-            amplitude=_param(config, "amplitude", 0.5),
-            mu=_param(config, "mu", 3.0), epsilon=eps)
-        system, avg = pendulum_systems(
-            params, fiber_floor=_param(config, "fiber_floor", 1.0))
-        q0 = np.array([params.length * _param(config, "theta0", 2.0)])
-        p0 = np.array([_param(config, "p0", 0.0)])
-        mu = params.mu
-    elif config.experiment == "particle":
-        pot = particle_potential_1d(
-            trap=_param(config, "trap", 1.0),
-            alpha=_param(config, "alpha", 0.7),
-            beta=_param(config, "beta", 0.4))
-        mu = _param(config, "mu", 1.0)
-        system, avg = particle_systems(pot, eps, mu)
-        q0 = np.array([_param(config, "x0", 0.8)])
-        p0 = np.array([_param(config, "p0", 0.3)])
-    else:
-        raise ValueError(f"no closeness sweep for {config.experiment!r}")
-    full0 = PhaseStateFull(q=q0, p=p0, phi=0.0, gamma=mu)
-    red0 = PhaseStateReduced(Q=q0, P=p0)
-    full = integrate_full(system, full0, config.horizon_factor / eps,
-                          cfg_full)
-    reduced = integrate_reduced_canonical(avg, red0, config.horizon_factor,
-                                          cfg_red)
-    return full, reduced, closeness_report(full, reduced, system)
-
-
-def _closeness_worker(args: tuple) -> tuple:
-    config_text, eps = args
-    config = parse_config(config_text)
-    return _closeness_case(config, eps)
-
-
-def _worker_count(n_cases: int) -> int:
-    env = os.environ.get("FASTSLOW_THREADS", "")
-    cap = os.cpu_count() or 1
-    if env.strip():
-        try:
-            cap = max(1, int(env))
-        except ValueError:
-            cap = os.cpu_count() or 1
-    return max(1, min(n_cases, cap))
-
-
-def _run_sweep_experiment(config: ExperimentConfig,
-                          out_dir: Path) -> VerificationReport:
-    cases = list(config.epsilon_sweep)
-    workers = _worker_count(len(cases))
-    if workers == 1:
-        results = [_closeness_case(config, eps) for eps in cases]
-    else:
-        text = serialize_config(config)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_closeness_worker,
-                                    [(text, eps) for eps in cases]))
-    sups = [rep.sup_error_total for _, _, rep in results]
-    records = []
-    for i, eps in enumerate(cases):
-        full, reduced, rep = results[i]
-        meta = {"epsilon": eps, "experiment": config.experiment,
-                "config": serialize_config(config),
-                "versions": {"fastslow": __version__,
-                             "numpy": np.__version__}}
-        _write_trajectory(full, out_dir / f"full_eps{eps!r}", config, meta)
-        _write_trajectory(reduced, out_dir / f"reduced_eps{eps!r}", config,
-                          meta)
-        if i > 0:
-            ratio = sups[i - 1] / sups[i]
-            records.append(_check(
-                f"closeness_ratio_{cases[i - 1]!r}_to_{eps!r}_lower",
-                ratio, RATIO_WINDOW[0], ">="))
-            records.append(_check(
-                f"closeness_ratio_{cases[i - 1]!r}_to_{eps!r}_upper",
-                ratio, RATIO_WINDOW[1], "<="))
-    return VerificationReport(experiment=config.experiment,
-                              records=tuple(records))
-
-
-def _surface_from_config(config: ExperimentConfig):
-    name = str(_param(config, "surface", "sphere"))
-    if name == "sphere":
-        return sphere_surface(_param(config, "radius", 1.0))
-    if name == "plane":
-        return plane_surface()
-    if name == "exponential":
-        return exponential_surface()
-    raise ValueError(f"unknown surface {name!r}")
-
-
-def _curvature_grid(surface) -> tuple[np.ndarray, np.ndarray]:
-    (lo1, hi1), (lo2, hi2) = surface.domain
-    lo1 = max(lo1, 0.1) if np.isfinite(lo1) else -1.0
-    hi1 = min(hi1, math.pi - 0.1) if np.isfinite(hi1) else 1.0
-    if not np.isfinite(surface.domain[0][0]):
-        lo1, hi1 = -1.0, 1.0
-    lo2, hi2 = (0.0, 2.0 * math.pi) if not np.isfinite(lo2) else (lo2, hi2)
-    return np.linspace(lo1, hi1, 50), np.linspace(lo2, hi2, 50)
-
-
-def _run_disk_experiment(config: ExperimentConfig,
-                         out_dir: Path) -> VerificationReport:
-    surface = _surface_from_config(config)
-    params = DiskParams(
-        mass=_param(config, "mass", 1.0),
-        inertia_axial=_param(config, "inertia_axial", 1.0),
-        inertia_diametral=_param(config, "inertia_diametral", 0.5),
-        omega_axial=_param(config, "omega_axial", 2.0))
-    _, cfg = _integrator_configs(config)
-    horizon = _param(config, "horizon", 10.0)
-    q0 = np.array([_param(config, "q1_0", math.pi / 3.0),
-                   _param(config, "q2_0", 0.0)])
-    u0 = np.array([_param(config, "u1_0", 0.1),
-                   _param(config, "u2_0", 0.5)])
-
-    rhs = spinning_disk_rhs(params, surface)
-
-    def energy(z):
-        mass = disk_mass_matrix(params, surface, z[:2])
-        return float(0.5 * z[2:] @ mass @ z[2:])
-
-    lagrangian = integrate_autonomous(
-        rhs, np.concatenate([q0, u0]), horizon, cfg,
-        state_labels=("q1", "q2", "u1", "u2"), kind="disk_lagrangian",
-        dim_base=2, energy=energy,
-        logs={"momentum": lambda z: params.mu},
-        meta={"surface": surface.name})
-
-    shell, overrides = disk_reduced_system(params, surface)
-    p1 = disk_momentum(params, surface, q0, u0)
-    magnetic = integrate_reduced_magnetic(
-        shell, PhaseStateReduced(Q=q0, P=p1, chart="magnetic"), horizon, cfg,
-        **overrides)
-
-    # Two-path deviation: positions and velocities.
-    dev = 0.0
-    for i in range(len(lagrangian)):
-        qdev = np.max(np.abs(lagrangian.values[i, :2] - magnetic.values[i, :2]))
-        mass = disk_mass_matrix(params, surface, magnetic.values[i, :2])
-        u_mag = np.linalg.solve(mass, magnetic.values[i, 2:])
-        udev = np.max(np.abs(lagrangian.values[i, 2:] - u_mag))
-        dev = max(dev, float(qdev), float(udev))
-
-    grid1, grid2 = _curvature_grid(surface)
-    worst = 0.0
-    for v1 in grid1:
-        for v2 in grid2:
-            worst = max(worst, abs(curvature_identity_residual(
-                surface, np.array([v1, v2]))))
-
-    meta = {"experiment": "disk", "surface": surface.name,
-            "config": serialize_config(config),
-            "versions": {"fastslow": __version__, "numpy": np.__version__}}
-    _write_trajectory(lagrangian, out_dir / "disk_lagrangian", config, meta)
-    _write_trajectory(magnetic, out_dir / "disk_magnetic", config, meta)
-    records = (
-        _check("curvature_identity_max_residual", worst, 1e-7, "<="),
-        _check("magnetic_chart_two_path_sup", dev, 1e-6, "<="),
-    )
-    return VerificationReport(experiment="disk", records=records)
-
-
-def _run_euler_experiment(config: ExperimentConfig, out_dir: Path,
-                          base_dir: Path) -> VerificationReport:
-    if config.experiment == "custom":
-        raw = _param(config, "algebra_file", "")
-        path = Path(str(raw))
-        if not path.is_absolute():
-            path = base_dir / path
-        algebra = load_algebra(path.read_text(), name=path.stem)
-    else:
-        name = str(_param(config, "algebra", "so3"))
-        if name not in BUILTIN_ALGEBRAS:
-            raise ValueError(f"unknown algebra {name!r}; expected one of "
-                             + ", ".join(sorted(BUILTIN_ALGEBRAS)))
-        algebra = BUILTIN_ALGEBRAS[name]()
-
-    def vector(key, default):
-        val = _param(config, key, default)
-        if isinstance(val, float):
-            val = (val,)
-        return np.asarray(val, dtype=float)
-
-    inertia_diag = vector("inertia", (1.0, 2.0, 3.0))
-    shift = vector("shift", tuple(0.0 for _ in range(algebra.dim)))
-    xi0 = vector("xi0", (0.1, 1.0, 0.1))
-    horizon = _param(config, "horizon", 100.0)
-    _, cfg = _integrator_configs(config)
-
-    system = EulerSystem(algebra=algebra, inertia=np.diag(inertia_diag),
-                         shift=shift)
-    traj = integrate_euler(system, xi0, horizon, cfg)
-
-    energy = traj.invariant_log["energy"]
-    energy_drift = float(np.max(np.abs(energy - energy[0])))
-    casimir = traj.invariant_log["casimir_shifted"]
-    casimir_drift = float(np.max(np.abs(casimir - casimir[0])))
-
-    # Shift equivalence: the extended-bracket flow of the kinetic
-    # Hamiltonian must match the shifted Euler flow.
-    cocycle = shift_cocycle(algebra, shift)
-    eq_horizon = min(10.0, horizon)
-    traj_shift = integrate_euler(system, xi0, eq_horizon, cfg)
-    traj_ext = integrate_autonomous(
-        lambda xi: extended_hamiltonian_field(algebra, cocycle,
-                                              system.inertia, xi),
-        xi0, eq_horizon, cfg,
-        state_labels=traj.state_labels, kind="euler", dim_base=algebra.dim)
-    equiv = float(np.max(np.abs(traj_shift.values - traj_ext.values)))
-
-    meta = {"experiment": config.experiment, "algebra": algebra.name,
-            "config": serialize_config(config),
-            "versions": {"fastslow": __version__, "numpy": np.__version__}}
-    _write_trajectory(traj, out_dir / "euler", config, meta)
-    records = (
-        _check("jacobiator_max", algebra.jacobiator(), 1e-12, "<="),
-        _check("energy_drift", energy_drift, 1e-8, "<="),
-        _check("casimir_drift", casimir_drift, 1e-8, "<="),
-        _check("shift_equivalence_sup", equiv, 1e-10, "<="),
-    )
-    return VerificationReport(experiment=config.experiment, records=records)
-
-
 def _write_trajectory(trajectory: Trajectory, stem: Path,
                       config: ExperimentConfig, metadata: dict) -> None:
     # Not Path.with_suffix: stems like "full_eps0.01" would lose ".01".
@@ -678,22 +368,24 @@ def run_experiment(config: ExperimentConfig,
     algebra_file parameter). The verification report is also written to
     report.json in the output directory.
     """
+    if config.experiment not in TABLE:
+        raise ValueError(f"unknown experiment {config.experiment!r}")
     base = Path(base_dir)
     out_dir = Path(config.output_dir)
     if not out_dir.is_absolute():
         out_dir = base / out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    if config.experiment in ("pendulum", "particle"):
-        report = _run_sweep_experiment(config, out_dir)
-    elif config.experiment == "disk":
-        report = _run_disk_experiment(config, out_dir)
-    elif config.experiment in ("euler", "custom"):
-        report = _run_euler_experiment(config, out_dir, base)
-    else:
-        raise ValueError(f"unknown experiment {config.experiment!r}")
-    doc = report.to_dict()
-    doc["config"] = serialize_config(config)
-    doc["versions"] = {"fastslow": __version__, "numpy": np.__version__}
+    trajectories, records = TABLE[config.experiment].run(config, base)
+    run_meta = {"experiment": config.experiment,
+                "config": serialize_config(config),
+                "versions": {"fastslow": __version__,
+                             "numpy": np.__version__}}
+    for stem, (trajectory, meta) in trajectories.items():
+        _write_trajectory(trajectory, out_dir / stem, config,
+                          {**meta, **run_meta})
+    report = VerificationReport(experiment=config.experiment, records=records)
+    doc = {**report.to_dict(), "config": run_meta["config"],
+           "versions": run_meta["versions"]}
     (out_dir / "report.json").write_text(json.dumps(doc, sort_keys=True))
     return report
 
@@ -702,14 +394,22 @@ def run_experiment(config: ExperimentConfig,
 # Entry points
 
 
+def _shipped_config(experiment: str):
+    return resources.files("fastslow").joinpath("configs",
+                                                f"{experiment}.cfg")
+
+
+def _shipped_experiments() -> list[str]:
+    return [name for name in TABLE if _shipped_config(name).is_file()]
+
+
 def shipped_config_text(experiment: str) -> str:
     """Text of the shipped config for a named experiment."""
-    ref = resources.files("fastslow").joinpath("configs",
-                                               f"{experiment}.cfg")
+    ref = _shipped_config(experiment)
     if not ref.is_file():
         raise FileNotFoundError(
-            f"no shipped config for {experiment!r}; choose from pendulum, "
-            "disk, particle, euler")
+            f"no shipped config for {experiment!r}; choose from "
+            + ", ".join(_shipped_experiments()))
     return ref.read_text()
 
 
@@ -737,15 +437,9 @@ def _cmd_verify(experiment: str) -> int:
 
 def _cmd_list() -> int:
     print("available experiments:")
-    for name, info in REGISTRY.items():
-        print(f"\n{name}: {info.summary}")
-        for key, default, doc in info.parameters:
-            print(f"  {key:<18} (default {default}): {doc}")
-    for name, schema in EXTRA_SCHEMAS.items():
-        title = ("Euler equation on a built-in algebra" if name == "euler"
-                 else "Euler equation on an algebra loaded from a file")
-        print(f"\n{name}: {title}")
-        for key, default, doc in schema:
+    for name, experiment in TABLE.items():
+        print(f"\n{name}: {experiment.summary}")
+        for key, default, doc in experiment.parameters:
             print(f"  {key:<18} (default {default}): {doc}")
     return 0
 
@@ -761,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
     p_verify = sub.add_parser("verify",
                               help="run the shipped config of an experiment")
     p_verify.add_argument("experiment",
-                          help="pendulum | disk | particle | euler")
+                          help=" | ".join(_shipped_experiments()))
     sub.add_parser("list", help="list experiments and parameter schemas")
     args = parser.parse_args(argv)
     try:

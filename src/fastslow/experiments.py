@@ -1,0 +1,329 @@
+"""Experiment definitions shared by the command line and the acceptance tests.
+
+TABLE maps each experiment name to its parameter schema and its run
+function. run(config, base_dir) integrates and checks but writes no
+files (fastslow.cli does). It returns the trajectories, as {file stem:
+(trajectory, metadata for its JSON file)}, and the CheckRecords in
+report order; base_dir anchors relative paths.
+
+pendulum and particle check that halving eps roughly halves the sup
+error between the full and the averaged system; their epsilons run in
+parallel processes, at most FASTSLOW_THREADS (default: all cores). disk
+checks the curvature drift of the reduction two ways. euler and custom
+check the Euler equation on a central extension.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, replace
+from pathlib import Path
+from typing import TYPE_CHECKING, Callable
+
+import numpy as np
+
+from .bundle_geometry import PhaseStateFull, PhaseStateReduced
+from .integrators import (IntegratorConfig, closeness_case,
+                          integrate_autonomous, integrate_reduced_magnetic,
+                          ratio_table)
+from .lie_poisson import (BUILTIN_ALGEBRAS, EulerSystem,
+                          extended_hamiltonian_field, integrate_euler,
+                          load_algebra, shift_cocycle)
+from .systems import (REGISTRY, DiskParams, PendulumParams,
+                      curvature_identity_residual, disk_mass_matrix,
+                      disk_momentum, disk_reduced_system,
+                      exponential_surface, particle_potential_1d,
+                      particle_systems, pendulum_systems, plane_surface,
+                      sphere_surface, spinning_disk_rhs)
+
+if TYPE_CHECKING:
+    from .cli import ExperimentConfig
+
+RATIO_WINDOW = (1.5, 3.0)
+
+
+@dataclass(frozen=True)
+class CheckRecord:
+    """One named check: observed value against a threshold."""
+
+    name: str
+    observed: float
+    threshold: float
+    relation: str
+    passed: bool
+
+
+def _check(name: str, observed: float, threshold: float,
+           relation: str) -> CheckRecord:
+    ok = observed <= threshold if relation == "<=" else observed >= threshold
+    return CheckRecord(name=name, observed=float(observed),
+                       threshold=float(threshold), relation=relation,
+                       passed=bool(ok))
+
+
+def parse_value(raw: str):
+    """A config value: a float, a tuple of floats (comma list) or a string."""
+    raw = raw.strip()
+    try:
+        if "," in raw:
+            return tuple(float(p) for p in raw.split(",") if p.strip())
+        return float(raw)
+    except ValueError:
+        return raw
+
+
+def _params(config: ExperimentConfig) -> dict:
+    """The config's parameters over the schema defaults."""
+    schema = TABLE[config.experiment].parameters
+    return {**{key: parse_value(default) for key, default, _ in schema},
+            **config.parameters}
+
+
+def integrator_configs(config: ExperimentConfig
+                       ) -> tuple[IntegratorConfig, IntegratorConfig]:
+    """Settings for full (fast-time) runs and for slow-time runs."""
+    full = IntegratorConfig(method=config.method, dt=config.dt_full,
+                            newton_tol=config.newton_tol,
+                            newton_max_iter=config.newton_max_iter)
+    return full, replace(full, dt=config.dt_reduced)
+
+
+# ---------------------------------------------------------------------------
+# Closeness sweeps: pendulum and particle
+
+
+def closeness_build(config: ExperimentConfig, eps: float) -> tuple:
+    """(system, averaged, full state0, reduced state0) of a sweep at eps.
+
+    This is the build argument of integrators.closeness_sweep for a
+    pendulum or particle config.
+    """
+    p = _params(config)
+    if config.experiment == "pendulum":
+        params = PendulumParams(length=p["length"], gravity=p["gravity"],
+                                amplitude=p["amplitude"], mu=p["mu"],
+                                epsilon=eps)
+        system, avg = pendulum_systems(params, fiber_floor=p["fiber_floor"])
+        q0 = np.array([params.length * p["theta0"]])
+    else:
+        pot = particle_potential_1d(trap=p["trap"], alpha=p["alpha"],
+                                    beta=p["beta"])
+        system, avg = particle_systems(pot, eps, p["mu"])
+        q0 = np.array([p["x0"]])
+    p0 = np.array([p["p0"]])
+    return (system, avg, PhaseStateFull(q=q0, p=p0, phi=0.0, gamma=p["mu"]),
+            PhaseStateReduced(Q=q0, P=p0))
+
+
+def _closeness_case(config: ExperimentConfig, eps: float) -> tuple:
+    cfg_full, cfg_red = integrator_configs(config)
+    return closeness_case(*closeness_build(config, eps),
+                          config.horizon_factor, cfg_full, cfg_red)
+
+
+def _closeness_worker(args: tuple) -> tuple:
+    from .cli import parse_config  # not at the top: cli imports this module
+    config_text, eps = args
+    return _closeness_case(parse_config(config_text), eps)
+
+
+def _worker_count(n_cases: int) -> int:
+    try:
+        cap = max(1, int(os.environ["FASTSLOW_THREADS"]))
+    except (KeyError, ValueError):
+        cap = os.cpu_count() or 1
+    return max(1, min(n_cases, cap))
+
+
+def _run_sweep(config: ExperimentConfig, base_dir: Path) -> tuple:
+    cases = config.epsilon_sweep
+    workers = _worker_count(len(cases))
+    if workers == 1:
+        results = [_closeness_case(config, eps) for eps in cases]
+    else:
+        from .cli import serialize_config
+        text = serialize_config(config)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_closeness_worker,
+                                    [(text, eps) for eps in cases]))
+    trajectories = {f"{kind}_eps{eps!r}": (traj, {"epsilon": eps})
+                    for eps, result in zip(cases, results)
+                    for kind, traj in zip(("full", "reduced"), result)}
+    table = ratio_table([rep for _, _, rep in results])
+    records = []
+    for i in range(1, len(cases)):
+        name = f"closeness_ratio_{cases[i - 1]!r}_to_{cases[i]!r}"
+        ratio = table[i]["ratio"]
+        records.append(_check(f"{name}_lower", ratio, RATIO_WINDOW[0], ">="))
+        records.append(_check(f"{name}_upper", ratio, RATIO_WINDOW[1], "<="))
+    return trajectories, tuple(records)
+
+
+# ---------------------------------------------------------------------------
+# Spinning disk: two paths and the curvature identity
+
+
+def _curvature_grid(surface) -> tuple[np.ndarray, np.ndarray]:
+    (lo1, hi1), (lo2, hi2) = surface.domain
+    span1 = ((max(lo1, 0.1), min(hi1, math.pi - 0.1)) if np.isfinite(lo1)
+             else (-1.0, 1.0))
+    span2 = (lo2, hi2) if np.isfinite(lo2) else (0.0, 2.0 * math.pi)
+    return np.linspace(*span1, 50), np.linspace(*span2, 50)
+
+
+def _run_disk(config: ExperimentConfig, base_dir: Path) -> tuple:
+    p = _params(config)
+    surfaces = {"sphere": lambda: sphere_surface(p["radius"]),
+                "plane": plane_surface, "exponential": exponential_surface}
+    if p["surface"] not in surfaces:
+        raise ValueError(f"unknown surface {p['surface']!r}")
+    surface = surfaces[p["surface"]]()
+    params = DiskParams(mass=p["mass"], inertia_axial=p["inertia_axial"],
+                        inertia_diametral=p["inertia_diametral"],
+                        omega_axial=p["omega_axial"])
+    _, cfg = integrator_configs(config)
+    horizon = p["horizon"]
+    q0 = np.array([p["q1_0"], p["q2_0"]])
+    u0 = np.array([p["u1_0"], p["u2_0"]])
+
+    rhs = spinning_disk_rhs(params, surface)
+
+    def energy(z):
+        mass = disk_mass_matrix(params, surface, z[:2])
+        return float(0.5 * z[2:] @ mass @ z[2:])
+
+    lagrangian = integrate_autonomous(
+        rhs, np.concatenate([q0, u0]), horizon, cfg,
+        state_labels=("q1", "q2", "u1", "u2"), kind="disk_lagrangian",
+        dim_base=2, energy=energy,
+        logs={"momentum": lambda z: params.mu},
+        meta={"surface": surface.name})
+
+    shell, overrides = disk_reduced_system(params, surface)
+    p1 = disk_momentum(params, surface, q0, u0)
+    magnetic = integrate_reduced_magnetic(
+        shell, PhaseStateReduced(Q=q0, P=p1, chart="magnetic"), horizon, cfg,
+        **overrides)
+
+    # Two-path deviation: positions, and velocities u = M(q)^{-1} P1.
+    u_mag = [np.linalg.solve(disk_mass_matrix(params, surface, z[:2]), z[2:])
+             for z in magnetic.values]
+    dev = float(np.max(np.abs(lagrangian.values - np.hstack(
+        [magnetic.values[:, :2], u_mag]))))
+
+    grid1, grid2 = _curvature_grid(surface)
+    worst = max(abs(curvature_identity_residual(surface, np.array([v1, v2])))
+                for v1 in grid1 for v2 in grid2)
+
+    meta = {"surface": surface.name}
+    return (
+        {"disk_lagrangian": (lagrangian, meta),
+         "disk_magnetic": (magnetic, meta)},
+        (_check("curvature_identity_max_residual", worst, 1e-7, "<="),
+         _check("magnetic_chart_two_path_sup", dev, 1e-6, "<=")))
+
+
+# ---------------------------------------------------------------------------
+# Euler equations: conservation and shift equivalence
+
+
+def _run_euler(config: ExperimentConfig, base_dir: Path) -> tuple:
+    p = _params(config)
+    if config.experiment == "custom":
+        path = Path(p["algebra_file"])
+        if not path.is_absolute():
+            path = base_dir / path
+        algebra = load_algebra(path.read_text(), name=path.stem)
+    else:
+        name = p["algebra"]
+        if name not in BUILTIN_ALGEBRAS:
+            raise ValueError(f"unknown algebra {name!r}; expected one of "
+                             + ", ".join(sorted(BUILTIN_ALGEBRAS)))
+        algebra = BUILTIN_ALGEBRAS[name]()
+
+    def vector(val):  # a list parameter may be a single float
+        return np.atleast_1d(np.asarray(val, dtype=float))
+
+    inertia_diag = vector(p["inertia"])
+    # Not the schema's text: the default shift has the algebra's dimension.
+    shift = vector(config.parameters.get("shift", np.zeros(algebra.dim)))
+    xi0 = vector(p["xi0"])
+    horizon = p["horizon"]
+    _, cfg = integrator_configs(config)
+
+    system = EulerSystem(algebra=algebra, inertia=np.diag(inertia_diag),
+                         shift=shift)
+    traj = integrate_euler(system, xi0, horizon, cfg)
+
+    energy = traj.invariant_log["energy"]
+    energy_drift = float(np.max(np.abs(energy - energy[0])))
+    casimir = traj.invariant_log["casimir_shifted"]
+    casimir_drift = float(np.max(np.abs(casimir - casimir[0])))
+
+    # Shift equivalence: the extended-bracket flow of the kinetic
+    # Hamiltonian must match the shifted Euler flow.
+    cocycle = shift_cocycle(algebra, shift)
+    eq_horizon = min(10.0, horizon)
+    traj_shift = integrate_euler(system, xi0, eq_horizon, cfg)
+    traj_ext = integrate_autonomous(
+        lambda xi: extended_hamiltonian_field(algebra, cocycle,
+                                              system.inertia, xi),
+        xi0, eq_horizon, cfg,
+        state_labels=traj.state_labels, kind="euler", dim_base=algebra.dim)
+    equiv = float(np.max(np.abs(traj_shift.values - traj_ext.values)))
+
+    return (
+        {"euler": (traj, {"algebra": algebra.name})},
+        (_check("jacobiator_max", algebra.jacobiator(), 1e-12, "<="),
+         _check("energy_drift", energy_drift, 1e-8, "<="),
+         _check("casimir_drift", casimir_drift, 1e-8, "<="),
+         _check("shift_equivalence_sup", equiv, 1e-10, "<=")))
+
+
+# ---------------------------------------------------------------------------
+# The table
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """An experiment's summary, schema and run function.
+
+    parameters rows are (key, default text, doc); the type of the
+    default (float, comma list of floats, or string) is the type the
+    key accepts, and an empty default marks a key a config must set.
+    """
+
+    summary: str
+    parameters: tuple[tuple[str, str, str], ...]
+    run: Callable[[ExperimentConfig, Path], tuple]
+
+
+def _registered(name: str, run) -> Experiment:
+    return Experiment(REGISTRY[name].summary, REGISTRY[name].parameters, run)
+
+
+_EULER_PARAMETERS = (
+    ("inertia", "1.0, 2.0, 3.0", "diagonal of the inertia tensor"),
+    ("shift", "0.0, 0.0, 0.0", "momentum shift L"),
+    ("xi0", "0.1, 1.0, 0.1", "initial momentum"),
+    ("horizon", "100.0", "integration time"),
+)
+
+TABLE: dict[str, Experiment] = {
+    "pendulum": _registered("pendulum", _run_sweep),
+    "disk": _registered("disk", _run_disk),
+    "particle": _registered("particle", _run_sweep),
+    "euler": Experiment(
+        "Euler equation on a built-in algebra",
+        (("algebra", "so3",
+          "one of: " + ", ".join(sorted(BUILTIN_ALGEBRAS))),
+         *_EULER_PARAMETERS),
+        _run_euler),
+    "custom": Experiment(
+        "Euler equation on an algebra loaded from a file",
+        (("algebra_file", "", "path to a `dim N` / `i j k value` file"),
+         *_EULER_PARAMETERS),
+        _run_euler),
+}

@@ -578,6 +578,39 @@ def closeness_report(full: Trajectory, reduced: Trajectory,
     return report
 
 
+def closeness_case(system: FastSlowSystem, averaged: AveragedSystem,
+                   state_full: PhaseStateFull,
+                   state_reduced: PhaseStateReduced, horizon_slow: float,
+                   config_full: IntegratorConfig,
+                   config_reduced: IntegratorConfig
+                   ) -> tuple[Trajectory, Trajectory, ClosenessReport]:
+    """One epsilon of a sweep: integrate both systems and compare them.
+
+    The full system runs to the fast time horizon_slow / eps and the
+    averaged one to the slow time horizon_slow. An IntegrationError from
+    either run is raised again with eps=<epsilon> in front of its message.
+    """
+    eps = system.epsilon
+    try:
+        full = integrate_full(system, state_full, horizon_slow / eps,
+                              config_full)
+        reduced = integrate_reduced_canonical(averaged, state_reduced,
+                                              horizon_slow, config_reduced)
+    except IntegrationError as err:
+        raise IntegrationError(f"eps={eps!r}: {err}", step=err.step) from err
+    return full, reduced, closeness_report(full, reduced, system)
+
+
+def ratio_table(reports: Sequence[ClosenessReport]) -> tuple[dict, ...]:
+    """Rows of epsilon, total sup error and the previous row's error over
+    this row's (None in the first row), in sweep order."""
+    return tuple(
+        {"epsilon": rep.epsilon, "sup_error": rep.sup_error_total,
+         "ratio": (None if i == 0 else
+                   reports[i - 1].sup_error_total / rep.sup_error_total)}
+        for i, rep in enumerate(reports))
+
+
 def closeness_sweep(build: Callable[[float], tuple],
                     epsilons: Sequence[float],
                     config_full: IntegratorConfig,
@@ -586,24 +619,12 @@ def closeness_sweep(build: Callable[[float], tuple],
     """Run full-versus-reduced comparisons across an epsilon sweep.
 
     build(eps) returns (system, averaged, full_state0, reduced_state0).
-    Each epsilon is integrated to the slow time horizon_slow (fast time
-    horizon_slow / eps for the full system) and the shared ratio table,
-    with successive error ratios, is attached to every report. For data
-    within the averaging regime the ratios should sit near 2 when the
-    sweep halves epsilon.
+    Each epsilon is run by closeness_case to the slow time horizon_slow
+    and the shared ratio table, with successive error ratios, is
+    attached to every report. For data within the averaging regime the
+    ratios should sit near 2 when the sweep halves epsilon.
     """
-    reports = []
-    for eps in epsilons:
-        system, avg, s_full, s_red = build(eps)
-        full = integrate_full(system, s_full, horizon_slow / eps, config_full)
-        red = integrate_reduced_canonical(avg, s_red, horizon_slow,
-                                          config_reduced)
-        reports.append(closeness_report(full, red, system))
-    table = []
-    for i, rep in enumerate(reports):
-        ratio = (None if i == 0
-                 else reports[i - 1].sup_error_total / rep.sup_error_total)
-        table.append({"epsilon": rep.epsilon,
-                      "sup_error": rep.sup_error_total, "ratio": ratio})
-    table = tuple(table)
+    reports = [closeness_case(*build(eps), horizon_slow, config_full,
+                              config_reduced)[2] for eps in epsilons]
+    table = ratio_table(reports)
     return [dataclasses.replace(rep, ratio_table=table) for rep in reports]

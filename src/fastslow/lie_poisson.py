@@ -221,6 +221,20 @@ class EulerSystem:
         return float(0.5 * xi @ self.velocity(xi))
 
 
+def _euler_field(system: EulerSystem) -> Callable[[np.ndarray], np.ndarray]:
+    """The field of euler_vector_field as a closure; I^{-1} is formed once."""
+    inertia_inv = np.linalg.inv(system.inertia)
+    constants, shift = system.algebra.structure_constants, system.shift
+    sign = 1.0 if system.orientation == "right" else -1.0
+
+    def f(xi: np.ndarray) -> np.ndarray:
+        v = inertia_inv @ xi
+        return sign * (v @ np.tensordot(constants, xi - shift,
+                                        axes=([2], [0])))
+
+    return f
+
+
 def euler_vector_field(system: EulerSystem, xi: np.ndarray) -> np.ndarray:
     """Shifted Euler equation dxi/dt = -ad*_{I^{-1} xi} (xi - L).
 
@@ -228,10 +242,7 @@ def euler_vector_field(system: EulerSystem, xi: np.ndarray) -> np.ndarray:
     kinetic energy is conserved at the level of the vector field; with
     orientation "right" the overall sign flips.
     """
-    xi = np.asarray(xi, dtype=float)
-    v = system.velocity(xi)
-    out = -coadjoint_action(system.algebra, v, xi - system.shift)
-    return -out if system.orientation == "right" else out
+    return _euler_field(system)(np.asarray(xi, dtype=float))
 
 
 def extended_hamiltonian_field(algebra: LieAlgebraData,
@@ -270,20 +281,11 @@ def integrate_euler(system: EulerSystem, xi0: np.ndarray, horizon: float,
     if xi0.shape != (n,):
         raise ValueError("xi0 must have length dim")
     inertia_inv = np.linalg.inv(system.inertia)
-    constants = system.algebra.structure_constants
     shift = system.shift
-    sign = -1.0 if system.orientation == "right" else 1.0
-
-    def f(xi: np.ndarray) -> np.ndarray:
-        v = inertia_inv @ xi
-        eta = xi - shift
-        coad = v @ np.tensordot(constants, eta, axes=([2], [0]))
-        return -sign * coad
-
     labels = tuple(f"xi{i + 1}" for i in range(n))
     return integrate_autonomous(
-        f, xi0, horizon, config, state_labels=labels, kind="euler",
-        dim_base=n,
+        _euler_field(system), xi0, horizon, config, state_labels=labels,
+        kind="euler", dim_base=n,
         energy=lambda z: float(0.5 * z @ inertia_inv @ z),
         logs={"momentum": lambda z: float(z @ z),
               "casimir_shifted": lambda z: float((z - shift) @ (z - shift))},

@@ -33,8 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._derivatives import (FIRST_ORDER_STEP, SECOND_ORDER_STEP, gradient,
-                           hessian, jacobian, step_size)
+from ._derivatives import gradient, hessian, jacobian
 from .averaging import (AveragedSystem, AveragingError, FastSlowSystem,
                         QuadratureRule, TrigSeries, average_coefficients,
                         periodic_antiderivative_samples)
@@ -493,14 +492,7 @@ def spinning_disk_rhs(params: DiskParams,
         u = z[2:]
         surface.require_in_domain(q)
         mass = disk_mass_matrix(params, surface, q)
-        h = step_size(q)
-        dmass = []
-        for i in range(2):
-            e = np.zeros(2)
-            e[i] = h
-            dmass.append((disk_mass_matrix(params, surface, q + e)
-                          - disk_mass_matrix(params, surface, q - e))
-                         / (2.0 * h))
+        dmass = jacobian(lambda x: disk_mass_matrix(params, surface, x), q)
         kcurv = gaussian_curvature(surface, q)
         dens = surface.sqrt_a11(q) * surface.sqrt_a22(q)
         force = dens * mu * kcurv * np.array([-u[1], u[0]])
@@ -541,14 +533,7 @@ def disk_reduced_system(params: DiskParams, surface: SurfaceMetric
 
     def grad_q(Q, P1):
         surface.require_in_domain(Q)
-        h = step_size(Q)
-        out = np.empty(2)
-        for i in range(2):
-            e = np.zeros(2)
-            e[i] = h
-            out[i] = (0.5 * P1 @ minv(Q + e) @ P1
-                      - 0.5 * P1 @ minv(Q - e) @ P1) / (2.0 * h)
-        return out
+        return gradient(lambda x: 0.5 * P1 @ minv(x) @ P1, Q)
 
     def grad_p(Q, P1):
         return minv(Q) @ P1
@@ -661,6 +646,20 @@ def _oscillating_samples(potential: OscillatingPotential, x: np.ndarray,
     return vals
 
 
+def _antiderivative_samples(potential: OscillatingPotential, x: np.ndarray,
+                            n: int, order: int) -> np.ndarray:
+    return periodic_antiderivative_samples(
+        _oscillating_samples(potential, x, n), order=order,
+        what="oscillating potential")
+
+
+def _antiderivative_gradient(potential: OscillatingPotential, x: np.ndarray,
+                             n: int) -> np.ndarray:
+    """Central-difference gradient of V at n fiber nodes, shape (dim, n)."""
+    return jacobian(lambda pt: _antiderivative_samples(potential, pt, n, 1),
+                    x)
+
+
 def zero_mean_antiderivative(potential: OscillatingPotential, x: np.ndarray,
                              order: int = 1,
                              rule: QuadratureRule | None = None
@@ -697,10 +696,8 @@ def zero_mean_antiderivative(potential: OscillatingPotential, x: np.ndarray,
 
         return anti
     rule = rule or QuadratureRule()
-    vals = _oscillating_samples(potential, x, rule.n_nodes)
-    anti_samples = periodic_antiderivative_samples(
-        vals, order=order, what="oscillating potential")
-    return TrigSeries.from_samples(anti_samples)
+    return TrigSeries.from_samples(
+        _antiderivative_samples(potential, x, rule.n_nodes, order))
 
 
 def mean_grad_antiderivative_sq(potential: OscillatingPotential,
@@ -720,20 +717,7 @@ def mean_grad_antiderivative_sq(potential: OscillatingPotential,
             total += (float(dc @ dc) + float(ds @ ds)) / (2.0 * m.k ** 2)
         return total
     rule = rule or QuadratureRule()
-    n = rule.n_nodes
-    h = step_size(x)
-    grads = []
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = h
-        hi = periodic_antiderivative_samples(
-            _oscillating_samples(potential, x + e, n), order=1,
-            what="oscillating potential")
-        lo = periodic_antiderivative_samples(
-            _oscillating_samples(potential, x - e, n), order=1,
-            what="oscillating potential")
-        grads.append((hi - lo) / (2.0 * h))
-    vp = np.stack(grads)
+    vp = _antiderivative_gradient(potential, x, rule.n_nodes)
     return float(np.mean(np.sum(vp * vp, axis=0)))
 
 
@@ -754,44 +738,9 @@ def mean_hess_cross_term(potential: OscillatingPotential, x: np.ndarray,
             total = total + (m.hess_c(x) @ m.grad_s(x)
                              - m.hess_s(x) @ m.grad_c(x)) / (2.0 * m.k ** 3)
         return total
-    rule = rule or QuadratureRule()
-    n = rule.n_nodes
-    l = x.size
-    h1 = step_size(x)
-
-    def vprime() -> np.ndarray:
-        rows = []
-        for i in range(l):
-            e = np.zeros(l)
-            e[i] = h1
-            hi = periodic_antiderivative_samples(
-                _oscillating_samples(potential, x + e, n), order=1,
-                what="oscillating potential")
-            lo = periodic_antiderivative_samples(
-                _oscillating_samples(potential, x - e, n), order=1,
-                what="oscillating potential")
-            rows.append((hi - lo) / (2.0 * h1))
-        return np.stack(rows)
-
-    def s_at(pt: np.ndarray) -> np.ndarray:
-        return periodic_antiderivative_samples(
-            _oscillating_samples(potential, pt, n), order=2,
-            what="oscillating potential")
-
-    h2 = step_size(x, SECOND_ORDER_STEP)
-    s0 = s_at(x)
-    spp = np.empty((l, l, n))
-    for i in range(l):
-        ei = np.zeros(l)
-        ei[i] = h2
-        spp[i, i] = (s_at(x + ei) - 2.0 * s0 + s_at(x - ei)) / (h2 * h2)
-        for j in range(i + 1, l):
-            ej = np.zeros(l)
-            ej[j] = h2
-            mixed = (s_at(x + ei + ej) - s_at(x + ei - ej)
-                     - s_at(x - ei + ej) + s_at(x - ei - ej)) / (4.0 * h2 * h2)
-            spp[i, j] = spp[j, i] = mixed
-    vp = vprime()
+    n = (rule or QuadratureRule()).n_nodes
+    spp = hessian(lambda pt: _antiderivative_samples(potential, pt, n, 2), x)
+    vp = _antiderivative_gradient(potential, x, n)
     return np.mean(np.einsum("ikn,kn->in", spp, vp), axis=1)
 
 

@@ -9,15 +9,15 @@ the halving-ratio law of the averaging theorem.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 
-from fastslow import (BUILTIN_ALGEBRAS, DiskParams, EulerSystem,
+from fastslow import (BUILTIN_ALGEBRAS, EulerSystem,
                       FastSlowSystem, IntegratorConfig, PendulumParams,
                       PhaseStateFull, PhaseStateReduced, average_coefficients,
                       averaged_hamiltonian, closeness_sweep,
                       coadjoint_action, curvature_identity_residual,
-                      disk_mass_matrix, disk_momentum, disk_reduced_system,
                       effective_potential, euler_vector_field,
                       exponential_surface, extended_bracket,
                       extended_hamiltonian_field, full_velocities,
@@ -29,11 +29,11 @@ from fastslow import (BUILTIN_ALGEBRAS, DiskParams, EulerSystem,
                       particle_potential_2d, particle_systems,
                       pendulum_systems, plane_surface, shift_cocycle,
                       simulate_physical_pendulum, so3, sphere_surface,
-                      spinning_disk_rhs, uniform_field_averaged)
+                      uniform_field_averaged)
+from fastslow.cli import parse_config, shipped_config_text
+from fastslow.experiments import TABLE, closeness_build, integrator_configs
 
 MIDPOINT = IntegratorConfig(method="implicit_midpoint", dt=1e-2)
-MIDPOINT_FINE = IntegratorConfig(method="implicit_midpoint", dt=1e-3)
-RK4_FINE = IntegratorConfig(method="rk4", dt=1e-3)
 
 
 def report(index: int, label: str, passed: bool, detail: str,
@@ -43,22 +43,6 @@ def report(index: int, label: str, passed: bool, detail: str,
           f"[{elapsed:.1f} s, budget {budget:g} s]")
     assert passed, f"{label}: {detail}"
     assert elapsed < budget, f"{label}: took {elapsed:.1f} s"
-
-
-def pendulum_build(eps):
-    params = PendulumParams(length=1.0, gravity=1.0, amplitude=0.5, mu=3.0,
-                            epsilon=eps)
-    system, avg = pendulum_systems(params)
-    q0, p0 = np.array([2.0]), np.array([0.0])
-    return (system, avg, PhaseStateFull(q=q0, p=p0, phi=0.0, gamma=3.0),
-            PhaseStateReduced(Q=q0, P=p0))
-
-
-def particle_build(eps):
-    system, avg = particle_systems(particle_potential_1d(), eps, 1.0)
-    q0, p0 = np.array([0.8]), np.array([0.3])
-    return (system, avg, PhaseStateFull(q=q0, p=p0, phi=0.0, gamma=1.0),
-            PhaseStateReduced(Q=q0, P=p0))
 
 
 def phi_independent_system(epsilon=1e-2, mu=0.7):
@@ -98,14 +82,16 @@ def test_1_pendulum_effective_potential():
 
 def test_2_epsilon_closeness_ratios():
     # Full and averaged trajectories must stay O(eps)-close up to the
-    # slow horizon: halving eps should roughly halve the sup error.
-    epsilons = (1e-2, 5e-3, 2.5e-3)
+    # slow horizon: halving eps should roughly halve the sup error. The
+    # runs are those of the shipped pendulum and particle configs.
     details = []
     ok = True
-    for label, build in (("pendulum", pendulum_build),
-                         ("particle", particle_build)):
+    for label in ("pendulum", "particle"):
         start = time.perf_counter()
-        reports = closeness_sweep(build, epsilons, MIDPOINT, MIDPOINT_FINE)
+        config = parse_config(shipped_config_text(label))
+        reports = closeness_sweep(
+            lambda eps: closeness_build(config, eps), config.epsilon_sweep,
+            *integrator_configs(config), config.horizon_factor)
         ratios = [row["ratio"] for row in reports[0].ratio_table
                   if row["ratio"] is not None]
         elapsed = time.perf_counter() - start
@@ -170,34 +156,13 @@ def test_4_curvature_identity_on_grids():
 
 def test_5_spinning_disk_two_path_agreement():
     # Second-order equations of a disk spinning over the sphere versus
-    # the magnetic-chart first-order reduction of the same system.
+    # the magnetic-chart first-order reduction of the same system, as
+    # run by the shipped disk config.
     start = time.perf_counter()
-    surface = sphere_surface(1.0)
-    params = DiskParams(mass=1.0, inertia_axial=1.0, inertia_diametral=0.5,
-                        omega_axial=2.0)
-    q0 = np.array([np.pi / 3.0, 0.0])
-    u0 = np.array([0.1, 0.5])
-
-    rhs = spinning_disk_rhs(params, surface)
-    lagrangian = integrate_autonomous(
-        rhs, np.concatenate([q0, u0]), 10.0, RK4_FINE,
-        state_labels=("q1", "q2", "u1", "u2"), kind="disk_lagrangian",
-        dim_base=2)
-
-    shell, overrides = disk_reduced_system(params, surface)
-    p1 = disk_momentum(params, surface, q0, u0)
-    magnetic = integrate_reduced_magnetic(
-        shell, PhaseStateReduced(Q=q0, P=p1, chart="magnetic"), 10.0,
-        RK4_FINE, **overrides)
-
-    sup = 0.0
-    for i in range(len(lagrangian)):
-        q_mag = magnetic.values[i, :2]
-        mass = disk_mass_matrix(params, surface, q_mag)
-        u_mag = np.linalg.solve(mass, magnetic.values[i, 2:])
-        sup = max(sup,
-                  float(np.max(np.abs(lagrangian.values[i, :2] - q_mag))),
-                  float(np.max(np.abs(lagrangian.values[i, 2:] - u_mag))))
+    config = parse_config(shipped_config_text("disk"))
+    _, records = TABLE["disk"].run(config, Path.cwd())
+    sup = next(r.observed for r in records
+               if r.name == "magnetic_chart_two_path_sup")
     report(5, "spinning disk two-path equivalence", sup < 1e-6,
            f"sup position/velocity gap {sup:.3e} over t=10 (tol 1e-6)",
            time.perf_counter() - start, 30.0)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fastslow import IntegrationError, IntegratorConfig, Trajectory
-from fastslow import cli
+from fastslow import experiments, integrators
 from fastslow.cli import (ConfigError, ExperimentConfig, emit_csv, emit_json,
                           load_config, main, parse_config, read_csv,
                           run_experiment, serialize_config,
@@ -144,6 +144,33 @@ class TestConfigParsing:
     def test_unknown_shipped_config(self):
         with pytest.raises(FileNotFoundError, match="no shipped config"):
             shipped_config_text("warp")
+
+    @pytest.mark.parametrize("text, fragment", [
+        ("experiment = euler\n[parameters]\nhorizon = abc\n",
+         "line 3: parameter 'horizon' must be a float, got 'abc'"),
+        ("experiment = disk\n[parameters]\nmass = heavy\n",
+         "line 3: parameter 'mass' must be a float, got 'heavy'"),
+        ("experiment = euler\n[parameters]\nxi0 = fast\n",
+         "line 3: parameter 'xi0' must be a float or a comma list of floats"),
+        ("experiment = euler\n[parameters]\nalgebra = 3\n",
+         "line 3: parameter 'algebra' must be a string, got 3.0"),
+        ("experiment = custom\n[parameters]\nhorizon = 5.0\n",
+         "missing parameter 'algebra_file' for experiment 'custom'"),
+        ("experiment = custom\n[parameters]\nalgebra_file =\n",
+         "line 3: missing parameter 'algebra_file'"),
+    ], ids=["float", "float_disk", "list", "string", "required_unset",
+            "required_empty"])
+    def test_parameter_checked_against_schema(self, text, fragment):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(text)
+        assert fragment in str(excinfo.value)
+
+    def test_list_parameter_accepts_single_float(self):
+        config = parse_config(
+            "experiment = custom\n[parameters]\nalgebra_file = a.alg\n"
+            "inertia = 2.0\nxi0 = 0.5, 1.5\n")
+        assert config.parameters["inertia"] == 2.0
+        assert config.parameters["xi0"] == (0.5, 1.5)
 
     def test_load_config_reads_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -287,22 +314,47 @@ class TestCommandLine:
         assert main(["run", str(tmp_path / "absent.cfg")]) == 2
         assert capsys.readouterr().err
 
+    @pytest.mark.parametrize("module, name, fails_for, text, fragments", [
+        (experiments, "integrate_euler", lambda system: True,
+         EULER_FAST_CONFIG, ("euler", "step 7 (t=0.07)")),
+        (integrators, "integrate_full", lambda system: system.epsilon == 0.005,
+         PARTICLE_SWEEP_TEMPLATE.format(sweep="0.02, 0.005"),
+         ("particle", "eps=0.005", "step 7 (t=0.07)")),
+    ], ids=["euler", "particle"])
     def test_run_exit_two_on_integration_error(self, tmp_path, capsys,
-                                               monkeypatch):
-        def fail(*args, **kwargs):
-            raise IntegrationError("step 7 (t=0.07): Newton iterate "
-                                   "became non-finite", step=7)
+                                               monkeypatch, module, name,
+                                               fails_for, text, fragments):
+        original = getattr(module, name)
 
-        monkeypatch.setattr(cli, "integrate_euler", fail)
-        path = tmp_path / "euler.cfg"
-        path.write_text(EULER_FAST_CONFIG)
+        def fail(system, *args, **kwargs):
+            if fails_for(system):
+                raise IntegrationError("step 7 (t=0.07): Newton iterate "
+                                       "became non-finite", step=7)
+            return original(system, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, fail)
+        monkeypatch.setenv("FASTSLOW_THREADS", "1")
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
         assert main(["run", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1
-        assert "euler" in lines[0]
-        assert "step 7 (t=0.07)" in lines[0]
+        for fragment in fragments:
+            assert fragment in lines[0]
+
+    @pytest.mark.parametrize("experiment, line", [
+        ("euler", "horizon = abc"),
+        ("disk", "mass = heavy"),
+        ("custom", "horizon = 5.0"),
+    ], ids=["euler", "disk", "custom"])
+    def test_run_exit_two_on_bad_parameter(self, tmp_path, capsys,
+                                           experiment, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"experiment = {experiment}\n[parameters]\n{line}\n")
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("invalid config")
 
     def test_run_exit_two_on_unwritable_output(self, tmp_path, capsys):
         (tmp_path / "blocker").write_text("a regular file\n")
