@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -65,6 +66,12 @@ class ExperimentConfig:
     newton_max_iter: int = 50
     output_dir: str = "out"
     formats: tuple[str, ...] = ("csv", "json")
+
+
+# Section keys are named after the fields they set; a key left out of a
+# config takes the field's default.
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)
+             if f.default is not MISSING}
 
 
 # Accepted value types and their wording, by the type of the schema
@@ -124,8 +131,8 @@ def parse_config(text: str) -> ExperimentConfig:
         seen[(section, key)] = lineno
         values[(section, key)] = parse_value(raw_val)
 
-    def take(sec, key, default=None):
-        return values.pop((sec, key), default)
+    def take(sec, key):
+        return values.pop((sec, key), _DEFAULTS.get(key))
 
     def lineof(sec, key):
         return seen.get((sec, key), 0)
@@ -147,14 +154,13 @@ def parse_config(text: str) -> ExperimentConfig:
         errors += [(lineof("parameters", key), message) for key, message
                    in _parameter_errors(experiment, parameters)]
 
-    sweep = take("sweep", "epsilon_sweep", (1e-2, 5e-3, 2.5e-3))
+    sweep = take("sweep", "epsilon_sweep")
     if isinstance(sweep, float):
         sweep = (sweep,)
     if not isinstance(sweep, tuple) or not all(
             isinstance(v, float) for v in sweep):
         errors.append((lineof("sweep", "epsilon_sweep"),
                        "epsilon_sweep must be a comma list of floats"))
-        sweep = (1e-2,)
     else:
         if any(not v > 0.0 for v in sweep):
             errors.append((lineof("sweep", "epsilon_sweep"),
@@ -163,40 +169,36 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append((lineof("sweep", "epsilon_sweep"),
                            "epsilon_sweep must be strictly decreasing"))
 
-    horizon_factor = take("sweep", "horizon_factor", 1.0)
+    horizon_factor = take("sweep", "horizon_factor")
     if not isinstance(horizon_factor, float) or not \
             (0.0 < horizon_factor <= 10.0):
         errors.append((lineof("sweep", "horizon_factor"),
                        "horizon_factor must be a float in (0, 10]"))
-        horizon_factor = 1.0
 
-    method = take("integrator", "method", "implicit_midpoint")
+    method = take("integrator", "method")
     if method not in ("implicit_midpoint", "rk4"):
         errors.append((lineof("integrator", "method"),
                        f"unknown method {method!r}"))
-        method = "implicit_midpoint"
-    dt_full = take("integrator", "dt_full", 1e-2)
-    dt_reduced = take("integrator", "dt_reduced", 1e-3)
+    dt_full = take("integrator", "dt_full")
+    dt_reduced = take("integrator", "dt_reduced")
     for name, val in (("dt_full", dt_full), ("dt_reduced", dt_reduced)):
         if not isinstance(val, float) or not val > 0.0:
             errors.append((lineof("integrator", name),
                            f"{name} must be a positive float"))
-    newton_tol = take("integrator", "newton_tol", 1e-12)
+    newton_tol = take("integrator", "newton_tol")
     if not isinstance(newton_tol, float) or not (0.0 < newton_tol <= 1e-6):
         errors.append((lineof("integrator", "newton_tol"),
                        "newton_tol must lie in (0, 1e-6]"))
-        newton_tol = 1e-12
-    newton_max_iter = take("integrator", "newton_max_iter", 50.0)
-    if not isinstance(newton_max_iter, float) or \
+    newton_max_iter = take("integrator", "newton_max_iter")
+    if not isinstance(newton_max_iter, (int, float)) or \
             newton_max_iter != int(newton_max_iter) or newton_max_iter < 1:
         errors.append((lineof("integrator", "newton_max_iter"),
                        "newton_max_iter must be a positive integer"))
-        newton_max_iter = 50.0
 
-    output_dir = take("output", "output_dir", "out")
+    output_dir = take("output", "output_dir")
     if isinstance(output_dir, float):
         output_dir = str(output_dir)
-    formats = take("output", "formats", ("csv", "json"))
+    formats = take("output", "formats")
     if isinstance(formats, str):
         formats = tuple(p.strip() for p in formats.split(",") if p.strip())
     if isinstance(formats, float):
@@ -205,7 +207,6 @@ def parse_config(text: str) -> ExperimentConfig:
     if not formats or any(f not in ("csv", "json") for f in formats):
         errors.append((lineof("output", "formats"),
                        "formats must be a nonempty subset of {csv, json}"))
-        formats = ("csv",)
 
     for (sec, key) in values:
         if sec is None:
@@ -460,10 +461,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            return _cmd_run(args.config)
-        if args.command == "verify":
-            return _cmd_verify(args.experiment)
-        return _cmd_list()
+            status = _cmd_run(args.config)
+        elif args.command == "verify":
+            status = _cmd_verify(args.experiment)
+        else:
+            status = _cmd_list()
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at devnull so that the flush
+        # at interpreter exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except (ConfigError, FileNotFoundError, ValueError) as err:
         print(str(err), file=sys.stderr)
         return 2

@@ -208,8 +208,7 @@ def _run_disk(config: ExperimentConfig, base_dir: Path) -> tuple:
         **overrides)
 
     # Two-path deviation: positions, and velocities u = M(q)^{-1} P1.
-    u_mag = [np.linalg.solve(disk_mass_matrix(params, surface, z[:2]), z[2:])
-             for z in magnetic.values]
+    u_mag = [overrides["grad_p"](z[:2], z[2:]) for z in magnetic.values]
     dev = float(np.max(np.abs(lagrangian.values - np.hstack(
         [magnetic.values[:, :2], u_mag]))))
 

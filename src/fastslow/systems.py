@@ -452,8 +452,6 @@ class DiskParams:
 
 
 def _second_form_matrix(params: DiskParams, q: np.ndarray) -> np.ndarray:
-    if params.second_form is None:
-        return np.zeros((2, 2))
     f = params.second_form
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])
@@ -463,12 +461,60 @@ def _second_form_matrix(params: DiskParams, q: np.ndarray) -> np.ndarray:
     return np.array([[f11, f12], [f12, f22]])
 
 
+def _metric_mass(params: DiskParams, surface: SurfaceMetric,
+                 q: np.ndarray) -> np.ndarray:
+    """m diag(a11, a22), the metric part of the disk mass matrix."""
+    m = params.mass
+    return np.array([[m * float(surface.a11(q)), 0.0],
+                     [0.0, m * float(surface.a22(q))]])
+
+
 def disk_mass_matrix(params: DiskParams, surface: SurfaceMetric,
                      q: np.ndarray) -> np.ndarray:
     """Slow kinetic matrix M(q) = m diag(a11, a22) + I_d * second form."""
     q = np.asarray(q, dtype=float)
-    m = params.mass * np.diag([float(surface.a11(q)), float(surface.a22(q))])
-    return m + params.inertia_diametral * _second_form_matrix(params, q)
+    mass = _metric_mass(params, surface, q)
+    if params.second_form is not None:
+        mass += params.inertia_diametral * _second_form_matrix(params, q)
+    return mass
+
+
+def _disk_mass_and_derivatives(params: DiskParams, surface: SurfaceMetric,
+                               q: np.ndarray
+                               ) -> tuple[np.ndarray, np.ndarray]:
+    """M(q) and dM with dM[i] = d M / d q_i, the metric part in closed form.
+
+    d_i (m a_jj) = 2 m sqrt(a_jj) d_i sqrt(a_jj), through the surface's
+    grad_sqrt_a11 / grad_sqrt_a22. Only the optional second form is
+    differentiated by central differences.
+    """
+    m = params.mass
+    mass = _metric_mass(params, surface, q)
+    dmass = np.zeros((2, 2, 2))
+    dmass[:, 0, 0] = 2.0 * m * surface.sqrt_a11(q) * surface.grad_sqrt_a11(q)
+    dmass[:, 1, 1] = 2.0 * m * surface.sqrt_a22(q) * surface.grad_sqrt_a22(q)
+    if params.second_form is not None:
+        def form(x):
+            return params.inertia_diametral * _second_form_matrix(params, x)
+
+        mass += form(q)
+        dmass += jacobian(form, q)
+    return mass, dmass
+
+
+def _solve2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solution x of the 2 x 2 system a x = b by Cramer's rule.
+
+    For a 2 x 2 system the np.linalg call overhead (about 10 us) exceeds
+    the arithmetic; a singular matrix raises LinAlgError as np.linalg does.
+    """
+    (a00, a01), (a10, a11) = a.tolist()
+    b0, b1 = np.asarray(b, dtype=float).tolist()
+    det = a00 * a11 - a01 * a10
+    if det == 0.0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return np.array([(a11 * b0 - a01 * b1) / det,
+                     (a00 * b1 - a10 * b0) / det])
 
 
 def spinning_disk_rhs(params: DiskParams,
@@ -483,7 +529,9 @@ def spinning_disk_rhs(params: DiskParams,
 
     proportional to the Gaussian curvature. The returned callable maps
     z = (q1, q2, u1, u2) to its time derivative; with mu = 0 the flow
-    is geodesic for M, and on a flat surface it is straight lines.
+    is geodesic for M, and on a flat surface it is straight lines. The
+    partial derivatives of M are closed-form; only an optional second
+    form is differentiated by central differences.
     """
     mu = params.mu
 
@@ -491,15 +539,13 @@ def spinning_disk_rhs(params: DiskParams,
         q = z[:2]
         u = z[2:]
         surface.require_in_domain(q)
-        mass = disk_mass_matrix(params, surface, q)
-        dmass = jacobian(lambda x: disk_mass_matrix(params, surface, x), q)
+        mass, dmass = _disk_mass_and_derivatives(params, surface, q)
         kcurv = gaussian_curvature(surface, q)
         dens = surface.sqrt_a11(q) * surface.sqrt_a22(q)
         force = dens * mu * kcurv * np.array([-u[1], u[0]])
-        # d/dt (M u) - (1/2) u . d_i M u = force_i
-        quad = 0.5 * np.array([u @ dmass[0] @ u, u @ dmass[1] @ u])
-        drift = (u[0] * dmass[0] + u[1] * dmass[1]) @ u
-        udot = np.linalg.solve(mass, force + quad - drift)
+        # d/dt (M u) - (1/2) u . d_i M u = force_i, with du[i] = d_i M u
+        du = dmass @ u
+        udot = _solve2(mass, force + 0.5 * (du @ u) - u @ du)
         return np.concatenate([u, udot])
 
     return rhs
@@ -521,22 +567,23 @@ def disk_reduced_system(params: DiskParams, surface: SurfaceMetric
     integrate_reduced_magnetic: kinetic Hamiltonian
     H = (1/2) P1 . M(q)^{-1} P1 and magnetic matrix
     B = sqrt(a11 a22) mu K [[0, 1], [-1, 0]], whose transpose reproduces
-    the gyroscopic force of spinning_disk_rhs.
+    the gyroscopic force of spinning_disk_rhs. grad_p is the velocity
+    v = M^{-1} P1 and grad_q the exact -(1/2) v . d_i M v, with the
+    partial derivatives of M closed-form as in spinning_disk_rhs.
     """
     mu = params.mu
 
-    def minv(q):
-        return np.linalg.inv(disk_mass_matrix(params, surface, q))
-
     def hamiltonian(Q, P1):
-        return float(0.5 * P1 @ minv(Q) @ P1)
+        return float(0.5 * P1 @ grad_p(Q, P1))
 
     def grad_q(Q, P1):
         surface.require_in_domain(Q)
-        return gradient(lambda x: 0.5 * P1 @ minv(x) @ P1, Q)
+        mass, dmass = _disk_mass_and_derivatives(params, surface, Q)
+        v = _solve2(mass, P1)
+        return -0.5 * ((dmass @ v) @ v)
 
     def grad_p(Q, P1):
-        return minv(Q) @ P1
+        return _solve2(disk_mass_matrix(params, surface, Q), P1)
 
     def b_field(Q):
         dens = surface.sqrt_a11(Q) * surface.sqrt_a22(Q)
@@ -561,8 +608,9 @@ def disk_reduced_system(params: DiskParams, surface: SurfaceMetric
 class HarmonicMode:
     """One fiber harmonic c(x) cos(k tau) + s(x) sin(k tau).
 
-    dc, ds are spatial gradients and d2c, d2s spatial Hessians; finite
-    differences stand in for missing ones.
+    dc, ds are spatial gradients, d2c, d2s spatial Hessians and d3c, d3s
+    the third-derivative tensors; finite differences stand in for missing
+    ones.
     """
 
     k: int
@@ -572,6 +620,8 @@ class HarmonicMode:
     ds: Callable[[np.ndarray], np.ndarray] | None = None
     d2c: Callable[[np.ndarray], np.ndarray] | None = None
     d2s: Callable[[np.ndarray], np.ndarray] | None = None
+    d3c: Callable[[np.ndarray], np.ndarray] | None = None
+    d3s: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -596,6 +646,16 @@ class HarmonicMode:
         if self.d2s is not None:
             return np.asarray(self.d2s(x), dtype=float)
         return hessian(self.s, x)
+
+    def third_c(self, x: np.ndarray) -> np.ndarray:
+        if self.d3c is not None:
+            return np.asarray(self.d3c(x), dtype=float)
+        return jacobian(self.hess_c, x)
+
+    def third_s(self, x: np.ndarray) -> np.ndarray:
+        if self.d3s is not None:
+            return np.asarray(self.d3s(x), dtype=float)
+        return jacobian(self.hess_s, x)
 
 
 @dataclass(frozen=True)
@@ -757,6 +817,8 @@ def oscillating_particle_averaged(potential: OscillatingPotential,
 
     and acquires the magnetic coefficient mu a0 = -eps^3 mu <S'' V'>
     (h0 = 0: the correction enters the potential once, through U0).
+    With Fourier modes, grad_U0 and grad_a0 are the exact per-harmonic
+    sums; otherwise the integrators difference U0 and a0.
     The reference data dict carries the raw means plus the matching
     bundle quantities: fiber_inertia 1 / (eps^2 <V'.V'>) and connection
     +eps^3 <S'' V'>.
@@ -784,6 +846,34 @@ def oscillating_particle_averaged(potential: OscillatingPotential,
     def h0(x):
         return 0.0
 
+    grad_U0 = grad_a0 = None
+    if potential.fourier_modes is not None:
+        modes = potential.fourier_modes
+        grad_ubar = potential.grad_mean or (lambda x: gradient(ubar, x))
+
+        def grad_U0(x):
+            # grad <V'.V'> = sum (c'' c' + s'' s') / k^2
+            x = np.atleast_1d(np.asarray(x, dtype=float))
+            total = np.array(grad_ubar(x), dtype=float)
+            for m in modes:
+                total = total + (0.5 * eps ** 2 * mu ** 2 / m.k ** 2) * (
+                    m.hess_c(x) @ m.grad_c(x) + m.hess_s(x) @ m.grad_s(x))
+            return total
+
+        def grad_a0(x):
+            # With c3, s3 the third-derivative tensors,
+            # d_i <S'' V'>_j = sum (c3_ijl s'_l - s3_ijl c'_l
+            #                       + (s'' c'' - c'' s'')_ij) / (2 k^3)
+            x = np.atleast_1d(np.asarray(x, dtype=float))
+            total = np.zeros((x.size, x.size))
+            for m in modes:
+                hc = m.hess_c(x)
+                hs = m.hess_s(x)
+                total = total + (m.third_c(x) @ m.grad_s(x)
+                                 - m.third_s(x) @ m.grad_c(x)
+                                 + hs @ hc - hc @ hs) / (2.0 * m.k ** 3)
+            return -eps ** 3 * total
+
     samples = [np.full(potential.dim_base, v) for v in (0.4, 0.9, -1.2)]
     inertia_min = min(-float(a0(x) @ a0(x)) for x in samples)
     diagnostics = {
@@ -793,8 +883,8 @@ def oscillating_particle_averaged(potential: OscillatingPotential,
     }
     averaged = AveragedSystem(
         dim_base=potential.dim_base, a0=a0, h0=h0, U0=U0, mu=mu,
-        grad_h0=lambda x: np.zeros(potential.dim_base),
-        diagnostics=diagnostics)
+        grad_a0=grad_a0, grad_h0=lambda x: np.zeros(potential.dim_base),
+        grad_U0=grad_U0, diagnostics=diagnostics)
     reference = {
         "slow_mean": ubar,
         "mean_grad_sq": mean_vv,
@@ -905,7 +995,9 @@ def particle_potential_1d(trap: float = 1.0, alpha: float = 0.7,
         dc=lambda x: np.array([alpha * math.cos(x[0])]),
         ds=lambda x: np.array([-beta * math.sin(x[0])]),
         d2c=lambda x: np.array([[-alpha * math.sin(x[0])]]),
-        d2s=lambda x: np.array([[-beta * math.cos(x[0])]]))
+        d2s=lambda x: np.array([[-beta * math.cos(x[0])]]),
+        d3c=lambda x: np.array([[[-alpha * math.cos(x[0])]]]),
+        d3s=lambda x: np.array([[[beta * math.sin(x[0])]]]))
 
     return OscillatingPotential(
         dim_base=1,
@@ -927,6 +1019,8 @@ def particle_potential_2d(trap: float = 1.0, alpha: float = 0.7,
     """
     w1 = np.array([1.0, 0.3])
     w2 = np.array([0.7, -1.0])
+    w1_cubed = np.multiply.outer(np.outer(w1, w1), w1)
+    w2_cubed = np.multiply.outer(np.outer(w2, w2), w2)
 
     def c(x):
         return alpha * math.sin(float(w1 @ x))
@@ -939,7 +1033,9 @@ def particle_potential_2d(trap: float = 1.0, alpha: float = 0.7,
         dc=lambda x: alpha * math.cos(float(w1 @ x)) * w1,
         ds=lambda x: -beta * math.sin(float(w2 @ x)) * w2,
         d2c=lambda x: -alpha * math.sin(float(w1 @ x)) * np.outer(w1, w1),
-        d2s=lambda x: -beta * math.cos(float(w2 @ x)) * np.outer(w2, w2))
+        d2s=lambda x: -beta * math.cos(float(w2 @ x)) * np.outer(w2, w2),
+        d3c=lambda x: -alpha * math.cos(float(w1 @ x)) * w1_cubed,
+        d3s=lambda x: beta * math.sin(float(w2 @ x)) * w2_cubed)
 
     return OscillatingPotential(
         dim_base=2,

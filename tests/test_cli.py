@@ -8,10 +8,15 @@ the output contract.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fastslow
 from fastslow import IntegrationError, IntegratorConfig, Trajectory
 from fastslow import experiments, integrators
 from fastslow.cli import (ConfigError, ExperimentConfig, emit_csv, emit_json,
@@ -64,6 +69,10 @@ class TestConfigParsing:
         assert config.method == "implicit_midpoint"
         assert config.formats == ("csv", "json")
         assert config.newton_max_iter == 50
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        assert parse_config("experiment = pendulum\n") == \
+            ExperimentConfig(experiment="pendulum")
 
     def test_comments_and_blanks_ignored(self):
         text = ("# leading comment\n\nexperiment = particle  # inline\n"
@@ -384,3 +393,23 @@ class TestCommandLine:
             assert name in out
         assert "algebra_file" in out
         assert "available experiments:" in out
+
+    def test_closed_stdout_exits_two_without_traceback(self):
+        # A pipe whose read end is closed before the child starts, so
+        # the child's first write fails with EPIPE.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = Path(fastslow.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")])}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "fastslow.cli", "list"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert b"Traceback" not in proc.stderr
+        assert b"BrokenPipeError" not in proc.stderr
+

@@ -32,6 +32,8 @@ from fastslow import (DiskParams, DomainError, HarmonicMode,
                       pendulum_systems, plane_surface, simulate_physical_pendulum,
                       sphere_surface, spinning_disk_rhs,
                       zero_mean_antiderivative)
+from fastslow import _derivatives as fd
+from fastslow.systems import _disk_mass_and_derivatives, _solve2
 
 RK4 = IntegratorConfig(method="rk4", dt=1e-3)
 
@@ -244,6 +246,102 @@ class TestSpinningDisk:
         assert DiskParams(inertia_axial=2.0, omega_axial=1.5).mu == 3.0
 
 
+def _no_partials_surface():
+    # No d_sqrt_* callables: grad_sqrt_a11/a22 take their central
+    # differences.
+    return SurfaceMetric(a11=lambda q: 2.0 + math.sin(q[0]) * math.cos(q[1]),
+                         a22=lambda q: 1.0 + q[0] ** 2 + 0.5 * q[1] ** 2,
+                         name="no-partials")
+
+
+def _curved_second_form(q, v):
+    return ((1.0 + 0.3 * math.sin(q[0])) * v[0] ** 2
+            + 2.0 * 0.2 * q[1] * v[0] * v[1]
+            + (0.5 + 0.1 * q[0] ** 2) * v[1] ** 2)
+
+
+# (label, surface, disk parameters, sampling box inside the chart domain).
+# The sphere box stops 0.3 short of the poles: near them H grows like
+# 1 / sin^2 q1 and the central-difference reference, not the closed form,
+# misses 1e-8 (test_grad_q_on_sphere_matches_analytic covers the poles).
+DISK_CASES = [
+    ("sphere", sphere_surface(1.3), DiskParams(),
+     ((0.3, math.pi - 0.3), (-3.0, 3.0))),
+    ("plane", plane_surface(), DiskParams(mass=2.0),
+     ((-3.0, 3.0), (-3.0, 3.0))),
+    ("exponential", exponential_surface(), DiskParams(),
+     ((-1.0, 1.0), (-3.0, 3.0))),
+    ("no_partials", _no_partials_surface(), DiskParams(mass=0.7),
+     ((-2.0, 2.0), (-2.0, 2.0))),
+    ("second_form", sphere_surface(1.0),
+     DiskParams(inertia_diametral=0.5, second_form=_curved_second_form),
+     ((0.3, math.pi - 0.3), (-2.0, 2.0))),
+]
+
+
+def _disk_points(box, n=25, seed=7):
+    rng = np.random.default_rng(seed)
+    (lo1, hi1), (lo2, hi2) = box
+    return np.column_stack([rng.uniform(lo1, hi1, n),
+                            rng.uniform(lo2, hi2, n)])
+
+
+class TestDiskClosedForms:
+    """Closed-form mass-matrix derivatives and 2 x 2 solves against the
+    finite-difference and np.linalg references."""
+
+    @pytest.mark.parametrize("label, surface, params, box", DISK_CASES,
+                             ids=[case[0] for case in DISK_CASES])
+    def test_mass_derivatives_match_finite_differences(self, label, surface,
+                                                       params, box):
+        for q in _disk_points(box):
+            mass, dmass = _disk_mass_and_derivatives(params, surface, q)
+            assert np.array_equal(mass, disk_mass_matrix(params, surface, q))
+            want = fd.jacobian(
+                lambda x: disk_mass_matrix(params, surface, x), q)
+            assert np.max(np.abs(dmass - want)) < 1e-8
+
+    @pytest.mark.parametrize("label, surface, params, box", DISK_CASES,
+                             ids=[case[0] for case in DISK_CASES])
+    def test_grad_q_matches_gradient_of_hamiltonian(self, label, surface,
+                                                    params, box):
+        _, overrides = disk_reduced_system(params, surface)
+        rng = np.random.default_rng(11)
+        for q in _disk_points(box):
+            p1 = rng.normal(size=2)
+            want = fd.gradient(lambda x: overrides["hamiltonian"](x, p1), q)
+            got = overrides["grad_q"](q, p1)
+            assert np.max(np.abs(got - want)) < 1e-8
+
+    def test_grad_q_on_sphere_matches_analytic(self):
+        # H = (P1^2 + P2^2 / sin^2 q1) / (2 m R^2) on the round sphere, so
+        # dH/dq1 = -P2^2 cos q1 / (m R^2 sin^3 q1) and dH/dq2 = 0.
+        params, radius = DiskParams(mass=0.8), 1.3
+        _, overrides = disk_reduced_system(params, sphere_surface(radius))
+        rng = np.random.default_rng(5)
+        for q in _disk_points(((0.02, math.pi - 0.02), (-3.0, 3.0)), n=200):
+            p1 = rng.normal(size=2)
+            want = -p1[1] ** 2 * math.cos(q[0]) / (
+                params.mass * radius ** 2 * math.sin(q[0]) ** 3)
+            got = overrides["grad_q"](q, p1)
+            assert abs(got[0] - want) <= 1e-12 * max(1.0, abs(want))
+            assert got[1] == 0.0
+
+    def test_solve2_matches_linalg_on_spd_matrices(self):
+        rng = np.random.default_rng(3)
+        for _ in range(500):
+            b = rng.normal(size=(2, 2))
+            a = b @ b.T + 0.5 * np.eye(2)
+            rhs = rng.normal(size=2)
+            want = np.linalg.solve(a, rhs)
+            err = np.max(np.abs(_solve2(a, rhs) - want))
+            assert err <= 1e-13 * np.max(np.abs(want))
+
+    def test_solve2_rejects_singular_matrix(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve2(np.ones((2, 2)), np.array([1.0, 2.0]))
+
+
 class TestOscillatingPotential:
     def test_periodicity_enforced(self):
         with pytest.raises(ValueError, match="periodic"):
@@ -354,6 +452,33 @@ class TestAveragedParticle:
         assert np.max(np.abs(B1)) > 1e-8
         assert np.max(np.abs(B1 + B1.T)) < 1e-12 * max(1.0, np.max(np.abs(B1)))
         assert abs(B1[0, 1] / B2[0, 1] - 8.0) < 1e-4
+
+    @pytest.mark.parametrize("pot, x", [
+        (particle_potential_1d(), np.array([0.8])),
+        (particle_potential_2d(), np.array([0.4, -0.3])),
+    ])
+    def test_closed_form_gradients_match_differences(self, pot, x):
+        avg, _ = oscillating_particle_averaged(pot, 0.05, 1.3)
+        assert np.max(np.abs(avg.grad_U0(x)
+                             - fd.gradient(avg.U0, x))) < 1e-8
+        # a0 = O(eps^3) ~ 1e-4, so a 1e-12 gap is a relative 1e-8.
+        assert np.max(np.abs(avg.grad_a0(x)
+                             - fd.jacobian(avg.a0, x))) < 1e-12
+
+    def test_third_derivative_fallback_matches_declared(self):
+        mode = particle_potential_2d().fourier_modes[0]
+        bare = HarmonicMode(k=1, c=mode.c, s=mode.s, dc=mode.dc, ds=mode.ds,
+                            d2c=mode.d2c, d2s=mode.d2s)
+        x = np.array([0.4, -0.3])
+        assert np.max(np.abs(bare.third_c(x) - mode.third_c(x))) < 1e-8
+        assert np.max(np.abs(bare.third_s(x) - mode.third_s(x))) < 1e-8
+
+    def test_spectral_potential_keeps_difference_gradients(self):
+        pot = particle_potential_1d()
+        spectral = OscillatingPotential(dim_base=1, U=pot.U,
+                                        mean_part=pot.mean_part)
+        avg, _ = oscillating_particle_averaged(spectral, 0.05, 1.3)
+        assert avg.grad_U0 is None and avg.grad_a0 is None
 
     def test_invariant_metric_reproduces_reference(self):
         eps = 0.05
