@@ -190,8 +190,8 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append((lineof("integrator", "newton_tol"),
                        "newton_tol must lie in (0, 1e-6]"))
     newton_max_iter = take("integrator", "newton_max_iter")
-    if not isinstance(newton_max_iter, (int, float)) or \
-            newton_max_iter != int(newton_max_iter) or newton_max_iter < 1:
+    if not (isinstance(newton_max_iter, (int, float))
+            and float(newton_max_iter).is_integer() and newton_max_iter >= 1):
         errors.append((lineof("integrator", "newton_max_iter"),
                        "newton_max_iter must be a positive integer"))
 

@@ -319,6 +319,17 @@ class TestCommandLine:
         assert main(["run", str(path)]) == 2
         assert "invalid config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["inf", "1e400", "nan"])
+    def test_run_exit_two_on_non_finite_newton_max_iter(self, tmp_path,
+                                                        capsys, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text("experiment = euler\n[integrator]\n"
+                        f"newton_max_iter = {value}\n")
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "invalid config:\n"
+            "line 3: newton_max_iter must be a positive integer\n")
+
     def test_run_exit_two_on_missing_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 2
         assert capsys.readouterr().err

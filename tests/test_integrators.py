@@ -8,20 +8,23 @@ coefficients generates identical slow dynamics through the full and
 the reduced route, so those two integrations must agree to stepper
 accuracy. On a linear field dz/dt = A z the midpoint step is the closed
 form (I - dt/2 A)^-1 (I + dt/2 A), and the chord Newton solver must
-reproduce steps that build a fresh Jacobian each time.
+reproduce steps that build a fresh Jacobian each time, whatever
+starting guess the extrapolating predictor chose.
 """
 
 import numpy as np
 import pytest
 
 from fastslow import integrators
-from fastslow import (AveragedSystem, FastSlowSystem, IntegrationError,
-                      IntegratorConfig, PendulumParams, PhaseStateFull,
-                      PhaseStateReduced, Trajectory, average_coefficients,
-                      closeness_report, closeness_sweep, full_velocities,
+from fastslow import (AveragedSystem, EulerSystem, FastSlowSystem,
+                      IntegrationError, IntegratorConfig, PendulumParams,
+                      PhaseStateFull, PhaseStateReduced, Trajectory,
+                      average_coefficients, closeness_report,
+                      closeness_sweep, euler_vector_field, full_velocities,
                       hermite_interpolate, integrate_autonomous,
-                      integrate_full, integrate_reduced_canonical,
-                      integrate_reduced_magnetic, pendulum_systems,
+                      integrate_euler, integrate_full,
+                      integrate_reduced_canonical,
+                      integrate_reduced_magnetic, pendulum_systems, so3,
                       uniform_field_averaged)
 
 MIDPOINT = IntegratorConfig(method="implicit_midpoint", dt=1e-2)
@@ -127,6 +130,20 @@ def counted_jacobians(monkeypatch):
     return points
 
 
+def fresh_step_error(f, traj, config):
+    """Largest gap between each node and a midpoint step taken afresh,
+    with a new Jacobian and an explicit Euler guess, from the node before
+    it; every step of traj must have size config.dt."""
+    dt = config.dt
+    worst = 0.0
+    for z, row in zip(traj.values[:-1], traj.values[1:]):
+        fresh, _ = integrators._midpoint_step(
+            f, z, dt, z + dt * f(z), config.newton_tol,
+            config.newton_max_iter)
+        worst = max(worst, float(np.max(np.abs(row - fresh))))
+    return worst
+
+
 def midpoint_map(a, dt):
     """Exact one-step map of the implicit midpoint rule on dz/dt = A z."""
     eye = np.eye(a.shape[0])
@@ -162,16 +179,18 @@ class TestChordNewton:
     @pytest.mark.parametrize("backward", [False, True])
     def test_partial_last_step_builds_a_new_jacobian(self, monkeypatch,
                                                      backward):
+        # Ten full steps let the extrapolated guess reach its top order
+        # before the partial step falls back to a linear one.
         points = counted_jacobians(monkeypatch)
-        traj = self.linear_run(0.25, IntegratorConfig(dt=0.1),
+        traj = self.linear_run(1.05, IntegratorConfig(dt=0.1),
                                backward=backward)
-        assert len(traj) == 4
+        assert len(traj) == 12
         assert len(points) == 2
         sign = -1.0 if backward else 1.0
         want = np.array([1.0, -0.5])
-        for dt in (0.1, 0.1, 0.05):
+        for row, dt in zip(traj.values[1:], [0.1] * 10 + [0.05]):
             want = midpoint_map(self.A, sign * dt) @ want
-        assert np.max(np.abs(traj.values[-1] - want)) < 1e-12
+            assert np.max(np.abs(row - want)) < 1e-12
 
     def test_poor_contraction_refreshes_and_matches_fresh_steps(
             self, monkeypatch):
@@ -187,13 +206,68 @@ class TestChordNewton:
             dim_base=1)
         assert len(traj) == 21
         assert len(points) > 1
-        z, z_prev = z0, None
-        for row in traj.values[1:]:
-            guess = z + 0.5 * f(z) if z_prev is None else 2.0 * z - z_prev
-            z_prev = z
-            z, _ = integrators._midpoint_step(
-                f, z, 0.5, guess, config.newton_tol, config.newton_max_iter)
-            assert np.max(np.abs(row - z)) <= config.newton_tol
+        assert fresh_step_error(f, traj, config) <= config.newton_tol
+
+
+class TestPredictor:
+    """The extrapolated starting guess changes the cost, not the nodes."""
+
+    EULER = IntegratorConfig(dt=1e-2, newton_tol=1e-13)
+
+    def euler_run(self):
+        system = EulerSystem(algebra=so3(), inertia=np.diag([1.0, 2.0, 3.0]))
+        traj = integrate_euler(system, np.array([0.1, 1.0, 0.1]), 10.0,
+                               self.EULER)
+        return traj, lambda z: euler_vector_field(system, z)
+
+    def test_euler_takes_one_update_per_step(self):
+        traj, _ = self.euler_run()
+        assert len(traj) == 1001
+        assert traj.meta["newton_updates"] / (len(traj) - 1) <= 1.1
+
+    def test_euler_nodes_match_fresh_steps(self):
+        traj, f = self.euler_run()
+        assert fresh_step_error(f, traj, self.EULER) <= self.EULER.newton_tol
+
+    def test_rough_history_keeps_a_low_order(self):
+        # Van der Pol at mu = 5 is under-resolved at dt = 0.2. Here the
+        # linear guess takes 7.52 updates per step and a fixed order-5
+        # extrapolation 8.04; the order test must hold the cost at the
+        # linear guess's level.
+        mu = 5.0
+        f = lambda z: np.array([z[1], mu * (1.0 - z[0] ** 2) * z[1] - z[0]])
+        traj = integrate_autonomous(
+            f, np.array([2.0, 0.0]), 10.0, IntegratorConfig(dt=0.2),
+            state_labels=("x", "y"), kind="generic", dim_base=1)
+        assert len(traj) == 51
+        assert traj.meta["newton_updates"] / (len(traj) - 1) <= 7.6
+
+    def test_counters_match_the_calls_made(self, monkeypatch):
+        points = counted_jacobians(monkeypatch)
+        calls = []
+
+        def f(z):
+            calls.append(1)
+            return -np.sin(z)
+
+        traj = integrate_autonomous(
+            f, np.array([3.0]), 10.0, IntegratorConfig(dt=0.5),
+            state_labels=("x",), kind="generic", dim_base=1,
+            meta={"label": "pendulum"})
+        assert traj.meta["label"] == "pendulum"
+        assert traj.meta["jacobians"] == len(points) > 1
+        assert traj.meta["rhs_evals"] == len(calls)
+        # Each step evaluates one residual more than it updates, and the
+        # first step's guess, the derivs column and every two-sided
+        # Jacobian column evaluate f too.
+        residuals = len(calls) - 1 - len(traj) - 2 * len(points)
+        assert traj.meta["newton_updates"] == residuals - (len(traj) - 1)
+
+    def test_rk4_runs_carry_no_solver_counters(self):
+        traj = integrate_autonomous(
+            lambda z: -z, np.array([1.0]), 1.0, RK4_FINE,
+            state_labels=("x",), kind="generic", dim_base=1)
+        assert traj.meta == {}
 
 
 class TestTrajectory:
