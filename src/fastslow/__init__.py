@@ -40,12 +40,12 @@ from .lie_poisson import (BUILTIN_ALGEBRAS, Cocycle, EulerSystem,
                           extended_bracket, extended_hamiltonian_field,
                           heisenberg3, integrate_euler, load_algebra,
                           make_cocycle, oscillator4, shift_cocycle, so3)
-from .systems import (REGISTRY, DiskParams, DomainError, ExampleInfo,
-                      HarmonicMode, OscillatingPotential, PendulumParams,
-                      SurfaceMetric, curvature_identity_residual,
-                      disk_connection, disk_mass_matrix, disk_momentum,
-                      disk_reduced_system, exponential_surface,
-                      gaussian_curvature, mean_grad_antiderivative_sq,
+from .systems import (DiskParams, DomainError, HarmonicMode,
+                      OscillatingPotential, PendulumParams, SurfaceMetric,
+                      curvature_identity_residual, disk_connection,
+                      disk_mass_matrix, disk_momentum, disk_reduced_system,
+                      exponential_surface, gaussian_curvature,
+                      mean_grad_antiderivative_sq,
                       mean_hess_cross_term, oscillating_particle_averaged,
                       particle_invariant_metric, particle_potential_1d,
                       particle_potential_2d, particle_systems,
@@ -57,11 +57,11 @@ from .systems import (REGISTRY, DiskParams, DomainError, ExampleInfo,
 __all__ = [
     "AveragedSystem", "AveragingError", "BUILTIN_ALGEBRAS",
     "ClosenessReport", "Cocycle", "DiskParams", "DomainError",
-    "EulerSystem", "ExampleInfo", "FastSlowSystem",
+    "EulerSystem", "FastSlowSystem",
     "FiberDependenceWarning", "FiberOscillationProblem", "FiberSolution",
     "HarmonicMode", "IntegrationError", "IntegratorConfig",
     "LieAlgebraData", "OscillatingPotential", "PendulumParams",
-    "PhaseStateFull", "PhaseStateReduced", "QuadratureRule", "REGISTRY",
+    "PhaseStateFull", "PhaseStateReduced", "QuadratureRule",
     "SurfaceMetric", "Trajectory", "TrigSeries", "TrivialBundleMetric",
     "abelian", "average_coefficients", "averaged_hamiltonian",
     "closeness_report", "closeness_sweep", "coadjoint_action",

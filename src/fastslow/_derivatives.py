@@ -1,9 +1,10 @@
 """Central finite-difference fallbacks shared across modules.
 
-All first-derivative stencils use the step 1e-6 * max(1, |x|_inf); second
-derivatives widen the step to 5e-4 * max(1, |x|_inf) so that round-off does
-not dominate. Analytic derivative callables, when supplied on the data
-types, always take precedence over these fallbacks.
+First-derivative stencils in x use the step 1e-6 * max(1, |x|_inf), and
+in the fiber angle phi the fixed step 1e-6; second derivatives widen the
+step to 5e-4 * max(1, |x|_inf) so that round-off does not dominate.
+Analytic derivative callables, when supplied on the data types, always
+take precedence over these fallbacks.
 """
 
 from __future__ import annotations
@@ -43,6 +44,14 @@ def jacobian(f, x: np.ndarray, scale: float = FIRST_ORDER_STEP) -> np.ndarray:
         cols.append((np.asarray(f(x + e), dtype=float)
                      - np.asarray(f(x - e), dtype=float)) / (2.0 * h))
     return np.array(cols)
+
+
+def phi_derivative(f, q: np.ndarray, phi: float) -> np.ndarray:
+    """Central difference of f(q, phi) in the fiber angle phi."""
+    h = FIRST_ORDER_STEP
+    hi = np.asarray(f(q, phi + h), dtype=float)
+    lo = np.asarray(f(q, phi - h), dtype=float)
+    return (hi - lo) / (2.0 * h)
 
 
 def hessian(f, x: np.ndarray, scale: float = SECOND_ORDER_STEP) -> np.ndarray:

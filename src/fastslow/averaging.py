@@ -34,11 +34,12 @@ non-positive, so its sign is reported as a diagnostic and never enforced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from ._derivatives import jacobian, gradient
+from ._derivatives import gradient, jacobian, phi_derivative
 from .bundle_geometry import _default_base_samples
 
 ZERO_MEAN_TOL = 1e-10
@@ -162,6 +163,20 @@ def periodic_antiderivative_samples(samples: np.ndarray,
     return np.fft.irfft(spec, n=n, axis=0)
 
 
+def _resolve_derivatives(data, **stencils) -> None:
+    """Set data.derivatives to each derivative field, or its stencil if None.
+
+    The central differences for grad_a0, grad_h0 and grad_U0 are built in;
+    callers pass the stencils of their other fields by name.
+    """
+    stencils = {"grad_a0": lambda q: jacobian(data.a0, q),
+                "grad_h0": lambda q: gradient(data.h0, q),
+                "grad_U0": lambda q: gradient(data.U0, q), **stencils}
+    object.__setattr__(data, "derivatives", SimpleNamespace(**{
+        name: stencil if getattr(data, name) is None else getattr(data, name)
+        for name, stencil in stencils.items()}))
+
+
 @dataclass(frozen=True)
 class FastSlowSystem:
     """Coefficient data of a fast-oscillating natural Hamiltonian system.
@@ -169,10 +184,15 @@ class FastSlowSystem:
     a0, h0, U0 are functions of q alone; a1, h1, U1 depend on (q, phi)
     and must have zero fiber mean. epsilon > 0 is the timescale ratio
     and mu the conserved leading-order fiber momentum, so the fast
-    frequency is omega = mu / epsilon. Analytic derivative callables are
-    optional; central differences are used where they are absent.
-    grad_a0(q)[i, j] is d a0_j / d q_i, and jac_q_a1 follows the same
-    layout in its first two axes.
+    frequency is omega = mu / epsilon. grad_a0(q)[i, j] is
+    d a0_j / d q_i, and jac_q_a1 follows the same layout in its first
+    two axes.
+
+    The nine derivative fields are optional and keep what the caller
+    passed. The attribute derivatives (not a field) holds all nine by
+    the same names: a given callable as it is, a missing one as a
+    central difference (fastslow._derivatives), derived again by
+    dataclasses.replace.
     """
 
     dim_base: int
@@ -199,6 +219,14 @@ class FastSlowSystem:
             raise ValueError("dim_base must be a positive integer")
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
+        _resolve_derivatives(
+            self,
+            jac_q_a1=lambda q, phi: jacobian(lambda x: self.a1(x, phi), q),
+            grad_q_h1=lambda q, phi: gradient(lambda x: self.h1(x, phi), q),
+            grad_q_U1=lambda q, phi: gradient(lambda x: self.U1(x, phi), q),
+            dphi_a1=lambda q, phi: phi_derivative(self.a1, q, phi),
+            dphi_h1=lambda q, phi: float(phi_derivative(self.h1, q, phi)),
+            dphi_U1=lambda q, phi: float(phi_derivative(self.U1, q, phi)))
 
     @property
     def omega(self) -> float:
@@ -232,6 +260,10 @@ class AveragedSystem:
     constrained and is carried in diagnostics["inertia_inverse_min"]
     when the system was produced by average_coefficients. grad_a0 has
     the layout grad_a0(q)[i, j] = d a0_j / d q_i.
+
+    The gradient fields are optional and keep what the caller passed;
+    the attribute derivatives (not a field) resolves them as
+    FastSlowSystem.derivatives does.
     """
 
     dim_base: int
@@ -247,6 +279,7 @@ class AveragedSystem:
     def __post_init__(self) -> None:
         if self.dim_base < 1:
             raise ValueError("dim_base must be a positive integer")
+        _resolve_derivatives(self)
 
 
 @dataclass(frozen=True)
@@ -364,16 +397,9 @@ def effective_potential(avg: AveragedSystem, Q: np.ndarray) -> float:
 
 
 def magnetic_form(avg: AveragedSystem, Q: np.ndarray) -> np.ndarray:
-    """Magnetic two-form matrix B_ij = mu (d_i a0_j - d_j a0_i) at Q.
-
-    Uses the analytic grad_a0 when present, otherwise central
-    differences with step 1e-6 * max(1, |Q|_inf).
-    """
+    """Magnetic two-form matrix B_ij = mu (d_i a0_j - d_j a0_i) at Q."""
     Q = np.asarray(Q, dtype=float)
-    if avg.grad_a0 is not None:
-        jac = np.asarray(avg.grad_a0(Q), dtype=float)
-    else:
-        jac = jacobian(lambda x: avg.a0(x), Q)
+    jac = np.asarray(avg.derivatives.grad_a0(Q), dtype=float)
     return avg.mu * (jac - jac.T)
 
 

@@ -28,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .experiments import TABLE, CheckRecord, parse_value
+from .experiments import (PARAMETER_DEFAULTS, TABLE, CheckRecord,
+                          parse_value)
 # integrate_autonomous is not called here; perfbench's self-test checks
 # that its tracer also rewraps this imported binding.
 from .integrators import IntegrationError, Trajectory, integrate_autonomous
@@ -85,8 +86,7 @@ def _parameter_errors(experiment: str,
                       parameters: dict) -> list[tuple[str, str]]:
     """(key, message) for unknown keys, values of another type than the
     schema default, and keys with an empty default (required) unset."""
-    defaults = {key: parse_value(text)
-                for key, text, _ in TABLE[experiment].parameters}
+    defaults = PARAMETER_DEFAULTS[experiment]
     errors = [(key, f"unknown parameter {key!r} for experiment "
                f"{experiment!r}") for key in parameters.keys() - defaults]
     for key, default in defaults.items():
@@ -418,7 +418,7 @@ def _run_and_print(config: ExperimentConfig, base_dir: Path) -> int:
     """Run an experiment and print its report; return the exit status."""
     try:
         report = run_experiment(config, base_dir=base_dir)
-    except (IntegrationError, OSError) as err:
+    except (IntegrationError, OSError, ValueError) as err:
         print(f"experiment {config.experiment} failed: {err}",
               file=sys.stderr)
         return 2
@@ -473,7 +473,7 @@ def main(argv: list[str] | None = None) -> int:
         # at interpreter exit does not raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    except (ConfigError, FileNotFoundError, ValueError) as err:
+    except (OSError, ValueError) as err:
         print(str(err), file=sys.stderr)
         return 2
 

@@ -15,6 +15,7 @@ check the Euler equation on a central extension.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -31,7 +32,7 @@ from .integrators import (IntegratorConfig, closeness_case,
 from .lie_poisson import (BUILTIN_ALGEBRAS, EulerSystem,
                           extended_hamiltonian_field, integrate_euler,
                           load_algebra, shift_cocycle)
-from .systems import (REGISTRY, DiskParams, PendulumParams,
+from .systems import (DiskParams, PendulumParams,
                       curvature_identity_residual, disk_mass_matrix,
                       disk_momentum, disk_reduced_system,
                       exponential_surface, particle_potential_1d,
@@ -76,9 +77,7 @@ def parse_value(raw: str):
 
 def _params(config: ExperimentConfig) -> dict:
     """The config's parameters over the schema defaults."""
-    schema = TABLE[config.experiment].parameters
-    return {**{key: parse_value(default) for key, default, _ in schema},
-            **config.parameters}
+    return {**PARAMETER_DEFAULTS[config.experiment], **config.parameters}
 
 
 def integrator_configs(config: ExperimentConfig
@@ -123,12 +122,6 @@ def _closeness_case(config: ExperimentConfig, eps: float) -> tuple:
                           config.horizon_factor, cfg_full, cfg_red)
 
 
-def _closeness_worker(args: tuple) -> tuple:
-    from .cli import parse_config  # not at the top: cli imports this module
-    config_text, eps = args
-    return _closeness_case(parse_config(config_text), eps)
-
-
 def _worker_count(n_cases: int) -> int:
     try:
         cap = max(1, int(os.environ["FASTSLOW_THREADS"]))
@@ -143,11 +136,9 @@ def _run_sweep(config: ExperimentConfig, base_dir: Path) -> tuple:
     if workers == 1:
         results = [_closeness_case(config, eps) for eps in cases]
     else:
-        from .cli import serialize_config
-        text = serialize_config(config)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_closeness_worker,
-                                    [(text, eps) for eps in cases]))
+            results = list(pool.map(
+                functools.partial(_closeness_case, config), cases))
     trajectories = {f"{kind}_eps{eps!r}": (traj, {"epsilon": eps})
                     for eps, result in zip(cases, results)
                     for kind, traj in zip(("full", "reduced"), result)}
@@ -299,10 +290,6 @@ class Experiment:
     run: Callable[[ExperimentConfig, Path], tuple]
 
 
-def _registered(name: str, run) -> Experiment:
-    return Experiment(REGISTRY[name].summary, REGISTRY[name].parameters, run)
-
-
 _EULER_PARAMETERS = (
     ("inertia", "1.0, 2.0, 3.0", "diagonal of the inertia tensor"),
     ("shift", "0.0, 0.0, 0.0", "momentum shift L"),
@@ -311,9 +298,39 @@ _EULER_PARAMETERS = (
 )
 
 TABLE: dict[str, Experiment] = {
-    "pendulum": _registered("pendulum", _run_sweep),
-    "disk": _registered("disk", _run_disk),
-    "particle": _registered("particle", _run_sweep),
+    "pendulum": Experiment(
+        "vertically driven pendulum via the suspension trick",
+        (("length", "1.0", "pendulum length"),
+         ("gravity", "1.0", "gravitational acceleration"),
+         ("amplitude", "0.5", "suspension stroke per unit mu"),
+         ("mu", "3.0", "conserved fast momentum (drive = mu/epsilon)"),
+         ("fiber_floor", "1.0", "constant part of the fiber inertia"),
+         ("theta0", "2.0", "initial angle"),
+         ("p0", "0.0", "initial angular momentum")),
+        _run_sweep),
+    "disk": Experiment(
+        "disk spinning about the normal of a curved surface",
+        (("surface", "sphere", "sphere | plane | exponential"),
+         ("radius", "1.0", "sphere radius (sphere only)"),
+         ("mass", "1.0", "disk mass"),
+         ("inertia_axial", "1.0", "moment about the spin axis"),
+         ("inertia_diametral", "0.5", "moment about a diameter"),
+         ("omega_axial", "2.0", "spin rate (mu = inertia_axial * rate)"),
+         ("q1_0", "1.0471975511965976", "initial q1"),
+         ("q2_0", "0.0", "initial q2"),
+         ("u1_0", "0.1", "initial q1 velocity"),
+         ("u2_0", "0.5", "initial q2 velocity"),
+         ("horizon", "10.0", "integration time")),
+        _run_disk),
+    "particle": Experiment(
+        "particle in a rapidly oscillating potential",
+        (("trap", "1.0", "harmonic trap stiffness"),
+         ("alpha", "0.7", "cos(tau) harmonic amplitude"),
+         ("beta", "0.4", "sin(tau) harmonic amplitude"),
+         ("mu", "1.0", "conserved fast momentum"),
+         ("x0", "0.8", "initial position"),
+         ("p0", "0.3", "initial momentum")),
+        _run_sweep),
     "euler": Experiment(
         "Euler equation on a built-in algebra",
         (("algebra", "so3",
@@ -326,3 +343,8 @@ TABLE: dict[str, Experiment] = {
          *_EULER_PARAMETERS),
         _run_euler),
 }
+
+# Each experiment's schema defaults, parsed as config values are.
+PARAMETER_DEFAULTS: dict[str, dict] = {
+    name: {key: parse_value(text) for key, text, _ in experiment.parameters}
+    for name, experiment in TABLE.items()}

@@ -10,12 +10,17 @@ integrated directly in slow time with the eps-free vector fields
     magnetic chart:   dQ/dt = P1
                       dP1/dt = -grad Ubar_mu(Q) + B(Q)^T P1
 
-with B_ij = mu (d_i a0_j - d_j a0_i). The default method is the
-implicit midpoint rule, solved by chord Newton (one central-difference
-iteration matrix reused across the steps of an integration; Hairer,
-Lubich & Wanner, Geometric Numerical Integration, VIII.6) warm-started
-by polynomial extrapolation of the accepted nodes, of order up to 5
-chosen per step; classical RK4 is a non-symplectic reference.
+with B_ij = mu (d_i a0_j - d_j a0_i). Every derivative of a coefficient
+comes from the system's derivatives attribute, which holds the analytic
+callable where one was given and a central difference otherwise
+(fastslow.averaging).
+
+The default method is the implicit midpoint rule, solved by chord Newton
+(one central-difference iteration matrix reused across the steps of an
+integration; Hairer, Lubich & Wanner, Geometric Numerical Integration,
+VIII.6) warm-started by polynomial extrapolation of the accepted nodes,
+of order up to 5 chosen per step; classical RK4 is a non-symplectic
+reference.
 
 closeness_report measures sup_{t in [0, min(horizons, 1)]} of the
 deviations |q - Q|, |p - P|, |gamma - mu| between a full trajectory and
@@ -34,7 +39,7 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from ._derivatives import jacobian, gradient
+from ._derivatives import jacobian
 from .averaging import AveragedSystem, FastSlowSystem, averaged_hamiltonian, \
     effective_potential, magnetic_form
 from .bundle_geometry import PhaseStateFull, PhaseStateReduced, convert_chart
@@ -317,25 +322,10 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
 def _full_rhs(system: FastSlowSystem) -> Callable[[np.ndarray], np.ndarray]:
     l = system.dim_base
     eps = system.epsilon
-    ga0 = system.grad_a0 or (lambda q: jacobian(system.a0, q))
-    ga1 = system.jac_q_a1 or (
-        lambda q, phi: jacobian(lambda x: system.a1(x, phi), q))
-    gh0 = system.grad_h0 or (lambda q: gradient(system.h0, q))
-    gh1 = system.grad_q_h1 or (
-        lambda q, phi: gradient(lambda x: system.h1(x, phi), q))
-    gU0 = system.grad_U0 or (lambda q: gradient(system.U0, q))
-    gU1 = system.grad_q_U1 or (
-        lambda q, phi: gradient(lambda x: system.U1(x, phi), q))
-
-    def _dphi(fn, q, phi):
-        h = 1e-6
-        hi = np.asarray(fn(q, phi + h), dtype=float)
-        lo = np.asarray(fn(q, phi - h), dtype=float)
-        return (hi - lo) / (2.0 * h)
-
-    da1 = system.dphi_a1 or (lambda q, phi: _dphi(system.a1, q, phi))
-    dh1 = system.dphi_h1 or (lambda q, phi: float(_dphi(system.h1, q, phi)))
-    dU1 = system.dphi_U1 or (lambda q, phi: float(_dphi(system.U1, q, phi)))
+    d = system.derivatives
+    ga0, ga1, gh0, gh1, gU0, gU1 = (d.grad_a0, d.jac_q_a1, d.grad_h0,
+                                    d.grad_q_h1, d.grad_U0, d.grad_q_U1)
+    da1, dh1, dU1 = d.dphi_a1, d.dphi_h1, d.dphi_U1
 
     def rhs(z: np.ndarray) -> np.ndarray:
         q = z[:l]
@@ -435,9 +425,8 @@ def integrate_reduced_canonical(avg: AveragedSystem,
     state0 = convert_chart(state0, avg.a0, avg.mu, "canonical")
     l = avg.dim_base
     mu = avg.mu
-    ga0 = avg.grad_a0 or (lambda q: jacobian(avg.a0, q))
-    gh0 = avg.grad_h0 or (lambda q: gradient(avg.h0, q))
-    gU0 = avg.grad_U0 or (lambda q: gradient(avg.U0, q))
+    d = avg.derivatives
+    ga0, gh0, gU0 = d.grad_a0, d.grad_h0, d.grad_U0
 
     def f(z: np.ndarray) -> np.ndarray:
         Q = z[:l]
@@ -487,17 +476,14 @@ def integrate_reduced_magnetic(avg: AveragedSystem,
     mu = avg.mu
 
     if grad_q is None:
-        if (avg.grad_h0 is not None and avg.grad_U0 is not None
-                and avg.grad_a0 is not None):
-            def grad_q(Q, P1):
-                a0 = np.asarray(avg.a0(Q), dtype=float)
-                ga0 = np.asarray(avg.grad_a0(Q), dtype=float)
-                return (0.5 * mu * mu * (np.asarray(avg.grad_h0(Q), dtype=float)
-                                         - 2.0 * (ga0 @ a0))
-                        + np.asarray(avg.grad_U0(Q), dtype=float))
-        else:
-            def grad_q(Q, P1):
-                return gradient(lambda x: effective_potential(avg, x), Q)
+        d = avg.derivatives
+
+        def grad_q(Q, P1):
+            a0 = np.asarray(avg.a0(Q), dtype=float)
+            ga0 = np.asarray(d.grad_a0(Q), dtype=float)
+            return (0.5 * mu * mu * (np.asarray(d.grad_h0(Q), dtype=float)
+                                     - 2.0 * (ga0 @ a0))
+                    + np.asarray(d.grad_U0(Q), dtype=float))
     if grad_p is None:
         def grad_p(Q, P1):
             return P1
@@ -593,7 +579,7 @@ def closeness_report(full: Trajectory, reduced: Trajectory,
     red_values = reduced.values
     red_derivs = reduced.derivs
     if reduced.chart == "magnetic":
-        ga0 = system.grad_a0 or (lambda q: jacobian(system.a0, q))
+        ga0 = system.derivatives.grad_a0
         red_values = red_values.copy()
         red_derivs = red_derivs.copy()
         for i in range(red_values.shape[0]):

@@ -1067,59 +1067,3 @@ def uniform_field_averaged(strength: float = 0.8,
         grad_a0=lambda q: np.array([[0.0, 0.5 * b], [-0.5 * b, 0.0]]),
         grad_h0=lambda q: 0.5 * b * b * np.asarray(q, dtype=float),
         grad_U0=lambda q: np.zeros(2))
-
-
-# ---------------------------------------------------------------------------
-# Registry
-
-
-@dataclass(frozen=True)
-class ExampleInfo:
-    """CLI-addressable example with its documented parameter schema."""
-
-    name: str
-    summary: str
-    parameters: tuple[tuple[str, str, str], ...]
-
-
-REGISTRY: dict[str, ExampleInfo] = {
-    "pendulum": ExampleInfo(
-        name="pendulum",
-        summary="vertically driven pendulum via the suspension trick",
-        parameters=(
-            ("length", "1.0", "pendulum length"),
-            ("gravity", "1.0", "gravitational acceleration"),
-            ("amplitude", "0.5", "suspension stroke per unit mu"),
-            ("mu", "3.0", "conserved fast momentum (drive = mu/epsilon)"),
-            ("fiber_floor", "1.0", "constant part of the fiber inertia"),
-            ("theta0", "2.0", "initial angle"),
-            ("p0", "0.0", "initial angular momentum"),
-        )),
-    "disk": ExampleInfo(
-        name="disk",
-        summary="disk spinning about the normal of a curved surface",
-        parameters=(
-            ("surface", "sphere", "sphere | plane | exponential"),
-            ("radius", "1.0", "sphere radius (sphere only)"),
-            ("mass", "1.0", "disk mass"),
-            ("inertia_axial", "1.0", "moment about the spin axis"),
-            ("inertia_diametral", "0.5", "moment about a diameter"),
-            ("omega_axial", "2.0", "spin rate (mu = inertia_axial * rate)"),
-            ("q1_0", "1.0471975511965976", "initial q1"),
-            ("q2_0", "0.0", "initial q2"),
-            ("u1_0", "0.1", "initial q1 velocity"),
-            ("u2_0", "0.5", "initial q2 velocity"),
-            ("horizon", "10.0", "integration time"),
-        )),
-    "particle": ExampleInfo(
-        name="particle",
-        summary="particle in a rapidly oscillating potential",
-        parameters=(
-            ("trap", "1.0", "harmonic trap stiffness"),
-            ("alpha", "0.7", "cos(tau) harmonic amplitude"),
-            ("beta", "0.4", "sin(tau) harmonic amplitude"),
-            ("mu", "1.0", "conserved fast momentum"),
-            ("x0", "0.8", "initial position"),
-            ("p0", "0.3", "initial momentum"),
-        )),
-}

@@ -334,6 +334,29 @@ class TestCommandLine:
         assert main(["run", str(tmp_path / "absent.cfg")]) == 2
         assert capsys.readouterr().err
 
+    def test_run_exit_two_on_directory(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert str(tmp_path) in lines[0]
+
+    @pytest.mark.parametrize("experiment, line, message", [
+        ("disk", "q1_0 = 5.0", "outside the declared chart domain"),
+        ("euler", "inertia = 1.0, -2.0, 3.0",
+         "inertia is not positive definite"),
+    ], ids=["disk-domain", "euler-inertia"])
+    def test_run_error_names_the_experiment(self, tmp_path, capsys,
+                                            experiment, line, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"experiment = {experiment}\n[parameters]\n{line}\n")
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"experiment {experiment} failed: ")
+        assert message in lines[0]
+
     @pytest.mark.parametrize("module, name, fails_for, text, fragments", [
         (experiments, "integrate_euler", lambda system: True,
          EULER_FAST_CONFIG, ("euler", "step 7 (t=0.07)")),

@@ -9,8 +9,12 @@ the reduced route, so those two integrations must agree to stepper
 accuracy. On a linear field dz/dt = A z the midpoint step is the closed
 form (I - dt/2 A)^-1 (I + dt/2 A), and the chord Newton solver must
 reproduce steps that build a fresh Jacobian each time, whatever
-starting guess the extrapolating predictor chose.
+starting guess the extrapolating predictor chose. A system whose
+derivative callables are all left out must flow, through its
+central-difference fallbacks, as the same system with analytic ones.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -24,8 +28,9 @@ from fastslow import (AveragedSystem, EulerSystem, FastSlowSystem,
                       hermite_interpolate, integrate_autonomous,
                       integrate_euler, integrate_full,
                       integrate_reduced_canonical,
-                      integrate_reduced_magnetic, pendulum_systems, so3,
-                      uniform_field_averaged)
+                      integrate_reduced_magnetic, magnetic_form,
+                      oscillating_particle_averaged, particle_potential_2d,
+                      pendulum_systems, so3, uniform_field_averaged)
 
 MIDPOINT = IntegratorConfig(method="implicit_midpoint", dt=1e-2)
 RK4_FINE = IntegratorConfig(method="rk4", dt=1e-3)
@@ -441,6 +446,62 @@ class TestReducedSystems:
                              - canonical.values[:, :2])) < 1e-10
         assert np.max(np.abs(magnetic.values[:, 2:] - shift
                              - canonical.values[:, 2:])) < 1e-10
+
+
+def without_derivatives(data):
+    """data with every optional derivative field set to None."""
+    return dataclasses.replace(data, **{
+        f.name: None for f in dataclasses.fields(data) if f.default is None})
+
+
+class TestDerivativeFallbacks:
+    def test_given_callables_are_kept_as_they_are(self):
+        system, avg = pendulum_systems(PendulumParams())
+        assert system.derivatives.dphi_U1 is system.dphi_U1
+        assert avg.derivatives.grad_a0 is avg.grad_a0
+        assert without_derivatives(avg).grad_a0 is None
+
+    def test_full_rhs_fallbacks_match_analytic(self):
+        system, _ = pendulum_systems(PendulumParams(epsilon=1e-2))
+        analytic = integrators._full_rhs(system)
+        fallback = integrators._full_rhs(without_derivatives(system))
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            z = np.array([rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0),
+                          rng.uniform(0.0, 2.0 * np.pi),
+                          rng.uniform(2.0, 4.0)])
+            want = analytic(z)
+            assert (np.max(np.abs(fallback(z) - want))
+                    <= 1e-9 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("avg, q0, p0", [
+        (pendulum_systems(PendulumParams(mu=3.0, epsilon=5e-3))[1],
+         np.array([2.0]), np.array([0.0])),
+        (oscillating_particle_averaged(particle_potential_2d(), 0.05, 1.3)[0],
+         np.array([0.4, -0.3]), np.array([0.2, 0.1])),
+        (uniform_field_averaged(0.8, 1.0),
+         np.array([1.0, 0.0]), np.array([0.0, 0.5])),
+    ], ids=["pendulum", "oscillating-2d", "uniform-field"])
+    def test_reduced_flows_without_gradients_match_analytic(self, avg, q0,
+                                                            p0):
+        bare = without_derivatives(avg)
+        config = IntegratorConfig(method="rk4", dt=2e-3)
+        start = PhaseStateReduced(Q=q0, P=p0)
+        start_mag = PhaseStateReduced(Q=q0, P=p0 + avg.mu * avg.a0(q0),
+                                      chart="magnetic")
+        for integrate, state in ((integrate_reduced_canonical, start),
+                                 (integrate_reduced_magnetic, start_mag)):
+            want = integrate(avg, state, 10.0, config).values
+            got = integrate(bare, state, 10.0, config).values
+            assert np.max(np.abs(got - want)) < 1e-8
+
+    def test_replace_derives_fallbacks_again(self):
+        bare = without_derivatives(uniform_field_averaged(0.8, 1.0))
+        other = uniform_field_averaged(2.0, 1.0)
+        moved = dataclasses.replace(bare, a0=other.a0)
+        Q = np.array([0.3, -0.2])
+        assert np.max(np.abs(magnetic_form(moved, Q)
+                             - magnetic_form(other, Q))) < 1e-8
 
 
 class TestHermite:

@@ -18,7 +18,7 @@ import pytest
 from fastslow import (DiskParams, DomainError, HarmonicMode,
                       IntegratorConfig, OscillatingPotential, PendulumParams,
                       PhaseStateReduced, QuadratureRule, SurfaceMetric,
-                      REGISTRY, curvature_identity_residual, disk_connection,
+                      curvature_identity_residual, disk_connection,
                       disk_mass_matrix, disk_momentum, disk_reduced_system,
                       effective_potential, exponential_surface, fiber_inertia,
                       gaussian_curvature, integrate_autonomous,
@@ -33,6 +33,7 @@ from fastslow import (DiskParams, DomainError, HarmonicMode,
                       sphere_surface, spinning_disk_rhs,
                       zero_mean_antiderivative)
 from fastslow import _derivatives as fd
+from fastslow.experiments import TABLE
 from fastslow.systems import _disk_mass_and_derivatives, _solve2
 
 RK4 = IntegratorConfig(method="rk4", dt=1e-3)
@@ -505,13 +506,15 @@ class TestAveragedParticle:
 
 class TestRegistry:
     def test_expected_examples_present(self):
-        assert set(REGISTRY) == {"pendulum", "disk", "particle"}
-        for info in REGISTRY.values():
+        assert set(TABLE) == {"pendulum", "disk", "particle", "euler",
+                              "custom"}
+        # custom's algebra_file has an empty default: it is required.
+        for info in (TABLE[n] for n in ("pendulum", "disk", "particle")):
             assert info.summary
             for name, default, doc in info.parameters:
                 assert name and default and doc
 
     def test_defaults_match_dataclasses(self):
-        params = dict((n, d) for n, d, _ in REGISTRY["pendulum"].parameters)
+        params = dict((n, d) for n, d, _ in TABLE["pendulum"].parameters)
         assert float(params["mu"]) == PendulumParams().mu
         assert float(params["amplitude"]) == PendulumParams().amplitude
