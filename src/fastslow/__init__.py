@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 from .averaging import (AveragedSystem, AveragingError,
                         FastSlowSystem, FiberOscillationProblem,
-                        FiberSolution, QuadratureRule, TrigSeries,
+                        FiberSolution, TrigSeries,
                         average_coefficients, averaged_hamiltonian,
                         effective_potential, magnetic_form,
                         oscillation_induced_potential,
@@ -61,7 +61,7 @@ __all__ = [
     "FiberDependenceWarning", "FiberOscillationProblem", "FiberSolution",
     "HarmonicMode", "IntegrationError", "IntegratorConfig",
     "LieAlgebraData", "OscillatingPotential", "PendulumParams",
-    "PhaseStateFull", "PhaseStateReduced", "QuadratureRule",
+    "PhaseStateFull", "PhaseStateReduced",
     "SurfaceMetric", "Trajectory", "TrigSeries", "TrivialBundleMetric",
     "abelian", "average_coefficients", "averaged_hamiltonian",
     "closeness_report", "closeness_sweep", "coadjoint_action",

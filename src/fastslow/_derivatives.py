@@ -21,10 +21,10 @@ def step_size(x, scale: float = FIRST_ORDER_STEP) -> float:
     return scale * max(1.0, mag)
 
 
-def gradient(f, x: np.ndarray, scale: float = FIRST_ORDER_STEP) -> np.ndarray:
+def gradient(f, x: np.ndarray) -> np.ndarray:
     """Central-difference gradient of a scalar function of a vector."""
     x = np.asarray(x, dtype=float)
-    h = step_size(x, scale)
+    h = step_size(x)
     g = np.empty_like(x)
     for i in range(x.size):
         e = np.zeros(x.size)
@@ -33,10 +33,10 @@ def gradient(f, x: np.ndarray, scale: float = FIRST_ORDER_STEP) -> np.ndarray:
     return g
 
 
-def jacobian(f, x: np.ndarray, scale: float = FIRST_ORDER_STEP) -> np.ndarray:
+def jacobian(f, x: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian; entry [i, j] is d f_j / d x_i."""
     x = np.asarray(x, dtype=float)
-    h = step_size(x, scale)
+    h = step_size(x)
     cols = []
     for i in range(x.size):
         e = np.zeros(x.size)
@@ -54,14 +54,14 @@ def phi_derivative(f, q: np.ndarray, phi: float) -> np.ndarray:
     return (hi - lo) / (2.0 * h)
 
 
-def hessian(f, x: np.ndarray, scale: float = SECOND_ORDER_STEP) -> np.ndarray:
+def hessian(f, x: np.ndarray) -> np.ndarray:
     """Central-difference Hessian (wide step); entry [i, j] is d2f/dx_i dx_j.
 
     f may be array-valued; the shape of its values trails the two indices.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
-    h = step_size(x, scale)
+    h = step_size(x, SECOND_ORDER_STEP)
 
     def fx(y):
         return np.asarray(f(y), dtype=float)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Callable, Literal, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,6 +44,10 @@ from .bundle_geometry import _default_base_samples
 
 ZERO_MEAN_TOL = 1e-10
 TWO_PI = 2.0 * np.pi
+# Every fiber mean is taken on this one uniform grid of [0, 2*pi).
+FIBER_NODES = 64
+FIBER_GRID = np.arange(FIBER_NODES) * (TWO_PI / FIBER_NODES)
+FIBER_GRID.flags.writeable = False
 
 
 class AveragingError(ValueError):
@@ -57,44 +61,19 @@ class AveragingError(ValueError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Quadrature on the fiber circle [0, 2*pi).
+def fiber_samples(fn: Callable[[float], object]) -> np.ndarray:
+    """fn(phi) at every node of FIBER_GRID, stacked along the first axis."""
+    return np.array([np.asarray(fn(phi), dtype=float) for phi in FIBER_GRID])
 
-    scheme "trapezoid_periodic" uses n_nodes equispaced nodes and equal
-    weights; it integrates trigonometric polynomials of degree below
-    n_nodes exactly. scheme "gauss_legendre_mapped" maps a Gauss-Legendre
-    rule from [-1, 1] onto [0, 2*pi].
+
+def fiber_mean(samples: np.ndarray) -> np.ndarray:
+    """Mean over the fiber circle of equispaced samples (first axis = nodes).
+
+    On FIBER_GRID this is the periodic trapezoid rule, exact for
+    trigonometric polynomials of degree below FIBER_NODES and
+    exponentially accurate for analytic integrands.
     """
-
-    n_nodes: int = 64
-    scheme: Literal["trapezoid_periodic", "gauss_legendre_mapped"] = \
-        "trapezoid_periodic"
-
-    def __post_init__(self) -> None:
-        if self.n_nodes < 1:
-            raise ValueError("n_nodes must be a positive integer")
-        if self.scheme not in ("trapezoid_periodic", "gauss_legendre_mapped"):
-            raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
-
-    def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.scheme == "trapezoid_periodic":
-            nodes = np.arange(self.n_nodes) * (TWO_PI / self.n_nodes)
-            weights = np.full(self.n_nodes, TWO_PI / self.n_nodes)
-        else:
-            x, w = np.polynomial.legendre.leggauss(self.n_nodes)
-            nodes = np.pi * (x + 1.0)
-            weights = np.pi * w
-        return nodes, weights
-
-    def integrate(self, samples: np.ndarray) -> np.ndarray:
-        """Integral over [0, 2*pi) of node samples (first axis = nodes)."""
-        samples = np.asarray(samples, dtype=float)
-        _, weights = self.nodes_weights()
-        return np.tensordot(weights, samples, axes=(0, 0))
-
-    def fiber_mean(self, samples: np.ndarray) -> np.ndarray:
-        return self.integrate(samples) / TWO_PI
+    return np.mean(np.asarray(samples, dtype=float), axis=0)
 
 
 class TrigSeries:
@@ -132,7 +111,6 @@ class TrigSeries:
 
 def periodic_antiderivative_samples(samples: np.ndarray,
                                     order: int = 1,
-                                    tol: float = ZERO_MEAN_TOL,
                                     what: str = "integrand") -> np.ndarray:
     """Zero-mean antiderivative of periodic samples, order 1 or 2.
 
@@ -145,10 +123,10 @@ def periodic_antiderivative_samples(samples: np.ndarray,
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     n = samples.shape[0]
-    mean = np.mean(samples, axis=0)
+    mean = fiber_mean(samples)
     scale = max(1.0, float(np.max(np.abs(samples))) if samples.size else 0.0)
     worst = float(np.max(np.abs(mean))) if np.size(mean) else abs(float(mean))
-    if worst > tol * scale:
+    if worst > ZERO_MEAN_TOL * scale:
         raise AveragingError(
             f"{what} has nonzero fiber mean {worst:.3e}; its periodic "
             "antiderivative would grow secularly",
@@ -307,12 +285,7 @@ class FiberOscillationProblem:
         return self.epsilon * self.omega
 
 
-def _coefficient_samples(fn, q: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    return np.array([np.asarray(fn(q, phi), dtype=float) for phi in nodes])
-
-
 def average_coefficients(system: FastSlowSystem,
-                         rule: QuadratureRule | None = None,
                          sample_points: Sequence[np.ndarray] | None = None
                          ) -> AveragedSystem:
     """Averaged system of a fast-slow system, with residual diagnostics.
@@ -325,21 +298,18 @@ def average_coefficients(system: FastSlowSystem,
     of the input and records the worst residual means, together with the
     minimum of h0 - a0 . a0 over the samples, in diagnostics.
     """
-    rule = rule or QuadratureRule()
     if sample_points is None:
         pts = _default_base_samples(system.dim_base)
     else:
         pts = [np.asarray(p, dtype=float) for p in sample_points]
-    nodes, _ = rule.nodes_weights()
-
     residuals = {"a1": 0.0, "h1": 0.0, "U1": 0.0}
     inertia_min = np.inf
     for q in pts:
         for name, fn in (("a1", system.a1), ("h1", system.h1),
                          ("U1", system.U1)):
-            samples = _coefficient_samples(fn, q, nodes)
+            samples = fiber_samples(lambda phi: fn(q, phi))
             scale = max(1.0, float(np.max(np.abs(samples))))
-            mean = rule.fiber_mean(samples)
+            mean = fiber_mean(samples)
             worst = float(np.max(np.abs(np.atleast_1d(mean))))
             if worst > ZERO_MEAN_TOL * scale:
                 raise AveragingError(
@@ -348,7 +318,7 @@ def average_coefficients(system: FastSlowSystem,
                     coefficient=name, point=q, residual=worst)
             residuals[name] = max(residuals[name], worst)
         h0q = float(system.h0(q))
-        for phi in nodes:
+        for phi in FIBER_GRID:
             total = h0q + system.epsilon * float(system.h1(q, phi))
             if not total > 0.0:
                 raise AveragingError(
@@ -414,48 +384,41 @@ class FiberSolution:
 
 
 def solve_fiber_oscillation(problem: FiberOscillationProblem,
-                            x_bar: np.ndarray,
-                            rule: QuadratureRule | None = None
-                            ) -> FiberSolution:
+                            x_bar: np.ndarray) -> FiberSolution:
     """Leading-order periodic fiber oscillation at frozen x_bar.
 
     Solves dv/dtau = -grad potential_tilde(x_bar, tau), dx/dtau = v with
-    both integration constants fixed by the zero-mean condition, on a
-    uniform grid of rule.n_nodes points. Raises when the forcing has a
-    nonzero mean (secular drift).
+    both integration constants fixed by the zero-mean condition, on
+    FIBER_GRID. Raises when the forcing has a nonzero mean (secular
+    drift).
     """
-    rule = rule or QuadratureRule()
     x_bar = np.atleast_1d(np.asarray(x_bar, dtype=float))
-    n = rule.n_nodes
-    tau = np.arange(n) * (TWO_PI / n)
-    if problem.grad is not None:
-        forcing = np.stack([-np.atleast_1d(np.asarray(
-            problem.grad(x_bar, t), dtype=float)) for t in tau])
-    else:
-        forcing = np.stack([-gradient(
-            lambda x, _t=t: problem.potential_tilde(x, _t), x_bar)
-            for t in tau])
+
+    def grad(t):
+        if problem.grad is not None:
+            return np.atleast_1d(problem.grad(x_bar, t))
+        return gradient(lambda x: problem.potential_tilde(x, t), x_bar)
+
+    forcing = -fiber_samples(grad)
     v_tilde = periodic_antiderivative_samples(
         forcing, order=1, what="oscillating forcing")
     x_tilde = periodic_antiderivative_samples(
         v_tilde, order=1, what="fiber velocity")
-    mean_vv = float(np.mean(np.sum(v_tilde * v_tilde, axis=1)))
-    return FiberSolution(tau=tau, v_tilde=v_tilde, x_tilde=x_tilde,
+    mean_vv = float(fiber_mean(np.sum(v_tilde * v_tilde, axis=1)))
+    return FiberSolution(tau=FIBER_GRID, v_tilde=v_tilde, x_tilde=x_tilde,
                          mean_vv=mean_vv)
 
 
 def oscillation_induced_potential(problem: FiberOscillationProblem,
                                   U_slow: Callable[[np.ndarray], float],
-                                  x_bar: np.ndarray,
-                                  rule: QuadratureRule | None = None
-                                  ) -> float:
+                                  x_bar: np.ndarray) -> float:
     """Slow potential plus the kinetic energy stored in fast oscillation.
 
     Returns U_slow(x_bar) + (eps^2 omega^2 / 4 pi) * integral over one
     period of |v_tilde|^2 dtau, where v_tilde is the zero-mean velocity
     of the leading-order fiber oscillation at frozen x_bar.
     """
-    sol = solve_fiber_oscillation(problem, x_bar, rule)
+    sol = solve_fiber_oscillation(problem, x_bar)
     x_bar = np.atleast_1d(np.asarray(x_bar, dtype=float))
     energy = 0.5 * (problem.epsilon * problem.omega) ** 2 * sol.mean_vv
     return float(U_slow(x_bar)) + energy

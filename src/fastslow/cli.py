@@ -129,7 +129,10 @@ def parse_config(text: str) -> ExperimentConfig:
                            f"line {seen[(section, key)]})"))
             continue
         seen[(section, key)] = lineno
-        values[(section, key)] = parse_value(raw_val)
+        # A path is text even when it reads as a number.
+        values[(section, key)] = (raw_val.strip()
+                                  if (section, key) == ("output", "output_dir")
+                                  else parse_value(raw_val))
 
     def take(sec, key):
         return values.pop((sec, key), _DEFAULTS.get(key))
@@ -196,8 +199,6 @@ def parse_config(text: str) -> ExperimentConfig:
                        "newton_max_iter must be a positive integer"))
 
     output_dir = take("output", "output_dir")
-    if isinstance(output_dir, float):
-        output_dir = str(output_dir)
     formats = take("output", "formats")
     if isinstance(formats, str):
         formats = tuple(p.strip() for p in formats.split(",") if p.strip())

@@ -132,6 +132,10 @@ def _worker_count(n_cases: int) -> int:
 
 def _run_sweep(config: ExperimentConfig, base_dir: Path) -> tuple:
     cases = config.epsilon_sweep
+    if len(cases) < 2:
+        # Each check compares two epsilons; fewer would pass unchecked.
+        raise ValueError(f"epsilon_sweep needs at least two epsilons, got "
+                         f"{len(cases)}")
     workers = _worker_count(len(cases))
     if workers == 1:
         results = [_closeness_case(config, eps) for eps in cases]
@@ -188,8 +192,7 @@ def _run_disk(config: ExperimentConfig, base_dir: Path) -> tuple:
     lagrangian = integrate_autonomous(
         rhs, np.concatenate([q0, u0]), horizon, cfg,
         state_labels=("q1", "q2", "u1", "u2"), kind="disk_lagrangian",
-        dim_base=2, energy=energy,
-        logs={"momentum": lambda z: params.mu},
+        dim_base=2, logs={"energy": energy, "momentum": lambda z: params.mu},
         meta={"surface": surface.name})
 
     shell, overrides = disk_reduced_system(params, surface)

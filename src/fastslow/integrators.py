@@ -99,9 +99,12 @@ class Trajectory:
     times is strictly increasing and measured in the slow clock (or the
     system's own physical clock for standalone simulations); values has
     one state per row. derivs stores the state derivative in the same
-    clock as times, for use by cubic Hermite interpolation. The
-    invariant_log always carries "energy" and "momentum" arrays aligned
-    with times; integrate_full additionally logs "phi_dot".
+    clock as times, for use by cubic Hermite interpolation. invariant_log
+    maps names to arrays aligned with times: integrate_full logs
+    "energy", "momentum" (gamma) and "phi_dot"; the integrate_reduced_*
+    wrappers "energy" and the constant "momentum" mu; integrate_euler
+    "energy", "momentum" (|xi|^2) and "casimir_shifted"; a bare
+    integrate_autonomous run only the logs it is given.
     """
 
     times: np.ndarray
@@ -142,9 +145,8 @@ class Trajectory:
         raise ValueError(f"kind {self.kind!r} has no typed state view")
 
 
-def _rk4_step(f, z: np.ndarray, dt: float,
-              k1: np.ndarray | None = None) -> np.ndarray:
-    k1 = f(z) if k1 is None else k1
+def _rk4_step(f, z: np.ndarray, dt: float) -> np.ndarray:
+    k1 = f(z)
     k2 = f(z + 0.5 * dt * k1)
     k3 = f(z + 0.5 * dt * k2)
     k4 = f(z + dt * k3)
@@ -236,7 +238,6 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
                          state_labels: Sequence[str],
                          kind: str,
                          dim_base: int,
-                         energy: Callable[[np.ndarray], float] | None = None,
                          logs: dict | None = None,
                          chart: str | None = None,
                          meta: dict | None = None,
@@ -245,8 +246,9 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
 
     With backward=True the steps are taken with -dt (the reported times
     still increase from 0), which together with a forward run forms the
-    time-reversal test of the symmetric midpoint rule. logs maps extra
-    invariant names to per-state callables.
+    time-reversal test of the symmetric midpoint rule. logs maps
+    invariant names to per-state callables; each is evaluated at every
+    node into invariant_log under its name, in the order given.
 
     The implicit midpoint solve starts from z + dt f(z) on the first
     step, from linear extrapolation on a step whose size differs from
@@ -305,13 +307,9 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
     for i in range(values.shape[0]):
         derivs[i] = sign * f(values[i])
     counts["rhs_evals"] += values.shape[0]
-    invariant_log = {}
-    if energy is not None:
-        invariant_log["energy"] = np.array(
-            [energy(values[i]) for i in range(values.shape[0])])
-    for name, fn in (logs or {}).items():
-        invariant_log[name] = np.array(
-            [fn(values[i]) for i in range(values.shape[0])])
+    invariant_log = {name: np.array([fn(values[i])
+                                     for i in range(values.shape[0])])
+                     for name, fn in (logs or {}).items()}
     return Trajectory(times=times, values=values,
                       state_labels=tuple(state_labels), kind=kind,
                       dim_base=dim_base, derivs=derivs,
@@ -399,8 +397,8 @@ def integrate_full(system: FastSlowSystem, state0: PhaseStateFull,
 
     traj = integrate_autonomous(
         f, state0.as_array(), horizon, config, state_labels=labels,
-        kind="full", dim_base=l, energy=energy,
-        logs={"momentum": lambda z: z[2 * l + 1]},
+        kind="full", dim_base=l,
+        logs={"energy": energy, "momentum": lambda z: z[2 * l + 1]},
         meta={"epsilon": eps, "mu": system.mu, "clock": "slow (t = eps tau)"},
         backward=backward)
     traj.invariant_log["phi_dot"] = traj.derivs[:, 2 * l].copy()
@@ -412,8 +410,7 @@ def integrate_full(system: FastSlowSystem, state0: PhaseStateFull,
 
 def integrate_reduced_canonical(avg: AveragedSystem,
                                 state0: PhaseStateReduced, horizon: float,
-                                config: IntegratorConfig,
-                                backward: bool = False) -> Trajectory:
+                                config: IntegratorConfig) -> Trajectory:
     """Integrate the averaged system in the canonical chart.
 
     horizon and config.dt are measured directly in the slow time t; the
@@ -443,10 +440,9 @@ def integrate_reduced_canonical(avg: AveragedSystem,
     return integrate_autonomous(
         f, state0.as_array(), horizon, config, state_labels=labels,
         kind="reduced_canonical", dim_base=l,
-        energy=lambda z: averaged_hamiltonian(avg, z[:l], z[l:]),
-        logs={"momentum": lambda z: mu},
-        chart="canonical", meta={"mu": mu, "clock": "slow"},
-        backward=backward)
+        logs={"energy": lambda z: averaged_hamiltonian(avg, z[:l], z[l:]),
+              "momentum": lambda z: mu},
+        chart="canonical", meta={"mu": mu, "clock": "slow"})
 
 
 def integrate_reduced_magnetic(avg: AveragedSystem,
@@ -457,8 +453,7 @@ def integrate_reduced_magnetic(avg: AveragedSystem,
                                grad_q: Callable | None = None,
                                grad_p: Callable | None = None,
                                b_field: Callable | None = None,
-                               momentum: float | None = None,
-                               backward: bool = False) -> Trajectory:
+                               momentum: float | None = None) -> Trajectory:
     """Integrate the averaged system in the magnetic (shifted) chart.
 
     The state is (Q, P1) with P1 = P + mu a0(Q) and the default flow is
@@ -508,10 +503,9 @@ def integrate_reduced_magnetic(avg: AveragedSystem,
     return integrate_autonomous(
         f, state0.as_array(), horizon, config, state_labels=labels,
         kind="reduced_magnetic", dim_base=l,
-        energy=lambda z: float(hamiltonian(z[:l], z[l:])),
-        logs={"momentum": lambda z: mom},
-        chart="magnetic", meta={"mu": mu, "clock": "slow"},
-        backward=backward)
+        logs={"energy": lambda z: float(hamiltonian(z[:l], z[l:])),
+              "momentum": lambda z: mom},
+        chart="magnetic", meta={"mu": mu, "clock": "slow"})
 
 
 def hermite_interpolate(times: np.ndarray, values: np.ndarray,

@@ -25,7 +25,7 @@ logged drift measures Newton slop rather than method error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -134,21 +134,13 @@ def coadjoint_action(algebra: LieAlgebraData, X: np.ndarray,
     return np.einsum("i,ijk,k->j", X, algebra.structure_constants, xi)
 
 
-def shift_cocycle(algebra: "LieAlgebraData | EulerSystem",
-                  shift: np.ndarray | None = None) -> Cocycle:
-    """Coboundary cocycle of a momentum shift L.
+def shift_cocycle(algebra: LieAlgebraData, shift: np.ndarray) -> Cocycle:
+    """Coboundary cocycle of a momentum shift L on an algebra.
 
     sigma_ij = -sum_k L_k c^k_ij, i.e. sigma(X, Y) = -<L, [X, Y]>; it is
     automatically closed (its identity residual is the Jacobiator paired
-    with L). Accepts either (algebra, L) or an EulerSystem, whose own
-    shift element is used.
+    with L).
     """
-    if isinstance(algebra, EulerSystem):
-        if shift is not None:
-            raise TypeError("pass either an EulerSystem or (algebra, shift)")
-        algebra, shift = algebra.algebra, algebra.shift
-    elif shift is None:
-        raise TypeError("shift is required when passing a bare algebra")
     shift = np.asarray(shift, dtype=float)
     sigma = -np.einsum("ijk,k->ij", algebra.structure_constants, shift)
     sigma = 0.5 * (sigma - sigma.T)
@@ -180,15 +172,12 @@ class EulerSystem:
     """Euler equation data: algebra, inertia tensor, momentum shift.
 
     inertia must be symmetric (to 1e-14) and positive definite
-    (Cholesky); shift is the momentum offset L. orientation "right"
-    flips the sign of the vector field, matching the opposite bracket
-    convention.
+    (Cholesky); shift is the momentum offset L.
     """
 
     algebra: LieAlgebraData
     inertia: np.ndarray
     shift: np.ndarray | None = None
-    orientation: Literal["left", "right"] = "left"
 
     def __post_init__(self) -> None:
         inertia = np.asarray(self.inertia, dtype=float)
@@ -209,8 +198,6 @@ class EulerSystem:
         if shift.shape != (n,):
             raise ValueError("shift must have length dim")
         object.__setattr__(self, "shift", shift)
-        if self.orientation not in ("left", "right"):
-            raise ValueError(f"unknown orientation {self.orientation!r}")
 
     def velocity(self, xi: np.ndarray) -> np.ndarray:
         """Angular velocity I^{-1} xi."""
@@ -225,12 +212,10 @@ def _euler_field(system: EulerSystem) -> Callable[[np.ndarray], np.ndarray]:
     """The field of euler_vector_field as a closure; I^{-1} is formed once."""
     inertia_inv = np.linalg.inv(system.inertia)
     constants, shift = system.algebra.structure_constants, system.shift
-    sign = 1.0 if system.orientation == "right" else -1.0
 
     def f(xi: np.ndarray) -> np.ndarray:
         v = inertia_inv @ xi
-        return sign * (v @ np.tensordot(constants, xi - shift,
-                                        axes=([2], [0])))
+        return -(v @ np.tensordot(constants, xi - shift, axes=([2], [0])))
 
     return f
 
@@ -239,8 +224,7 @@ def euler_vector_field(system: EulerSystem, xi: np.ndarray) -> np.ndarray:
     """Shifted Euler equation dxi/dt = -ad*_{I^{-1} xi} (xi - L).
 
     The field is orthogonal to the angular velocity I^{-1} xi, so the
-    kinetic energy is conserved at the level of the vector field; with
-    orientation "right" the overall sign flips.
+    kinetic energy is conserved at the level of the vector field.
     """
     return _euler_field(system)(np.asarray(xi, dtype=float))
 
@@ -286,11 +270,10 @@ def integrate_euler(system: EulerSystem, xi0: np.ndarray, horizon: float,
     return integrate_autonomous(
         _euler_field(system), xi0, horizon, config, state_labels=labels,
         kind="euler", dim_base=n,
-        energy=lambda z: float(0.5 * z @ inertia_inv @ z),
-        logs={"momentum": lambda z: float(z @ z),
+        logs={"energy": lambda z: float(0.5 * z @ inertia_inv @ z),
+              "momentum": lambda z: float(z @ z),
               "casimir_shifted": lambda z: float((z - shift) @ (z - shift))},
-        meta={"algebra": system.algebra.name,
-              "orientation": system.orientation})
+        meta={"algebra": system.algebra.name})
 
 
 # ---------------------------------------------------------------------------

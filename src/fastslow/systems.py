@@ -34,8 +34,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._derivatives import gradient, hessian, jacobian
-from .averaging import (AveragedSystem, AveragingError, FastSlowSystem,
-                        QuadratureRule, TrigSeries, average_coefficients,
+from .averaging import (AveragedSystem, FastSlowSystem, TrigSeries,
+                        average_coefficients, fiber_mean, fiber_samples,
                         periodic_antiderivative_samples)
 from .bundle_geometry import TrivialBundleMetric
 from .integrators import Trajectory
@@ -185,7 +185,6 @@ def pendulum_fiber_problem(params: PendulumParams):
 
 def simulate_physical_pendulum(params: PendulumParams, theta0: float,
                                p0: float, horizon: float | None = None,
-                               dt: float | None = None,
                                store_every: int | None = None,
                                stop_when: Callable[[float, float, float],
                                                    bool] | None = None
@@ -199,8 +198,8 @@ def simulate_physical_pendulum(params: PendulumParams, theta0: float,
 
     i.e. the drive enters at strength O(1/epsilon); this is the system
     the averaged pendulum approximates. Integration is classical RK4
-    with dt defaulting to a 64th of the drive period; horizon defaults
-    to 1/epsilon. stop_when(t, theta, p) aborts the run early when it
+    with a step of a 64th of the drive period; horizon defaults to
+    1/epsilon. stop_when(t, theta, p) aborts the run early when it
     returns True (the trigger time is stored in meta["stopped_at"]).
     Every accepted step is offered to stop_when even when only each
     store_every-th state is kept.
@@ -211,8 +210,7 @@ def simulate_physical_pendulum(params: PendulumParams, theta0: float,
     omega = params.omega
     if horizon is None:
         horizon = 1.0 / params.epsilon
-    if dt is None:
-        dt = (TWO_PI / omega) / 64.0
+    dt = (TWO_PI / omega) / 64.0
     n_steps = int(math.ceil(horizon / dt - 1e-9))
     if store_every is None:
         store_every = max(1, int(math.ceil(n_steps / 20000)))
@@ -403,8 +401,8 @@ def disk_connection(surface: SurfaceMetric, q: np.ndarray) -> np.ndarray:
     ])
 
 
-def curvature_identity_residual(surface: SurfaceMetric, q: np.ndarray,
-                                step: float | None = None) -> float:
+def curvature_identity_residual(surface: SurfaceMetric,
+                                q: np.ndarray) -> float:
     """Residual d(A . dq) - sqrt(a11 a22) K at q (finite differences).
 
     The curl of the connection is computed with central differences of
@@ -412,7 +410,7 @@ def curvature_identity_residual(surface: SurfaceMetric, q: np.ndarray,
     rather than a restatement of its formula.
     """
     q = surface.require_in_domain(q)
-    h = step if step is not None else 1e-5 * max(1.0, float(np.max(np.abs(q))))
+    h = 1e-5 * max(1.0, float(np.max(np.abs(q))))
     e1 = np.array([h, 0.0])
     e2 = np.array([0.0, h])
     curl = ((disk_connection(surface, q + e1)[1]
@@ -664,7 +662,7 @@ class OscillatingPotential:
 
     fourier_modes, when given, list the oscillating part exactly as
     harmonics; spectral sampling is used otherwise. mean_part is the
-    fiber mean Ubar(x) (computed by quadrature when absent) and
+    fiber mean Ubar(x) (a mean over the fiber grid when absent) and
     grad_mean its spatial gradient.
     """
 
@@ -686,44 +684,36 @@ class OscillatingPotential:
             raise ValueError(
                 f"potential is not 2*pi-periodic in tau: gap {gap:.3e}")
 
-    def mean(self, x: np.ndarray, rule: QuadratureRule | None = None) -> float:
+    def mean(self, x: np.ndarray) -> float:
         if self.mean_part is not None:
             return float(self.mean_part(x))
-        rule = rule or QuadratureRule()
-        nodes, _ = rule.nodes_weights()
-        return float(rule.fiber_mean(
-            np.array([self.U(x, t) for t in nodes])))
+        return float(fiber_mean(fiber_samples(lambda t: self.U(x, t))))
 
 
-def _oscillating_samples(potential: OscillatingPotential, x: np.ndarray,
-                         n: int) -> np.ndarray:
-    tau = np.arange(n) * (TWO_PI / n)
-    vals = np.array([potential.U(x, t) for t in tau])
+def _oscillating_samples(potential: OscillatingPotential,
+                         x: np.ndarray) -> np.ndarray:
+    """U(x, tau) - Ubar(x) on the fiber grid."""
+    vals = fiber_samples(lambda t: potential.U(x, t))
     if potential.mean_part is not None:
-        vals = vals - float(potential.mean_part(x))
-    else:
-        vals = vals - np.mean(vals)
-    return vals
+        return vals - float(potential.mean_part(x))
+    return vals - fiber_mean(vals)
 
 
 def _antiderivative_samples(potential: OscillatingPotential, x: np.ndarray,
-                            n: int, order: int) -> np.ndarray:
+                            order: int) -> np.ndarray:
     return periodic_antiderivative_samples(
-        _oscillating_samples(potential, x, n), order=order,
+        _oscillating_samples(potential, x), order=order,
         what="oscillating potential")
 
 
-def _antiderivative_gradient(potential: OscillatingPotential, x: np.ndarray,
-                             n: int) -> np.ndarray:
-    """Central-difference gradient of V at n fiber nodes, shape (dim, n)."""
-    return jacobian(lambda pt: _antiderivative_samples(potential, pt, n, 1),
-                    x)
+def _antiderivative_gradient(potential: OscillatingPotential,
+                             x: np.ndarray) -> np.ndarray:
+    """Central-difference gradient of V on the fiber grid, shape (dim, n)."""
+    return jacobian(lambda pt: _antiderivative_samples(potential, pt, 1), x)
 
 
 def zero_mean_antiderivative(potential: OscillatingPotential, x: np.ndarray,
-                             order: int = 1,
-                             rule: QuadratureRule | None = None
-                             ) -> Callable[[float], float]:
+                             order: int = 1) -> Callable[[float], float]:
     """Zero-mean tau-antiderivative of the oscillating part of U at x.
 
     order 1 gives V with dV/dtau = U - Ubar, order 2 gives S with
@@ -731,7 +721,7 @@ def zero_mean_antiderivative(potential: OscillatingPotential, x: np.ndarray,
     Fourier modes the antiderivative is exact per harmonic (for
     U - Ubar = sum c_k cos + s_k sin:
     V = sum (c_k sin - s_k cos) / k, S = -sum (c_k cos + s_k sin) / k^2);
-    otherwise it is built spectrally from uniform samples. A residual
+    otherwise it is built spectrally from the fiber grid. A residual
     fiber mean above 1e-10 raises, since the antiderivative would then
     grow secularly.
     """
@@ -755,14 +745,12 @@ def zero_mean_antiderivative(potential: OscillatingPotential, x: np.ndarray,
             return total if total.ndim else float(total)
 
         return anti
-    rule = rule or QuadratureRule()
     return TrigSeries.from_samples(
-        _antiderivative_samples(potential, x, rule.n_nodes, order))
+        _antiderivative_samples(potential, x, order))
 
 
 def mean_grad_antiderivative_sq(potential: OscillatingPotential,
-                                x: np.ndarray,
-                                rule: QuadratureRule | None = None) -> float:
+                                x: np.ndarray) -> float:
     """Fiber mean of V' . V', with V the first antiderivative of U - Ubar.
 
     Primes denote spatial gradients. With Fourier modes this is the
@@ -776,13 +764,12 @@ def mean_grad_antiderivative_sq(potential: OscillatingPotential,
             ds = m.grad_s(x)
             total += (float(dc @ dc) + float(ds @ ds)) / (2.0 * m.k ** 2)
         return total
-    rule = rule or QuadratureRule()
-    vp = _antiderivative_gradient(potential, x, rule.n_nodes)
-    return float(np.mean(np.sum(vp * vp, axis=0)))
+    vp = _antiderivative_gradient(potential, x)
+    return float(fiber_mean(np.sum(vp * vp, axis=0)))
 
 
-def mean_hess_cross_term(potential: OscillatingPotential, x: np.ndarray,
-                         rule: QuadratureRule | None = None) -> np.ndarray:
+def mean_hess_cross_term(potential: OscillatingPotential,
+                         x: np.ndarray) -> np.ndarray:
     """Fiber mean of S'' V' (Hessian of S applied to the gradient of V).
 
     V and S are the zero-mean first and second antiderivatives of
@@ -798,15 +785,13 @@ def mean_hess_cross_term(potential: OscillatingPotential, x: np.ndarray,
             total = total + (m.hess_c(x) @ m.grad_s(x)
                              - m.hess_s(x) @ m.grad_c(x)) / (2.0 * m.k ** 3)
         return total
-    n = (rule or QuadratureRule()).n_nodes
-    spp = hessian(lambda pt: _antiderivative_samples(potential, pt, n, 2), x)
-    vp = _antiderivative_gradient(potential, x, n)
-    return np.mean(np.einsum("ikn,kn->in", spp, vp), axis=1)
+    spp = hessian(lambda pt: _antiderivative_samples(potential, pt, 2), x)
+    vp = _antiderivative_gradient(potential, x)
+    return fiber_mean(np.einsum("ikn,kn->ni", spp, vp))
 
 
 def oscillating_particle_averaged(potential: OscillatingPotential,
-                                  epsilon: float, mu: float,
-                                  rule: QuadratureRule | None = None
+                                  epsilon: float, mu: float
                                   ) -> tuple[AveragedSystem, dict]:
     """Averaged system of a particle in a strongly oscillating potential.
 
@@ -825,17 +810,16 @@ def oscillating_particle_averaged(potential: OscillatingPotential,
     """
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
-    rule = rule or QuadratureRule()
     eps = float(epsilon)
 
     def ubar(x):
-        return potential.mean(np.atleast_1d(np.asarray(x, dtype=float)), rule)
+        return potential.mean(np.atleast_1d(np.asarray(x, dtype=float)))
 
     def mean_vv(x):
-        return mean_grad_antiderivative_sq(potential, x, rule)
+        return mean_grad_antiderivative_sq(potential, x)
 
     def mean_sv(x):
-        return mean_hess_cross_term(potential, x, rule)
+        return mean_hess_cross_term(potential, x)
 
     def U0(x):
         return ubar(x) + 0.5 * eps ** 2 * mu ** 2 * mean_vv(x)
@@ -897,7 +881,6 @@ def oscillating_particle_averaged(potential: OscillatingPotential,
 
 def particle_invariant_metric(potential: OscillatingPotential,
                               epsilon: float,
-                              rule: QuadratureRule | None = None,
                               sample_points: Sequence = ()
                               ) -> TrivialBundleMetric:
     """Bundle metric whose reduction matches the averaged particle.
@@ -906,15 +889,13 @@ def particle_invariant_metric(potential: OscillatingPotential,
     coefficient +eps^3 <S'' V'>; the metric is positive definite because
     h |a|^2 = O(eps^4) stays far below one.
     """
-    rule = rule or QuadratureRule()
     eps = float(epsilon)
 
     def a(q, phi):
-        return eps ** 3 * mean_hess_cross_term(potential, q, rule)
+        return eps ** 3 * mean_hess_cross_term(potential, q)
 
     def h(q, phi):
-        return 1.0 / (eps ** 2
-                      * mean_grad_antiderivative_sq(potential, q, rule))
+        return 1.0 / (eps ** 2 * mean_grad_antiderivative_sq(potential, q))
 
     return TrivialBundleMetric(dim_base=potential.dim_base, a=a, h=h,
                                sample_points=tuple(sample_points))

@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fastslow import (AveragedSystem, AveragingError, FastSlowSystem,
-                      FiberOscillationProblem, QuadratureRule, TrigSeries,
+                      FiberOscillationProblem, TrigSeries,
                       average_coefficients, averaged_hamiltonian,
                       effective_potential, magnetic_form,
                       oscillation_induced_potential,
                       periodic_antiderivative_samples,
                       solve_fiber_oscillation)
+from fastslow.averaging import FIBER_GRID, fiber_mean, fiber_samples
 
 # Hand-computed: a0 = (1,), h0 = 1, U0 = 0.5, mu = 1, P = (1,)
 # Hbar = 1/2 + 1 + 1/2 + 1/2 = 2.5.
@@ -53,37 +54,25 @@ def synthetic_averaged(mu=1.0):
 
 class TestQuadrature:
     def test_trapezoid_exact_on_trigonometric_polynomials(self):
-        rule = QuadratureRule(n_nodes=16)
-        nodes, _ = rule.nodes_weights()
         for k in (1, 2, 5, 7):
             # Mean of cos^2(k tau) over the circle is 1/2.
-            mean = rule.fiber_mean(np.cos(k * nodes) ** 2)
+            mean = fiber_mean(np.cos(k * FIBER_GRID) ** 2)
             assert abs(mean - 0.5) < 1e-13
-            assert abs(rule.fiber_mean(np.sin(k * nodes))) < 1e-13
+            assert abs(fiber_mean(np.sin(k * FIBER_GRID))) < 1e-13
 
-    def test_both_schemes_match_bessel_integral(self):
+    def test_fiber_mean_matches_bessel_integral(self):
         # Integral of exp(cos tau) over [0, 2 pi) is 2 pi I_0(1).
         want = 2.0 * np.pi * np.i0(1.0)
-        for scheme in ("trapezoid_periodic", "gauss_legendre_mapped"):
-            rule = QuadratureRule(n_nodes=64, scheme=scheme)
-            nodes, _ = rule.nodes_weights()
-            got = rule.integrate(np.exp(np.cos(nodes)))
-            assert abs(got - want) < 1e-12
+        got = 2.0 * np.pi * fiber_mean(np.exp(np.cos(FIBER_GRID)))
+        assert abs(got - want) < 1e-12
 
     def test_integrate_handles_vector_samples(self):
-        rule = QuadratureRule(n_nodes=32)
-        nodes, _ = rule.nodes_weights()
-        samples = np.stack([np.cos(nodes) ** 2, np.sin(nodes)], axis=1)
-        mean = rule.fiber_mean(samples)
+        samples = fiber_samples(lambda t: [np.cos(t) ** 2, np.sin(t)])
+        assert samples.shape == (FIBER_GRID.size, 2)
+        mean = fiber_mean(samples)
         assert mean.shape == (2,)
         assert abs(mean[0] - 0.5) < 1e-13
         assert abs(mean[1]) < 1e-13
-
-    def test_rejects_bad_construction(self):
-        with pytest.raises(ValueError):
-            QuadratureRule(n_nodes=0)
-        with pytest.raises(ValueError, match="scheme"):
-            QuadratureRule(scheme="simpson")
 
 
 class TestTrigSeries:

@@ -181,6 +181,13 @@ class TestConfigParsing:
         assert config.parameters["inertia"] == 2.0
         assert config.parameters["xi0"] == (0.5, 1.5)
 
+    @pytest.mark.parametrize("raw", ["2024", "1,2", "out/run 1"])
+    def test_output_dir_keeps_its_text(self, raw):
+        config = parse_config(
+            f"experiment = euler\n[output]\noutput_dir = {raw}\n")
+        assert config.output_dir == raw
+        assert parse_config(serialize_config(config)) == config
+
     def test_load_config_reads_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(EULER_FAST_CONFIG)
@@ -344,7 +351,9 @@ class TestCommandLine:
         ("disk", "q1_0 = 5.0", "outside the declared chart domain"),
         ("euler", "inertia = 1.0, -2.0, 3.0",
          "inertia is not positive definite"),
-    ], ids=["disk-domain", "euler-inertia"])
+        ("disk", "surface = torus", "unknown surface 'torus'"),
+        ("euler", "algebra = so4", "unknown algebra 'so4'"),
+    ], ids=["disk-domain", "euler-inertia", "disk-surface", "euler-algebra"])
     def test_run_error_names_the_experiment(self, tmp_path, capsys,
                                             experiment, line, message):
         path = tmp_path / "run.cfg"
@@ -356,6 +365,24 @@ class TestCommandLine:
         assert len(lines) == 1
         assert lines[0].startswith(f"experiment {experiment} failed: ")
         assert message in lines[0]
+
+    @pytest.mark.parametrize("experiment, sweep", [
+        ("particle", "0.01"), ("pendulum", "0.01"), ("particle", ","),
+    ], ids=["particle-one", "pendulum-one", "particle-empty"])
+    def test_run_exit_two_on_sweep_without_a_ratio(self, tmp_path, capsys,
+                                                   experiment, sweep):
+        # One epsilon gives no halving ratio to check; it must not pass.
+        path = tmp_path / "run.cfg"
+        path.write_text(f"experiment = {experiment}\n[sweep]\n"
+                        f"epsilon_sweep = {sweep}\n")
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"experiment {experiment} failed: ")
+        assert "epsilon_sweep" in lines[0]
+        assert not list(tmp_path.rglob("*.csv"))
 
     @pytest.mark.parametrize("module, name, fails_for, text, fragments", [
         (experiments, "integrate_euler", lambda system: True,

@@ -146,16 +146,6 @@ class TestCocycles:
         coc = shift_cocycle(so3(), np.zeros(3))
         assert np.array_equal(coc.sigma, np.zeros((3, 3)))
 
-    def test_shift_cocycle_accepts_euler_system(self):
-        shift = np.array([0.3, -0.2, 0.5])
-        system = EulerSystem(algebra=so3(), inertia=np.diag([1.0, 2.0, 3.0]),
-                             shift=shift)
-        from_system = shift_cocycle(system)
-        from_parts = shift_cocycle(so3(), shift)
-        assert np.array_equal(from_system.sigma, from_parts.sigma)
-        with pytest.raises(TypeError, match="shift"):
-            shift_cocycle(so3())
-
     def test_shift_cocycles_are_closed_on_all_builtins(self):
         rng = np.random.default_rng(3)
         for name, factory in BUILTIN_ALGEBRAS.items():
@@ -261,8 +251,6 @@ class TestEulerSystem:
             EulerSystem(algebra=alg, inertia=-np.eye(3))
         with pytest.raises(ValueError, match="shift"):
             EulerSystem(algebra=alg, inertia=np.eye(3), shift=np.ones(2))
-        with pytest.raises(ValueError, match="orientation"):
-            EulerSystem(algebra=alg, inertia=np.eye(3), orientation="up")
 
     def test_velocity_and_energy(self):
         system = EulerSystem(algebra=so3(), inertia=np.diag([1.0, 2.0, 3.0]))
@@ -288,15 +276,6 @@ class TestEulerSystem:
                 (1.0 / 3.0 - 1.0 / 1.0) * xi[2] * xi[0],
                 (1.0 / 1.0 - 1.0 / 2.0) * xi[0] * xi[1]])
             assert np.max(np.abs(field - want)) < 1e-14
-
-    def test_right_orientation_flips_sign(self):
-        inertia = np.diag([1.0, 2.0, 3.0])
-        left = EulerSystem(algebra=so3(), inertia=inertia)
-        right = EulerSystem(algebra=so3(), inertia=inertia,
-                            orientation="right")
-        xi = np.array([0.3, -0.7, 0.4])
-        assert np.array_equal(euler_vector_field(right, xi),
-                              -euler_vector_field(left, xi))
 
     def test_shift_element_is_equilibrium(self):
         shift = np.array([0.4, -0.2, 0.9])

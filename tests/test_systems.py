@@ -17,7 +17,7 @@ import pytest
 
 from fastslow import (DiskParams, DomainError, HarmonicMode,
                       IntegratorConfig, OscillatingPotential, PendulumParams,
-                      PhaseStateReduced, QuadratureRule, SurfaceMetric,
+                      PhaseStateReduced, SurfaceMetric,
                       curvature_identity_residual, disk_connection,
                       disk_mass_matrix, disk_momentum, disk_reduced_system,
                       effective_potential, exponential_surface, fiber_inertia,
@@ -205,7 +205,8 @@ class TestSpinningDisk:
 
         traj = integrate_autonomous(rhs, z0, 10.0, RK4,
                                     state_labels=("q1", "q2", "u1", "u2"),
-                                    kind="disk", dim_base=2, energy=energy)
+                                    kind="disk", dim_base=2,
+                                    logs={"energy": energy})
         log = traj.invariant_log["energy"]
         assert np.max(np.abs(log - log[0])) < 1e-8
 
