@@ -14,14 +14,10 @@ experiment runs on top of these pieces.
 
 __version__ = "0.1.0"
 
-from .averaging import (AveragedSystem, AveragingError,
-                        FastSlowSystem, FiberOscillationProblem,
-                        FiberSolution, TrigSeries,
-                        average_coefficients, averaged_hamiltonian,
-                        effective_potential, magnetic_form,
-                        oscillation_induced_potential,
-                        periodic_antiderivative_samples,
-                        solve_fiber_oscillation)
+from .averaging import (AveragedSystem, AveragingError, FastSlowSystem,
+                        TrigSeries, average_coefficients,
+                        averaged_hamiltonian, effective_potential,
+                        magnetic_form, periodic_antiderivative_samples)
 from .bundle_geometry import (FiberDependenceWarning, PhaseStateFull,
                               PhaseStateReduced, TrivialBundleMetric,
                               convert_chart, fiber_inertia, gram_matrix,
@@ -49,16 +45,15 @@ from .systems import (DiskParams, DomainError, HarmonicMode,
                       mean_hess_cross_term, oscillating_particle_averaged,
                       particle_invariant_metric, particle_potential_1d,
                       particle_potential_2d, particle_systems,
-                      pendulum_fiber_problem, pendulum_systems,
-                      plane_surface, simulate_physical_pendulum,
-                      sphere_surface, spinning_disk_rhs,
-                      uniform_field_averaged, zero_mean_antiderivative)
+                      pendulum_systems, plane_surface,
+                      simulate_physical_pendulum, sphere_surface,
+                      spinning_disk_rhs, uniform_field_averaged,
+                      zero_mean_antiderivative)
 
 __all__ = [
     "AveragedSystem", "AveragingError", "BUILTIN_ALGEBRAS",
     "ClosenessReport", "Cocycle", "DiskParams", "DomainError",
-    "EulerSystem", "FastSlowSystem",
-    "FiberDependenceWarning", "FiberOscillationProblem", "FiberSolution",
+    "EulerSystem", "FastSlowSystem", "FiberDependenceWarning",
     "HarmonicMode", "IntegrationError", "IntegratorConfig",
     "LieAlgebraData", "OscillatingPotential", "PendulumParams",
     "PhaseStateFull", "PhaseStateReduced",
@@ -77,11 +72,11 @@ __all__ = [
     "load_algebra", "magnetic_form", "make_cocycle",
     "mean_grad_antiderivative_sq", "mean_hess_cross_term",
     "mechanical_connection", "metric_eval", "momentum_map",
-    "oscillating_particle_averaged", "oscillation_induced_potential",
+    "oscillating_particle_averaged",
     "oscillator4", "particle_invariant_metric", "particle_potential_1d",
-    "particle_potential_2d", "particle_systems", "pendulum_fiber_problem",
+    "particle_potential_2d", "particle_systems",
     "pendulum_systems", "periodic_antiderivative_samples", "plane_surface",
-    "simulate_physical_pendulum", "so3", "solve_fiber_oscillation",
+    "simulate_physical_pendulum", "so3",
     "sphere_surface", "spinning_disk_rhs", "uniform_field_averaged",
     "zero_mean_antiderivative",
 ]

@@ -260,31 +260,6 @@ class AveragedSystem:
         _resolve_derivatives(self)
 
 
-@dataclass(frozen=True)
-class FiberOscillationProblem:
-    """Periodically forced oscillation data for a strongly driven particle.
-
-    potential_tilde(x, tau) is the zero-mean oscillating part of the
-    potential in the fast phase tau; omega is the forcing frequency and
-    epsilon the timescale ratio, so the effective momentum is
-    mu = epsilon * omega. grad, when given, returns the x-gradient of
-    potential_tilde.
-    """
-
-    potential_tilde: Callable[[np.ndarray, float], float]
-    omega: float
-    epsilon: float
-    grad: Callable[[np.ndarray, float], np.ndarray] | None = None
-
-    def __post_init__(self) -> None:
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
-
-    @property
-    def mu(self) -> float:
-        return self.epsilon * self.omega
-
-
 def average_coefficients(system: FastSlowSystem,
                          sample_points: Sequence[np.ndarray] | None = None
                          ) -> AveragedSystem:
@@ -371,54 +346,3 @@ def magnetic_form(avg: AveragedSystem, Q: np.ndarray) -> np.ndarray:
     Q = np.asarray(Q, dtype=float)
     jac = np.asarray(avg.derivatives.grad_a0(Q), dtype=float)
     return avg.mu * (jac - jac.T)
-
-
-@dataclass(frozen=True)
-class FiberSolution:
-    """Leading-order periodic oscillation at a frozen slow position."""
-
-    tau: np.ndarray
-    v_tilde: np.ndarray
-    x_tilde: np.ndarray
-    mean_vv: float
-
-
-def solve_fiber_oscillation(problem: FiberOscillationProblem,
-                            x_bar: np.ndarray) -> FiberSolution:
-    """Leading-order periodic fiber oscillation at frozen x_bar.
-
-    Solves dv/dtau = -grad potential_tilde(x_bar, tau), dx/dtau = v with
-    both integration constants fixed by the zero-mean condition, on
-    FIBER_GRID. Raises when the forcing has a nonzero mean (secular
-    drift).
-    """
-    x_bar = np.atleast_1d(np.asarray(x_bar, dtype=float))
-
-    def grad(t):
-        if problem.grad is not None:
-            return np.atleast_1d(problem.grad(x_bar, t))
-        return gradient(lambda x: problem.potential_tilde(x, t), x_bar)
-
-    forcing = -fiber_samples(grad)
-    v_tilde = periodic_antiderivative_samples(
-        forcing, order=1, what="oscillating forcing")
-    x_tilde = periodic_antiderivative_samples(
-        v_tilde, order=1, what="fiber velocity")
-    mean_vv = float(fiber_mean(np.sum(v_tilde * v_tilde, axis=1)))
-    return FiberSolution(tau=FIBER_GRID, v_tilde=v_tilde, x_tilde=x_tilde,
-                         mean_vv=mean_vv)
-
-
-def oscillation_induced_potential(problem: FiberOscillationProblem,
-                                  U_slow: Callable[[np.ndarray], float],
-                                  x_bar: np.ndarray) -> float:
-    """Slow potential plus the kinetic energy stored in fast oscillation.
-
-    Returns U_slow(x_bar) + (eps^2 omega^2 / 4 pi) * integral over one
-    period of |v_tilde|^2 dtau, where v_tilde is the zero-mean velocity
-    of the leading-order fiber oscillation at frozen x_bar.
-    """
-    sol = solve_fiber_oscillation(problem, x_bar)
-    x_bar = np.atleast_1d(np.asarray(x_bar, dtype=float))
-    energy = 0.5 * (problem.epsilon * problem.omega) ** 2 * sol.mean_vv
-    return float(U_slow(x_bar)) + energy

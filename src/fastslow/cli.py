@@ -76,10 +76,18 @@ _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)
 
 
 # Accepted value types and their wording, by the type of the schema
-# default; a list key also takes a single float.
+# default; a list key also takes a single float, and a string key any
+# text (_typed keeps its raw text).
 _VALUE_KINDS = {float: (float, "a float"),
                 tuple: ((tuple, float), "a float or a comma list of floats"),
                 str: (str, "a string")}
+
+
+def _typed(raw: str, default):
+    """A config value read as the type of its default: a key whose
+    default is a string (a name or a path) keeps its text even when it
+    reads as a number."""
+    return raw if isinstance(default, str) else parse_value(raw)
 
 
 def _parameter_errors(experiment: str,
@@ -129,18 +137,17 @@ def parse_config(text: str) -> ExperimentConfig:
                            f"line {seen[(section, key)]})"))
             continue
         seen[(section, key)] = lineno
-        # A path is text even when it reads as a number.
-        values[(section, key)] = (raw_val.strip()
-                                  if (section, key) == ("output", "output_dir")
-                                  else parse_value(raw_val))
+        values[(section, key)] = raw_val.strip()
 
     def take(sec, key):
-        return values.pop((sec, key), _DEFAULTS.get(key))
+        default = _DEFAULTS[key]
+        raw = values.pop((sec, key), None)
+        return default if raw is None else _typed(raw, default)
 
     def lineof(sec, key):
         return seen.get((sec, key), 0)
 
-    experiment = take(None, "experiment")
+    experiment = values.pop((None, "experiment"), None)
     if experiment is None:
         errors.append((0, "missing top-level `experiment = ...`"))
         experiment = ""
@@ -149,10 +156,11 @@ def parse_config(text: str) -> ExperimentConfig:
                        f"unknown experiment {experiment!r}; expected one of "
                        + ", ".join(TABLE)))
 
+    schema = PARAMETER_DEFAULTS.get(experiment, {})
     parameters = {}
     for (sec, key) in list(values):
         if sec == "parameters":
-            parameters[key] = values.pop((sec, key))
+            parameters[key] = _typed(values.pop((sec, key)), schema.get(key))
     if experiment in TABLE:
         errors += [(lineof("parameters", key), message) for key, message
                    in _parameter_errors(experiment, parameters)]
@@ -376,8 +384,9 @@ def run_experiment(config: ExperimentConfig,
     out_dir = Path(config.output_dir)
     if not out_dir.is_absolute():
         out_dir = base / out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     trajectories, records = TABLE[config.experiment].run(config, base)
+    # Made only now, so that a run that fails leaves no directory behind.
+    out_dir.mkdir(parents=True, exist_ok=True)
     run_meta = {"experiment": config.experiment,
                 "config": serialize_config(config),
                 "versions": {"fastslow": __version__,

@@ -556,32 +556,24 @@ class ClosenessReport:
 
 def closeness_report(full: Trajectory, reduced: Trajectory,
                      system: FastSlowSystem) -> ClosenessReport:
-    """Compare a full trajectory against a reduced one.
+    """Compare a full trajectory against a canonical-chart reduced one.
 
     Initial conditions must match to 1e-12 ((q, p)(0) = (Q, P)(0) and
-    gamma(0) = mu). The reduced trajectory is converted to the canonical
-    chart if needed and cubic-Hermite interpolated to the full
-    trajectory's time nodes; deviations use the Euclidean norm per node.
+    gamma(0) = mu). The reduced trajectory, as integrate_reduced_canonical
+    returns it, is cubic-Hermite interpolated to the full trajectory's
+    time nodes; deviations use the Euclidean norm per node. Any other
+    pair of kinds, a magnetic-chart reduced trajectory among them,
+    raises ValueError.
     """
-    if full.kind != "full" or not reduced.kind.startswith("reduced"):
-        raise ValueError("closeness_report takes one full and one reduced "
-                         "trajectory")
+    if full.kind != "full" or reduced.kind != "reduced_canonical":
+        raise ValueError(
+            "closeness_report takes one full and one canonical-chart "
+            f"reduced trajectory, got kinds {full.kind!r} and "
+            f"{reduced.kind!r}")
     l = system.dim_base
     mu = system.mu
     eps = system.epsilon
-
     red_values = reduced.values
-    red_derivs = reduced.derivs
-    if reduced.chart == "magnetic":
-        ga0 = system.derivatives.grad_a0
-        red_values = red_values.copy()
-        red_derivs = red_derivs.copy()
-        for i in range(red_values.shape[0]):
-            Q = red_values[i, :l]
-            shift = mu * np.asarray(system.a0(Q), dtype=float)
-            red_values[i, l:] -= shift
-            red_derivs[i, l:] -= mu * (np.asarray(ga0(Q), dtype=float).T
-                                       @ red_derivs[i, :l])
 
     dq0 = float(np.max(np.abs(full.values[0, :l] - red_values[0, :l])))
     dp0 = float(np.max(np.abs(full.values[0, l:2 * l] - red_values[0, l:2 * l])))
@@ -594,7 +586,8 @@ def closeness_report(full: Trajectory, reduced: Trajectory,
     s_cap = min(full.times[-1], reduced.times[-1], 1.0)
     mask = full.times <= s_cap * (1.0 + 1e-12) + 1e-300
     t_cmp = full.times[mask]
-    interp = hermite_interpolate(reduced.times, red_values, red_derivs, t_cmp)
+    interp = hermite_interpolate(reduced.times, red_values, reduced.derivs,
+                                 t_cmp)
     fq = full.values[mask, :l]
     fp = full.values[mask, l:2 * l]
     fg = full.values[mask, 2 * l + 1]

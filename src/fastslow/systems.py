@@ -160,29 +160,6 @@ def pendulum_systems(params: PendulumParams,
     return system, averaged
 
 
-def pendulum_fiber_problem(params: PendulumParams):
-    """Oscillation problem of the driven pendulum at frozen angle.
-
-    The oscillating potential is -amp * l * cos(x / l) * cos(tau); the
-    induced potential of this problem reproduces the suspension result
-    (1/4) mu^2 amp^2 sin^2(x / l) on top of the slow -g l cos(x / l).
-    """
-    from .averaging import FiberOscillationProblem
-
-    l = params.length
-    amp = params.amplitude
-
-    def potential_tilde(x, tau):
-        return -amp * l * math.cos(x[0] / l) * math.cos(tau)
-
-    def grad(x, tau):
-        return np.array([amp * math.sin(x[0] / l) * math.cos(tau)])
-
-    return FiberOscillationProblem(
-        potential_tilde=potential_tilde, omega=params.omega,
-        epsilon=params.epsilon, grad=grad)
-
-
 def simulate_physical_pendulum(params: PendulumParams, theta0: float,
                                p0: float, horizon: float | None = None,
                                store_every: int | None = None,
@@ -804,9 +781,8 @@ def oscillating_particle_averaged(potential: OscillatingPotential,
     (h0 = 0: the correction enters the potential once, through U0).
     With Fourier modes, grad_U0 and grad_a0 are the exact per-harmonic
     sums; otherwise the integrators difference U0 and a0.
-    The reference data dict carries the raw means plus the matching
-    bundle quantities: fiber_inertia 1 / (eps^2 <V'.V'>) and connection
-    +eps^3 <S'' V'>.
+    The reference dict holds Ubar, <V' . V'> and <S'' V'> as slow_mean,
+    mean_grad_sq and mean_cross.
     """
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
@@ -873,8 +849,6 @@ def oscillating_particle_averaged(potential: OscillatingPotential,
         "slow_mean": ubar,
         "mean_grad_sq": mean_vv,
         "mean_cross": mean_sv,
-        "fiber_inertia": lambda x: 1.0 / (eps ** 2 * mean_vv(x)),
-        "connection": lambda x: eps ** 3 * mean_sv(x),
     }
     return averaged, reference
 

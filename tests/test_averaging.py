@@ -2,9 +2,8 @@
 
 Expected values are hand-computed closed forms: trigonometric moments
 (mean of cos^2 is 1/2), Bessel integrals for quadrature exactness, and
-the single-harmonic fiber oscillation U-tilde = f(x) cos(tau), whose
-periodic solution is v-tilde = -f'(x) sin(tau) with mean squared
-velocity f'(x)^2 / 2.
+the zero-mean antiderivatives of single harmonics (cos(k tau)
+integrates once to sin(k tau) / k and twice to -cos(k tau) / k^2).
 """
 
 import numpy as np
@@ -12,12 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fastslow import (AveragedSystem, AveragingError, FastSlowSystem,
-                      FiberOscillationProblem, TrigSeries,
-                      average_coefficients, averaged_hamiltonian,
+                      TrigSeries, average_coefficients, averaged_hamiltonian,
                       effective_potential, magnetic_form,
-                      oscillation_induced_potential,
-                      periodic_antiderivative_samples,
-                      solve_fiber_oscillation)
+                      periodic_antiderivative_samples)
 from fastslow.averaging import FIBER_GRID, fiber_mean, fiber_samples
 
 # Hand-computed: a0 = (1,), h0 = 1, U0 = 0.5, mu = 1, P = (1,)
@@ -268,55 +264,3 @@ class TestMagneticForm:
         avg = synthetic_averaged(1.3)
         B = magnetic_form(avg, np.array([q1, q2]))
         assert np.max(np.abs(B + B.T)) < 1e-9
-
-
-class TestFiberOscillation:
-    def single_harmonic_problem(self, epsilon=0.01, omega=100.0):
-        return FiberOscillationProblem(
-            potential_tilde=lambda x, tau: np.sin(x[0]) * np.cos(tau),
-            omega=omega,
-            epsilon=epsilon,
-            grad=lambda x, tau: np.array([np.cos(x[0]) * np.cos(tau)]))
-
-    def test_single_harmonic_velocity_profile(self):
-        # U-tilde = sin(x) cos(tau): v-tilde = -cos(x) sin(tau).
-        problem = self.single_harmonic_problem()
-        sol = solve_fiber_oscillation(problem, np.array([0.8]))
-        want = -np.cos(0.8) * np.sin(sol.tau)
-        assert np.max(np.abs(sol.v_tilde[:, 0] - want)) < 1e-12
-        assert np.max(np.abs(sol.x_tilde[:, 0]
-                             - np.cos(0.8) * np.cos(sol.tau))) < 1e-12
-
-    def test_mean_squared_velocity_closed_form(self):
-        problem = self.single_harmonic_problem()
-        sol = solve_fiber_oscillation(problem, np.array([0.8]))
-        assert abs(sol.mean_vv - 0.5 * np.cos(0.8) ** 2) < 1e-12
-
-    def test_induced_potential_closed_form(self):
-        # Added term is (eps^2 omega^2 / 4) f'(x)^2 for f(x) cos(tau).
-        problem = self.single_harmonic_problem(epsilon=0.01, omega=100.0)
-        U_slow = lambda x: 0.5 * float(x @ x)
-        got = oscillation_induced_potential(problem, U_slow, np.array([0.8]))
-        want = 0.32 + 0.25 * (0.01 * 100.0) ** 2 * np.cos(0.8) ** 2
-        assert abs(got - want) < 1e-12
-
-    def test_gradient_fallback_matches_analytic(self):
-        with_grad = self.single_harmonic_problem()
-        without = FiberOscillationProblem(
-            potential_tilde=with_grad.potential_tilde,
-            omega=with_grad.omega, epsilon=with_grad.epsilon)
-        a = solve_fiber_oscillation(with_grad, np.array([0.8]))
-        b = solve_fiber_oscillation(without, np.array([0.8]))
-        assert np.max(np.abs(a.v_tilde - b.v_tilde)) < 1e-8
-
-    def test_secular_forcing_raises(self):
-        problem = FiberOscillationProblem(
-            potential_tilde=lambda x, tau: (1.0 + np.cos(tau)) * x[0],
-            omega=50.0, epsilon=0.02,
-            grad=lambda x, tau: np.array([1.0 + np.cos(tau)]))
-        with pytest.raises(AveragingError, match="secular"):
-            solve_fiber_oscillation(problem, np.array([0.3]))
-
-    def test_mu_property(self):
-        problem = self.single_harmonic_problem(epsilon=0.02, omega=150.0)
-        assert abs(problem.mu - 3.0) < 1e-15

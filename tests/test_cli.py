@@ -161,13 +161,11 @@ class TestConfigParsing:
          "line 3: parameter 'mass' must be a float, got 'heavy'"),
         ("experiment = euler\n[parameters]\nxi0 = fast\n",
          "line 3: parameter 'xi0' must be a float or a comma list of floats"),
-        ("experiment = euler\n[parameters]\nalgebra = 3\n",
-         "line 3: parameter 'algebra' must be a string, got 3.0"),
         ("experiment = custom\n[parameters]\nhorizon = 5.0\n",
          "missing parameter 'algebra_file' for experiment 'custom'"),
         ("experiment = custom\n[parameters]\nalgebra_file =\n",
          "line 3: missing parameter 'algebra_file'"),
-    ], ids=["float", "float_disk", "list", "string", "required_unset",
+    ], ids=["float", "float_disk", "list", "required_unset",
             "required_empty"])
     def test_parameter_checked_against_schema(self, text, fragment):
         with pytest.raises(ConfigError) as excinfo:
@@ -353,7 +351,11 @@ class TestCommandLine:
          "inertia is not positive definite"),
         ("disk", "surface = torus", "unknown surface 'torus'"),
         ("euler", "algebra = so4", "unknown algebra 'so4'"),
-    ], ids=["disk-domain", "euler-inertia", "disk-surface", "euler-algebra"])
+        # A name that reads as a number is still a name.
+        ("disk", "surface = 3", "unknown surface '3'"),
+        ("euler", "algebra = 3", "unknown algebra '3'"),
+    ], ids=["disk-domain", "euler-inertia", "disk-surface", "euler-algebra",
+            "disk-surface-number", "euler-algebra-number"])
     def test_run_error_names_the_experiment(self, tmp_path, capsys,
                                             experiment, line, message):
         path = tmp_path / "run.cfg"
@@ -365,6 +367,7 @@ class TestCommandLine:
         assert len(lines) == 1
         assert lines[0].startswith(f"experiment {experiment} failed: ")
         assert message in lines[0]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("experiment, sweep", [
         ("particle", "0.01"), ("pendulum", "0.01"), ("particle", ","),
@@ -383,6 +386,18 @@ class TestCommandLine:
         assert lines[0].startswith(f"experiment {experiment} failed: ")
         assert "epsilon_sweep" in lines[0]
         assert not list(tmp_path.rglob("*.csv"))
+        assert not (tmp_path / "out").exists()
+
+    def test_run_custom_algebra_file_named_like_a_number(self, tmp_path,
+                                                         capsys):
+        (tmp_path / "2024").write_text(SO3_FILE_TEXT)
+        path = tmp_path / "run.cfg"
+        path.write_text("experiment = custom\n[parameters]\n"
+                        "algebra_file = 2024\nhorizon = 5.0\n")
+        assert main(["run", str(path)]) == 0
+        assert capsys.readouterr().out.endswith("overall: PASS\n")
+        doc = json.loads((tmp_path / "out" / "euler.json").read_text())
+        assert doc["metadata"]["algebra"] == "2024"
 
     @pytest.mark.parametrize("module, name, fails_for, text, fragments", [
         (experiments, "integrate_euler", lambda system: True,

@@ -539,6 +539,20 @@ class TestCloseness:
         with pytest.raises(ValueError, match="full"):
             closeness_report(traj, traj, system)
 
+    def test_rejects_magnetic_chart_reduced_trajectory(self):
+        system = phi_independent_system()
+        avg = average_coefficients(system)
+        full = integrate_full(
+            system,
+            PhaseStateFull(q=np.array([0.4]), p=np.array([0.2]),
+                           phi=0.0, gamma=0.7),
+            1.0, MIDPOINT)
+        red = integrate_reduced_magnetic(
+            avg, PhaseStateReduced(Q=np.array([0.4]), P=np.array([0.2])),
+            1.0, MIDPOINT)
+        with pytest.raises(ValueError, match="reduced_magnetic"):
+            closeness_report(full, red, system)
+
     def test_sweep_populates_ratio_table(self):
         def build(eps):
             system = phi_independent_system(epsilon=eps, mu=0.7)

@@ -25,13 +25,11 @@ from fastslow import (DiskParams, DomainError, HarmonicMode,
                       integrate_reduced_canonical, integrate_reduced_magnetic,
                       magnetic_form, mean_grad_antiderivative_sq,
                       mean_hess_cross_term, mechanical_connection,
-                      oscillating_particle_averaged,
-                      oscillation_induced_potential, particle_invariant_metric,
+                      oscillating_particle_averaged, particle_invariant_metric,
                       particle_potential_1d, particle_potential_2d,
-                      particle_systems, pendulum_fiber_problem,
-                      pendulum_systems, plane_surface, simulate_physical_pendulum,
-                      sphere_surface, spinning_disk_rhs,
-                      zero_mean_antiderivative)
+                      particle_systems, pendulum_systems, plane_surface,
+                      simulate_physical_pendulum, sphere_surface,
+                      spinning_disk_rhs, zero_mean_antiderivative)
 from fastslow import _derivatives as fd
 from fastslow.experiments import TABLE
 from fastslow.systems import _disk_mass_and_derivatives, _solve2
@@ -67,15 +65,19 @@ class TestPendulumAveraging:
         assert abs(PendulumParams().stability_threshold
                    - STABILITY_THRESHOLD) < 1e-14
 
-    def test_induced_potential_matches_effective_potential(self):
-        # Two independent routes to the same averaged potential.
+    def test_induced_potential_matches_effective_potential(self,
+                                                           pendulum_drive):
+        # Two independent routes to the same averaged potential: the
+        # suspension's average, and the slow potential plus the
+        # oscillation-induced term of the drive.
         params = PendulumParams()
-        problem = pendulum_fiber_problem(params)
+        pot = pendulum_drive(params)
         U_slow = lambda x: -params.gravity * params.length \
             * math.cos(x[0] / params.length)
         for theta in (0.4, 1.7, 2.9):
-            got = oscillation_induced_potential(problem, U_slow,
-                                                np.array([theta]))
+            x = np.array([theta])
+            got = U_slow(x) + 0.5 * (params.epsilon * params.omega) ** 2 \
+                * mean_grad_antiderivative_sq(pot, x)
             assert abs(got - kapitza_potential(theta, params)) < 1e-10
 
     def test_inverted_equilibrium_period(self):
@@ -483,16 +485,16 @@ class TestAveragedParticle:
         assert avg.grad_U0 is None and avg.grad_a0 is None
 
     def test_invariant_metric_reproduces_reference(self):
+        # Fiber inertia 1 / (eps^2 <V'.V'>), connection eps^3 <S'' V'>.
         eps = 0.05
         pot = particle_potential_1d()
         metric = particle_invariant_metric(pot, eps,
                                            sample_points=(np.array([0.8]),))
-        _, reference = oscillating_particle_averaged(pot, eps, 1.0)
         x = np.array([0.8])
         assert abs(fiber_inertia(metric, x)
-                   - reference["fiber_inertia"](x)) < 1e-10
+                   - 1.0 / (eps ** 2 * closed_mean_vv(0.8))) < 1e-10
         assert np.max(np.abs(mechanical_connection(metric, x)
-                             - reference["connection"](x))) < 1e-12
+                             - eps ** 3 * 0.14)) < 1e-12
 
     def test_weak_suspension_average_keeps_slow_mean(self):
         pot = particle_potential_1d()
