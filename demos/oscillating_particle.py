@@ -38,7 +38,7 @@ def closed_forms(x):
 
 def main():
     pot = particle_potential_2d(trap=TRAP, alpha=ALPHA, beta=BETA)
-    avg, _ = oscillating_particle_averaged(pot, EPSILON, MU)
+    avg = oscillating_particle_averaged(pot, EPSILON, MU)
 
     mean_vv, mean_cross = closed_forms(X)
     u0_closed = (0.5 * TRAP * float(X @ X)

@@ -98,13 +98,14 @@ class Trajectory:
 
     times is strictly increasing and measured in the slow clock (or the
     system's own physical clock for standalone simulations); values has
-    one state per row. derivs stores the state derivative in the same
-    clock as times, for use by cubic Hermite interpolation. invariant_log
-    maps names to arrays aligned with times: integrate_full logs
-    "energy", "momentum" (gamma) and "phi_dot"; the integrate_reduced_*
-    wrappers "energy" and the constant "momentum" mu; integrate_euler
-    "energy", "momentum" (|xi|^2) and "casimir_shifted"; a bare
-    integrate_autonomous run only the logs it is given.
+    one state per row. derivs, the state derivative in the same clock as
+    times for cubic Hermite interpolation, is set by
+    integrate_reduced_canonical only and is None on every other
+    trajectory. invariant_log maps names to arrays aligned with times:
+    integrate_full logs "energy", "momentum" (gamma) and "phi_dot"; the
+    integrate_reduced_* wrappers "energy" and the constant "momentum" mu;
+    integrate_euler "energy", "momentum" (|xi|^2) and "casimir_shifted";
+    a bare integrate_autonomous run only the logs it is given.
     """
 
     times: np.ndarray
@@ -256,7 +257,8 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
     variable-order extrapolation of _extrapolate through the newest
     PREDICTOR_MAX_ORDER + 1 nodes at most. Its meta then also holds the
     run's totals "newton_updates", "jacobians" and "rhs_evals" (every
-    evaluation of f, the derivs column included).
+    evaluation of f the steps made, Jacobian columns included). The
+    returned trajectory carries no derivs.
     """
     z0 = np.asarray(z0, dtype=float)
     if not horizon > 0.0:
@@ -303,17 +305,13 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
         t += dt
         values[i + 1] = z
         times[i + 1] = t
-    derivs = np.empty_like(values)
-    for i in range(values.shape[0]):
-        derivs[i] = sign * f(values[i])
-    counts["rhs_evals"] += values.shape[0]
     invariant_log = {name: np.array([fn(values[i])
                                      for i in range(values.shape[0])])
                      for name, fn in (logs or {}).items()}
     return Trajectory(times=times, values=values,
                       state_labels=tuple(state_labels), kind=kind,
-                      dim_base=dim_base, derivs=derivs,
-                      invariant_log=invariant_log, chart=chart,
+                      dim_base=dim_base, invariant_log=invariant_log,
+                      chart=chart,
                       meta={**(meta or {}), **(counts if midpoint else {})})
 
 
@@ -328,28 +326,26 @@ def _full_rhs(system: FastSlowSystem) -> Callable[[np.ndarray], np.ndarray]:
     def rhs(z: np.ndarray) -> np.ndarray:
         q = z[:l]
         p = z[l:2 * l]
-        phi = z[2 * l]
-        gam = z[2 * l + 1]
+        phi = float(z[2 * l])
+        gam = float(z[2 * l + 1])
+        half_gam2 = 0.5 * gam * gam
         a = (np.asarray(system.a0(q), dtype=float)
              + eps * np.asarray(system.a1(q, phi), dtype=float))
         h = float(system.h0(q)) + eps * float(system.h1(q, phi))
-        dq = eps * (p + gam * a)
-        dphi = float(a @ p) + h * gam
         jac_a = (np.asarray(ga0(q), dtype=float)
                  + eps * np.asarray(ga1(q, phi), dtype=float))
         grad_h = (np.asarray(gh0(q), dtype=float)
                   + eps * np.asarray(gh1(q, phi), dtype=float))
         grad_U = (np.asarray(gU0(q), dtype=float)
                   + eps * np.asarray(gU1(q, phi), dtype=float))
-        dp = -eps * (gam * (jac_a @ p) + 0.5 * gam * gam * grad_h + grad_U)
-        dgam = -eps * (gam * float(np.asarray(da1(q, phi)) @ p)
-                       + 0.5 * gam * gam * float(dh1(q, phi))
-                       + float(dU1(q, phi)))
         out = np.empty(2 * l + 2)
-        out[:l] = dq
-        out[l:2 * l] = dp
-        out[2 * l] = dphi
-        out[2 * l + 1] = dgam
+        out[:l] = eps * (p + gam * a)
+        out[l:2 * l] = -eps * (gam * (jac_a @ p) + half_gam2 * grad_h
+                               + grad_U)
+        out[2 * l] = float(a @ p) + h * gam
+        out[2 * l + 1] = -eps * (gam * float(np.asarray(da1(q, phi)) @ p)
+                                 + half_gam2 * float(dh1(q, phi))
+                                 + float(dU1(q, phi)))
         return out
 
     return rhs
@@ -379,8 +375,9 @@ def integrate_full(system: FastSlowSystem, state0: PhaseStateFull,
     horizon and config.dt are measured in the fast time tau and horizon
     may not exceed 10 / epsilon; the returned time column is the slow
     time t = eps * tau. Energy, the fiber momentum gamma, and the fiber
-    speed dphi/dtau are logged at every node. The stored phi column is
-    wrapped to [0, 2*pi).
+    speed dphi/dtau (negated for a backward run) are logged at every
+    node. The stored phi column is wrapped to [0, 2*pi). There are no
+    derivs, so "rhs_evals" counts the solver's evaluations alone.
     """
     eps = system.epsilon
     if horizon > HORIZON_FACTOR_MAX / eps * (1.0 + 1e-9):
@@ -389,21 +386,26 @@ def integrate_full(system: FastSlowSystem, state0: PhaseStateFull,
             f"10/epsilon = {HORIZON_FACTOR_MAX / eps:.6g}")
     l = system.dim_base
     f = _full_rhs(system)
+    sign = -1.0 if backward else 1.0
     labels = tuple([f"q{i + 1}" for i in range(l)]
                    + [f"p{i + 1}" for i in range(l)] + ["phi", "gamma"])
 
     def energy(z: np.ndarray) -> float:
         return system.hamiltonian(z[:l], z[l:2 * l], z[2 * l], z[2 * l + 1])
 
+    def phi_dot(z: np.ndarray) -> float:
+        # The phi component of _full_rhs, term for term.
+        q, p, phi, gam = z[:l], z[l:2 * l], z[2 * l], z[2 * l + 1]
+        return sign * (float(system.a(q, phi) @ p) + system.h(q, phi) * gam)
+
     traj = integrate_autonomous(
         f, state0.as_array(), horizon, config, state_labels=labels,
         kind="full", dim_base=l,
-        logs={"energy": energy, "momentum": lambda z: z[2 * l + 1]},
+        logs={"energy": energy, "momentum": lambda z: z[2 * l + 1],
+              "phi_dot": phi_dot},
         meta={"epsilon": eps, "mu": system.mu, "clock": "slow (t = eps tau)"},
         backward=backward)
-    traj.invariant_log["phi_dot"] = traj.derivs[:, 2 * l].copy()
     traj.times = eps * traj.times
-    traj.derivs = traj.derivs / eps
     traj.values[:, 2 * l] = np.mod(traj.values[:, 2 * l], TWO_PI)
     return traj
 
@@ -417,7 +419,8 @@ def integrate_reduced_canonical(avg: AveragedSystem,
     eps prefactors of the slow equations are absorbed by that clock
     change, so no epsilon enters. The averaged energy is logged, and the
     momentum log holds the constant mu (exactly, since mu is a parameter
-    of the flow rather than an evolving state).
+    of the flow rather than an evolving state). derivs holds the field at
+    every node, and meta["rhs_evals"], if present, counts those calls.
     """
     state0 = convert_chart(state0, avg.a0, avg.mu, "canonical")
     l = avg.dim_base
@@ -437,12 +440,16 @@ def integrate_reduced_canonical(avg: AveragedSystem,
 
     labels = tuple([f"Q{i + 1}" for i in range(l)]
                    + [f"P{i + 1}" for i in range(l)])
-    return integrate_autonomous(
+    traj = integrate_autonomous(
         f, state0.as_array(), horizon, config, state_labels=labels,
         kind="reduced_canonical", dim_base=l,
         logs={"energy": lambda z: averaged_hamiltonian(avg, z[:l], z[l:]),
               "momentum": lambda z: mu},
         chart="canonical", meta={"mu": mu, "clock": "slow"})
+    if "rhs_evals" in traj.meta:
+        traj.meta["rhs_evals"] += len(traj)
+    return dataclasses.replace(
+        traj, derivs=np.array([f(z) for z in traj.values]))
 
 
 def integrate_reduced_magnetic(avg: AveragedSystem,
@@ -562,14 +569,17 @@ def closeness_report(full: Trajectory, reduced: Trajectory,
     gamma(0) = mu). The reduced trajectory, as integrate_reduced_canonical
     returns it, is cubic-Hermite interpolated to the full trajectory's
     time nodes; deviations use the Euclidean norm per node. Any other
-    pair of kinds, a magnetic-chart reduced trajectory among them,
-    raises ValueError.
+    pair of kinds, a magnetic-chart reduced trajectory among them, and a
+    reduced trajectory without derivs raise ValueError.
     """
     if full.kind != "full" or reduced.kind != "reduced_canonical":
         raise ValueError(
             "closeness_report takes one full and one canonical-chart "
             f"reduced trajectory, got kinds {full.kind!r} and "
             f"{reduced.kind!r}")
+    if reduced.derivs is None:
+        raise ValueError("the reduced trajectory has no derivative column "
+                         "(derivs); integrate_reduced_canonical gives one")
     l = system.dim_base
     mu = system.mu
     eps = system.epsilon

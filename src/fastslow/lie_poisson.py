@@ -209,13 +209,15 @@ class EulerSystem:
 
 
 def _euler_field(system: EulerSystem) -> Callable[[np.ndarray], np.ndarray]:
-    """The field of euler_vector_field as a closure; I^{-1} is formed once."""
+    """The field of euler_vector_field as a closure; I^{-1} and the (n*n, n)
+    matrix of structure constants that np.tensordot uses are formed once."""
     inertia_inv = np.linalg.inv(system.inertia)
-    constants, shift = system.algebra.structure_constants, system.shift
+    n, shift = system.algebra.dim, system.shift
+    c2 = system.algebra.structure_constants.reshape(n * n, n)
 
     def f(xi: np.ndarray) -> np.ndarray:
         v = inertia_inv @ xi
-        return -(v @ np.tensordot(constants, xi - shift, axes=([2], [0])))
+        return -(v @ (c2 @ (xi - shift)).reshape(n, n))
 
     return f
 

@@ -769,7 +769,7 @@ def mean_hess_cross_term(potential: OscillatingPotential,
 
 def oscillating_particle_averaged(potential: OscillatingPotential,
                                   epsilon: float, mu: float
-                                  ) -> tuple[AveragedSystem, dict]:
+                                  ) -> AveragedSystem:
     """Averaged system of a particle in a strongly oscillating potential.
 
     The slow Hamiltonian keeps the fiber-mean potential plus the
@@ -781,8 +781,6 @@ def oscillating_particle_averaged(potential: OscillatingPotential,
     (h0 = 0: the correction enters the potential once, through U0).
     With Fourier modes, grad_U0 and grad_a0 are the exact per-harmonic
     sums; otherwise the integrators difference U0 and a0.
-    The reference dict holds Ubar, <V' . V'> and <S'' V'> as slow_mean,
-    mean_grad_sq and mean_cross.
     """
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
@@ -791,17 +789,12 @@ def oscillating_particle_averaged(potential: OscillatingPotential,
     def ubar(x):
         return potential.mean(np.atleast_1d(np.asarray(x, dtype=float)))
 
-    def mean_vv(x):
-        return mean_grad_antiderivative_sq(potential, x)
-
-    def mean_sv(x):
-        return mean_hess_cross_term(potential, x)
-
     def U0(x):
-        return ubar(x) + 0.5 * eps ** 2 * mu ** 2 * mean_vv(x)
+        return (ubar(x) + 0.5 * eps ** 2 * mu ** 2
+                * mean_grad_antiderivative_sq(potential, x))
 
     def a0(x):
-        return -eps ** 3 * mean_sv(x)
+        return -eps ** 3 * mean_hess_cross_term(potential, x)
 
     def h0(x):
         return 0.0
@@ -841,16 +834,10 @@ def oscillating_particle_averaged(potential: OscillatingPotential,
         "sample_points": samples,
         "note": "h0 - a0.a0 <= 0: no Riemannian bundle realization",
     }
-    averaged = AveragedSystem(
+    return AveragedSystem(
         dim_base=potential.dim_base, a0=a0, h0=h0, U0=U0, mu=mu,
         grad_a0=grad_a0, grad_h0=lambda x: np.zeros(potential.dim_base),
         grad_U0=grad_U0, diagnostics=diagnostics)
-    reference = {
-        "slow_mean": ubar,
-        "mean_grad_sq": mean_vv,
-        "mean_cross": mean_sv,
-    }
-    return averaged, reference
 
 
 def particle_invariant_metric(potential: OscillatingPotential,

@@ -180,10 +180,10 @@ def test_6_chart_equivalence_all_examples():
         ("particle", particle_systems(particle_potential_1d(), 1e-2, 1.0)[1],
          np.array([0.8]), np.array([0.3])),
         ("oscillating-1d",
-         oscillating_particle_averaged(particle_potential_1d(), 0.05, 1.3)[0],
+         oscillating_particle_averaged(particle_potential_1d(), 0.05, 1.3),
          np.array([0.8]), np.array([0.3])),
         ("oscillating-2d",
-         oscillating_particle_averaged(particle_potential_2d(), 0.05, 1.3)[0],
+         oscillating_particle_averaged(particle_potential_2d(), 0.05, 1.3),
          np.array([0.4, -0.3]), np.array([0.2, 0.1])),
         ("uniform-field", uniform_field_averaged(0.8, 1.0),
          np.array([1.0, 0.0]), np.array([0.0, 0.5])),
@@ -244,7 +244,7 @@ def test_7_oscillation_means_and_hamiltonian():
             float(np.max(np.abs(mean_hess_cross_term(pot, x) - mean_cross))))
 
     epsilon, mu = 0.05, 1.3
-    avg, _ = oscillating_particle_averaged(pot, epsilon, mu)
+    avg = oscillating_particle_averaged(pot, epsilon, mu)
     worst_terms = 0.0
     momenta = (np.array([0.2, 0.1]), np.array([-0.4, 0.6]))
     for x in points:

@@ -263,9 +263,9 @@ class TestPredictor:
         assert traj.meta["jacobians"] == len(points) > 1
         assert traj.meta["rhs_evals"] == len(calls)
         # Each step evaluates one residual more than it updates, and the
-        # first step's guess, the derivs column and every two-sided
-        # Jacobian column evaluate f too.
-        residuals = len(calls) - 1 - len(traj) - 2 * len(points)
+        # first step's guess and every two-sided Jacobian column evaluate
+        # f too.
+        residuals = len(calls) - 1 - 2 * len(points)
         assert traj.meta["newton_updates"] == residuals - (len(traj) - 1)
 
     def test_rk4_runs_carry_no_solver_counters(self):
@@ -368,6 +368,24 @@ class TestFullSystem:
             assert key in traj.invariant_log
             assert traj.invariant_log[key].shape == traj.times.shape
 
+    def test_phi_dot_log_is_the_phi_component_of_the_field(self):
+        # Started at phi = 0.5, the fiber turns about 4.5 rad either way,
+        # so the stored phi column is never wrapped and the field can be
+        # evaluated at the very nodes the log was taken at.
+        params = PendulumParams(epsilon=5e-3)
+        system, _ = pendulum_systems(params)
+        f = integrators._full_rhs(system)
+        start = PhaseStateFull(q=np.array([2.0]), p=np.array([0.0]),
+                               phi=0.5, gamma=params.mu)
+        forward = integrate_full(system, start, 1.5, MIDPOINT)
+        back = integrate_full(system, forward.state(len(forward) - 1), 1.5,
+                              MIDPOINT, backward=True)
+        for traj, sign in ((forward, 1.0), (back, -1.0)):
+            assert traj.derivs is None
+            assert np.all(sign * np.diff(traj.values[:, 2]) > 0.0)
+            want = np.array([sign * f(z)[2] for z in traj.values])
+            assert np.array_equal(traj.invariant_log["phi_dot"], want)
+
     def test_full_velocities_match_momentum_slots(self):
         system = phi_independent_system()
         state = PhaseStateFull(q=np.array([0.4]), p=np.array([0.2]),
@@ -386,6 +404,28 @@ class TestReducedSystems:
         for traj in (integrate_reduced_canonical(avg, start, 1.0, MIDPOINT),
                      integrate_reduced_magnetic(avg, start, 1.0, MIDPOINT)):
             assert np.all(traj.invariant_log["momentum"] == avg.mu)
+
+    def test_canonical_derivs_are_the_field_at_the_nodes(self):
+        _, avg = pendulum_systems(PendulumParams())
+        field_calls = []
+
+        def grad_U0(Q):
+            field_calls.append(1)
+            return avg.grad_U0(Q)
+
+        counted = dataclasses.replace(avg, grad_U0=grad_U0)
+        start = PhaseStateReduced(Q=np.array([2.0]), P=np.array([0.3]))
+        traj = integrate_reduced_canonical(counted, start, 1.0, MIDPOINT)
+        mu = avg.mu
+        want = np.array([
+            np.concatenate([
+                P + mu * avg.a0(Q),
+                -(mu * (avg.grad_a0(Q) @ P) + 0.5 * mu * mu * avg.grad_h0(Q)
+                  + avg.grad_U0(Q))])
+            for Q, P in ((z[:1], z[1:]) for z in traj.values)])
+        assert np.array_equal(traj.derivs, want)
+        # grad_U0 is read by the field alone, once per evaluation.
+        assert traj.meta["rhs_evals"] == len(field_calls) > 2 * len(traj)
 
     def test_reduced_energy_over_hundred_thousand_steps(self):
         _, avg = pendulum_systems(PendulumParams())
@@ -477,7 +517,7 @@ class TestDerivativeFallbacks:
     @pytest.mark.parametrize("avg, q0, p0", [
         (pendulum_systems(PendulumParams(mu=3.0, epsilon=5e-3))[1],
          np.array([2.0]), np.array([0.0])),
-        (oscillating_particle_averaged(particle_potential_2d(), 0.05, 1.3)[0],
+        (oscillating_particle_averaged(particle_potential_2d(), 0.05, 1.3),
          np.array([0.4, -0.3]), np.array([0.2, 0.1])),
         (uniform_field_averaged(0.8, 1.0),
          np.array([1.0, 0.0]), np.array([0.0, 0.5])),
@@ -551,6 +591,20 @@ class TestCloseness:
             avg, PhaseStateReduced(Q=np.array([0.4]), P=np.array([0.2])),
             1.0, MIDPOINT)
         with pytest.raises(ValueError, match="reduced_magnetic"):
+            closeness_report(full, red, system)
+
+    def test_rejects_reduced_trajectory_without_derivs(self):
+        system = phi_independent_system()
+        full = integrate_full(
+            system,
+            PhaseStateFull(q=np.array([0.4]), p=np.array([0.2]),
+                           phi=0.0, gamma=0.7),
+            1.0, MIDPOINT)
+        red = integrate_autonomous(
+            lambda z: np.array([z[1], -z[0]]), np.array([0.4, 0.2]), 0.01,
+            MIDPOINT, state_labels=("Q1", "P1"), kind="reduced_canonical",
+            dim_base=1, chart="canonical")
+        with pytest.raises(ValueError, match="derivative column"):
             closeness_report(full, red, system)
 
     def test_sweep_populates_ratio_table(self):

@@ -424,22 +424,22 @@ class TestAveragedParticle:
     def test_slow_hamiltonian_assembly(self):
         eps, mu = 0.05, 1.3
         pot = particle_potential_1d(trap=1.0, alpha=0.7, beta=0.4)
-        avg, reference = oscillating_particle_averaged(pot, eps, mu)
+        avg = oscillating_particle_averaged(pot, eps, mu)
         x = np.array([0.8])
         want_U0 = (0.32 + 0.5 * eps ** 2 * mu ** 2
                    * closed_mean_vv(0.8))
         assert abs(avg.U0(x) - want_U0) < 1e-10
         assert abs(avg.a0(x)[0] + eps ** 3 * 0.14) < 1e-12
         assert avg.h0(x) == 0.0
-        assert abs(reference["mean_cross"](x)[0] - 0.14) < 1e-12
+        assert abs(mean_hess_cross_term(pot, x)[0] - 0.14) < 1e-12
         assert "note" in avg.diagnostics
 
     def test_epsilon_scaling_exponents(self):
         pot = particle_potential_1d()
         mu = 1.0
         x = np.array([0.8])
-        avg1, _ = oscillating_particle_averaged(pot, 0.04, mu)
-        avg2, _ = oscillating_particle_averaged(pot, 0.02, mu)
+        avg1 = oscillating_particle_averaged(pot, 0.04, mu)
+        avg2 = oscillating_particle_averaged(pot, 0.02, mu)
         ubar = pot.mean(x)
         ratio_U = (avg1.U0(x) - ubar) / (avg2.U0(x) - ubar)
         ratio_a = avg1.a0(x)[0] / avg2.a0(x)[0]
@@ -449,8 +449,8 @@ class TestAveragedParticle:
     def test_two_dimensional_magnetic_form(self):
         pot = particle_potential_2d()
         x = np.array([0.3, -0.4])
-        avg1, _ = oscillating_particle_averaged(pot, 0.05, 1.0)
-        avg2, _ = oscillating_particle_averaged(pot, 0.025, 1.0)
+        avg1 = oscillating_particle_averaged(pot, 0.05, 1.0)
+        avg2 = oscillating_particle_averaged(pot, 0.025, 1.0)
         B1 = magnetic_form(avg1, x)
         B2 = magnetic_form(avg2, x)
         assert np.max(np.abs(B1)) > 1e-8
@@ -462,7 +462,7 @@ class TestAveragedParticle:
         (particle_potential_2d(), np.array([0.4, -0.3])),
     ])
     def test_closed_form_gradients_match_differences(self, pot, x):
-        avg, _ = oscillating_particle_averaged(pot, 0.05, 1.3)
+        avg = oscillating_particle_averaged(pot, 0.05, 1.3)
         assert np.max(np.abs(avg.grad_U0(x)
                              - fd.gradient(avg.U0, x))) < 1e-8
         # a0 = O(eps^3) ~ 1e-4, so a 1e-12 gap is a relative 1e-8.
@@ -481,7 +481,7 @@ class TestAveragedParticle:
         pot = particle_potential_1d()
         spectral = OscillatingPotential(dim_base=1, U=pot.U,
                                         mean_part=pot.mean_part)
-        avg, _ = oscillating_particle_averaged(spectral, 0.05, 1.3)
+        avg = oscillating_particle_averaged(spectral, 0.05, 1.3)
         assert avg.grad_U0 is None and avg.grad_a0 is None
 
     def test_invariant_metric_reproduces_reference(self):
