@@ -34,6 +34,7 @@ non-positive, so its sign is reported as a diagnostic and never enforced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from types import SimpleNamespace
 from typing import Callable, Sequence
 
@@ -223,11 +224,25 @@ class FastSlowSystem:
 
     def hamiltonian(self, q: np.ndarray, p: np.ndarray, phi: float,
                     gamma: float) -> float:
+        return self.energy_and_fiber_speed(q, p, phi, gamma)[0]
+
+    def energy_and_fiber_speed(self, q: np.ndarray, p: np.ndarray,
+                               phi: float, gamma: float
+                               ) -> tuple[float, float]:
+        """H and the fiber speed dphi/dtau = a . p + h gamma at one state.
+
+        Both share one evaluation of a and h. The arithmetic is done in
+        Python floats, and each dot product adds its terms in index order
+        from +0, as integrators._full_rhs does.
+        """
         q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
-        a = self.a(q, phi)
-        return float(0.5 * (p @ p) + gamma * (a @ p)
-                     + 0.5 * self.h(q, phi) * gamma * gamma + self.U(q, phi))
+        p = np.asarray(p, dtype=float).tolist()
+        gamma = float(gamma)
+        h = self.h(q, phi)
+        ap = sum(map(mul, self.a(q, phi).tolist(), p))
+        energy = (0.5 * sum(map(mul, p, p)) + gamma * ap
+                  + 0.5 * h * gamma * gamma + self.U(q, phi))
+        return energy, ap + h * gamma
 
 
 @dataclass(frozen=True)

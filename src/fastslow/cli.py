@@ -289,11 +289,11 @@ def emit_csv(trajectory: Trajectory, path: str | Path) -> None:
     energy = trajectory.invariant_log.get("energy", np.zeros(n))
     momentum = trajectory.invariant_log.get("momentum", np.zeros(n))
     cols = ["t", *trajectory.state_labels, "energy", "momentum"]
+    table = np.column_stack([trajectory.times, trajectory.values, energy,
+                             momentum])
+    row = ",".join(["%.17g"] * len(cols))
     out = [",".join(cols)]
-    for i in range(n):
-        row = [trajectory.times[i], *trajectory.values[i], energy[i],
-               momentum[i]]
-        out.append(",".join(format(float(v), ".17g") for v in row))
+    out.extend(row % tuple(table[i].tolist()) for i in range(n))
     Path(path).write_text("\n".join(out) + "\n")
 
 

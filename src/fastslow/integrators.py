@@ -35,6 +35,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -280,6 +281,9 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
         try:
             if not midpoint:
                 znew = _rk4_step(f, z, dt_signed)
+                # _midpoint_step checks every iterate it takes itself.
+                if not np.isfinite(znew).all():
+                    raise IntegrationError("state became non-finite")
             else:
                 if i == 0:
                     guess = z + dt_signed * f(z)
@@ -297,9 +301,6 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
         except IntegrationError as err:
             raise IntegrationError(
                 f"step {i} (t={t:.6g}): {err}", step=i) from err
-        if not np.isfinite(znew).all():
-            raise IntegrationError(
-                f"step {i} (t={t:.6g}): state became non-finite", step=i)
         dt_prev = dt
         z = znew
         t += dt
@@ -315,38 +316,55 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
                       meta={**(meta or {}), **(counts if midpoint else {})})
 
 
+def _floats(x) -> list:
+    """x as nested Python floats, by way of np.asarray(x, dtype=float)."""
+    return np.asarray(x, dtype=float).tolist()
+
+
+def _expand(lead: list, osc: list, eps: float) -> list:
+    """lead + eps * osc, elementwise on lists of floats."""
+    return [x + eps * y for x, y in zip(lead, osc)]
+
+
 def _full_rhs(system: FastSlowSystem) -> Callable[[np.ndarray], np.ndarray]:
+    """The full field in fast time, assembled in Python floats.
+
+    The coefficients take q as an array and phi as a float, and their
+    values are turned into floats once, so numpy's per-operation cost on
+    tiny arrays stays inside the coefficients. A dot product adds the
+    rounded products in index order from +0. For dim_base 1 that is
+    numpy's dot bit for bit; longer dots can differ from a BLAS kernel
+    that fuses multiply-adds, by rounding alone.
+    """
     l = system.dim_base
     eps = system.epsilon
     d = system.derivatives
+    a0, a1, h0, h1 = system.a0, system.a1, system.h0, system.h1
     ga0, ga1, gh0, gh1, gU0, gU1 = (d.grad_a0, d.jac_q_a1, d.grad_h0,
                                     d.grad_q_h1, d.grad_U0, d.grad_q_U1)
     da1, dh1, dU1 = d.dphi_a1, d.dphi_h1, d.dphi_U1
 
     def rhs(z: np.ndarray) -> np.ndarray:
         q = z[:l]
-        p = z[l:2 * l]
-        phi = float(z[2 * l])
-        gam = float(z[2 * l + 1])
+        zs = z.tolist()
+        p = zs[l:2 * l]
+        phi, gam = zs[2 * l], zs[2 * l + 1]
         half_gam2 = 0.5 * gam * gam
-        a = (np.asarray(system.a0(q), dtype=float)
-             + eps * np.asarray(system.a1(q, phi), dtype=float))
-        h = float(system.h0(q)) + eps * float(system.h1(q, phi))
-        jac_a = (np.asarray(ga0(q), dtype=float)
-                 + eps * np.asarray(ga1(q, phi), dtype=float))
-        grad_h = (np.asarray(gh0(q), dtype=float)
-                  + eps * np.asarray(gh1(q, phi), dtype=float))
-        grad_U = (np.asarray(gU0(q), dtype=float)
-                  + eps * np.asarray(gU1(q, phi), dtype=float))
-        out = np.empty(2 * l + 2)
-        out[:l] = eps * (p + gam * a)
-        out[l:2 * l] = -eps * (gam * (jac_a @ p) + half_gam2 * grad_h
-                               + grad_U)
-        out[2 * l] = float(a @ p) + h * gam
-        out[2 * l + 1] = -eps * (gam * float(np.asarray(da1(q, phi)) @ p)
-                                 + half_gam2 * float(dh1(q, phi))
-                                 + float(dU1(q, phi)))
-        return out
+        a = _expand(_floats(a0(q)), _floats(a1(q, phi)), eps)
+        h = float(h0(q)) + eps * float(h1(q, phi))
+        # Row i: jac_a[i] . p, d_i h and d_i U, each coefficient x + eps y.
+        dp = [-eps * (gam * sum(map(mul, _expand(j0, j1, eps), p))
+                      + half_gam2 * (gh0_i + eps * gh1_i)
+                      + (gU0_i + eps * gU1_i))
+              for j0, j1, gh0_i, gh1_i, gU0_i, gU1_i in zip(
+                  _floats(ga0(q)), _floats(ga1(q, phi)), _floats(gh0(q)),
+                  _floats(gh1(q, phi)), _floats(gU0(q)), _floats(gU1(q, phi)))]
+        dq = [eps * (p_i + gam * a_i) for p_i, a_i in zip(p, a)]
+        dphi = sum(map(mul, a, p)) + h * gam
+        dgam = -eps * (gam * sum(map(mul, _floats(da1(q, phi)), p))
+                       + half_gam2 * float(dh1(q, phi))
+                       + float(dU1(q, phi)))
+        return np.array(dq + dp + [dphi, dgam])
 
     return rhs
 
@@ -360,10 +378,9 @@ def full_velocities(system: FastSlowSystem,
     these are the velocity slots at which the bundle momentum map
     reproduces gamma.
     """
-    a = system.a(state.q, state.phi)
-    h = system.h(state.q, state.phi)
-    u = state.p + state.gamma * a
-    xi = float(a @ state.p) + h * state.gamma
+    u = state.p + state.gamma * system.a(state.q, state.phi)
+    xi = system.energy_and_fiber_speed(state.q, state.p, state.phi,
+                                       state.gamma)[1]
     return u, xi
 
 
@@ -390,21 +407,21 @@ def integrate_full(system: FastSlowSystem, state0: PhaseStateFull,
     labels = tuple([f"q{i + 1}" for i in range(l)]
                    + [f"p{i + 1}" for i in range(l)] + ["phi", "gamma"])
 
-    def energy(z: np.ndarray) -> float:
-        return system.hamiltonian(z[:l], z[l:2 * l], z[2 * l], z[2 * l + 1])
-
-    def phi_dot(z: np.ndarray) -> float:
-        # The phi component of _full_rhs, term for term.
-        q, p, phi, gam = z[:l], z[l:2 * l], z[2 * l], z[2 * l + 1]
-        return sign * (float(system.a(q, phi) @ p) + system.h(q, phi) * gam)
-
     traj = integrate_autonomous(
         f, state0.as_array(), horizon, config, state_labels=labels,
         kind="full", dim_base=l,
-        logs={"energy": energy, "momentum": lambda z: z[2 * l + 1],
-              "phi_dot": phi_dot},
         meta={"epsilon": eps, "mu": system.mu, "clock": "slow (t = eps tau)"},
         backward=backward)
+    # One evaluation of a and h per node gives both the energy and the
+    # fiber speed, the phi component of _full_rhs term for term.
+    energy, phi_dot = np.empty((2, len(traj)))
+    for i, z in enumerate(traj.values):
+        energy[i], phi_dot[i] = system.energy_and_fiber_speed(
+            z[:l], z[l:2 * l], z[2 * l], z[2 * l + 1])
+    phi_dot *= sign
+    traj.invariant_log = {"energy": energy,
+                          "momentum": traj.values[:, 2 * l + 1].copy(),
+                          "phi_dot": phi_dot}
     traj.times = eps * traj.times
     traj.values[:, 2 * l] = np.mod(traj.values[:, 2 * l], TWO_PI)
     return traj

@@ -12,6 +12,8 @@ reproduce steps that build a fresh Jacobian each time, whatever
 starting guess the extrapolating predictor chose. A system whose
 derivative callables are all left out must flow, through its
 central-difference fallbacks, as the same system with analytic ones.
+The full field, assembled in Python floats, must reproduce bit for bit
+the numpy assembly it replaced on the shipped pendulum and particles.
 """
 
 import dataclasses
@@ -29,7 +31,8 @@ from fastslow import (AveragedSystem, EulerSystem, FastSlowSystem,
                       integrate_euler, integrate_full,
                       integrate_reduced_canonical,
                       integrate_reduced_magnetic, magnetic_form,
-                      oscillating_particle_averaged, particle_potential_2d,
+                      oscillating_particle_averaged, particle_potential_1d,
+                      particle_potential_2d, particle_systems,
                       pendulum_systems, so3, uniform_field_averaged)
 
 MIDPOINT = IntegratorConfig(method="implicit_midpoint", dt=1e-2)
@@ -101,6 +104,18 @@ class TestSteppers:
                 state_labels=("x",), kind="generic", dim_base=1)
         assert err.value.step == 0
         assert "converge" in str(err.value)
+
+    def test_nonfinite_midpoint_field_reports_step(self):
+        # The field turns infinite past x = 0.55, which the midpoint of
+        # step 5, from x = 0.5, reaches.
+        f = lambda z: np.array([1.0 if z[0] < 0.55 else np.inf])
+        with pytest.raises(IntegrationError) as err:
+            integrate_autonomous(
+                f, np.zeros(1), 1.0, IntegratorConfig(dt=0.1),
+                state_labels=("x",), kind="generic", dim_base=1)
+        assert err.value.step == 5
+        assert "step 5 (t=0.5): " in str(err.value)
+        assert "non-finite" in str(err.value)
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_nonfinite_state_reports_step(self):
@@ -297,7 +312,103 @@ class TestTrajectory:
         assert view.phi == pytest.approx(0.3)
 
 
+def numpy_full_rhs(system):
+    """The full field as it was assembled in numpy arrays, kept verbatim
+    as the reference for the float assembly of integrators._full_rhs."""
+    l = system.dim_base
+    eps = system.epsilon
+    d = system.derivatives
+    ga0, ga1, gh0, gh1, gU0, gU1 = (d.grad_a0, d.jac_q_a1, d.grad_h0,
+                                    d.grad_q_h1, d.grad_U0, d.grad_q_U1)
+    da1, dh1, dU1 = d.dphi_a1, d.dphi_h1, d.dphi_U1
+
+    def rhs(z: np.ndarray) -> np.ndarray:
+        q = z[:l]
+        p = z[l:2 * l]
+        phi = float(z[2 * l])
+        gam = float(z[2 * l + 1])
+        half_gam2 = 0.5 * gam * gam
+        a = (np.asarray(system.a0(q), dtype=float)
+             + eps * np.asarray(system.a1(q, phi), dtype=float))
+        h = float(system.h0(q)) + eps * float(system.h1(q, phi))
+        jac_a = (np.asarray(ga0(q), dtype=float)
+                 + eps * np.asarray(ga1(q, phi), dtype=float))
+        grad_h = (np.asarray(gh0(q), dtype=float)
+                  + eps * np.asarray(gh1(q, phi), dtype=float))
+        grad_U = (np.asarray(gU0(q), dtype=float)
+                  + eps * np.asarray(gU1(q, phi), dtype=float))
+        out = np.empty(2 * l + 2)
+        out[:l] = eps * (p + gam * a)
+        out[l:2 * l] = -eps * (gam * (jac_a @ p) + half_gam2 * grad_h
+                               + grad_U)
+        out[2 * l] = float(a @ p) + h * gam
+        out[2 * l + 1] = -eps * (gam * float(np.asarray(da1(q, phi)) @ p)
+                                 + half_gam2 * float(dh1(q, phi))
+                                 + float(dU1(q, phi)))
+        return out
+
+    return rhs
+
+
+SHIPPED_FULL_SYSTEMS = {
+    "pendulum": lambda: pendulum_systems(PendulumParams(epsilon=5e-3))[0],
+    "particle_1d": lambda: particle_systems(particle_potential_1d(),
+                                            epsilon=1e-2, mu=1.0)[0],
+    "particle_2d": lambda: particle_systems(particle_potential_2d(),
+                                            epsilon=1e-2, mu=1.3)[0],
+}
+
+
 class TestFullSystem:
+    @pytest.mark.parametrize("name", sorted(SHIPPED_FULL_SYSTEMS))
+    def test_float_field_is_the_numpy_field_bit_for_bit(self, name):
+        system = SHIPPED_FULL_SYSTEMS[name]()
+        l = system.dim_base
+        got, want = integrators._full_rhs(system), numpy_full_rhs(system)
+        rng = np.random.default_rng(7)
+        states = rng.uniform(-3.0, 3.0, (2000, 2 * l + 2))
+        states[::4, l:2 * l] = 0.0
+        for z in states:
+            # tobytes tells -0.0 from +0.0, which == would not.
+            assert got(z).tobytes() == want(z).tobytes(), z
+
+    def test_float_field_rounds_as_the_numpy_field_in_two_dimensions(self):
+        # Every coefficient and dot product is live here. A BLAS dot may
+        # fuse multiply-adds where the float sums round each product, so
+        # the two fields agree to a few roundings of terms below 100.
+        system = FastSlowSystem(
+            dim_base=2,
+            a0=lambda q: np.array([0.3 * np.sin(q[1]), 0.2 * q[0]]),
+            h0=lambda q: 2.0 + q[0] ** 2,
+            U0=lambda q: 0.5 * float(q @ q),
+            a1=lambda q, phi: np.array([np.cos(phi) * q[0],
+                                        np.sin(phi) * q[1]]),
+            h1=lambda q, phi: np.cos(phi) * q[1],
+            U1=lambda q, phi: np.sin(phi) * q[0] * q[1],
+            epsilon=0.1, mu=1.3)
+        got, want = integrators._full_rhs(system), numpy_full_rhs(system)
+        rng = np.random.default_rng(8)
+        for z in rng.uniform(-3.0, 3.0, (500, 6)):
+            assert np.max(np.abs(got(z) - want(z))) <= 1e-13, z
+
+    @pytest.mark.parametrize("name", ["pendulum", "particle_2d"])
+    def test_energy_log_is_the_hamiltonian_at_every_node(self, name):
+        # As in the phi_dot test below, a run from phi = 0.5 this short
+        # never wraps the stored phi column.
+        system = SHIPPED_FULL_SYSTEMS[name]()
+        l = system.dim_base
+        start = PhaseStateFull(q=np.full(l, 0.7), p=np.full(l, 0.2),
+                               phi=0.5, gamma=system.mu)
+        forward = integrate_full(system, start, 1.5, MIDPOINT)
+        back = integrate_full(system, forward.state(len(forward) - 1), 1.5,
+                              MIDPOINT, backward=True)
+        for traj in (forward, back):
+            assert np.all(traj.values[:, 2] < 2.0 * np.pi)
+            want = np.array([system.hamiltonian(z[:l], z[l:2 * l], z[2 * l],
+                                                z[2 * l + 1])
+                             for z in traj.values])
+            assert traj.invariant_log["energy"].tobytes() == want.tobytes()
+
     def test_horizon_bound_enforced(self):
         system = phi_independent_system(epsilon=1e-2)
         start = PhaseStateFull(q=np.zeros(1), p=np.zeros(1),
