@@ -165,7 +165,8 @@ class FastSlowSystem:
     and mu the conserved leading-order fiber momentum, so the fast
     frequency is omega = mu / epsilon. grad_a0(q)[i, j] is
     d a0_j / d q_i, and jac_q_a1 follows the same layout in its first
-    two axes.
+    two axes. The order-eps callables a1, h1, U1 and their derivatives
+    may return a float or a (nested) list of floats as well as an array.
 
     The nine derivative fields are optional and keep what the caller
     passed. The attribute derivatives (not a field) holds all nine by

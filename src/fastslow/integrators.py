@@ -155,11 +155,10 @@ def _rk4_step(f, z: np.ndarray, dt: float) -> np.ndarray:
     return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _midpoint_step(f, z: np.ndarray, dt: float, guess: np.ndarray,
-                   tol: float, max_iter: int,
+def _midpoint_step(f, z, dt: float, guess, tol: float, max_iter: int,
                    inv: np.ndarray | None = None, *,
                    counts: dict | None = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
+                   ) -> tuple[list, np.ndarray]:
     """One implicit midpoint step z' = z + dt f((z + z')/2) by chord Newton.
 
     inv is the inverse of I - dt/2 J from an earlier step with the same
@@ -167,34 +166,50 @@ def _midpoint_step(f, z: np.ndarray, dt: float, guess: np.ndarray,
     leaves the residual above tolerance and shrinks it less than tenfold,
     so a hard step falls back to full Newton. Once the residual meets
     tolerance one more update is taken, if max_iter allows, and accepted
-    if it meets tolerance too; long runs then drift less. Returns z' and
-    the inverse used last, for the next step to reuse. A converged step
-    adds its chord updates, evaluations of f (2n per central-difference
-    Jacobian included) and Jacobians to counts, when given, under
-    "newton_updates", "rhs_evals" and "jacobians".
+    if it meets tolerance too; long runs then drift less. Returns z', as
+    a list of floats, and the inverse used last, for the next step to
+    reuse. A converged step adds its chord updates, evaluations of f (2n
+    per central-difference Jacobian included) and Jacobians to counts,
+    when given, under "newton_updates", "rhs_evals" and "jacobians".
+
+    z and guess may be arrays or lists of floats. The iterate, midpoint
+    and residual are lists of Python floats: on a few components their
+    elementwise arithmetic, max-norms and finiteness checks cost less
+    than numpy's per-operation overhead and round exactly as numpy does.
+    f receives the midpoint as an array. The chord update inv @ res, the
+    Jacobian and its inverse stay in numpy, so every iterate is bit for
+    bit what the same solve on arrays gives. A non-finite residual
+    component raises IntegrationError at once: the max-norm of Python's
+    max skips a NaN that does not come first.
     """
-    bound = tol * max(1.0, float(np.abs(z).max()))
+    z = _floats(z)
+    znew = _floats(guess)
+    bound = tol * max(1.0, max(map(abs, z)))
     jacobians = 0
-    znew = guess
-    mid = 0.5 * (z + znew)
-    res = znew - z - dt * f(mid)
-    err = float(np.abs(res).max())
+
+    def residual(znew: list) -> tuple[np.ndarray, list, float]:
+        mid = np.array([0.5 * (a + b) for a, b in zip(z, znew)])
+        res = [b - a - dt * c for a, b, c in zip(z, znew, f(mid).tolist())]
+        if not all(map(math.isfinite, res)):
+            raise IntegrationError("implicit midpoint residual is non-finite")
+        return mid, res, max(map(abs, res))
+
+    mid, res, err = residual(znew)
     for k in range(max_iter):
         if inv is None:
-            inv = np.linalg.inv(np.eye(z.size)
+            inv = np.linalg.inv(np.eye(len(z))
                                 - 0.5 * dt * jacobian(f, mid).T)
             jacobians += 1
-        znew = znew - inv @ res
-        if not np.isfinite(znew).all():
+        znew = [a - b for a, b in zip(znew, (inv @ res).tolist())]
+        if not all(map(math.isfinite, znew)):
             raise IntegrationError("Newton iterate became non-finite")
-        mid = 0.5 * (z + znew)
-        res = znew - z - dt * f(mid)
-        prev, err = err, float(np.abs(res).max())
+        prev = err
+        mid, res, err = residual(znew)
         if err <= bound:
             if prev <= bound or k == max_iter - 1:
                 if counts is not None:
                     counts["newton_updates"] += k + 1
-                    counts["rhs_evals"] += k + 2 + 2 * z.size * jacobians
+                    counts["rhs_evals"] += k + 2 + 2 * len(z) * jacobians
                     counts["jacobians"] += jacobians
                 return znew, inv
         elif err > 0.1 * prev:
@@ -260,6 +275,12 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
     run's totals "newton_updates", "jacobians" and "rhs_evals" (every
     evaluation of f the steps made, Jacobian columns included). The
     returned trajectory carries no derivs.
+
+    A midpoint run carries its state from step to step as a list of
+    Python floats, the form _midpoint_step returns, and stores each node
+    into the preallocated values array. The guesses stay numpy
+    expressions on rows of that array, where the backward differences of
+    _extrapolate cost less than they would on lists; RK4 steps arrays.
     """
     z0 = np.asarray(z0, dtype=float)
     if not horizon > 0.0:
@@ -289,7 +310,8 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
                     guess = z + dt_signed * f(z)
                     counts["rhs_evals"] += 1
                 elif dt != dt_prev:
-                    guess = z + (dt / dt_prev) * (z - values[i - 1])
+                    last, before = values[i], values[i - 1]
+                    guess = last + (dt / dt_prev) * (last - before)
                     inv = None  # the iteration matrix belongs to one dt
                 else:
                     first = max(0, i - PREDICTOR_MAX_ORDER)
@@ -317,8 +339,9 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
 
 
 def _floats(x) -> list:
-    """x as nested Python floats, by way of np.asarray(x, dtype=float)."""
-    return np.asarray(x, dtype=float).tolist()
+    """x as nested Python floats: a list as it is, taken to hold floats
+    already, anything else by way of np.asarray(x, dtype=float)."""
+    return x if type(x) is list else np.asarray(x, dtype=float).tolist()
 
 
 def _expand(lead: list, osc: list, eps: float) -> list:

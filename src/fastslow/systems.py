@@ -93,12 +93,19 @@ def pendulum_systems(params: PendulumParams,
 
         (1/4) mu^2 amp^2 sin^2(x / l) - g l cos(x / l)
 
-    exactly, for every fiber_floor.
+    exactly, for every fiber_floor. The order-eps coefficients a1,
+    jac_q_a1, dphi_a1, grad_q_h1 and grad_q_U1 return lists of Python
+    floats, which the full field reads without a conversion; a0 and the
+    leading-order gradients return arrays, because the averaged system
+    hands them on as its own.
     """
     l = params.length
     g = params.gravity
     amp = params.amplitude
+    amp2 = amp ** 2
     c = float(fiber_floor)
+    # float(q[0]) / l rounds as q[0] / l does, without numpy's scalar
+    # arithmetic.
 
     def a0(q):
         return np.zeros(1)
@@ -107,42 +114,44 @@ def pendulum_systems(params: PendulumParams,
         return np.zeros((1, 1))
 
     def h0(q):
-        return c + 0.5 * amp ** 2 * math.sin(q[0] / l) ** 2
+        return c + 0.5 * amp2 * math.sin(float(q[0]) / l) ** 2
 
     def grad_h0(q):
-        return np.array([amp ** 2 * math.sin(q[0] / l)
-                         * math.cos(q[0] / l) / l])
+        x = float(q[0]) / l
+        return np.array([amp2 * math.sin(x) * math.cos(x) / l])
 
     def U0(q):
-        return -g * l * math.cos(q[0] / l) - 0.5 * params.mu ** 2 * c
+        return (-g * l * math.cos(float(q[0]) / l)
+                - 0.5 * params.mu ** 2 * c)
 
     def grad_U0(q):
-        return np.array([g * math.sin(q[0] / l)])
+        return np.array([g * math.sin(float(q[0]) / l)])
 
     def a1(q, phi):
-        return np.array([-amp * math.sin(phi) * math.sin(q[0] / l)])
+        return [-amp * math.sin(phi) * math.sin(float(q[0]) / l)]
 
     def jac_q_a1(q, phi):
-        return np.array([[-amp / l * math.sin(phi) * math.cos(q[0] / l)]])
+        return [[-amp / l * math.sin(phi) * math.cos(float(q[0]) / l)]]
 
     def dphi_a1(q, phi):
-        return np.array([-amp * math.cos(phi) * math.sin(q[0] / l)])
+        return [-amp * math.cos(phi) * math.sin(float(q[0]) / l)]
 
     def h1(q, phi):
-        return -0.5 * amp ** 2 * math.cos(2.0 * phi) * math.sin(q[0] / l) ** 2
+        s = math.sin(float(q[0]) / l)
+        return -0.5 * amp2 * math.cos(2.0 * phi) * s ** 2
 
     def grad_q_h1(q, phi):
-        return np.array([-amp ** 2 / l * math.cos(2.0 * phi)
-                         * math.sin(q[0] / l) * math.cos(q[0] / l)])
+        x = float(q[0]) / l
+        return [-amp2 / l * math.cos(2.0 * phi) * math.sin(x) * math.cos(x)]
 
     def dphi_h1(q, phi):
-        return amp ** 2 * math.sin(2.0 * phi) * math.sin(q[0] / l) ** 2
+        return amp2 * math.sin(2.0 * phi) * math.sin(float(q[0]) / l) ** 2
 
     def U1(q, phi):
         return -g * amp * math.cos(phi)
 
     def grad_q_U1(q, phi):
-        return np.zeros(1)
+        return [0.0]
 
     def dphi_U1(q, phi):
         return g * amp * math.sin(phi)
@@ -871,7 +880,8 @@ def particle_systems(potential: OscillatingPotential, epsilon: float,
     U - Ubar), so averaging keeps only Ubar: this is the regime of the
     closeness theorem, where the eps^2 and eps^3 corrections of
     oscillating_particle_averaged are below the theorem's own accuracy
-    and are dropped.
+    and are dropped. The identically zero order-eps coefficients return
+    fresh lists of 0.0, not arrays, as pendulum_systems' do.
     """
     l = potential.dim_base
 
@@ -906,13 +916,13 @@ def particle_systems(potential: OscillatingPotential, epsilon: float,
     system = FastSlowSystem(
         dim_base=l,
         a0=lambda q: np.zeros(l), h0=lambda q: 1.0, U0=ubar,
-        a1=lambda q, phi: np.zeros(l), h1=lambda q, phi: 0.0, U1=U1,
+        a1=lambda q, phi: [0.0] * l, h1=lambda q, phi: 0.0, U1=U1,
         epsilon=float(epsilon), mu=float(mu),
         grad_a0=lambda q: np.zeros((l, l)),
         grad_h0=lambda q: np.zeros(l), grad_U0=grad_ubar,
-        jac_q_a1=lambda q, phi: np.zeros((l, l)),
-        dphi_a1=lambda q, phi: np.zeros(l),
-        grad_q_h1=lambda q, phi: np.zeros(l),
+        jac_q_a1=lambda q, phi: [[0.0] * l for _ in range(l)],
+        dphi_a1=lambda q, phi: [0.0] * l,
+        grad_q_h1=lambda q, phi: [0.0] * l,
         dphi_h1=lambda q, phi: 0.0,
         grad_q_U1=grad_q_U1, dphi_U1=dphi_U1)
     averaged = average_coefficients(system)

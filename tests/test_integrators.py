@@ -13,7 +13,8 @@ starting guess the extrapolating predictor chose. A system whose
 derivative callables are all left out must flow, through its
 central-difference fallbacks, as the same system with analytic ones.
 The full field, assembled in Python floats, must reproduce bit for bit
-the numpy assembly it replaced on the shipped pendulum and particles.
+the numpy assembly it replaced on the shipped pendulum and particles,
+and so must the float chord step the numpy step it replaced.
 """
 
 import dataclasses
@@ -105,16 +106,46 @@ class TestSteppers:
         assert err.value.step == 0
         assert "converge" in str(err.value)
 
-    def test_nonfinite_midpoint_field_reports_step(self):
+    @staticmethod
+    def infinite_past_055():
         # The field turns infinite past x = 0.55, which the midpoint of
         # step 5, from x = 0.5, reaches.
-        f = lambda z: np.array([1.0 if z[0] < 0.55 else np.inf])
+        return lambda z: np.array([1.0 if z[0] < 0.55 else np.inf]), 1, 5
+
+    @staticmethod
+    def nan_in_last_component():
+        # The same crossing, with a NaN behind a finite first component:
+        # Python's max of the absolute residuals would skip it.
+        return (lambda z: np.array([1.0, 0.0 if z[0] < 0.55 else np.nan]),
+                2, 5)
+
+    @staticmethod
+    def nan_on_the_accept_path():
+        # On this constant field step 0 evaluates f 7 times (the Euler
+        # guess, a residual, two Jacobian columns of two calls each, and
+        # the residual after its one update) and every later step twice:
+        # the guess's residual, which meets tolerance, then the residual
+        # after the extra update, which accepts the step. Call 13 is
+        # step 3's accept path; a NaN there alone must not be accepted.
+        calls = []
+
+        def f(z):
+            calls.append(1)
+            return np.array([1.0, np.nan if len(calls) == 13 else 0.0])
+
+        return f, 2, 3
+
+    @pytest.mark.parametrize("case", ["infinite_past_055",
+                                      "nan_in_last_component",
+                                      "nan_on_the_accept_path"])
+    def test_nonfinite_midpoint_field_reports_step(self, case):
+        f, n, step = getattr(self, case)()
         with pytest.raises(IntegrationError) as err:
             integrate_autonomous(
-                f, np.zeros(1), 1.0, IntegratorConfig(dt=0.1),
-                state_labels=("x",), kind="generic", dim_base=1)
-        assert err.value.step == 5
-        assert "step 5 (t=0.5): " in str(err.value)
+                f, np.zeros(n), 1.0, IntegratorConfig(dt=0.1),
+                state_labels=("x", "y")[:n], kind="generic", dim_base=1)
+        assert err.value.step == step
+        assert f"step {step} (t=0.{step}): " in str(err.value)
         assert "non-finite" in str(err.value)
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
@@ -162,6 +193,58 @@ def fresh_step_error(f, traj, config):
             config.newton_max_iter)
         worst = max(worst, float(np.max(np.abs(row - fresh))))
     return worst
+
+
+def numpy_midpoint_step(f, z, dt, guess, tol, max_iter, inv=None, *,
+                        counts=None):
+    """The chord Newton step as it was computed on numpy arrays, kept
+    verbatim as the reference for the float step of
+    integrators._midpoint_step."""
+    bound = tol * max(1.0, float(np.abs(z).max()))
+    jacobians = 0
+    znew = guess
+    mid = 0.5 * (z + znew)
+    res = znew - z - dt * f(mid)
+    err = float(np.abs(res).max())
+    for k in range(max_iter):
+        if inv is None:
+            inv = np.linalg.inv(np.eye(z.size)
+                                - 0.5 * dt * integrators.jacobian(f, mid).T)
+            jacobians += 1
+        znew = znew - inv @ res
+        if not np.isfinite(znew).all():
+            raise IntegrationError("Newton iterate became non-finite")
+        mid = 0.5 * (z + znew)
+        res = znew - z - dt * f(mid)
+        prev, err = err, float(np.abs(res).max())
+        if err <= bound:
+            if prev <= bound or k == max_iter - 1:
+                if counts is not None:
+                    counts["newton_updates"] += k + 1
+                    counts["rhs_evals"] += k + 2 + 2 * z.size * jacobians
+                    counts["jacobians"] += jacobians
+                return znew, inv
+        elif err > 0.1 * prev:
+            inv = None
+    raise IntegrationError(
+        f"implicit midpoint Newton did not converge: residual {err:.3e} "
+        f"after {max_iter} updates (tol {tol:.1e})")
+
+
+def step_field(name):
+    """(f, state size, dt) of a field the float step is checked on."""
+    if name == "pendulum":
+        system, _ = pendulum_systems(PendulumParams(epsilon=5e-3))
+        return integrators._full_rhs(system), 4, 1e-2
+    if name == "euler_so3":
+        system = EulerSystem(algebra=so3(), inertia=np.diag([1.0, 2.0, 3.0]))
+        return lambda z: euler_vector_field(system, z), 3, 1e-2
+    if name == "linear_2d":
+        a = np.array([[-0.3, 1.0], [-2.0, 0.1]])
+        return lambda z: a @ z, 2, 0.1
+    # The poor-contraction case of TestChordNewton: the cached matrix
+    # stops contracting and is rebuilt mid-sequence.
+    return lambda z: -np.sin(z), 1, 0.5
 
 
 def midpoint_map(a, dt):
@@ -227,6 +310,37 @@ class TestChordNewton:
         assert len(traj) == 21
         assert len(points) > 1
         assert fresh_step_error(f, traj, config) <= config.newton_tol
+
+
+class TestFloatStep:
+    """The float chord step is the numpy step bit for bit."""
+
+    @pytest.mark.parametrize("name", ["pendulum", "euler_so3", "linear_2d",
+                                      "poor_contraction"])
+    def test_float_step_is_the_numpy_step_bit_for_bit(self, name):
+        f, n, dt = step_field(name)
+        rng = np.random.default_rng(3)
+        got_inv = want_inv = None
+        got_counts = {"newton_updates": 0, "jacobians": 0, "rhs_evals": 0}
+        want_counts = dict(got_counts)
+        for trial in range(300):
+            z = rng.uniform(-3.0, 3.0, n)
+            guess = z + dt * f(z) + rng.uniform(-1e-2, 1e-2, n) * dt
+            if trial % 2:
+                # integrate_autonomous passes z as a list, fresh_step_error
+                # as an array.
+                z = z.tolist()
+            want, want_inv = numpy_midpoint_step(
+                f, np.array(z), dt, np.array(guess), 1e-12, 50, want_inv,
+                counts=want_counts)
+            got, got_inv = integrators._midpoint_step(
+                f, z, dt, guess, 1e-12, 50, got_inv, counts=got_counts)
+            assert np.array(got).tobytes() == want.tobytes(), trial
+            assert got_inv.tobytes() == want_inv.tobytes(), trial
+            assert got_counts == want_counts, trial
+        assert want_counts["newton_updates"] > 300
+        if name == "poor_contraction":
+            assert want_counts["jacobians"] > 1
 
 
 class TestPredictor:
