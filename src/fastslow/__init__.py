@@ -15,9 +15,8 @@ experiment runs on top of these pieces.
 __version__ = "0.1.0"
 
 from .averaging import (AveragedSystem, AveragingError, FastSlowSystem,
-                        TrigSeries, average_coefficients,
-                        averaged_hamiltonian, effective_potential,
-                        magnetic_form, periodic_antiderivative_samples)
+                        average_coefficients, averaged_hamiltonian,
+                        effective_potential, magnetic_form)
 from .bundle_geometry import (FiberDependenceWarning, PhaseStateFull,
                               PhaseStateReduced, TrivialBundleMetric,
                               convert_chart, fiber_inertia, gram_matrix,
@@ -47,8 +46,7 @@ from .systems import (DiskParams, DomainError, HarmonicMode,
                       particle_potential_2d, particle_systems,
                       pendulum_systems, plane_surface,
                       simulate_physical_pendulum, sphere_surface,
-                      spinning_disk_rhs, uniform_field_averaged,
-                      zero_mean_antiderivative)
+                      spinning_disk_rhs, uniform_field_averaged)
 
 __all__ = [
     "AveragedSystem", "AveragingError", "BUILTIN_ALGEBRAS",
@@ -57,7 +55,7 @@ __all__ = [
     "HarmonicMode", "IntegrationError", "IntegratorConfig",
     "LieAlgebraData", "OscillatingPotential", "PendulumParams",
     "PhaseStateFull", "PhaseStateReduced",
-    "SurfaceMetric", "Trajectory", "TrigSeries", "TrivialBundleMetric",
+    "SurfaceMetric", "Trajectory", "TrivialBundleMetric",
     "abelian", "average_coefficients", "averaged_hamiltonian",
     "closeness_report", "closeness_sweep", "coadjoint_action",
     "cocycle_identity_residual", "convert_chart",
@@ -75,8 +73,7 @@ __all__ = [
     "oscillating_particle_averaged",
     "oscillator4", "particle_invariant_metric", "particle_potential_1d",
     "particle_potential_2d", "particle_systems",
-    "pendulum_systems", "periodic_antiderivative_samples", "plane_surface",
+    "pendulum_systems", "plane_surface",
     "simulate_physical_pendulum", "so3",
     "sphere_surface", "spinning_disk_rhs", "uniform_field_averaged",
-    "zero_mean_antiderivative",
 ]

@@ -77,71 +77,6 @@ def fiber_mean(samples: np.ndarray) -> np.ndarray:
     return np.mean(np.asarray(samples, dtype=float), axis=0)
 
 
-class TrigSeries:
-    """Real trigonometric polynomial built from uniform samples.
-
-    Wraps the rFFT coefficients of n equispaced samples on [0, 2*pi) and
-    evaluates the interpolating band-limited series at arbitrary angles.
-    """
-
-    def __init__(self, coeffs: np.ndarray, n_samples: int) -> None:
-        self.coeffs = np.asarray(coeffs, dtype=complex)
-        self.n_samples = int(n_samples)
-
-    @classmethod
-    def from_samples(cls, samples: np.ndarray) -> "TrigSeries":
-        samples = np.asarray(samples, dtype=float)
-        return cls(np.fft.rfft(samples) / samples.size, samples.size)
-
-    def __call__(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        k = np.arange(self.coeffs.size)
-        # One-sided spectrum: double every mode except DC and (for even
-        # sample counts) the Nyquist mode.
-        scale = np.full(self.coeffs.size, 2.0)
-        scale[0] = 1.0
-        if self.n_samples % 2 == 0 and self.coeffs.size == self.n_samples // 2 + 1:
-            scale[-1] = 1.0
-        phases = np.exp(1j * np.multiply.outer(tau, k))
-        vals = np.real(phases @ (scale * self.coeffs))
-        return vals if vals.ndim else float(vals)
-
-    def samples(self) -> np.ndarray:
-        return np.fft.irfft(self.coeffs * self.n_samples, n=self.n_samples)
-
-
-def periodic_antiderivative_samples(samples: np.ndarray,
-                                    order: int = 1,
-                                    what: str = "integrand") -> np.ndarray:
-    """Zero-mean antiderivative of periodic samples, order 1 or 2.
-
-    samples holds values on the uniform grid tau_j = 2*pi*j/n (extra
-    trailing axes are integrated elementwise). The input must have zero
-    fiber mean relative to its own scale; otherwise the antiderivative
-    would grow secularly and an AveragingError is raised naming ``what``.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    n = samples.shape[0]
-    mean = fiber_mean(samples)
-    scale = max(1.0, float(np.max(np.abs(samples))) if samples.size else 0.0)
-    worst = float(np.max(np.abs(mean))) if np.size(mean) else abs(float(mean))
-    if worst > ZERO_MEAN_TOL * scale:
-        raise AveragingError(
-            f"{what} has nonzero fiber mean {worst:.3e}; its periodic "
-            "antiderivative would grow secularly",
-            coefficient=what, residual=worst)
-    spec = np.fft.rfft(samples, axis=0)
-    k = np.arange(spec.shape[0])
-    factor = np.zeros(spec.shape[0], dtype=complex)
-    factor[1:] = (1.0 / (1j * k[1:])) ** order
-    shape = (spec.shape[0],) + (1,) * (spec.ndim - 1)
-    spec = spec * factor.reshape(shape)
-    spec[0] = 0.0
-    return np.fft.irfft(spec, n=n, axis=0)
-
-
 def _resolve_derivatives(data, **stencils) -> None:
     """Set data.derivatives to each derivative field, or its stencil if None.
 

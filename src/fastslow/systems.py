@@ -28,15 +28,14 @@ Three mechanisms produce the same averaged structure:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ._derivatives import gradient, hessian, jacobian
-from .averaging import (AveragedSystem, FastSlowSystem, TrigSeries,
-                        average_coefficients, fiber_mean, fiber_samples,
-                        periodic_antiderivative_samples)
+from .averaging import AveragedSystem, FastSlowSystem, average_coefficients
 from .bundle_geometry import TrivialBundleMetric
 from .integrators import Trajectory
 
@@ -592,8 +591,9 @@ def disk_reduced_system(params: DiskParams, surface: SurfaceMetric
 class HarmonicMode:
     """One fiber harmonic c(x) cos(k tau) + s(x) sin(k tau).
 
-    dc, ds are spatial gradients, d2c, d2s spatial Hessians and d3c, d3s
-    the third-derivative tensors; finite differences stand in for missing
+    k is an integer >= 1, so the harmonic is 2*pi-periodic in tau. dc, ds
+    are spatial gradients, d2c, d2s spatial Hessians and d3c, d3s the
+    third-derivative tensors; finite differences stand in for missing
     ones.
     """
 
@@ -608,8 +608,9 @@ class HarmonicMode:
     d3s: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("harmonic index k must be a positive integer")
+        if not isinstance(self.k, numbers.Integral) or self.k < 1:
+            raise ValueError(
+                f"harmonic index k must be an integer >= 1, got {self.k!r}")
 
     def grad_c(self, x: np.ndarray) -> np.ndarray:
         if self.dc is not None:
@@ -644,114 +645,59 @@ class HarmonicMode:
 
 @dataclass(frozen=True)
 class OscillatingPotential:
-    """Potential U(x, tau), 2*pi-periodic in the fast phase tau.
+    """Potential U(x, tau) = Ubar(x) + sum_k c_k cos(k tau) + s_k sin(k tau).
 
-    fourier_modes, when given, list the oscillating part exactly as
-    harmonics; spectral sampling is used otherwise. mean_part is the
-    fiber mean Ubar(x) (a mean over the fiber grid when absent) and
-    grad_mean its spatial gradient.
+    mean_part is the fiber mean Ubar and fourier_modes the harmonics of
+    the oscillating part, so U is 2*pi-periodic in the fast phase tau by
+    construction and every fiber mean taken below is an exact sum over
+    the harmonics. grad_mean is the spatial gradient of Ubar, a central
+    difference when absent. A periodic coefficient that is not declared
+    by its harmonics is averaged by average_coefficients on FIBER_GRID.
     """
 
     dim_base: int
-    U: Callable[[np.ndarray, float], float]
-    fourier_modes: tuple[HarmonicMode, ...] | None = None
-    mean_part: Callable[[np.ndarray], float] | None = None
+    fourier_modes: tuple[HarmonicMode, ...]
+    mean_part: Callable[[np.ndarray], float]
     grad_mean: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.dim_base < 1:
             raise ValueError("dim_base must be a positive integer")
-        if self.fourier_modes is not None:
-            object.__setattr__(self, "fourier_modes",
-                               tuple(self.fourier_modes))
-        x = np.full(self.dim_base, 0.3)
-        gap = abs(float(self.U(x, 0.0)) - float(self.U(x, TWO_PI)))
-        if gap > 1e-12:
-            raise ValueError(
-                f"potential is not 2*pi-periodic in tau: gap {gap:.3e}")
+        object.__setattr__(self, "fourier_modes", tuple(self.fourier_modes))
+
+    def U(self, x: np.ndarray, tau: float) -> float:
+        # Summed left to right, mode by mode, so that one harmonic rounds
+        # as the hand-written Ubar + c cos(tau) + s sin(tau) does.
+        total = self.mean_part(x)
+        for m in self.fourier_modes:
+            total = (total + m.c(x) * math.cos(m.k * tau)
+                     + m.s(x) * math.sin(m.k * tau))
+        return total
 
     def mean(self, x: np.ndarray) -> float:
-        if self.mean_part is not None:
-            return float(self.mean_part(x))
-        return float(fiber_mean(fiber_samples(lambda t: self.U(x, t))))
+        return float(self.mean_part(x))
 
-
-def _oscillating_samples(potential: OscillatingPotential,
-                         x: np.ndarray) -> np.ndarray:
-    """U(x, tau) - Ubar(x) on the fiber grid."""
-    vals = fiber_samples(lambda t: potential.U(x, t))
-    if potential.mean_part is not None:
-        return vals - float(potential.mean_part(x))
-    return vals - fiber_mean(vals)
-
-
-def _antiderivative_samples(potential: OscillatingPotential, x: np.ndarray,
-                            order: int) -> np.ndarray:
-    return periodic_antiderivative_samples(
-        _oscillating_samples(potential, x), order=order,
-        what="oscillating potential")
-
-
-def _antiderivative_gradient(potential: OscillatingPotential,
-                             x: np.ndarray) -> np.ndarray:
-    """Central-difference gradient of V on the fiber grid, shape (dim, n)."""
-    return jacobian(lambda pt: _antiderivative_samples(potential, pt, 1), x)
-
-
-def zero_mean_antiderivative(potential: OscillatingPotential, x: np.ndarray,
-                             order: int = 1) -> Callable[[float], float]:
-    """Zero-mean tau-antiderivative of the oscillating part of U at x.
-
-    order 1 gives V with dV/dtau = U - Ubar, order 2 gives S with
-    d^2S/dtau^2 = U - Ubar, both with zero fiber mean. With declared
-    Fourier modes the antiderivative is exact per harmonic (for
-    U - Ubar = sum c_k cos + s_k sin:
-    V = sum (c_k sin - s_k cos) / k, S = -sum (c_k cos + s_k sin) / k^2);
-    otherwise it is built spectrally from the fiber grid. A residual
-    fiber mean above 1e-10 raises, since the antiderivative would then
-    grow secularly.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    if potential.fourier_modes is not None:
-        terms = [(m.k, float(m.c(x)), float(m.s(x)))
-                 for m in potential.fourier_modes]
-
-        def anti(tau, _terms=tuple(terms), _order=order):
-            tau_arr = np.asarray(tau, dtype=float)
-            total = np.zeros_like(tau_arr)
-            for k, ck, sk in _terms:
-                if _order == 1:
-                    total = total + (ck * np.sin(k * tau_arr)
-                                     - sk * np.cos(k * tau_arr)) / k
-                else:
-                    total = total - (ck * np.cos(k * tau_arr)
-                                     + sk * np.sin(k * tau_arr)) / (k * k)
-            return total if total.ndim else float(total)
-
-        return anti
-    return TrigSeries.from_samples(
-        _antiderivative_samples(potential, x, order))
+    def mean_gradient(self, x: np.ndarray) -> np.ndarray:
+        if self.grad_mean is not None:
+            return self.grad_mean(x)
+        return gradient(self.mean, x)
 
 
 def mean_grad_antiderivative_sq(potential: OscillatingPotential,
                                 x: np.ndarray) -> float:
     """Fiber mean of V' . V', with V the first antiderivative of U - Ubar.
 
-    Primes denote spatial gradients. With Fourier modes this is the
-    exact sum over harmonics of (|grad c_k|^2 + |grad s_k|^2) / (2 k^2).
+    Primes denote spatial gradients. V is the zero-mean antiderivative
+    sum (c_k sin(k tau) - s_k cos(k tau)) / k, so the mean is the sum
+    over harmonics of (|grad c_k|^2 + |grad s_k|^2) / (2 k^2).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if potential.fourier_modes is not None:
-        total = 0.0
-        for m in potential.fourier_modes:
-            dc = m.grad_c(x)
-            ds = m.grad_s(x)
-            total += (float(dc @ dc) + float(ds @ ds)) / (2.0 * m.k ** 2)
-        return total
-    vp = _antiderivative_gradient(potential, x)
-    return float(fiber_mean(np.sum(vp * vp, axis=0)))
+    total = 0.0
+    for m in potential.fourier_modes:
+        dc = m.grad_c(x)
+        ds = m.grad_s(x)
+        total += (float(dc @ dc) + float(ds @ ds)) / (2.0 * m.k ** 2)
+    return total
 
 
 def mean_hess_cross_term(potential: OscillatingPotential,
@@ -759,21 +705,17 @@ def mean_hess_cross_term(potential: OscillatingPotential,
     """Fiber mean of S'' V' (Hessian of S applied to the gradient of V).
 
     V and S are the zero-mean first and second antiderivatives of
-    U - Ubar. With Fourier modes this is the exact per-harmonic sum
-    (hess(c_k) grad(s_k) - hess(s_k) grad(c_k)) / (2 k^3); this vector,
-    scaled by -eps^3, is the magnetic coefficient a0 of the averaged
-    particle.
+    U - Ubar; S = -sum (c_k cos(k tau) + s_k sin(k tau)) / k^2. The mean
+    is the per-harmonic sum (hess(c_k) grad(s_k) - hess(s_k) grad(c_k))
+    / (2 k^3); this vector, scaled by -eps^3, is the magnetic coefficient
+    a0 of the averaged particle.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if potential.fourier_modes is not None:
-        total = np.zeros(x.size)
-        for m in potential.fourier_modes:
-            total = total + (m.hess_c(x) @ m.grad_s(x)
-                             - m.hess_s(x) @ m.grad_c(x)) / (2.0 * m.k ** 3)
-        return total
-    spp = hessian(lambda pt: _antiderivative_samples(potential, pt, 2), x)
-    vp = _antiderivative_gradient(potential, x)
-    return fiber_mean(np.einsum("ikn,kn->ni", spp, vp))
+    total = np.zeros(x.size)
+    for m in potential.fourier_modes:
+        total = total + (m.hess_c(x) @ m.grad_s(x)
+                         - m.hess_s(x) @ m.grad_c(x)) / (2.0 * m.k ** 3)
+    return total
 
 
 def oscillating_particle_averaged(potential: OscillatingPotential,
@@ -788,18 +730,16 @@ def oscillating_particle_averaged(potential: OscillatingPotential,
 
     and acquires the magnetic coefficient mu a0 = -eps^3 mu <S'' V'>
     (h0 = 0: the correction enters the potential once, through U0).
-    With Fourier modes, grad_U0 and grad_a0 are the exact per-harmonic
-    sums; otherwise the integrators difference U0 and a0.
+    grad_U0 and grad_a0 are the exact per-harmonic sums.
     """
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
     eps = float(epsilon)
-
-    def ubar(x):
-        return potential.mean(np.atleast_1d(np.asarray(x, dtype=float)))
+    modes = potential.fourier_modes
 
     def U0(x):
-        return (ubar(x) + 0.5 * eps ** 2 * mu ** 2
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return (potential.mean(x) + 0.5 * eps ** 2 * mu ** 2
                 * mean_grad_antiderivative_sq(potential, x))
 
     def a0(x):
@@ -808,33 +748,28 @@ def oscillating_particle_averaged(potential: OscillatingPotential,
     def h0(x):
         return 0.0
 
-    grad_U0 = grad_a0 = None
-    if potential.fourier_modes is not None:
-        modes = potential.fourier_modes
-        grad_ubar = potential.grad_mean or (lambda x: gradient(ubar, x))
+    def grad_U0(x):
+        # grad <V'.V'> = sum (c'' c' + s'' s') / k^2
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        total = np.array(potential.mean_gradient(x), dtype=float)
+        for m in modes:
+            total = total + (0.5 * eps ** 2 * mu ** 2 / m.k ** 2) * (
+                m.hess_c(x) @ m.grad_c(x) + m.hess_s(x) @ m.grad_s(x))
+        return total
 
-        def grad_U0(x):
-            # grad <V'.V'> = sum (c'' c' + s'' s') / k^2
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            total = np.array(grad_ubar(x), dtype=float)
-            for m in modes:
-                total = total + (0.5 * eps ** 2 * mu ** 2 / m.k ** 2) * (
-                    m.hess_c(x) @ m.grad_c(x) + m.hess_s(x) @ m.grad_s(x))
-            return total
-
-        def grad_a0(x):
-            # With c3, s3 the third-derivative tensors,
-            # d_i <S'' V'>_j = sum (c3_ijl s'_l - s3_ijl c'_l
-            #                       + (s'' c'' - c'' s'')_ij) / (2 k^3)
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            total = np.zeros((x.size, x.size))
-            for m in modes:
-                hc = m.hess_c(x)
-                hs = m.hess_s(x)
-                total = total + (m.third_c(x) @ m.grad_s(x)
-                                 - m.third_s(x) @ m.grad_c(x)
-                                 + hs @ hc - hc @ hs) / (2.0 * m.k ** 3)
-            return -eps ** 3 * total
+    def grad_a0(x):
+        # With c3, s3 the third-derivative tensors,
+        # d_i <S'' V'>_j = sum (c3_ijl s'_l - s3_ijl c'_l
+        #                       + (s'' c'' - c'' s'')_ij) / (2 k^3)
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        total = np.zeros((x.size, x.size))
+        for m in modes:
+            hc = m.hess_c(x)
+            hs = m.hess_s(x)
+            total = total + (m.third_c(x) @ m.grad_s(x)
+                             - m.third_s(x) @ m.grad_c(x)
+                             + hs @ hc - hc @ hs) / (2.0 * m.k ** 3)
+        return -eps ** 3 * total
 
     samples = [np.full(potential.dim_base, v) for v in (0.4, 0.9, -1.2)]
     inertia_min = min(-float(a0(x) @ a0(x)) for x in samples)
@@ -884,34 +819,25 @@ def particle_systems(potential: OscillatingPotential, epsilon: float,
     fresh lists of 0.0, not arrays, as pendulum_systems' do.
     """
     l = potential.dim_base
-
-    def ubar(q):
-        return potential.mean(q)
-
-    grad_ubar = potential.grad_mean or (lambda q: gradient(ubar, q))
+    ubar = potential.mean
+    modes = potential.fourier_modes
 
     def U1(q, phi):
         return float(potential.U(q, phi)) - float(ubar(q))
 
-    if potential.fourier_modes is not None:
-        modes = potential.fourier_modes
+    def grad_q_U1(q, phi):
+        total = np.zeros(l)
+        for m in modes:
+            total = total + (m.grad_c(q) * math.cos(m.k * phi)
+                             + m.grad_s(q) * math.sin(m.k * phi))
+        return total
 
-        def grad_q_U1(q, phi):
-            total = np.zeros(l)
-            for m in modes:
-                total = total + (m.grad_c(q) * math.cos(m.k * phi)
-                                 + m.grad_s(q) * math.sin(m.k * phi))
-            return total
-
-        def dphi_U1(q, phi):
-            total = 0.0
-            for m in modes:
-                total += m.k * (-float(m.c(q)) * math.sin(m.k * phi)
-                                + float(m.s(q)) * math.cos(m.k * phi))
-            return total
-    else:
-        grad_q_U1 = None
-        dphi_U1 = None
+    def dphi_U1(q, phi):
+        total = 0.0
+        for m in modes:
+            total += m.k * (-float(m.c(q)) * math.sin(m.k * phi)
+                            + float(m.s(q)) * math.cos(m.k * phi))
+        return total
 
     system = FastSlowSystem(
         dim_base=l,
@@ -919,7 +845,7 @@ def particle_systems(potential: OscillatingPotential, epsilon: float,
         a1=lambda q, phi: [0.0] * l, h1=lambda q, phi: 0.0, U1=U1,
         epsilon=float(epsilon), mu=float(mu),
         grad_a0=lambda q: np.zeros((l, l)),
-        grad_h0=lambda q: np.zeros(l), grad_U0=grad_ubar,
+        grad_h0=lambda q: np.zeros(l), grad_U0=potential.mean_gradient,
         jac_q_a1=lambda q, phi: [[0.0] * l for _ in range(l)],
         dphi_a1=lambda q, phi: [0.0] * l,
         grad_q_h1=lambda q, phi: [0.0] * l,
@@ -953,8 +879,6 @@ def particle_potential_1d(trap: float = 1.0, alpha: float = 0.7,
 
     return OscillatingPotential(
         dim_base=1,
-        U=lambda x, tau: (0.5 * trap * x[0] ** 2 + c(x) * math.cos(tau)
-                          + s(x) * math.sin(tau)),
         fourier_modes=(mode,),
         mean_part=lambda x: 0.5 * trap * x[0] ** 2,
         grad_mean=lambda x: np.array([trap * x[0]]))
@@ -991,8 +915,6 @@ def particle_potential_2d(trap: float = 1.0, alpha: float = 0.7,
 
     return OscillatingPotential(
         dim_base=2,
-        U=lambda x, tau: (0.5 * trap * float(x @ x) + c(x) * math.cos(tau)
-                          + s(x) * math.sin(tau)),
         fourier_modes=(mode,),
         mean_part=lambda x: 0.5 * trap * float(x @ x),
         grad_mean=lambda x: trap * np.asarray(x, dtype=float))

@@ -1,9 +1,7 @@
-"""Tests for fiber averaging, quadrature, and spectral antiderivatives.
+"""Tests for fiber averaging and quadrature.
 
 Expected values are hand-computed closed forms: trigonometric moments
-(mean of cos^2 is 1/2), Bessel integrals for quadrature exactness, and
-the zero-mean antiderivatives of single harmonics (cos(k tau)
-integrates once to sin(k tau) / k and twice to -cos(k tau) / k^2).
+(mean of cos^2 is 1/2) and Bessel integrals for quadrature exactness.
 """
 
 import numpy as np
@@ -11,9 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fastslow import (AveragedSystem, AveragingError, FastSlowSystem,
-                      TrigSeries, average_coefficients, averaged_hamiltonian,
-                      effective_potential, magnetic_form,
-                      periodic_antiderivative_samples)
+                      average_coefficients, averaged_hamiltonian,
+                      effective_potential, magnetic_form)
 from fastslow.averaging import FIBER_GRID, fiber_mean, fiber_samples
 
 # Hand-computed: a0 = (1,), h0 = 1, U0 = 0.5, mu = 1, P = (1,)
@@ -69,67 +66,6 @@ class TestQuadrature:
         assert mean.shape == (2,)
         assert abs(mean[0] - 0.5) < 1e-13
         assert abs(mean[1]) < 1e-13
-
-
-class TestTrigSeries:
-    def closed_form(self, tau):
-        return (1.0 + 0.3 * np.cos(tau) - 0.2 * np.sin(3 * tau)
-                + 0.05 * np.cos(8 * tau))
-
-    def test_interpolates_band_limited_samples(self):
-        # Highest harmonic 8 is the Nyquist mode for 16 samples.
-        grid = np.arange(16) * (2.0 * np.pi / 16)
-        series = TrigSeries.from_samples(self.closed_form(grid))
-        probes = np.array([0.0, 0.17, 1.3, 2.9, 4.4, 5.8])
-        assert np.max(np.abs(series(probes) - self.closed_form(probes))) \
-            < 1e-12
-
-    def test_samples_round_trip(self):
-        grid = np.arange(20) * (2.0 * np.pi / 20)
-        values = np.exp(np.sin(grid))
-        series = TrigSeries.from_samples(values)
-        assert np.max(np.abs(series.samples() - values)) < 1e-13
-
-    def test_scalar_evaluation_returns_float(self):
-        series = TrigSeries.from_samples(np.cos(np.arange(8) * np.pi / 4))
-        assert isinstance(series(0.3), float)
-
-
-class TestPeriodicAntiderivative:
-    def test_first_order_on_single_harmonic(self):
-        n = 64
-        tau = np.arange(n) * (2.0 * np.pi / n)
-        for k in (1, 3, 10):
-            got = periodic_antiderivative_samples(np.cos(k * tau))
-            assert np.max(np.abs(got - np.sin(k * tau) / k)) < 1e-12
-
-    def test_second_order_on_single_harmonic(self):
-        n = 64
-        tau = np.arange(n) * (2.0 * np.pi / n)
-        got = periodic_antiderivative_samples(np.cos(3 * tau), order=2)
-        assert np.max(np.abs(got + np.cos(3 * tau) / 9.0)) < 1e-12
-
-    def test_vector_samples_integrate_componentwise(self):
-        n = 32
-        tau = np.arange(n) * (2.0 * np.pi / n)
-        samples = np.stack([np.cos(tau), np.sin(2 * tau)], axis=1)
-        got = periodic_antiderivative_samples(samples)
-        want = np.stack([np.sin(tau), -np.cos(2 * tau) / 2.0], axis=1)
-        assert np.max(np.abs(got - want)) < 1e-12
-
-    def test_nonzero_mean_raises_with_details(self):
-        n = 32
-        tau = np.arange(n) * (2.0 * np.pi / n)
-        with pytest.raises(AveragingError) as err:
-            periodic_antiderivative_samples(1.0 + np.cos(tau),
-                                            what="test forcing")
-        assert err.value.coefficient == "test forcing"
-        assert abs(err.value.residual - 1.0) < 1e-12
-        assert "secular" in str(err.value)
-
-    def test_rejects_unsupported_order(self):
-        with pytest.raises(ValueError, match="order"):
-            periodic_antiderivative_samples(np.zeros(8), order=3)
 
 
 class TestAverageCoefficients:

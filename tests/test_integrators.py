@@ -247,6 +247,14 @@ def step_field(name):
     return lambda z: -np.sin(z), 1, 0.5
 
 
+def recorded(f, log):
+    """f, appending the bytes of every argument it is called with to log."""
+    def wrapped(z):
+        log.append(np.asarray(z).tobytes())
+        return f(z)
+    return wrapped
+
+
 def midpoint_map(a, dt):
     """Exact one-step map of the implicit midpoint rule on dz/dt = A z."""
     eye = np.eye(a.shape[0])
@@ -330,11 +338,17 @@ class TestFloatStep:
                 # integrate_autonomous passes z as a list, fresh_step_error
                 # as an array.
                 z = z.tolist()
+            # The points f is called at, midpoints and Jacobian stencils,
+            # must match too: Newton's last update can absorb a one-ulp
+            # change of the midpoint before the iterate is rounded.
+            want_args, got_args = [], []
             want, want_inv = numpy_midpoint_step(
-                f, np.array(z), dt, np.array(guess), 1e-12, 50, want_inv,
-                counts=want_counts)
+                recorded(f, want_args), np.array(z), dt, np.array(guess),
+                1e-12, 50, want_inv, counts=want_counts)
             got, got_inv = integrators._midpoint_step(
-                f, z, dt, guess, 1e-12, 50, got_inv, counts=got_counts)
+                recorded(f, got_args), z, dt, guess, 1e-12, 50, got_inv,
+                counts=got_counts)
+            assert got_args == want_args, trial
             assert np.array(got).tobytes() == want.tobytes(), trial
             assert got_inv.tobytes() == want_inv.tobytes(), trial
             assert got_counts == want_counts, trial

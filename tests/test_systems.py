@@ -29,8 +29,9 @@ from fastslow import (DiskParams, DomainError, HarmonicMode,
                       particle_potential_1d, particle_potential_2d,
                       particle_systems, pendulum_systems, plane_surface,
                       simulate_physical_pendulum, sphere_surface,
-                      spinning_disk_rhs, zero_mean_antiderivative)
+                      spinning_disk_rhs)
 from fastslow import _derivatives as fd
+from fastslow.averaging import FIBER_GRID
 from fastslow.experiments import TABLE
 from fastslow.systems import _disk_mass_and_derivatives, _solve2
 
@@ -346,53 +347,71 @@ class TestDiskClosedForms:
             _solve2(np.ones((2, 2)), np.array([1.0, 2.0]))
 
 
+def closed_form_particle_1d(x, tau, trap=1.0, alpha=0.7, beta=0.4):
+    """U of particle_potential_1d, written out by hand."""
+    c = alpha * math.sin(x[0])
+    s = beta * math.cos(x[0])
+    return 0.5 * trap * x[0] ** 2 + c * math.cos(tau) + s * math.sin(tau)
+
+
+def closed_form_particle_2d(x, tau, trap=1.0, alpha=0.7, beta=0.4):
+    """U of particle_potential_2d, written out by hand."""
+    c = alpha * math.sin(float(np.array([1.0, 0.3]) @ x))
+    s = beta * math.cos(float(np.array([0.7, -1.0]) @ x))
+    return (0.5 * trap * float(x @ x) + c * math.cos(tau)
+            + s * math.sin(tau))
+
+
 class TestOscillatingPotential:
-    def test_periodicity_enforced(self):
-        with pytest.raises(ValueError, match="periodic"):
-            OscillatingPotential(dim_base=1,
-                                 U=lambda x, tau: x[0] * tau)
-
     def test_harmonic_index_positive(self):
-        with pytest.raises(ValueError, match="k"):
-            HarmonicMode(k=0, c=lambda x: 1.0, s=lambda x: 0.0)
+        for k in (0, 1.5, 2.0, -1):
+            with pytest.raises(ValueError, match="k"):
+                HarmonicMode(k=k, c=lambda x: 1.0, s=lambda x: 0.0)
+        mode = HarmonicMode(k=np.int64(2), c=lambda x: 1.0, s=lambda x: 0.0)
+        assert mode.k == 2
 
-    def test_mean_via_quadrature_matches_declared(self):
+    def test_mean_via_quadrature_matches_declared(self, spectral_reference):
         pot = particle_potential_1d()
-        spectral = OscillatingPotential(dim_base=1, U=pot.U)
         x = np.array([0.8])
-        assert abs(spectral.mean(x) - pot.mean(x)) < 1e-12
+        ref = spectral_reference(closed_form_particle_1d, x)
+        assert abs(ref.mean - pot.mean(x)) < 1e-12
+
+    @pytest.mark.parametrize("pot, closed_form, dim", [
+        (particle_potential_1d(), closed_form_particle_1d, 1),
+        (particle_potential_2d(), closed_form_particle_2d, 2),
+    ], ids=["1d", "2d"])
+    def test_U_rounds_as_the_closed_form(self, pot, closed_form, dim):
+        # The particle experiment's U1 reads U, so U must round as the
+        # closed form does for its output files to keep their bytes.
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            x = rng.uniform(-3.0, 3.0, dim)
+            tau = float(rng.uniform(0.0, 1e4))
+            assert pot.U(x, tau) == closed_form(x, tau), (x, tau)
 
 
 class TestAntiderivatives:
-    def test_mode_path_closed_form(self):
-        pot = particle_potential_1d(alpha=0.7, beta=0.4)
+    def test_spectral_path_matches_mode_path(self, spectral_reference):
+        # V = sum (c sin - s cos) / k and S = -sum (c cos + s sin) / k^2
+        # for the one harmonic of particle_potential_1d.
         x = np.array([0.8])
-        V = zero_mean_antiderivative(pot, x, order=1)
-        S = zero_mean_antiderivative(pot, x, order=2)
-        tau = np.linspace(0.0, 2.0 * np.pi, 37)
+        ref = spectral_reference(closed_form_particle_1d, x)
+        tau = FIBER_GRID
         want_V = (0.7 * math.sin(0.8) * np.sin(tau)
                   - 0.4 * math.cos(0.8) * np.cos(tau))
         want_S = -(0.7 * math.sin(0.8) * np.cos(tau)
                    + 0.4 * math.cos(0.8) * np.sin(tau))
-        assert np.max(np.abs(V(tau) - want_V)) < 1e-12
-        assert np.max(np.abs(S(tau) - want_S)) < 1e-12
-
-    def test_spectral_path_matches_mode_path(self):
-        pot = particle_potential_1d()
-        spectral = OscillatingPotential(dim_base=1, U=pot.U,
-                                        mean_part=pot.mean_part)
-        x = np.array([0.8])
-        tau = np.linspace(0.0, 2.0 * np.pi, 17)
-        for order in (1, 2):
-            a = zero_mean_antiderivative(pot, x, order=order)
-            b = zero_mean_antiderivative(spectral, x, order=order)
-            assert np.max(np.abs(a(tau) - b(tau))) < 1e-10
+        assert np.max(np.abs(ref.V - want_V)) < 1e-10
+        assert np.max(np.abs(ref.S - want_S)) < 1e-10
 
     def test_constant_potential_has_zero_antiderivative(self):
-        pot = OscillatingPotential(dim_base=1,
-                                   U=lambda x, tau: 0.5 * x[0] ** 2)
-        V = zero_mean_antiderivative(pot, np.array([0.7]))
-        assert abs(V(1.3)) < 1e-14
+        # No harmonics: U is its mean and both antiderivative means vanish.
+        pot = OscillatingPotential(dim_base=1, fourier_modes=(),
+                                   mean_part=lambda x: 0.5 * x[0] ** 2)
+        x = np.array([0.7])
+        assert mean_grad_antiderivative_sq(pot, x) == 0.0
+        assert np.array_equal(mean_hess_cross_term(pot, x), [0.0])
+        assert pot.U(x, 1.3) == pot.mean(x)
 
 
 class TestParticleMeans:
@@ -409,14 +428,12 @@ class TestParticleMeans:
             got = mean_hess_cross_term(pot, np.array([x]))
             assert abs(got[0] - 0.14) < 1e-12
 
-    def test_spectral_fallback_agrees(self):
+    def test_spectral_fallback_agrees(self, spectral_reference):
         pot = particle_potential_1d()
-        spectral = OscillatingPotential(dim_base=1, U=pot.U,
-                                        mean_part=pot.mean_part)
         x = np.array([0.8])
-        assert abs(mean_grad_antiderivative_sq(spectral, x)
-                   - mean_grad_antiderivative_sq(pot, x)) < 1e-8
-        assert np.max(np.abs(mean_hess_cross_term(spectral, x)
+        ref = spectral_reference(closed_form_particle_1d, x)
+        assert abs(ref.mean_vv - mean_grad_antiderivative_sq(pot, x)) < 1e-8
+        assert np.max(np.abs(ref.mean_cross
                              - mean_hess_cross_term(pot, x))) < 1e-6
 
 
@@ -476,13 +493,6 @@ class TestAveragedParticle:
         x = np.array([0.4, -0.3])
         assert np.max(np.abs(bare.third_c(x) - mode.third_c(x))) < 1e-8
         assert np.max(np.abs(bare.third_s(x) - mode.third_s(x))) < 1e-8
-
-    def test_spectral_potential_keeps_difference_gradients(self):
-        pot = particle_potential_1d()
-        spectral = OscillatingPotential(dim_base=1, U=pot.U,
-                                        mean_part=pot.mean_part)
-        avg = oscillating_particle_averaged(spectral, 0.05, 1.3)
-        assert avg.grad_U0 is None and avg.grad_a0 is None
 
     def test_invariant_metric_reproduces_reference(self):
         # Fiber inertia 1 / (eps^2 <V'.V'>), connection eps^3 <S'' V'>.
