@@ -147,12 +147,24 @@ class Trajectory:
         raise ValueError(f"kind {self.kind!r} has no typed state view")
 
 
-def _rk4_step(f, z: np.ndarray, dt: float) -> np.ndarray:
-    k1 = f(z)
-    k2 = f(z + 0.5 * dt * k1)
-    k3 = f(z + 0.5 * dt * k2)
-    k4 = f(z + dt * k3)
-    return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(f, z, dt: float) -> list:
+    """One classical RK4 step, on lists of Python floats.
+
+    z may be an array or a list of floats, and the new state is returned
+    as a list. f receives each stage point as an array. The stage points
+    z + (dt/2) k and z + dt k and the update
+    z + (dt/6) (((k1 + 2 k2) + 2 k3) + k4) are grouped as numpy groups
+    the same expressions on arrays, so every component has numpy's bits.
+    """
+    z = _floats(z)
+    half = 0.5 * dt
+    k1 = _floats(f(np.array(z)))
+    k2 = _floats(f(np.array([a + half * b for a, b in zip(z, k1)])))
+    k3 = _floats(f(np.array([a + half * b for a, b in zip(z, k2)])))
+    k4 = _floats(f(np.array([a + dt * b for a, b in zip(z, k3)])))
+    sixth = dt / 6.0
+    return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
 
 
 def _midpoint_step(f, z, dt: float, guess, tol: float, max_iter: int,
@@ -267,6 +279,10 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
     invariant names to per-state callables; each is evaluated at every
     node into invariant_log under its name, in the order given.
 
+    An IntegrationError from a step is raised again with "step i (t=...)"
+    in front of its message, and a ValueError raised by f (a DomainError
+    or LinAlgError, say) keeps its type and gains the same prefix.
+
     The implicit midpoint solve starts from z + dt f(z) on the first
     step, from linear extrapolation on a step whose size differs from
     the last one (the final partial step), and otherwise from the
@@ -276,11 +292,11 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
     evaluation of f the steps made, Jacobian columns included). The
     returned trajectory carries no derivs.
 
-    A midpoint run carries its state from step to step as a list of
-    Python floats, the form _midpoint_step returns, and stores each node
-    into the preallocated values array. The guesses stay numpy
-    expressions on rows of that array, where the backward differences of
-    _extrapolate cost less than they would on lists; RK4 steps arrays.
+    Both methods carry the state from step to step as a list of Python
+    floats, the form _midpoint_step and _rk4_step return, and store each
+    node into the preallocated values array. The midpoint guesses stay
+    numpy expressions on rows of that array, where the backward
+    differences of _extrapolate cost less than they would on lists.
     """
     z0 = np.asarray(z0, dtype=float)
     if not horizon > 0.0:
@@ -303,7 +319,7 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
             if not midpoint:
                 znew = _rk4_step(f, z, dt_signed)
                 # _midpoint_step checks every iterate it takes itself.
-                if not np.isfinite(znew).all():
+                if not all(map(math.isfinite, znew)):
                     raise IntegrationError("state became non-finite")
             else:
                 if i == 0:
@@ -323,6 +339,11 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
         except IntegrationError as err:
             raise IntegrationError(
                 f"step {i} (t={t:.6g}): {err}", step=i) from err
+        except ValueError as err:
+            # A field that rejects its state (a DomainError, LinAlgError)
+            # keeps its type; its message gains the step and time.
+            err.args = (f"step {i} (t={t:.6g}): {err}",)
+            raise
         dt_prev = dt
         z = znew
         t += dt
@@ -512,6 +533,10 @@ def integrate_reduced_magnetic(avg: AveragedSystem,
     for reductions whose kinetic energy is not (1/2)|P1|^2, e.g. a disk
     rolling its axis over a curved surface; overrides take the pair
     (Q, P1). momentum overrides the constant logged in the momentum slot.
+    Overrides may return arrays or lists of floats. The field is
+    assembled in Python floats; as in _full_rhs, B^T v is a sum from +0
+    in index order, numpy's dot bit for bit when no row of it has two
+    nonzero products (dim_base 1 and 2, where B is antisymmetric).
     """
     state0 = convert_chart(state0, avg.a0, avg.mu, "magnetic")
     l = avg.dim_base
@@ -539,10 +564,12 @@ def integrate_reduced_magnetic(avg: AveragedSystem,
     def f(z: np.ndarray) -> np.ndarray:
         Q = z[:l]
         P1 = z[l:]
-        v = np.asarray(grad_p(Q, P1), dtype=float)
-        dP1 = (-np.asarray(grad_q(Q, P1), dtype=float)
-               + np.asarray(b_field(Q), dtype=float).T @ v)
-        return np.concatenate([v, dP1])
+        v = _floats(grad_p(Q, P1))
+        g = _floats(grad_q(Q, P1))
+        # Column i of B dotted with v, from +0 as in _full_rhs.
+        dP1 = [-g_i + sum(map(mul, col, v))
+               for g_i, col in zip(g, zip(*_floats(b_field(Q))))]
+        return np.array(v + dP1)
 
     mom = mu if momentum is None else float(momentum)
     labels = tuple([f"Q{i + 1}" for i in range(l)]

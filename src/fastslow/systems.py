@@ -37,7 +37,7 @@ import numpy as np
 from ._derivatives import gradient, hessian, jacobian
 from .averaging import AveragedSystem, FastSlowSystem, average_coefficients
 from .bundle_geometry import TrivialBundleMetric
-from .integrators import Trajectory
+from .integrators import Trajectory, _floats
 
 TWO_PI = 2.0 * np.pi
 
@@ -290,16 +290,10 @@ class SurfaceMetric:
         return q
 
     def sqrt_a11(self, q: np.ndarray) -> float:
-        val = float(self.a11(q))
-        if not val > 0.0:
-            raise ValueError(f"a11 must be positive, got {val:.3e} at q={q}")
-        return math.sqrt(val)
+        return _positive_sqrt("a11", float(self.a11(q)), q)
 
     def sqrt_a22(self, q: np.ndarray) -> float:
-        val = float(self.a22(q))
-        if not val > 0.0:
-            raise ValueError(f"a22 must be positive, got {val:.3e} at q={q}")
-        return math.sqrt(val)
+        return _positive_sqrt("a22", float(self.a22(q)), q)
 
     def grad_sqrt_a11(self, q: np.ndarray) -> np.ndarray:
         if self.d_sqrt_a11 is not None:
@@ -310,6 +304,12 @@ class SurfaceMetric:
         if self.d_sqrt_a22 is not None:
             return np.asarray(self.d_sqrt_a22(q), dtype=float)
         return gradient(self.sqrt_a22, np.asarray(q, dtype=float))
+
+
+def _positive_sqrt(name: str, val: float, q: np.ndarray) -> float:
+    if not val > 0.0:
+        raise ValueError(f"{name} must be positive, got {val:.3e} at q={q}")
+    return math.sqrt(val)
 
 
 def sphere_surface(radius: float = 1.0) -> SurfaceMetric:
@@ -343,6 +343,39 @@ def exponential_surface() -> SurfaceMetric:
         name="exponential")
 
 
+def _stencil(q: np.ndarray) -> tuple[float, tuple]:
+    """Step h = 1e-5 * max(1, |q|_inf) and the points q + h e1, q - h e1,
+    q + h e2, q - h e2 of the curvature stencils, as floats.
+
+    Each point is formed as numpy forms q +- (h, 0) and q +- (0, h), the
+    zero included, so it has the same bits, the sign of a zero among them.
+    """
+    x, y = q.tolist()
+    h = 1e-5 * max(1.0, abs(x), abs(y))
+    return h, ((x + h, y + 0.0), (x - h, y - 0.0),
+               (x + 0.0, y + h), (x - 0.0, y - h))
+
+
+def _curvature_divergence(surface: SurfaceMetric, q: np.ndarray) -> float:
+    """d1(d1 sqrt(a22) / sqrt(a11)) + d2(d2 sqrt(a11) / sqrt(a22)) at q.
+
+    q lies in the domain. The outer derivatives are central differences
+    on _stencil in Python floats; the surface callables receive each
+    stencil point as an array. K is -div / sqrt(a11 a22).
+    """
+    h, (p1, m1, p2, m2) = _stencil(q)
+
+    def r1(x):
+        x = np.array(x)
+        return float(surface.grad_sqrt_a22(x)[0]) / surface.sqrt_a11(x)
+
+    def r2(x):
+        x = np.array(x)
+        return float(surface.grad_sqrt_a11(x)[1]) / surface.sqrt_a22(x)
+
+    return ((r1(p1) - r1(m1)) + (r2(p2) - r2(m2))) / (2.0 * h)
+
+
 def gaussian_curvature(surface: SurfaceMetric, q: np.ndarray) -> float:
     """Gaussian curvature of an orthogonal metric.
 
@@ -351,20 +384,11 @@ def gaussian_curvature(surface: SurfaceMetric, q: np.ndarray) -> float:
 
     The inner first derivatives use the analytic partials when the
     surface carries them; the outer derivatives are always central
-    differences with step 1e-5 * max(1, |q|_inf).
+    differences with step 1e-5 * max(1, |q|_inf), computed in Python
+    floats.
     """
     q = surface.require_in_domain(q)
-
-    def r1(x):
-        return surface.grad_sqrt_a22(x)[0] / surface.sqrt_a11(x)
-
-    def r2(x):
-        return surface.grad_sqrt_a11(x)[1] / surface.sqrt_a22(x)
-
-    h = 1e-5 * max(1.0, float(np.max(np.abs(q))))
-    e1 = np.array([h, 0.0])
-    e2 = np.array([0.0, h])
-    div = ((r1(q + e1) - r1(q - e1)) + (r2(q + e2) - r2(q - e2))) / (2.0 * h)
+    div = _curvature_divergence(surface, q)
     return -div / (surface.sqrt_a11(q) * surface.sqrt_a22(q))
 
 
@@ -395,15 +419,15 @@ def curvature_identity_residual(surface: SurfaceMetric,
     rather than a restatement of its formula.
     """
     q = surface.require_in_domain(q)
-    h = 1e-5 * max(1.0, float(np.max(np.abs(q))))
-    e1 = np.array([h, 0.0])
-    e2 = np.array([0.0, h])
-    curl = ((disk_connection(surface, q + e1)[1]
-             - disk_connection(surface, q - e1)[1])
-            - (disk_connection(surface, q + e2)[0]
-               - disk_connection(surface, q - e2)[0])) / (2.0 * h)
+    h, (p1, m1, p2, m2) = _stencil(q)
+
+    def conn(x, i):
+        return float(disk_connection(surface, np.array(x))[i])
+
+    curl = ((conn(p1, 1) - conn(m1, 1)) - (conn(p2, 0) - conn(m2, 0))) \
+        / (2.0 * h)
     dens = surface.sqrt_a11(q) * surface.sqrt_a22(q)
-    return float(curl - dens * gaussian_curvature(surface, q))
+    return curl - dens * gaussian_curvature(surface, q)
 
 
 @dataclass(frozen=True)
@@ -435,69 +459,81 @@ class DiskParams:
 
 
 def _second_form_matrix(params: DiskParams, q: np.ndarray) -> np.ndarray:
+    """I_d times the second form's matrix at q, by polarization."""
     f = params.second_form
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])
     f11 = float(f(q, e1))
     f22 = float(f(q, e2))
     f12 = 0.5 * (float(f(q, e1 + e2)) - f11 - f22)
-    return np.array([[f11, f12], [f12, f22]])
+    return params.inertia_diametral * np.array([[f11, f12], [f12, f22]])
 
 
-def _metric_mass(params: DiskParams, surface: SurfaceMetric,
-                 q: np.ndarray) -> np.ndarray:
-    """m diag(a11, a22), the metric part of the disk mass matrix."""
+def _disk_geometry(params: DiskParams, surface: SurfaceMetric,
+                   q: np.ndarray, derivatives: bool = True) -> tuple:
+    """(M, dM, sqrt(a11), sqrt(a22)) at q, in Python floats.
+
+    M = m diag(a11, a22) + I_d * second form holds the rows of the disk
+    mass matrix and dM[i] = d M / d q_i. The metric part of dM is closed
+    form, d_i (m a_jj) = 2 m sqrt(a_jj) d_i sqrt(a_jj) through the
+    surface's grad_sqrt_a11 / grad_sqrt_a22; only the optional second
+    form is differentiated, by central differences, and added on arrays.
+    With derivatives=False only M is computed, without the positivity
+    checks of sqrt_a11 / sqrt_a22, and the other three slots are None.
+    """
     m = params.mass
-    return np.array([[m * float(surface.a11(q)), 0.0],
-                     [0.0, m * float(surface.a22(q))]])
+    a11, a22 = float(surface.a11(q)), float(surface.a22(q))
+    mass = [[m * a11, 0.0], [0.0, m * a22]]
+    dmass = s11 = s22 = None
+    if derivatives:
+        s11 = _positive_sqrt("a11", a11, q)
+        d11 = [2.0 * m * s11 * g for g in surface.grad_sqrt_a11(q).tolist()]
+        s22 = _positive_sqrt("a22", a22, q)
+        d22 = [2.0 * m * s22 * g for g in surface.grad_sqrt_a22(q).tolist()]
+        dmass = [[[a, 0.0], [0.0, b]] for a, b in zip(d11, d22)]
+    if params.second_form is not None:
+        def form(x):
+            return _second_form_matrix(params, x)
+
+        mass = (np.array(mass) + form(q)).tolist()
+        if derivatives:
+            dmass = (np.array(dmass) + jacobian(form, q)).tolist()
+    return mass, dmass, s11, s22
 
 
 def disk_mass_matrix(params: DiskParams, surface: SurfaceMetric,
                      q: np.ndarray) -> np.ndarray:
     """Slow kinetic matrix M(q) = m diag(a11, a22) + I_d * second form."""
-    q = np.asarray(q, dtype=float)
-    mass = _metric_mass(params, surface, q)
-    if params.second_form is not None:
-        mass += params.inertia_diametral * _second_form_matrix(params, q)
-    return mass
+    return np.array(_disk_geometry(params, surface,
+                                   np.asarray(q, dtype=float),
+                                   derivatives=False)[0])
 
 
-def _disk_mass_and_derivatives(params: DiskParams, surface: SurfaceMetric,
-                               q: np.ndarray
-                               ) -> tuple[np.ndarray, np.ndarray]:
-    """M(q) and dM with dM[i] = d M / d q_i, the metric part in closed form.
+def _solve2(a: list, b) -> list:
+    """Solution x of the 2 x 2 system a x = b by Cramer's rule, in floats.
 
-    d_i (m a_jj) = 2 m sqrt(a_jj) d_i sqrt(a_jj), through the surface's
-    grad_sqrt_a11 / grad_sqrt_a22. Only the optional second form is
-    differentiated by central differences.
+    a holds the rows of the matrix as floats; b is a pair of floats or an
+    array. A singular matrix raises LinAlgError as np.linalg does.
     """
-    m = params.mass
-    mass = _metric_mass(params, surface, q)
-    dmass = np.zeros((2, 2, 2))
-    dmass[:, 0, 0] = 2.0 * m * surface.sqrt_a11(q) * surface.grad_sqrt_a11(q)
-    dmass[:, 1, 1] = 2.0 * m * surface.sqrt_a22(q) * surface.grad_sqrt_a22(q)
-    if params.second_form is not None:
-        def form(x):
-            return params.inertia_diametral * _second_form_matrix(params, x)
-
-        mass += form(q)
-        dmass += jacobian(form, q)
-    return mass, dmass
-
-
-def _solve2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solution x of the 2 x 2 system a x = b by Cramer's rule.
-
-    For a 2 x 2 system the np.linalg call overhead (about 10 us) exceeds
-    the arithmetic; a singular matrix raises LinAlgError as np.linalg does.
-    """
-    (a00, a01), (a10, a11) = a.tolist()
-    b0, b1 = np.asarray(b, dtype=float).tolist()
+    (a00, a01), (a10, a11) = a
+    b0, b1 = _floats(b)
     det = a00 * a11 - a01 * a10
     if det == 0.0:
         raise np.linalg.LinAlgError("Singular matrix")
-    return np.array([(a11 * b0 - a01 * b1) / det,
-                     (a00 * b1 - a10 * b0) / det])
+    return [(a11 * b0 - a01 * b1) / det, (a00 * b1 - a10 * b0) / det]
+
+
+def _contract(dmass: list, u0: float, u1: float) -> list:
+    """dmass @ (u0, u1) for dmass of shape (2, 2, 2): rows d_i M u.
+
+    Each dot product is 0 + x0 u0 + x1 u1, numpy's result bit for bit
+    whenever at most one of its two products is nonzero: on the sphere,
+    the plane and the exponential chart, where every entry of dM but
+    d_1 M_22 is zero, the disk fields are numpy's to the last bit. With
+    two nonzero products numpy's BLAS kernel may fuse a multiply-add,
+    and the two results can then differ by a rounding.
+    """
+    return [[0.0 + x0 * u0 + x1 * u1 for x0, x1 in d] for d in dmass]
 
 
 def spinning_disk_rhs(params: DiskParams,
@@ -514,22 +550,27 @@ def spinning_disk_rhs(params: DiskParams,
     z = (q1, q2, u1, u2) to its time derivative; with mu = 0 the flow
     is geodesic for M, and on a flat surface it is straight lines. The
     partial derivatives of M are closed-form; only an optional second
-    form is differentiated by central differences.
+    form is differentiated by central differences. The field is
+    assembled in Python floats from one evaluation of the local geometry
+    (_disk_geometry); the surface callables still receive arrays.
     """
     mu = params.mu
 
     def rhs(z: np.ndarray) -> np.ndarray:
-        q = z[:2]
-        u = z[2:]
-        surface.require_in_domain(q)
-        mass, dmass = _disk_mass_and_derivatives(params, surface, q)
-        kcurv = gaussian_curvature(surface, q)
-        dens = surface.sqrt_a11(q) * surface.sqrt_a22(q)
-        force = dens * mu * kcurv * np.array([-u[1], u[0]])
+        q = surface.require_in_domain(z[:2])
+        u0, u1 = z[2:].tolist()
+        mass, dmass, s11, s22 = _disk_geometry(params, surface, q)
+        dens = s11 * s22
+        # dens * mu * gaussian_curvature(surface, q), q checked once.
+        coef = dens * mu * (-_curvature_divergence(surface, q) / dens)
+        force = [coef * -u1, coef * u0]
         # d/dt (M u) - (1/2) u . d_i M u = force_i, with du[i] = d_i M u
-        du = dmass @ u
-        udot = _solve2(mass, force + 0.5 * (du @ u) - u @ du)
-        return np.concatenate([u, udot])
+        du = _contract(dmass, u0, u1)
+        du_u = [0.0 + a * u0 + b * u1 for a, b in du]
+        u_du = [0.0 + u0 * a + u1 * b for a, b in zip(*du)]
+        udot = _solve2(mass, [f + 0.5 * x - y
+                              for f, x, y in zip(force, du_u, u_du)])
+        return np.array([u0, u1] + udot)
 
     return rhs
 
@@ -553,6 +594,8 @@ def disk_reduced_system(params: DiskParams, surface: SurfaceMetric
     the gyroscopic force of spinning_disk_rhs. grad_p is the velocity
     v = M^{-1} P1 and grad_q the exact -(1/2) v . d_i M v, with the
     partial derivatives of M closed-form as in spinning_disk_rhs.
+    grad_p, grad_q and b_field compute in Python floats and return lists
+    of floats (b_field its rows).
     """
     mu = params.mu
 
@@ -561,17 +604,20 @@ def disk_reduced_system(params: DiskParams, surface: SurfaceMetric
 
     def grad_q(Q, P1):
         surface.require_in_domain(Q)
-        mass, dmass = _disk_mass_and_derivatives(params, surface, Q)
-        v = _solve2(mass, P1)
-        return -0.5 * ((dmass @ v) @ v)
+        mass, dmass, _, _ = _disk_geometry(params, surface, Q)
+        v0, v1 = _solve2(mass, P1)
+        return [-0.5 * (0.0 + x0 * v0 + x1 * v1)
+                for x0, x1 in _contract(dmass, v0, v1)]
 
     def grad_p(Q, P1):
-        return _solve2(disk_mass_matrix(params, surface, Q), P1)
+        return _solve2(_disk_geometry(params, surface, Q,
+                                      derivatives=False)[0], P1)
 
     def b_field(Q):
         dens = surface.sqrt_a11(Q) * surface.sqrt_a22(Q)
-        k = gaussian_curvature(surface, Q)
-        return dens * mu * k * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        div = _curvature_divergence(surface, surface.require_in_domain(Q))
+        c = dens * mu * (-div / dens)
+        return [[0.0 * c, 1.0 * c], [-1.0 * c, 0.0 * c]]
 
     shell = AveragedSystem(
         dim_base=2, a0=lambda q: np.zeros(2), h0=lambda q: 0.0,
@@ -792,7 +838,9 @@ def particle_invariant_metric(potential: OscillatingPotential,
 
     The fiber inertia is 1 / (eps^2 <V'.V'>) and the connection
     coefficient +eps^3 <S'' V'>; the metric is positive definite because
-    h |a|^2 = O(eps^4) stays far below one.
+    h |a|^2 = O(eps^4) stays far below one. Where eps^2 <V'.V'> is zero
+    (no harmonics, or harmonics whose gradients all vanish at q) the
+    fiber inertia is degenerate and h raises ValueError.
     """
     eps = float(epsilon)
 
@@ -800,7 +848,12 @@ def particle_invariant_metric(potential: OscillatingPotential,
         return eps ** 3 * mean_hess_cross_term(potential, q)
 
     def h(q, phi):
-        return 1.0 / (eps ** 2 * mean_grad_antiderivative_sq(potential, q))
+        vv = eps ** 2 * mean_grad_antiderivative_sq(potential, q)
+        if vv == 0.0:
+            raise ValueError(
+                f"degenerate fiber inertia 1 / (eps^2 <V'.V'>) at q={q}: "
+                f"eps^2 <V'.V'> is 0 (eps={eps!r})")
+        return 1.0 / vv
 
     return TrivialBundleMetric(dim_base=potential.dim_base, a=a, h=h,
                                sample_points=tuple(sample_points))

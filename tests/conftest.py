@@ -69,3 +69,162 @@ def spectral_reference():
             mean_vv=float(np.mean(np.sum(vp * vp, axis=0))),
             mean_cross=np.mean(np.einsum("ikn,kn->ni", spp, vp), axis=0))
     return reference
+
+
+# ---------------------------------------------------------------------------
+# The spinning-disk formulas as they were computed on numpy arrays, kept as
+# the reference for the float path of fastslow.systems and of
+# integrate_reduced_magnetic's field.
+
+
+def _numpy_gaussian_curvature(surface, q):
+    q = surface.require_in_domain(q)
+
+    def r1(x):
+        return surface.grad_sqrt_a22(x)[0] / surface.sqrt_a11(x)
+
+    def r2(x):
+        return surface.grad_sqrt_a11(x)[1] / surface.sqrt_a22(x)
+
+    h = 1e-5 * max(1.0, float(np.max(np.abs(q))))
+    e1 = np.array([h, 0.0])
+    e2 = np.array([0.0, h])
+    div = ((r1(q + e1) - r1(q - e1)) + (r2(q + e2) - r2(q - e2))) / (2.0 * h)
+    return -div / (surface.sqrt_a11(q) * surface.sqrt_a22(q))
+
+
+def _numpy_disk_connection(surface, q):
+    q = surface.require_in_domain(q)
+    return np.array([
+        surface.grad_sqrt_a11(q)[1] / surface.sqrt_a22(q),
+        -surface.grad_sqrt_a22(q)[0] / surface.sqrt_a11(q),
+    ])
+
+
+def _numpy_curvature_identity_residual(surface, q):
+    q = surface.require_in_domain(q)
+    h = 1e-5 * max(1.0, float(np.max(np.abs(q))))
+    e1 = np.array([h, 0.0])
+    e2 = np.array([0.0, h])
+    curl = ((_numpy_disk_connection(surface, q + e1)[1]
+             - _numpy_disk_connection(surface, q - e1)[1])
+            - (_numpy_disk_connection(surface, q + e2)[0]
+               - _numpy_disk_connection(surface, q - e2)[0])) / (2.0 * h)
+    dens = surface.sqrt_a11(q) * surface.sqrt_a22(q)
+    return float(curl - dens * _numpy_gaussian_curvature(surface, q))
+
+
+def _numpy_second_form_matrix(params, q):
+    f = params.second_form
+    e1 = np.array([1.0, 0.0])
+    e2 = np.array([0.0, 1.0])
+    f11 = float(f(q, e1))
+    f22 = float(f(q, e2))
+    f12 = 0.5 * (float(f(q, e1 + e2)) - f11 - f22)
+    return np.array([[f11, f12], [f12, f22]])
+
+
+def _numpy_metric_mass(params, surface, q):
+    m = params.mass
+    return np.array([[m * float(surface.a11(q)), 0.0],
+                     [0.0, m * float(surface.a22(q))]])
+
+
+def _numpy_disk_mass_matrix(params, surface, q):
+    q = np.asarray(q, dtype=float)
+    mass = _numpy_metric_mass(params, surface, q)
+    if params.second_form is not None:
+        mass += params.inertia_diametral * _numpy_second_form_matrix(params, q)
+    return mass
+
+
+def _numpy_mass_and_derivatives(params, surface, q):
+    m = params.mass
+    mass = _numpy_metric_mass(params, surface, q)
+    dmass = np.zeros((2, 2, 2))
+    dmass[:, 0, 0] = 2.0 * m * surface.sqrt_a11(q) * surface.grad_sqrt_a11(q)
+    dmass[:, 1, 1] = 2.0 * m * surface.sqrt_a22(q) * surface.grad_sqrt_a22(q)
+    if params.second_form is not None:
+        def form(x):
+            return params.inertia_diametral * _numpy_second_form_matrix(
+                params, x)
+
+        mass += form(q)
+        dmass += fd.jacobian(form, q)
+    return mass, dmass
+
+
+def _numpy_solve2(a, b):
+    (a00, a01), (a10, a11) = a.tolist()
+    b0, b1 = np.asarray(b, dtype=float).tolist()
+    det = a00 * a11 - a01 * a10
+    if det == 0.0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return np.array([(a11 * b0 - a01 * b1) / det,
+                     (a00 * b1 - a10 * b0) / det])
+
+
+def _numpy_disk_rhs(params, surface):
+    mu = params.mu
+
+    def rhs(z):
+        q = z[:2]
+        u = z[2:]
+        surface.require_in_domain(q)
+        mass, dmass = _numpy_mass_and_derivatives(params, surface, q)
+        kcurv = _numpy_gaussian_curvature(surface, q)
+        dens = surface.sqrt_a11(q) * surface.sqrt_a22(q)
+        force = dens * mu * kcurv * np.array([-u[1], u[0]])
+        du = dmass @ u
+        udot = _numpy_solve2(mass, force + 0.5 * (du @ u) - u @ du)
+        return np.concatenate([u, udot])
+
+    return rhs
+
+
+def _numpy_magnetic_field(params, surface):
+    """The field integrate_reduced_magnetic built from the overrides of
+    disk_reduced_system."""
+    mu = params.mu
+
+    def grad_q(Q, P1):
+        surface.require_in_domain(Q)
+        mass, dmass = _numpy_mass_and_derivatives(params, surface, Q)
+        v = _numpy_solve2(mass, P1)
+        return -0.5 * ((dmass @ v) @ v)
+
+    def grad_p(Q, P1):
+        return _numpy_solve2(_numpy_disk_mass_matrix(params, surface, Q), P1)
+
+    def b_field(Q):
+        dens = surface.sqrt_a11(Q) * surface.sqrt_a22(Q)
+        k = _numpy_gaussian_curvature(surface, Q)
+        return dens * mu * k * np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+    def f(z):
+        Q = z[:2]
+        P1 = z[2:]
+        v = np.asarray(grad_p(Q, P1), dtype=float)
+        dP1 = (-np.asarray(grad_q(Q, P1), dtype=float)
+               + np.asarray(b_field(Q), dtype=float).T @ v)
+        return np.concatenate([v, dP1])
+
+    return f
+
+
+@pytest.fixture
+def disk_reference():
+    """The numpy disk formulas the float path replaced.
+
+    Attributes gaussian_curvature(surface, q),
+    curvature_identity_residual(surface, q), disk_mass_matrix(params,
+    surface, q), spinning_disk_rhs(params, surface) and
+    magnetic_field(params, surface), the last the field of
+    integrate_reduced_magnetic with disk_reduced_system's overrides.
+    """
+    return SimpleNamespace(
+        gaussian_curvature=_numpy_gaussian_curvature,
+        curvature_identity_residual=_numpy_curvature_identity_residual,
+        disk_mass_matrix=_numpy_disk_mass_matrix,
+        spinning_disk_rhs=_numpy_disk_rhs,
+        magnetic_field=_numpy_magnetic_field)

@@ -369,6 +369,26 @@ class TestCommandLine:
         assert message in lines[0]
         assert not (tmp_path / "out").exists()
 
+    def test_run_error_in_a_field_names_the_step(self, tmp_path, capsys):
+        # The shipped disk config started near the pole and heading for it:
+        # the Lagrangian run leaves the sphere's chart at step 161.
+        text = shipped_config_text("disk")
+        for old, new in (("q1_0 = 1.0471975511965976", "q1_0 = 0.1"),
+                         ("u1_0 = 0.1", "u1_0 = -0.5")):
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            "experiment disk failed: step 161 (t=0.161): point [")
+        assert "outside the declared chart domain" in lines[0]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("experiment, sweep", [
         ("particle", "0.01"), ("pendulum", "0.01"), ("particle", ","),
     ], ids=["particle-one", "pendulum-one", "particle-empty"])

@@ -148,6 +148,21 @@ class TestSteppers:
         assert f"step {step} (t=0.{step}): " in str(err.value)
         assert "non-finite" in str(err.value)
 
+    @pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
+    def test_field_value_error_reports_step(self, method):
+        # Step 3 from x = 0.3 is the first to evaluate f past x = 0.32;
+        # the field's error keeps its type and gains the step and time.
+        def f(z):
+            if z[0] > 0.32:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return np.ones(1)
+
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"^step 3 \(t=0\.3\): Singular matrix$"):
+            integrate_autonomous(
+                f, np.zeros(1), 1.0, IntegratorConfig(method=method, dt=0.1),
+                state_labels=("x",), kind="generic", dim_base=1)
+
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_nonfinite_state_reports_step(self):
         config = IntegratorConfig(method="rk4", dt=5.0)
@@ -355,6 +370,35 @@ class TestFloatStep:
         assert want_counts["newton_updates"] > 300
         if name == "poor_contraction":
             assert want_counts["jacobians"] > 1
+
+
+def numpy_rk4_step(f, z, dt):
+    """The RK4 step as it was computed on numpy arrays, kept verbatim as
+    the reference for the float step of integrators._rk4_step."""
+    k1 = f(z)
+    k2 = f(z + 0.5 * dt * k1)
+    k3 = f(z + 0.5 * dt * k2)
+    k4 = f(z + dt * k3)
+    return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+class TestFloatRK4:
+    """The float RK4 step is the numpy step bit for bit."""
+
+    @pytest.mark.parametrize("backward", [False, True],
+                             ids=["forward", "backward"])
+    @pytest.mark.parametrize("name", ["linear_2d", "pendulum"])
+    def test_float_rk4_is_the_numpy_rk4_bit_for_bit(self, name, backward):
+        f, n, dt = step_field(name)
+        dt = -dt if backward else dt
+        want = np.random.default_rng(7).uniform(-1.0, 1.0, n)
+        got = want.copy()
+        for step in range(200):
+            want_args, got_args = [], []
+            want = numpy_rk4_step(recorded(f, want_args), want, dt)
+            got = integrators._rk4_step(recorded(f, got_args), got, dt)
+            assert got_args == want_args, step
+            assert np.array(got).tobytes() == want.tobytes(), step
 
 
 class TestPredictor:

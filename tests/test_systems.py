@@ -31,9 +31,10 @@ from fastslow import (DiskParams, DomainError, HarmonicMode,
                       simulate_physical_pendulum, sphere_surface,
                       spinning_disk_rhs)
 from fastslow import _derivatives as fd
+from fastslow import integrators
 from fastslow.averaging import FIBER_GRID
 from fastslow.experiments import TABLE
-from fastslow.systems import _disk_mass_and_derivatives, _solve2
+from fastslow.systems import _disk_geometry, _solve2
 
 RK4 = IntegratorConfig(method="rk4", dt=1e-3)
 
@@ -300,11 +301,11 @@ class TestDiskClosedForms:
     def test_mass_derivatives_match_finite_differences(self, label, surface,
                                                        params, box):
         for q in _disk_points(box):
-            mass, dmass = _disk_mass_and_derivatives(params, surface, q)
+            mass, dmass, _, _ = _disk_geometry(params, surface, q)
             assert np.array_equal(mass, disk_mass_matrix(params, surface, q))
             want = fd.jacobian(
                 lambda x: disk_mass_matrix(params, surface, x), q)
-            assert np.max(np.abs(dmass - want)) < 1e-8
+            assert np.max(np.abs(np.array(dmass) - want)) < 1e-8
 
     @pytest.mark.parametrize("label, surface, params, box", DISK_CASES,
                              ids=[case[0] for case in DISK_CASES])
@@ -339,12 +340,77 @@ class TestDiskClosedForms:
             a = b @ b.T + 0.5 * np.eye(2)
             rhs = rng.normal(size=2)
             want = np.linalg.solve(a, rhs)
-            err = np.max(np.abs(_solve2(a, rhs) - want))
+            err = np.max(np.abs(_solve2(a.tolist(), rhs) - want))
             assert err <= 1e-13 * np.max(np.abs(want))
 
     def test_solve2_rejects_singular_matrix(self):
         with pytest.raises(np.linalg.LinAlgError):
-            _solve2(np.ones((2, 2)), np.array([1.0, 2.0]))
+            _solve2([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
+
+
+def magnetic_field(params, surface, monkeypatch):
+    """The field integrate_reduced_magnetic builds from the overrides of
+    disk_reduced_system, taken from its call to integrate_autonomous."""
+    shell, overrides = disk_reduced_system(params, surface)
+    fields = []
+    monkeypatch.setattr(integrators, "integrate_autonomous",
+                        lambda f, *args, **kwargs: fields.append(f))
+    start = PhaseStateReduced(Q=np.array([1.0, 0.0]), P=np.zeros(2),
+                              chart="magnetic")
+    integrate_reduced_magnetic(shell, start, 1.0, RK4, **overrides)
+    return fields[0]
+
+
+def same_bits(got, want):
+    return np.asarray(got, dtype=float).tobytes() == \
+        np.asarray(want, dtype=float).tobytes()
+
+
+# On these surfaces every entry of dM but d_1 M_22 is zero, so each dot
+# product of the numpy fields has at most one nonzero product and rounds
+# alike with or without a fused multiply-add.
+FMA_FREE = ("sphere", "plane", "exponential")
+
+
+class TestFloatDiskPath:
+    """The float disk path against the numpy formulas it replaced
+    (tests/conftest.py, disk_reference), at 200 states per case."""
+
+    @pytest.mark.parametrize("label, surface, params, box", DISK_CASES,
+                             ids=[case[0] for case in DISK_CASES])
+    def test_geometry_is_the_numpy_geometry_bit_for_bit(
+            self, disk_reference, label, surface, params, box):
+        for q in _disk_points(box, n=200):
+            assert same_bits(gaussian_curvature(surface, q),
+                             disk_reference.gaussian_curvature(surface, q))
+            assert same_bits(
+                curvature_identity_residual(surface, q),
+                disk_reference.curvature_identity_residual(surface, q))
+            assert same_bits(
+                disk_mass_matrix(params, surface, q),
+                disk_reference.disk_mass_matrix(params, surface, q))
+
+    @pytest.mark.parametrize("label, surface, params, box", DISK_CASES,
+                             ids=[case[0] for case in DISK_CASES])
+    def test_fields_are_the_numpy_fields(self, disk_reference, monkeypatch,
+                                         label, surface, params, box):
+        fields = [(spinning_disk_rhs(params, surface),
+                   disk_reference.spinning_disk_rhs(params, surface)),
+                  (magnetic_field(params, surface, monkeypatch),
+                   disk_reference.magnetic_field(params, surface))]
+        rng = np.random.default_rng(13)
+        for q in _disk_points(box, n=200):
+            z = np.concatenate([q, rng.normal(size=2)])
+            for got_field, want_field in fields:
+                got, want = got_field(z), want_field(z)
+                if label in FMA_FREE:
+                    assert same_bits(got, want), z
+                else:
+                    # Two nonzero products meet in one dot product here,
+                    # which numpy's BLAS may fuse into one multiply-add;
+                    # the float path rounds each product.
+                    assert np.max(np.abs(got - want)) \
+                        <= 1e-13 * max(1.0, np.max(np.abs(want))), z
 
 
 def closed_form_particle_1d(x, tau, trap=1.0, alpha=0.7, beta=0.4):
@@ -505,6 +571,21 @@ class TestAveragedParticle:
                    - 1.0 / (eps ** 2 * closed_mean_vv(0.8))) < 1e-10
         assert np.max(np.abs(mechanical_connection(metric, x)
                              - eps ** 3 * 0.14)) < 1e-12
+
+    @pytest.mark.parametrize("modes", [
+        (),
+        # V' is proportional to dc = 2x, which vanishes at the sample x = 0.
+        (HarmonicMode(k=1, c=lambda x: x[0] ** 2, s=lambda x: 0.0,
+                      dc=lambda x: np.array([2.0 * x[0]]),
+                      ds=lambda x: np.zeros(1)),),
+    ], ids=["no_modes", "zero_gradient"])
+    def test_invariant_metric_rejects_degenerate_fiber_inertia(self, modes):
+        pot = OscillatingPotential(dim_base=1, fourier_modes=modes,
+                                   mean_part=lambda x: 0.5 * x[0] ** 2)
+        with pytest.raises(ValueError,
+                           match=r"degenerate fiber inertia .* at q=\[0\.\]"):
+            particle_invariant_metric(pot, 0.05,
+                                      sample_points=(np.array([0.0]),))
 
     def test_weak_suspension_average_keeps_slow_mean(self):
         pot = particle_potential_1d()
