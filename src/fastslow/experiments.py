@@ -19,6 +19,7 @@ import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -26,9 +27,9 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .bundle_geometry import PhaseStateFull, PhaseStateReduced
-from .integrators import (IntegratorConfig, closeness_case,
-                          integrate_autonomous, integrate_reduced_magnetic,
-                          ratio_table)
+from .integrators import (IntegrationError, IntegratorConfig,
+                          closeness_case, integrate_autonomous,
+                          integrate_reduced_magnetic, ratio_table)
 from .lie_poisson import (BUILTIN_ALGEBRAS, EulerSystem,
                           extended_hamiltonian_field, integrate_euler,
                           load_algebra, shift_cocycle)
@@ -168,6 +169,16 @@ def _curvature_grid(surface) -> tuple[np.ndarray, np.ndarray]:
     return np.linspace(*span1, 50), np.linspace(*span2, 50)
 
 
+@contextmanager
+def _integration(name: str):
+    """Name the integration in the message of an error raised inside."""
+    try:
+        yield
+    except (IntegrationError, ValueError) as err:
+        err.args = (f"{err} (in the {name} integration)",)
+        raise
+
+
 def _run_disk(config: ExperimentConfig, base_dir: Path) -> tuple:
     p = _params(config)
     surfaces = {"sphere": lambda: sphere_surface(p["radius"]),
@@ -189,17 +200,20 @@ def _run_disk(config: ExperimentConfig, base_dir: Path) -> tuple:
         mass = disk_mass_matrix(params, surface, z[:2])
         return float(0.5 * z[2:] @ mass @ z[2:])
 
-    lagrangian = integrate_autonomous(
-        rhs, np.concatenate([q0, u0]), horizon, cfg,
-        state_labels=("q1", "q2", "u1", "u2"), kind="disk_lagrangian",
-        dim_base=2, logs={"energy": energy, "momentum": lambda z: params.mu},
-        meta={"surface": surface.name})
+    with _integration("Lagrangian"):
+        lagrangian = integrate_autonomous(
+            rhs, np.concatenate([q0, u0]), horizon, cfg,
+            state_labels=("q1", "q2", "u1", "u2"), kind="disk_lagrangian",
+            dim_base=2,
+            logs={"energy": energy, "momentum": lambda z: params.mu},
+            meta={"surface": surface.name})
 
     shell, overrides = disk_reduced_system(params, surface)
     p1 = disk_momentum(params, surface, q0, u0)
-    magnetic = integrate_reduced_magnetic(
-        shell, PhaseStateReduced(Q=q0, P=p1, chart="magnetic"), horizon, cfg,
-        **overrides)
+    with _integration("magnetic-chart"):
+        magnetic = integrate_reduced_magnetic(
+            shell, PhaseStateReduced(Q=q0, P=p1, chart="magnetic"), horizon,
+            cfg, **overrides)
 
     # Two-path deviation: positions, and velocities u = M(q)^{-1} P1.
     u_mag = [overrides["grad_p"](z[:2], z[2:]) for z in magnetic.values]

@@ -271,23 +271,33 @@ class SurfaceMetric:
     step 1e-6 * max(1, |q|_inf) fill in otherwise. domain holds the
     closed chart rectangle ((q1_min, q1_max), (q2_min, q2_max)) and
     operations reject points outside it.
+
+    Each callable receives the point as an indexable pair of floats, a
+    tuple or an array, and reads it as q[0] and q[1]; the disk fields
+    and the curvature stencils pass tuples. a11 and a22 return a real,
+    d_sqrt_a11 and d_sqrt_a22 any pair of reals (a tuple, a list or an
+    array). The public grad_sqrt_a11 and grad_sqrt_a22 return arrays.
     """
 
-    a11: Callable[[np.ndarray], float]
-    a22: Callable[[np.ndarray], float]
-    d_sqrt_a11: Callable[[np.ndarray], np.ndarray] | None = None
-    d_sqrt_a22: Callable[[np.ndarray], np.ndarray] | None = None
+    a11: Callable[[Sequence[float]], float]
+    a22: Callable[[Sequence[float]], float]
+    d_sqrt_a11: Callable[[Sequence[float]], Sequence[float]] | None = None
+    d_sqrt_a22: Callable[[Sequence[float]], Sequence[float]] | None = None
     domain: tuple = ((-np.inf, np.inf), (-np.inf, np.inf))
     name: str = "surface"
 
     def require_in_domain(self, q: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=float)
-        (lo1, hi1), (lo2, hi2) = self.domain
-        if not (lo1 <= q[0] <= hi1 and lo2 <= q[1] <= hi2):
-            raise DomainError(
-                f"point {q} lies outside the declared chart domain "
-                f"{self.domain} of {self.name}")
+        self._check(q[0], q[1])
         return q
+
+    def _check(self, x: float, y: float) -> None:
+        """The domain check on the two coordinates of a point."""
+        (lo1, hi1), (lo2, hi2) = self.domain
+        if not (lo1 <= x <= hi1 and lo2 <= y <= hi2):
+            raise DomainError(
+                f"point {np.array([x, y])} lies outside the declared chart "
+                f"domain {self.domain} of {self.name}")
 
     def sqrt_a11(self, q: np.ndarray) -> float:
         return _positive_sqrt("a11", float(self.a11(q)), q)
@@ -296,19 +306,26 @@ class SurfaceMetric:
         return _positive_sqrt("a22", float(self.a22(q)), q)
 
     def grad_sqrt_a11(self, q: np.ndarray) -> np.ndarray:
-        if self.d_sqrt_a11 is not None:
-            return np.asarray(self.d_sqrt_a11(q), dtype=float)
-        return gradient(self.sqrt_a11, np.asarray(q, dtype=float))
+        return np.array(self._partials(1, q))
 
     def grad_sqrt_a22(self, q: np.ndarray) -> np.ndarray:
-        if self.d_sqrt_a22 is not None:
-            return np.asarray(self.d_sqrt_a22(q), dtype=float)
-        return gradient(self.sqrt_a22, np.asarray(q, dtype=float))
+        return np.array(self._partials(2, q))
+
+    def _partials(self, j: int, q) -> tuple[float, float]:
+        """(d1, d2) sqrt(a_jj) at q as floats, j = 1 or 2: the declared
+        d_sqrt_ajj, or central differences of sqrt_ajj without one."""
+        d = self.d_sqrt_a11 if j == 1 else self.d_sqrt_a22
+        if d is None:
+            sqrt = self.sqrt_a11 if j == 1 else self.sqrt_a22
+            return tuple(gradient(sqrt, np.asarray(q, dtype=float)).tolist())
+        g1, g2 = d(q)
+        return float(g1), float(g2)
 
 
-def _positive_sqrt(name: str, val: float, q: np.ndarray) -> float:
+def _positive_sqrt(name: str, val: float, q) -> float:
     if not val > 0.0:
-        raise ValueError(f"{name} must be positive, got {val:.3e} at q={q}")
+        raise ValueError(f"{name} must be positive, got {val:.3e} "
+                         f"at q={np.asarray(q, dtype=float)}")
     return math.sqrt(val)
 
 
@@ -318,8 +335,8 @@ def sphere_surface(radius: float = 1.0) -> SurfaceMetric:
     return SurfaceMetric(
         a11=lambda q: r * r,
         a22=lambda q: r * r * math.sin(q[0]) ** 2,
-        d_sqrt_a11=lambda q: np.zeros(2),
-        d_sqrt_a22=lambda q: np.array([r * math.cos(q[0]), 0.0]),
+        d_sqrt_a11=lambda q: (0.0, 0.0),
+        d_sqrt_a22=lambda q: (r * math.cos(q[0]), 0.0),
         domain=((0.02, math.pi - 0.02), (-np.inf, np.inf)),
         name=f"sphere(radius={r})")
 
@@ -328,7 +345,7 @@ def plane_surface() -> SurfaceMetric:
     """Euclidean plane in Cartesian coordinates."""
     return SurfaceMetric(
         a11=lambda q: 1.0, a22=lambda q: 1.0,
-        d_sqrt_a11=lambda q: np.zeros(2), d_sqrt_a22=lambda q: np.zeros(2),
+        d_sqrt_a11=lambda q: (0.0, 0.0), d_sqrt_a22=lambda q: (0.0, 0.0),
         name="plane")
 
 
@@ -337,43 +354,41 @@ def exponential_surface() -> SurfaceMetric:
     return SurfaceMetric(
         a11=lambda q: 1.0,
         a22=lambda q: math.exp(2.0 * q[0]),
-        d_sqrt_a11=lambda q: np.zeros(2),
-        d_sqrt_a22=lambda q: np.array([math.exp(q[0]), 0.0]),
+        d_sqrt_a11=lambda q: (0.0, 0.0),
+        d_sqrt_a22=lambda q: (math.exp(q[0]), 0.0),
         domain=((-10.0, 10.0), (-np.inf, np.inf)),
         name="exponential")
 
 
-def _stencil(q: np.ndarray) -> tuple[float, tuple]:
+def _stencil(q) -> tuple[float, tuple]:
     """Step h = 1e-5 * max(1, |q|_inf) and the points q + h e1, q - h e1,
-    q + h e2, q - h e2 of the curvature stencils, as floats.
+    q + h e2, q - h e2 of the curvature stencils, for q a pair of floats.
 
-    Each point is formed as numpy forms q +- (h, 0) and q +- (0, h), the
-    zero included, so it has the same bits, the sign of a zero among them.
+    Each point is a tuple formed as numpy forms q +- (h, 0) and
+    q +- (0, h), the zero included, so it has the same bits, the sign of
+    a zero among them.
     """
-    x, y = q.tolist()
+    x, y = q
     h = 1e-5 * max(1.0, abs(x), abs(y))
     return h, ((x + h, y + 0.0), (x - h, y - 0.0),
                (x + 0.0, y + h), (x - 0.0, y - h))
 
 
-def _curvature_divergence(surface: SurfaceMetric, q: np.ndarray) -> float:
+def _curvature_divergence(surface: SurfaceMetric, q) -> float:
     """d1(d1 sqrt(a22) / sqrt(a11)) + d2(d2 sqrt(a11) / sqrt(a22)) at q.
 
-    q lies in the domain. The outer derivatives are central differences
-    on _stencil in Python floats; the surface callables receive each
-    stencil point as an array. K is -div / sqrt(a11 a22).
+    q is a pair of floats in the domain. The outer derivatives are
+    central differences on _stencil in Python floats, and the surface
+    callables receive each stencil point as a tuple. K is
+    -div / sqrt(a11 a22).
     """
     h, (p1, m1, p2, m2) = _stencil(q)
-
-    def r1(x):
-        x = np.array(x)
-        return float(surface.grad_sqrt_a22(x)[0]) / surface.sqrt_a11(x)
-
-    def r2(x):
-        x = np.array(x)
-        return float(surface.grad_sqrt_a11(x)[1]) / surface.sqrt_a22(x)
-
-    return ((r1(p1) - r1(m1)) + (r2(p2) - r2(m2))) / (2.0 * h)
+    d, s11, s22 = surface._partials, surface.sqrt_a11, surface.sqrt_a22
+    # d1 sqrt(a22) / sqrt(a11) at q +- h e1, d2 sqrt(a11) / sqrt(a22) at
+    # q +- h e2.
+    return (((d(2, p1)[0] / s11(p1) - d(2, m1)[0] / s11(m1))
+             + (d(1, p2)[1] / s22(p2) - d(1, m2)[1] / s22(m2)))
+            / (2.0 * h))
 
 
 def gaussian_curvature(surface: SurfaceMetric, q: np.ndarray) -> float:
@@ -388,8 +403,15 @@ def gaussian_curvature(surface: SurfaceMetric, q: np.ndarray) -> float:
     floats.
     """
     q = surface.require_in_domain(q)
-    div = _curvature_divergence(surface, q)
+    div = _curvature_divergence(surface, q.tolist())
     return -div / (surface.sqrt_a11(q) * surface.sqrt_a22(q))
+
+
+def _connection(surface: SurfaceMetric, q) -> tuple[float, float]:
+    """disk_connection at q, a pair of floats, as a pair of floats."""
+    surface._check(*q)
+    return (surface._partials(1, q)[1] / surface.sqrt_a22(q),
+            -surface._partials(2, q)[0] / surface.sqrt_a11(q))
 
 
 def disk_connection(surface: SurfaceMetric, q: np.ndarray) -> np.ndarray:
@@ -403,11 +425,8 @@ def disk_connection(surface: SurfaceMetric, q: np.ndarray) -> np.ndarray:
     holds with positively oriented (q1, q2); on the round sphere
     A = (0, -cos q1).
     """
-    q = surface.require_in_domain(q)
-    return np.array([
-        surface.grad_sqrt_a11(q)[1] / surface.sqrt_a22(q),
-        -surface.grad_sqrt_a22(q)[0] / surface.sqrt_a11(q),
-    ])
+    return np.array(_connection(
+        surface, tuple(np.asarray(q, dtype=float).tolist())))
 
 
 def curvature_identity_residual(surface: SurfaceMetric,
@@ -419,12 +438,9 @@ def curvature_identity_residual(surface: SurfaceMetric,
     rather than a restatement of its formula.
     """
     q = surface.require_in_domain(q)
-    h, (p1, m1, p2, m2) = _stencil(q)
-
-    def conn(x, i):
-        return float(disk_connection(surface, np.array(x))[i])
-
-    curl = ((conn(p1, 1) - conn(m1, 1)) - (conn(p2, 0) - conn(m2, 0))) \
+    h, (p1, m1, p2, m2) = _stencil(q.tolist())
+    curl = ((_connection(surface, p1)[1] - _connection(surface, m1)[1])
+            - (_connection(surface, p2)[0] - _connection(surface, m2)[0])) \
         / (2.0 * h)
     dens = surface.sqrt_a11(q) * surface.sqrt_a22(q)
     return curl - dens * gaussian_curvature(surface, q)
@@ -469,44 +485,56 @@ def _second_form_matrix(params: DiskParams, q: np.ndarray) -> np.ndarray:
     return params.inertia_diametral * np.array([[f11, f12], [f12, f22]])
 
 
-def _disk_geometry(params: DiskParams, surface: SurfaceMetric,
-                   q: np.ndarray, derivatives: bool = True) -> tuple:
-    """(M, dM, sqrt(a11), sqrt(a22)) at q, in Python floats.
-
-    M = m diag(a11, a22) + I_d * second form holds the rows of the disk
-    mass matrix and dM[i] = d M / d q_i. The metric part of dM is closed
-    form, d_i (m a_jj) = 2 m sqrt(a_jj) d_i sqrt(a_jj) through the
-    surface's grad_sqrt_a11 / grad_sqrt_a22; only the optional second
-    form is differentiated, by central differences, and added on arrays.
-    With derivatives=False only M is computed, without the positivity
-    checks of sqrt_a11 / sqrt_a22, and the other three slots are None.
-    """
+def _disk_mass(params: DiskParams, surface: SurfaceMetric, q) -> tuple:
+    """(M, a11, a22) at q, M = m diag(a11, a22) + I_d * second form as
+    rows of Python floats. No check is made; the second form receives q
+    as an array and is added on arrays."""
     m = params.mass
     a11, a22 = float(surface.a11(q)), float(surface.a22(q))
     mass = [[m * a11, 0.0], [0.0, m * a22]]
-    dmass = s11 = s22 = None
-    if derivatives:
-        s11 = _positive_sqrt("a11", a11, q)
-        d11 = [2.0 * m * s11 * g for g in surface.grad_sqrt_a11(q).tolist()]
-        s22 = _positive_sqrt("a22", a22, q)
-        d22 = [2.0 * m * s22 * g for g in surface.grad_sqrt_a22(q).tolist()]
-        dmass = [[[a, 0.0], [0.0, b]] for a, b in zip(d11, d22)]
     if params.second_form is not None:
-        def form(x):
-            return _second_form_matrix(params, x)
+        mass = (np.array(mass) + _second_form_matrix(
+            params, np.asarray(q, dtype=float))).tolist()
+    return mass, a11, a22
 
-        mass = (np.array(mass) + form(q)).tolist()
-        if derivatives:
-            dmass = (np.array(dmass) + jacobian(form, q)).tolist()
-    return mass, dmass, s11, s22
+
+def _disk_derivatives(params: DiskParams, surface: SurfaceMetric, q,
+                      a11: float, a22: float) -> tuple:
+    """(dM, sqrt(a11), sqrt(a22)) at q from the a11 and a22 there.
+
+    dM[i] = d M / d q_i in Python floats. The metric part is closed form,
+    d_i (m a_jj) = 2 m sqrt(a_jj) d_i sqrt(a_jj), through the surface's
+    partials; only the optional second form is differentiated, by central
+    differences, and added on arrays.
+    """
+    m = params.mass
+    s11 = _positive_sqrt("a11", a11, q)
+    g11, g12 = surface._partials(1, q)
+    c11 = 2.0 * m * s11
+    s22 = _positive_sqrt("a22", a22, q)
+    g21, g22 = surface._partials(2, q)
+    c22 = 2.0 * m * s22
+    dmass = [[[c11 * g11, 0.0], [0.0, c22 * g21]],
+             [[c11 * g12, 0.0], [0.0, c22 * g22]]]
+    if params.second_form is not None:
+        dmass = (np.array(dmass) + jacobian(
+            lambda x: _second_form_matrix(params, x),
+            np.asarray(q, dtype=float))).tolist()
+    return dmass, s11, s22
+
+
+def _disk_geometry(params: DiskParams, surface: SurfaceMetric, q) -> tuple:
+    """(M, dM, sqrt(a11), sqrt(a22)) at q, in Python floats: _disk_mass
+    and _disk_derivatives from one evaluation of a11 and a22."""
+    mass, a11, a22 = _disk_mass(params, surface, q)
+    return (mass, *_disk_derivatives(params, surface, q, a11, a22))
 
 
 def disk_mass_matrix(params: DiskParams, surface: SurfaceMetric,
                      q: np.ndarray) -> np.ndarray:
     """Slow kinetic matrix M(q) = m diag(a11, a22) + I_d * second form."""
-    return np.array(_disk_geometry(params, surface,
-                                   np.asarray(q, dtype=float),
-                                   derivatives=False)[0])
+    return np.array(_disk_mass(params, surface,
+                               np.asarray(q, dtype=float))[0])
 
 
 def _solve2(a: list, b) -> list:
@@ -552,13 +580,14 @@ def spinning_disk_rhs(params: DiskParams,
     partial derivatives of M are closed-form; only an optional second
     form is differentiated by central differences. The field is
     assembled in Python floats from one evaluation of the local geometry
-    (_disk_geometry); the surface callables still receive arrays.
+    (_disk_geometry), and the surface callables receive q as a tuple.
     """
     mu = params.mu
 
     def rhs(z: np.ndarray) -> np.ndarray:
-        q = surface.require_in_domain(z[:2])
-        u0, u1 = z[2:].tolist()
+        q1, q2, u0, u1 = _floats(z)
+        surface._check(q1, q2)
+        q = (q1, q2)
         mass, dmass, s11, s22 = _disk_geometry(params, surface, q)
         dens = s11 * s22
         # dens * mu * gaussian_curvature(surface, q), q checked once.
@@ -596,27 +625,52 @@ def disk_reduced_system(params: DiskParams, surface: SurfaceMetric
     partial derivatives of M closed-form as in spinning_disk_rhs.
     grad_p, grad_q and b_field compute in Python floats and return lists
     of floats (b_field its rows).
+
+    The three share one evaluation of the geometry at one Q: the last Q's
+    geometry is kept, keyed on the bytes of its floats, so a new Q or one
+    changed in place is evaluated afresh. M is evaluated first; dM, the
+    domain check and B's curvature stencil are added when grad_q or
+    b_field first asks, so a caller of grad_p or the Hamiltonian alone
+    evaluates M only, without a check, as disk_mass_matrix does.
     """
     mu = params.mu
+    last = {}  # Q's bytes -> [(M, a11, a22), dM, coefficient of B]
+
+    def local(Q, full: bool) -> list:
+        Q = np.asarray(Q, dtype=float)
+        key = Q.tobytes()
+        entry = last.get(key)
+        if entry is None or full and entry[1] is None:
+            q = tuple(Q.tolist())
+            if full:
+                surface._check(*q)
+            if entry is None:
+                entry = [_disk_mass(params, surface, q), None, None]
+            if full:
+                _, a11, a22 = entry[0]
+                dmass, s11, s22 = _disk_derivatives(params, surface, q,
+                                                    a11, a22)
+                dens = s11 * s22
+                entry[1:] = dmass, dens * mu * (
+                    -_curvature_divergence(surface, q) / dens)
+            last.clear()
+            last[key] = entry
+        return entry
 
     def hamiltonian(Q, P1):
         return float(0.5 * P1 @ grad_p(Q, P1))
 
     def grad_q(Q, P1):
-        surface.require_in_domain(Q)
-        mass, dmass, _, _ = _disk_geometry(params, surface, Q)
+        (mass, _, _), dmass, _ = local(Q, True)
         v0, v1 = _solve2(mass, P1)
         return [-0.5 * (0.0 + x0 * v0 + x1 * v1)
                 for x0, x1 in _contract(dmass, v0, v1)]
 
     def grad_p(Q, P1):
-        return _solve2(_disk_geometry(params, surface, Q,
-                                      derivatives=False)[0], P1)
+        return _solve2(local(Q, False)[0][0], P1)
 
     def b_field(Q):
-        dens = surface.sqrt_a11(Q) * surface.sqrt_a22(Q)
-        div = _curvature_divergence(surface, surface.require_in_domain(Q))
-        c = dens * mu * (-div / dens)
+        c = local(Q, True)[2]
         return [[0.0 * c, 1.0 * c], [-1.0 * c, 0.0 * c]]
 
     shell = AveragedSystem(

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fastslow import HarmonicMode, OscillatingPotential
+from fastslow import HarmonicMode, OscillatingPotential, SurfaceMetric
 from fastslow import _derivatives as fd
 from fastslow.averaging import FIBER_GRID, FIBER_NODES
 
@@ -212,6 +212,26 @@ def _numpy_magnetic_field(params, surface):
     return f
 
 
+def _sphere(radius, pair):
+    """The round sphere of sphere_surface, its partials built by pair."""
+    r = float(radius)
+    return SurfaceMetric(
+        a11=lambda q: r * r,
+        a22=lambda q: r * r * math.sin(q[0]) ** 2,
+        d_sqrt_a11=lambda q: pair(0.0, 0.0),
+        d_sqrt_a22=lambda q: pair(r * math.cos(q[0]), 0.0),
+        domain=((0.02, math.pi - 0.02), (-np.inf, np.inf)),
+        name=f"sphere(radius={r})")
+
+
+def _array_sphere(radius):
+    return _sphere(radius, lambda a, b: np.array([a, b]))
+
+
+def _tuple_sphere(radius):
+    return _sphere(radius, lambda a, b: (a, b))
+
+
 @pytest.fixture
 def disk_reference():
     """The numpy disk formulas the float path replaced.
@@ -221,10 +241,16 @@ def disk_reference():
     surface, q), spinning_disk_rhs(params, surface) and
     magnetic_field(params, surface), the last the field of
     integrate_reduced_magnetic with disk_reduced_system's overrides.
+    array_sphere(radius) and tuple_sphere(radius) are two copies of the
+    shipped round sphere: the first's partials return numpy arrays, as
+    sphere_surface's did when the formulas above were its code, the
+    second's return tuples.
     """
     return SimpleNamespace(
         gaussian_curvature=_numpy_gaussian_curvature,
         curvature_identity_residual=_numpy_curvature_identity_residual,
         disk_mass_matrix=_numpy_disk_mass_matrix,
         spinning_disk_rhs=_numpy_disk_rhs,
-        magnetic_field=_numpy_magnetic_field)
+        magnetic_field=_numpy_magnetic_field,
+        array_sphere=_array_sphere,
+        tuple_sphere=_tuple_sphere)

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 import fastslow
-from fastslow import IntegrationError, IntegratorConfig, Trajectory
+from fastslow import (DomainError, IntegrationError, IntegratorConfig,
+                      Trajectory)
 from fastslow import experiments, integrators
 from fastslow.cli import (ConfigError, ExperimentConfig, emit_csv, emit_json,
                           load_config, main, parse_config, read_csv,
@@ -387,6 +388,38 @@ class TestCommandLine:
         assert lines[0].startswith(
             "experiment disk failed: step 161 (t=0.161): point [")
         assert "outside the declared chart domain" in lines[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path, error", [
+        ("Lagrangian", None),
+        ("magnetic-chart", DomainError("step 3 (t=0.003): point outside")),
+        ("magnetic-chart", IntegrationError("step 3 (t=0.003): non-finite",
+                                            step=3)),
+    ], ids=["lagrangian", "magnetic-value-error", "magnetic-integration"])
+    def test_run_error_in_a_disk_field_names_the_path(
+            self, tmp_path, capsys, monkeypatch, path, error):
+        # The Lagrangian run of the config above leaves the chart; the
+        # magnetic-chart failure is injected after a Lagrangian run that
+        # passes.
+        text = shipped_config_text("disk").replace("horizon = 10.0",
+                                                   "horizon = 0.5")
+        if error is None:
+            text = text.replace("q1_0 = 1.0471975511965976", "q1_0 = 0.1") \
+                .replace("u1_0 = 0.1", "u1_0 = -0.5")
+        else:
+            def fail(*args, **kwargs):
+                raise error
+            monkeypatch.setattr(experiments, "integrate_reduced_magnetic",
+                                fail)
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        assert main(["run", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("experiment disk failed: step ")
+        assert lines[0].endswith(f" (in the {path} integration)")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("experiment, sweep", [

@@ -413,6 +413,104 @@ class TestFloatDiskPath:
                         <= 1e-13 * max(1.0, np.max(np.abs(want))), z
 
 
+class TestSurfaceContract:
+    """Surface callables get pairs of floats and may return any pair; the
+    magnetic overrides share one evaluation of the geometry per Q."""
+
+    @pytest.mark.parametrize("style", ["array_sphere", "tuple_sphere"])
+    def test_either_pair_style_gives_the_numpy_results(
+            self, disk_reference, monkeypatch, style):
+        # The oracle runs on the sphere whose partials return arrays, as
+        # the shipped sphere's did when the oracle was the code.
+        params = DiskParams()
+        old = disk_reference.array_sphere(1.3)
+        surface = getattr(disk_reference, style)(1.3)
+        fields = [(spinning_disk_rhs(params, surface),
+                   disk_reference.spinning_disk_rhs(params, old)),
+                  (magnetic_field(params, surface, monkeypatch),
+                   disk_reference.magnetic_field(params, old))]
+        rng = np.random.default_rng(17)
+        for q in _disk_points(((0.3, math.pi - 0.3), (-3.0, 3.0)), n=200):
+            z = np.concatenate([q, rng.normal(size=2)])
+            for got_field, want_field in fields:
+                assert same_bits(got_field(z), want_field(z)), z
+            assert same_bits(gaussian_curvature(surface, q),
+                             disk_reference.gaussian_curvature(old, q))
+            assert same_bits(
+                curvature_identity_residual(surface, q),
+                disk_reference.curvature_identity_residual(old, q))
+
+    def test_shared_geometry_is_never_stale(self):
+        # Every call of the long-lived overrides must give what overrides
+        # built afresh give: at two alternating points, in every call
+        # order, and after the point array is changed in place.
+        params, surface = DiskParams(mass=0.8), sphere_surface(1.3)
+        _, shared = disk_reduced_system(params, surface)
+        p1 = np.array([0.3, -0.2])
+        names = ("grad_p", "grad_q", "b_field", "hamiltonian")
+        orders = [names, names[::-1], ("grad_q", "grad_p"),
+                  ("b_field", "grad_q"), ("hamiltonian", "b_field")]
+
+        def check(name, Q):
+            args = (Q,) if name == "b_field" else (Q, p1)
+            fresh = disk_reduced_system(params, surface)[1][name]
+            assert same_bits(shared[name](*args), fresh(*args)), (name, Q)
+
+        first, second = np.array([1.0, 0.4]), np.array([2.0, -0.7])
+        for order in orders:
+            for Q in (first, second, first):
+                for name in order:
+                    check(name, Q)
+            for name in order:
+                check(name, first)
+                first[0] += 0.125
+                check(name, first)
+                first[1] -= 0.5
+                check(name, first)
+
+    @pytest.mark.parametrize("surface, q", [
+        (sphere_surface(1.0), (0.001, 0.3)),
+        (sphere_surface(1.0), (math.pi - 0.01, -1.0)),
+        (sphere_surface(1.0), (math.nan, 0.0)),
+        (exponential_surface(), (10.5, 0.0)),
+    ], ids=["sphere-north", "sphere-south", "nan", "exponential"])
+    def test_float_domain_check_gives_the_array_message(
+            self, monkeypatch, surface, q):
+        with pytest.raises(DomainError) as want:
+            surface.require_in_domain(np.array(q))
+        params = DiskParams()
+        z = np.array([*q, 0.1, 0.2])
+        _, overrides = disk_reduced_system(params, surface)
+        calls = [lambda: spinning_disk_rhs(params, surface)(z),
+                 lambda: magnetic_field(params, surface, monkeypatch)(z),
+                 lambda: overrides["grad_q"](z[:2], z[2:]),
+                 lambda: overrides["b_field"](z[:2])]
+        for call in calls:
+            with pytest.raises(DomainError) as got:
+                call()
+            assert str(got.value) == str(want.value)
+
+    def test_residual_rejects_a_stencil_point_as_before(self, disk_reference):
+        # q is inside the chart but q - h e1 is not: the connection at the
+        # stencil point raises, with that point in the message.
+        surface = sphere_surface(1.0)
+        q = np.array([0.02 + 1e-6, 0.3])
+        with pytest.raises(DomainError) as want:
+            disk_reference.curvature_identity_residual(surface, q)
+        with pytest.raises(DomainError) as got:
+            curvature_identity_residual(surface, q)
+        assert str(got.value) == str(want.value)
+        assert "[0.01999" in str(got.value)
+
+    def test_partials_keep_their_array_contract(self):
+        for surface in (sphere_surface(1.0), _no_partials_surface()):
+            q = np.array([1.1, 0.4])
+            for grad in (surface.grad_sqrt_a11, surface.grad_sqrt_a22):
+                got = grad(q)
+                assert isinstance(got, np.ndarray) and got.shape == (2,)
+                assert same_bits(grad(tuple(q.tolist())), got)
+
+
 def closed_form_particle_1d(x, tau, trap=1.0, alpha=0.7, beta=0.4):
     """U of particle_potential_1d, written out by hand."""
     c = alpha * math.sin(x[0])
