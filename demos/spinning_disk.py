@@ -9,10 +9,9 @@ proportional to the Gaussian curvature of the surface.
 
 import numpy as np
 
-from fastslow import (DiskParams, IntegratorConfig, PhaseStateReduced,
-                      curvature_identity_residual, disk_mass_matrix,
-                      disk_momentum, disk_reduced_system,
-                      integrate_autonomous, integrate_reduced_magnetic,
+from fastslow import (DiskParams, IntegratorConfig,
+                      curvature_identity_residual, disk_magnetic_rhs,
+                      disk_momentum, disk_velocity, integrate_autonomous,
                       sphere_surface, spinning_disk_rhs)
 
 RADIUS = 1.0
@@ -36,11 +35,11 @@ def main():
         state_labels=("q1", "q2", "u1", "u2"), kind="disk_lagrangian",
         dim_base=2)
 
-    shell, overrides = disk_reduced_system(PARAMS, surface)
     p1 = disk_momentum(PARAMS, surface, Q0, U0)
-    magnetic = integrate_reduced_magnetic(
-        shell, PhaseStateReduced(Q=Q0, P=p1, chart="magnetic"), HORIZON,
-        CONFIG, **overrides)
+    magnetic = integrate_autonomous(
+        disk_magnetic_rhs(PARAMS, surface), np.concatenate([Q0, p1]),
+        HORIZON, CONFIG, state_labels=("Q1", "Q2", "P1_1", "P1_2"),
+        kind="reduced_magnetic", dim_base=2, chart="magnetic")
 
     print()
     print(f"{'t':>5}  {'q1 (full)':>11}  {'q2 (full)':>11}  "
@@ -55,8 +54,8 @@ def main():
 
     sup = 0.0
     for i in range(len(lagrangian)):
-        mass = disk_mass_matrix(PARAMS, surface, magnetic.values[i, :2])
-        u_mag = np.linalg.solve(mass, magnetic.values[i, 2:])
+        u_mag = disk_velocity(PARAMS, surface, magnetic.values[i, :2],
+                              magnetic.values[i, 2:])
         sup = max(sup,
                   float(np.max(np.abs(lagrangian.values[i, :2]
                                       - magnetic.values[i, :2]))),

@@ -38,8 +38,8 @@ from .lie_poisson import (BUILTIN_ALGEBRAS, Cocycle, EulerSystem,
 from .systems import (DiskParams, DomainError, HarmonicMode,
                       OscillatingPotential, PendulumParams, SurfaceMetric,
                       curvature_identity_residual, disk_connection,
-                      disk_mass_matrix, disk_momentum, disk_reduced_system,
-                      exponential_surface, gaussian_curvature,
+                      disk_magnetic_rhs, disk_mass_matrix, disk_momentum,
+                      disk_velocity, exponential_surface, gaussian_curvature,
                       mean_grad_antiderivative_sq,
                       mean_hess_cross_term, oscillating_particle_averaged,
                       particle_invariant_metric, particle_potential_1d,
@@ -59,8 +59,9 @@ __all__ = [
     "abelian", "average_coefficients", "averaged_hamiltonian",
     "closeness_report", "closeness_sweep", "coadjoint_action",
     "cocycle_identity_residual", "convert_chart",
-    "curvature_identity_residual", "disk_connection", "disk_mass_matrix",
-    "disk_momentum", "disk_reduced_system", "effective_potential",
+    "curvature_identity_residual", "disk_connection", "disk_magnetic_rhs",
+    "disk_mass_matrix", "disk_momentum", "disk_velocity",
+    "effective_potential",
     "euler_vector_field", "exponential_surface", "extended_bracket",
     "extended_hamiltonian_field", "fiber_inertia", "full_velocities",
     "gaussian_curvature", "gram_matrix", "heisenberg3",

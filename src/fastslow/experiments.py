@@ -28,14 +28,13 @@ import numpy as np
 
 from .bundle_geometry import PhaseStateFull, PhaseStateReduced
 from .integrators import (IntegrationError, IntegratorConfig,
-                          closeness_case, integrate_autonomous,
-                          integrate_reduced_magnetic, ratio_table)
+                          closeness_case, integrate_autonomous, ratio_table)
 from .lie_poisson import (BUILTIN_ALGEBRAS, EulerSystem,
                           extended_hamiltonian_field, integrate_euler,
                           load_algebra, shift_cocycle)
 from .systems import (DiskParams, PendulumParams,
-                      curvature_identity_residual, disk_mass_matrix,
-                      disk_momentum, disk_reduced_system,
+                      curvature_identity_residual, disk_magnetic_rhs,
+                      disk_mass_matrix, disk_momentum, disk_velocity,
                       exponential_surface, particle_potential_1d,
                       particle_systems, pendulum_systems, plane_surface,
                       sphere_surface, spinning_disk_rhs)
@@ -94,24 +93,30 @@ def integrator_configs(config: ExperimentConfig
 # Closeness sweeps: pendulum and particle
 
 
+def _pendulum_build(p: dict, eps: float) -> tuple:
+    params = PendulumParams(length=p["length"], gravity=p["gravity"],
+                            amplitude=p["amplitude"], mu=p["mu"],
+                            epsilon=eps)
+    system, avg = pendulum_systems(params, fiber_floor=p["fiber_floor"])
+    return system, avg, params.length * p["theta0"]
+
+
+def _particle_build(p: dict, eps: float) -> tuple:
+    pot = particle_potential_1d(trap=p["trap"], alpha=p["alpha"],
+                                beta=p["beta"])
+    system, avg = particle_systems(pot, eps, p["mu"])
+    return system, avg, p["x0"]
+
+
 def closeness_build(config: ExperimentConfig, eps: float) -> tuple:
     """(system, averaged, full state0, reduced state0) of a sweep at eps.
 
     This is the build argument of integrators.closeness_sweep for a
-    pendulum or particle config.
+    config whose experiment has a build in TABLE.
     """
     p = _params(config)
-    if config.experiment == "pendulum":
-        params = PendulumParams(length=p["length"], gravity=p["gravity"],
-                                amplitude=p["amplitude"], mu=p["mu"],
-                                epsilon=eps)
-        system, avg = pendulum_systems(params, fiber_floor=p["fiber_floor"])
-        q0 = np.array([params.length * p["theta0"]])
-    else:
-        pot = particle_potential_1d(trap=p["trap"], alpha=p["alpha"],
-                                    beta=p["beta"])
-        system, avg = particle_systems(pot, eps, p["mu"])
-        q0 = np.array([p["x0"]])
+    system, avg, q0 = TABLE[config.experiment].build(p, eps)
+    q0 = np.array([q0])
     p0 = np.array([p["p0"]])
     return (system, avg, PhaseStateFull(q=q0, p=p0, phi=0.0, gamma=p["mu"]),
             PhaseStateReduced(Q=q0, P=p0))
@@ -208,15 +213,23 @@ def _run_disk(config: ExperimentConfig, base_dir: Path) -> tuple:
             logs={"energy": energy, "momentum": lambda z: params.mu},
             meta={"surface": surface.name})
 
-    shell, overrides = disk_reduced_system(params, surface)
     p1 = disk_momentum(params, surface, q0, u0)
+
+    def hamiltonian(z):
+        return float(0.5 * z[2:] @ disk_velocity(params, surface, z[:2],
+                                                 z[2:]))
+
     with _integration("magnetic-chart"):
-        magnetic = integrate_reduced_magnetic(
-            shell, PhaseStateReduced(Q=q0, P=p1, chart="magnetic"), horizon,
-            cfg, **overrides)
+        magnetic = integrate_autonomous(
+            disk_magnetic_rhs(params, surface), np.concatenate([q0, p1]),
+            horizon, cfg, state_labels=("Q1", "Q2", "P1_1", "P1_2"),
+            kind="reduced_magnetic", dim_base=2,
+            logs={"energy": hamiltonian, "momentum": lambda z: params.mu},
+            chart="magnetic", meta={"mu": params.mu, "clock": "slow"})
 
     # Two-path deviation: positions, and velocities u = M(q)^{-1} P1.
-    u_mag = [overrides["grad_p"](z[:2], z[2:]) for z in magnetic.values]
+    u_mag = [disk_velocity(params, surface, z[:2], z[2:])
+             for z in magnetic.values]
     dev = float(np.max(np.abs(lagrangian.values - np.hstack(
         [magnetic.values[:, :2], u_mag]))))
 
@@ -300,11 +313,14 @@ class Experiment:
     parameters rows are (key, default text, doc); the type of the
     default (float, comma list of floats, or string) is the type the
     key accepts, and an empty default marks a key a config must set.
+    An epsilon sweep (run = _run_sweep) also has a build(parameters,
+    eps) -> (system, averaged, initial position) for closeness_build.
     """
 
     summary: str
     parameters: tuple[tuple[str, str, str], ...]
     run: Callable[[ExperimentConfig, Path], tuple]
+    build: Callable[[dict, float], tuple] | None = None
 
 
 _EULER_PARAMETERS = (
@@ -324,7 +340,7 @@ TABLE: dict[str, Experiment] = {
          ("fiber_floor", "1.0", "constant part of the fiber inertia"),
          ("theta0", "2.0", "initial angle"),
          ("p0", "0.0", "initial angular momentum")),
-        _run_sweep),
+        _run_sweep, _pendulum_build),
     "disk": Experiment(
         "disk spinning about the normal of a curved surface",
         (("surface", "sphere", "sphere | plane | exponential"),
@@ -347,7 +363,7 @@ TABLE: dict[str, Experiment] = {
          ("mu", "1.0", "conserved fast momentum"),
          ("x0", "0.8", "initial position"),
          ("p0", "0.3", "initial momentum")),
-        _run_sweep),
+        _run_sweep, _particle_build),
     "euler": Experiment(
         "Euler equation on a built-in algebra",
         (("algebra", "so3",

@@ -515,70 +515,49 @@ def integrate_reduced_canonical(avg: AveragedSystem,
 
 def integrate_reduced_magnetic(avg: AveragedSystem,
                                state0: PhaseStateReduced, horizon: float,
-                               config: IntegratorConfig,
-                               *,
-                               hamiltonian: Callable | None = None,
-                               grad_q: Callable | None = None,
-                               grad_p: Callable | None = None,
-                               b_field: Callable | None = None,
-                               momentum: float | None = None) -> Trajectory:
+                               config: IntegratorConfig) -> Trajectory:
     """Integrate the averaged system in the magnetic (shifted) chart.
 
-    The state is (Q, P1) with P1 = P + mu a0(Q) and the default flow is
+    The state is (Q, P1) with P1 = P + mu a0(Q) and the flow is
 
         dQ/dt = P1,   dP1/dt = -grad Ubar_mu(Q) + B(Q)^T P1,
 
-    a Lorentz force with magnetic matrix B. The kinetic term, forces and
-    field can all be overridden (hamiltonian, grad_q, grad_p, b_field)
-    for reductions whose kinetic energy is not (1/2)|P1|^2, e.g. a disk
-    rolling its axis over a curved surface; overrides take the pair
-    (Q, P1). momentum overrides the constant logged in the momentum slot.
-    Overrides may return arrays or lists of floats. The field is
-    assembled in Python floats; as in _full_rhs, B^T v is a sum from +0
-    in index order, numpy's dot bit for bit when no row of it has two
-    nonzero products (dim_base 1 and 2, where B is antisymmetric).
+    a Lorentz force with magnetic matrix B. A reduction whose kinetic
+    energy is not (1/2)|P1|^2, such as the disk of
+    systems.disk_magnetic_rhs, has a field of its own for
+    integrate_autonomous. The field is assembled in Python floats; as in
+    _full_rhs, B^T v is a sum from +0 in index order, numpy's dot bit for
+    bit when no row of it has two nonzero products (dim_base 1 and 2,
+    where B is antisymmetric).
     """
     state0 = convert_chart(state0, avg.a0, avg.mu, "magnetic")
     l = avg.dim_base
     mu = avg.mu
-
-    if grad_q is None:
-        d = avg.derivatives
-
-        def grad_q(Q, P1):
-            a0 = np.asarray(avg.a0(Q), dtype=float)
-            ga0 = np.asarray(d.grad_a0(Q), dtype=float)
-            return (0.5 * mu * mu * (np.asarray(d.grad_h0(Q), dtype=float)
-                                     - 2.0 * (ga0 @ a0))
-                    + np.asarray(d.grad_U0(Q), dtype=float))
-    if grad_p is None:
-        def grad_p(Q, P1):
-            return P1
-    if b_field is None:
-        def b_field(Q):
-            return magnetic_form(avg, Q)
-    if hamiltonian is None:
-        def hamiltonian(Q, P1):
-            return float(0.5 * (P1 @ P1) + effective_potential(avg, Q))
+    d = avg.derivatives
 
     def f(z: np.ndarray) -> np.ndarray:
         Q = z[:l]
-        P1 = z[l:]
-        v = _floats(grad_p(Q, P1))
-        g = _floats(grad_q(Q, P1))
+        v = _floats(z[l:])
+        a0 = np.asarray(avg.a0(Q), dtype=float)
+        ga0 = np.asarray(d.grad_a0(Q), dtype=float)
+        g = _floats(0.5 * mu * mu * (np.asarray(d.grad_h0(Q), dtype=float)
+                                     - 2.0 * (ga0 @ a0))
+                    + np.asarray(d.grad_U0(Q), dtype=float))
         # Column i of B dotted with v, from +0 as in _full_rhs.
         dP1 = [-g_i + sum(map(mul, col, v))
-               for g_i, col in zip(g, zip(*_floats(b_field(Q))))]
+               for g_i, col in zip(g, zip(*_floats(magnetic_form(avg, Q))))]
         return np.array(v + dP1)
 
-    mom = mu if momentum is None else float(momentum)
+    def energy(z: np.ndarray) -> float:
+        P1 = z[l:]
+        return float(0.5 * (P1 @ P1) + effective_potential(avg, z[:l]))
+
     labels = tuple([f"Q{i + 1}" for i in range(l)]
                    + [f"P1_{i + 1}" for i in range(l)])
     return integrate_autonomous(
         f, state0.as_array(), horizon, config, state_labels=labels,
         kind="reduced_magnetic", dim_base=l,
-        logs={"energy": lambda z: float(hamiltonian(z[:l], z[l:])),
-              "momentum": lambda z: mom},
+        logs={"energy": energy, "momentum": lambda z: mu},
         chart="magnetic", meta={"mu": mu, "clock": "slow"})
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -498,15 +499,16 @@ def _disk_mass(params: DiskParams, surface: SurfaceMetric, q) -> tuple:
     return mass, a11, a22
 
 
-def _disk_derivatives(params: DiskParams, surface: SurfaceMetric, q,
-                      a11: float, a22: float) -> tuple:
-    """(dM, sqrt(a11), sqrt(a22)) at q from the a11 and a22 there.
+def _disk_geometry(params: DiskParams, surface: SurfaceMetric, q) -> tuple:
+    """(M, dM, sqrt(a11), sqrt(a22)) at q, in Python floats, from one
+    evaluation of a11 and a22.
 
-    dM[i] = d M / d q_i in Python floats. The metric part is closed form,
+    dM[i] = d M / d q_i. The metric part is closed form,
     d_i (m a_jj) = 2 m sqrt(a_jj) d_i sqrt(a_jj), through the surface's
     partials; only the optional second form is differentiated, by central
     differences, and added on arrays.
     """
+    mass, a11, a22 = _disk_mass(params, surface, q)
     m = params.mass
     s11 = _positive_sqrt("a11", a11, q)
     g11, g12 = surface._partials(1, q)
@@ -520,14 +522,7 @@ def _disk_derivatives(params: DiskParams, surface: SurfaceMetric, q,
         dmass = (np.array(dmass) + jacobian(
             lambda x: _second_form_matrix(params, x),
             np.asarray(q, dtype=float))).tolist()
-    return dmass, s11, s22
-
-
-def _disk_geometry(params: DiskParams, surface: SurfaceMetric, q) -> tuple:
-    """(M, dM, sqrt(a11), sqrt(a22)) at q, in Python floats: _disk_mass
-    and _disk_derivatives from one evaluation of a11 and a22."""
-    mass, a11, a22 = _disk_mass(params, surface, q)
-    return (mass, *_disk_derivatives(params, surface, q, a11, a22))
+    return mass, dmass, s11, s22
 
 
 def disk_mass_matrix(params: DiskParams, surface: SurfaceMetric,
@@ -611,76 +606,52 @@ def disk_momentum(params: DiskParams, surface: SurfaceMetric,
         @ np.asarray(u, dtype=float)
 
 
-def disk_reduced_system(params: DiskParams, surface: SurfaceMetric
-                        ) -> tuple[AveragedSystem, dict]:
-    """Magnetic-chart data equivalent to the Euler-Lagrange disk flow.
+def disk_velocity(params: DiskParams, surface: SurfaceMetric,
+                  q: np.ndarray, p1: np.ndarray) -> np.ndarray:
+    """Velocity u = M(q)^{-1} P1, the inverse of disk_momentum.
 
-    Returns an AveragedSystem shell (it carries mu and the state shape;
-    a0, h0, U0 vanish) plus the override callables for
-    integrate_reduced_magnetic: kinetic Hamiltonian
-    H = (1/2) P1 . M(q)^{-1} P1 and magnetic matrix
-    B = sqrt(a11 a22) mu K [[0, 1], [-1, 0]], whose transpose reproduces
-    the gyroscopic force of spinning_disk_rhs. grad_p is the velocity
-    v = M^{-1} P1 and grad_q the exact -(1/2) v . d_i M v, with the
-    partial derivatives of M closed-form as in spinning_disk_rhs.
-    grad_p, grad_q and b_field compute in Python floats and return lists
-    of floats (b_field its rows).
+    No domain check is made, as disk_mass_matrix makes none.
+    """
+    mass = _disk_mass(params, surface, tuple(_floats(q)))[0]
+    return np.array(_solve2(mass, p1))
 
-    The three share one evaluation of the geometry at one Q: the last Q's
-    geometry is kept, keyed on the bytes of its floats, so a new Q or one
-    changed in place is evaluated afresh. M is evaluated first; dM, the
-    domain check and B's curvature stencil are added when grad_q or
-    b_field first asks, so a caller of grad_p or the Hamiltonian alone
-    evaluates M only, without a check, as disk_mass_matrix does.
+
+def disk_magnetic_rhs(params: DiskParams,
+                      surface: SurfaceMetric) -> Callable[[np.ndarray],
+                                                          np.ndarray]:
+    """Magnetic-chart vector field of the reduced disk in (Q, P1).
+
+    The kinetic Hamiltonian is H = (1/2) P1 . M(Q)^{-1} P1 and the
+    magnetic matrix B = sqrt(a11 a22) mu K [[0, 1], [-1, 0]], so with
+    v = M^{-1} P1 the flow is
+
+        dQ/dt = v,   dP1/dt = (1/2) v . d_i M v + B^T v,
+
+    the Lorentz-force form of spinning_disk_rhs: B^T v is its gyroscopic
+    force. The returned callable maps z = (Q1, Q2, P1_1, P1_2) to its
+    time derivative, assembled in Python floats from one evaluation of
+    the local geometry (_disk_geometry), as spinning_disk_rhs is. Each
+    dot product of B^T v is a sum from +0 in index order.
     """
     mu = params.mu
-    last = {}  # Q's bytes -> [(M, a11, a22), dM, coefficient of B]
 
-    def local(Q, full: bool) -> list:
-        Q = np.asarray(Q, dtype=float)
-        key = Q.tobytes()
-        entry = last.get(key)
-        if entry is None or full and entry[1] is None:
-            q = tuple(Q.tolist())
-            if full:
-                surface._check(*q)
-            if entry is None:
-                entry = [_disk_mass(params, surface, q), None, None]
-            if full:
-                _, a11, a22 = entry[0]
-                dmass, s11, s22 = _disk_derivatives(params, surface, q,
-                                                    a11, a22)
-                dens = s11 * s22
-                entry[1:] = dmass, dens * mu * (
-                    -_curvature_divergence(surface, q) / dens)
-            last.clear()
-            last[key] = entry
-        return entry
-
-    def hamiltonian(Q, P1):
-        return float(0.5 * P1 @ grad_p(Q, P1))
-
-    def grad_q(Q, P1):
-        (mass, _, _), dmass, _ = local(Q, True)
-        v0, v1 = _solve2(mass, P1)
-        return [-0.5 * (0.0 + x0 * v0 + x1 * v1)
+    def rhs(z: np.ndarray) -> np.ndarray:
+        q1, q2, p0, p1 = _floats(z)
+        surface._check(q1, q2)
+        q = (q1, q2)
+        mass, dmass, s11, s22 = _disk_geometry(params, surface, q)
+        dens = s11 * s22
+        c = dens * mu * (-_curvature_divergence(surface, q) / dens)
+        v = _solve2(mass, [p0, p1])
+        v0, v1 = v
+        # grad_Q H = -(1/2) v . d_i M v, and B's columns dotted with v.
+        grad = [-0.5 * (0.0 + x0 * v0 + x1 * v1)
                 for x0, x1 in _contract(dmass, v0, v1)]
+        b_field = [[0.0 * c, 1.0 * c], [-1.0 * c, 0.0 * c]]
+        return np.array(v + [-g + sum(map(mul, col, v))
+                             for g, col in zip(grad, zip(*b_field))])
 
-    def grad_p(Q, P1):
-        return _solve2(local(Q, False)[0][0], P1)
-
-    def b_field(Q):
-        c = local(Q, True)[2]
-        return [[0.0 * c, 1.0 * c], [-1.0 * c, 0.0 * c]]
-
-    shell = AveragedSystem(
-        dim_base=2, a0=lambda q: np.zeros(2), h0=lambda q: 0.0,
-        U0=lambda q: 0.0, mu=mu,
-        grad_a0=lambda q: np.zeros((2, 2)),
-        grad_h0=lambda q: np.zeros(2), grad_U0=lambda q: np.zeros(2))
-    overrides = {"hamiltonian": hamiltonian, "grad_q": grad_q,
-                 "grad_p": grad_p, "b_field": b_field, "momentum": mu}
-    return shell, overrides
+    return rhs
 
 
 # ---------------------------------------------------------------------------

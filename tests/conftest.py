@@ -73,8 +73,8 @@ def spectral_reference():
 
 # ---------------------------------------------------------------------------
 # The spinning-disk formulas as they were computed on numpy arrays, kept as
-# the reference for the float path of fastslow.systems and of
-# integrate_reduced_magnetic's field.
+# the reference for the float path of fastslow.systems: the geometry, the
+# Lagrangian field and the magnetic-chart field.
 
 
 def _numpy_gaussian_curvature(surface, q):
@@ -183,8 +183,9 @@ def _numpy_disk_rhs(params, surface):
 
 
 def _numpy_magnetic_field(params, surface):
-    """The field integrate_reduced_magnetic built from the overrides of
-    disk_reduced_system."""
+    """The magnetic-chart field of disk_magnetic_rhs on arrays, from the
+    velocity grad_p = M^{-1} P1, the gradient grad_q of H in Q and the
+    magnetic matrix b_field."""
     mu = params.mu
 
     def grad_q(Q, P1):
@@ -239,8 +240,8 @@ def disk_reference():
     Attributes gaussian_curvature(surface, q),
     curvature_identity_residual(surface, q), disk_mass_matrix(params,
     surface, q), spinning_disk_rhs(params, surface) and
-    magnetic_field(params, surface), the last the field of
-    integrate_reduced_magnetic with disk_reduced_system's overrides.
+    magnetic_field(params, surface), the last the numpy counterpart of
+    disk_magnetic_rhs.
     array_sphere(radius) and tuple_sphere(radius) are two copies of the
     shipped round sphere: the first's partials return numpy arrays, as
     sphere_surface's did when the formulas above were its code, the

@@ -390,27 +390,38 @@ class TestCommandLine:
         assert "outside the declared chart domain" in lines[0]
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("path, error", [
-        ("Lagrangian", None),
-        ("magnetic-chart", DomainError("step 3 (t=0.003): point outside")),
-        ("magnetic-chart", IntegrationError("step 3 (t=0.003): non-finite",
-                                            step=3)),
+    @pytest.mark.parametrize("path, error, message", [
+        ("Lagrangian", None, "step 161 (t=0.161): point ["),
+        ("magnetic-chart", DomainError, "step 3 (t=0.003): injected"),
+        ("magnetic-chart", IntegrationError, "step 3 (t=0.003): injected"),
     ], ids=["lagrangian", "magnetic-value-error", "magnetic-integration"])
     def test_run_error_in_a_disk_field_names_the_path(
-            self, tmp_path, capsys, monkeypatch, path, error):
+            self, tmp_path, capsys, monkeypatch, path, error, message):
         # The Lagrangian run of the config above leaves the chart; the
-        # magnetic-chart failure is injected after a Lagrangian run that
-        # passes.
+        # magnetic-chart field is made to fail at the first RK4 stage of
+        # step 3, its 13th call, after a Lagrangian run that passes.
         text = shipped_config_text("disk").replace("horizon = 10.0",
                                                    "horizon = 0.5")
         if error is None:
             text = text.replace("q1_0 = 1.0471975511965976", "q1_0 = 0.1") \
                 .replace("u1_0 = 0.1", "u1_0 = -0.5")
         else:
-            def fail(*args, **kwargs):
-                raise error
-            monkeypatch.setattr(experiments, "integrate_reduced_magnetic",
-                                fail)
+            disk_magnetic_rhs = experiments.disk_magnetic_rhs
+
+            def failing_rhs(params, surface):
+                field = disk_magnetic_rhs(params, surface)
+                calls = []
+
+                def rhs(z):
+                    calls.append(z)
+                    if len(calls) == 13:
+                        raise error("injected")
+                    return field(z)
+
+                return rhs
+
+            monkeypatch.setattr(experiments, "disk_magnetic_rhs",
+                                failing_rhs)
         config = tmp_path / "run.cfg"
         config.write_text(text)
         assert main(["run", str(config)]) == 2
@@ -418,7 +429,7 @@ class TestCommandLine:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("experiment disk failed: step ")
+        assert lines[0].startswith(f"experiment disk failed: {message}")
         assert lines[0].endswith(f" (in the {path} integration)")
         assert not (tmp_path / "out").exists()
 

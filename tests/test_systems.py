@@ -11,6 +11,7 @@ sphere, the plane, and the e^{2 q1} metric have Gaussian curvatures
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,19 +20,18 @@ from fastslow import (DiskParams, DomainError, HarmonicMode,
                       IntegratorConfig, OscillatingPotential, PendulumParams,
                       PhaseStateReduced, SurfaceMetric,
                       curvature_identity_residual, disk_connection,
-                      disk_mass_matrix, disk_momentum, disk_reduced_system,
-                      effective_potential, exponential_surface, fiber_inertia,
-                      gaussian_curvature, integrate_autonomous,
-                      integrate_reduced_canonical, integrate_reduced_magnetic,
-                      magnetic_form, mean_grad_antiderivative_sq,
-                      mean_hess_cross_term, mechanical_connection,
+                      disk_magnetic_rhs, disk_mass_matrix, disk_momentum,
+                      disk_velocity, effective_potential, exponential_surface,
+                      fiber_inertia, gaussian_curvature, integrate_autonomous,
+                      integrate_reduced_canonical, magnetic_form,
+                      mean_grad_antiderivative_sq, mean_hess_cross_term,
+                      mechanical_connection,
                       oscillating_particle_averaged, particle_invariant_metric,
                       particle_potential_1d, particle_potential_2d,
                       particle_systems, pendulum_systems, plane_surface,
                       simulate_physical_pendulum, sphere_surface,
                       spinning_disk_rhs)
 from fastslow import _derivatives as fd
-from fastslow import integrators
 from fastslow.averaging import FIBER_GRID
 from fastslow.experiments import TABLE
 from fastslow.systems import _disk_geometry, _solve2
@@ -222,22 +222,22 @@ class TestSpinningDisk:
         direct = integrate_autonomous(rhs, z0, 2.0, RK4,
                                       state_labels=("q1", "q2", "u1", "u2"),
                                       kind="disk", dim_base=2)
-        shell, overrides = disk_reduced_system(params, surface)
         p1 = disk_momentum(params, surface, z0[:2], z0[2:])
-        start = PhaseStateReduced(Q=z0[:2], P=p1, chart="magnetic")
-        reduced = integrate_reduced_magnetic(shell, start, 2.0, RK4,
-                                             **overrides)
+        reduced = integrate_autonomous(
+            disk_magnetic_rhs(params, surface), np.concatenate([z0[:2], p1]),
+            2.0, RK4, state_labels=("Q1", "Q2", "P1_1", "P1_2"),
+            kind="reduced_magnetic", dim_base=2)
         assert np.max(np.abs(direct.values[:, :2]
                              - reduced.values[:, :2])) < 1e-6
 
     def test_momentum_and_velocity_maps_are_inverse(self):
         params = DiskParams()
         surface = sphere_surface(1.0)
-        _, overrides = disk_reduced_system(params, surface)
         q = np.array([1.0, 0.4])
         u = np.array([0.3, -0.2])
         p1 = disk_momentum(params, surface, q, u)
-        assert np.max(np.abs(overrides["grad_p"](q, p1) - u)) < 1e-12
+        assert np.max(np.abs(disk_velocity(params, surface, q, p1) - u)) \
+            < 1e-12
 
     def test_second_form_enters_mass_matrix(self):
         params = DiskParams(mass=1.0, inertia_diametral=0.5,
@@ -311,25 +311,30 @@ class TestDiskClosedForms:
                              ids=[case[0] for case in DISK_CASES])
     def test_grad_q_matches_gradient_of_hamiltonian(self, label, surface,
                                                     params, box):
-        _, overrides = disk_reduced_system(params, surface)
+        # Without spin B = 0, so the field's dP1 is -grad_Q H for the
+        # kinetic Hamiltonian H = (1/2) P1 . M(Q)^{-1} P1.
+        spinless = replace(params, omega_axial=0.0)
+        rhs = disk_magnetic_rhs(spinless, surface)
         rng = np.random.default_rng(11)
         for q in _disk_points(box):
             p1 = rng.normal(size=2)
-            want = fd.gradient(lambda x: overrides["hamiltonian"](x, p1), q)
-            got = overrides["grad_q"](q, p1)
+            want = fd.gradient(lambda x: 0.5 * p1 @ disk_velocity(
+                spinless, surface, x, p1), q)
+            got = -rhs(np.concatenate([q, p1]))[2:]
             assert np.max(np.abs(got - want)) < 1e-8
 
     def test_grad_q_on_sphere_matches_analytic(self):
         # H = (P1^2 + P2^2 / sin^2 q1) / (2 m R^2) on the round sphere, so
-        # dH/dq1 = -P2^2 cos q1 / (m R^2 sin^3 q1) and dH/dq2 = 0.
-        params, radius = DiskParams(mass=0.8), 1.3
-        _, overrides = disk_reduced_system(params, sphere_surface(radius))
+        # dH/dq1 = -P2^2 cos q1 / (m R^2 sin^3 q1) and dH/dq2 = 0; without
+        # spin the field's dP1 is -grad_Q H.
+        params, radius = DiskParams(mass=0.8, omega_axial=0.0), 1.3
+        rhs = disk_magnetic_rhs(params, sphere_surface(radius))
         rng = np.random.default_rng(5)
         for q in _disk_points(((0.02, math.pi - 0.02), (-3.0, 3.0)), n=200):
             p1 = rng.normal(size=2)
             want = -p1[1] ** 2 * math.cos(q[0]) / (
                 params.mass * radius ** 2 * math.sin(q[0]) ** 3)
-            got = overrides["grad_q"](q, p1)
+            got = -rhs(np.concatenate([q, p1]))[2:]
             assert abs(got[0] - want) <= 1e-12 * max(1.0, abs(want))
             assert got[1] == 0.0
 
@@ -346,19 +351,6 @@ class TestDiskClosedForms:
     def test_solve2_rejects_singular_matrix(self):
         with pytest.raises(np.linalg.LinAlgError):
             _solve2([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
-
-
-def magnetic_field(params, surface, monkeypatch):
-    """The field integrate_reduced_magnetic builds from the overrides of
-    disk_reduced_system, taken from its call to integrate_autonomous."""
-    shell, overrides = disk_reduced_system(params, surface)
-    fields = []
-    monkeypatch.setattr(integrators, "integrate_autonomous",
-                        lambda f, *args, **kwargs: fields.append(f))
-    start = PhaseStateReduced(Q=np.array([1.0, 0.0]), P=np.zeros(2),
-                              chart="magnetic")
-    integrate_reduced_magnetic(shell, start, 1.0, RK4, **overrides)
-    return fields[0]
 
 
 def same_bits(got, want):
@@ -392,11 +384,11 @@ class TestFloatDiskPath:
 
     @pytest.mark.parametrize("label, surface, params, box", DISK_CASES,
                              ids=[case[0] for case in DISK_CASES])
-    def test_fields_are_the_numpy_fields(self, disk_reference, monkeypatch,
-                                         label, surface, params, box):
+    def test_fields_are_the_numpy_fields(self, disk_reference, label,
+                                         surface, params, box):
         fields = [(spinning_disk_rhs(params, surface),
                    disk_reference.spinning_disk_rhs(params, surface)),
-                  (magnetic_field(params, surface, monkeypatch),
+                  (disk_magnetic_rhs(params, surface),
                    disk_reference.magnetic_field(params, surface))]
         rng = np.random.default_rng(13)
         for q in _disk_points(box, n=200):
@@ -414,12 +406,11 @@ class TestFloatDiskPath:
 
 
 class TestSurfaceContract:
-    """Surface callables get pairs of floats and may return any pair; the
-    magnetic overrides share one evaluation of the geometry per Q."""
+    """Surface callables get pairs of floats and may return any pair."""
 
     @pytest.mark.parametrize("style", ["array_sphere", "tuple_sphere"])
     def test_either_pair_style_gives_the_numpy_results(
-            self, disk_reference, monkeypatch, style):
+            self, disk_reference, style):
         # The oracle runs on the sphere whose partials return arrays, as
         # the shipped sphere's did when the oracle was the code.
         params = DiskParams()
@@ -427,7 +418,7 @@ class TestSurfaceContract:
         surface = getattr(disk_reference, style)(1.3)
         fields = [(spinning_disk_rhs(params, surface),
                    disk_reference.spinning_disk_rhs(params, old)),
-                  (magnetic_field(params, surface, monkeypatch),
+                  (disk_magnetic_rhs(params, surface),
                    disk_reference.magnetic_field(params, old))]
         rng = np.random.default_rng(17)
         for q in _disk_points(((0.3, math.pi - 0.3), (-3.0, 3.0)), n=200):
@@ -440,54 +431,21 @@ class TestSurfaceContract:
                 curvature_identity_residual(surface, q),
                 disk_reference.curvature_identity_residual(old, q))
 
-    def test_shared_geometry_is_never_stale(self):
-        # Every call of the long-lived overrides must give what overrides
-        # built afresh give: at two alternating points, in every call
-        # order, and after the point array is changed in place.
-        params, surface = DiskParams(mass=0.8), sphere_surface(1.3)
-        _, shared = disk_reduced_system(params, surface)
-        p1 = np.array([0.3, -0.2])
-        names = ("grad_p", "grad_q", "b_field", "hamiltonian")
-        orders = [names, names[::-1], ("grad_q", "grad_p"),
-                  ("b_field", "grad_q"), ("hamiltonian", "b_field")]
-
-        def check(name, Q):
-            args = (Q,) if name == "b_field" else (Q, p1)
-            fresh = disk_reduced_system(params, surface)[1][name]
-            assert same_bits(shared[name](*args), fresh(*args)), (name, Q)
-
-        first, second = np.array([1.0, 0.4]), np.array([2.0, -0.7])
-        for order in orders:
-            for Q in (first, second, first):
-                for name in order:
-                    check(name, Q)
-            for name in order:
-                check(name, first)
-                first[0] += 0.125
-                check(name, first)
-                first[1] -= 0.5
-                check(name, first)
-
     @pytest.mark.parametrize("surface, q", [
         (sphere_surface(1.0), (0.001, 0.3)),
         (sphere_surface(1.0), (math.pi - 0.01, -1.0)),
         (sphere_surface(1.0), (math.nan, 0.0)),
         (exponential_surface(), (10.5, 0.0)),
     ], ids=["sphere-north", "sphere-south", "nan", "exponential"])
-    def test_float_domain_check_gives_the_array_message(
-            self, monkeypatch, surface, q):
+    def test_float_domain_check_gives_the_array_message(self, surface, q):
         with pytest.raises(DomainError) as want:
             surface.require_in_domain(np.array(q))
         params = DiskParams()
         z = np.array([*q, 0.1, 0.2])
-        _, overrides = disk_reduced_system(params, surface)
-        calls = [lambda: spinning_disk_rhs(params, surface)(z),
-                 lambda: magnetic_field(params, surface, monkeypatch)(z),
-                 lambda: overrides["grad_q"](z[:2], z[2:]),
-                 lambda: overrides["b_field"](z[:2])]
-        for call in calls:
+        for field in (spinning_disk_rhs(params, surface),
+                      disk_magnetic_rhs(params, surface)):
             with pytest.raises(DomainError) as got:
-                call()
+                field(z)
             assert str(got.value) == str(want.value)
 
     def test_residual_rejects_a_stencil_point_as_before(self, disk_reference):
