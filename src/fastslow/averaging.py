@@ -62,6 +62,19 @@ class AveragingError(ValueError):
         self.residual = residual
 
 
+def _floats(x) -> list:
+    """x as nested Python floats: a list as it is, taken to hold floats
+    already, anything else by way of np.asarray(x, dtype=float)."""
+    return x if type(x) is list else np.asarray(x, dtype=float).tolist()
+
+
+def _as_array(fn: Callable | None) -> Callable | None:
+    """fn with its values returned as float arrays; None stays None."""
+    if fn is None:
+        return None
+    return lambda q: np.asarray(fn(q), dtype=float)
+
+
 def fiber_samples(fn: Callable[[float], object]) -> np.ndarray:
     """fn(phi) at every node of FIBER_GRID, stacked along the first axis."""
     return np.array([np.asarray(fn(phi), dtype=float) for phi in FIBER_GRID])
@@ -100,8 +113,14 @@ class FastSlowSystem:
     and mu the conserved leading-order fiber momentum, so the fast
     frequency is omega = mu / epsilon. grad_a0(q)[i, j] is
     d a0_j / d q_i, and jac_q_a1 follows the same layout in its first
-    two axes. The order-eps callables a1, h1, U1 and their derivatives
-    may return a float or a (nested) list of floats as well as an array.
+    two axes.
+
+    Every coefficient takes q as an array and phi as a float, and returns
+    a float, a (nested) list of floats or an array. The full field and
+    the energy log read a list as it is and turn an array into floats
+    once (_floats), so a coefficient that returns lists spares them
+    that conversion. average_coefficients hands a0 and the leading-order
+    gradients on as array-valued callables, whatever they return here.
 
     The nine derivative fields are optional and keep what the caller
     passed. The attribute derivatives (not a field) holds all nine by
@@ -168,16 +187,20 @@ class FastSlowSystem:
         """H and the fiber speed dphi/dtau = a . p + h gamma at one state.
 
         Both share one evaluation of a and h. The arithmetic is done in
-        Python floats, and each dot product adds its terms in index order
-        from +0, as integrators._full_rhs does.
+        Python floats: a = a0 + eps a1, h and U are assembled here, as
+        a, h and U assemble them on arrays, and each dot product adds its
+        terms in index order from +0, as integrators._full_rhs does.
         """
         q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float).tolist()
+        p = _floats(p)
         gamma = float(gamma)
-        h = self.h(q, phi)
-        ap = sum(map(mul, self.a(q, phi).tolist(), p))
+        eps = self.epsilon
+        h = float(self.h0(q)) + eps * float(self.h1(q, phi))
+        ap = sum([(x + eps * y) * p_i for x, y, p_i in zip(
+            _floats(self.a0(q)), _floats(self.a1(q, phi)), p)])
         energy = (0.5 * sum(map(mul, p, p)) + gamma * ap
-                  + 0.5 * h * gamma * gamma + self.U(q, phi))
+                  + 0.5 * h * gamma * gamma
+                  + (float(self.U0(q)) + eps * float(self.U1(q, phi))))
         return energy, ap + h * gamma
 
 
@@ -222,7 +245,9 @@ def average_coefficients(system: FastSlowSystem,
     an AveragingError naming the offending coefficient and point. The
     returned system reuses the slow coefficients and analytic gradients
     of the input and records the worst residual means, together with the
-    minimum of h0 - a0 . a0 over the samples, in diagnostics.
+    minimum of h0 - a0 . a0 over the samples, in diagnostics. a0,
+    grad_a0, grad_h0 and grad_U0 return arrays there, so that mu * a0(Q)
+    is a vector whatever the input's coefficients return.
     """
     if sample_points is None:
         pts = _default_base_samples(system.dim_base)
@@ -265,9 +290,10 @@ def average_coefficients(system: FastSlowSystem,
         "sample_points": [q.copy() for q in pts],
     }
     return AveragedSystem(
-        dim_base=system.dim_base, a0=system.a0, h0=system.h0, U0=system.U0,
-        mu=system.mu, grad_a0=system.grad_a0, grad_h0=system.grad_h0,
-        grad_U0=system.grad_U0, diagnostics=diagnostics)
+        dim_base=system.dim_base, a0=_as_array(system.a0), h0=system.h0,
+        U0=system.U0, mu=system.mu, grad_a0=_as_array(system.grad_a0),
+        grad_h0=_as_array(system.grad_h0), grad_U0=_as_array(system.grad_U0),
+        diagnostics=diagnostics)
 
 
 def averaged_hamiltonian(avg: AveragedSystem, Q: np.ndarray,

@@ -41,8 +41,8 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from ._derivatives import jacobian
-from .averaging import AveragedSystem, FastSlowSystem, averaged_hamiltonian, \
-    effective_potential, magnetic_form
+from .averaging import AveragedSystem, FastSlowSystem, _floats, \
+    averaged_hamiltonian, effective_potential, magnetic_form
 from .bundle_geometry import PhaseStateFull, PhaseStateReduced, convert_chart
 
 TWO_PI = 2.0 * np.pi
@@ -359,26 +359,17 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
                       meta={**(meta or {}), **(counts if midpoint else {})})
 
 
-def _floats(x) -> list:
-    """x as nested Python floats: a list as it is, taken to hold floats
-    already, anything else by way of np.asarray(x, dtype=float)."""
-    return x if type(x) is list else np.asarray(x, dtype=float).tolist()
-
-
-def _expand(lead: list, osc: list, eps: float) -> list:
-    """lead + eps * osc, elementwise on lists of floats."""
-    return [x + eps * y for x, y in zip(lead, osc)]
-
-
 def _full_rhs(system: FastSlowSystem) -> Callable[[np.ndarray], np.ndarray]:
     """The full field in fast time, assembled in Python floats.
 
-    The coefficients take q as an array and phi as a float, and their
-    values are turned into floats once, so numpy's per-operation cost on
-    tiny arrays stays inside the coefficients. A dot product adds the
-    rounded products in index order from +0. For dim_base 1 that is
-    numpy's dot bit for bit; longer dots can differ from a BLAS kernel
-    that fuses multiply-adds, by rounding alone.
+    The coefficients take q as an array and phi as a float. Under the
+    contract of FastSlowSystem a list value is read as it is and an
+    array value is turned into floats once, so numpy's per-operation
+    cost on tiny arrays stays inside the coefficients that return
+    arrays. Each expansion x0 + eps x1 is formed per component, and a
+    dot product adds the rounded products in index order from +0. For
+    dim_base 1 that is numpy's dot bit for bit; longer dots can differ
+    from a BLAS kernel that fuses multiply-adds, by rounding alone.
     """
     l = system.dim_base
     eps = system.epsilon
@@ -394,10 +385,11 @@ def _full_rhs(system: FastSlowSystem) -> Callable[[np.ndarray], np.ndarray]:
         p = zs[l:2 * l]
         phi, gam = zs[2 * l], zs[2 * l + 1]
         half_gam2 = 0.5 * gam * gam
-        a = _expand(_floats(a0(q)), _floats(a1(q, phi)), eps)
+        a = [x + eps * y for x, y in zip(_floats(a0(q)), _floats(a1(q, phi)))]
         h = float(h0(q)) + eps * float(h1(q, phi))
         # Row i: jac_a[i] . p, d_i h and d_i U, each coefficient x + eps y.
-        dp = [-eps * (gam * sum(map(mul, _expand(j0, j1, eps), p))
+        dp = [-eps * (gam * sum([(x + eps * y) * p_k
+                                 for x, y, p_k in zip(j0, j1, p)])
                       + half_gam2 * (gh0_i + eps * gh1_i)
                       + (gU0_i + eps * gU1_i))
               for j0, j1, gh0_i, gh1_i, gU0_i, gU1_i in zip(
@@ -459,9 +451,10 @@ def integrate_full(system: FastSlowSystem, state0: PhaseStateFull,
     # One evaluation of a and h per node gives both the energy and the
     # fiber speed, the phi component of _full_rhs term for term.
     energy, phi_dot = np.empty((2, len(traj)))
-    for i, z in enumerate(traj.values):
+    values = traj.values
+    for i, z in enumerate(values.tolist()):
         energy[i], phi_dot[i] = system.energy_and_fiber_speed(
-            z[:l], z[l:2 * l], z[2 * l], z[2 * l + 1])
+            values[i, :l], z[l:2 * l], z[2 * l], z[2 * l + 1])
     phi_dot *= sign
     traj.invariant_log = {"energy": energy,
                           "momentum": traj.values[:, 2 * l + 1].copy(),

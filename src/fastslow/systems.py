@@ -36,9 +36,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._derivatives import gradient, hessian, jacobian
-from .averaging import AveragedSystem, FastSlowSystem, average_coefficients
+from .averaging import AveragedSystem, FastSlowSystem, _floats, \
+    average_coefficients
 from .bundle_geometry import TrivialBundleMetric
-from .integrators import Trajectory, _floats
+from .integrators import Trajectory
 
 TWO_PI = 2.0 * np.pi
 
@@ -93,11 +94,10 @@ def pendulum_systems(params: PendulumParams,
 
         (1/4) mu^2 amp^2 sin^2(x / l) - g l cos(x / l)
 
-    exactly, for every fiber_floor. The order-eps coefficients a1,
-    jac_q_a1, dphi_a1, grad_q_h1 and grad_q_U1 return lists of Python
-    floats, which the full field reads without a conversion; a0 and the
-    leading-order gradients return arrays, because the averaged system
-    hands them on as its own.
+    exactly, for every fiber_floor. Every vector or matrix coefficient
+    returns a list of Python floats, which the full field and the energy
+    log read without a conversion; the averaged system's a0 and
+    gradients return arrays (average_coefficients).
     """
     l = params.length
     g = params.gravity
@@ -108,24 +108,24 @@ def pendulum_systems(params: PendulumParams,
     # arithmetic.
 
     def a0(q):
-        return np.zeros(1)
+        return [0.0]
 
     def grad_a0(q):
-        return np.zeros((1, 1))
+        return [[0.0]]
 
     def h0(q):
         return c + 0.5 * amp2 * math.sin(float(q[0]) / l) ** 2
 
     def grad_h0(q):
         x = float(q[0]) / l
-        return np.array([amp2 * math.sin(x) * math.cos(x) / l])
+        return [amp2 * math.sin(x) * math.cos(x) / l]
 
     def U0(q):
         return (-g * l * math.cos(float(q[0]) / l)
                 - 0.5 * params.mu ** 2 * c)
 
     def grad_U0(q):
-        return np.array([g * math.sin(float(q[0]) / l)])
+        return [g * math.sin(float(q[0]) / l)]
 
     def a1(q, phi):
         return [-amp * math.sin(phi) * math.sin(float(q[0]) / l)]
@@ -893,8 +893,9 @@ def particle_systems(potential: OscillatingPotential, epsilon: float,
     U - Ubar), so averaging keeps only Ubar: this is the regime of the
     closeness theorem, where the eps^2 and eps^3 corrections of
     oscillating_particle_averaged are below the theorem's own accuracy
-    and are dropped. The identically zero order-eps coefficients return
-    fresh lists of 0.0, not arrays, as pendulum_systems' do.
+    and are dropped. The identically zero coefficients return fresh
+    lists of 0.0, not arrays, and grad_q_U1 adds the modes' gradients in
+    Python floats, so the full field converts only grad_U0's array.
     """
     l = potential.dim_base
     ubar = potential.mean
@@ -904,10 +905,11 @@ def particle_systems(potential: OscillatingPotential, epsilon: float,
         return float(potential.U(q, phi)) - float(ubar(q))
 
     def grad_q_U1(q, phi):
-        total = np.zeros(l)
+        total = [0.0] * l
         for m in modes:
-            total = total + (m.grad_c(q) * math.cos(m.k * phi)
-                             + m.grad_s(q) * math.sin(m.k * phi))
+            c, s = math.cos(m.k * phi), math.sin(m.k * phi)
+            total = [t + (x * c + y * s) for t, x, y in zip(
+                total, _floats(m.grad_c(q)), _floats(m.grad_s(q)))]
         return total
 
     def dphi_U1(q, phi):
@@ -919,11 +921,11 @@ def particle_systems(potential: OscillatingPotential, epsilon: float,
 
     system = FastSlowSystem(
         dim_base=l,
-        a0=lambda q: np.zeros(l), h0=lambda q: 1.0, U0=ubar,
+        a0=lambda q: [0.0] * l, h0=lambda q: 1.0, U0=ubar,
         a1=lambda q, phi: [0.0] * l, h1=lambda q, phi: 0.0, U1=U1,
         epsilon=float(epsilon), mu=float(mu),
-        grad_a0=lambda q: np.zeros((l, l)),
-        grad_h0=lambda q: np.zeros(l), grad_U0=potential.mean_gradient,
+        grad_a0=lambda q: [[0.0] * l for _ in range(l)],
+        grad_h0=lambda q: [0.0] * l, grad_U0=potential.mean_gradient,
         jac_q_a1=lambda q, phi: [[0.0] * l for _ in range(l)],
         dphi_a1=lambda q, phi: [0.0] * l,
         grad_q_h1=lambda q, phi: [0.0] * l,

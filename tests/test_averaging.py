@@ -116,6 +116,27 @@ class TestAverageCoefficients:
             average_coefficients(system)
         assert err.value.coefficient == "h"
 
+    def test_list_valued_coefficients_average_to_array_callables(self):
+        # The full system may return lists; the averaged one hands a0 and
+        # the gradients on as arrays, so mu * a0(Q) stays a vector.
+        system = FastSlowSystem(
+            dim_base=2, a0=lambda q: [0.5 * q[1], -0.25],
+            h0=lambda q: 2.0, U0=lambda q: float(q @ q),
+            a1=lambda q, phi: [0.0, 0.0], h1=lambda q, phi: 0.0,
+            U1=lambda q, phi: 0.0, epsilon=0.01, mu=2.0,
+            grad_a0=lambda q: [[0.0, 0.0], [0.5, 0.0]],
+            grad_h0=lambda q: [0.0, 0.0],
+            grad_U0=lambda q: [2.0 * q[0], 2.0 * q[1]])
+        avg = average_coefficients(system)
+        q = np.array([0.4, -1.0])
+        want = {"a0": [-0.5, -0.25], "grad_a0": [[0.0, 0.0], [0.5, 0.0]],
+                "grad_h0": [0.0, 0.0], "grad_U0": [0.8, -2.0]}
+        for name, value in want.items():
+            got = getattr(avg, name)(q)
+            assert isinstance(got, np.ndarray) and got.dtype == float, name
+            assert np.array_equal(got, value), name
+        assert np.array_equal(avg.mu * avg.a0(q), [-1.0, -0.5])
+
     def test_sample_points_are_honored(self):
         system = constant_coefficient_system(
             a0=0.0, h0=1.0, U0=lambda q: 0.0)
