@@ -21,6 +21,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from operator import mul
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -201,9 +202,15 @@ def _run_disk(config: ExperimentConfig, base_dir: Path) -> tuple:
 
     rhs = spinning_disk_rhs(params, surface)
 
+    # The energy logs group as 0.5 * u @ M @ u and 0.5 * P1 @ v do on
+    # arrays, and each dot product is a sum from +0 in index order, so no
+    # BLAS kernel rounds them.
     def energy(z):
-        mass = disk_mass_matrix(params, surface, z[:2])
-        return float(0.5 * z[2:] @ mass @ z[2:])
+        u = z[2:].tolist()
+        half = [0.5 * x for x in u]
+        mass = disk_mass_matrix(params, surface, z[:2]).tolist()
+        return sum(map(mul, [sum(map(mul, half, col)) for col in zip(*mass)],
+                       u))
 
     with _integration("Lagrangian"):
         lagrangian = integrate_autonomous(
@@ -216,8 +223,8 @@ def _run_disk(config: ExperimentConfig, base_dir: Path) -> tuple:
     p1 = disk_momentum(params, surface, q0, u0)
 
     def hamiltonian(z):
-        return float(0.5 * z[2:] @ disk_velocity(params, surface, z[:2],
-                                                 z[2:]))
+        v = disk_velocity(params, surface, z[:2], z[2:]).tolist()
+        return sum(map(mul, [0.5 * x for x in z[2:].tolist()], v))
 
     with _integration("magnetic-chart"):
         magnetic = integrate_autonomous(

@@ -35,7 +35,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from operator import mul
+from operator import mul, sub
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -49,12 +49,6 @@ TWO_PI = 2.0 * np.pi
 IC_MATCH_TOL = 1e-12
 HORIZON_FACTOR_MAX = 10.0
 PREDICTOR_MAX_ORDER = 5
-
-# Row j of _BACKWARD[:m, :m] @ (z_n, z_{n-1}, ..., z_{n-m+1}) is the
-# backward difference nabla^j z_n = sum_i (-1)^i C(j, i) z_{n-i}.
-_BACKWARD = np.array([[(-1.0) ** i * math.comb(j, i)
-                       for i in range(PREDICTOR_MAX_ORDER + 1)]
-                      for j in range(PREDICTOR_MAX_ORDER + 1)])
 
 
 class IntegrationError(RuntimeError):
@@ -168,29 +162,29 @@ def _rk4_step(f, z, dt: float) -> list:
 
 
 def _midpoint_step(f, z, dt: float, guess, tol: float, max_iter: int,
-                   inv: np.ndarray | None = None, *,
-                   counts: dict | None = None
-                   ) -> tuple[list, np.ndarray]:
+                   inv: list | None = None, *,
+                   counts: dict | None = None) -> tuple[list, list]:
     """One implicit midpoint step z' = z + dt f((z + z')/2) by chord Newton.
 
     inv is the inverse of I - dt/2 J from an earlier step with the same
-    dt, or None. It is rebuilt at the current iterate whenever an update
-    leaves the residual above tolerance and shrinks it less than tenfold,
-    so a hard step falls back to full Newton. Once the residual meets
-    tolerance one more update is taken, if max_iter allows, and accepted
-    if it meets tolerance too; long runs then drift less. Returns z', as
-    a list of floats, and the inverse used last, for the next step to
-    reuse. A converged step adds its chord updates, evaluations of f (2n
-    per central-difference Jacobian included) and Jacobians to counts,
-    when given, under "newton_updates", "rhs_evals" and "jacobians".
+    dt, as rows of floats, or None. It is rebuilt at the current iterate
+    whenever an update leaves the residual above tolerance and shrinks
+    it less than tenfold, so a hard step falls back to full Newton. Once
+    the residual meets tolerance one more update is taken, if max_iter
+    allows, and accepted if it meets tolerance too; long runs then drift
+    less. Returns z', as a list of floats, and the inverse used last,
+    for the next step to reuse. A converged step adds its chord updates,
+    evaluations of f (2n per central-difference Jacobian included) and
+    Jacobians to counts, when given, under "newton_updates", "rhs_evals"
+    and "jacobians".
 
-    z and guess may be arrays or lists of floats. The iterate, midpoint
-    and residual are lists of Python floats: on a few components their
-    elementwise arithmetic, max-norms and finiteness checks cost less
-    than numpy's per-operation overhead and round exactly as numpy does.
-    f receives the midpoint as an array. The chord update inv @ res, the
-    Jacobian and its inverse stay in numpy, so every iterate is bit for
-    bit what the same solve on arrays gives. A non-finite residual
+    z and guess may be arrays or lists of floats; f receives the
+    midpoint as an array. Everything else is Python floats: the iterate,
+    the midpoint, the residual, their max-norms and the chord update,
+    whose component i is row i of inv dotted with the residual, summed
+    from +0 in index order. Only the Jacobian and its inverse are made
+    by numpy, and the inverse is turned into rows of floats once, so no
+    BLAS kernel rounds a number of the step. A non-finite residual
     component raises IntegrationError at once: the max-norm of Python's
     max skips a NaN that does not come first.
     """
@@ -210,9 +204,9 @@ def _midpoint_step(f, z, dt: float, guess, tol: float, max_iter: int,
     for k in range(max_iter):
         if inv is None:
             inv = np.linalg.inv(np.eye(len(z))
-                                - 0.5 * dt * jacobian(f, mid).T)
+                                - 0.5 * dt * jacobian(f, mid).T).tolist()
             jacobians += 1
-        znew = [a - b for a, b in zip(znew, (inv @ res).tolist())]
+        znew = [a - sum(map(mul, row, res)) for a, row in zip(znew, inv)]
         if not all(map(math.isfinite, znew)):
             raise IntegrationError("Newton iterate became non-finite")
         prev = err
@@ -231,23 +225,41 @@ def _midpoint_step(f, z, dt: float, guess, tol: float, max_iter: int,
         f"after {max_iter} updates (tol {tol:.1e})")
 
 
-def _extrapolate(history: np.ndarray) -> np.ndarray:
-    """Predict the next node from m >= 2 nodes of equal step, newest first.
+def _difference_table(table: list, z: list) -> tuple[list, list]:
+    """The backward differences after node z is accepted, and their sizes.
 
-    The guess z_n + nabla z_n + ... + nabla^k z_n is the polynomial
-    through the newest k+1 nodes, taken one step ahead. As in the order
-    selection of Adams and BDF codes (Hairer & Wanner, Solving ODEs II,
-    IV.8), k starts at 1, linear extrapolation, and is raised while
-    |nabla^{k+1} z_n|_inf < |nabla^k z_n|_inf, so a rough or
-    under-resolved history keeps a low order.
+    table holds nabla^0 z_n = z_n, nabla z_n, ..., nabla^(m-1) z_n as
+    lists of floats, newest node first. The new table is nabla^0 z_{n+1}
+    = z, then nabla^k z_{n+1} = nabla^(k-1) z_{n+1} - nabla^(k-1) z_n,
+    up to order PREDICTOR_MAX_ORDER; size[k] is the max-norm of row k,
+    taken while the row is made (size[0], unused, is 0.0).
     """
-    m = history.shape[0]
-    diffs = _BACKWARD[:m, :m] @ history
-    size = np.abs(diffs).max(axis=1)
+    rows, size = [z], [0.0]
+    for older in table[:PREDICTOR_MAX_ORDER]:
+        z = list(map(sub, z, older))
+        rows.append(z)
+        size.append(max(map(abs, z)))
+    return rows, size
+
+
+def _extrapolate(table: list, size: list) -> list:
+    """Predict the next node from the differences of m >= 2 nodes of
+    equal step, a table of m rows.
+
+    The guess z_n + nabla z_n + ... + nabla^k z_n, summed per component
+    from +0 in that order, is the polynomial through the newest k+1
+    nodes, taken one step ahead. As in the order selection of Adams and
+    BDF codes (Hairer & Wanner, Solving ODEs II, IV.8), k starts at 1,
+    linear extrapolation, and is raised while
+    |nabla^{k+1} z_n|_inf < |nabla^k z_n|_inf, so a rough or
+    under-resolved history keeps a low order. table and size are those
+    of _difference_table.
+    """
+    m = len(table)
     k = 1
     while k + 1 < m and size[k + 1] < size[k]:
         k += 1
-    return diffs[:k + 1].sum(axis=0)
+    return list(map(sum, zip(*table[:k + 1])))
 
 
 def _step_sequence(horizon: float, dt: float) -> list[float]:
@@ -294,9 +306,10 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
 
     Both methods carry the state from step to step as a list of Python
     floats, the form _midpoint_step and _rk4_step return, and store each
-    node into the preallocated values array. The midpoint guesses stay
-    numpy expressions on rows of that array, where the backward
-    differences of _extrapolate cost less than they would on lists.
+    node into the preallocated values array. The midpoint rule keeps the
+    backward differences of the accepted nodes as a float table, updated
+    once per step by _difference_table, and every guess after the first
+    is formed from it in floats.
     """
     z0 = np.asarray(z0, dtype=float)
     if not horizon > 0.0:
@@ -311,6 +324,7 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
     z = z0
     dt_prev = None
     inv = None
+    table = [z0.tolist()]
     counts = {"newton_updates": 0, "jacobians": 0, "rhs_evals": 0}
     t = 0.0
     for i, dt in enumerate(steps):
@@ -326,16 +340,16 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
                     guess = z + dt_signed * f(z)
                     counts["rhs_evals"] += 1
                 elif dt != dt_prev:
-                    last, before = values[i], values[i - 1]
-                    guess = last + (dt / dt_prev) * (last - before)
+                    ratio = dt / dt_prev
+                    guess = [a + ratio * b for a, b in zip(*table[:2])]
                     inv = None  # the iteration matrix belongs to one dt
                 else:
-                    first = max(0, i - PREDICTOR_MAX_ORDER)
-                    guess = _extrapolate(values[first:i + 1][::-1])
+                    guess = _extrapolate(table, size)
                 znew, inv = _midpoint_step(f, z, dt_signed, guess,
                                            config.newton_tol,
                                            config.newton_max_iter, inv,
                                            counts=counts)
+                table, size = _difference_table(table, znew)
         except IntegrationError as err:
             raise IntegrationError(
                 f"step {i} (t={t:.6g}): {err}", step=i) from err

@@ -14,10 +14,14 @@ derivative callables are all left out must flow, through its
 central-difference fallbacks, as the same system with analytic ones.
 The full field, assembled in Python floats, must reproduce bit for bit
 the numpy assembly it replaced on the shipped pendulum and particles,
-and so must the float chord step the numpy step it replaced.
+and so must the float chord step the numpy step it replaced, with the
+chord update written as the float sum it documents. The predictor's
+difference table extrapolates integer polynomials exactly and selects
+the order the matrix-product differences it replaced selected.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -210,11 +214,22 @@ def fresh_step_error(f, traj, config):
     return worst
 
 
+def float_dot(row, res):
+    """row . res as the chord update documents it: the rounded products
+    added one by one, from +0, in index order."""
+    total = 0.0
+    for a, b in zip(row, res):
+        total += a * b
+    return total
+
+
 def numpy_midpoint_step(f, z, dt, guess, tol, max_iter, inv=None, *,
                         counts=None):
-    """The chord Newton step as it was computed on numpy arrays, kept
-    verbatim as the reference for the float step of
-    integrators._midpoint_step."""
+    """The chord Newton step as it was computed on numpy arrays, the
+    reference for the float step of integrators._midpoint_step. Only its
+    chord update, once inv @ res, is the documented float sum (float_dot
+    of each row of inv with the residual), so that no BLAS kernel rounds
+    the reference either."""
     bound = tol * max(1.0, float(np.abs(z).max()))
     jacobians = 0
     znew = guess
@@ -226,7 +241,8 @@ def numpy_midpoint_step(f, z, dt, guess, tol, max_iter, inv=None, *,
             inv = np.linalg.inv(np.eye(z.size)
                                 - 0.5 * dt * integrators.jacobian(f, mid).T)
             jacobians += 1
-        znew = znew - inv @ res
+        znew = znew - np.array([float_dot(row, res.tolist())
+                                for row in inv.tolist()])
         if not np.isfinite(znew).all():
             raise IntegrationError("Newton iterate became non-finite")
         mid = 0.5 * (z + znew)
@@ -336,7 +352,8 @@ class TestChordNewton:
 
 
 class TestFloatStep:
-    """The float chord step is the numpy step bit for bit."""
+    """The float chord step is the numpy step, with the chord update as
+    a float sum, bit for bit."""
 
     @pytest.mark.parametrize("name", ["pendulum", "euler_so3", "linear_2d",
                                       "poor_contraction"])
@@ -349,6 +366,10 @@ class TestFloatStep:
         for trial in range(300):
             z = rng.uniform(-3.0, 3.0, n)
             guess = z + dt * f(z) + rng.uniform(-1e-2, 1e-2, n) * dt
+            if trial % 3 == 2:
+                # A guess far from z: the first updates are then large
+                # enough for the rounding of their sums to show in z'.
+                guess = guess + rng.uniform(-1.0, 1.0, n)
             if trial % 2:
                 # integrate_autonomous passes z as a list, fresh_step_error
                 # as an array.
@@ -365,7 +386,7 @@ class TestFloatStep:
                 counts=got_counts)
             assert got_args == want_args, trial
             assert np.array(got).tobytes() == want.tobytes(), trial
-            assert got_inv.tobytes() == want_inv.tobytes(), trial
+            assert np.array(got_inv).tobytes() == want_inv.tobytes(), trial
             assert got_counts == want_counts, trial
         assert want_counts["newton_updates"] > 300
         if name == "poor_contraction":
@@ -399,6 +420,94 @@ class TestFloatRK4:
             got = integrators._rk4_step(recorded(f, got_args), got, dt)
             assert got_args == want_args, step
             assert np.array(got).tobytes() == want.tobytes(), step
+
+
+# Row j of _BACKWARD[:m, :m] @ (z_n, z_{n-1}, ..., z_{n-m+1}) is the
+# backward difference nabla^j z_n = sum_i (-1)^i C(j, i) z_{n-i}.
+_BACKWARD = np.array([[(-1.0) ** i * math.comb(j, i)
+                       for i in range(integrators.PREDICTOR_MAX_ORDER + 1)]
+                      for j in range(integrators.PREDICTOR_MAX_ORDER + 1)])
+
+
+def reference_extrapolate(history):
+    """integrators._extrapolate as it was before the difference table:
+    the backward differences of m >= 2 nodes (newest first) by a matrix
+    product, and the order selection kept verbatim. Returns the guess and
+    the order k it selected."""
+    m = history.shape[0]
+    diffs = _BACKWARD[:m, :m] @ history
+    size = np.abs(diffs).max(axis=1)
+    k = 1
+    while k + 1 < m and size[k + 1] < size[k]:
+        k += 1
+    return diffs[:k + 1].sum(axis=0), k
+
+
+def difference_table(nodes):
+    """The table of integrators._difference_table after nodes, oldest
+    first, have been accepted one by one, and its row sizes."""
+    table, size = [list(nodes[0])], [0.0]
+    for z in nodes[1:]:
+        table, size = integrators._difference_table(table, list(z))
+    return table, size
+
+
+def selected_order(table, size):
+    """The order _extrapolate selects for this table and these sizes.
+
+    The rows are swapped for the markers 0, 1, 2, 4, 8, 16, so the
+    guess, their sum up to row k, is 2^k - 1.
+    """
+    markers = [[0.0]] + [[2.0 ** j] for j in range(len(table) - 1)]
+    guess = integrators._extrapolate(markers, size)[0]
+    return int(guess + 1.0).bit_length() - 1
+
+
+class TestDifferenceTable:
+    """The float table of backward differences and the guess it makes."""
+
+    def test_predicts_polynomial_histories_exactly(self):
+        # Integer polynomials at integer nodes keep every value, difference
+        # and sum exact. Each component is a (t + T)^d + b t + e with T
+        # large, so |nabla^k| falls with k up to k = d, and nabla^{d+1}
+        # = 0 is smaller still: the order is d + 1 where the table has
+        # that row (the zero rows after it do not raise it further), and
+        # the guess must be the polynomial's next value exactly.
+        rng = np.random.default_rng(11)
+        for trial in range(200):
+            d = trial % 5
+            n = int(rng.integers(2, 10))
+            a, shift = rng.integers(1, 10, 3), rng.integers(20, 60, 3)
+            # A linear term would raise the degree of d = 0 to 1.
+            b = rng.integers(-3, 4, 3) * (d >= 2)
+            e = rng.integers(-50, 51, 3)
+            poly = lambda t: [float(a[c] * (t + shift[c]) ** d + b[c] * t
+                                    + e[c]) for c in range(3)]
+            table, size = difference_table([poly(t) for t in range(n)])
+            assert len(table) == min(n, integrators.PREDICTOR_MAX_ORDER + 1)
+            assert selected_order(table, size) == min(d + 1,
+                                                      len(table) - 1), trial
+            if n > d:
+                assert integrators._extrapolate(table, size) == poly(n), trial
+
+    def test_selects_the_order_of_the_matrix_differences(self):
+        # Smooth histories whose differences up to order 5 stay far above
+        # roundoff, so the two ways of forming them cannot tie the sizes.
+        rng = np.random.default_rng(12)
+        orders = set()
+        for trial in range(1000):
+            m = int(rng.integers(2, integrators.PREDICTOR_MAX_ORDER + 2))
+            h = 10.0 ** rng.uniform(-1.3, 0.0)
+            amp, freq, phase = rng.uniform(0.1, 3.0, (3, 4))
+            t = rng.uniform(-2.0, 2.0) + h * np.arange(m)
+            nodes = amp * np.sin(freq * t[:, None] + phase)
+            table, size = difference_table(nodes.tolist())
+            guess, want = reference_extrapolate(nodes[::-1])
+            assert selected_order(table, size) == want, trial
+            assert np.max(np.abs(integrators._extrapolate(table, size)
+                                 - guess)) <= 1e-13, trial
+            orders.add(want)
+        assert orders == {1, 2, 3, 4, 5}
 
 
 class TestPredictor:
