@@ -113,14 +113,10 @@ class FastSlowSystem:
     and mu the conserved leading-order fiber momentum, so the fast
     frequency is omega = mu / epsilon. grad_a0(q)[i, j] is
     d a0_j / d q_i, and jac_q_a1 follows the same layout in its first
-    two axes.
-
-    Every coefficient takes q as an array and phi as a float, and returns
-    a float, a (nested) list of floats or an array. The full field and
-    the energy log read a list as it is and turn an array into floats
-    once (_floats), so a coefficient that returns lists spares them
-    that conversion. average_coefficients hands a0 and the leading-order
-    gradients on as array-valued callables, whatever they return here.
+    two axes. Every coefficient takes q as an array and phi as a float
+    and returns a float, a (nested) list of floats or an array: the full
+    field and the energy log read a list as it is and turn an array into
+    floats once (_floats).
 
     The nine derivative fields are optional and keep what the caller
     passed. The attribute derivatives (not a field) holds all nine by
@@ -186,10 +182,10 @@ class FastSlowSystem:
                                ) -> tuple[float, float]:
         """H and the fiber speed dphi/dtau = a . p + h gamma at one state.
 
-        Both share one evaluation of a and h. The arithmetic is done in
-        Python floats: a = a0 + eps a1, h and U are assembled here, as
-        a, h and U assemble them on arrays, and each dot product adds its
-        terms in index order from +0, as integrators._full_rhs does.
+        Both share one evaluation of a and h. a, h and U are assembled
+        in Python floats as the array methods assemble them, and each dot
+        product adds its terms in index order from +0, as
+        integrators._full_rhs does.
         """
         q = np.asarray(q, dtype=float)
         p = _floats(p)

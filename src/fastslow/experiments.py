@@ -202,9 +202,8 @@ def _run_disk(config: ExperimentConfig, base_dir: Path) -> tuple:
 
     rhs = spinning_disk_rhs(params, surface)
 
-    # The energy logs group as 0.5 * u @ M @ u and 0.5 * P1 @ v do on
-    # arrays, and each dot product is a sum from +0 in index order, so no
-    # BLAS kernel rounds them.
+    # The energy logs group as 0.5 * u @ M @ u and 0.5 * P1 @ v, with
+    # each dot a sum from +0 in index order, so no BLAS kernel rounds them.
     def energy(z):
         u = z[2:].tolist()
         half = [0.5 * x for x in u]

@@ -228,11 +228,10 @@ def _midpoint_step(f, z, dt: float, guess, tol: float, max_iter: int,
 def _difference_table(table: list, z: list) -> tuple[list, list]:
     """The backward differences after node z is accepted, and their sizes.
 
-    table holds nabla^0 z_n = z_n, nabla z_n, ..., nabla^(m-1) z_n as
-    lists of floats, newest node first. The new table is nabla^0 z_{n+1}
-    = z, then nabla^k z_{n+1} = nabla^(k-1) z_{n+1} - nabla^(k-1) z_n,
-    up to order PREDICTOR_MAX_ORDER; size[k] is the max-norm of row k,
-    taken while the row is made (size[0], unused, is 0.0).
+    table holds the rows nabla^k z_n, k = 0 .. m-1, as lists of floats.
+    The new rows are z, then nabla^k z_{n+1} = nabla^(k-1) z_{n+1} -
+    nabla^(k-1) z_n up to k = PREDICTOR_MAX_ORDER; size[k] is the
+    max-norm of row k (size[0], unused, is 0.0).
     """
     rows, size = [z], [0.0]
     for older in table[:PREDICTOR_MAX_ORDER]:
@@ -376,14 +375,12 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
 def _full_rhs(system: FastSlowSystem) -> Callable[[np.ndarray], np.ndarray]:
     """The full field in fast time, assembled in Python floats.
 
-    The coefficients take q as an array and phi as a float. Under the
-    contract of FastSlowSystem a list value is read as it is and an
-    array value is turned into floats once, so numpy's per-operation
-    cost on tiny arrays stays inside the coefficients that return
-    arrays. Each expansion x0 + eps x1 is formed per component, and a
-    dot product adds the rounded products in index order from +0. For
-    dim_base 1 that is numpy's dot bit for bit; longer dots can differ
-    from a BLAS kernel that fuses multiply-adds, by rounding alone.
+    The coefficients are read under the contract of FastSlowSystem: a
+    list as it is, an array turned into floats once. Each x0 + eps x1 is
+    formed per component, and a dot product adds the rounded products in
+    index order from +0. For dim_base 1 that is numpy's dot bit for bit;
+    longer dots can differ from a BLAS kernel that fuses multiply-adds,
+    by rounding alone.
     """
     l = system.dim_base
     eps = system.epsilon
