@@ -17,9 +17,9 @@ __version__ = "0.1.0"
 from .averaging import (AveragedSystem, AveragingError, FastSlowSystem,
                         average_coefficients, averaged_hamiltonian,
                         effective_potential, magnetic_form)
-from .bundle_geometry import (FiberDependenceWarning, PhaseStateFull,
-                              PhaseStateReduced, TrivialBundleMetric,
-                              convert_chart, fiber_inertia, gram_matrix,
+from .bundle_geometry import (PhaseStateFull, PhaseStateReduced,
+                              TrivialBundleMetric, convert_chart,
+                              fiber_inertia, gram_matrix,
                               invariant_metric_from_averaged,
                               mechanical_connection, metric_eval,
                               momentum_map)
@@ -51,7 +51,7 @@ from .systems import (DiskParams, DomainError, HarmonicMode,
 __all__ = [
     "AveragedSystem", "AveragingError", "BUILTIN_ALGEBRAS",
     "ClosenessReport", "Cocycle", "DiskParams", "DomainError",
-    "EulerSystem", "FastSlowSystem", "FiberDependenceWarning",
+    "EulerSystem", "FastSlowSystem",
     "HarmonicMode", "IntegrationError", "IntegratorConfig",
     "LieAlgebraData", "OscillatingPotential", "PendulumParams",
     "PhaseStateFull", "PhaseStateReduced",

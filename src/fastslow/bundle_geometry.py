@@ -1,43 +1,37 @@
 """Invariant metrics on trivial circle bundles over Euclidean base charts.
 
 A bundle point is (q, phi) with q in R^l and phi an angle. The metrics
-handled here pair a Euclidean block on the base with a fiber inertia
-h(q, phi) > 0 and a cross-term coefficient a(q, phi), so a velocity
-(u, xi) has squared length
+handled here are Kaluza-Klein metrics: a fiber inertia h(q) > 0 and a
+connection coefficient a(q), neither depending on phi, give a velocity
+(u, xi) the squared length
 
-    |u|^2 + 2 xi h (a . u) + h xi^2
+    |u|^2 + h (xi + a . u)^2
 
 written against the Gram matrix
 
-    G = [[ I       h a ]
-         [ h a^T   h   ]].
+    G = [[ I + h a a^T   h a ]
+         [ h a^T         h   ]].
 
-The fiber circle acts by rotation in phi; when a and h do not depend on
-phi the action is by isometries and the associated momentum map
+G = B^T diag(I, h) B with B = [[I, 0], [a^T, 1]], and B is invertible,
+so G is positive definite exactly when h > 0. The fiber circle acts by
+rotation in phi; since a and h do not depend on phi the action is by
+isometries, and the momentum map
 
     J = h (a . u + xi)
 
-is conserved along geodesics and natural flows. Operations that assume
-invariance probe the phi-dependence on 32 fiber samples and emit a
-warning (never an error) when the variation exceeds 1e-10.
+is conserved along geodesics and natural flows. The Legendre map gives
+p = u + J a, so reducing at J = mu leaves the base Hamiltonian
+(1/2) |p - mu a|^2 + mu^2 / (2 h), a magnetic term with connection a
+(Marsden, Montgomery & Ratiu, Reduction, Symmetry and Phases in
+Mechanics).
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
 import numpy as np
-
-PERIOD_TOL = 1e-12
-PHI_INVARIANCE_TOL = 1e-10
-PHI_PROBE_COUNT = 32
-CHART_ROUND_TRIP_TOL = 1e-14
-
-
-class FiberDependenceWarning(UserWarning):
-    """A nominally phi-independent quantity varies along the fiber."""
 
 
 def _default_base_samples(dim_base: int) -> list[np.ndarray]:
@@ -152,18 +146,19 @@ def convert_chart(state: PhaseStateReduced, a0: Callable[[np.ndarray], np.ndarra
 
 @dataclass(frozen=True)
 class TrivialBundleMetric:
-    """Fiber-invariant-by-intent metric data on a trivial circle bundle.
+    """Kaluza-Klein metric |u|^2 + h(q) (xi + a(q) . u)^2 on a trivial
+    circle bundle.
 
-    a(q, phi) is the cross-term coefficient (length dim_base) and
-    h(q, phi) > 0 the fiber inertia. Both must be 2*pi-periodic in phi.
-    The base block of the Gram matrix is the identity; positive
-    definiteness of the full Gram matrix additionally requires
-    1 - h |a|^2 > 0, which is checked at the validation samples.
+    a(q) is the connection coefficient (length dim_base) and h(q) > 0
+    the fiber inertia. Neither takes phi, so the fiber rotation acts by
+    isometries by construction. The Gram matrix is positive definite
+    wherever h > 0; the constructor checks the shape and finiteness of
+    a and h, and h > 0, at each sample point.
     """
 
     dim_base: int
-    a: Callable[[np.ndarray, float], np.ndarray]
-    h: Callable[[np.ndarray, float], float]
+    a: Callable[[np.ndarray], np.ndarray]
+    h: Callable[[np.ndarray], float]
     sample_points: tuple = ()
 
     def __post_init__(self) -> None:
@@ -176,109 +171,72 @@ class TrivialBundleMetric:
         self._validate(pts)
 
     def _validate(self, pts: list[np.ndarray]) -> None:
-        two_pi = 2.0 * np.pi
         for q in pts:
             if q.shape != (self.dim_base,):
                 raise ValueError("sample point has wrong dimension")
-            da = np.max(np.abs(np.asarray(self.a(q, 0.0), dtype=float)
-                               - np.asarray(self.a(q, two_pi), dtype=float)))
-            dh = abs(float(self.h(q, 0.0)) - float(self.h(q, two_pi)))
-            if da > PERIOD_TOL or dh > PERIOD_TOL:
+            hval = float(self.h(q))
+            if not hval > 0.0:
                 raise ValueError(
-                    f"metric coefficients are not 2*pi-periodic at q={q}: "
-                    f"|a(q,0)-a(q,2pi)|={da:.3e}, |h(q,0)-h(q,2pi)|={dh:.3e}")
-            for phi in np.linspace(0.0, two_pi, 5, endpoint=False):
-                hval = float(self.h(q, phi))
-                if not hval > 0.0:
-                    raise ValueError(
-                        f"fiber inertia h must be positive, got {hval:.3e} "
-                        f"at q={q}, phi={phi:.3f}")
-                avec = np.asarray(self.a(q, phi), dtype=float)
-                if avec.shape != (self.dim_base,):
-                    raise ValueError("a(q, phi) has wrong shape")
-                if not (np.all(np.isfinite(avec)) and np.isfinite(hval)):
-                    raise ValueError("non-finite metric coefficients")
-                gram = gram_matrix(self, q, phi)
-                eigmin = float(np.linalg.eigvalsh(gram)[0])
-                if eigmin <= 0.0:
-                    raise ValueError(
-                        f"Gram matrix is not positive definite at q={q}, "
-                        f"phi={phi:.3f} (min eigenvalue {eigmin:.3e})")
+                    f"fiber inertia h must be positive, got {hval:.3e} "
+                    f"at q={q}")
+            avec = np.asarray(self.a(q), dtype=float)
+            if avec.shape != (self.dim_base,):
+                raise ValueError("a(q) has wrong shape")
+            if not (np.all(np.isfinite(avec)) and np.isfinite(hval)):
+                raise ValueError("non-finite metric coefficients")
 
 
-def gram_matrix(metric: TrivialBundleMetric, q: np.ndarray,
-                phi: float) -> np.ndarray:
-    """Dense (dim_base+1) Gram matrix of the metric at (q, phi)."""
+def gram_matrix(metric: TrivialBundleMetric, q: np.ndarray) -> np.ndarray:
+    """Dense (dim_base+1) Gram matrix [[I + h a a^T, h a], [h a^T, h]]
+    of the metric at q."""
     q = np.asarray(q, dtype=float)
-    a = np.asarray(metric.a(q, phi), dtype=float)
-    h = float(metric.h(q, phi))
+    a = np.asarray(metric.a(q), dtype=float)
+    h = float(metric.h(q))
     n = metric.dim_base
     g = np.eye(n + 1)
+    g[:n, :n] += h * np.outer(a, a)
     g[:n, n] = h * a
     g[n, :n] = h * a
     g[n, n] = h
     return g
 
 
-def metric_eval(metric: TrivialBundleMetric, q: np.ndarray, phi: float,
+def metric_eval(metric: TrivialBundleMetric, q: np.ndarray,
                 u: np.ndarray, gamma: float) -> float:
     """Squared length of the bundle velocity (u, gamma at the fiber slot).
 
-    Evaluates u.u + 2 gamma h (a.u) + h gamma^2, the contraction of the
-    Gram matrix with (u, gamma).
+    Evaluates u.u + h (gamma + a.u)^2, the contraction of the Gram
+    matrix with (u, gamma).
     """
     q = np.asarray(q, dtype=float)
     u = np.asarray(u, dtype=float)
-    pieces = np.concatenate([q, u, [phi], [gamma]])
+    pieces = np.concatenate([q, u, [gamma]])
     if not np.all(np.isfinite(pieces)):
         raise ValueError("non-finite inputs to metric_eval")
-    a = np.asarray(metric.a(q, phi), dtype=float)
-    h = float(metric.h(q, phi))
-    val = float(u @ u + 2.0 * gamma * h * (a @ u) + h * gamma * gamma)
+    a = np.asarray(metric.a(q), dtype=float)
+    h = float(metric.h(q))
+    val = float(u @ u + h * (gamma + a @ u) ** 2)
     if not np.isfinite(val):
         raise ValueError("metric evaluation produced a non-finite value")
     return val
 
 
-def _warn_if_phi_dependent(metric: TrivialBundleMetric, q: np.ndarray,
-                           op_name: str) -> None:
-    phis = np.linspace(0.0, 2.0 * np.pi, PHI_PROBE_COUNT, endpoint=False)
-    avals = np.stack([np.asarray(metric.a(q, phi), dtype=float)
-                      for phi in phis])
-    hvals = np.array([float(metric.h(q, phi)) for phi in phis])
-    spread = max(float(np.max(avals.max(axis=0) - avals.min(axis=0))),
-                 float(hvals.max() - hvals.min()))
-    if spread > PHI_INVARIANCE_TOL:
-        warnings.warn(
-            f"{op_name}: metric coefficients vary along the fiber by "
-            f"{spread:.3e} at q={q}; the result uses the given phi slice "
-            "and is not a conserved quantity",
-            FiberDependenceWarning, stacklevel=3)
-
-
-def fiber_inertia(metric: TrivialBundleMetric, q: np.ndarray,
-                  phi: float = 0.0) -> float:
-    """Inertia of the fiber circle at q, i.e. h(q, phi)."""
+def fiber_inertia(metric: TrivialBundleMetric, q: np.ndarray) -> float:
+    """Inertia of the fiber circle at q, i.e. h(q)."""
     q = np.asarray(q, dtype=float)
-    val = float(metric.h(q, phi))
+    val = float(metric.h(q))
     if not val > 0.0:
         raise ValueError(f"fiber inertia must be positive, got {val:.3e}")
     return val
 
 
-def momentum_map(metric: TrivialBundleMetric, q: np.ndarray, phi: float,
+def momentum_map(metric: TrivialBundleMetric, q: np.ndarray,
                  u: np.ndarray, xi: float) -> float:
-    """Momentum J = h (a . u + xi) of the fiber rotation action.
-
-    Warns (without failing) when the metric varies along the fiber by
-    more than 1e-10 on a 32-sample probe, since J is then evaluated on a
-    single phi slice and need not be conserved.
-    """
+    """Momentum J = h (a . u + xi) of the fiber rotation action."""
     q = np.asarray(q, dtype=float)
     u = np.asarray(u, dtype=float)
-    _warn_if_phi_dependent(metric, q, "momentum_map")
-    a = np.asarray(metric.a(q, phi), dtype=float)
-    h = float(metric.h(q, phi))
+    a = np.asarray(metric.a(q), dtype=float)
+    h = float(metric.h(q))
     return float(h * (a @ u + xi))
 
 
@@ -287,33 +245,33 @@ def mechanical_connection(metric: TrivialBundleMetric,
     """Base coefficients A(q) of the mechanical connection one-form.
 
     The horizontal space of the metric is the kernel of the one-form
-    A(q) . dq + dphi, and A coincides with the cross-term coefficient a
-    of a fiber-invariant metric. The dphi part is implicit and always
-    has coefficient one.
+    A(q) . dq + dphi, and A coincides with the connection coefficient
+    a. The dphi part is implicit and always has coefficient one.
     """
-    q = np.asarray(q, dtype=float)
-    _warn_if_phi_dependent(metric, q, "mechanical_connection")
-    return np.asarray(metric.a(q, 0.0), dtype=float)
+    return np.asarray(metric.a(np.asarray(q, dtype=float)), dtype=float)
 
 
 def invariant_metric_from_averaged(avg, sample_points=()) -> TrivialBundleMetric:
     """Bundle metric whose reduction reproduces an averaged system.
 
     Given averaged data (a0, h0, U0, mu) with momentum-side coefficients
-    a0 and h0, the matching velocity-side metric has connection
-    coefficient a = -a0 and fiber inertia h = 1 / (h0 - a0 . a0); the
-    momentum map of that metric equals the fiber momentum gamma of the
-    corresponding full flows. Raises when h0 - a0 . a0 is not positive
-    at the validation samples, since no Riemannian metric matches then.
-    sample_points overrides the constructor validation points, e.g. to
-    keep them away from zeros of the inertia.
+    a0 and h0, the matching Kaluza-Klein metric has connection
+    coefficient a = -a0 and fiber inertia h = 1 / (h0 - a0 . a0). Its
+    reduced Hamiltonian at J = mu is
+    (1/2) |P + mu a0|^2 + (1/2) mu^2 (h0 - a0 . a0) = Hbar - U0, so the
+    natural system with potential U0 reduces to the averaged system,
+    and the momentum map of the metric equals the fiber momentum gamma
+    of the corresponding full flows. Raises when h0 - a0 . a0 is not
+    positive at the validation samples, since no Riemannian metric
+    matches then. sample_points overrides the constructor validation
+    points, e.g. to keep them away from zeros of the inertia.
     """
     dim = int(avg.dim_base)
 
-    def a(q, phi, _a0=avg.a0):
+    def a(q, _a0=avg.a0):
         return -np.asarray(_a0(np.asarray(q, dtype=float)), dtype=float)
 
-    def h(q, phi, _a0=avg.a0, _h0=avg.h0):
+    def h(q, _a0=avg.a0, _h0=avg.h0):
         q = np.asarray(q, dtype=float)
         a0q = np.asarray(_a0(q), dtype=float)
         denom = float(_h0(q)) - float(a0q @ a0q)

@@ -193,9 +193,9 @@ def parse_config(text: str) -> ExperimentConfig:
     dt_full = take("integrator", "dt_full")
     dt_reduced = take("integrator", "dt_reduced")
     for name, val in (("dt_full", dt_full), ("dt_reduced", dt_reduced)):
-        if not isinstance(val, float) or not val > 0.0:
+        if not (isinstance(val, float) and val > 0.0 and np.isfinite(val)):
             errors.append((lineof("integrator", name),
-                           f"{name} must be a positive float"))
+                           f"{name} must be a positive finite float"))
     newton_tol = take("integrator", "newton_tol")
     if not isinstance(newton_tol, float) or not (0.0 < newton_tol <= 1e-6):
         errors.append((lineof("integrator", "newton_tol"),

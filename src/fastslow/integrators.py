@@ -63,12 +63,12 @@ class IntegrationError(RuntimeError):
 class IntegratorConfig:
     """Step-size and solver settings for the time steppers.
 
-    dt is measured in fast time tau for the full system and in slow time
-    t for reduced systems. newton_tol bounds the max-norm residual of
-    the implicit midpoint solve, relative to max(1, |z|_inf), and must
-    lie in (0, 1e-6]. newton_max_iter caps the chord Newton updates per
-    step, the extra update taken after the residual meets newton_tol
-    included.
+    dt is positive and finite, measured in fast time tau for the full
+    system and in slow time t for reduced systems. newton_tol bounds the
+    max-norm residual of the implicit midpoint solve, relative to
+    max(1, |z|_inf), and must lie in (0, 1e-6]. newton_max_iter caps the
+    chord Newton updates per step, the extra update taken after the
+    residual meets newton_tol included.
     """
 
     method: Literal["implicit_midpoint", "rk4"] = "implicit_midpoint"
@@ -79,8 +79,8 @@ class IntegratorConfig:
     def __post_init__(self) -> None:
         if self.method not in ("implicit_midpoint", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
+        if not (self.dt > 0.0 and math.isfinite(self.dt)):
+            raise ValueError("dt must be positive and finite")
         if not (0.0 < self.newton_tol <= 1e-6):
             raise ValueError("newton_tol must lie in (0, 1e-6]")
         if self.newton_max_iter < 1:
@@ -284,6 +284,9 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
                          backward: bool = False) -> Trajectory:
     """Integrate dz/dt = f(z) over [0, horizon] and log invariants.
 
+    horizon must be positive and finite; anything else raises ValueError
+    before a step is taken.
+
     With backward=True the steps are taken with -dt (the reported times
     still increase from 0), which together with a forward run forms the
     time-reversal test of the symmetric midpoint rule. logs maps
@@ -311,8 +314,8 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
     is formed from it in floats.
     """
     z0 = np.asarray(z0, dtype=float)
-    if not horizon > 0.0:
-        raise ValueError("horizon must be positive")
+    if not (horizon > 0.0 and math.isfinite(horizon)):
+        raise ValueError("horizon must be positive and finite")
     midpoint = config.method != "rk4"
     sign = -1.0 if backward else 1.0
     steps = _step_sequence(horizon, config.dt)

@@ -861,18 +861,24 @@ def particle_invariant_metric(potential: OscillatingPotential,
                               ) -> TrivialBundleMetric:
     """Bundle metric whose reduction matches the averaged particle.
 
-    The fiber inertia is 1 / (eps^2 <V'.V'>) and the connection
-    coefficient +eps^3 <S'' V'>; the metric is positive definite because
-    h |a|^2 = O(eps^4) stays far below one. Where eps^2 <V'.V'> is zero
-    (no harmonics, or harmonics whose gradients all vanish at q) the
-    fiber inertia is degenerate and h raises ValueError.
+    The fiber inertia is h = 1 / (eps^2 <V'.V'>) and the connection
+    coefficient a = +eps^3 <S'' V'> = -a0, so the metric is positive
+    definite wherever h is finite. With the potential Ubar, its reduced
+    Hamiltonian at J = mu is (1/2) |P + mu a0|^2 + (eps^2 mu^2 / 2)
+    <V'.V'> + Ubar, which exceeds the Hamiltonian of
+    oscillating_particle_averaged by (1/2) mu^2 |a0|^2 = O(eps^6):
+    that system carries the inertia term in U0 and sets h0 = 0, so it
+    leaves out the |a0|^2 part of h0 that a metric needs. Where
+    eps^2 <V'.V'> is zero (no harmonics, or harmonics whose gradients
+    all vanish at q) the fiber inertia is degenerate and h raises
+    ValueError.
     """
     eps = float(epsilon)
 
-    def a(q, phi):
+    def a(q):
         return eps ** 3 * mean_hess_cross_term(potential, q)
 
-    def h(q, phi):
+    def h(q):
         vv = eps ** 2 * mean_grad_antiderivative_sq(potential, q)
         if vv == 0.0:
             raise ValueError(

@@ -340,7 +340,7 @@ def test_9_conservation_suite():
             q=traj.values[i, :1], p=traj.values[i, 1:2],
             phi=traj.values[i, 2], gamma=traj.values[i, 3])
         u, xi = full_velocities(system, state)
-        j_values[i] = momentum_map(metric, state.q, state.phi, u, xi)
+        j_values[i] = momentum_map(metric, state.q, u, xi)
     j_drift = float(np.max(np.abs(j_values - j_values[0])))
 
     field = uniform_field_averaged(0.8, 1.0)

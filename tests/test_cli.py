@@ -336,6 +336,38 @@ class TestCommandLine:
             "invalid config:\n"
             "line 3: newton_max_iter must be a positive integer\n")
 
+    @pytest.mark.parametrize("key", ["dt_full", "dt_reduced"])
+    @pytest.mark.parametrize("value", ["inf", "1e400", "nan"])
+    def test_run_exit_two_on_non_finite_step(self, tmp_path, capsys, key,
+                                             value):
+        # An infinite step would take no step at all and pass every check.
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"experiment = euler\n[integrator]\n{key} = {value}\n")
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "invalid config:\n"
+            f"line 3: {key} must be a positive finite float\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment, line", [
+        ("euler", "horizon = 100.0"), ("disk", "horizon = 10.0"),
+    ], ids=["euler", "disk"])
+    @pytest.mark.parametrize("value", ["inf", "1e400"])
+    def test_run_exit_two_on_non_finite_horizon(self, tmp_path, capsys,
+                                                experiment, line, value):
+        text = shipped_config_text(experiment)
+        assert line in text
+        path = tmp_path / "run.cfg"
+        path.write_text(text.replace(line, f"horizon = {value}"))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"experiment {experiment} failed: "
+                                   "horizon must be positive and finite")
+        assert not (tmp_path / "out").exists()
+
     def test_run_exit_two_on_missing_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 2
         assert capsys.readouterr().err

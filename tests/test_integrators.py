@@ -176,11 +176,19 @@ class TestSteppers:
                 state_labels=("x",), kind="generic", dim_base=1)
         assert err.value.step is not None
 
+    @pytest.mark.parametrize("horizon", [0.0, math.inf, math.nan])
+    def test_rejects_horizon_that_is_not_positive_and_finite(self, horizon):
+        with pytest.raises(ValueError, match="positive and finite"):
+            integrate_autonomous(lambda z: -z, np.ones(1), horizon, RK4_FINE,
+                                 state_labels=("x",), kind="generic",
+                                 dim_base=1)
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="method"):
             IntegratorConfig(method="euler")
-        with pytest.raises(ValueError, match="dt"):
-            IntegratorConfig(dt=0.0)
+        for dt in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="dt"):
+                IntegratorConfig(dt=dt)
         with pytest.raises(ValueError, match="newton_tol"):
             IntegratorConfig(newton_tol=1e-3)
         with pytest.raises(ValueError, match="newton_max_iter"):
