@@ -25,9 +25,9 @@ from .bundle_geometry import (PhaseStateFull, PhaseStateReduced,
                               momentum_map)
 from .integrators import (ClosenessReport, IntegrationError,
                           IntegratorConfig, Trajectory, closeness_report,
-                          closeness_sweep, full_velocities,
-                          hermite_interpolate, integrate_autonomous,
-                          integrate_full, integrate_reduced_canonical,
+                          full_velocities, hermite_interpolate,
+                          integrate_autonomous, integrate_full,
+                          integrate_reduced_canonical,
                           integrate_reduced_magnetic)
 from .lie_poisson import (BUILTIN_ALGEBRAS, Cocycle, EulerSystem,
                           LieAlgebraData, abelian, coadjoint_action,
@@ -57,7 +57,7 @@ __all__ = [
     "PhaseStateFull", "PhaseStateReduced",
     "SurfaceMetric", "Trajectory", "TrivialBundleMetric",
     "abelian", "average_coefficients", "averaged_hamiltonian",
-    "closeness_report", "closeness_sweep", "coadjoint_action",
+    "closeness_report", "coadjoint_action",
     "cocycle_identity_residual", "convert_chart",
     "curvature_identity_residual", "disk_connection", "disk_magnetic_rhs",
     "disk_mass_matrix", "disk_momentum", "disk_velocity",

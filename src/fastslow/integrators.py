@@ -261,15 +261,6 @@ def _extrapolate(table: list, size: list) -> list:
     return list(map(sum, zip(*table[:k + 1])))
 
 
-def _step_sequence(horizon: float, dt: float) -> list[float]:
-    n = int(np.floor(horizon / dt + 1e-9))
-    steps = [dt] * n
-    rem = horizon - n * dt
-    if rem > 1e-12 * max(1.0, horizon):
-        steps.append(rem)
-    return steps
-
-
 def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
                          z0: np.ndarray,
                          horizon: float,
@@ -285,7 +276,11 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
     """Integrate dz/dt = f(z) over [0, horizon] and log invariants.
 
     horizon must be positive and finite; anything else raises ValueError
-    before a step is taken.
+    before a step is taken. The run takes n = floor(horizon / dt + 1e-9)
+    steps of dt, then one partial step of the remainder when it exceeds
+    1e-12 max(1, horizon). A step count too large for numpy to store
+    the nodes of (more than 2**62 or so, or more than memory holds)
+    raises ValueError before a step is taken, too.
 
     With backward=True the steps are taken with -dt (the reported times
     still increase from 0), which together with a forward run forms the
@@ -318,9 +313,19 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
         raise ValueError("horizon must be positive and finite")
     midpoint = config.method != "rk4"
     sign = -1.0 if backward else 1.0
-    steps = _step_sequence(horizon, config.dt)
-    values = np.empty((len(steps) + 1, z0.size))
-    times = np.empty(len(steps) + 1)
+    try:
+        n = int(np.floor(horizon / config.dt + 1e-9))
+        rem = horizon - n * config.dt
+        steps = n + 1 if rem > 1e-12 * max(1.0, horizon) else n
+        values = np.empty((steps + 1, z0.size))
+        times = np.empty(steps + 1)
+    except (OverflowError, ValueError, MemoryError) as err:
+        # horizon / dt may overflow to inf; numpy refuses an array of more
+        # than 2**63 bytes with ValueError, and memory it cannot get with
+        # MemoryError.
+        raise ValueError(
+            f"horizon {horizon:.6g} at dt {config.dt:.6g} takes "
+            f"{horizon / config.dt:.6g} steps, too many to store") from err
     values[0] = z0
     times[0] = 0.0
     z = z0
@@ -329,7 +334,8 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
     table = [z0.tolist()]
     counts = {"newton_updates": 0, "jacobians": 0, "rhs_evals": 0}
     t = 0.0
-    for i, dt in enumerate(steps):
+    for i in range(steps):
+        dt = config.dt if i < n else rem
         dt_signed = sign * dt
         try:
             if not midpoint:
@@ -600,9 +606,10 @@ class ClosenessReport:
 
     Errors are measured over slow times t in [0, min(horizons, 1)],
     i.e. fast times up to 1/eps; horizon records the fast-time length
-    actually compared. ratio_table rows hold epsilon, the total sup
-    error |q-Q| + |p-P| + |gamma-mu|, and the ratio of the previous
-    row's error to this row's (populated by closeness_sweep).
+    actually compared. sup_error_total is the sup over that window of
+    |q-Q| + |p-P| + |gamma-mu| at one node; the halving ratio of a
+    sweep (fastslow.experiments) divides the previous epsilon's
+    sup_error_total by the next one's.
     """
 
     sup_error_q: float
@@ -611,7 +618,6 @@ class ClosenessReport:
     sup_error_total: float
     horizon: float
     epsilon: float
-    ratio_table: tuple = ()
 
 
 def closeness_report(full: Trajectory, reduced: Trajectory,
@@ -657,13 +663,11 @@ def closeness_report(full: Trajectory, reduced: Trajectory,
     err_q = np.sqrt(np.sum((fq - interp[:, :l]) ** 2, axis=1))
     err_p = np.sqrt(np.sum((fp - interp[:, l:]) ** 2, axis=1))
     err_g = np.abs(fg - mu)
-    total = float(np.max(err_q + err_p + err_g))
-    report = ClosenessReport(
+    return ClosenessReport(
         sup_error_q=float(np.max(err_q)), sup_error_p=float(np.max(err_p)),
-        sup_error_gamma=float(np.max(err_g)), sup_error_total=total,
-        horizon=float(s_cap / eps), epsilon=eps,
-        ratio_table=({"epsilon": eps, "sup_error": total, "ratio": None},))
-    return report
+        sup_error_gamma=float(np.max(err_g)),
+        sup_error_total=float(np.max(err_q + err_p + err_g)),
+        horizon=float(s_cap / eps), epsilon=eps)
 
 
 def closeness_case(system: FastSlowSystem, averaged: AveragedSystem,
@@ -677,6 +681,9 @@ def closeness_case(system: FastSlowSystem, averaged: AveragedSystem,
     The full system runs to the fast time horizon_slow / eps and the
     averaged one to the slow time horizon_slow. An IntegrationError from
     either run is raised again with eps=<epsilon> in front of its message.
+    The epsilon sweep of fastslow.experiments (`fastslow verify pendulum`
+    and `particle`) runs this once per epsilon and forms the halving
+    ratios from the reports.
     """
     eps = system.epsilon
     try:
@@ -687,32 +694,3 @@ def closeness_case(system: FastSlowSystem, averaged: AveragedSystem,
     except IntegrationError as err:
         raise IntegrationError(f"eps={eps!r}: {err}", step=err.step) from err
     return full, reduced, closeness_report(full, reduced, system)
-
-
-def ratio_table(reports: Sequence[ClosenessReport]) -> tuple[dict, ...]:
-    """Rows of epsilon, total sup error and the previous row's error over
-    this row's (None in the first row), in sweep order."""
-    return tuple(
-        {"epsilon": rep.epsilon, "sup_error": rep.sup_error_total,
-         "ratio": (None if i == 0 else
-                   reports[i - 1].sup_error_total / rep.sup_error_total)}
-        for i, rep in enumerate(reports))
-
-
-def closeness_sweep(build: Callable[[float], tuple],
-                    epsilons: Sequence[float],
-                    config_full: IntegratorConfig,
-                    config_reduced: IntegratorConfig,
-                    horizon_slow: float = 1.0) -> list[ClosenessReport]:
-    """Run full-versus-reduced comparisons across an epsilon sweep.
-
-    build(eps) returns (system, averaged, full_state0, reduced_state0).
-    Each epsilon is run by closeness_case to the slow time horizon_slow
-    and the shared ratio table, with successive error ratios, is
-    attached to every report. For data within the averaging regime the
-    ratios should sit near 2 when the sweep halves epsilon.
-    """
-    reports = [closeness_case(*build(eps), horizon_slow, config_full,
-                              config_reduced)[2] for eps in epsilons]
-    table = ratio_table(reports)
-    return [dataclasses.replace(rep, ratio_table=table) for rep in reports]

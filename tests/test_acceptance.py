@@ -16,8 +16,8 @@ import numpy as np
 from fastslow import (BUILTIN_ALGEBRAS, EulerSystem,
                       FastSlowSystem, IntegratorConfig, PendulumParams,
                       PhaseStateFull, PhaseStateReduced, average_coefficients,
-                      averaged_hamiltonian, closeness_sweep,
-                      coadjoint_action, curvature_identity_residual,
+                      averaged_hamiltonian, coadjoint_action,
+                      curvature_identity_residual,
                       effective_potential, euler_vector_field,
                       exponential_surface, extended_bracket,
                       extended_hamiltonian_field, full_velocities,
@@ -31,7 +31,7 @@ from fastslow import (BUILTIN_ALGEBRAS, EulerSystem,
                       simulate_physical_pendulum, so3, sphere_surface,
                       uniform_field_averaged)
 from fastslow.cli import parse_config, shipped_config_text
-from fastslow.experiments import TABLE, closeness_build, integrator_configs
+from fastslow.experiments import TABLE
 
 MIDPOINT = IntegratorConfig(method="implicit_midpoint", dt=1e-2)
 
@@ -83,19 +83,20 @@ def test_1_pendulum_effective_potential():
 def test_2_epsilon_closeness_ratios():
     # Full and averaged trajectories must stay O(eps)-close up to the
     # slow horizon: halving eps should roughly halve the sup error. The
-    # runs are those of the shipped pendulum and particle configs.
+    # sweeps are those `fastslow verify` runs on the shipped pendulum and
+    # particle configs, in its worker processes.
     details = []
     ok = True
     for label in ("pendulum", "particle"):
         start = time.perf_counter()
         config = parse_config(shipped_config_text(label))
-        reports = closeness_sweep(
-            lambda eps: closeness_build(config, eps), config.epsilon_sweep,
-            *integrator_configs(config), config.horizon_factor)
-        ratios = [row["ratio"] for row in reports[0].ratio_table
-                  if row["ratio"] is not None]
+        _, records = TABLE[label].run(config, Path.cwd())
+        ratios = [r.observed for r in records
+                  if r.name.startswith("closeness_ratio_")
+                  and r.name.endswith("_lower")]
         elapsed = time.perf_counter() - start
-        ok = ok and all(1.5 <= r <= 3.0 for r in ratios) and elapsed < 120.0
+        ok = (ok and len(ratios) == len(config.epsilon_sweep) - 1
+              and all(1.5 <= r <= 3.0 for r in ratios) and elapsed < 120.0)
         details.append(f"{label} ratios "
                        + "/".join(f"{r:.3f}" for r in ratios)
                        + f" in {elapsed:.1f} s")

@@ -18,7 +18,8 @@ import pytest
 
 import fastslow
 from fastslow import (DomainError, IntegrationError, IntegratorConfig,
-                      Trajectory)
+                      PhaseStateFull, PhaseStateReduced, Trajectory,
+                      particle_potential_1d, particle_systems)
 from fastslow import experiments, integrators
 from fastslow.cli import (ConfigError, ExperimentConfig, emit_csv, emit_json,
                           load_config, main, parse_config, read_csv,
@@ -277,10 +278,49 @@ class TestRunExperiment:
         doc = json.loads((tmp_path / "out" / "euler.json").read_text())
         assert doc["metadata"]["algebra"] == "my_algebra"
 
+    def test_shift_equivalence_compares_the_runs_whole_steps(
+            self, tmp_path, monkeypatch):
+        # t = 10 is off the grid of dt = 0.003: the window is the run's
+        # first 3333 steps, which the extension flow takes at the same
+        # times, and the shifted Euler flow is integrated once.
+        runs = {"integrate_euler": [], "integrate_autonomous": []}
+
+        def spy(name):
+            original = getattr(experiments, name)
+
+            def run(*args, **kwargs):
+                runs[name].append(original(*args, **kwargs))
+                return runs[name][-1]
+            monkeypatch.setattr(experiments, name, run)
+
+        spy("integrate_euler")
+        spy("integrate_autonomous")
+        config = parse_config(EULER_FAST_CONFIG.replace(
+            "horizon = 5.0",
+            "horizon = 20.0\nshift = 0.3, -0.2, 0.5") + (
+            "\n[integrator]\ndt_reduced = 0.003\n"))
+        _, records = experiments.TABLE["euler"].run(config, tmp_path)
+        [euler], [extension] = runs["integrate_euler"], runs[
+            "integrate_autonomous"]
+        assert len(euler) == 6668
+        assert len(extension) == 3334
+        assert np.array_equal(extension.times, euler.times[:3334])
+        check = next(r for r in records if r.name == "shift_equivalence_sup")
+        assert check.passed
+
     def test_sweep_outputs_identical_serial_and_parallel(
             self, tmp_path, monkeypatch):
         config = parse_config(
             PARTICLE_SWEEP_TEMPLATE.format(sweep="0.02, 0.01"))
+        # The halving ratio is the first epsilon's sup error over the
+        # second's, each from its own closeness_case, bit for bit.
+        errors = [integrators.closeness_case(
+            *particle_systems(particle_potential_1d(), eps, 1.0),
+            PhaseStateFull(q=np.array([0.8]), p=np.array([0.3]), phi=0.0,
+                           gamma=1.0),
+            PhaseStateReduced(Q=np.array([0.8]), P=np.array([0.3])),
+            config.horizon_factor, *experiments.integrator_configs(config)
+        )[2].sup_error_total for eps in (0.02, 0.01)]
         outputs = []
         for sub, workers in (("serial", "1"), ("parallel", "2")):
             monkeypatch.setenv("FASTSLOW_THREADS", workers)
@@ -288,6 +328,9 @@ class TestRunExperiment:
             base.mkdir()
             report = run_experiment(config, base_dir=base)
             assert report.overall
+            assert report.records[0].name == (
+                "closeness_ratio_0.02_to_0.01_lower")
+            assert report.records[0].observed == errors[0] / errors[1]
             out = base / "out"
             outputs.append(tuple(
                 (out / name).read_bytes()
@@ -366,6 +409,28 @@ class TestCommandLine:
         assert len(lines) == 1
         assert lines[0].startswith(f"experiment {experiment} failed: "
                                    "horizon must be positive and finite")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment, line", [
+        ("euler", "horizon = 100.0"), ("disk", "horizon = 10.0"),
+    ], ids=["euler", "disk"])
+    def test_run_exit_two_on_horizon_too_long_to_store(self, tmp_path,
+                                                       capsys, experiment,
+                                                       line):
+        # 1e300 / dt steps need more than 2**63 bytes of nodes, so numpy
+        # refuses them before anything is allocated or integrated.
+        text = shipped_config_text(experiment)
+        assert line in text
+        path = tmp_path / "run.cfg"
+        path.write_text(text.replace(line, "horizon = 1e300"))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"experiment {experiment} failed: "
+                                   "horizon 1e+300 at dt ")
+        assert "steps, too many to store" in lines[0]
         assert not (tmp_path / "out").exists()
 
     def test_run_exit_two_on_missing_file(self, tmp_path, capsys):

@@ -31,7 +31,7 @@ from fastslow import (AveragedSystem, EulerSystem, FastSlowSystem,
                       IntegrationError, IntegratorConfig, PendulumParams,
                       PhaseStateFull, PhaseStateReduced, Trajectory,
                       average_coefficients, closeness_report,
-                      closeness_sweep, euler_vector_field, full_velocities,
+                      euler_vector_field, full_velocities,
                       hermite_interpolate, integrate_autonomous,
                       integrate_euler, integrate_full,
                       integrate_reduced_canonical,
@@ -180,6 +180,18 @@ class TestSteppers:
     def test_rejects_horizon_that_is_not_positive_and_finite(self, horizon):
         with pytest.raises(ValueError, match="positive and finite"):
             integrate_autonomous(lambda z: -z, np.ones(1), horizon, RK4_FINE,
+                                 state_labels=("x",), kind="generic",
+                                 dim_base=1)
+
+    @pytest.mark.parametrize("horizon, dt", [
+        (1e300, 1e-3), (2.0 ** 63 * 1e-3, 1e-3), (1e300, 1e-10),
+    ], ids=["1e300", "over-2**62-steps", "inf-steps"])
+    def test_rejects_step_count_too_large_to_store(self, horizon, dt):
+        # Each count needs more than 2**63 bytes of nodes, or overflows
+        # to inf, so the run fails before anything is allocated.
+        with pytest.raises(ValueError, match="steps, too many to store"):
+            integrate_autonomous(lambda z: -z, np.ones(1), horizon,
+                                 IntegratorConfig(method="rk4", dt=dt),
                                  state_labels=("x",), kind="generic",
                                  dim_base=1)
 
@@ -1006,23 +1018,3 @@ class TestCloseness:
             dim_base=1, chart="canonical")
         with pytest.raises(ValueError, match="derivative column"):
             closeness_report(full, red, system)
-
-    def test_sweep_populates_ratio_table(self):
-        def build(eps):
-            system = phi_independent_system(epsilon=eps, mu=0.7)
-            avg = average_coefficients(system)
-            s_full = PhaseStateFull(q=np.array([0.4]), p=np.array([0.2]),
-                                    phi=0.0, gamma=0.7)
-            s_red = PhaseStateReduced(Q=np.array([0.4]), P=np.array([0.2]))
-            return system, avg, s_full, s_red
-
-        reports = closeness_sweep(
-            build, (4e-2, 2e-2),
-            IntegratorConfig(dt=2e-2), IntegratorConfig(dt=1e-2),
-            horizon_slow=0.2)
-        assert len(reports) == 2
-        table = reports[0].ratio_table
-        assert reports[1].ratio_table == table
-        assert table[0]["ratio"] is None
-        assert table[1]["ratio"] is not None
-        assert table[0]["epsilon"] == 4e-2
