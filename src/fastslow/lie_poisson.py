@@ -6,15 +6,16 @@ of the dual variable nu carry the extended Lie-Poisson bracket
     {f, g}(nu) = -<nu, [df, dg]> - sigma(df, dg),
 
 where sigma is an antisymmetric 2-cocycle (the central coordinate is
-not evolved: a scalar extension only shifts the bracket). Every
-coboundary cocycle sigma_L(X, Y) = -<L, [X, Y]>, i.e. the matrix
-sigma_ij = -sum_k L_k c^k_ij, is equivalent to a momentum shift: the
-Hamiltonian flow of H = (1/2) <xi, I^{-1} xi> under the extended
-bracket coincides with the shifted Euler equation
+not evolved: a scalar extension only shifts the bracket). The flow of H
+under it is dxi/dt = -ad*_{dH} xi - dH . sigma, with the coadjoint
+action (ad*_X xi)_j = sum_{i,k} xi_k c^k_ij X_i, the module's one ad*
+product. A coboundary sigma_ij = -sum_k L_k c^k_ij, i.e.
+sigma(X, Y) = -<L, [X, Y]>, has dH . sigma = -ad*_{dH} L, so it is a
+momentum shift: the flow of H = (1/2) <xi, I^{-1} xi> is the shifted
+Euler equation
 
-    dxi/dt = -ad*_{I^{-1} xi} (xi - L),
+    dxi/dt = -ad*_{I^{-1} xi} (xi - L).
 
-with the coadjoint action (ad*_X xi)_j = sum_{i,k} xi_k c^k_ij X_i.
 On so(3) with L = 0 this is the rigid body: ad*_X xi = xi x X.
 
 Energy, the quadratic Casimirs, and |xi - L|^2 are all quadratic, so
@@ -24,7 +25,7 @@ logged drift measures Newton slop rather than method error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -36,12 +37,21 @@ COCYCLE_TOL = 1e-12
 INERTIA_SYMMETRY_TOL = 1e-14
 
 
-def _jacobiator(constants: np.ndarray) -> float:
-    c = constants
-    jac = (np.einsum("ijm,mkl->ijkl", c, c)
-           + np.einsum("jkm,mil->ijkl", c, c)
-           + np.einsum("kim,mjl->ijkl", c, c))
-    return float(np.max(np.abs(jac)))
+def _cyclic_residual(c: np.ndarray, t: np.ndarray) -> float:
+    """Max |a_ijk.. + a_jki.. + a_kij..| with a_ijk.. = sum_m c^m_ij t_mk..:
+    the Jacobi identity for t = c, the cocycle identity for t = sigma.
+    einsum, not BLAS, sums it, so no BLAS kernel enters the value."""
+    a = np.einsum("ijm,m...->ij...", c, t)
+    rest = tuple(range(3, a.ndim))
+    return float(np.max(np.abs(a + a.transpose(2, 0, 1, *rest)
+                               + a.transpose(1, 2, 0, *rest))))
+
+
+def _ad_star(c2: np.ndarray, X: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """(ad*_X xi)_j = sum_{i,k} xi_k c^k_ij X_i, with c2 the (n*n, n)
+    reshape of the structure constants."""
+    n = len(X)
+    return X @ (c2 @ xi).reshape(n, n)
 
 
 @dataclass(frozen=True)
@@ -66,7 +76,7 @@ class LieAlgebraData:
             raise ValueError(
                 "structure constants must be antisymmetric in the lower "
                 "indices (exactly)")
-        worst = _jacobiator(c)
+        worst = self.jacobiator()
         if worst > JACOBI_TOL:
             raise ValueError(
                 f"Jacobi identity violated: max residual {worst:.3e} "
@@ -78,7 +88,8 @@ class LieAlgebraData:
         return np.einsum("i,j,ijk->k", X, Y, self.structure_constants)
 
     def jacobiator(self) -> float:
-        return _jacobiator(self.structure_constants)
+        c = self.structure_constants
+        return _cyclic_residual(c, c)
 
 
 @dataclass(frozen=True)
@@ -102,13 +113,9 @@ class Cocycle:
 
 def cocycle_identity_residual(algebra: LieAlgebraData,
                               cocycle: Cocycle) -> float:
-    """Max residual of sigma([e_i,e_j], e_k) + cyclic over basis triples."""
-    c = algebra.structure_constants
-    s = cocycle.sigma
-    res = (np.einsum("ijm,mk->ijk", c, s)
-           + np.einsum("jkm,mi->ijk", c, s)
-           + np.einsum("kim,mj->ijk", c, s))
-    return float(np.max(np.abs(res)))
+    """Max residual of sigma([e_i,e_j], e_k) + cyclic over basis triples:
+    the Jacobiator with sigma in place of the outer structure constants."""
+    return _cyclic_residual(algebra.structure_constants, cocycle.sigma)
 
 
 def make_cocycle(algebra: LieAlgebraData, sigma: np.ndarray) -> Cocycle:
@@ -127,11 +134,12 @@ def coadjoint_action(algebra: LieAlgebraData, X: np.ndarray,
     """Coadjoint action (ad*_X xi)_j = sum_{i,k} xi_k c^k_ij X_i.
 
     Defined by the pairing identity <ad*_X xi, Y> = <xi, [X, Y]>; on
-    so(3) it is the cross product xi x X.
+    so(3) it is the cross product xi x X. The Euler fields share its
+    product, _ad_star.
     """
-    X = np.asarray(X, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    return np.einsum("i,ijk,k->j", X, algebra.structure_constants, xi)
+    c2 = algebra.structure_constants.reshape(-1, algebra.dim)
+    return _ad_star(c2, np.asarray(X, dtype=float),
+                    np.asarray(xi, dtype=float))
 
 
 def shift_cocycle(algebra: LieAlgebraData, shift: np.ndarray) -> Cocycle:
@@ -210,14 +218,13 @@ class EulerSystem:
 
 def _euler_field(system: EulerSystem) -> Callable[[np.ndarray], np.ndarray]:
     """The field of euler_vector_field as a closure; I^{-1} and the (n*n, n)
-    matrix of structure constants that np.tensordot uses are formed once."""
+    matrix of structure constants that _ad_star takes are formed once."""
     inertia_inv = np.linalg.inv(system.inertia)
-    n, shift = system.algebra.dim, system.shift
-    c2 = system.algebra.structure_constants.reshape(n * n, n)
+    shift = system.shift
+    c2 = system.algebra.structure_constants.reshape(-1, system.algebra.dim)
 
     def f(xi: np.ndarray) -> np.ndarray:
-        v = inertia_inv @ xi
-        return -(v @ (c2 @ (xi - shift)).reshape(n, n))
+        return -_ad_star(c2, inertia_inv @ xi, xi - shift)
 
     return f
 
@@ -237,18 +244,18 @@ def extended_hamiltonian_field(algebra: LieAlgebraData,
                                xi: np.ndarray) -> np.ndarray:
     """Flow of H = (1/2) <xi, I^{-1} xi> under the extended bracket.
 
-    Component j is {H, xi_j}(xi). For the coboundary cocycle of a shift
-    L this reproduces euler_vector_field of the shifted system exactly,
-    which is the two-path identity behind the shift-equivalence check.
+    Component j is {H, xi_j}(xi); in closed form the field is
+    -ad*_{dH} xi - dH . sigma with dH = I^{-1} xi. For the coboundary
+    sigma_ij = -sum_k L_k c^k_ij of a shift L, (dH . sigma)_j =
+    -sum_{i,k} dH_i L_k c^k_ij = -(ad*_{dH} L)_j, so the field is
+    -ad*_{dH} (xi - L), euler_vector_field of the shifted system: the
+    two-path identity behind the shift-equivalence check.
     """
     xi = np.asarray(xi, dtype=float)
     dh = np.linalg.solve(np.asarray(inertia, dtype=float), xi)
-    n = algebra.dim
-    out = np.empty(n)
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        out[j] = extended_bracket(algebra, cocycle, dh, e, xi)
+    out = -coadjoint_action(algebra, dh, xi)
+    if cocycle is not None:
+        out -= dh @ cocycle.sigma
     return out
 
 
@@ -279,40 +286,30 @@ def integrate_euler(system: EulerSystem, xi0: np.ndarray, horizon: float,
 
 
 # ---------------------------------------------------------------------------
-# Built-in algebras and the plain-text loader
+# Built-in algebras, each declared as text for the one loader, which
+# fills the antisymmetric mirror and checks the Jacobi identity.
 
 
 def abelian(n: int) -> LieAlgebraData:
     """Abelian algebra R^n (all brackets vanish)."""
-    return LieAlgebraData(dim=n, structure_constants=np.zeros((n, n, n)),
-                          name=f"abelian({n})")
+    return load_algebra(f"dim {n}", name=f"abelian({n})")
 
 
 def so3() -> LieAlgebraData:
-    """Rotation algebra so(3): [e1, e2] = e3 and cyclic."""
-    c = np.zeros((3, 3, 3))
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        c[i, j, k] = 1.0
-        c[j, i, k] = -1.0
-    return LieAlgebraData(dim=3, structure_constants=c, name="so3")
+    """Rotation algebra so(3): [e1, e2] = e3 and cyclic (configs/so3.alg)."""
+    return load_algebra("dim 3\n0 1 2 1.0\n1 2 0 1.0\n2 0 1 1.0",
+                        name="so3")
 
 
 def heisenberg3() -> LieAlgebraData:
     """Heisenberg algebra: [e1, e2] = e3, e3 central."""
-    c = np.zeros((3, 3, 3))
-    c[0, 1, 2] = 1.0
-    c[1, 0, 2] = -1.0
-    return LieAlgebraData(dim=3, structure_constants=c, name="heisenberg3")
+    return load_algebra("dim 3\n0 1 2 1.0", name="heisenberg3")
 
 
 def oscillator4() -> LieAlgebraData:
     """Oscillator algebra: [e1,e2]=e3, [e1,e3]=-e2, [e2,e3]=e4 central."""
-    c = np.zeros((4, 4, 4))
-    entries = (((0, 1, 2), 1.0), ((0, 2, 1), -1.0), ((1, 2, 3), 1.0))
-    for (i, j, k), v in entries:
-        c[i, j, k] = v
-        c[j, i, k] = -v
-    return LieAlgebraData(dim=4, structure_constants=c, name="oscillator4")
+    return load_algebra("dim 4\n0 1 2 1.0\n0 2 1 -1.0\n1 2 3 1.0",
+                        name="oscillator4")
 
 
 BUILTIN_ALGEBRAS: dict[str, Callable[[], LieAlgebraData]] = {

@@ -9,6 +9,8 @@ functions must satisfy the Jacobi identity whenever the cocycle
 identity holds, which is the joint consistency check for both.
 """
 
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -313,6 +315,36 @@ class TestEulerSystem:
                     alg, coc, inertia, xi)
                 assert np.max(np.abs(from_euler - from_bracket)) < 1e-13, name
 
+    def test_extended_field_is_the_bracket_componentwise(self):
+        # The closed form -ad*_{dH} xi - dH . sigma against its
+        # definition {H, xi_j} = extended_bracket(dH, e_j, xi), for no
+        # cocycle, a coboundary, and closed cocycles that are not
+        # coboundaries: every sigma on abelian(2), and sigma_13, sigma_23
+        # on heisenberg3 (its coboundaries have only sigma_12).
+        rng = np.random.default_rng(59)
+        cases = []
+        for name, factory in BUILTIN_ALGEBRAS.items():
+            alg = factory()
+            cases += [(name, alg, None),
+                      (name, alg, shift_cocycle(alg,
+                                                rng.standard_normal(alg.dim)))]
+        cases.append(("abelian(2)", abelian(2), make_cocycle(
+            abelian(2), np.array([[0.0, 0.7], [-0.7, 0.0]]))))
+        cases.append(("heisenberg3", heisenberg3(), make_cocycle(
+            heisenberg3(), np.array([[0.0, 0.3, -1.1],
+                                     [-0.3, 0.0, 0.8],
+                                     [1.1, -0.8, 0.0]]))))
+        for name, alg, coc in cases:
+            inertia = random_spd(rng, alg.dim)
+            for _ in range(5):
+                xi = rng.standard_normal(alg.dim)
+                dh = np.linalg.solve(inertia, xi)
+                field = extended_hamiltonian_field(alg, coc, inertia, xi)
+                for j in range(alg.dim):
+                    expected = extended_bracket(alg, coc, dh,
+                                                basis(alg.dim, j), xi)
+                    assert abs(field[j] - expected) < 1e-14, (name, j)
+
 
 class TestIntegration:
     def test_rigid_body_invariants_over_long_horizon(self):
@@ -445,6 +477,14 @@ dim 3
         assert loaded.name == "so3-file"
         assert np.array_equal(loaded.structure_constants,
                               so3().structure_constants)
+
+    def test_so3_is_the_shipped_algebra_file(self):
+        text = resources.files("fastslow").joinpath(
+            "configs", "so3.alg").read_text()
+        shipped = load_algebra(text, name="so3")
+        assert so3().structure_constants.tobytes() == \
+            shipped.structure_constants.tobytes()
+        assert (so3().dim, so3().name) == (shipped.dim, shipped.name)
 
     def test_consistent_duplicates_allowed(self):
         text = "dim 3\n0 1 2 1.0\n0 1 2 1.0\n1 2 0 1.0\n2 0 1 1.0\n"
