@@ -282,16 +282,14 @@ def _run_euler(config: ExperimentConfig, base_dir: Path) -> tuple:
 
     # Shift equivalence: the extended-bracket flow of the kinetic
     # Hamiltonian must match the shifted Euler flow, node by node, on
-    # the run's whole steps up to t = min(10, horizon), and at least its
-    # first step. integrate_autonomous to steps * dt, or to horizon when
-    # that is shorter, takes exactly those steps, so the compared nodes
-    # share their times.
+    # the run's nodes up to t = min(10, horizon), and at least its first
+    # step. Integrating to a node's own time retakes the steps before it.
     cocycle = shift_cocycle(algebra, shift)
     steps = max(1, int(np.floor(min(10.0, horizon) / cfg.dt + 1e-9)))
     traj_ext = integrate_autonomous(
         lambda xi: extended_hamiltonian_field(algebra, cocycle,
                                               system.inertia, xi),
-        xi0, min(horizon, steps * cfg.dt), cfg,
+        xi0, traj.times[min(steps, len(traj) - 1)], cfg,
         state_labels=traj.state_labels, kind="euler", dim_base=algebra.dim)
     equiv = float(np.max(np.abs(traj.values[:len(traj_ext)]
                                 - traj_ext.values)))

@@ -278,9 +278,11 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
     horizon must be positive and finite; anything else raises ValueError
     before a step is taken. The run takes n = floor(horizon / dt + 1e-9)
     steps of dt, then one partial step of the remainder when it exceeds
-    1e-12 max(1, horizon). A step count too large for numpy to store
-    the nodes of (more than 2**62 or so, or more than memory holds)
-    raises ValueError before a step is taken, too.
+    1e-12 max(1, horizon). Node i is at time i * dt and the last node at
+    horizon, so integrating again to a node's time retakes the steps
+    before it. A step count too large for numpy to store the nodes of
+    (more than 2**62 or so, or more than memory holds) raises ValueError
+    before a step is taken, too.
 
     With backward=True the steps are taken with -dt (the reported times
     still increase from 0), which together with a forward run forms the
@@ -318,7 +320,6 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
         rem = horizon - n * config.dt
         steps = n + 1 if rem > 1e-12 * max(1.0, horizon) else n
         values = np.empty((steps + 1, z0.size))
-        times = np.empty(steps + 1)
     except (OverflowError, ValueError, MemoryError) as err:
         # horizon / dt may overflow to inf; numpy refuses an array of more
         # than 2**63 bytes with ValueError, and memory it cannot get with
@@ -327,13 +328,11 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
             f"horizon {horizon:.6g} at dt {config.dt:.6g} takes "
             f"{horizon / config.dt:.6g} steps, too many to store") from err
     values[0] = z0
-    times[0] = 0.0
     z = z0
     dt_prev = None
     inv = None
     table = [z0.tolist()]
     counts = {"newton_updates": 0, "jacobians": 0, "rhs_evals": 0}
-    t = 0.0
     for i in range(steps):
         dt = config.dt if i < n else rem
         dt_signed = sign * dt
@@ -360,17 +359,17 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
                 table, size = _difference_table(table, znew)
         except IntegrationError as err:
             raise IntegrationError(
-                f"step {i} (t={t:.6g}): {err}", step=i) from err
+                f"step {i} (t={i * config.dt:.6g}): {err}", step=i) from err
         except ValueError as err:
             # A field that rejects its state (a DomainError, LinAlgError)
             # keeps its type; its message gains the step and time.
-            err.args = (f"step {i} (t={t:.6g}): {err}",)
+            err.args = (f"step {i} (t={i * config.dt:.6g}): {err}",)
             raise
         dt_prev = dt
         z = znew
-        t += dt
         values[i + 1] = z
-        times[i + 1] = t
+    times = np.arange(steps + 1) * config.dt
+    times[steps] = horizon
     invariant_log = {name: np.array([fn(values[i])
                                      for i in range(values.shape[0])])
                      for name, fn in (logs or {}).items()}

@@ -101,6 +101,29 @@ class TestSteppers:
         assert len(traj) == 4
         assert abs(traj.times[-1] - 0.25) < 1e-14
 
+    @pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
+    def test_node_times_are_step_multiples_and_restarts_retake_them(
+            self, method):
+        # Node i is at i * dt and the last node at horizon, so a run
+        # again to a node's time retakes the same steps bit for bit.
+        rng = np.random.default_rng(61)
+        f = lambda z: np.array([z[1], -np.sin(z[0])])
+        for _ in range(60):
+            config = IntegratorConfig(method=method,
+                                      dt=rng.uniform(5e-3, 0.05))
+            run = lambda horizon: integrate_autonomous(
+                f, np.array([1.0, 0.0]), horizon, config,
+                state_labels=("x", "v"), kind="generic", dim_base=1)
+            horizon = rng.uniform(0.05, 2.0)
+            traj = run(horizon)
+            assert traj.times[-1] == horizon
+            assert np.array_equal(traj.times[:-1],
+                                  np.arange(len(traj) - 1) * config.dt)
+            k = int(rng.integers(1, len(traj)))
+            again = run(traj.times[k])
+            assert np.array_equal(again.times, traj.times[:k + 1])
+            assert np.array_equal(again.values, traj.values[:k + 1])
+
     def test_newton_failure_reports_step(self):
         config = IntegratorConfig(dt=10.0, newton_max_iter=1)
         with pytest.raises(IntegrationError) as err:
