@@ -8,9 +8,8 @@ of the dual variable nu carry the extended Lie-Poisson bracket
 where sigma is an antisymmetric 2-cocycle (the central coordinate is
 not evolved: a scalar extension only shifts the bracket). The flow of H
 under it is dxi/dt = -ad*_{dH} xi - dH . sigma, with the coadjoint
-action (ad*_X xi)_j = sum_{i,k} xi_k c^k_ij X_i, the module's one ad*
-product. A coboundary sigma_ij = -sum_k L_k c^k_ij, i.e.
-sigma(X, Y) = -<L, [X, Y]>, has dH . sigma = -ad*_{dH} L, so it is a
+action (ad*_X xi)_j = sum_{i,k} xi_k c^k_ij X_i. A coboundary
+sigma_ij = -sum_k L_k c^k_ij has dH . sigma = -ad*_{dH} L, so it is a
 momentum shift: the flow of H = (1/2) <xi, I^{-1} xi> is the shifted
 Euler equation
 
@@ -42,9 +41,8 @@ def _cyclic_residual(c: np.ndarray, t: np.ndarray) -> float:
     the Jacobi identity for t = c, the cocycle identity for t = sigma.
     einsum, not BLAS, sums it, so no BLAS kernel enters the value."""
     a = np.einsum("ijm,m...->ij...", c, t)
-    rest = tuple(range(3, a.ndim))
-    return float(np.max(np.abs(a + a.transpose(2, 0, 1, *rest)
-                               + a.transpose(1, 2, 0, *rest))))
+    return float(np.max(np.abs(a + np.moveaxis(a, 2, 0)
+                               + np.moveaxis(a, 0, 2))))
 
 
 def _ad_star(c2: np.ndarray, X: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -244,12 +242,11 @@ def extended_hamiltonian_field(algebra: LieAlgebraData,
                                xi: np.ndarray) -> np.ndarray:
     """Flow of H = (1/2) <xi, I^{-1} xi> under the extended bracket.
 
-    Component j is {H, xi_j}(xi); in closed form the field is
-    -ad*_{dH} xi - dH . sigma with dH = I^{-1} xi. For the coboundary
-    sigma_ij = -sum_k L_k c^k_ij of a shift L, (dH . sigma)_j =
-    -sum_{i,k} dH_i L_k c^k_ij = -(ad*_{dH} L)_j, so the field is
-    -ad*_{dH} (xi - L), euler_vector_field of the shifted system: the
-    two-path identity behind the shift-equivalence check.
+    Component j is {H, xi_j}(xi), in closed form -ad*_{dH} xi - dH . sigma
+    with dH = I^{-1} xi. For the coboundary of a shift L,
+    (dH . sigma)_j = -sum_{i,k} dH_i L_k c^k_ij = -(ad*_{dH} L)_j, so the
+    field is -ad*_{dH} (xi - L), euler_vector_field of the shifted system:
+    the two-path identity behind the shift-equivalence check.
     """
     xi = np.asarray(xi, dtype=float)
     dh = np.linalg.solve(np.asarray(inertia, dtype=float), xi)
