@@ -148,6 +148,9 @@ def _run_sweep(config: ExperimentConfig, base_dir: Path) -> tuple:
     errors = [rep.sup_error_total for _, _, rep in results]
     records = []
     for i in range(1, len(cases)):
+        if errors[i] == 0.0:
+            raise ValueError(f"sup error 0 at epsilon {cases[i]!r}: its ratio "
+                             f"to epsilon {cases[i - 1]!r} is undefined")
         name = f"closeness_ratio_{cases[i - 1]!r}_to_{cases[i]!r}"
         ratio = errors[i - 1] / errors[i]
         records.append(_check(f"{name}_lower", ratio, RATIO_WINDOW[0], ">="))

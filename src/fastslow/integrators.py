@@ -278,11 +278,10 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
     horizon must be positive and finite; anything else raises ValueError
     before a step is taken. The run takes n = floor(horizon / dt + 1e-9)
     steps of dt, then one partial step of the remainder when it exceeds
-    1e-12 max(1, horizon). Node i is at time i * dt and the last node at
-    horizon, so integrating again to a node's time retakes the steps
-    before it. A step count too large for numpy to store the nodes of
-    (more than 2**62 or so, or more than memory holds) raises ValueError
-    before a step is taken, too.
+    1e-12 max(1, horizon). Node i is at i * dt and the last at horizon,
+    so a run to a node's time retakes the steps before it. No step, or
+    more steps than numpy can store (2**62 or so, or more than memory
+    holds), raises ValueError before a step is taken, too.
 
     With backward=True the steps are taken with -dt (the reported times
     still increase from 0), which together with a forward run forms the
@@ -327,6 +326,9 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
         raise ValueError(
             f"horizon {horizon:.6g} at dt {config.dt:.6g} takes "
             f"{horizon / config.dt:.6g} steps, too many to store") from err
+    if steps == 0:
+        raise ValueError(f"horizon {horizon:.6g} at dt {config.dt:.6g} "
+                         "takes no step")
     values[0] = z0
     z = z0
     dt_prev = None

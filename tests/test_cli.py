@@ -433,6 +433,52 @@ class TestCommandLine:
         assert "steps, too many to store" in lines[0]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("experiment, line, value, suffix", [
+        ("euler", "horizon = 100.0", "1e-13", ""),
+        ("disk", "horizon = 10.0", "5e-13",
+         " (in the Lagrangian integration)"),
+    ], ids=["euler", "disk"])
+    def test_run_exit_two_on_horizon_shorter_than_a_step(
+            self, tmp_path, capsys, experiment, line, value, suffix):
+        # The run would take no step, and every check would pass on its
+        # one-node trajectories.
+        text = shipped_config_text(experiment)
+        assert line in text
+        path = tmp_path / "run.cfg"
+        path.write_text(text.replace(line, f"horizon = {value}"))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"experiment {experiment} failed: "
+                                   f"horizon {value} at dt ")
+        assert lines[0].endswith(f" takes no step{suffix}")
+        assert not (tmp_path / "out").exists()
+
+    def test_run_exit_two_on_a_zero_sup_error(self, tmp_path, capsys,
+                                              monkeypatch):
+        # A particle at rest in an unforced trap stays at rest in both
+        # flows, so every sup error is 0 and no ratio is defined.
+        monkeypatch.setenv("FASTSLOW_THREADS", "1")
+        text = shipped_config_text("particle")
+        for old, new in (("alpha = 0.7", "alpha = 0.0"),
+                         ("beta = 0.4", "beta = 0.0"),
+                         ("x0 = 0.8", "x0 = 0.0"), ("p0 = 0.3", "p0 = 0.0"),
+                         ("epsilon_sweep = 0.01, 0.005, 0.0025",
+                          "epsilon_sweep = 0.04, 0.02")):
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines == ["experiment particle failed: sup error 0 at epsilon "
+                         "0.02: its ratio to epsilon 0.04 is undefined"]
+        assert not (tmp_path / "out").exists()
+
     def test_run_exit_two_on_missing_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 2
         assert capsys.readouterr().err

@@ -218,6 +218,15 @@ class TestSteppers:
                                  state_labels=("x",), kind="generic",
                                  dim_base=1)
 
+    @pytest.mark.parametrize("horizon", [1e-13, 5e-13])
+    def test_rejects_horizon_shorter_than_a_step(self, horizon):
+        # floor(horizon / dt) is 0 and the remainder is within 1e-12, so
+        # the run would take no step.
+        with pytest.raises(ValueError, match="takes no step"):
+            integrate_autonomous(lambda z: -z, np.ones(1), horizon, RK4_FINE,
+                                 state_labels=("x",), kind="generic",
+                                 dim_base=1)
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="method"):
             IntegratorConfig(method="euler")
