@@ -21,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -32,9 +32,20 @@ from .experiments import (PARAMETER_DEFAULTS, TABLE, CheckRecord,
                           parse_value)
 # integrate_autonomous is not called here; perfbench's self-test checks
 # that its tracer also rewraps this imported binding.
-from .integrators import IntegrationError, Trajectory, integrate_autonomous
+from .integrators import (HORIZON_FACTOR_MAX, IntegrationError,
+                          IntegratorConfig, Trajectory, integrate_autonomous)
 
-SECTIONS = ("parameters", "sweep", "integrator", "output")
+# The keys of each section, in file order. A section key sets the
+# ExperimentConfig field of its name and is read as the type of the
+# field's default, which a key left out of a config takes; the keys of
+# [parameters] are the experiment's schema.
+SECTIONS = {
+    "parameters": (),
+    "sweep": ("epsilon_sweep", "horizon_factor"),
+    "integrator": ("method", "dt_full", "dt_reduced", "newton_tol",
+                   "newton_max_iter"),
+    "output": ("output_dir", "formats"),
+}
 
 
 class ConfigError(ValueError):
@@ -60,19 +71,13 @@ class ExperimentConfig:
     parameters: dict = field(default_factory=dict)
     epsilon_sweep: tuple[float, ...] = (1e-2, 5e-3, 2.5e-3)
     horizon_factor: float = 1.0
-    method: str = "implicit_midpoint"
+    method: str = IntegratorConfig.method
     dt_full: float = 1e-2
     dt_reduced: float = 1e-3
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 50
+    newton_tol: float = IntegratorConfig.newton_tol
+    newton_max_iter: int = IntegratorConfig.newton_max_iter
     output_dir: str = "out"
     formats: tuple[str, ...] = ("csv", "json")
-
-
-# Section keys are named after the fields they set; a key left out of a
-# config takes the field's default.
-_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)
-             if f.default is not MISSING}
 
 
 # Accepted value types and their wording, by the type of the schema
@@ -109,6 +114,44 @@ def _parameter_errors(experiment: str,
     return errors
 
 
+def _setting(key: str, value) -> tuple[object, list[str]]:
+    """A section key's value as its ExperimentConfig field holds it, and
+    the rules the value breaks. An [integrator] key is checked by an
+    IntegratorConfig built from it alone (dt_full and dt_reduced as its
+    dt), so its rules are stated there only."""
+    if key in SECTIONS["integrator"]:
+        name = "dt" if key.startswith("dt_") else key
+        try:
+            return getattr(IntegratorConfig(**{name: value}), name), []
+        except ValueError as err:
+            return value, [str(err).replace(name, key, 1)]
+    if key == "epsilon_sweep":
+        sweep = (value,) if isinstance(value, float) else value
+        if not isinstance(sweep, tuple) or not all(
+                isinstance(v, float) for v in sweep):
+            return value, ["epsilon_sweep must be a comma list of floats"]
+        errors = []
+        if any(not v > 0.0 for v in sweep):
+            errors.append("epsilon values must be positive")
+        if any(sweep[i] <= sweep[i + 1] for i in range(len(sweep) - 1)):
+            errors.append("epsilon_sweep must be strictly decreasing")
+        return sweep, errors
+    if key == "horizon_factor":
+        if isinstance(value, float) and 0.0 < value <= HORIZON_FACTOR_MAX:
+            return value, []
+        return value, [f"horizon_factor must be a float in "
+                       f"(0, {HORIZON_FACTOR_MAX:g}]"]
+    if key == "formats":
+        if isinstance(value, str):
+            value = tuple(p.strip() for p in value.split(",") if p.strip())
+        formats = tuple(value) if isinstance(value, tuple) else ()
+        if not formats or any(f not in ("csv", "json") for f in formats):
+            return formats, ["formats must be a nonempty subset of "
+                             "{csv, json}"]
+        return formats, []
+    return value, []
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse config text, reporting every violation with line numbers."""
     errors: list[tuple[int, str]] = []
@@ -139,11 +182,6 @@ def parse_config(text: str) -> ExperimentConfig:
         seen[(section, key)] = lineno
         values[(section, key)] = raw_val.strip()
 
-    def take(sec, key):
-        default = _DEFAULTS[key]
-        raw = values.pop((sec, key), None)
-        return default if raw is None else _typed(raw, default)
-
     def lineof(sec, key):
         return seen.get((sec, key), 0)
 
@@ -165,57 +203,14 @@ def parse_config(text: str) -> ExperimentConfig:
         errors += [(lineof("parameters", key), message) for key, message
                    in _parameter_errors(experiment, parameters)]
 
-    sweep = take("sweep", "epsilon_sweep")
-    if isinstance(sweep, float):
-        sweep = (sweep,)
-    if not isinstance(sweep, tuple) or not all(
-            isinstance(v, float) for v in sweep):
-        errors.append((lineof("sweep", "epsilon_sweep"),
-                       "epsilon_sweep must be a comma list of floats"))
-    else:
-        if any(not v > 0.0 for v in sweep):
-            errors.append((lineof("sweep", "epsilon_sweep"),
-                           "epsilon values must be positive"))
-        if any(sweep[i] <= sweep[i + 1] for i in range(len(sweep) - 1)):
-            errors.append((lineof("sweep", "epsilon_sweep"),
-                           "epsilon_sweep must be strictly decreasing"))
-
-    horizon_factor = take("sweep", "horizon_factor")
-    if not isinstance(horizon_factor, float) or not \
-            (0.0 < horizon_factor <= 10.0):
-        errors.append((lineof("sweep", "horizon_factor"),
-                       "horizon_factor must be a float in (0, 10]"))
-
-    method = take("integrator", "method")
-    if method not in ("implicit_midpoint", "rk4"):
-        errors.append((lineof("integrator", "method"),
-                       f"unknown method {method!r}"))
-    dt_full = take("integrator", "dt_full")
-    dt_reduced = take("integrator", "dt_reduced")
-    for name, val in (("dt_full", dt_full), ("dt_reduced", dt_reduced)):
-        if not (isinstance(val, float) and val > 0.0 and np.isfinite(val)):
-            errors.append((lineof("integrator", name),
-                           f"{name} must be a positive finite float"))
-    newton_tol = take("integrator", "newton_tol")
-    if not isinstance(newton_tol, float) or not (0.0 < newton_tol <= 1e-6):
-        errors.append((lineof("integrator", "newton_tol"),
-                       "newton_tol must lie in (0, 1e-6]"))
-    newton_max_iter = take("integrator", "newton_max_iter")
-    if not (isinstance(newton_max_iter, (int, float))
-            and float(newton_max_iter).is_integer() and newton_max_iter >= 1):
-        errors.append((lineof("integrator", "newton_max_iter"),
-                       "newton_max_iter must be a positive integer"))
-
-    output_dir = take("output", "output_dir")
-    formats = take("output", "formats")
-    if isinstance(formats, str):
-        formats = tuple(p.strip() for p in formats.split(",") if p.strip())
-    if isinstance(formats, float):
-        formats = ()
-    formats = tuple(formats)
-    if not formats or any(f not in ("csv", "json") for f in formats):
-        errors.append((lineof("output", "formats"),
-                       "formats must be a nonempty subset of {csv, json}"))
+    settings = {}
+    for sec, keys in SECTIONS.items():
+        for key in keys:
+            if (sec, key) in values:
+                raw = values.pop((sec, key))
+                settings[key], messages = _setting(
+                    key, _typed(raw, getattr(ExperimentConfig, key)))
+                errors += [(lineof(sec, key), m) for m in messages]
 
     for (sec, key) in values:
         if sec is None:
@@ -227,47 +222,27 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if errors:
         raise ConfigError(errors)
-    return ExperimentConfig(
-        experiment=str(experiment), parameters=parameters,
-        epsilon_sweep=tuple(sweep), horizon_factor=float(horizon_factor),
-        method=str(method), dt_full=float(dt_full),
-        dt_reduced=float(dt_reduced), newton_tol=float(newton_tol),
-        newton_max_iter=int(newton_max_iter), output_dir=str(output_dir),
-        formats=formats)
+    return ExperimentConfig(experiment=experiment, parameters=parameters,
+                            **settings)
 
 
 def _format_value(value) -> str:
     if isinstance(value, tuple):
-        return ", ".join(repr(float(v)) for v in value)
+        return ", ".join(map(_format_value, value))
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical config text; parse_config round-trips it."""
-    lines = [f"experiment = {config.experiment}", "", "[parameters]"]
-    for key in sorted(config.parameters):
-        lines.append(f"{key} = {_format_value(config.parameters[key])}")
-    lines += [
-        "",
-        "[sweep]",
-        f"epsilon_sweep = {_format_value(config.epsilon_sweep)}",
-        f"horizon_factor = {_format_value(config.horizon_factor)}",
-        "",
-        "[integrator]",
-        f"method = {config.method}",
-        f"dt_full = {_format_value(config.dt_full)}",
-        f"dt_reduced = {_format_value(config.dt_reduced)}",
-        f"newton_tol = {_format_value(config.newton_tol)}",
-        f"newton_max_iter = {config.newton_max_iter}",
-        "",
-        "[output]",
-        f"output_dir = {config.output_dir}",
-        f"formats = {', '.join(config.formats)}",
-        "",
-    ]
-    return "\n".join(lines)
+    lines = [f"experiment = {config.experiment}"]
+    for section, keys in SECTIONS.items():
+        pairs = (sorted(config.parameters.items()) if section == "parameters"
+                 else [(key, getattr(config, key)) for key in keys])
+        lines += ["", f"[{section}]",
+                  *(f"{key} = {_format_value(value)}" for key, value in pairs)]
+    return "\n".join(lines + [""])
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

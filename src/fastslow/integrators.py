@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 from operator import mul, sub
 from typing import Callable, Literal, Sequence
@@ -63,12 +64,16 @@ class IntegrationError(RuntimeError):
 class IntegratorConfig:
     """Step-size and solver settings for the time steppers.
 
-    dt is positive and finite, measured in fast time tau for the full
+    These are the package's only statement of the integrator rules; the
+    config parser checks its [integrator] keys by building one. dt is a
+    positive finite number, measured in fast time tau for the full
     system and in slow time t for reduced systems. newton_tol bounds the
     max-norm residual of the implicit midpoint solve, relative to
     max(1, |z|_inf), and must lie in (0, 1e-6]. newton_max_iter caps the
     chord Newton updates per step, the extra update taken after the
-    residual meets newton_tol included.
+    residual meets newton_tol included; it is an integer >= 1, and an
+    integral float is stored as an int. A bad value of any kind (a bool,
+    a string, 2.5, inf) raises ValueError.
     """
 
     method: Literal["implicit_midpoint", "rk4"] = "implicit_midpoint"
@@ -77,14 +82,20 @@ class IntegratorConfig:
     newton_max_iter: int = 50
 
     def __post_init__(self) -> None:
+        def real(x) -> bool:
+            return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
         if self.method not in ("implicit_midpoint", "rk4"):
             raise ValueError(f"unknown method {self.method!r}")
-        if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise ValueError("dt must be positive and finite")
-        if not (0.0 < self.newton_tol <= 1e-6):
+        if not (real(self.dt) and 0.0 < self.dt < math.inf):
+            raise ValueError("dt must be a positive finite float")
+        if not (real(self.newton_tol) and 0.0 < self.newton_tol <= 1e-6):
             raise ValueError("newton_tol must lie in (0, 1e-6]")
-        if self.newton_max_iter < 1:
-            raise ValueError("newton_max_iter must be at least 1")
+        n = self.newton_max_iter
+        if not (real(n) and n >= 1 and (isinstance(n, numbers.Integral)
+                                        or float(n).is_integer())):
+            raise ValueError("newton_max_iter must be a positive integer")
+        object.__setattr__(self, "newton_max_iter", int(n))
 
 
 @dataclass

@@ -151,6 +151,7 @@ class TestConfigParsing:
         for name in ("pendulum", "disk", "particle", "euler"):
             config = parse_config(shipped_config_text(name))
             assert config.experiment == name
+            assert parse_config(serialize_config(config)) == config
 
     def test_unknown_shipped_config(self):
         with pytest.raises(FileNotFoundError, match="no shipped config"):

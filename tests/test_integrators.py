@@ -230,13 +230,20 @@ class TestSteppers:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="method"):
             IntegratorConfig(method="euler")
-        for dt in (0.0, math.inf, math.nan):
+        # A bool or a string is a bad value too, and raises ValueError
+        # rather than a TypeError from a comparison.
+        for dt in (0.0, math.inf, math.nan, True, "abc"):
             with pytest.raises(ValueError, match="dt"):
                 IntegratorConfig(dt=dt)
         with pytest.raises(ValueError, match="newton_tol"):
             IntegratorConfig(newton_tol=1e-3)
-        with pytest.raises(ValueError, match="newton_max_iter"):
-            IntegratorConfig(newton_max_iter=0)
+        for cap in (0, 2.5, math.inf, True):
+            with pytest.raises(ValueError, match="newton_max_iter"):
+                IntegratorConfig(newton_max_iter=cap)
+
+    def test_integral_float_iteration_cap_is_stored_as_int(self):
+        cap = IntegratorConfig(newton_max_iter=40.0).newton_max_iter
+        assert cap == 40 and type(cap) is int
 
 
 def counted_jacobians(monkeypatch):
