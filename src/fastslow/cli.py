@@ -47,6 +47,16 @@ SECTIONS = {
     "output": ("output_dir", "formats"),
 }
 
+# The keys only an epsilon sweep reads. An experiment without one (its
+# TABLE row has no build) never reads them, so its config may not set
+# them.
+_SWEEP_KEYS = (*SECTIONS["sweep"], "dt_full")
+
+
+def _unread_keys(experiment: str) -> tuple[str, ...]:
+    row = TABLE.get(experiment)
+    return _SWEEP_KEYS if row is not None and row.build is None else ()
+
 
 class ConfigError(ValueError):
     """Config rejection carrying every violation with its line number."""
@@ -203,14 +213,21 @@ def parse_config(text: str) -> ExperimentConfig:
         errors += [(lineof("parameters", key), message) for key, message
                    in _parameter_errors(experiment, parameters)]
 
+    unread = _unread_keys(experiment)
     settings = {}
     for sec, keys in SECTIONS.items():
         for key in keys:
-            if (sec, key) in values:
-                raw = values.pop((sec, key))
-                settings[key], messages = _setting(
-                    key, _typed(raw, getattr(ExperimentConfig, key)))
-                errors += [(lineof(sec, key), m) for m in messages]
+            if (sec, key) not in values:
+                continue
+            raw = values.pop((sec, key))
+            if key in unread:
+                errors.append((lineof(sec, key), f"{key} is read only by an "
+                               f"epsilon sweep, and experiment "
+                               f"{experiment!r} runs none"))
+                continue
+            settings[key], messages = _setting(
+                key, _typed(raw, getattr(ExperimentConfig, key)))
+            errors += [(lineof(sec, key), m) for m in messages]
 
     for (sec, key) in values:
         if sec is None:
@@ -235,13 +252,18 @@ def _format_value(value) -> str:
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    """Canonical config text; parse_config round-trips it."""
+    """Canonical config text; parse_config round-trips it. A section
+    with no key to write, and a key the experiment never reads, are left
+    out."""
+    unread = _unread_keys(config.experiment)
     lines = [f"experiment = {config.experiment}"]
     for section, keys in SECTIONS.items():
         pairs = (sorted(config.parameters.items()) if section == "parameters"
-                 else [(key, getattr(config, key)) for key in keys])
-        lines += ["", f"[{section}]",
-                  *(f"{key} = {_format_value(value)}" for key, value in pairs)]
+                 else [(key, getattr(config, key)) for key in keys
+                       if key not in unread])
+        if pairs:
+            lines += ["", f"[{section}]", *(f"{key} = {_format_value(value)}"
+                                            for key, value in pairs)]
     return "\n".join(lines + [""])
 
 

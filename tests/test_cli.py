@@ -385,12 +385,38 @@ class TestCommandLine:
     def test_run_exit_two_on_non_finite_step(self, tmp_path, capsys, key,
                                              value):
         # An infinite step would take no step at all and pass every check.
+        # Only a sweep reads dt_full.
+        experiment = "pendulum" if key == "dt_full" else "euler"
         path = tmp_path / "bad.cfg"
-        path.write_text(f"experiment = euler\n[integrator]\n{key} = {value}\n")
+        path.write_text(f"experiment = {experiment}\n[integrator]\n"
+                        f"{key} = {value}\n")
         assert main(["run", str(path)]) == 2
         assert capsys.readouterr().err == (
             "invalid config:\n"
             f"line 3: {key} must be a positive finite float\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment", ["disk", "euler", "custom"])
+    @pytest.mark.parametrize("section, line", [
+        ("integrator", "dt_full = 7.0"), ("sweep", "epsilon_sweep = 0.5"),
+        ("sweep", "horizon_factor = 3.0"),
+    ], ids=["dt_full", "epsilon_sweep", "horizon_factor"])
+    def test_run_exit_two_on_a_sweep_key_without_a_sweep(
+            self, tmp_path, capsys, experiment, section, line):
+        # Only pendulum and particle sweep; another experiment would
+        # never read the value and pass every check.
+        text = f"experiment = {experiment}\n"
+        if experiment == "custom":
+            text += "[parameters]\nalgebra_file = so3.alg\n"
+        text += f"[{section}]\n{line}\n"
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 2
+        key = line.split(" = ")[0]
+        assert capsys.readouterr().err == (
+            f"invalid config:\nline {len(text.splitlines())}: {key} is read "
+            f"only by an epsilon sweep, and experiment {experiment!r} runs "
+            "none\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("experiment, line", [
