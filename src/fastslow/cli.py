@@ -127,8 +127,7 @@ def _parameter_errors(experiment: str,
 def _setting(key: str, value) -> tuple[object, list[str]]:
     """A section key's value as its ExperimentConfig field holds it, and
     the rules the value breaks. An [integrator] key is checked by an
-    IntegratorConfig built from it alone (dt_full and dt_reduced as its
-    dt), so its rules are stated there only."""
+    IntegratorConfig built from it alone, dt_full and dt_reduced as dt."""
     if key in SECTIONS["integrator"]:
         name = "dt" if key.startswith("dt_") else key
         try:
@@ -146,19 +145,16 @@ def _setting(key: str, value) -> tuple[object, list[str]]:
         if any(sweep[i] <= sweep[i + 1] for i in range(len(sweep) - 1)):
             errors.append("epsilon_sweep must be strictly decreasing")
         return sweep, errors
-    if key == "horizon_factor":
-        if isinstance(value, float) and 0.0 < value <= HORIZON_FACTOR_MAX:
-            return value, []
+    if key == "horizon_factor" and not (
+            isinstance(value, float) and 0.0 < value <= HORIZON_FACTOR_MAX):
         return value, [f"horizon_factor must be a float in "
                        f"(0, {HORIZON_FACTOR_MAX:g}]"]
     if key == "formats":
-        if isinstance(value, str):
-            value = tuple(p.strip() for p in value.split(",") if p.strip())
-        formats = tuple(value) if isinstance(value, tuple) else ()
-        if not formats or any(f not in ("csv", "json") for f in formats):
-            return formats, ["formats must be a nonempty subset of "
-                             "{csv, json}"]
-        return formats, []
+        # Format names read as text; a value that reads as floats is none.
+        value = (tuple(p.strip() for p in value.split(",") if p.strip())
+                 if isinstance(value, str) else ())
+        if not value or not set(value) <= {"csv", "json"}:
+            return value, ["formats must be a nonempty subset of {csv, json}"]
     return value, []
 
 
@@ -205,10 +201,8 @@ def parse_config(text: str) -> ExperimentConfig:
                        + ", ".join(TABLE)))
 
     schema = PARAMETER_DEFAULTS.get(experiment, {})
-    parameters = {}
-    for (sec, key) in list(values):
-        if sec == "parameters":
-            parameters[key] = _typed(values.pop((sec, key)), schema.get(key))
+    parameters = {key: _typed(values.pop((sec, key)), schema.get(key))
+                  for sec, key in list(values) if sec == "parameters"}
     if experiment in TABLE:
         errors += [(lineof("parameters", key), message) for key, message
                    in _parameter_errors(experiment, parameters)]

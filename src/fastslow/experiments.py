@@ -19,7 +19,6 @@ import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from operator import mul
 from pathlib import Path
@@ -28,8 +27,8 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .bundle_geometry import PhaseStateFull, PhaseStateReduced
-from .integrators import (IntegrationError, IntegratorConfig,
-                          closeness_case, integrate_autonomous)
+from .integrators import (IntegratorConfig, _integration, closeness_case,
+                          integrate_autonomous)
 from .lie_poisson import (BUILTIN_ALGEBRAS, EulerSystem,
                           extended_hamiltonian_field, integrate_euler,
                           load_algebra, shift_cocycle)
@@ -170,16 +169,6 @@ def _curvature_grid(surface) -> tuple[np.ndarray, np.ndarray]:
     return np.linspace(*span1, 50), np.linspace(*span2, 50)
 
 
-@contextmanager
-def _integration(name: str):
-    """Name the integration in the message of an error raised inside."""
-    try:
-        yield
-    except (IntegrationError, ValueError) as err:
-        err.args = (f"{err} (in the {name} integration)",)
-        raise
-
-
 def _run_disk(config: ExperimentConfig, base_dir: Path) -> tuple:
     p = _params(config)
     surfaces = {"sphere": lambda: sphere_surface(p["radius"]),
@@ -206,7 +195,7 @@ def _run_disk(config: ExperimentConfig, base_dir: Path) -> tuple:
         return sum(map(mul, [sum(map(mul, half, col)) for col in zip(*mass)],
                        u))
 
-    with _integration("Lagrangian"):
+    with _integration("Lagrangian integration"):
         lagrangian = integrate_autonomous(
             rhs, np.concatenate([q0, u0]), horizon, cfg,
             state_labels=("q1", "q2", "u1", "u2"), kind="disk_lagrangian",
@@ -220,13 +209,13 @@ def _run_disk(config: ExperimentConfig, base_dir: Path) -> tuple:
         v = disk_velocity(params, surface, z[:2], z[2:]).tolist()
         return sum(map(mul, [0.5 * x for x in z[2:].tolist()], v))
 
-    with _integration("magnetic-chart"):
+    with _integration("magnetic-chart integration"):
         magnetic = integrate_autonomous(
             disk_magnetic_rhs(params, surface), np.concatenate([q0, p1]),
             horizon, cfg, state_labels=("Q1", "Q2", "P1_1", "P1_2"),
             kind="reduced_magnetic", dim_base=2,
             logs={"energy": hamiltonian, "momentum": lambda z: params.mu},
-            chart="magnetic", meta={"mu": params.mu, "clock": "slow"})
+            meta={"mu": params.mu, "clock": "slow"})
 
     # Two-path deviation: positions, and velocities u = M(q)^{-1} P1.
     u_mag = [disk_velocity(params, surface, z[:2], z[2:])

@@ -35,6 +35,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import mul, sub
 from typing import Callable, Literal, Sequence
@@ -43,7 +44,7 @@ import numpy as np
 
 from ._derivatives import jacobian
 from .averaging import AveragedSystem, FastSlowSystem, _floats, \
-    averaged_hamiltonian, effective_potential, magnetic_form
+    averaged_hamiltonian, effective_potential
 from .bundle_geometry import PhaseStateFull, PhaseStateReduced, convert_chart
 
 TWO_PI = 2.0 * np.pi
@@ -60,20 +61,29 @@ class IntegrationError(RuntimeError):
         self.step = step
 
 
+@contextmanager
+def _integration(where: str):
+    """Add "(in the <where>)" to the message of an IntegrationError or
+    ValueError raised inside, which keeps its type and its step."""
+    try:
+        yield
+    except (IntegrationError, ValueError) as err:
+        err.args = (f"{err} (in the {where})",)
+        raise
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Step-size and solver settings for the time steppers.
+    """Step-size and solver settings for the time steppers, and the one
+    statement of their rules (the config parser checks with it).
 
-    These are the package's only statement of the integrator rules; the
-    config parser checks its [integrator] keys by building one. dt is a
-    positive finite number, measured in fast time tau for the full
-    system and in slow time t for reduced systems. newton_tol bounds the
-    max-norm residual of the implicit midpoint solve, relative to
-    max(1, |z|_inf), and must lie in (0, 1e-6]. newton_max_iter caps the
-    chord Newton updates per step, the extra update taken after the
-    residual meets newton_tol included; it is an integer >= 1, and an
-    integral float is stored as an int. A bad value of any kind (a bool,
-    a string, 2.5, inf) raises ValueError.
+    dt is a positive finite number, measured in fast time tau for the
+    full system and in slow time t for reduced systems. newton_tol bounds
+    the max-norm residual of the implicit midpoint solve, relative to
+    max(1, |z|_inf), and must lie in (0, 1e-6]. newton_max_iter, an
+    integer >= 1 (an integral float is stored as an int), caps the chord
+    Newton updates per step, the extra update taken after the residual
+    meets newton_tol included. Any bad value raises ValueError.
     """
 
     method: Literal["implicit_midpoint", "rk4"] = "implicit_midpoint"
@@ -92,8 +102,7 @@ class IntegratorConfig:
         if not (real(self.newton_tol) and 0.0 < self.newton_tol <= 1e-6):
             raise ValueError("newton_tol must lie in (0, 1e-6]")
         n = self.newton_max_iter
-        if not (real(n) and n >= 1 and (isinstance(n, numbers.Integral)
-                                        or float(n).is_integer())):
+        if not (real(n) and n >= 1 and n % 1 == 0):
             raise ValueError("newton_max_iter must be a positive integer")
         object.__setattr__(self, "newton_max_iter", int(n))
 
@@ -121,7 +130,6 @@ class Trajectory:
     dim_base: int
     derivs: np.ndarray | None = None
     invariant_log: dict = field(default_factory=dict)
-    chart: str | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -142,13 +150,14 @@ class Trajectory:
         return self.times.size
 
     def state(self, i: int):
-        """Node i as a typed phase state (full and reduced kinds only)."""
+        """Node i as a typed phase state (full and reduced kinds only; a
+        reduced kind other than reduced_magnetic is canonical)."""
         row = self.values[i]
         if self.kind == "full":
             return PhaseStateFull.from_array(row, self.dim_base)
         if self.kind.startswith("reduced"):
-            return PhaseStateReduced.from_array(
-                row, self.dim_base, chart=self.chart or "canonical")
+            return PhaseStateReduced.from_array(row, self.dim_base, chart=(
+                "magnetic" if self.kind == "reduced_magnetic" else "canonical"))
         raise ValueError(f"kind {self.kind!r} has no typed state view")
 
 
@@ -281,7 +290,6 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
                          kind: str,
                          dim_base: int,
                          logs: dict | None = None,
-                         chart: str | None = None,
                          meta: dict | None = None,
                          backward: bool = False) -> Trajectory:
     """Integrate dz/dt = f(z) over [0, horizon] and log invariants.
@@ -389,7 +397,6 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
     return Trajectory(times=times, values=values,
                       state_labels=tuple(state_labels), kind=kind,
                       dim_base=dim_base, invariant_log=invariant_log,
-                      chart=chart,
                       meta={**(meta or {}), **(counts if midpoint else {})})
 
 
@@ -531,7 +538,7 @@ def integrate_reduced_canonical(avg: AveragedSystem,
         kind="reduced_canonical", dim_base=l,
         logs={"energy": lambda z: averaged_hamiltonian(avg, z[:l], z[l:]),
               "momentum": lambda z: mu},
-        chart="canonical", meta={"mu": mu, "clock": "slow"})
+        meta={"mu": mu, "clock": "slow"})
     if "rhs_evals" in traj.meta:
         traj.meta["rhs_evals"] += len(traj)
     return dataclasses.replace(
@@ -568,9 +575,9 @@ def integrate_reduced_magnetic(avg: AveragedSystem,
         g = _floats(0.5 * mu * mu * (np.asarray(d.grad_h0(Q), dtype=float)
                                      - 2.0 * (ga0 @ a0))
                     + np.asarray(d.grad_U0(Q), dtype=float))
-        # Column i of B dotted with v, from +0 as in _full_rhs.
+        # Column i of B = mu (ga0 - ga0^T) dotted with v, summed from +0.
         dP1 = [-g_i + sum(map(mul, col, v))
-               for g_i, col in zip(g, zip(*_floats(magnetic_form(avg, Q))))]
+               for g_i, col in zip(g, zip(*_floats(mu * (ga0 - ga0.T))))]
         return np.array(v + dP1)
 
     def energy(z: np.ndarray) -> float:
@@ -583,7 +590,7 @@ def integrate_reduced_magnetic(avg: AveragedSystem,
         f, state0.as_array(), horizon, config, state_labels=labels,
         kind="reduced_magnetic", dim_base=l,
         logs={"energy": energy, "momentum": lambda z: mu},
-        chart="magnetic", meta={"mu": mu, "clock": "slow"})
+        meta={"mu": mu, "clock": "slow"})
 
 
 def hermite_interpolate(times: np.ndarray, values: np.ndarray,
@@ -691,18 +698,18 @@ def closeness_case(system: FastSlowSystem, averaged: AveragedSystem,
     """One epsilon of a sweep: integrate both systems and compare them.
 
     The full system runs to the fast time horizon_slow / eps and the
-    averaged one to the slow time horizon_slow. An IntegrationError from
-    either run is raised again with eps=<epsilon> in front of its message.
+    averaged one to the slow time horizon_slow. An IntegrationError or
+    ValueError from either run names the run and the epsilon at the end
+    of its message, as in "(in the full integration at eps=0.005)".
     The epsilon sweep of fastslow.experiments (`fastslow verify pendulum`
     and `particle`) runs this once per epsilon and forms the halving
     ratios from the reports.
     """
     eps = system.epsilon
-    try:
+    with _integration(f"full integration at eps={eps!r}"):
         full = integrate_full(system, state_full, horizon_slow / eps,
                               config_full)
+    with _integration(f"averaged integration at eps={eps!r}"):
         reduced = integrate_reduced_canonical(averaged, state_reduced,
                                               horizon_slow, config_reduced)
-    except IntegrationError as err:
-        raise IntegrationError(f"eps={eps!r}: {err}", step=err.step) from err
     return full, reduced, closeness_report(full, reduced, system)

@@ -506,6 +506,38 @@ class TestCommandLine:
                          "0.02: its ratio to epsilon 0.04 is undefined"]
         assert not (tmp_path / "out").exists()
 
+    def test_sweep_error_names_the_epsilon_and_the_integration(
+            self, tmp_path, capsys, monkeypatch):
+        # The full run at eps 0.01 gets the fast-time horizon
+        # 1e-15 / 0.01, too short for a step of 0.01.
+        monkeypatch.setenv("FASTSLOW_THREADS", "1")
+        text = shipped_config_text("particle")
+        assert "horizon_factor = 1.0" in text
+        path = tmp_path / "run.cfg"
+        path.write_text(text.replace("horizon_factor = 1.0",
+                                     "horizon_factor = 1e-15"))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "experiment particle failed: horizon 1e-13 at dt 0.01 takes no "
+            "step (in the full integration at eps=0.01)"]
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_error_keeps_its_type_and_step(self, monkeypatch):
+        def fail(*args):
+            raise IntegrationError("step 3 (t=0.003): injected", step=3)
+
+        monkeypatch.setattr(integrators, "integrate_reduced_canonical", fail)
+        config = parse_config(
+            PARTICLE_SWEEP_TEMPLATE.format(sweep="0.02, 0.01"))
+        with pytest.raises(IntegrationError) as excinfo:
+            experiments._closeness_case(config, 0.02)
+        assert excinfo.value.step == 3
+        assert str(excinfo.value) == (
+            "step 3 (t=0.003): injected (in the averaged integration at "
+            "eps=0.02)")
+
     def test_run_exit_two_on_missing_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 2
         assert capsys.readouterr().err

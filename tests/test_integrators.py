@@ -651,6 +651,18 @@ class TestTrajectory:
         assert np.array_equal(view.q, start.q)
         assert view.phi == pytest.approx(0.3)
 
+    @pytest.mark.parametrize("kind, chart", [
+        ("reduced_canonical", "canonical"), ("reduced_magnetic", "magnetic"),
+    ])
+    def test_reduced_state_view_takes_its_chart_from_the_kind(self, kind,
+                                                               chart):
+        traj = Trajectory(times=np.array([0.0]), values=np.array([[0.4, 0.2]]),
+                          state_labels=("Q1", "P1"), kind=kind, dim_base=1)
+        view = traj.state(0)
+        assert isinstance(view, PhaseStateReduced)
+        assert view.chart == chart
+        assert np.array_equal(view.P, [0.2])
+
 
 def numpy_full_rhs(system):
     """The full field as it was assembled in numpy arrays, kept verbatim
@@ -1054,6 +1066,6 @@ class TestCloseness:
         red = integrate_autonomous(
             lambda z: np.array([z[1], -z[0]]), np.array([0.4, 0.2]), 0.01,
             MIDPOINT, state_labels=("Q1", "P1"), kind="reduced_canonical",
-            dim_base=1, chart="canonical")
+            dim_base=1)
         with pytest.raises(ValueError, match="derivative column"):
             closeness_report(full, red, system)
