@@ -150,7 +150,7 @@ def _setting(key: str, value) -> tuple[object, list[str]]:
         return value, [f"horizon_factor must be a float in "
                        f"(0, {HORIZON_FACTOR_MAX:g}]"]
     if key == "formats":
-        # Format names read as text; a value that reads as floats is none.
+        # Format names stay text; a value that parsed as floats names none.
         value = (tuple(p.strip() for p in value.split(",") if p.strip())
                  if isinstance(value, str) else ())
         if not value or not set(value) <= {"csv", "json"}:
