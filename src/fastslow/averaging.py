@@ -68,18 +68,6 @@ def _floats(x) -> list:
     return x if type(x) is list else np.asarray(x, dtype=float).tolist()
 
 
-def _as_array(fn: Callable | None) -> Callable | None:
-    """fn with its values returned as float arrays; None stays None."""
-    if fn is None:
-        return None
-    return lambda q: np.asarray(fn(q), dtype=float)
-
-
-def fiber_samples(fn: Callable[[float], object]) -> np.ndarray:
-    """fn(phi) at every node of FIBER_GRID, stacked along the first axis."""
-    return np.array([np.asarray(fn(phi), dtype=float) for phi in FIBER_GRID])
-
-
 def fiber_mean(samples: np.ndarray) -> np.ndarray:
     """Mean over the fiber circle of equispaced samples (first axis = nodes).
 
@@ -90,113 +78,130 @@ def fiber_mean(samples: np.ndarray) -> np.ndarray:
     return np.mean(np.asarray(samples, dtype=float), axis=0)
 
 
-def _resolve_derivatives(data, **stencils) -> None:
-    """Set data.derivatives to each derivative field, or its stencil if None.
-
-    The central differences for grad_a0, grad_h0 and grad_U0 are built in;
-    callers pass the stencils of their other fields by name.
-    """
+def _resolve_derivatives(data) -> None:
+    """Set data.derivatives to each gradient field, or its central
+    difference if None."""
     stencils = {"grad_a0": lambda q: jacobian(data.a0, q),
                 "grad_h0": lambda q: gradient(data.h0, q),
-                "grad_U0": lambda q: gradient(data.U0, q), **stencils}
+                "grad_U0": lambda q: gradient(data.U0, q)}
     object.__setattr__(data, "derivatives", SimpleNamespace(**{
         name: stencil if getattr(data, name) is None else getattr(data, name)
         for name, stencil in stencils.items()}))
+
+
+def difference_jets(slow_values: Callable, fast_values: Callable
+                    ) -> tuple[Callable, Callable]:
+    """The two jets of a FastSlowSystem from value-only ones.
+
+    slow_values(q) -> (a0, h0, U0) and fast_values(q, phi) -> (a1, h1, U1)
+    receive q as a float array. Every derivative slot is the central
+    difference of fastslow._derivatives on one value slot: jacobian for
+    a0 and a1, gradient for the scalars, phi_derivative in phi.
+    """
+    def slot(fn, k):
+        return lambda *args: fn(*args)[k]
+
+    def slow(q):
+        q = np.asarray(q, dtype=float)
+        return (*slow_values(q), jacobian(slot(slow_values, 0), q),
+                gradient(slot(slow_values, 1), q),
+                gradient(slot(slow_values, 2), q))
+
+    def fast(q, phi):
+        q = np.asarray(q, dtype=float)
+        a1, h1, U1 = (slot(fast_values, k) for k in range(3))
+        return (*fast_values(q, phi),
+                jacobian(lambda x: a1(x, phi), q),
+                gradient(lambda x: h1(x, phi), q),
+                gradient(lambda x: U1(x, phi), q),
+                phi_derivative(a1, q, phi),
+                float(phi_derivative(h1, q, phi)),
+                float(phi_derivative(U1, q, phi)))
+
+    return slow, fast
 
 
 @dataclass(frozen=True)
 class FastSlowSystem:
     """Coefficient data of a fast-oscillating natural Hamiltonian system.
 
-    a0, h0, U0 are functions of q alone; a1, h1, U1 depend on (q, phi)
-    and must have zero fiber mean. epsilon > 0 is the timescale ratio
-    and mu the conserved leading-order fiber momentum, so the fast
-    frequency is omega = mu / epsilon. grad_a0(q)[i, j] is
-    d a0_j / d q_i, and jac_q_a1 follows the same layout in its first
-    two axes. Every coefficient takes q as an array and phi as a float
-    and returns a float, a (nested) list of floats or an array: the full
-    field and the energy log read a list as it is and turn an array into
-    floats once (_floats).
+    The coefficients come as two jets, each giving values and derivatives
+    from one call, so that shared work (the trigonometry of q and phi,
+    say) is done once per evaluation:
 
-    The nine derivative fields are optional and keep what the caller
-    passed. The attribute derivatives (not a field) holds all nine by
-    the same names: a given callable as it is, a missing one as a
-    central difference (fastslow._derivatives), derived again by
-    dataclasses.replace.
+        slow(q)      -> (a0, h0, U0, grad_a0, grad_h0, grad_U0)
+        fast(q, phi) -> (a1, h1, U1, jac_q_a1, grad_q_h1, grad_q_U1,
+                         dphi_a1, dphi_h1, dphi_U1)
+
+    q is a list of dim_base Python floats and phi a float. grad_a0[i][j]
+    is d a0_j / d q_i, and jac_q_a1 has the same layout. A vector or
+    matrix slot is a (nested) list of floats or an array, a scalar slot a
+    float: the full field and the energy log read a list as it is and
+    turn an array into floats once (_floats). a1, h1 and U1 must have
+    zero fiber mean. A caller with values only builds both jets with
+    difference_jets. epsilon > 0 is the timescale ratio and mu the
+    conserved leading-order fiber momentum, so the fast frequency is
+    omega = mu / epsilon.
     """
 
     dim_base: int
-    a0: Callable[[np.ndarray], np.ndarray]
-    h0: Callable[[np.ndarray], float]
-    U0: Callable[[np.ndarray], float]
-    a1: Callable[[np.ndarray, float], np.ndarray]
-    h1: Callable[[np.ndarray, float], float]
-    U1: Callable[[np.ndarray, float], float]
+    slow: Callable[[list], tuple]
+    fast: Callable[[list, float], tuple]
     epsilon: float
     mu: float
-    grad_a0: Callable[[np.ndarray], np.ndarray] | None = None
-    grad_h0: Callable[[np.ndarray], np.ndarray] | None = None
-    grad_U0: Callable[[np.ndarray], np.ndarray] | None = None
-    jac_q_a1: Callable[[np.ndarray, float], np.ndarray] | None = None
-    dphi_a1: Callable[[np.ndarray, float], np.ndarray] | None = None
-    grad_q_h1: Callable[[np.ndarray, float], np.ndarray] | None = None
-    dphi_h1: Callable[[np.ndarray, float], float] | None = None
-    grad_q_U1: Callable[[np.ndarray, float], np.ndarray] | None = None
-    dphi_U1: Callable[[np.ndarray, float], float] | None = None
 
     def __post_init__(self) -> None:
         if self.dim_base < 1:
             raise ValueError("dim_base must be a positive integer")
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
-        _resolve_derivatives(
-            self,
-            jac_q_a1=lambda q, phi: jacobian(lambda x: self.a1(x, phi), q),
-            grad_q_h1=lambda q, phi: gradient(lambda x: self.h1(x, phi), q),
-            grad_q_U1=lambda q, phi: gradient(lambda x: self.U1(x, phi), q),
-            dphi_a1=lambda q, phi: phi_derivative(self.a1, q, phi),
-            dphi_h1=lambda q, phi: float(phi_derivative(self.h1, q, phi)),
-            dphi_U1=lambda q, phi: float(phi_derivative(self.U1, q, phi)))
 
     @property
     def omega(self) -> float:
         """Fast fiber frequency mu / epsilon."""
         return self.mu / self.epsilon
 
-    def a(self, q: np.ndarray, phi: float) -> np.ndarray:
-        return (np.asarray(self.a0(q), dtype=float)
-                + self.epsilon * np.asarray(self.a1(q, phi), dtype=float))
+    def _value(self, k: int, q, phi: float) -> tuple:
+        """Slot k of each jet at (q, phi); q may be an array."""
+        q = _floats(q)
+        return self.slow(q)[k], self.fast(q, phi)[k]
 
-    def h(self, q: np.ndarray, phi: float) -> float:
-        return float(self.h0(q)) + self.epsilon * float(self.h1(q, phi))
+    def a(self, q, phi: float) -> np.ndarray:
+        a0, a1 = self._value(0, q, phi)
+        return (np.asarray(a0, dtype=float)
+                + self.epsilon * np.asarray(a1, dtype=float))
 
-    def U(self, q: np.ndarray, phi: float) -> float:
-        return float(self.U0(q)) + self.epsilon * float(self.U1(q, phi))
+    def h(self, q, phi: float) -> float:
+        h0, h1 = self._value(1, q, phi)
+        return float(h0) + self.epsilon * float(h1)
 
-    def hamiltonian(self, q: np.ndarray, p: np.ndarray, phi: float,
-                    gamma: float) -> float:
+    def U(self, q, phi: float) -> float:
+        U0, U1 = self._value(2, q, phi)
+        return float(U0) + self.epsilon * float(U1)
+
+    def hamiltonian(self, q, p, phi: float, gamma: float) -> float:
         return self.energy_and_fiber_speed(q, p, phi, gamma)[0]
 
-    def energy_and_fiber_speed(self, q: np.ndarray, p: np.ndarray,
-                               phi: float, gamma: float
+    def energy_and_fiber_speed(self, q, p, phi: float, gamma: float
                                ) -> tuple[float, float]:
         """H and the fiber speed dphi/dtau = a . p + h gamma at one state.
 
-        Both share one evaluation of a and h. a, h and U are assembled
-        in Python floats as the array methods assemble them, and each dot
+        Both share one call of each jet. a, h and U are assembled in
+        Python floats as the array methods assemble them, and each dot
         product adds its terms in index order from +0, as
         integrators._full_rhs does.
         """
-        q = np.asarray(q, dtype=float)
+        q = _floats(q)
         p = _floats(p)
         gamma = float(gamma)
         eps = self.epsilon
-        h = float(self.h0(q)) + eps * float(self.h1(q, phi))
-        ap = sum([(x + eps * y) * p_i for x, y, p_i in zip(
-            _floats(self.a0(q)), _floats(self.a1(q, phi)), p)])
+        a0, h0, U0 = self.slow(q)[:3]
+        a1, h1, U1 = self.fast(q, phi)[:3]
+        h = float(h0) + eps * float(h1)
+        ap = sum([(x + eps * y) * p_i
+                  for x, y, p_i in zip(_floats(a0), _floats(a1), p)])
         energy = (0.5 * sum(map(mul, p, p)) + gamma * ap
-                  + 0.5 * h * gamma * gamma
-                  + (float(self.U0(q)) + eps * float(self.U1(q, phi))))
+                  + 0.5 * h * gamma * gamma + (float(U0) + eps * float(U1)))
         return energy, ap + h * gamma
 
 
@@ -210,8 +215,10 @@ class AveragedSystem:
     the layout grad_a0(q)[i, j] = d a0_j / d q_i.
 
     The gradient fields are optional and keep what the caller passed;
-    the attribute derivatives (not a field) resolves them as
-    FastSlowSystem.derivatives does.
+    the attribute derivatives (not a field) holds all three by the same
+    names: a given callable as it is, a missing one as a central
+    difference (fastslow._derivatives), derived again by
+    dataclasses.replace.
     """
 
     dim_base: int
@@ -239,11 +246,11 @@ def average_coefficients(system: FastSlowSystem,
     h1, U1 have fiber mean below 1e-10 (relative to their own scale) and
     that the total inertia h0 + eps h1 stays positive; violations raise
     an AveragingError naming the offending coefficient and point. The
-    returned system reuses the slow coefficients and analytic gradients
-    of the input and records the worst residual means, together with the
+    returned system's callables read the slow jet of the input, one slot
+    each, and it records the worst residual means, together with the
     minimum of h0 - a0 . a0 over the samples, in diagnostics. a0,
     grad_a0, grad_h0 and grad_U0 return arrays there, so that mu * a0(Q)
-    is a vector whatever the input's coefficients return.
+    is a vector whatever the jet returns.
     """
     if sample_points is None:
         pts = _default_base_samples(system.dim_base)
@@ -252,9 +259,11 @@ def average_coefficients(system: FastSlowSystem,
     residuals = {"a1": 0.0, "h1": 0.0, "U1": 0.0}
     inertia_min = np.inf
     for q in pts:
-        for name, fn in (("a1", system.a1), ("h1", system.h1),
-                         ("U1", system.U1)):
-            samples = fiber_samples(lambda phi: fn(q, phi))
+        a0q, h0q = system.slow(q.tolist())[:2]
+        jets = [system.fast(q.tolist(), phi)[:3] for phi in FIBER_GRID]
+        for k, name in enumerate(residuals):
+            samples = np.array([np.asarray(jet[k], dtype=float)
+                                for jet in jets])
             scale = max(1.0, float(np.max(np.abs(samples))))
             mean = fiber_mean(samples)
             worst = float(np.max(np.abs(np.atleast_1d(mean))))
@@ -264,15 +273,15 @@ def average_coefficients(system: FastSlowSystem,
                     f"{worst:.3e} at q={q}",
                     coefficient=name, point=q, residual=worst)
             residuals[name] = max(residuals[name], worst)
-        h0q = float(system.h0(q))
-        for phi in FIBER_GRID:
-            total = h0q + system.epsilon * float(system.h1(q, phi))
+        h0q = float(h0q)
+        for phi, jet in zip(FIBER_GRID, jets):
+            total = h0q + system.epsilon * float(jet[1])
             if not total > 0.0:
                 raise AveragingError(
                     f"total fiber inertia h0 + eps h1 is not positive at "
                     f"q={q}, phi={phi:.3f} (value {total:.3e})",
                     coefficient="h", point=q, residual=total)
-        a0q = np.asarray(system.a0(q), dtype=float)
+        a0q = np.asarray(a0q, dtype=float)
         inv = h0q - float(a0q @ a0q)
         if not np.isfinite(inv):
             raise AveragingError(
@@ -285,10 +294,17 @@ def average_coefficients(system: FastSlowSystem,
         "inertia_inverse_min": float(inertia_min),
         "sample_points": [q.copy() for q in pts],
     }
+    slow = system.slow
+
+    def value(k):
+        return lambda q: slow(_floats(q))[k]
+
+    def array(k):
+        return lambda q: np.asarray(slow(_floats(q))[k], dtype=float)
+
     return AveragedSystem(
-        dim_base=system.dim_base, a0=_as_array(system.a0), h0=system.h0,
-        U0=system.U0, mu=system.mu, grad_a0=_as_array(system.grad_a0),
-        grad_h0=_as_array(system.grad_h0), grad_U0=_as_array(system.grad_U0),
+        dim_base=system.dim_base, a0=array(0), h0=value(1), U0=value(2),
+        mu=system.mu, grad_a0=array(3), grad_h0=array(4), grad_U0=array(5),
         diagnostics=diagnostics)
 
 

@@ -10,10 +10,12 @@ integrated directly in slow time with the eps-free vector fields
     magnetic chart:   dQ/dt = P1
                       dP1/dt = -grad Ubar_mu(Q) + B(Q)^T P1
 
-with B_ij = mu (d_i a0_j - d_j a0_i). Every derivative of a coefficient
-comes from the system's derivatives attribute, which holds the analytic
-callable where one was given and a central difference otherwise
-(fastslow.averaging).
+with B_ij = mu (d_i a0_j - d_j a0_i). The full system's derivatives come
+from its two jets, one call of each per evaluation of the field; the
+averaged system's from its derivatives attribute, which holds the
+analytic callable where one was given and a central difference
+otherwise (fastslow.averaging). Every vector field receives its state
+as a list of Python floats.
 
 The default method is the implicit midpoint rule, solved by chord Newton
 (one central-difference iteration matrix reused across the steps of an
@@ -165,17 +167,17 @@ def _rk4_step(f, z, dt: float) -> list:
     """One classical RK4 step, on lists of Python floats.
 
     z may be an array or a list of floats, and the new state is returned
-    as a list. f receives each stage point as an array. The stage points
+    as a list. f receives each stage point as a list. The stage points
     z + (dt/2) k and z + dt k and the update
     z + (dt/6) (((k1 + 2 k2) + 2 k3) + k4) are grouped as numpy groups
     the same expressions on arrays, so every component has numpy's bits.
     """
     z = _floats(z)
     half = 0.5 * dt
-    k1 = _floats(f(np.array(z)))
-    k2 = _floats(f(np.array([a + half * b for a, b in zip(z, k1)])))
-    k3 = _floats(f(np.array([a + half * b for a, b in zip(z, k2)])))
-    k4 = _floats(f(np.array([a + dt * b for a, b in zip(z, k3)])))
+    k1 = _floats(f(z))
+    k2 = _floats(f([a + half * b for a, b in zip(z, k1)]))
+    k3 = _floats(f([a + half * b for a, b in zip(z, k2)]))
+    k4 = _floats(f([a + dt * b for a, b in zip(z, k3)]))
     sixth = dt / 6.0
     return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
             for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
@@ -199,7 +201,8 @@ def _midpoint_step(f, z, dt: float, guess, tol: float, max_iter: int,
     and "jacobians".
 
     z and guess may be arrays or lists of floats; f receives the
-    midpoint as an array. Everything else is Python floats: the iterate,
+    midpoint, and each point of the central-difference Jacobian, as a
+    list. Everything else is Python floats: the iterate,
     the midpoint, the residual, their max-norms and the chord update,
     whose component i is row i of inv dotted with the residual, summed
     from +0 in index order. Only the Jacobian and its inverse are made
@@ -213,9 +216,9 @@ def _midpoint_step(f, z, dt: float, guess, tol: float, max_iter: int,
     bound = tol * max(1.0, max(map(abs, z)))
     jacobians = 0
 
-    def residual(znew: list) -> tuple[np.ndarray, list, float]:
-        mid = np.array([0.5 * (a + b) for a, b in zip(z, znew)])
-        res = [b - a - dt * c for a, b, c in zip(z, znew, f(mid).tolist())]
+    def residual(znew: list) -> tuple[list, list, float]:
+        mid = [0.5 * (a + b) for a, b in zip(z, znew)]
+        res = [b - a - dt * c for a, b, c in zip(z, znew, _floats(f(mid)))]
         if not all(map(math.isfinite, res)):
             raise IntegrationError("implicit midpoint residual is non-finite")
         return mid, res, max(map(abs, res))
@@ -223,8 +226,8 @@ def _midpoint_step(f, z, dt: float, guess, tol: float, max_iter: int,
     mid, res, err = residual(znew)
     for k in range(max_iter):
         if inv is None:
-            inv = np.linalg.inv(np.eye(len(z))
-                                - 0.5 * dt * jacobian(f, mid).T).tolist()
+            inv = np.linalg.inv(np.eye(len(z)) - 0.5 * dt * jacobian(
+                lambda x: f(x.tolist()), mid).T).tolist()
             jacobians += 1
         znew = [a - sum(map(mul, row, res)) for a, row in zip(znew, inv)]
         if not all(map(math.isfinite, znew)):
@@ -281,7 +284,7 @@ def _extrapolate(table: list, size: list) -> list:
     return list(map(sum, zip(*table[:k + 1])))
 
 
-def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
+def integrate_autonomous(f: Callable[[list], list | np.ndarray],
                          z0: np.ndarray,
                          horizon: float,
                          config: IntegratorConfig,
@@ -321,12 +324,13 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
     evaluation of f the steps made, Jacobian columns included). The
     returned trajectory carries no derivs.
 
-    Both methods carry the state from step to step as a list of Python
-    floats, the form _midpoint_step and _rk4_step return, and store each
-    node into the preallocated values array. The midpoint rule keeps the
-    backward differences of the accepted nodes as a float table, updated
-    once per step by _difference_table, and every guess after the first
-    is formed from it in floats.
+    f receives a list of Python floats on every call and returns a list
+    of floats or an array. Both methods carry the state from step to
+    step as a list, the form _midpoint_step and _rk4_step return, and
+    store each node into the preallocated values array. The midpoint
+    rule keeps the backward differences of the accepted nodes as a float
+    table, updated once per step by _difference_table, and every guess
+    after the first is formed from it in floats.
     """
     z0 = np.asarray(z0, dtype=float)
     if not (horizon > 0.0 and math.isfinite(horizon)):
@@ -349,10 +353,10 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
         raise ValueError(f"horizon {horizon:.6g} at dt {config.dt:.6g} "
                          "takes no step")
     values[0] = z0
-    z = z0
+    z = z0.tolist()
     dt_prev = None
     inv = None
-    table = [z0.tolist()]
+    table = [z]
     counts = {"newton_updates": 0, "jacobians": 0, "rhs_evals": 0}
     for i in range(steps):
         dt = config.dt if i < n else rem
@@ -365,7 +369,8 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
                     raise IntegrationError("state became non-finite")
             else:
                 if i == 0:
-                    guess = z + dt_signed * f(z)
+                    guess = [a + dt_signed * b
+                             for a, b in zip(z, _floats(f(z)))]
                     counts["rhs_evals"] += 1
                 elif dt != dt_prev:
                     ratio = dt / dt_prev
@@ -400,46 +405,53 @@ def integrate_autonomous(f: Callable[[np.ndarray], np.ndarray],
                       meta={**(meta or {}), **(counts if midpoint else {})})
 
 
-def _full_rhs(system: FastSlowSystem) -> Callable[[np.ndarray], np.ndarray]:
-    """The full field in fast time, assembled in Python floats.
+def _full_rhs(system: FastSlowSystem) -> Callable[[list], list]:
+    """The full field in fast time, on lists of Python floats.
 
-    The coefficients are read under the contract of FastSlowSystem: a
-    list as it is, an array turned into floats once. Each x0 + eps x1 is
-    formed per component, and a dot product adds the rounded products in
-    index order from +0. For dim_base 1 that is numpy's dot bit for bit;
-    longer dots can differ from a BLAS kernel that fuses multiply-adds,
-    by rounding alone.
+    Each evaluation makes one call of each jet of the system and reads
+    their slots under its contract: a list as it is, an array turned
+    into floats once. Each x0 + eps x1 is formed per component, and a dot
+    product adds the rounded products in index order from +0. For
+    dim_base 1 that is numpy's dot bit for bit; longer dots can differ
+    from a BLAS kernel that fuses multiply-adds, by rounding alone.
     """
     l = system.dim_base
     eps = system.epsilon
-    d = system.derivatives
-    a0, a1, h0, h1 = system.a0, system.a1, system.h0, system.h1
-    ga0, ga1, gh0, gh1, gU0, gU1 = (d.grad_a0, d.jac_q_a1, d.grad_h0,
-                                    d.grad_q_h1, d.grad_U0, d.grad_q_U1)
-    da1, dh1, dU1 = d.dphi_a1, d.dphi_h1, d.dphi_U1
+    slow, fast = system.slow, system.fast
+    rows = range(l)
 
-    def rhs(z: np.ndarray) -> np.ndarray:
+    def rhs(z: list) -> list:
         q = z[:l]
-        zs = z.tolist()
-        p = zs[l:2 * l]
-        phi, gam = zs[2 * l], zs[2 * l + 1]
+        p = z[l:2 * l]
+        phi, gam = z[2 * l], z[2 * l + 1]
+        a0, h0, _, ga0, gh0, gU0 = slow(q)
+        a1, h1, _, ga1, gh1, gU1, da1, dh1, dU1 = fast(q, phi)
+        a0, ga0, gh0, gU0 = _floats(a0), _floats(ga0), _floats(gh0), \
+            _floats(gU0)
+        a1, ga1, gh1, gU1, da1 = _floats(a1), _floats(ga1), _floats(gh1), \
+            _floats(gU1), _floats(da1)
         half_gam2 = 0.5 * gam * gam
-        a = [x + eps * y for x, y in zip(_floats(a0(q)), _floats(a1(q, phi)))]
-        h = float(h0(q)) + eps * float(h1(q, phi))
+        out = []
+        ap = 0.0
+        for i in rows:
+            a_i = a0[i] + eps * a1[i]
+            out.append(eps * (p[i] + gam * a_i))
+            ap += a_i * p[i]
         # Row i: jac_a[i] . p, d_i h and d_i U, each coefficient x + eps y.
-        dp = [-eps * (gam * sum([(x + eps * y) * p_k
-                                 for x, y, p_k in zip(j0, j1, p)])
-                      + half_gam2 * (gh0_i + eps * gh1_i)
-                      + (gU0_i + eps * gU1_i))
-              for j0, j1, gh0_i, gh1_i, gU0_i, gU1_i in zip(
-                  _floats(ga0(q)), _floats(ga1(q, phi)), _floats(gh0(q)),
-                  _floats(gh1(q, phi)), _floats(gU0(q)), _floats(gU1(q, phi)))]
-        dq = [eps * (p_i + gam * a_i) for p_i, a_i in zip(p, a)]
-        dphi = sum(map(mul, a, p)) + h * gam
-        dgam = -eps * (gam * sum(map(mul, _floats(da1(q, phi)), p))
-                       + half_gam2 * float(dh1(q, phi))
-                       + float(dU1(q, phi)))
-        return np.array(dq + dp + [dphi, dgam])
+        for i in rows:
+            j0, j1 = ga0[i], ga1[i]
+            jp = 0.0
+            for k in rows:
+                jp += (j0[k] + eps * j1[k]) * p[k]
+            out.append(-eps * (gam * jp + half_gam2 * (gh0[i] + eps * gh1[i])
+                               + (gU0[i] + eps * gU1[i])))
+        dap = 0.0
+        for i in rows:
+            dap += da1[i] * p[i]
+        out.append(ap + (float(h0) + eps * float(h1)) * gam)
+        out.append(-eps * (gam * dap + half_gam2 * float(dh1)
+                           + float(dU1)))
+        return out
 
     return rhs
 
@@ -490,10 +502,9 @@ def integrate_full(system: FastSlowSystem, state0: PhaseStateFull,
     # One evaluation of a and h per node gives both the energy and the
     # fiber speed, the phi component of _full_rhs term for term.
     energy, phi_dot = np.empty((2, len(traj)))
-    values = traj.values
-    for i, z in enumerate(values.tolist()):
+    for i, z in enumerate(traj.values.tolist()):
         energy[i], phi_dot[i] = system.energy_and_fiber_speed(
-            values[i, :l], z[l:2 * l], z[2 * l], z[2 * l + 1])
+            z[:l], z[l:2 * l], z[2 * l], z[2 * l + 1])
     phi_dot *= sign
     traj.invariant_log = {"energy": energy,
                           "momentum": traj.values[:, 2 * l + 1].copy(),
@@ -521,7 +532,8 @@ def integrate_reduced_canonical(avg: AveragedSystem,
     d = avg.derivatives
     ga0, gh0, gU0 = d.grad_a0, d.grad_h0, d.grad_U0
 
-    def f(z: np.ndarray) -> np.ndarray:
+    def f(z) -> np.ndarray:
+        z = np.array(z, dtype=float)
         Q = z[:l]
         P = z[l:]
         a0 = np.asarray(avg.a0(Q), dtype=float)
@@ -567,8 +579,8 @@ def integrate_reduced_magnetic(avg: AveragedSystem,
     mu = avg.mu
     d = avg.derivatives
 
-    def f(z: np.ndarray) -> np.ndarray:
-        Q = z[:l]
+    def f(z: list) -> list:
+        Q = np.array(z[:l])
         v = _floats(z[l:])
         a0 = np.asarray(avg.a0(Q), dtype=float)
         ga0 = np.asarray(d.grad_a0(Q), dtype=float)
@@ -578,7 +590,7 @@ def integrate_reduced_magnetic(avg: AveragedSystem,
         # Column i of B = mu (ga0 - ga0^T) dotted with v, summed from +0.
         dP1 = [-g_i + sum(map(mul, col, v))
                for g_i, col in zip(g, zip(*_floats(mu * (ga0 - ga0.T))))]
-        return np.array(v + dP1)
+        return v + dP1
 
     def energy(z: np.ndarray) -> float:
         P1 = z[l:]

@@ -214,14 +214,16 @@ class EulerSystem:
         return float(0.5 * xi @ self.velocity(xi))
 
 
-def _euler_field(system: EulerSystem) -> Callable[[np.ndarray], np.ndarray]:
+def _euler_field(system: EulerSystem) -> Callable[[list], np.ndarray]:
     """The field of euler_vector_field as a closure; I^{-1} and the (n*n, n)
-    matrix of structure constants that _ad_star takes are formed once."""
+    matrix of structure constants that _ad_star takes are formed once.
+    It takes xi as a list or an array and makes it an array once."""
     inertia_inv = np.linalg.inv(system.inertia)
     shift = system.shift
     c2 = system.algebra.structure_constants.reshape(-1, system.algebra.dim)
 
-    def f(xi: np.ndarray) -> np.ndarray:
+    def f(xi) -> np.ndarray:
+        xi = np.array(xi, dtype=float)
         return -_ad_star(c2, inertia_inv @ xi, xi - shift)
 
     return f
@@ -233,7 +235,7 @@ def euler_vector_field(system: EulerSystem, xi: np.ndarray) -> np.ndarray:
     The field is orthogonal to the angular velocity I^{-1} xi, so the
     kinetic energy is conserved at the level of the vector field.
     """
-    return _euler_field(system)(np.asarray(xi, dtype=float))
+    return _euler_field(system)(xi)
 
 
 def extended_hamiltonian_field(algebra: LieAlgebraData,

@@ -94,9 +94,10 @@ def pendulum_systems(params: PendulumParams,
 
         (1/4) mu^2 amp^2 sin^2(x / l) - g l cos(x / l)
 
-    exactly, for every fiber_floor. Every vector or matrix coefficient
-    returns a list of Python floats, which the full field and the energy
-    log read without a conversion; the averaged system's a0 and
+    exactly, for every fiber_floor. The two jets share sin and cos of
+    x / l, and the fast jet those of phi and 2 phi; every vector or matrix
+    slot is a list of Python floats, which the full field and the energy
+    log read without a conversion, and the averaged system's a0 and
     gradients return arrays (average_coefficients).
     """
     l = params.length
@@ -104,64 +105,26 @@ def pendulum_systems(params: PendulumParams,
     amp = params.amplitude
     amp2 = amp ** 2
     c = float(fiber_floor)
-    # float(q[0]) / l rounds as q[0] / l does, without numpy's scalar
-    # arithmetic.
+    shift = 0.5 * params.mu ** 2 * c
 
-    def a0(q):
-        return [0.0]
+    def slow(q):
+        x = q[0] / l
+        sx, cx = math.sin(x), math.cos(x)
+        return ([0.0], c + 0.5 * amp2 * sx ** 2, -g * l * cx - shift,
+                [[0.0]], [amp2 * sx * cx / l], [g * sx])
 
-    def grad_a0(q):
-        return [[0.0]]
+    def fast(q, phi):
+        x = q[0] / l
+        sx, cx = math.sin(x), math.cos(x)
+        sx2 = sx ** 2
+        sp, cp = math.sin(phi), math.cos(phi)
+        s2p, c2p = math.sin(2.0 * phi), math.cos(2.0 * phi)
+        return ([-amp * sp * sx], -0.5 * amp2 * c2p * sx2, -g * amp * cp,
+                [[-amp / l * sp * cx]], [-amp2 / l * c2p * sx * cx], [0.0],
+                [-amp * cp * sx], amp2 * s2p * sx2, g * amp * sp)
 
-    def h0(q):
-        return c + 0.5 * amp2 * math.sin(float(q[0]) / l) ** 2
-
-    def grad_h0(q):
-        x = float(q[0]) / l
-        return [amp2 * math.sin(x) * math.cos(x) / l]
-
-    def U0(q):
-        return (-g * l * math.cos(float(q[0]) / l)
-                - 0.5 * params.mu ** 2 * c)
-
-    def grad_U0(q):
-        return [g * math.sin(float(q[0]) / l)]
-
-    def a1(q, phi):
-        return [-amp * math.sin(phi) * math.sin(float(q[0]) / l)]
-
-    def jac_q_a1(q, phi):
-        return [[-amp / l * math.sin(phi) * math.cos(float(q[0]) / l)]]
-
-    def dphi_a1(q, phi):
-        return [-amp * math.cos(phi) * math.sin(float(q[0]) / l)]
-
-    def h1(q, phi):
-        s = math.sin(float(q[0]) / l)
-        return -0.5 * amp2 * math.cos(2.0 * phi) * s ** 2
-
-    def grad_q_h1(q, phi):
-        x = float(q[0]) / l
-        return [-amp2 / l * math.cos(2.0 * phi) * math.sin(x) * math.cos(x)]
-
-    def dphi_h1(q, phi):
-        return amp2 * math.sin(2.0 * phi) * math.sin(float(q[0]) / l) ** 2
-
-    def U1(q, phi):
-        return -g * amp * math.cos(phi)
-
-    def grad_q_U1(q, phi):
-        return [0.0]
-
-    def dphi_U1(q, phi):
-        return g * amp * math.sin(phi)
-
-    system = FastSlowSystem(
-        dim_base=1, a0=a0, h0=h0, U0=U0, a1=a1, h1=h1, U1=U1,
-        epsilon=params.epsilon, mu=params.mu,
-        grad_a0=grad_a0, grad_h0=grad_h0, grad_U0=grad_U0,
-        jac_q_a1=jac_q_a1, dphi_a1=dphi_a1, grad_q_h1=grad_q_h1,
-        dphi_h1=dphi_h1, grad_q_U1=grad_q_U1, dphi_U1=dphi_U1)
+    system = FastSlowSystem(dim_base=1, slow=slow, fast=fast,
+                            epsilon=params.epsilon, mu=params.mu)
     # Validation samples stay off the zeros of sin(x / l) so that a zero
     # fiber_floor still passes the positivity check.
     samples = [np.array([l * t]) for t in (0.9, 2.0, -1.1, 2.8)]
@@ -560,8 +523,7 @@ def _contract(dmass: list, u0: float, u1: float) -> list:
 
 
 def spinning_disk_rhs(params: DiskParams,
-                      surface: SurfaceMetric) -> Callable[[np.ndarray],
-                                                          np.ndarray]:
+                      surface: SurfaceMetric) -> Callable[[list], list]:
     """Euler-Lagrange vector field of the reduced disk in (q, qdot).
 
     The slow energy is E0 = (1/2) qdot . M(q) qdot with M the disk mass
@@ -579,7 +541,7 @@ def spinning_disk_rhs(params: DiskParams,
     """
     mu = params.mu
 
-    def rhs(z: np.ndarray) -> np.ndarray:
+    def rhs(z) -> list:
         q1, q2, u0, u1 = _floats(z)
         surface._check(q1, q2)
         q = (q1, q2)
@@ -594,7 +556,7 @@ def spinning_disk_rhs(params: DiskParams,
         u_du = [0.0 + u0 * a + u1 * b for a, b in zip(*du)]
         udot = _solve2(mass, [f + 0.5 * x - y
                               for f, x, y in zip(force, du_u, u_du)])
-        return np.array([u0, u1] + udot)
+        return [u0, u1] + udot
 
     return rhs
 
@@ -617,8 +579,7 @@ def disk_velocity(params: DiskParams, surface: SurfaceMetric,
 
 
 def disk_magnetic_rhs(params: DiskParams,
-                      surface: SurfaceMetric) -> Callable[[np.ndarray],
-                                                          np.ndarray]:
+                      surface: SurfaceMetric) -> Callable[[list], list]:
     """Magnetic-chart vector field of the reduced disk in (Q, P1).
 
     The kinetic Hamiltonian is H = (1/2) P1 . M(Q)^{-1} P1 and the
@@ -628,14 +589,15 @@ def disk_magnetic_rhs(params: DiskParams,
         dQ/dt = v,   dP1/dt = (1/2) v . d_i M v + B^T v,
 
     the Lorentz-force form of spinning_disk_rhs: B^T v is its gyroscopic
-    force. The returned callable maps z = (Q1, Q2, P1_1, P1_2) to its
-    time derivative, assembled in Python floats from one evaluation of
-    the local geometry (_disk_geometry), as spinning_disk_rhs is. Each
-    dot product of B^T v is a sum from +0 in index order.
+    force. The returned callable maps z = (Q1, Q2, P1_1, P1_2), a list or
+    an array, to its time derivative as a list, assembled in Python
+    floats from one evaluation of the local geometry (_disk_geometry), as
+    spinning_disk_rhs is. Each dot product of B^T v is a sum from +0 in
+    index order.
     """
     mu = params.mu
 
-    def rhs(z: np.ndarray) -> np.ndarray:
+    def rhs(z) -> list:
         q1, q2, p0, p1 = _floats(z)
         surface._check(q1, q2)
         q = (q1, q2)
@@ -648,8 +610,8 @@ def disk_magnetic_rhs(params: DiskParams,
         grad = [-0.5 * (0.0 + x0 * v0 + x1 * v1)
                 for x0, x1 in _contract(dmass, v0, v1)]
         b_field = [[0.0 * c, 1.0 * c], [-1.0 * c, 0.0 * c]]
-        return np.array(v + [-g + sum(map(mul, col, v))
-                             for g, col in zip(grad, zip(*b_field))])
+        return v + [-g + sum(map(mul, col, v))
+                    for g, col in zip(grad, zip(*b_field))]
 
     return rhs
 
@@ -899,44 +861,39 @@ def particle_systems(potential: OscillatingPotential, epsilon: float,
     U - Ubar), so averaging keeps only Ubar: this is the regime of the
     closeness theorem, where the eps^2 and eps^3 corrections of
     oscillating_particle_averaged are below the theorem's own accuracy
-    and are dropped. The identically zero coefficients return fresh
-    lists of 0.0, not arrays, and grad_q_U1 adds the modes' gradients in
-    Python floats, so the full field converts only grad_U0's array.
+    and are dropped. The identically zero slots are fresh lists of 0.0,
+    not arrays. The potential's callables receive q as an array, made
+    once per jet call; the fast jet evaluates each harmonic c, s and
+    their gradients once, with cos and sin of k phi, for U1, grad_q_U1
+    and dphi_U1, which it sums in Python floats in the grouping of
+    OscillatingPotential.U.
     """
     l = potential.dim_base
-    ubar = potential.mean
     modes = potential.fourier_modes
 
-    def U1(q, phi):
-        return float(potential.U(q, phi)) - float(ubar(q))
+    def slow(q):
+        x = np.array(q, dtype=float)
+        return ([0.0] * l, 1.0, potential.mean(x),
+                [[0.0] * l for _ in range(l)], [0.0] * l,
+                potential.mean_gradient(x))
 
-    def grad_q_U1(q, phi):
-        total = [0.0] * l
+    def fast(q, phi):
+        x = np.array(q, dtype=float)
+        mean = potential.mean_part(x)
+        total, grad, dphi = mean, [0.0] * l, 0.0
         for m in modes:
-            c, s = math.cos(m.k * phi), math.sin(m.k * phi)
-            total = [t + (x * c + y * s) for t, x, y in zip(
-                total, _floats(m.grad_c(q)), _floats(m.grad_s(q)))]
-        return total
+            cv, sv = m.c(x), m.s(x)
+            ck, sk = math.cos(m.k * phi), math.sin(m.k * phi)
+            total = total + cv * ck + sv * sk
+            grad = [t + (u * ck + v * sk) for t, u, v in zip(
+                grad, _floats(m.grad_c(x)), _floats(m.grad_s(x)))]
+            dphi += m.k * (-float(cv) * sk + float(sv) * ck)
+        return ([0.0] * l, 0.0, float(total) - float(mean),
+                [[0.0] * l for _ in range(l)], [0.0] * l, grad,
+                [0.0] * l, 0.0, dphi)
 
-    def dphi_U1(q, phi):
-        total = 0.0
-        for m in modes:
-            total += m.k * (-float(m.c(q)) * math.sin(m.k * phi)
-                            + float(m.s(q)) * math.cos(m.k * phi))
-        return total
-
-    system = FastSlowSystem(
-        dim_base=l,
-        a0=lambda q: [0.0] * l, h0=lambda q: 1.0, U0=ubar,
-        a1=lambda q, phi: [0.0] * l, h1=lambda q, phi: 0.0, U1=U1,
-        epsilon=float(epsilon), mu=float(mu),
-        grad_a0=lambda q: [[0.0] * l for _ in range(l)],
-        grad_h0=lambda q: [0.0] * l, grad_U0=potential.mean_gradient,
-        jac_q_a1=lambda q, phi: [[0.0] * l for _ in range(l)],
-        dphi_a1=lambda q, phi: [0.0] * l,
-        grad_q_h1=lambda q, phi: [0.0] * l,
-        dphi_h1=lambda q, phi: 0.0,
-        grad_q_U1=grad_q_U1, dphi_U1=dphi_U1)
+    system = FastSlowSystem(dim_base=l, slow=slow, fast=fast,
+                            epsilon=float(epsilon), mu=float(mu))
     averaged = average_coefficients(system)
     return system, averaged
 

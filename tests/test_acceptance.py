@@ -46,18 +46,17 @@ def report(index: int, label: str, passed: bool, detail: str,
 
 
 def phi_independent_system(epsilon=1e-2, mu=0.7):
-    zero_vec = lambda q, phi: np.zeros(1)
-    zero = lambda q, phi: 0.0
-    return FastSlowSystem(
-        dim_base=1,
-        a0=lambda q: np.array([0.3 * np.sin(q[0])]),
-        h0=lambda q: 2.0 + q[0] ** 2,
-        U0=lambda q: 0.5 * float(q @ q),
-        a1=zero_vec, h1=zero, U1=zero,
-        epsilon=epsilon, mu=mu,
-        grad_a0=lambda q: np.array([[0.3 * np.cos(q[0])]]),
-        grad_h0=lambda q: np.array([2.0 * q[0]]),
-        grad_U0=lambda q: q.copy())
+    """1d fast-slow system whose oscillating parts vanish identically."""
+    def slow(q):
+        x = q[0]
+        return ([0.3 * np.sin(x)], 2.0 + x ** 2, 0.5 * x * x,
+                [[0.3 * np.cos(x)]], [2.0 * x], [x])
+
+    def fast(q, phi):
+        return [0.0], 0.0, 0.0, [[0.0]], [0.0], [0.0], [0.0], 0.0, 0.0
+
+    return FastSlowSystem(dim_base=1, slow=slow, fast=fast,
+                          epsilon=epsilon, mu=mu)
 
 
 def test_1_pendulum_effective_potential():

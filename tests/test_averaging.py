@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from fastslow import (AveragedSystem, AveragingError, FastSlowSystem,
                       average_coefficients, averaged_hamiltonian,
-                      effective_potential, magnetic_form)
-from fastslow.averaging import FIBER_GRID, fiber_mean, fiber_samples
+                      difference_jets, effective_potential, magnetic_form)
+from fastslow.averaging import FIBER_GRID, fiber_mean
 
 # Hand-computed: a0 = (1,), h0 = 1, U0 = 0.5, mu = 1, P = (1,)
 # Hbar = 1/2 + 1 + 1/2 + 1/2 = 2.5.
@@ -22,18 +22,14 @@ finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
 def constant_coefficient_system(a0, h0, U0, a1=None, h1=None, U1=None,
                                 epsilon=0.01, mu=1.0, dim=1):
-    zero_vec = lambda q, phi: np.zeros(dim)
-    zero = lambda q, phi: 0.0
-    return FastSlowSystem(
-        dim_base=dim,
-        a0=lambda q: np.full(dim, a0),
-        h0=lambda q: h0,
-        U0=U0,
-        a1=a1 or zero_vec,
-        h1=h1 or zero,
-        U1=U1 or zero,
-        epsilon=epsilon,
-        mu=mu)
+    a1 = a1 or (lambda q, phi: np.zeros(dim))
+    h1 = h1 or (lambda q, phi: 0.0)
+    U1 = U1 or (lambda q, phi: 0.0)
+    slow, fast = difference_jets(
+        lambda q: (np.full(dim, a0), h0, U0(q)),
+        lambda q, phi: (a1(q, phi), h1(q, phi), U1(q, phi)))
+    return FastSlowSystem(dim_base=dim, slow=slow, fast=fast,
+                          epsilon=epsilon, mu=mu)
 
 
 def synthetic_averaged(mu=1.0):
@@ -60,7 +56,7 @@ class TestQuadrature:
         assert abs(got - want) < 1e-12
 
     def test_integrate_handles_vector_samples(self):
-        samples = fiber_samples(lambda t: [np.cos(t) ** 2, np.sin(t)])
+        samples = np.array([[np.cos(t) ** 2, np.sin(t)] for t in FIBER_GRID])
         assert samples.shape == (FIBER_GRID.size, 2)
         mean = fiber_mean(samples)
         assert mean.shape == (2,)
@@ -75,7 +71,7 @@ class TestAverageCoefficients:
         avg = average_coefficients(system)
         q = np.array([0.7])
         assert avg.mu == system.mu
-        assert avg.U0(q) == system.U0(q)
+        assert avg.U0(q) == system.slow(q.tolist())[2]
         assert avg.h0(q) == 1.0
         assert avg.diagnostics["residual_means"]["U1"] == 0.0
         assert abs(avg.diagnostics["inertia_inverse_min"] - 1.0) < 1e-15
@@ -117,16 +113,19 @@ class TestAverageCoefficients:
         assert err.value.coefficient == "h"
 
     def test_list_valued_coefficients_average_to_array_callables(self):
-        # The full system may return lists; the averaged one hands a0 and
-        # the gradients on as arrays, so mu * a0(Q) stays a vector.
-        system = FastSlowSystem(
-            dim_base=2, a0=lambda q: [0.5 * q[1], -0.25],
-            h0=lambda q: 2.0, U0=lambda q: float(q @ q),
-            a1=lambda q, phi: [0.0, 0.0], h1=lambda q, phi: 0.0,
-            U1=lambda q, phi: 0.0, epsilon=0.01, mu=2.0,
-            grad_a0=lambda q: [[0.0, 0.0], [0.5, 0.0]],
-            grad_h0=lambda q: [0.0, 0.0],
-            grad_U0=lambda q: [2.0 * q[0], 2.0 * q[1]])
+        # The full system's jets may return lists; the averaged one hands
+        # a0 and the gradients on as arrays, so mu * a0(Q) stays a vector.
+        def slow(q):
+            return ([0.5 * q[1], -0.25], 2.0, q[0] ** 2 + q[1] ** 2,
+                     [[0.0, 0.0], [0.5, 0.0]], [0.0, 0.0],
+                     [2.0 * q[0], 2.0 * q[1]])
+
+        def fast(q, phi):
+            zero = [0.0, 0.0]
+            return zero, 0.0, 0.0, [zero, zero], zero, zero, zero, 0.0, 0.0
+
+        system = FastSlowSystem(dim_base=2, slow=slow, fast=fast,
+                                epsilon=0.01, mu=2.0)
         avg = average_coefficients(system)
         q = np.array([0.4, -1.0])
         want = {"a0": [-0.5, -0.25], "grad_a0": [[0.0, 0.0], [0.5, 0.0]],

@@ -10,10 +10,12 @@ accuracy. On a linear field dz/dt = A z the midpoint step is the closed
 form (I - dt/2 A)^-1 (I + dt/2 A), and the chord Newton solver must
 reproduce steps that build a fresh Jacobian each time, whatever
 starting guess the extrapolating predictor chose. A system whose
-derivative callables are all left out must flow, through its
-central-difference fallbacks, as the same system with analytic ones.
-The full field, assembled in Python floats, must reproduce bit for bit
-the numpy assembly it replaced on the shipped pendulum and particles,
+jets are the central differences of their value slots (difference_jets)
+must flow as the same system with analytic ones. Every field gets a
+list of Python floats on every call of integrate_autonomous. The full
+field, assembled in Python floats from one call of each jet, must
+reproduce bit for bit the numpy assembly it replaced on the shipped
+pendulum and particles,
 and so must the float chord step the numpy step it replaced, with the
 chord update written as the float sum it documents. The predictor's
 difference table extrapolates integer polynomials exactly and selects
@@ -31,6 +33,7 @@ from fastslow import (AveragedSystem, EulerSystem, FastSlowSystem,
                       IntegrationError, IntegratorConfig, PendulumParams,
                       PhaseStateFull, PhaseStateReduced, Trajectory,
                       average_coefficients, closeness_report,
+                      difference_jets,
                       euler_vector_field, full_velocities,
                       hermite_interpolate, integrate_autonomous,
                       integrate_euler, integrate_full,
@@ -46,18 +49,16 @@ RK4_FINE = IntegratorConfig(method="rk4", dt=1e-3)
 
 def phi_independent_system(epsilon=1e-2, mu=0.7):
     """1d fast-slow system whose oscillating parts vanish identically."""
-    zero_vec = lambda q, phi: np.zeros(1)
-    zero = lambda q, phi: 0.0
-    return FastSlowSystem(
-        dim_base=1,
-        a0=lambda q: np.array([0.3 * np.sin(q[0])]),
-        h0=lambda q: 2.0 + q[0] ** 2,
-        U0=lambda q: 0.5 * float(q @ q),
-        a1=zero_vec, h1=zero, U1=zero,
-        epsilon=epsilon, mu=mu,
-        grad_a0=lambda q: np.array([[0.3 * np.cos(q[0])]]),
-        grad_h0=lambda q: np.array([2.0 * q[0]]),
-        grad_U0=lambda q: q.copy())
+    def slow(q):
+        x = q[0]
+        return ([0.3 * np.sin(x)], 2.0 + x ** 2, 0.5 * x * x,
+                [[0.3 * np.cos(x)]], [2.0 * x], [x])
+
+    def fast(q, phi):
+        return [0.0], 0.0, 0.0, [[0.0]], [0.0], [0.0], [0.0], 0.0, 0.0
+
+    return FastSlowSystem(dim_base=1, slow=slow, fast=fast,
+                          epsilon=epsilon, mu=mu)
 
 
 def wrapped_distance(x, y):
@@ -77,7 +78,7 @@ class TestSteppers:
         assert np.max(np.abs(traj.values[:, 1] - 0.5)) < 1e-12
 
     def test_rk4_matches_exponential(self):
-        f = lambda z: -z
+        f = lambda z: [-x for x in z]
         traj = integrate_autonomous(
             f, np.array([2.0]), 1.0, RK4_FINE,
             state_labels=("x",), kind="generic", dim_base=1)
@@ -100,6 +101,31 @@ class TestSteppers:
             state_labels=("x",), kind="generic", dim_base=1)
         assert len(traj) == 4
         assert abs(traj.times[-1] - 0.25) < 1e-14
+
+    @pytest.mark.parametrize("returns", [list, np.array])
+    @pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
+    def test_field_gets_a_list_of_floats_on_every_call(self, method,
+                                                       returns):
+        # The midpoint run's calls include the first step's Euler guess,
+        # the Jacobian columns of two iteration matrices (the partial
+        # last step builds its own) and every residual; the field may
+        # answer with a list or an array.
+        seen = []
+
+        def spy(z):
+            seen.append(type(z) is list and all(type(x) is float for x in z))
+            return returns([z[1], -math.sin(z[0])])
+
+        traj = integrate_autonomous(
+            spy, np.array([1.0, 0.0]), 1.05,
+            IntegratorConfig(method=method, dt=0.1),
+            state_labels=("x", "v"), kind="generic", dim_base=1)
+        assert all(seen)
+        if method == "rk4":
+            assert len(seen) == 4 * (len(traj) - 1)
+        else:
+            assert traj.meta["jacobians"] == 2
+            assert traj.meta["rhs_evals"] == len(seen)
 
     @pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
     def test_node_times_are_step_multiples_and_restarts_retake_them(
@@ -128,7 +154,7 @@ class TestSteppers:
         config = IntegratorConfig(dt=10.0, newton_max_iter=1)
         with pytest.raises(IntegrationError) as err:
             integrate_autonomous(
-                lambda z: z ** 3, np.array([1.0]), 20.0, config,
+                lambda z: np.array(z) ** 3, np.array([1.0]), 20.0, config,
                 state_labels=("x",), kind="generic", dim_base=1)
         assert err.value.step == 0
         assert "converge" in str(err.value)
@@ -195,7 +221,7 @@ class TestSteppers:
         config = IntegratorConfig(method="rk4", dt=5.0)
         with pytest.raises(IntegrationError) as err:
             integrate_autonomous(
-                lambda z: z ** 2, np.array([1.0]), 50.0, config,
+                lambda z: np.array(z) ** 2, np.array([1.0]), 50.0, config,
                 state_labels=("x",), kind="generic", dim_base=1)
         assert err.value.step is not None
 
@@ -267,7 +293,7 @@ def fresh_step_error(f, traj, config):
     worst = 0.0
     for z, row in zip(traj.values[:-1], traj.values[1:]):
         fresh, _ = integrators._midpoint_step(
-            f, z, dt, z + dt * f(z), config.newton_tol,
+            f, z, dt, z + dt * np.asarray(f(z.tolist())), config.newton_tol,
             config.newton_max_iter)
         worst = max(worst, float(np.max(np.abs(row - fresh))))
     return worst
@@ -282,13 +308,20 @@ def float_dot(row, res):
     return total
 
 
+def array_field(f):
+    """f, which takes a list, as a field of arrays, for the references."""
+    return lambda x: np.asarray(f(np.asarray(x).tolist()), dtype=float)
+
+
 def numpy_midpoint_step(f, z, dt, guess, tol, max_iter, inv=None, *,
                         counts=None):
     """The chord Newton step as it was computed on numpy arrays, the
     reference for the float step of integrators._midpoint_step. Only its
     chord update, once inv @ res, is the documented float sum (float_dot
     of each row of inv with the residual), so that no BLAS kernel rounds
-    the reference either."""
+    the reference either. f takes lists, as integrate_autonomous's
+    fields do."""
+    f = array_field(f)
     bound = tol * max(1.0, float(np.abs(z).max()))
     jacobians = 0
     znew = guess
@@ -424,7 +457,8 @@ class TestFloatStep:
         want_counts = dict(got_counts)
         for trial in range(300):
             z = rng.uniform(-3.0, 3.0, n)
-            guess = z + dt * f(z) + rng.uniform(-1e-2, 1e-2, n) * dt
+            guess = (z + dt * np.asarray(f(z.tolist()))
+                     + rng.uniform(-1e-2, 1e-2, n) * dt)
             if trial % 3 == 2:
                 # A guess far from z: the first updates are then large
                 # enough for the rounding of their sums to show in z'.
@@ -454,7 +488,9 @@ class TestFloatStep:
 
 def numpy_rk4_step(f, z, dt):
     """The RK4 step as it was computed on numpy arrays, kept verbatim as
-    the reference for the float step of integrators._rk4_step."""
+    the reference for the float step of integrators._rk4_step, with f
+    taking lists."""
+    f = array_field(f)
     k1 = f(z)
     k2 = f(z + 0.5 * dt * k1)
     k3 = f(z + 0.5 * dt * k2)
@@ -625,7 +661,7 @@ class TestPredictor:
 
     def test_rk4_runs_carry_no_solver_counters(self):
         traj = integrate_autonomous(
-            lambda z: -z, np.array([1.0]), 1.0, RK4_FINE,
+            lambda z: [-x for x in z], np.array([1.0]), 1.0, RK4_FINE,
             state_labels=("x",), kind="generic", dim_base=1)
         assert traj.meta == {}
 
@@ -665,38 +701,35 @@ class TestTrajectory:
 
 
 def numpy_full_rhs(system):
-    """The full field as it was assembled in numpy arrays, kept verbatim
-    as the reference for the float assembly of integrators._full_rhs."""
+    """The full field as it was assembled in numpy arrays, on the slots
+    of the system's jets, kept as the reference for the float assembly
+    of integrators._full_rhs."""
     l = system.dim_base
     eps = system.epsilon
-    d = system.derivatives
-    ga0, ga1, gh0, gh1, gU0, gU1 = (d.grad_a0, d.jac_q_a1, d.grad_h0,
-                                    d.grad_q_h1, d.grad_U0, d.grad_q_U1)
-    da1, dh1, dU1 = d.dphi_a1, d.dphi_h1, d.dphi_U1
 
     def rhs(z: np.ndarray) -> np.ndarray:
-        q = z[:l]
+        q = z[:l].tolist()
         p = z[l:2 * l]
         phi = float(z[2 * l])
         gam = float(z[2 * l + 1])
         half_gam2 = 0.5 * gam * gam
-        a = (np.asarray(system.a0(q), dtype=float)
-             + eps * np.asarray(system.a1(q, phi), dtype=float))
-        h = float(system.h0(q)) + eps * float(system.h1(q, phi))
-        jac_a = (np.asarray(ga0(q), dtype=float)
-                 + eps * np.asarray(ga1(q, phi), dtype=float))
-        grad_h = (np.asarray(gh0(q), dtype=float)
-                  + eps * np.asarray(gh1(q, phi), dtype=float))
-        grad_U = (np.asarray(gU0(q), dtype=float)
-                  + eps * np.asarray(gU1(q, phi), dtype=float))
+        a0, h0, _, ga0, gh0, gU0 = system.slow(q)
+        a1, h1, _, ga1, gh1, gU1, da1, dh1, dU1 = system.fast(q, phi)
+        a = np.asarray(a0, dtype=float) + eps * np.asarray(a1, dtype=float)
+        h = float(h0) + eps * float(h1)
+        jac_a = (np.asarray(ga0, dtype=float)
+                 + eps * np.asarray(ga1, dtype=float))
+        grad_h = (np.asarray(gh0, dtype=float)
+                  + eps * np.asarray(gh1, dtype=float))
+        grad_U = (np.asarray(gU0, dtype=float)
+                  + eps * np.asarray(gU1, dtype=float))
         out = np.empty(2 * l + 2)
         out[:l] = eps * (p + gam * a)
         out[l:2 * l] = -eps * (gam * (jac_a @ p) + half_gam2 * grad_h
                                + grad_U)
         out[2 * l] = float(a @ p) + h * gam
-        out[2 * l + 1] = -eps * (gam * float(np.asarray(da1(q, phi)) @ p)
-                                 + half_gam2 * float(dh1(q, phi))
-                                 + float(dU1(q, phi)))
+        out[2 * l + 1] = -eps * (gam * float(np.asarray(da1) @ p)
+                                 + half_gam2 * float(dh1) + float(dU1))
         return out
 
     return rhs
@@ -722,26 +755,42 @@ class TestFullSystem:
         states[::4, l:2 * l] = 0.0
         for z in states:
             # tobytes tells -0.0 from +0.0, which == would not.
-            assert got(z).tobytes() == want(z).tobytes(), z
+            assert np.array(got(z.tolist())).tobytes() == \
+                want(z).tobytes(), z
+
+    def test_one_call_of_each_jet_per_evaluation(self):
+        system = SHIPPED_FULL_SYSTEMS["pendulum"]()
+        calls = []
+
+        def counted(name, jet):
+            def wrapped(*args):
+                calls.append(name)
+                return jet(*args)
+            return wrapped
+
+        f = integrators._full_rhs(dataclasses.replace(
+            system, slow=counted("slow", system.slow),
+            fast=counted("fast", system.fast)))
+        f([0.4, 0.2, 1.0, system.mu])
+        assert sorted(calls) == ["fast", "slow"]
 
     def test_float_field_rounds_as_the_numpy_field_in_two_dimensions(self):
         # Every coefficient and dot product is live here. A BLAS dot may
         # fuse multiply-adds where the float sums round each product, so
         # the two fields agree to a few roundings of terms below 100.
-        system = FastSlowSystem(
-            dim_base=2,
-            a0=lambda q: np.array([0.3 * np.sin(q[1]), 0.2 * q[0]]),
-            h0=lambda q: 2.0 + q[0] ** 2,
-            U0=lambda q: 0.5 * float(q @ q),
-            a1=lambda q, phi: np.array([np.cos(phi) * q[0],
-                                        np.sin(phi) * q[1]]),
-            h1=lambda q, phi: np.cos(phi) * q[1],
-            U1=lambda q, phi: np.sin(phi) * q[0] * q[1],
-            epsilon=0.1, mu=1.3)
+        slow, fast = difference_jets(
+            lambda q: (np.array([0.3 * np.sin(q[1]), 0.2 * q[0]]),
+                       2.0 + q[0] ** 2, 0.5 * float(q @ q)),
+            lambda q, phi: (np.array([np.cos(phi) * q[0],
+                                      np.sin(phi) * q[1]]),
+                            np.cos(phi) * q[1], np.sin(phi) * q[0] * q[1]))
+        system = FastSlowSystem(dim_base=2, slow=slow, fast=fast,
+                                epsilon=0.1, mu=1.3)
         got, want = integrators._full_rhs(system), numpy_full_rhs(system)
         rng = np.random.default_rng(8)
         for z in rng.uniform(-3.0, 3.0, (500, 6)):
-            assert np.max(np.abs(got(z) - want(z))) <= 1e-13, z
+            assert np.max(np.abs(np.array(got(z.tolist())) - want(z))) \
+                <= 1e-13, z
 
     @pytest.mark.parametrize("name", ["pendulum", "particle_2d"])
     def test_energy_log_is_the_hamiltonian_at_every_node(self, name):
@@ -846,7 +895,7 @@ class TestFullSystem:
         for traj, sign in ((forward, 1.0), (back, -1.0)):
             assert traj.derivs is None
             assert np.all(sign * np.diff(traj.values[:, 2]) > 0.0)
-            want = np.array([sign * f(z)[2] for z in traj.values])
+            want = np.array([sign * f(z)[2] for z in traj.values.tolist()])
             assert np.array_equal(traj.invariant_log["phi_dot"], want)
 
     def test_full_velocities_match_momentum_slots(self):
@@ -957,24 +1006,32 @@ def without_derivatives(data):
         f.name: None for f in dataclasses.fields(data) if f.default is None})
 
 
+def value_jets(system):
+    """The value slots of a system's jets, taking q as an array."""
+    return (lambda q: system.slow(q.tolist())[:3],
+            lambda q, phi: system.fast(q.tolist(), phi)[:3])
+
+
 class TestDerivativeFallbacks:
     def test_given_callables_are_kept_as_they_are(self):
         system, avg = pendulum_systems(PendulumParams())
-        assert system.derivatives.dphi_U1 is system.dphi_U1
+        moved = dataclasses.replace(system, epsilon=1e-3)
+        assert moved.slow is system.slow and moved.fast is system.fast
         assert avg.derivatives.grad_a0 is avg.grad_a0
         assert without_derivatives(avg).grad_a0 is None
 
     def test_full_rhs_fallbacks_match_analytic(self):
         system, _ = pendulum_systems(PendulumParams(epsilon=1e-2))
         analytic = integrators._full_rhs(system)
-        fallback = integrators._full_rhs(without_derivatives(system))
+        slow, fast = difference_jets(*value_jets(system))
+        fallback = integrators._full_rhs(
+            dataclasses.replace(system, slow=slow, fast=fast))
         rng = np.random.default_rng(0)
         for _ in range(200):
-            z = np.array([rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0),
-                          rng.uniform(0.0, 2.0 * np.pi),
-                          rng.uniform(2.0, 4.0)])
-            want = analytic(z)
-            assert (np.max(np.abs(fallback(z) - want))
+            z = [rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0),
+                 rng.uniform(0.0, 2.0 * np.pi), rng.uniform(2.0, 4.0)]
+            want = np.array(analytic(z))
+            assert (np.max(np.abs(np.array(fallback(z)) - want))
                     <= 1e-9 * np.max(np.abs(want)))
 
     @pytest.mark.parametrize("avg, q0, p0", [

@@ -7,7 +7,9 @@ period 2 pi / sqrt(mu^2 amp^2 / 2 - g l) about theta = pi; the round
 sphere, the plane, and the e^{2 q1} metric have Gaussian curvatures
 1/R^2, 0, and -1; the one-harmonic particle potential has fiber means
 <V'.V'> = (alpha^2 cos^2 x + beta^2 sin^2 x) / 2 and
-<S'' V'> = alpha beta / 2.
+<S'' V'> = alpha beta / 2. Each hand-fused jet of a shipped system
+matches the central differences of its own value slots, and the jets
+of difference_jets are the stencils of fastslow._derivatives exactly.
 """
 
 import math
@@ -19,7 +21,8 @@ import pytest
 from fastslow import (DiskParams, DomainError, HarmonicMode,
                       IntegratorConfig, OscillatingPotential, PendulumParams,
                       PhaseStateReduced, SurfaceMetric,
-                      curvature_identity_residual, disk_connection,
+                      curvature_identity_residual, difference_jets,
+                      disk_connection,
                       disk_magnetic_rhs, disk_mass_matrix, disk_momentum,
                       disk_velocity, effective_potential, exponential_surface,
                       fiber_inertia, gaussian_curvature, integrate_autonomous,
@@ -320,7 +323,7 @@ class TestDiskClosedForms:
             p1 = rng.normal(size=2)
             want = fd.gradient(lambda x: 0.5 * p1 @ disk_velocity(
                 spinless, surface, x, p1), q)
-            got = -rhs(np.concatenate([q, p1]))[2:]
+            got = -np.array(rhs(np.concatenate([q, p1])))[2:]
             assert np.max(np.abs(got - want)) < 1e-8
 
     def test_grad_q_on_sphere_matches_analytic(self):
@@ -334,7 +337,7 @@ class TestDiskClosedForms:
             p1 = rng.normal(size=2)
             want = -p1[1] ** 2 * math.cos(q[0]) / (
                 params.mass * radius ** 2 * math.sin(q[0]) ** 3)
-            got = -rhs(np.concatenate([q, p1]))[2:]
+            got = -np.array(rhs(np.concatenate([q, p1])))[2:]
             assert abs(got[0] - want) <= 1e-12 * max(1.0, abs(want))
             assert got[1] == 0.0
 
@@ -652,6 +655,91 @@ class TestAveragedParticle:
         gap = system.U(x, 0.3) - pot.mean(x)
         want = 1e-2 * (pot.U(x, 0.3) - pot.mean(x))
         assert abs(gap - want) < 1e-14
+
+
+# The central differences below step by h = 1e-6 max(1, |q|_inf) in q
+# and 1e-6 in phi. Truncation costs at most h^2 |f^(3)| / 6, below 1e-11
+# for |q| <= 3 and third derivatives of order 10; rounding costs about
+# k ulps of |f| over h, 1e-10 k |f|, for values each rounded some k <= 10
+# times. So the hand-fused slots must match to 2e-9 max(1, |f|).
+JET_TOL = 2e-9
+
+SHIPPED_JETS = {
+    "pendulum": lambda: pendulum_systems(PendulumParams(
+        length=1.7, gravity=1.3, amplitude=0.6, mu=2.2, epsilon=0.01))[0],
+    "particle_1d": lambda: particle_systems(particle_potential_1d(),
+                                            epsilon=0.01, mu=1.0)[0],
+    "particle_2d": lambda: particle_systems(particle_potential_2d(),
+                                            epsilon=0.01, mu=1.3)[0],
+}
+
+
+def value_jets(system):
+    """The value slots of a system's jets, taking q as an array."""
+    return (lambda q: system.slow(q.tolist())[:3],
+            lambda q, phi: system.fast(q.tolist(), phi)[:3])
+
+
+class TestJets:
+    @pytest.mark.parametrize("name", sorted(SHIPPED_JETS))
+    def test_derivative_slots_match_differences_of_the_values(self, name):
+        system = SHIPPED_JETS[name]()
+        slow_fd, fast_fd = difference_jets(*value_jets(system))
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            q = rng.uniform(-3.0, 3.0, system.dim_base)
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            for got, want in ((system.slow(q.tolist()), slow_fd(q)),
+                              (system.fast(q.tolist(), phi),
+                               fast_fd(q, phi))):
+                scale = max(1.0, *(float(np.max(np.abs(v)))
+                                   for v in got[:3]))
+                for slot, (g, w) in enumerate(zip(got[3:], want[3:])):
+                    gap = np.max(np.abs(np.asarray(g, dtype=float)
+                                        - np.asarray(w, dtype=float)))
+                    assert gap <= JET_TOL * scale, (slot + 3, q, phi)
+
+    def test_difference_jets_are_the_stencils_exactly(self):
+        def a0(q):
+            return np.array([np.sin(q[0]) * q[1], q[0] ** 2])
+
+        def h0(q):
+            return 2.0 + np.cos(q[1]) * q[0]
+
+        def U0(q):
+            return 0.5 * float(q @ q) + np.sin(q[0] * q[1])
+
+        def a1(q, phi):
+            return np.array([np.cos(phi) * q[0], np.sin(2.0 * phi) * q[1]])
+
+        def h1(q, phi):
+            return np.cos(phi) * q[1] ** 2
+
+        def U1(q, phi):
+            return np.sin(phi) * q[0] * q[1]
+
+        slow, fast = difference_jets(
+            lambda q: (a0(q), h0(q), U0(q)),
+            lambda q, phi: (a1(q, phi), h1(q, phi), U1(q, phi)))
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            q = rng.uniform(-3.0, 3.0, 2)
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            want_slow = (a0(q), h0(q), U0(q), fd.jacobian(a0, q),
+                         fd.gradient(h0, q), fd.gradient(U0, q))
+            want_fast = (a1(q, phi), h1(q, phi), U1(q, phi),
+                         fd.jacobian(lambda x: a1(x, phi), q),
+                         fd.gradient(lambda x: h1(x, phi), q),
+                         fd.gradient(lambda x: U1(x, phi), q),
+                         fd.phi_derivative(a1, q, phi),
+                         float(fd.phi_derivative(h1, q, phi)),
+                         float(fd.phi_derivative(U1, q, phi)))
+            for got, want in ((slow(q.tolist()), want_slow),
+                              (fast(q.tolist(), phi), want_fast)):
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert np.asarray(g, dtype=float).tobytes() == \
+                        np.asarray(w, dtype=float).tobytes()
 
 
 class TestRegistry:
