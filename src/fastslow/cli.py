@@ -49,13 +49,26 @@ SECTIONS = {
 
 # The keys only an epsilon sweep reads. An experiment without one (its
 # TABLE row has no build) never reads them, so its config may not set
-# them.
+# them. Likewise the keys only the implicit midpoint solve reads, which
+# method rk4 never makes.
 _SWEEP_KEYS = (*SECTIONS["sweep"], "dt_full")
+_NEWTON_KEYS = ("newton_tol", "newton_max_iter")
 
 
-def _unread_keys(experiment: str) -> tuple[str, ...]:
+def _unread_keys(experiment: str, method: str) -> dict[str, str]:
+    """The keys a run of this experiment and method never reads, each
+    with the reason."""
     row = TABLE.get(experiment)
-    return _SWEEP_KEYS if row is not None and row.build is None else ()
+    unread = {}
+    if row is not None and row.build is None:
+        unread.update(dict.fromkeys(
+            _SWEEP_KEYS, f"is read only by an epsilon sweep, and experiment "
+            f"{experiment!r} runs none"))
+    if method == "rk4":
+        unread.update(dict.fromkeys(
+            _NEWTON_KEYS, f"is read only by the implicit midpoint solve, "
+            f"and method {method!r} makes none"))
+    return unread
 
 
 class ConfigError(ValueError):
@@ -207,7 +220,7 @@ def parse_config(text: str) -> ExperimentConfig:
         errors += [(lineof("parameters", key), message) for key, message
                    in _parameter_errors(experiment, parameters)]
 
-    unread = _unread_keys(experiment)
+    unread = _unread_keys(experiment, values.get(("integrator", "method")))
     settings = {}
     for sec, keys in SECTIONS.items():
         for key in keys:
@@ -215,9 +228,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 continue
             raw = values.pop((sec, key))
             if key in unread:
-                errors.append((lineof(sec, key), f"{key} is read only by an "
-                               f"epsilon sweep, and experiment "
-                               f"{experiment!r} runs none"))
+                errors.append((lineof(sec, key), f"{key} {unread[key]}"))
                 continue
             settings[key], messages = _setting(
                 key, _typed(raw, getattr(ExperimentConfig, key)))
@@ -249,7 +260,7 @@ def serialize_config(config: ExperimentConfig) -> str:
     """Canonical config text; parse_config round-trips it. A section
     with no key to write, and a key the experiment never reads, are left
     out."""
-    unread = _unread_keys(config.experiment)
+    unread = _unread_keys(config.experiment, config.method)
     lines = [f"experiment = {config.experiment}"]
     for section, keys in SECTIONS.items():
         pairs = (sorted(config.parameters.items()) if section == "parameters"
@@ -284,7 +295,7 @@ def emit_csv(trajectory: Trajectory, path: str | Path) -> None:
                              momentum])
     row = ",".join(["%.17g"] * len(cols))
     out = [",".join(cols)]
-    out.extend(row % tuple(table[i].tolist()) for i in range(n))
+    out.extend(row % tuple(values) for values in table.tolist())
     Path(path).write_text("\n".join(out) + "\n")
 
 

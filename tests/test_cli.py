@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -141,11 +142,23 @@ class TestConfigParsing:
             parameters={"trap": 1.5, "alpha": 0.6, "beta": 0.3, "mu": 1.2,
                         "x0": 0.5, "p0": 0.1},
             epsilon_sweep=(2e-2, 1e-2, 5e-3), horizon_factor=2.0,
-            method="rk4", dt_full=5e-3, dt_reduced=2e-3, newton_tol=1e-10,
-            newton_max_iter=40, output_dir="results", formats=("json",))
+            method="implicit_midpoint", dt_full=5e-3, dt_reduced=2e-3,
+            newton_tol=1e-10, newton_max_iter=40, output_dir="results",
+            formats=("json",))
         text = serialize_config(config)
         assert parse_config(text) == config
         assert serialize_config(parse_config(text)) == text
+
+    def test_rk4_config_leaves_the_newton_keys_out(self):
+        # rk4 never reads newton_tol or newton_max_iter, so they are not
+        # written, and the text round-trips with their defaults.
+        config = ExperimentConfig(experiment="disk", method="rk4",
+                                  newton_tol=1e-10, newton_max_iter=40)
+        text = serialize_config(config)
+        assert "newton" not in text
+        assert parse_config(text) == replace(
+            config, newton_tol=IntegratorConfig.newton_tol,
+            newton_max_iter=IntegratorConfig.newton_max_iter)
 
     def test_shipped_configs_parse(self):
         for name in ("pendulum", "disk", "particle", "euler"):
@@ -418,6 +431,31 @@ class TestCommandLine:
             f"only by an epsilon sweep, and experiment {experiment!r} runs "
             "none\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment", ["pendulum", "disk", "euler"])
+    @pytest.mark.parametrize("line", ["newton_tol = 1e-7",
+                                      "newton_max_iter = 1"],
+                             ids=["newton_tol", "newton_max_iter"])
+    def test_run_exit_two_on_a_newton_key_under_rk4(
+            self, tmp_path, capsys, experiment, line):
+        # rk4 makes no implicit midpoint solve; a run would never read
+        # the value and pass every check.
+        text = (f"experiment = {experiment}\n[integrator]\n{line}\n"
+                "method = rk4\n")
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 2
+        key = line.split(" = ")[0]
+        assert capsys.readouterr().err == (
+            f"invalid config:\nline 3: {key} is read only by the implicit "
+            "midpoint solve, and method 'rk4' makes none\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_newton_keys_are_read_under_the_midpoint_rule(self):
+        config = parse_config("experiment = euler\n[integrator]\n"
+                              "method = implicit_midpoint\n"
+                              "newton_tol = 1e-7\nnewton_max_iter = 3\n")
+        assert (config.newton_tol, config.newton_max_iter) == (1e-7, 3)
 
     @pytest.mark.parametrize("experiment, line", [
         ("euler", "horizon = 100.0"), ("disk", "horizon = 10.0"),
