@@ -293,10 +293,11 @@ def emit_csv(trajectory: Trajectory, path: str | Path) -> None:
     cols = ["t", *trajectory.state_labels, "energy", "momentum"]
     table = np.column_stack([trajectory.times, trajectory.values, energy,
                              momentum])
-    row = ",".join(["%.17g"] * len(cols))
-    out = [",".join(cols)]
-    out.extend(row % tuple(values) for values in table.tolist())
-    Path(path).write_text("\n".join(out) + "\n")
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    # Row by row to the file: the rows' text is never held all at once.
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        fh.writelines(row % tuple(values) for values in table.tolist())
 
 
 def read_csv(path: str | Path) -> dict[str, np.ndarray]:
