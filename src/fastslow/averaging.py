@@ -259,8 +259,9 @@ def average_coefficients(system: FastSlowSystem,
     residuals = {"a1": 0.0, "h1": 0.0, "U1": 0.0}
     inertia_min = np.inf
     for q in pts:
-        a0q, h0q = system.slow(q.tolist())[:2]
-        jets = [system.fast(q.tolist(), phi)[:3] for phi in FIBER_GRID]
+        ql = q.tolist()
+        a0q, h0q = system.slow(ql)[:2]
+        jets = [system.fast(ql, phi)[:3] for phi in FIBER_GRID]
         for k, name in enumerate(residuals):
             samples = np.array([np.asarray(jet[k], dtype=float)
                                 for jet in jets])

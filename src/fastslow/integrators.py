@@ -426,10 +426,8 @@ def _full_rhs(system: FastSlowSystem) -> Callable[[list], list]:
         phi, gam = z[2 * l], z[2 * l + 1]
         a0, h0, _, ga0, gh0, gU0 = slow(q)
         a1, h1, _, ga1, gh1, gU1, da1, dh1, dU1 = fast(q, phi)
-        a0, ga0, gh0, gU0 = _floats(a0), _floats(ga0), _floats(gh0), \
-            _floats(gU0)
-        a1, ga1, gh1, gU1, da1 = _floats(a1), _floats(ga1), _floats(gh1), \
-            _floats(gU1), _floats(da1)
+        a0, ga0, gh0, gU0, a1, ga1, gh1, gU1, da1 = map(
+            _floats, (a0, ga0, gh0, gU0, a1, ga1, gh1, gU1, da1))
         half_gam2 = 0.5 * gam * gam
         out = []
         ap = 0.0
