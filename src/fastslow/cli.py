@@ -294,10 +294,11 @@ def emit_csv(trajectory: Trajectory, path: str | Path) -> None:
     table = np.column_stack([trajectory.times, trajectory.values, energy,
                              momentum])
     row = ",".join(["%.17g"] * len(cols)) + "\n"
-    # Row by row to the file: the rows' text is never held all at once.
+    # One tolist of the columns, rows zipped from them and written one by
+    # one: no row list is made, and the rows' text is never held at once.
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        fh.writelines(row % tuple(values) for values in table.tolist())
+        fh.writelines(row % values for values in zip(*table.T.tolist()))
 
 
 def read_csv(path: str | Path) -> dict[str, np.ndarray]:
