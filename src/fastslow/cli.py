@@ -258,8 +258,8 @@ def _format_value(value) -> str:
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical config text; parse_config round-trips it. A section
-    with no key to write, and a key the experiment never reads, are left
-    out."""
+    with no key to write, and a key the run never reads (by its
+    experiment or its method), are left out."""
     unread = _unread_keys(config.experiment, config.method)
     lines = [f"experiment = {config.experiment}"]
     for section, keys in SECTIONS.items():

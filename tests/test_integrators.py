@@ -1006,12 +1006,6 @@ def without_derivatives(data):
         f.name: None for f in dataclasses.fields(data) if f.default is None})
 
 
-def value_jets(system):
-    """The value slots of a system's jets, taking q as an array."""
-    return (lambda q: system.slow(q.tolist())[:3],
-            lambda q, phi: system.fast(q.tolist(), phi)[:3])
-
-
 class TestDerivativeFallbacks:
     def test_given_callables_are_kept_as_they_are(self):
         system, avg = pendulum_systems(PendulumParams())
@@ -1023,7 +1017,9 @@ class TestDerivativeFallbacks:
     def test_full_rhs_fallbacks_match_analytic(self):
         system, _ = pendulum_systems(PendulumParams(epsilon=1e-2))
         analytic = integrators._full_rhs(system)
-        slow, fast = difference_jets(*value_jets(system))
+        slow, fast = difference_jets(
+            lambda q: system.slow(q.tolist())[:3],
+            lambda q, phi: system.fast(q.tolist(), phi)[:3])
         fallback = integrators._full_rhs(
             dataclasses.replace(system, slow=slow, fast=fast))
         rng = np.random.default_rng(0)
