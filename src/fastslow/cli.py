@@ -33,7 +33,8 @@ from .experiments import (PARAMETER_DEFAULTS, TABLE, CheckRecord,
 # integrate_autonomous is not called here; perfbench's self-test checks
 # that its tracer also rewraps this imported binding.
 from .integrators import (HORIZON_FACTOR_MAX, IntegrationError,
-                          IntegratorConfig, Trajectory, integrate_autonomous)
+                          IntegratorConfig, Trajectory, _row_blocks,
+                          integrate_autonomous)
 
 # The keys of each section, in file order. A section key sets the
 # ExperimentConfig field of its name and is read as the type of the
@@ -280,25 +281,34 @@ def load_config(path: str | Path) -> ExperimentConfig:
 # Output files
 
 
+def _columns(trajectory: Trajectory) -> list[tuple[str, np.ndarray]]:
+    """The output columns in file order, as (name, view) pairs: t, the
+    state columns, energy and momentum, a missing log read as zeros."""
+    zeros = np.broadcast_to(0.0, (len(trajectory),))
+    log = trajectory.invariant_log
+    return [("t", trajectory.times),
+            *zip(trajectory.state_labels, trajectory.values.T),
+            *((name, np.asarray(log.get(name, zeros), dtype=float))
+              for name in ("energy", "momentum"))]
+
+
 def emit_csv(trajectory: Trajectory, path: str | Path) -> None:
     """Write `t,<state columns>,energy,momentum` with 17 digit floats.
 
     The format round-trips float64 exactly and the bytes depend only on
     the trajectory, so identical runs give identical files. An empty
-    trajectory produces just the header line.
+    trajectory produces just the header line. The rows are formatted and
+    written one block at a time (integrators._row_blocks), from that
+    block's floats, so the writer holds one block of rows beyond the
+    trajectory itself.
     """
-    n = len(trajectory)
-    energy = trajectory.invariant_log.get("energy", np.zeros(n))
-    momentum = trajectory.invariant_log.get("momentum", np.zeros(n))
-    cols = ["t", *trajectory.state_labels, "energy", "momentum"]
-    table = np.column_stack([trajectory.times, trajectory.values, energy,
-                             momentum])
-    row = ",".join(["%.17g"] * len(cols)) + "\n"
-    # One tolist of the columns, rows zipped from them and written one by
-    # one: no row list is made, and the rows' text is never held at once.
+    columns = _columns(trajectory)
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        fh.writelines(row % values for values in zip(*table.T.tolist()))
+        fh.write(",".join(name for name, _ in columns) + "\n")
+        for rows in _row_blocks(len(trajectory)):
+            fh.writelines(row % values for values in zip(
+                *(column[rows].tolist() for _, column in columns)))
 
 
 def read_csv(path: str | Path) -> dict[str, np.ndarray]:
@@ -312,22 +322,34 @@ def read_csv(path: str | Path) -> dict[str, np.ndarray]:
 
 def emit_json(trajectory: Trajectory, path: str | Path,
               metadata: dict | None = None) -> None:
-    """JSON mirror of emit_csv plus run metadata."""
-    n = len(trajectory)
-    energy = trajectory.invariant_log.get("energy", np.zeros(n))
-    momentum = trajectory.invariant_log.get("momentum", np.zeros(n))
-    columns = {"t": trajectory.times.tolist()}
-    for j, label in enumerate(trajectory.state_labels):
-        columns[label] = trajectory.values[:, j].tolist()
-    columns["energy"] = np.asarray(energy, dtype=float).tolist()
-    columns["momentum"] = np.asarray(momentum, dtype=float).tolist()
-    doc = {
-        "column_order": ["t", *trajectory.state_labels, "energy", "momentum"],
-        "columns": columns,
-        "kind": trajectory.kind,
-        "metadata": metadata or {},
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True))
+    """JSON mirror of emit_csv plus run metadata.
+
+    The bytes are those of json.dumps(doc, sort_keys=True) for the doc
+    {"column_order", "columns", "kind", "metadata"}, where "columns" maps
+    each name of emit_csv's header to its list of floats (a state label
+    that repeats a name keeps the later column). The file is written
+    piece by piece, each column one block of rows at a time
+    (integrators._row_blocks), so the writer holds one block of floats
+    and text beyond the trajectory itself. The metadata is serialized
+    before the file is opened: metadata json cannot encode raises
+    TypeError or ValueError and leaves no file.
+    """
+    meta = json.dumps(metadata or {}, sort_keys=True)
+    pairs = _columns(trajectory)
+    columns = dict(pairs)
+    with open(path, "w") as fh:
+        fh.write(f'{{"column_order": {json.dumps([n for n, _ in pairs])}, '
+                 '"columns": {')
+        for k, name in enumerate(sorted(columns)):
+            fh.write(f'{", " if k else ""}{json.dumps(name)}: [')
+            column = columns[name]
+            for j, rows in enumerate(_row_blocks(len(column))):
+                # Each block's list without its brackets, joined by ", ".
+                text = json.dumps(column[rows].tolist())[1:-1]
+                fh.write(f", {text}" if j else text)
+            fh.write("]")
+        fh.write(f'}}, "kind": {json.dumps(trajectory.kind)}, '
+                 f'"metadata": {meta}}}')
 
 
 # ---------------------------------------------------------------------------

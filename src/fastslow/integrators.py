@@ -53,6 +53,16 @@ TWO_PI = 2.0 * np.pi
 IC_MATCH_TOL = 1e-12
 HORIZON_FACTOR_MAX = 10.0
 PREDICTOR_MAX_ORDER = 5
+# Rows per block of a pass over a whole trajectory (the node logs of
+# integrate_full, closeness_report, and the writers of fastslow.cli), so
+# that a pass holds one block of Python floats or temporaries at a time.
+_BLOCK_ROWS = 4096
+
+
+def _row_blocks(n: int):
+    """The slices of rows 0 .. n-1 in blocks of _BLOCK_ROWS, in order."""
+    for start in range(0, n, _BLOCK_ROWS):
+        yield slice(start, min(start + _BLOCK_ROWS, n))
 
 
 class IntegrationError(RuntimeError):
@@ -479,7 +489,9 @@ def integrate_full(system: FastSlowSystem, state0: PhaseStateFull,
     time t = eps * tau. Energy, the fiber momentum gamma, and the fiber
     speed dphi/dtau (negated for a backward run) are logged at every
     node. The stored phi column is wrapped to [0, 2*pi). There are no
-    derivs, so "rhs_evals" counts the solver's evaluations alone.
+    derivs, so "rhs_evals" counts the solver's evaluations alone. The
+    logs are evaluated one block of nodes at a time (_row_blocks), from
+    that block's floats, so they hold one block of Python floats at most.
     """
     eps = system.epsilon
     if horizon > HORIZON_FACTOR_MAX / eps * (1.0 + 1e-9):
@@ -500,15 +512,17 @@ def integrate_full(system: FastSlowSystem, state0: PhaseStateFull,
     # One evaluation of a and h per node gives both the energy and the
     # fiber speed, the phi component of _full_rhs term for term.
     energy, phi_dot = np.empty((2, len(traj)))
-    for i, z in enumerate(traj.values.tolist()):
-        energy[i], phi_dot[i] = system.energy_and_fiber_speed(
-            z[:l], z[l:2 * l], z[2 * l], z[2 * l + 1])
+    for rows in _row_blocks(len(traj)):
+        for i, z in enumerate(traj.values[rows].tolist(), rows.start):
+            energy[i], phi_dot[i] = system.energy_and_fiber_speed(
+                z[:l], z[l:2 * l], z[2 * l], z[2 * l + 1])
     phi_dot *= sign
     traj.invariant_log = {"energy": energy,
                           "momentum": traj.values[:, 2 * l + 1].copy(),
                           "phi_dot": phi_dot}
     traj.times = eps * traj.times
-    traj.values[:, 2 * l] = np.mod(traj.values[:, 2 * l], TWO_PI)
+    phi = traj.values[:, 2 * l]
+    np.mod(phi, TWO_PI, out=phi)
     return traj
 
 
@@ -659,6 +673,11 @@ def closeness_report(full: Trajectory, reduced: Trajectory,
     time nodes; deviations use the Euclidean norm per node. Any other
     pair of kinds, a magnetic-chart reduced trajectory among them, and a
     reduced trajectory without derivs raise ValueError.
+
+    The nodes are interpolated and compared one block of rows at a time
+    (_row_blocks), and each sup is the max of the block maxima; every
+    operation is elementwise per node, so the report does not depend on
+    the block size, and the temporaries are one block long.
     """
     if full.kind != "full" or reduced.kind != "reduced_canonical":
         raise ValueError(
@@ -682,21 +701,25 @@ def closeness_report(full: Trajectory, reduced: Trajectory,
             "|gamma0-mu|=%.3e exceed 1e-12" % (dq0, dp0, dg0))
 
     s_cap = min(full.times[-1], reduced.times[-1], 1.0)
-    mask = full.times <= s_cap * (1.0 + 1e-12) + 1e-300
-    t_cmp = full.times[mask]
-    interp = hermite_interpolate(reduced.times, red_values, reduced.derivs,
-                                 t_cmp)
-    fq = full.values[mask, :l]
-    fp = full.values[mask, l:2 * l]
-    fg = full.values[mask, 2 * l + 1]
-    err_q = np.sqrt(np.sum((fq - interp[:, :l]) ** 2, axis=1))
-    err_p = np.sqrt(np.sum((fp - interp[:, l:]) ** 2, axis=1))
-    err_g = np.abs(fg - mu)
+    # The times increase strictly, so the nodes compared are a prefix.
+    n_cmp = int(np.count_nonzero(
+        full.times <= s_cap * (1.0 + 1e-12) + 1e-300))
+    sups = []
+    for rows in _row_blocks(n_cmp):
+        interp = hermite_interpolate(reduced.times, red_values,
+                                     reduced.derivs, full.times[rows])
+        block = full.values[rows]
+        err_q = np.sqrt(np.sum((block[:, :l] - interp[:, :l]) ** 2, axis=1))
+        err_p = np.sqrt(np.sum((block[:, l:2 * l] - interp[:, l:]) ** 2,
+                               axis=1))
+        err_g = np.abs(block[:, 2 * l + 1] - mu)
+        sups.append((np.max(err_q), np.max(err_p), np.max(err_g),
+                     np.max(err_q + err_p + err_g)))
+    # np.max, not max: a NaN in any block reaches the report.
+    sup_q, sup_p, sup_g, sup_total = np.max(sups, axis=0).tolist()
     return ClosenessReport(
-        sup_error_q=float(np.max(err_q)), sup_error_p=float(np.max(err_p)),
-        sup_error_gamma=float(np.max(err_g)),
-        sup_error_total=float(np.max(err_q + err_p + err_g)),
-        horizon=float(s_cap / eps), epsilon=eps)
+        sup_error_q=sup_q, sup_error_p=sup_p, sup_error_gamma=sup_g,
+        sup_error_total=sup_total, horizon=float(s_cap / eps), epsilon=eps)
 
 
 def closeness_case(system: FastSlowSystem, averaged: AveragedSystem,

@@ -8,9 +8,11 @@ the output contract.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -52,6 +54,80 @@ epsilon_sweep = {sweep}
 [output]
 output_dir = out
 """
+
+
+def reference_emit_csv(trajectory: Trajectory, path) -> None:
+    """The one-shot emit_csv that the block writer replaced, verbatim."""
+    n = len(trajectory)
+    energy = trajectory.invariant_log.get("energy", np.zeros(n))
+    momentum = trajectory.invariant_log.get("momentum", np.zeros(n))
+    cols = ["t", *trajectory.state_labels, "energy", "momentum"]
+    table = np.column_stack([trajectory.times, trajectory.values, energy,
+                             momentum])
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    # One tolist of the columns, rows zipped from them and written one by
+    # one: no row list is made, and the rows' text is never held at once.
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        fh.writelines(row % values for values in zip(*table.T.tolist()))
+
+
+def reference_emit_json(trajectory: Trajectory, path,
+                        metadata: dict | None = None) -> None:
+    """The one-shot emit_json that the block writer replaced, verbatim."""
+    n = len(trajectory)
+    energy = trajectory.invariant_log.get("energy", np.zeros(n))
+    momentum = trajectory.invariant_log.get("momentum", np.zeros(n))
+    columns = {"t": trajectory.times.tolist()}
+    for j, label in enumerate(trajectory.state_labels):
+        columns[label] = trajectory.values[:, j].tolist()
+    columns["energy"] = np.asarray(energy, dtype=float).tolist()
+    columns["momentum"] = np.asarray(momentum, dtype=float).tolist()
+    doc = {
+        "column_order": ["t", *trajectory.state_labels, "energy", "momentum"],
+        "columns": columns,
+        "kind": trajectory.kind,
+        "metadata": metadata or {},
+    }
+    Path(path).write_text(json.dumps(doc, sort_keys=True))
+
+
+BLOCK = integrators._BLOCK_ROWS
+# Each kind's state labels and logs as its integrator writes them; the
+# generic kind has no energy or momentum log, and "collision" has state
+# labels that repeat names of the output columns.
+KINDS = {
+    "full": (("q1", "p1", "phi", "gamma"), ("energy", "momentum", "phi_dot")),
+    "reduced_canonical": (("Q1", "P1"), ("energy", "momentum")),
+    "euler": (("xi1", "xi2", "xi3"),
+              ("energy", "momentum", "casimir_shifted")),
+    "generic": (("a", "b"), ()),
+    "collision": (("t", "energy", "x"), ("energy",)),
+}
+SPECIAL_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                  1.7976931348623157e308)
+NESTED_METADATA = {"experiment": "pendulum", "config": "mu = 3.0\n",
+                   "nested": {"b": [1.0, -0.0, math.inf],
+                              "a": {"temperature": "Grüße, 温度 °C"}}}
+
+
+def oracle_trajectory(kind: str, n: int) -> Trajectory:
+    """n rows of the kind's columns: floats over many magnitudes with
+    the special values spread through every column, times from -0.0."""
+    labels, logs = KINDS[kind]
+    rng = np.random.default_rng(n)
+    width = len(labels) + len(logs)
+    data = (rng.standard_normal((n, width))
+            * 10.0 ** rng.integers(-300, 300, (n, width)))
+    data.flat[::7] = np.resize(SPECIAL_FLOATS, data.flat[::7].size)
+    times = np.arange(n) * 0.01
+    if n:
+        times[0] = -0.0
+    return Trajectory(
+        times=times, values=data[:, :len(labels)], state_labels=labels,
+        kind="generic" if kind == "collision" else kind, dim_base=1,
+        invariant_log={name: data[:, len(labels) + j]
+                       for j, name in enumerate(logs)})
 
 
 def small_trajectory():
@@ -249,6 +325,62 @@ class TestOutputFiles:
         assert doc["columns"]["b"] == [2.0, 4.0]
         assert doc["kind"] == "generic"
         assert doc["metadata"] == {"note": "check"}
+
+
+class TestBlockedEmission:
+    """The block writers against the one-shot writers they replaced."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize(
+        "n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_bytes_equal_the_one_shot_writers(self, tmp_path, kind, n):
+        traj = oracle_trajectory(kind, n)
+        emit_csv(traj, tmp_path / "block.csv")
+        reference_emit_csv(traj, tmp_path / "ref.csv")
+        assert ((tmp_path / "block.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
+        emit_json(traj, tmp_path / "block.json", NESTED_METADATA)
+        reference_emit_json(traj, tmp_path / "ref.json", NESTED_METADATA)
+        assert ((tmp_path / "block.json").read_bytes()
+                == (tmp_path / "ref.json").read_bytes())
+
+    def test_json_without_metadata(self, tmp_path):
+        traj = oracle_trajectory("full", BLOCK + 1)
+        emit_json(traj, tmp_path / "block.json")
+        reference_emit_json(traj, tmp_path / "ref.json")
+        assert ((tmp_path / "block.json").read_bytes()
+                == (tmp_path / "ref.json").read_bytes())
+
+    def test_unserializable_metadata_leaves_no_file(self, tmp_path):
+        path = tmp_path / "traj.json"
+        with pytest.raises(TypeError):
+            emit_json(small_trajectory(), path, metadata={"x": object()})
+        assert not path.exists()
+
+    def test_emission_memory_beyond_the_trajectory_is_one_block(self):
+        def emission_peak(n: int) -> int:
+            traj = oracle_trajectory("generic", n)
+            tracemalloc.start()
+            try:
+                emit_csv(traj, os.devnull)
+                csv_peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                emit_json(traj, os.devnull, NESTED_METADATA)
+                return max(csv_peak, tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        emission_peak(BLOCK)  # first-call allocations
+        small, large = emission_peak(20_000), emission_peak(200_000)
+        assert large - small < 2 ** 20, (small, large)
+
+    def test_readme_quotes_the_shipped_pendulum_config(self):
+        readme = (Path(__file__).resolve().parents[1]
+                  / "README.md").read_text()
+        head = "`src/fastslow/configs/pendulum.cfg`:\n\n```ini\n"
+        start = readme.index(head) + len(head)
+        assert (readme[start:readme.index("```", start)]
+                == shipped_config_text("pendulum"))
 
 
 class TestRunExperiment:

@@ -1122,3 +1122,110 @@ class TestCloseness:
             dim_base=1)
         with pytest.raises(ValueError, match="derivative column"):
             closeness_report(full, red, system)
+
+
+def reference_full_logs(system, values, sign=1.0):
+    """The energy and phi_dot logs as integrate_full computed them in one
+    pass over the unwrapped nodes, before the row blocks."""
+    l = system.dim_base
+    energy, phi_dot = np.empty((2, len(values)))
+    for i, z in enumerate(values.tolist()):
+        energy[i], phi_dot[i] = system.energy_and_fiber_speed(
+            z[:l], z[l:2 * l], z[2 * l], z[2 * l + 1])
+    phi_dot *= sign
+    return energy, phi_dot
+
+
+def reference_sups(full, reduced, system):
+    """closeness_report's four sups as it computed them on whole
+    trajectories, before the row blocks."""
+    l = system.dim_base
+    mu = system.mu
+    red_values = reduced.values
+    s_cap = min(full.times[-1], reduced.times[-1], 1.0)
+    mask = full.times <= s_cap * (1.0 + 1e-12) + 1e-300
+    t_cmp = full.times[mask]
+    interp = hermite_interpolate(reduced.times, red_values, reduced.derivs,
+                                 t_cmp)
+    fq = full.values[mask, :l]
+    fp = full.values[mask, l:2 * l]
+    fg = full.values[mask, 2 * l + 1]
+    err_q = np.sqrt(np.sum((fq - interp[:, :l]) ** 2, axis=1))
+    err_p = np.sqrt(np.sum((fp - interp[:, l:]) ** 2, axis=1))
+    err_g = np.abs(fg - mu)
+    return [float(np.max(err_q)), float(np.max(err_p)),
+            float(np.max(err_g)), float(np.max(err_q + err_p + err_g))]
+
+
+def report_sups(report):
+    return [report.sup_error_q, report.sup_error_p, report.sup_error_gamma,
+            report.sup_error_total]
+
+
+def bits(xs):
+    return [float(x).hex() for x in xs]
+
+
+class TestRowBlocks:
+    """The passes over a whole trajectory, taken in row blocks, against
+    the one-pass formulas they replaced."""
+
+    def test_blocks_cover_the_rows_in_order(self):
+        b = integrators._BLOCK_ROWS
+        for n in (0, 1, b - 1, b, b + 1, 2 * b + 3):
+            rows = list(integrators._row_blocks(n))
+            assert all(0 < r.stop - r.start <= b for r in rows)
+            assert [i for r in rows for i in range(n)[r]] == list(range(n))
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_pendulum_logs_and_report_are_bit_equal(self, backward):
+        params = PendulumParams(epsilon=1e-2)
+        system, avg = pendulum_systems(params)
+        q0, p0 = np.array([2.0]), np.array([0.0])
+        start = PhaseStateFull(q=q0, p=p0, phi=0.0, gamma=params.mu)
+        full = integrate_full(system, start, 100.0, MIDPOINT,
+                              backward=backward)
+        assert len(full) > 2 * integrators._BLOCK_ROWS
+        raw = integrate_autonomous(
+            integrators._full_rhs(system), start.as_array(), 100.0,
+            MIDPOINT, state_labels=full.state_labels, kind="full",
+            dim_base=1, backward=backward)
+        energy, phi_dot = reference_full_logs(system, raw.values,
+                                              -1.0 if backward else 1.0)
+        assert bits(full.invariant_log["energy"]) == bits(energy)
+        assert bits(full.invariant_log["phi_dot"]) == bits(phi_dot)
+        assert bits(full.values[:, 2]) == bits(
+            np.mod(raw.values[:, 2], 2.0 * np.pi))
+        if not backward:
+            red = integrate_reduced_canonical(
+                avg, PhaseStateReduced(Q=q0, P=p0), 1.0,
+                IntegratorConfig(dt=1e-3))
+            assert bits(report_sups(closeness_report(full, red, system))) \
+                == bits(reference_sups(full, red, system))
+
+    def test_two_dimensional_report_with_a_nan_is_bit_equal(self):
+        # Hand-made trajectories of dim_base 2, more than two blocks
+        # long, with a NaN in the third block: the max of the block
+        # maxima propagates it as the one-pass max did.
+        system = particle_systems(particle_potential_2d(), 1e-2, 1.3)[0]
+        n = 2 * integrators._BLOCK_ROWS + 3
+        rng = np.random.default_rng(5)
+        times = np.linspace(0.0, 1.0, n)
+        values = rng.standard_normal((n, 6))
+        values[0, 5] = system.mu
+        red_times = np.linspace(0.0, 1.0, 501)
+        red_values = rng.standard_normal((501, 4))
+        red_values[0] = values[0, :4]
+        full = Trajectory(times=times, values=values,
+                          state_labels=("q1", "q2", "p1", "p2", "phi",
+                                        "gamma"), kind="full", dim_base=2)
+        red = Trajectory(times=red_times, values=red_values,
+                         state_labels=("Q1", "Q2", "P1", "P2"),
+                         kind="reduced_canonical", dim_base=2,
+                         derivs=rng.standard_normal((501, 4)))
+        assert bits(report_sups(closeness_report(full, red, system))) \
+            == bits(reference_sups(full, red, system))
+        full.values[n - 2, 1] = np.nan
+        got = report_sups(closeness_report(full, red, system))
+        assert bits(got) == bits(reference_sups(full, red, system))
+        assert math.isnan(got[0]) and math.isnan(got[3])
