@@ -298,9 +298,8 @@ def emit_csv(trajectory: Trajectory, path: str | Path) -> None:
     The format round-trips float64 exactly and the bytes depend only on
     the trajectory, so identical runs give identical files. An empty
     trajectory produces just the header line. The rows are formatted and
-    written one block at a time (integrators._row_blocks), from that
-    block's floats, so the writer holds one block of rows beyond the
-    trajectory itself.
+    written one block at a time (integrators._row_blocks), so the writer
+    holds one block beyond the trajectory itself.
     """
     columns = _columns(trajectory)
     row = ",".join(["%.17g"] * len(columns)) + "\n"
@@ -324,15 +323,14 @@ def emit_json(trajectory: Trajectory, path: str | Path,
               metadata: dict | None = None) -> None:
     """JSON mirror of emit_csv plus run metadata.
 
-    The bytes are those of json.dumps(doc, sort_keys=True) for the doc
-    {"column_order", "columns", "kind", "metadata"}, where "columns" maps
-    each name of emit_csv's header to its list of floats (a state label
-    that repeats a name keeps the later column). The file is written
-    piece by piece, each column one block of rows at a time
-    (integrators._row_blocks), so the writer holds one block of floats
-    and text beyond the trajectory itself. The metadata is serialized
-    before the file is opened: metadata json cannot encode raises
-    TypeError or ValueError and leaves no file.
+    The bytes are json.dumps(doc, sort_keys=True) of the doc with keys
+    column_order, columns, kind and metadata; columns maps each name of
+    emit_csv's header to its list of floats, and a name that repeats
+    keeps its later column. The file is written piece by piece, each
+    column one block of rows at a time (integrators._row_blocks), so the
+    writer holds one block beyond the trajectory itself. The metadata is
+    serialized first: metadata json cannot encode raises (TypeError,
+    ValueError) and leaves no file.
     """
     meta = json.dumps(metadata or {}, sort_keys=True)
     pairs = _columns(trajectory)

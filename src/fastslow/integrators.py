@@ -490,8 +490,8 @@ def integrate_full(system: FastSlowSystem, state0: PhaseStateFull,
     speed dphi/dtau (negated for a backward run) are logged at every
     node. The stored phi column is wrapped to [0, 2*pi). There are no
     derivs, so "rhs_evals" counts the solver's evaluations alone. The
-    logs are evaluated one block of nodes at a time (_row_blocks), from
-    that block's floats, so they hold one block of Python floats at most.
+    logs are taken one block of nodes at a time (_row_blocks), so they
+    hold one block of Python floats at most.
     """
     eps = system.epsilon
     if horizon > HORIZON_FACTOR_MAX / eps * (1.0 + 1e-9):
@@ -521,8 +521,7 @@ def integrate_full(system: FastSlowSystem, state0: PhaseStateFull,
                           "momentum": traj.values[:, 2 * l + 1].copy(),
                           "phi_dot": phi_dot}
     traj.times = eps * traj.times
-    phi = traj.values[:, 2 * l]
-    np.mod(phi, TWO_PI, out=phi)
+    traj.values[:, 2 * l] = np.mod(traj.values[:, 2 * l], TWO_PI)
     return traj
 
 
@@ -675,9 +674,9 @@ def closeness_report(full: Trajectory, reduced: Trajectory,
     reduced trajectory without derivs raise ValueError.
 
     The nodes are interpolated and compared one block of rows at a time
-    (_row_blocks), and each sup is the max of the block maxima; every
-    operation is elementwise per node, so the report does not depend on
-    the block size, and the temporaries are one block long.
+    (_row_blocks), and each sup is the max of the block maxima. Every
+    operation is per node, so the report does not depend on the block
+    size, and the temporaries are one block long.
     """
     if full.kind != "full" or reduced.kind != "reduced_canonical":
         raise ValueError(
