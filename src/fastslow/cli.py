@@ -299,13 +299,19 @@ def emit_csv(trajectory: Trajectory, path: str | Path) -> None:
     the trajectory, so identical runs give identical files. An empty
     trajectory produces just the header line. The rows are formatted and
     written one block at a time (integrators._row_blocks), so the writer
-    holds one block beyond the trajectory itself.
+    holds one block beyond the trajectory itself. A log without one value
+    per node raises ValueError before the file is opened.
     """
+    n = len(trajectory)
     columns = _columns(trajectory)
+    for name, column in columns:
+        if np.shape(column) != (n,):
+            raise ValueError(f"column {name!r} has shape {np.shape(column)}, "
+                             f"not one value per node ({n})")
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(name for name, _ in columns) + "\n")
-        for rows in _row_blocks(len(trajectory)):
+        for rows in _row_blocks(n):
             fh.writelines(row % values for values in zip(
                 *(column[rows].tolist() for _, column in columns)))
 

@@ -4,7 +4,9 @@ Oracles: the config grammar is small enough to enumerate violations by
 hand with their line numbers; CSV output at 17 significant digits must
 round-trip float64 bit-exactly; and runs are deterministic, so byte
 comparison across repeated and parallel runs is the ground truth for
-the output contract.
+the output contract. The block writers must give the bytes of the
+one-shot writers they replaced, kept here verbatim, and hold one block
+of rows beyond the trajectory whatever its length.
 """
 
 import json
@@ -346,6 +348,20 @@ class TestBlockedEmission:
 
     def test_json_without_metadata(self, tmp_path):
         traj = oracle_trajectory("full", BLOCK + 1)
+        emit_json(traj, tmp_path / "block.json")
+        reference_emit_json(traj, tmp_path / "ref.json")
+        assert ((tmp_path / "block.json").read_bytes()
+                == (tmp_path / "ref.json").read_bytes())
+
+    def test_log_of_another_length(self, tmp_path):
+        # The CSV table rejects it before the file is opened; the JSON
+        # document writes the log as it is.
+        traj = oracle_trajectory("full", BLOCK + 1)
+        traj.invariant_log["energy"] = traj.invariant_log["energy"][:-1]
+        for writer in (emit_csv, reference_emit_csv):
+            with pytest.raises(ValueError):
+                writer(traj, tmp_path / "traj.csv")
+            assert not (tmp_path / "traj.csv").exists()
         emit_json(traj, tmp_path / "block.json")
         reference_emit_json(traj, tmp_path / "ref.json")
         assert ((tmp_path / "block.json").read_bytes()

@@ -19,7 +19,9 @@ pendulum and particles,
 and so must the float chord step the numpy step it replaced, with the
 chord update written as the float sum it documents. The predictor's
 difference table extrapolates integer polynomials exactly and selects
-the order the matrix-product differences it replaced selected.
+the order the matrix-product differences it replaced selected. The
+energy and phi_dot logs and the closeness report, taken in row blocks,
+must equal bit for bit the one-pass formulas they replaced.
 """
 
 import dataclasses
