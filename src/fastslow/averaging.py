@@ -29,13 +29,29 @@ The quantity h0 - a0 . a0 is the inverse fiber inertia of a matching
 bundle metric when positive; averaged data produced by other routes
 (strongly forced oscillating potentials, for instance) can make it
 non-positive, so its sign is reported as a diagnostic and never enforced.
+
+Both systems hold their coefficients as jets, each giving values and
+derivatives from one call, so that shared work (the trigonometry of q
+and phi, say) is done once per evaluation:
+
+    slow(q)      -> (a0, h0, U0, grad_a0, grad_h0, grad_U0)
+    fast(q, phi) -> (a1, h1, U1, jac_q_a1, grad_q_h1, grad_q_U1,
+                     dphi_a1, dphi_h1, dphi_U1)
+
+FastSlowSystem holds both and AveragedSystem the slow one. q is a list
+of dim_base Python floats and phi a float. grad_a0[i][j] is
+d a0_j / d q_i, and jac_q_a1 has the same layout. A vector or matrix
+slot is a (nested) list of floats or an array, a scalar slot a float:
+the full field and the energy log read a list as it is and turn an
+array into floats once (_floats), and every other reader makes an array
+of a slot. Every field and log calls each jet once per evaluation. A
+caller with values only builds both jets with difference_jets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import mul
-from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -78,20 +94,10 @@ def fiber_mean(samples: np.ndarray) -> np.ndarray:
     return np.mean(np.asarray(samples, dtype=float), axis=0)
 
 
-def _resolve_derivatives(data) -> None:
-    """Set data.derivatives to each gradient field, or its central
-    difference if None."""
-    stencils = {"grad_a0": lambda q: jacobian(data.a0, q),
-                "grad_h0": lambda q: gradient(data.h0, q),
-                "grad_U0": lambda q: gradient(data.U0, q)}
-    object.__setattr__(data, "derivatives", SimpleNamespace(**{
-        name: stencil if getattr(data, name) is None else getattr(data, name)
-        for name, stencil in stencils.items()}))
-
-
 def difference_jets(slow_values: Callable, fast_values: Callable
                     ) -> tuple[Callable, Callable]:
-    """The two jets of a FastSlowSystem from value-only ones.
+    """The two jets of a FastSlowSystem from value-only ones; the slow
+    jet alone serves an AveragedSystem.
 
     slow_values(q) -> (a0, h0, U0) and fast_values(q, phi) -> (a1, h1, U1)
     receive q as a float array. Every derivative slot is the central
@@ -125,23 +131,10 @@ def difference_jets(slow_values: Callable, fast_values: Callable
 class FastSlowSystem:
     """Coefficient data of a fast-oscillating natural Hamiltonian system.
 
-    The coefficients come as two jets, each giving values and derivatives
-    from one call, so that shared work (the trigonometry of q and phi,
-    say) is done once per evaluation:
-
-        slow(q)      -> (a0, h0, U0, grad_a0, grad_h0, grad_U0)
-        fast(q, phi) -> (a1, h1, U1, jac_q_a1, grad_q_h1, grad_q_U1,
-                         dphi_a1, dphi_h1, dphi_U1)
-
-    q is a list of dim_base Python floats and phi a float. grad_a0[i][j]
-    is d a0_j / d q_i, and jac_q_a1 has the same layout. A vector or
-    matrix slot is a (nested) list of floats or an array, a scalar slot a
-    float: the full field and the energy log read a list as it is and
-    turn an array into floats once (_floats). a1, h1 and U1 must have
-    zero fiber mean. A caller with values only builds both jets with
-    difference_jets. epsilon > 0 is the timescale ratio and mu the
-    conserved leading-order fiber momentum, so the fast frequency is
-    omega = mu / epsilon.
+    slow and fast are the two coefficient jets (module docstring). a1, h1
+    and U1 must have zero fiber mean. epsilon > 0 is the timescale ratio
+    and mu the conserved leading-order fiber momentum, so the fast
+    frequency is omega = mu / epsilon.
     """
 
     dim_base: int
@@ -161,24 +154,6 @@ class FastSlowSystem:
         """Fast fiber frequency mu / epsilon."""
         return self.mu / self.epsilon
 
-    def _value(self, k: int, q, phi: float) -> tuple:
-        """Slot k of each jet at (q, phi); q may be an array."""
-        q = _floats(q)
-        return self.slow(q)[k], self.fast(q, phi)[k]
-
-    def a(self, q, phi: float) -> np.ndarray:
-        a0, a1 = self._value(0, q, phi)
-        return (np.asarray(a0, dtype=float)
-                + self.epsilon * np.asarray(a1, dtype=float))
-
-    def h(self, q, phi: float) -> float:
-        h0, h1 = self._value(1, q, phi)
-        return float(h0) + self.epsilon * float(h1)
-
-    def U(self, q, phi: float) -> float:
-        U0, U1 = self._value(2, q, phi)
-        return float(U0) + self.epsilon * float(U1)
-
     def hamiltonian(self, q, p, phi: float, gamma: float) -> float:
         return self.energy_and_fiber_speed(q, p, phi, gamma)[0]
 
@@ -187,7 +162,7 @@ class FastSlowSystem:
         """H and the fiber speed dphi/dtau = a . p + h gamma at one state.
 
         Both share one call of each jet. a, h and U are assembled in
-        Python floats as the array methods assemble them, and each dot
+        Python floats, each x0 + eps x1 per component, and each dot
         product adds its terms in index order from +0, as
         integrators._full_rhs does.
         """
@@ -209,32 +184,21 @@ class FastSlowSystem:
 class AveragedSystem:
     """Averaged (slow) Hamiltonian data (a0, h0, U0) with momentum mu.
 
-    The combination h0 - a0 . a0 must evaluate finite; its sign is not
-    constrained and is carried in diagnostics["inertia_inverse_min"]
-    when the system was produced by average_coefficients. grad_a0 has
-    the layout grad_a0(q)[i, j] = d a0_j / d q_i.
-
-    The gradient fields are optional and keep what the caller passed;
-    the attribute derivatives (not a field) holds all three by the same
-    names: a given callable as it is, a missing one as a central
-    difference (fastslow._derivatives), derived again by
-    dataclasses.replace.
+    slow is the slow coefficient jet (module docstring), the same slots
+    as FastSlowSystem.slow. The combination h0 - a0 . a0 must evaluate
+    finite; its sign is not constrained and is carried in
+    diagnostics["inertia_inverse_min"] when the system was produced by
+    average_coefficients.
     """
 
     dim_base: int
-    a0: Callable[[np.ndarray], np.ndarray]
-    h0: Callable[[np.ndarray], float]
-    U0: Callable[[np.ndarray], float]
+    slow: Callable[[list], tuple]
     mu: float
-    grad_a0: Callable[[np.ndarray], np.ndarray] | None = None
-    grad_h0: Callable[[np.ndarray], np.ndarray] | None = None
-    grad_U0: Callable[[np.ndarray], np.ndarray] | None = None
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.dim_base < 1:
             raise ValueError("dim_base must be a positive integer")
-        _resolve_derivatives(self)
 
 
 def average_coefficients(system: FastSlowSystem,
@@ -246,11 +210,9 @@ def average_coefficients(system: FastSlowSystem,
     h1, U1 have fiber mean below 1e-10 (relative to their own scale) and
     that the total inertia h0 + eps h1 stays positive; violations raise
     an AveragingError naming the offending coefficient and point. The
-    returned system's callables read the slow jet of the input, one slot
-    each, and it records the worst residual means, together with the
-    minimum of h0 - a0 . a0 over the samples, in diagnostics. a0,
-    grad_a0, grad_h0 and grad_U0 return arrays there, so that mu * a0(Q)
-    is a vector whatever the jet returns.
+    returned system holds the slow jet of the input as it is, and
+    records the worst residual means, together with the minimum of
+    h0 - a0 . a0 over the samples, in diagnostics.
     """
     if sample_points is None:
         pts = _default_base_samples(system.dim_base)
@@ -295,28 +257,18 @@ def average_coefficients(system: FastSlowSystem,
         "inertia_inverse_min": float(inertia_min),
         "sample_points": [q.copy() for q in pts],
     }
-    slow = system.slow
-
-    def value(k):
-        return lambda q: slow(_floats(q))[k]
-
-    def array(k):
-        return lambda q: np.asarray(slow(_floats(q))[k], dtype=float)
-
-    return AveragedSystem(
-        dim_base=system.dim_base, a0=array(0), h0=value(1), U0=value(2),
-        mu=system.mu, grad_a0=array(3), grad_h0=array(4), grad_U0=array(5),
-        diagnostics=diagnostics)
+    return AveragedSystem(dim_base=system.dim_base, slow=system.slow,
+                          mu=system.mu, diagnostics=diagnostics)
 
 
 def averaged_hamiltonian(avg: AveragedSystem, Q: np.ndarray,
                          P: np.ndarray) -> float:
     """Hbar = (1/2) P.P + mu a0(Q).P + (1/2) mu^2 h0(Q) + U0(Q)."""
-    Q = np.asarray(Q, dtype=float)
     P = np.asarray(P, dtype=float)
-    a0 = np.asarray(avg.a0(Q), dtype=float)
+    a0, h0, U0 = avg.slow(_floats(Q))[:3]
+    a0 = np.asarray(a0, dtype=float)
     return float(0.5 * (P @ P) + avg.mu * (a0 @ P)
-                 + 0.5 * avg.mu ** 2 * float(avg.h0(Q)) + float(avg.U0(Q)))
+                 + 0.5 * avg.mu ** 2 * float(h0) + float(U0))
 
 
 def effective_potential(avg: AveragedSystem, Q: np.ndarray) -> float:
@@ -325,14 +277,13 @@ def effective_potential(avg: AveragedSystem, Q: np.ndarray) -> float:
     Ubar_mu = (1/2) mu^2 (h0 - a0 . a0) + U0, so that the averaged
     Hamiltonian equals (1/2) |P1|^2 + Ubar_mu with P1 = P + mu a0(Q).
     """
-    Q = np.asarray(Q, dtype=float)
-    a0 = np.asarray(avg.a0(Q), dtype=float)
-    return float(0.5 * avg.mu ** 2 * (float(avg.h0(Q)) - float(a0 @ a0))
-                 + float(avg.U0(Q)))
+    a0, h0, U0 = avg.slow(_floats(Q))[:3]
+    a0 = np.asarray(a0, dtype=float)
+    return float(0.5 * avg.mu ** 2 * (float(h0) - float(a0 @ a0))
+                 + float(U0))
 
 
 def magnetic_form(avg: AveragedSystem, Q: np.ndarray) -> np.ndarray:
     """Magnetic two-form matrix B_ij = mu (d_i a0_j - d_j a0_i) at Q."""
-    Q = np.asarray(Q, dtype=float)
-    jac = np.asarray(avg.derivatives.grad_a0(Q), dtype=float)
+    jac = np.asarray(avg.slow(_floats(Q))[3], dtype=float)
     return avg.mu * (jac - jac.T)

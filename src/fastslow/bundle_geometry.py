@@ -268,13 +268,15 @@ def invariant_metric_from_averaged(avg, sample_points=()) -> TrivialBundleMetric
     """
     dim = int(avg.dim_base)
 
-    def a(q, _a0=avg.a0):
-        return -np.asarray(_a0(np.asarray(q, dtype=float)), dtype=float)
-
-    def h(q, _a0=avg.a0, _h0=avg.h0):
+    def a(q):
         q = np.asarray(q, dtype=float)
-        a0q = np.asarray(_a0(q), dtype=float)
-        denom = float(_h0(q)) - float(a0q @ a0q)
+        return -np.asarray(avg.slow(q.tolist())[0], dtype=float)
+
+    def h(q):
+        q = np.asarray(q, dtype=float)
+        a0q, h0q = avg.slow(q.tolist())[:2]
+        a0q = np.asarray(a0q, dtype=float)
+        denom = float(h0q) - float(a0q @ a0q)
         if denom <= 0.0:
             raise ValueError(
                 "h0 - a0.a0 is not positive; the averaged system has no "

@@ -283,13 +283,20 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def _columns(trajectory: Trajectory) -> list[tuple[str, np.ndarray]]:
     """The output columns in file order, as (name, view) pairs: t, the
-    state columns, energy and momentum, a missing log read as zeros."""
-    zeros = np.broadcast_to(0.0, (len(trajectory),))
+    state columns, energy and momentum, a missing log read as zeros. A
+    column without one value per node raises ValueError."""
+    n = len(trajectory)
+    zeros = np.broadcast_to(0.0, (n,))
     log = trajectory.invariant_log
-    return [("t", trajectory.times),
-            *zip(trajectory.state_labels, trajectory.values.T),
-            *((name, np.asarray(log.get(name, zeros), dtype=float))
-              for name in ("energy", "momentum"))]
+    columns = [("t", trajectory.times),
+               *zip(trajectory.state_labels, trajectory.values.T),
+               *((name, np.asarray(log.get(name, zeros), dtype=float))
+                 for name in ("energy", "momentum"))]
+    for name, column in columns:
+        if np.shape(column) != (n,):
+            raise ValueError(f"column {name!r} has shape {np.shape(column)}, "
+                             f"not one value per node ({n})")
+    return columns
 
 
 def emit_csv(trajectory: Trajectory, path: str | Path) -> None:
@@ -302,16 +309,11 @@ def emit_csv(trajectory: Trajectory, path: str | Path) -> None:
     holds one block beyond the trajectory itself. A log without one value
     per node raises ValueError before the file is opened.
     """
-    n = len(trajectory)
     columns = _columns(trajectory)
-    for name, column in columns:
-        if np.shape(column) != (n,):
-            raise ValueError(f"column {name!r} has shape {np.shape(column)}, "
-                             f"not one value per node ({n})")
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(name for name, _ in columns) + "\n")
-        for rows in _row_blocks(n):
+        for rows in _row_blocks(len(trajectory)):
             fh.writelines(row % values for values in zip(
                 *(column[rows].tolist() for _, column in columns)))
 
@@ -336,7 +338,8 @@ def emit_json(trajectory: Trajectory, path: str | Path,
     column one block of rows at a time (integrators._row_blocks), so the
     writer holds one block beyond the trajectory itself. The metadata is
     serialized first: metadata json cannot encode raises (TypeError,
-    ValueError) and leaves no file.
+    ValueError) and leaves no file, as does a log without one value per
+    node (ValueError).
     """
     meta = json.dumps(metadata or {}, sort_keys=True)
     pairs = _columns(trajectory)

@@ -10,12 +10,10 @@ integrated directly in slow time with the eps-free vector fields
     magnetic chart:   dQ/dt = P1
                       dP1/dt = -grad Ubar_mu(Q) + B(Q)^T P1
 
-with B_ij = mu (d_i a0_j - d_j a0_i). The full system's derivatives come
-from its two jets, one call of each per evaluation of the field; the
-averaged system's from its derivatives attribute, which holds the
-analytic callable where one was given and a central difference
-otherwise (fastslow.averaging). Every vector field receives its state
-as a list of Python floats.
+with B_ij = mu (d_i a0_j - d_j a0_i). Each field reads the coefficients
+and their derivatives from the system's jets (fastslow.averaging), one
+call of each per evaluation. Every vector field receives its state as a
+list of Python floats.
 
 The default method is the implicit midpoint rule, solved by chord Newton
 (one central-difference iteration matrix reused across the steps of an
@@ -473,7 +471,10 @@ def full_velocities(system: FastSlowSystem,
     these are the velocity slots at which the bundle momentum map
     reproduces gamma.
     """
-    u = state.p + state.gamma * system.a(state.q, state.phi)
+    q = _floats(state.q)
+    a0 = np.asarray(system.slow(q)[0], dtype=float)
+    a1 = np.asarray(system.fast(q, state.phi)[0], dtype=float)
+    u = state.p + state.gamma * (a0 + system.epsilon * a1)
     xi = system.energy_and_fiber_speed(state.q, state.p, state.phi,
                                        state.gamma)[1]
     return u, xi
@@ -537,21 +538,20 @@ def integrate_reduced_canonical(avg: AveragedSystem,
     of the flow rather than an evolving state). derivs holds the field at
     every node, and meta["rhs_evals"], if present, counts those calls.
     """
-    state0 = convert_chart(state0, avg.a0, avg.mu, "canonical")
+    state0 = convert_chart(state0, lambda Q: avg.slow(_floats(Q))[0],
+                           avg.mu, "canonical")
     l = avg.dim_base
     mu = avg.mu
-    d = avg.derivatives
-    ga0, gh0, gU0 = d.grad_a0, d.grad_h0, d.grad_U0
+    slow = avg.slow
 
     def f(z) -> np.ndarray:
         z = np.array(z, dtype=float)
-        Q = z[:l]
         P = z[l:]
-        a0 = np.asarray(avg.a0(Q), dtype=float)
-        dQ = P + mu * a0
-        dP = -(mu * (np.asarray(ga0(Q), dtype=float) @ P)
-               + 0.5 * mu * mu * np.asarray(gh0(Q), dtype=float)
-               + np.asarray(gU0(Q), dtype=float))
+        a0, _, _, ga0, gh0, gU0 = slow(z[:l].tolist())
+        dQ = P + mu * np.asarray(a0, dtype=float)
+        dP = -(mu * (np.asarray(ga0, dtype=float) @ P)
+               + 0.5 * mu * mu * np.asarray(gh0, dtype=float)
+               + np.asarray(gU0, dtype=float))
         return np.concatenate([dQ, dP])
 
     labels = tuple([f"Q{i + 1}" for i in range(l)]
@@ -585,19 +585,19 @@ def integrate_reduced_magnetic(avg: AveragedSystem,
     bit when no row of it has two nonzero products (dim_base 1 and 2,
     where B is antisymmetric).
     """
-    state0 = convert_chart(state0, avg.a0, avg.mu, "magnetic")
+    state0 = convert_chart(state0, lambda Q: avg.slow(_floats(Q))[0],
+                           avg.mu, "magnetic")
     l = avg.dim_base
     mu = avg.mu
-    d = avg.derivatives
+    slow = avg.slow
 
     def f(z: list) -> list:
-        Q = np.array(z[:l])
         v = _floats(z[l:])
-        a0 = np.asarray(avg.a0(Q), dtype=float)
-        ga0 = np.asarray(d.grad_a0(Q), dtype=float)
-        g = _floats(0.5 * mu * mu * (np.asarray(d.grad_h0(Q), dtype=float)
+        a0, _, _, ga0, gh0, gU0 = slow(_floats(z[:l]))
+        a0, ga0 = np.asarray(a0, dtype=float), np.asarray(ga0, dtype=float)
+        g = _floats(0.5 * mu * mu * (np.asarray(gh0, dtype=float)
                                      - 2.0 * (ga0 @ a0))
-                    + np.asarray(d.grad_U0(Q), dtype=float))
+                    + np.asarray(gU0, dtype=float))
         # Column i of B = mu (ga0 - ga0^T) dotted with v, summed from +0.
         dP1 = [-g_i + sum(map(mul, col, v))
                for g_i, col in zip(g, zip(*_floats(mu * (ga0 - ga0.T))))]

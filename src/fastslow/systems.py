@@ -97,8 +97,8 @@ def pendulum_systems(params: PendulumParams,
     exactly, for every fiber_floor. The two jets share sin and cos of
     x / l, and the fast jet those of phi and 2 phi; every vector or matrix
     slot is a list of Python floats, which the full field and the energy
-    log read without a conversion, and the averaged system's a0 and
-    gradients return arrays (average_coefficients).
+    log read without a conversion. The averaged system holds the same
+    slow jet (average_coefficients).
     """
     l = params.length
     g = params.gravity
@@ -770,51 +770,36 @@ def oscillating_particle_averaged(potential: OscillatingPotential,
     eps = float(epsilon)
     modes = potential.fourier_modes
 
-    def U0(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return (potential.mean(x) + 0.5 * eps ** 2 * mu ** 2
-                * mean_grad_antiderivative_sq(potential, x))
-
-    def a0(x):
-        return -eps ** 3 * mean_hess_cross_term(potential, x)
-
-    def h0(x):
-        return 0.0
-
-    def grad_U0(x):
-        # grad <V'.V'> = sum (c'' c' + s'' s') / k^2
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        total = np.array(potential.mean_gradient(x), dtype=float)
-        for m in modes:
-            total = total + (0.5 * eps ** 2 * mu ** 2 / m.k ** 2) * (
-                m.hess_c(x) @ m.grad_c(x) + m.hess_s(x) @ m.grad_s(x))
-        return total
-
-    def grad_a0(x):
-        # With c3, s3 the third-derivative tensors,
+    def slow(q):
+        x = np.atleast_1d(np.asarray(q, dtype=float))
+        # grad <V'.V'> = sum (c'' c' + s'' s') / k^2 and, with c3, s3 the
+        # third-derivative tensors,
         # d_i <S'' V'>_j = sum (c3_ijl s'_l - s3_ijl c'_l
         #                       + (s'' c'' - c'' s'')_ij) / (2 k^3)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        total = np.zeros((x.size, x.size))
+        grad_U0 = np.array(potential.mean_gradient(x), dtype=float)
+        grad_cross = np.zeros((x.size, x.size))
         for m in modes:
-            hc = m.hess_c(x)
-            hs = m.hess_s(x)
-            total = total + (m.third_c(x) @ m.grad_s(x)
-                             - m.third_s(x) @ m.grad_c(x)
-                             + hs @ hc - hc @ hs) / (2.0 * m.k ** 3)
-        return -eps ** 3 * total
+            gc, gs = m.grad_c(x), m.grad_s(x)
+            hc, hs = m.hess_c(x), m.hess_s(x)
+            grad_U0 = grad_U0 + (0.5 * eps ** 2 * mu ** 2 / m.k ** 2) * (
+                hc @ gc + hs @ gs)
+            grad_cross = grad_cross + (m.third_c(x) @ gs - m.third_s(x) @ gc
+                                       + hs @ hc - hc @ hs) / (2.0 * m.k ** 3)
+        return (-eps ** 3 * mean_hess_cross_term(potential, x), 0.0,
+                potential.mean(x) + 0.5 * eps ** 2 * mu ** 2
+                * mean_grad_antiderivative_sq(potential, x),
+                -eps ** 3 * grad_cross, np.zeros(potential.dim_base), grad_U0)
 
     samples = [np.full(potential.dim_base, v) for v in (0.4, 0.9, -1.2)]
-    inertia_min = min(-float(a0(x) @ a0(x)) for x in samples)
+    inertia_min = min(-float(a0 @ a0)
+                      for a0 in (slow(x.tolist())[0] for x in samples))
     diagnostics = {
         "inertia_inverse_min": inertia_min,
         "sample_points": samples,
         "note": "h0 - a0.a0 <= 0: no Riemannian bundle realization",
     }
-    return AveragedSystem(
-        dim_base=potential.dim_base, a0=a0, h0=h0, U0=U0, mu=mu,
-        grad_a0=grad_a0, grad_h0=lambda x: np.zeros(potential.dim_base),
-        grad_U0=grad_U0, diagnostics=diagnostics)
+    return AveragedSystem(dim_base=potential.dim_base, slow=slow, mu=mu,
+                          diagnostics=diagnostics)
 
 
 def particle_invariant_metric(potential: OscillatingPotential,
@@ -974,13 +959,11 @@ def uniform_field_averaged(strength: float = 0.8,
     """
     b = float(strength)
 
-    def a0(q):
-        return np.array([-0.5 * b * q[1], 0.5 * b * q[0]])
+    def slow(q):
+        q = np.asarray(q, dtype=float)
+        return (np.array([-0.5 * b * q[1], 0.5 * b * q[0]]),
+                0.25 * b * b * float(q @ q), 0.0,
+                np.array([[0.0, 0.5 * b], [-0.5 * b, 0.0]]),
+                0.5 * b * b * q, np.zeros(2))
 
-    return AveragedSystem(
-        dim_base=2, a0=a0,
-        h0=lambda q: 0.25 * b * b * float(q @ q),
-        U0=lambda q: 0.0, mu=float(mu),
-        grad_a0=lambda q: np.array([[0.0, 0.5 * b], [-0.5 * b, 0.0]]),
-        grad_h0=lambda q: 0.5 * b * b * np.asarray(q, dtype=float),
-        grad_U0=lambda q: np.zeros(2))
+    return AveragedSystem(dim_base=2, slow=slow, mu=float(mu))

@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fastslow import (AveragedSystem, AveragingError, FastSlowSystem,
+                      IntegratorConfig, PhaseStateReduced,
                       average_coefficients, averaged_hamiltonian,
-                      difference_jets, effective_potential, magnetic_form)
+                      difference_jets, effective_potential,
+                      integrate_reduced_magnetic, magnetic_form,
+                      uniform_field_averaged)
 from fastslow.averaging import FIBER_GRID, fiber_mean
 
 # Hand-computed: a0 = (1,), h0 = 1, U0 = 0.5, mu = 1, P = (1,)
@@ -32,12 +35,18 @@ def constant_coefficient_system(a0, h0, U0, a1=None, h1=None, U1=None,
                           epsilon=epsilon, mu=mu)
 
 
+def value_jet(values):
+    """The slow jet of value-only averaged data values(Q) -> (a0, h0, U0),
+    its derivatives central differences (difference_jets; the fast jet
+    is not used)."""
+    return difference_jets(values, None)[0]
+
+
 def synthetic_averaged(mu=1.0):
     return AveragedSystem(
         dim_base=2,
-        a0=lambda Q: np.array([0.3 * np.sin(Q[1]), 0.2 * Q[0]]),
-        h0=lambda Q: 2.0 + Q[0] ** 2,
-        U0=lambda Q: 0.5 * float(Q @ Q),
+        slow=value_jet(lambda Q: (np.array([0.3 * np.sin(Q[1]), 0.2 * Q[0]]),
+                                  2.0 + Q[0] ** 2, 0.5 * float(Q @ Q))),
         mu=mu)
 
 
@@ -71,8 +80,8 @@ class TestAverageCoefficients:
         avg = average_coefficients(system)
         q = np.array([0.7])
         assert avg.mu == system.mu
-        assert avg.U0(q) == system.slow(q.tolist())[2]
-        assert avg.h0(q) == 1.0
+        assert avg.slow is system.slow
+        assert avg.slow(q.tolist())[1] == 1.0
         assert avg.diagnostics["residual_means"]["U1"] == 0.0
         assert abs(avg.diagnostics["inertia_inverse_min"] - 1.0) < 1e-15
 
@@ -84,7 +93,7 @@ class TestAverageCoefficients:
             U1=lambda q, phi: float(q @ q) * np.cos(phi))
         avg = average_coefficients(system)
         q = np.array([-1.3])
-        assert abs(avg.U0(q) - 1.69) < 1e-15
+        assert abs(avg.slow(q.tolist())[2] - 1.69) < 1e-15
         assert avg.diagnostics["residual_means"]["U1"] < 1e-12
 
     def test_oscillating_inertia_with_zero_mean_is_accepted(self):
@@ -92,7 +101,7 @@ class TestAverageCoefficients:
             a0=0.0, h0=2.0, U0=lambda q: 0.0,
             h1=lambda q, phi: np.sin(3 * phi))
         avg = average_coefficients(system)
-        assert avg.h0(np.zeros(1)) == 2.0
+        assert avg.slow([0.0])[1] == 2.0
 
     def test_nonzero_mean_oscillation_raises_naming_coefficient(self):
         system = constant_coefficient_system(
@@ -113,8 +122,8 @@ class TestAverageCoefficients:
         assert err.value.coefficient == "h"
 
     def test_list_valued_coefficients_average_to_array_callables(self):
-        # The full system's jets may return lists; the averaged one hands
-        # a0 and the gradients on as arrays, so mu * a0(Q) stays a vector.
+        # The full system's jets may return lists; the averaged system's
+        # readers take each slot as an array, so mu * a0(Q) stays a vector.
         def slow(q):
             return ([0.5 * q[1], -0.25], 2.0, q[0] ** 2 + q[1] ** 2,
                      [[0.0, 0.0], [0.5, 0.0]], [0.0, 0.0],
@@ -128,13 +137,18 @@ class TestAverageCoefficients:
                                 epsilon=0.01, mu=2.0)
         avg = average_coefficients(system)
         q = np.array([0.4, -1.0])
-        want = {"a0": [-0.5, -0.25], "grad_a0": [[0.0, 0.0], [0.5, 0.0]],
-                "grad_h0": [0.0, 0.0], "grad_U0": [0.8, -2.0]}
-        for name, value in want.items():
-            got = getattr(avg, name)(q)
-            assert isinstance(got, np.ndarray) and got.dtype == float, name
-            assert np.array_equal(got, value), name
-        assert np.array_equal(avg.mu * avg.a0(q), [-1.0, -0.5])
+        P = np.array([1.0, 3.0])
+        assert avg.slow is slow
+        # Hbar = |P|^2 / 2 + mu a0 . P + mu^2 h0 / 2 + U0 = 5 - 2.5 + 4 + 1.16
+        assert averaged_hamiltonian(avg, q, P) == 5.0 - 2.5 + 4.0 + 1.16
+        assert effective_potential(avg, q) == 2.0 * (2.0 - 0.3125) + 1.16
+        B = magnetic_form(avg, q)
+        assert isinstance(B, np.ndarray) and B.dtype == float
+        assert np.array_equal(B, [[0.0, -1.0], [1.0, 0.0]])
+        start = PhaseStateReduced(Q=q, P=P)
+        shifted = integrate_reduced_magnetic(
+            avg, start, 0.01, IntegratorConfig(method="rk4", dt=0.01))
+        assert np.array_equal(shifted.values[0], [0.4, -1.0, 0.0, 2.5])
 
     def test_sample_points_are_honored(self):
         system = constant_coefficient_system(
@@ -157,9 +171,7 @@ class TestAveragedHamiltonian:
     def test_frozen_example(self):
         avg = AveragedSystem(
             dim_base=1,
-            a0=lambda Q: np.array([1.0]),
-            h0=lambda Q: 1.0,
-            U0=lambda Q: 0.5,
+            slow=lambda Q: ([1.0], 1.0, 0.5, [[0.0]], [0.0], [0.0]),
             mu=1.0)
         got = averaged_hamiltonian(avg, np.zeros(1), np.array([1.0]))
         assert abs(got - AVERAGED_HAMILTONIAN_EXAMPLE) < 1e-14
@@ -172,7 +184,7 @@ class TestAveragedHamiltonian:
         avg = synthetic_averaged(mu)
         Q = np.array([q1, q2])
         P = np.array([p1, p2])
-        P1 = P + mu * avg.a0(Q)
+        P1 = P + mu * avg.slow(Q.tolist())[0]
         left = averaged_hamiltonian(avg, Q, P)
         right = 0.5 * float(P1 @ P1) + effective_potential(avg, Q)
         assert abs(left - right) < 1e-12
@@ -182,34 +194,22 @@ class TestMagneticForm:
     def test_one_dimensional_form_vanishes(self):
         avg = AveragedSystem(
             dim_base=1,
-            a0=lambda Q: np.array([np.sin(Q[0])]),
-            h0=lambda Q: 1.0,
-            U0=lambda Q: 0.0,
+            slow=value_jet(lambda Q: (np.array([np.sin(Q[0])]), 1.0, 0.0)),
             mu=2.0)
         assert np.max(np.abs(magnetic_form(avg, np.array([0.4])))) < 1e-9
 
     def test_uniform_field_from_symmetric_gauge(self):
         # a0 = (-b Q2 / 2, b Q1 / 2) generates constant B = [[0, b], [-b, 0]].
         b = 0.8
-        avg = AveragedSystem(
-            dim_base=2,
-            a0=lambda Q: np.array([-0.5 * b * Q[1], 0.5 * b * Q[0]]),
-            h0=lambda Q: 0.25 * b * b * float(Q @ Q),
-            U0=lambda Q: 0.0,
-            mu=1.0,
-            grad_a0=lambda Q: np.array([[0.0, 0.5 * b], [-0.5 * b, 0.0]]))
+        avg = uniform_field_averaged(b, 1.0)
         B = magnetic_form(avg, np.array([0.3, -1.1]))
         assert np.max(np.abs(B - np.array([[0.0, b], [-b, 0.0]]))) < 1e-14
 
     def test_finite_difference_fallback_matches_analytic(self):
-        b = 0.8
-        exact = AveragedSystem(
-            dim_base=2,
-            a0=lambda Q: np.array([-0.5 * b * Q[1], 0.5 * b * Q[0]]),
-            h0=lambda Q: 0.0, U0=lambda Q: 0.0, mu=1.0,
-            grad_a0=lambda Q: np.array([[0.0, 0.5 * b], [-0.5 * b, 0.0]]))
+        exact = uniform_field_averaged(0.8, 1.0)
         fallback = AveragedSystem(
-            dim_base=2, a0=exact.a0, h0=exact.h0, U0=exact.U0, mu=1.0)
+            dim_base=2, slow=value_jet(lambda Q: exact.slow(Q.tolist())[:3]),
+            mu=1.0)
         Q = np.array([0.3, -1.1])
         assert np.max(np.abs(magnetic_form(exact, Q)
                              - magnetic_form(fallback, Q))) < 1e-9

@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from fastslow import (AveragedSystem, IntegratorConfig, PendulumParams,
                       PhaseStateFull, PhaseStateReduced, TrivialBundleMetric,
-                      convert_chart, fiber_inertia, gram_matrix,
+                      convert_chart, difference_jets, fiber_inertia,
+                      gram_matrix,
                       integrate_autonomous, integrate_reduced_canonical,
                       invariant_metric_from_averaged,
                       mean_grad_antiderivative_sq, mechanical_connection,
@@ -146,8 +147,8 @@ class TestMomentumGammaIdentity:
         def h0(q):
             return 2.0 + q[0] * q[0]
 
-        avg = AveragedSystem(dim_base=2, a0=a0, h0=h0,
-                             U0=lambda q: 0.0, mu=1.3)
+        avg = AveragedSystem(dim_base=2, slow=difference_jets(
+            lambda q: (a0(q), h0(q), 0.0), None)[0], mu=1.3)
         q = np.array([q1, q2])
         metric = invariant_metric_from_averaged(avg, sample_points=[q])
         p = np.array([p1, p2])
@@ -157,9 +158,11 @@ class TestMomentumGammaIdentity:
         assert abs(j - gamma) < 1e-12
 
     def test_connection_negates_averaged_coefficient(self):
+        zero = [0.0, 0.0]
         avg = AveragedSystem(
-            dim_base=2, a0=lambda q: np.array([0.4, -0.1]),
-            h0=lambda q: 3.0, U0=lambda q: 0.0, mu=1.0)
+            dim_base=2,
+            slow=lambda q: ([0.4, -0.1], 3.0, 0.0, [zero, zero], zero, zero),
+            mu=1.0)
         metric = invariant_metric_from_averaged(avg)
         a = mechanical_connection(metric, np.array([0.5, 0.5]))
         assert np.allclose(a, [-0.4, 0.1], atol=1e-14)
@@ -167,8 +170,9 @@ class TestMomentumGammaIdentity:
     def test_degenerate_inertia_rejected(self):
         # h0 = a0 . a0 leaves no positive fiber inertia.
         avg = AveragedSystem(
-            dim_base=1, a0=lambda q: np.array([1.0]), h0=lambda q: 1.0,
-            U0=lambda q: 0.0, mu=1.0)
+            dim_base=1,
+            slow=lambda q: ([1.0], 1.0, 0.0, [[0.0]], [0.0], [0.0]),
+            mu=1.0)
         with pytest.raises(ValueError, match="not positive"):
             invariant_metric_from_averaged(avg)
 
@@ -176,15 +180,13 @@ class TestMomentumGammaIdentity:
 def gamma_identity_system(mu):
     """The TestMomentumGammaIdentity system, here with the potential
     U0 = |q|^2 / 2 and closed-form gradients."""
-    return AveragedSystem(
-        dim_base=2,
-        a0=lambda q: np.array([0.3 * math.sin(q[1]), 0.2 * q[0]]),
-        h0=lambda q: 2.0 + q[0] * q[0],
-        U0=lambda q: 0.5 * float(q @ q), mu=mu,
-        grad_a0=lambda q: np.array([[0.0, 0.2],
-                                    [0.3 * math.cos(q[1]), 0.0]]),
-        grad_h0=lambda q: np.array([2.0 * q[0], 0.0]),
-        grad_U0=lambda q: np.asarray(q, dtype=float))
+    def slow(q):
+        x, y = q
+        return ([0.3 * math.sin(y), 0.2 * x], 2.0 + x * x,
+                0.5 * (x * x + y * y), [[0.0, 0.2], [0.3 * math.cos(y), 0.0]],
+                [2.0 * x, 0.0], [x, y])
+
+    return AveragedSystem(dim_base=2, slow=slow, mu=mu)
 
 
 def shifted_uniform_field():
@@ -192,7 +194,12 @@ def shifted_uniform_field():
     no metric realizes. Adding 1 to h0 adds the constant mu^2 / 2 to the
     averaged Hamiltonian: grad h0 and so the flow are unchanged."""
     field = uniform_field_averaged(0.8, 1.0)
-    return dataclasses.replace(field, h0=lambda q: field.h0(q) + 1.0)
+
+    def slow(q):
+        a0, h0, *rest = field.slow(q)
+        return (a0, h0 + 1.0, *rest)
+
+    return dataclasses.replace(field, slow=slow)
 
 
 class TestReductionTheorem:
@@ -225,7 +232,7 @@ class TestReductionTheorem:
             w = np.append(p, j)
             return (0.5 * float(w @ np.linalg.solve(gram_matrix(metric, q),
                                                     w))
-                    + float(avg.U0(q)))
+                    + float(avg.slow(q.tolist())[2]))
 
         def field(z):
             q, p, j = z[:n], z[n + 1:2 * n + 1], z[-1]

@@ -354,18 +354,19 @@ class TestBlockedEmission:
                 == (tmp_path / "ref.json").read_bytes())
 
     def test_log_of_another_length(self, tmp_path):
-        # The CSV table rejects it before the file is opened; the JSON
-        # document writes the log as it is.
+        # Both writers reject a shorter or a longer log before the file
+        # is opened.
         traj = oracle_trajectory("full", BLOCK + 1)
-        traj.invariant_log["energy"] = traj.invariant_log["energy"][:-1]
-        for writer in (emit_csv, reference_emit_csv):
-            with pytest.raises(ValueError):
-                writer(traj, tmp_path / "traj.csv")
-            assert not (tmp_path / "traj.csv").exists()
-        emit_json(traj, tmp_path / "block.json")
-        reference_emit_json(traj, tmp_path / "ref.json")
-        assert ((tmp_path / "block.json").read_bytes()
-                == (tmp_path / "ref.json").read_bytes())
+        energy = traj.invariant_log["energy"]
+        for log in (energy[:-1], np.append(energy, 0.0)):
+            traj.invariant_log["energy"] = log
+            for writer in (emit_csv, reference_emit_csv):
+                with pytest.raises(ValueError):
+                    writer(traj, tmp_path / "traj.csv")
+                assert not (tmp_path / "traj.csv").exists()
+            with pytest.raises(ValueError, match="'energy'"):
+                emit_json(traj, tmp_path / "traj.json")
+            assert not (tmp_path / "traj.json").exists()
 
     def test_unserializable_metadata_leaves_no_file(self, tmp_path):
         path = tmp_path / "traj.json"

@@ -34,9 +34,10 @@ from fastslow import integrators
 from fastslow import (AveragedSystem, EulerSystem, FastSlowSystem,
                       IntegrationError, IntegratorConfig, PendulumParams,
                       PhaseStateFull, PhaseStateReduced, Trajectory,
-                      average_coefficients, closeness_report,
-                      difference_jets,
-                      euler_vector_field, full_velocities,
+                      average_coefficients, averaged_hamiltonian,
+                      closeness_report, difference_jets,
+                      effective_potential, euler_vector_field,
+                      full_velocities,
                       hermite_interpolate, integrate_autonomous,
                       integrate_euler, integrate_full,
                       integrate_reduced_canonical,
@@ -905,10 +906,13 @@ class TestFullSystem:
         state = PhaseStateFull(q=np.array([0.4]), p=np.array([0.2]),
                                phi=0.0, gamma=0.7)
         u, xi = full_velocities(system, state)
-        a = system.a(state.q, state.phi)
+        q = state.q.tolist()
+        a0, h0 = system.slow(q)[:2]
+        a1, h1 = system.fast(q, state.phi)[:2]
+        a = np.asarray(a0) + system.epsilon * np.asarray(a1)
+        h = h0 + system.epsilon * h1
         assert np.max(np.abs(u - (state.p + state.gamma * a))) < 1e-15
-        assert abs(xi - (float(a @ state.p)
-                         + system.h(state.q, 0.0) * 0.7)) < 1e-15
+        assert abs(xi - (float(a @ state.p) + h * 0.7)) < 1e-15
 
 
 class TestReducedSystems:
@@ -921,25 +925,41 @@ class TestReducedSystems:
 
     def test_canonical_derivs_are_the_field_at_the_nodes(self):
         _, avg = pendulum_systems(PendulumParams())
-        field_calls = []
-
-        def grad_U0(Q):
-            field_calls.append(1)
-            return avg.grad_U0(Q)
-
-        counted = dataclasses.replace(avg, grad_U0=grad_U0)
+        counted, calls = counted_slow(avg)
         start = PhaseStateReduced(Q=np.array([2.0]), P=np.array([0.3]))
         traj = integrate_reduced_canonical(counted, start, 1.0, MIDPOINT)
         mu = avg.mu
-        want = np.array([
-            np.concatenate([
-                P + mu * avg.a0(Q),
-                -(mu * (avg.grad_a0(Q) @ P) + 0.5 * mu * mu * avg.grad_h0(Q)
-                  + avg.grad_U0(Q))])
-            for Q, P in ((z[:1], z[1:]) for z in traj.values)])
+
+        def field(Q, P):
+            a0, _, _, ga0, gh0, gU0 = map(np.asarray, avg.slow(Q.tolist()))
+            return np.concatenate(
+                [P + mu * a0, -(mu * (ga0 @ P) + 0.5 * mu * mu * gh0 + gU0)])
+
+        want = np.array([field(z[:1], z[1:]) for z in traj.values])
         assert np.array_equal(traj.derivs, want)
-        # grad_U0 is read by the field alone, once per evaluation.
-        assert traj.meta["rhs_evals"] == len(field_calls) > 2 * len(traj)
+        # One jet call per evaluation of the field and per energy log node.
+        assert len(calls) - len(traj) == traj.meta["rhs_evals"] > 2 * len(traj)
+
+    @pytest.mark.parametrize("chart", ["canonical", "magnetic"])
+    def test_each_reader_calls_the_slow_jet_once(self, chart):
+        # RK4 evaluates the field 4 times a step; the energy log reads the
+        # jet once a node, and the canonical derivs once more a node.
+        avg, calls = counted_slow(uniform_field_averaged(0.8, 1.0))
+        Q, P = np.array([1.0, 0.0]), np.array([0.0, 0.5])
+        integrate = {"canonical": integrate_reduced_canonical,
+                     "magnetic": integrate_reduced_magnetic}[chart]
+        traj = integrate(avg, PhaseStateReduced(Q=Q, P=P, chart=chart), 1.0,
+                         IntegratorConfig(method="rk4", dt=0.1))
+        n = len(traj)
+        assert n == 11
+        assert len(calls) == 4 * (n - 1) + n * (2 if chart == "canonical"
+                                                else 1)
+        for reader in (lambda: averaged_hamiltonian(avg, Q, P),
+                       lambda: effective_potential(avg, Q),
+                       lambda: magnetic_form(avg, Q)):
+            calls.clear()
+            reader()
+            assert len(calls) == 1
 
     def test_reduced_energy_over_hundred_thousand_steps(self):
         _, avg = pendulum_systems(PendulumParams())
@@ -984,13 +1004,9 @@ class TestReducedSystems:
         a_const = np.array([0.4, -0.3])
         avg = AveragedSystem(
             dim_base=2,
-            a0=lambda Q: a_const,
-            h0=lambda Q: 1.0,
-            U0=lambda Q: 0.5 * float(Q @ Q),
-            mu=1.2,
-            grad_a0=lambda Q: np.zeros((2, 2)),
-            grad_h0=lambda Q: np.zeros(2),
-            grad_U0=lambda Q: Q.copy())
+            slow=lambda Q: (a_const, 1.0, 0.5 * float(np.dot(Q, Q)),
+                            np.zeros((2, 2)), np.zeros(2), np.array(Q)),
+            mu=1.2)
         start = PhaseStateReduced(Q=np.array([0.3, -0.2]),
                                   P=np.array([0.1, 0.4]))
         canonical = integrate_reduced_canonical(avg, start, 5.0, RK4_FINE)
@@ -1002,10 +1018,22 @@ class TestReducedSystems:
                              - canonical.values[:, 2:])) < 1e-10
 
 
-def without_derivatives(data):
-    """data with every optional derivative field set to None."""
-    return dataclasses.replace(data, **{
-        f.name: None for f in dataclasses.fields(data) if f.default is None})
+def counted_slow(avg):
+    """avg with a slow jet that records each call, and the record."""
+    calls = []
+
+    def slow(q):
+        calls.append(q)
+        return avg.slow(q)
+
+    return dataclasses.replace(avg, slow=slow), calls
+
+
+def value_only(avg):
+    """avg with each derivative slot of its jet a central difference of
+    its values (difference_jets; the fast jet is not used)."""
+    return dataclasses.replace(avg, slow=difference_jets(
+        lambda q: avg.slow(q.tolist())[:3], None)[0])
 
 
 class TestDerivativeFallbacks:
@@ -1013,8 +1041,8 @@ class TestDerivativeFallbacks:
         system, avg = pendulum_systems(PendulumParams())
         moved = dataclasses.replace(system, epsilon=1e-3)
         assert moved.slow is system.slow and moved.fast is system.fast
-        assert avg.derivatives.grad_a0 is avg.grad_a0
-        assert without_derivatives(avg).grad_a0 is None
+        assert avg.slow is system.slow
+        assert dataclasses.replace(avg, mu=1.0).slow is avg.slow
 
     def test_full_rhs_fallbacks_match_analytic(self):
         system, _ = pendulum_systems(PendulumParams(epsilon=1e-2))
@@ -1042,24 +1070,17 @@ class TestDerivativeFallbacks:
     ], ids=["pendulum", "oscillating-2d", "uniform-field"])
     def test_reduced_flows_without_gradients_match_analytic(self, avg, q0,
                                                             p0):
-        bare = without_derivatives(avg)
+        bare = value_only(avg)
         config = IntegratorConfig(method="rk4", dt=2e-3)
         start = PhaseStateReduced(Q=q0, P=p0)
-        start_mag = PhaseStateReduced(Q=q0, P=p0 + avg.mu * avg.a0(q0),
+        a0 = np.asarray(avg.slow(q0.tolist())[0])
+        start_mag = PhaseStateReduced(Q=q0, P=p0 + avg.mu * a0,
                                       chart="magnetic")
         for integrate, state in ((integrate_reduced_canonical, start),
                                  (integrate_reduced_magnetic, start_mag)):
             want = integrate(avg, state, 10.0, config).values
             got = integrate(bare, state, 10.0, config).values
             assert np.max(np.abs(got - want)) < 1e-8
-
-    def test_replace_derives_fallbacks_again(self):
-        bare = without_derivatives(uniform_field_averaged(0.8, 1.0))
-        other = uniform_field_averaged(2.0, 1.0)
-        moved = dataclasses.replace(bare, a0=other.a0)
-        Q = np.array([0.3, -0.2])
-        assert np.max(np.abs(magnetic_form(moved, Q)
-                             - magnetic_form(other, Q))) < 1e-8
 
 
 class TestHermite:

@@ -33,7 +33,7 @@ from fastslow import (DiskParams, DomainError, HarmonicMode,
                       particle_potential_1d, particle_potential_2d,
                       particle_systems, pendulum_systems, plane_surface,
                       simulate_physical_pendulum, sphere_surface,
-                      spinning_disk_rhs)
+                      spinning_disk_rhs, uniform_field_averaged)
 from fastslow import _derivatives as fd
 from fastslow.averaging import FIBER_GRID
 from fastslow.experiments import TABLE
@@ -567,12 +567,13 @@ class TestAveragedParticle:
         eps, mu = 0.05, 1.3
         pot = particle_potential_1d(trap=1.0, alpha=0.7, beta=0.4)
         avg = oscillating_particle_averaged(pot, eps, mu)
-        x = np.array([0.8])
+        a0, h0, U0 = avg.slow([0.8])[:3]
         want_U0 = (0.32 + 0.5 * eps ** 2 * mu ** 2
                    * closed_mean_vv(0.8))
-        assert abs(avg.U0(x) - want_U0) < 1e-10
-        assert abs(avg.a0(x)[0] + eps ** 3 * 0.14) < 1e-12
-        assert avg.h0(x) == 0.0
+        assert abs(U0 - want_U0) < 1e-10
+        assert abs(a0[0] + eps ** 3 * 0.14) < 1e-12
+        assert h0 == 0.0
+        x = np.array([0.8])
         assert abs(mean_hess_cross_term(pot, x)[0] - 0.14) < 1e-12
         assert "note" in avg.diagnostics
 
@@ -580,11 +581,13 @@ class TestAveragedParticle:
         pot = particle_potential_1d()
         mu = 1.0
         x = np.array([0.8])
-        avg1 = oscillating_particle_averaged(pot, 0.04, mu)
-        avg2 = oscillating_particle_averaged(pot, 0.02, mu)
+        a1, _, U1 = oscillating_particle_averaged(pot, 0.04, mu).slow(
+            [0.8])[:3]
+        a2, _, U2 = oscillating_particle_averaged(pot, 0.02, mu).slow(
+            [0.8])[:3]
         ubar = pot.mean(x)
-        ratio_U = (avg1.U0(x) - ubar) / (avg2.U0(x) - ubar)
-        ratio_a = avg1.a0(x)[0] / avg2.a0(x)[0]
+        ratio_U = (U1 - ubar) / (U2 - ubar)
+        ratio_a = a1[0] / a2[0]
         assert abs(ratio_U - 4.0) < 1e-10
         assert abs(ratio_a - 8.0) < 1e-10
 
@@ -599,17 +602,25 @@ class TestAveragedParticle:
         assert np.max(np.abs(B1 + B1.T)) < 1e-12 * max(1.0, np.max(np.abs(B1)))
         assert abs(B1[0, 1] / B2[0, 1] - 8.0) < 1e-4
 
-    @pytest.mark.parametrize("pot, x", [
-        (particle_potential_1d(), np.array([0.8])),
-        (particle_potential_2d(), np.array([0.4, -0.3])),
-    ])
-    def test_closed_form_gradients_match_differences(self, pot, x):
-        avg = oscillating_particle_averaged(pot, 0.05, 1.3)
-        assert np.max(np.abs(avg.grad_U0(x)
-                             - fd.gradient(avg.U0, x))) < 1e-8
-        # a0 = O(eps^3) ~ 1e-4, so a 1e-12 gap is a relative 1e-8.
-        assert np.max(np.abs(avg.grad_a0(x)
-                             - fd.jacobian(avg.a0, x))) < 1e-12
+    # a0 = O(eps^3) ~ 1e-4 for the particle, so a 1e-12 gap in its
+    # Jacobian is a relative 1e-8. The uniform field's a0 is linear and of
+    # size 0.2, so its difference quotient is off by rounding alone, some
+    # ulps of 0.2 over the step 1e-6: about 4e-11 each.
+    @pytest.mark.parametrize("avg, x, a0_tol", [
+        (oscillating_particle_averaged(particle_potential_1d(), 0.05, 1.3),
+         np.array([0.8]), 1e-12),
+        (oscillating_particle_averaged(particle_potential_2d(), 0.05, 1.3),
+         np.array([0.4, -0.3]), 1e-12),
+        (uniform_field_averaged(0.8, 1.3), np.array([0.4, -0.3]), 1e-9),
+    ], ids=["pot0-x0", "pot1-x1", "uniform-field"])
+    def test_closed_form_gradients_match_differences(self, avg, x, a0_tol):
+        def slot(k):
+            return lambda q: avg.slow(q.tolist())[k]
+
+        jet = avg.slow(x.tolist())
+        assert np.max(np.abs(jet[5] - fd.gradient(slot(2), x))) < 1e-8
+        assert np.max(np.abs(jet[4] - fd.gradient(slot(1), x))) < 1e-8
+        assert np.max(np.abs(jet[3] - fd.jacobian(slot(0), x))) < a0_tol
 
     def test_third_derivative_fallback_matches_declared(self):
         mode = particle_potential_2d().fourier_modes[0]
@@ -650,9 +661,10 @@ class TestAveragedParticle:
         pot = particle_potential_1d()
         system, avg = particle_systems(pot, epsilon=1e-2, mu=1.0)
         x = np.array([0.8])
-        assert abs(avg.U0(x) - pot.mean(x)) < 1e-14
+        assert abs(avg.slow([0.8])[2] - pot.mean(x)) < 1e-14
         # The oscillation enters the suspension at order eps.
-        gap = system.U(x, 0.3) - pot.mean(x)
+        U0, U1 = system.slow([0.8])[2], system.fast([0.8], 0.3)[2]
+        gap = U0 + system.epsilon * U1 - pot.mean(x)
         want = 1e-2 * (pot.U(x, 0.3) - pot.mean(x))
         assert abs(gap - want) < 1e-14
 
