@@ -47,7 +47,7 @@ def main():
     a0, _, U0 = avg.slow(X.tolist())[:3]
     print(f"strongly oscillating regime, averaged coefficients at x = {X}:")
     print(f"  U0 computed {U0:.12f}, closed form {u0_closed:.12f}")
-    print(f"  a0 computed {a0}, closed form {a0_closed}")
+    print(f"  a0 computed {np.asarray(a0)}, closed form {a0_closed}")
     print(f"  H computed {averaged_hamiltonian(avg, X, P):.12f}")
     print()
 

@@ -45,7 +45,9 @@ slot is a (nested) list of floats or an array, a scalar slot a float:
 the full field and the energy log read a list as it is and turn an
 array into floats once (_floats), and every other reader makes an array
 of a slot. Every field and log calls each jet once per evaluation. A
-caller with values only builds both jets with difference_jets.
+caller with values only builds both jets with difference_jets. The jets
+of systems.OscillatingPotential, one per harmonic and one for the fiber
+mean, take q and fill their slots by the same contract.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from array import array
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -319,12 +320,25 @@ def emit_csv(trajectory: Trajectory, path: str | Path) -> None:
 
 
 def read_csv(path: str | Path) -> dict[str, np.ndarray]:
-    """Read an emit_csv file back into named columns."""
-    lines = Path(path).read_text().strip().split("\n")
-    names = lines[0].split(",")
-    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
-    data = np.array(rows) if rows else np.empty((0, len(names)))
-    return {name: data[:, i] for i, name in enumerate(names)}
+    """Read an emit_csv file back into named columns.
+
+    The rows are parsed one line at a time into one flat array of
+    floats, so the reader holds the floats and one line. A row with
+    another number of fields than the header raises ValueError naming
+    its line; a header-only file gives empty columns.
+    """
+    with open(path) as fh:
+        names = fh.readline().rstrip("\n").split(",")
+        data = array("d")
+        for number, line in enumerate(fh, start=2):
+            fields = line.split(",")
+            if len(fields) != len(names):
+                raise ValueError(
+                    f"{path}: line {number} has {len(fields)} fields, "
+                    f"the header {len(names)}")
+            data.extend(map(float, fields))
+    values = np.frombuffer(data, dtype=float).reshape(-1, len(names))
+    return {name: values[:, i] for i, name in enumerate(names)}
 
 
 def emit_json(trajectory: Trajectory, path: str | Path,

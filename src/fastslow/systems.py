@@ -22,7 +22,10 @@ Three mechanisms produce the same averaged structure:
   derivatives, angle brackets fiber means). The corrected coefficients
   have h0 = 0, so h0 - a0.a0 < 0: this averaged system is not the
   reduction of any Riemannian bundle metric, which is why the sign is
-  only diagnosed, never enforced.
+  only diagnosed, never enforced. The potential is declared by jets: each
+  harmonic gives its two coefficients and their first three spatial
+  derivatives from one call, the fiber mean its value and gradient, and
+  every particle jet and fiber mean calls each of them once.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._derivatives import gradient, hessian, jacobian
+from ._derivatives import gradient, jacobian
 from .averaging import AveragedSystem, FastSlowSystem, _floats, \
     average_coefficients
 from .bundle_geometry import TrivialBundleMetric
@@ -624,96 +627,97 @@ def disk_magnetic_rhs(params: DiskParams,
 class HarmonicMode:
     """One fiber harmonic c(x) cos(k tau) + s(x) sin(k tau).
 
-    k is an integer >= 1, so the harmonic is 2*pi-periodic in tau. dc, ds
-    are spatial gradients, d2c, d2s spatial Hessians and d3c, d3s the
-    third-derivative tensors; finite differences stand in for missing
-    ones.
+    k is an integer >= 1, so the harmonic is 2*pi-periodic in tau.
+    jet(x) -> (c, s, dc, ds, d2c, d2s, d3c, d3s) gives c and s, their
+    gradients, Hessians and third-derivative tensors from one call, with
+    d2c[i][j] = d_i d_j c and d3c[i][j][l] = d_i d_j d_l c. x is a list
+    of dim_base floats, and the slots follow the jet contract of the
+    averaging module docstring.
     """
 
     k: int
-    c: Callable[[np.ndarray], float]
-    s: Callable[[np.ndarray], float]
-    dc: Callable[[np.ndarray], np.ndarray] | None = None
-    ds: Callable[[np.ndarray], np.ndarray] | None = None
-    d2c: Callable[[np.ndarray], np.ndarray] | None = None
-    d2s: Callable[[np.ndarray], np.ndarray] | None = None
-    d3c: Callable[[np.ndarray], np.ndarray] | None = None
-    d3s: Callable[[np.ndarray], np.ndarray] | None = None
+    jet: Callable[[list], tuple]
 
     def __post_init__(self) -> None:
         if not isinstance(self.k, numbers.Integral) or self.k < 1:
             raise ValueError(
                 f"harmonic index k must be an integer >= 1, got {self.k!r}")
 
-    def grad_c(self, x: np.ndarray) -> np.ndarray:
-        if self.dc is not None:
-            return np.asarray(self.dc(x), dtype=float)
-        return gradient(self.c, x)
-
-    def grad_s(self, x: np.ndarray) -> np.ndarray:
-        if self.ds is not None:
-            return np.asarray(self.ds(x), dtype=float)
-        return gradient(self.s, x)
-
-    def hess_c(self, x: np.ndarray) -> np.ndarray:
-        if self.d2c is not None:
-            return np.asarray(self.d2c(x), dtype=float)
-        return hessian(self.c, x)
-
-    def hess_s(self, x: np.ndarray) -> np.ndarray:
-        if self.d2s is not None:
-            return np.asarray(self.d2s(x), dtype=float)
-        return hessian(self.s, x)
-
-    def third_c(self, x: np.ndarray) -> np.ndarray:
-        if self.d3c is not None:
-            return np.asarray(self.d3c(x), dtype=float)
-        return jacobian(self.hess_c, x)
-
-    def third_s(self, x: np.ndarray) -> np.ndarray:
-        if self.d3s is not None:
-            return np.asarray(self.d3s(x), dtype=float)
-        return jacobian(self.hess_s, x)
-
 
 @dataclass(frozen=True)
 class OscillatingPotential:
     """Potential U(x, tau) = Ubar(x) + sum_k c_k cos(k tau) + s_k sin(k tau).
 
-    mean_part is the fiber mean Ubar and fourier_modes the harmonics of
-    the oscillating part, so U is 2*pi-periodic in the fast phase tau by
-    construction and every fiber mean taken below is an exact sum over
-    the harmonics. grad_mean is the spatial gradient of Ubar, a central
-    difference when absent. A periodic coefficient that is not declared
-    by its harmonics is averaged by average_coefficients on FIBER_GRID.
+    mean(x) -> (Ubar, grad_Ubar) is the jet of the fiber mean and
+    fourier_modes the harmonics of the oscillating part, so U is
+    2*pi-periodic in the fast phase tau by construction and every fiber
+    mean taken below is an exact sum over the harmonics. Both kinds of
+    jet take x as a list of floats. A periodic coefficient that is not
+    declared by its harmonics is averaged by average_coefficients on
+    FIBER_GRID.
     """
 
     dim_base: int
     fourier_modes: tuple[HarmonicMode, ...]
-    mean_part: Callable[[np.ndarray], float]
-    grad_mean: Callable[[np.ndarray], np.ndarray] | None = None
+    mean: Callable[[list], tuple]
 
     def __post_init__(self) -> None:
         if self.dim_base < 1:
             raise ValueError("dim_base must be a positive integer")
         object.__setattr__(self, "fourier_modes", tuple(self.fourier_modes))
 
-    def U(self, x: np.ndarray, tau: float) -> float:
+    def U(self, x, tau: float) -> float:
         # Summed left to right, mode by mode, so that one harmonic rounds
         # as the hand-written Ubar + c cos(tau) + s sin(tau) does.
-        total = self.mean_part(x)
+        x = _point(x)
+        total = self.mean(x)[0]
         for m in self.fourier_modes:
-            total = (total + m.c(x) * math.cos(m.k * tau)
-                     + m.s(x) * math.sin(m.k * tau))
+            c, s = m.jet(x)[:2]
+            total = (total + c * math.cos(m.k * tau)
+                     + s * math.sin(m.k * tau))
         return total
 
-    def mean(self, x: np.ndarray) -> float:
-        return float(self.mean_part(x))
 
-    def mean_gradient(self, x: np.ndarray) -> np.ndarray:
-        if self.grad_mean is not None:
-            return self.grad_mean(x)
-        return gradient(self.mean, x)
+def _point(x) -> list:
+    """x, a float or a sequence of floats, as a list of floats."""
+    return np.atleast_1d(np.asarray(x, dtype=float)).tolist()
+
+
+def _dot(u, v) -> float:
+    return sum(map(mul, u, v))
+
+
+def _harmonic_means(potential: OscillatingPotential, x: list) -> tuple:
+    """<V'.V'>, <S''V'> and their gradients at x, a list of floats.
+
+    One call of each harmonic jet; the sums are Python floats and lists.
+    With primes for spatial derivatives, harmonic k adds
+
+        <V'.V'>       (c'.c' + s'.s') / (2 k^2)
+        <S''V'>_j     (c''_jl s'_l - s''_jl c'_l) / (2 k^3)
+        d_i <V'.V'>   (c''_il c'_l + s''_il s'_l) / k^2
+        d_i <S''V'>_j (c'''_ijl s'_l - s'''_ijl c'_l
+                       + (s'' c'' - c'' s'')_ij) / (2 k^3)
+
+    summed over l; grad <S''V'>[i][j] is d_i <S''V'>_j.
+    """
+    n = potential.dim_base
+    vv, cross = 0.0, [0.0] * n
+    grad_vv, grad_cross = [0.0] * n, [[0.0] * n for _ in range(n)]
+    for m in potential.fourier_modes:
+        dc, ds, hc, hs, tc, ts = map(_floats, m.jet(x)[2:])
+        k2, k3 = m.k ** 2, 2.0 * m.k ** 3
+        hc_t, hs_t = list(zip(*hc)), list(zip(*hs))
+        vv += (_dot(dc, dc) + _dot(ds, ds)) / (2.0 * k2)
+        cross = [t + (_dot(rc, ds) - _dot(rs, dc)) / k3
+                 for t, rc, rs in zip(cross, hc, hs)]
+        grad_vv = [t + (_dot(rc, dc) + _dot(rs, ds)) / k2
+                   for t, rc, rs in zip(grad_vv, hc, hs)]
+        grad_cross = [
+            [t + (_dot(c3, ds) - _dot(s3, dc) + _dot(rs, cc) - _dot(rc, cs))
+             / k3 for t, c3, s3, cc, cs in zip(row, tci, tsi, hc_t, hs_t)]
+            for row, tci, tsi, rc, rs in zip(grad_cross, tc, ts, hc, hs)]
+    return vv, cross, grad_vv, grad_cross
 
 
 def mean_grad_antiderivative_sq(potential: OscillatingPotential,
@@ -724,13 +728,7 @@ def mean_grad_antiderivative_sq(potential: OscillatingPotential,
     sum (c_k sin(k tau) - s_k cos(k tau)) / k, so the mean is the sum
     over harmonics of (|grad c_k|^2 + |grad s_k|^2) / (2 k^2).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    total = 0.0
-    for m in potential.fourier_modes:
-        dc = m.grad_c(x)
-        ds = m.grad_s(x)
-        total += (float(dc @ dc) + float(ds @ ds)) / (2.0 * m.k ** 2)
-    return total
+    return _harmonic_means(potential, _point(x))[0]
 
 
 def mean_hess_cross_term(potential: OscillatingPotential,
@@ -743,12 +741,7 @@ def mean_hess_cross_term(potential: OscillatingPotential,
     / (2 k^3); this vector, scaled by -eps^3, is the magnetic coefficient
     a0 of the averaged particle.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    total = np.zeros(x.size)
-    for m in potential.fourier_modes:
-        total = total + (m.hess_c(x) @ m.grad_s(x)
-                         - m.hess_s(x) @ m.grad_c(x)) / (2.0 * m.k ** 3)
-    return total
+    return np.array(_harmonic_means(potential, _point(x))[1])
 
 
 def oscillating_particle_averaged(potential: OscillatingPotential,
@@ -763,42 +756,33 @@ def oscillating_particle_averaged(potential: OscillatingPotential,
 
     and acquires the magnetic coefficient mu a0 = -eps^3 mu <S'' V'>
     (h0 = 0: the correction enters the potential once, through U0).
-    grad_U0 and grad_a0 are the exact per-harmonic sums.
+    The slow jet reads the mean jet and one per-harmonic pass
+    (_harmonic_means), so grad_U0 and grad_a0 are the exact
+    per-harmonic sums; its slots are lists of floats.
     """
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
     eps = float(epsilon)
-    modes = potential.fourier_modes
+    n = potential.dim_base
+    c2 = 0.5 * eps ** 2 * mu ** 2
+    c3 = -eps ** 3
 
     def slow(q):
-        x = np.atleast_1d(np.asarray(q, dtype=float))
-        # grad <V'.V'> = sum (c'' c' + s'' s') / k^2 and, with c3, s3 the
-        # third-derivative tensors,
-        # d_i <S'' V'>_j = sum (c3_ijl s'_l - s3_ijl c'_l
-        #                       + (s'' c'' - c'' s'')_ij) / (2 k^3)
-        grad_U0 = np.array(potential.mean_gradient(x), dtype=float)
-        grad_cross = np.zeros((x.size, x.size))
-        for m in modes:
-            gc, gs = m.grad_c(x), m.grad_s(x)
-            hc, hs = m.hess_c(x), m.hess_s(x)
-            grad_U0 = grad_U0 + (0.5 * eps ** 2 * mu ** 2 / m.k ** 2) * (
-                hc @ gc + hs @ gs)
-            grad_cross = grad_cross + (m.third_c(x) @ gs - m.third_s(x) @ gc
-                                       + hs @ hc - hc @ hs) / (2.0 * m.k ** 3)
-        return (-eps ** 3 * mean_hess_cross_term(potential, x), 0.0,
-                potential.mean(x) + 0.5 * eps ** 2 * mu ** 2
-                * mean_grad_antiderivative_sq(potential, x),
-                -eps ** 3 * grad_cross, np.zeros(potential.dim_base), grad_U0)
+        vv, cross, grad_vv, grad_cross = _harmonic_means(potential, q)
+        ubar, grad_ubar = potential.mean(q)
+        return ([c3 * v for v in cross], 0.0, ubar + c2 * vv,
+                [[c3 * v for v in row] for row in grad_cross], [0.0] * n,
+                [g + c2 * v for g, v in zip(_floats(grad_ubar), grad_vv)])
 
-    samples = [np.full(potential.dim_base, v) for v in (0.4, 0.9, -1.2)]
-    inertia_min = min(-float(a0 @ a0)
+    samples = [np.full(n, v) for v in (0.4, 0.9, -1.2)]
+    inertia_min = min(-_dot(a0, a0)
                       for a0 in (slow(x.tolist())[0] for x in samples))
     diagnostics = {
         "inertia_inverse_min": inertia_min,
         "sample_points": samples,
         "note": "h0 - a0.a0 <= 0: no Riemannian bundle realization",
     }
-    return AveragedSystem(dim_base=potential.dim_base, slow=slow, mu=mu,
+    return AveragedSystem(dim_base=n, slow=slow, mu=mu,
                           diagnostics=diagnostics)
 
 
@@ -847,33 +831,30 @@ def particle_systems(potential: OscillatingPotential, epsilon: float,
     closeness theorem, where the eps^2 and eps^3 corrections of
     oscillating_particle_averaged are below the theorem's own accuracy
     and are dropped. The identically zero slots are fresh lists of 0.0,
-    not arrays. The potential's callables receive q as an array, made
-    once per jet call; the fast jet evaluates each harmonic c, s and
-    their gradients once, with cos and sin of k phi, for U1, grad_q_U1
-    and dphi_U1, which it sums in Python floats in the grouping of
-    OscillatingPotential.U.
+    not arrays. Both jets pass q, a list of floats, on to the mean jet,
+    and the fast jet calls each harmonic jet once; with cos and sin of
+    k phi it sums U1, grad_q_U1 and dphi_U1 in Python floats, in the
+    grouping of OscillatingPotential.U.
     """
     l = potential.dim_base
     modes = potential.fourier_modes
 
     def slow(q):
-        x = np.array(q, dtype=float)
-        return ([0.0] * l, 1.0, potential.mean(x),
-                [[0.0] * l for _ in range(l)], [0.0] * l,
-                potential.mean_gradient(x))
+        ubar, grad_ubar = potential.mean(q)
+        return ([0.0] * l, 1.0, ubar, [[0.0] * l for _ in range(l)],
+                [0.0] * l, grad_ubar)
 
     def fast(q, phi):
-        x = np.array(q, dtype=float)
-        mean = potential.mean_part(x)
+        mean = potential.mean(q)[0]
         total, grad, dphi = mean, [0.0] * l, 0.0
         for m in modes:
-            cv, sv = m.c(x), m.s(x)
+            cv, sv, dc, ds = m.jet(q)[:4]
             ck, sk = math.cos(m.k * phi), math.sin(m.k * phi)
             total = total + cv * ck + sv * sk
-            grad = [t + (u * ck + v * sk) for t, u, v in zip(
-                grad, _floats(m.grad_c(x)), _floats(m.grad_s(x)))]
-            dphi += m.k * (-float(cv) * sk + float(sv) * ck)
-        return ([0.0] * l, 0.0, float(total) - float(mean),
+            grad = [t + (u * ck + v * sk)
+                    for t, u, v in zip(grad, _floats(dc), _floats(ds))]
+            dphi += m.k * (-cv * sk + sv * ck)
+        return ([0.0] * l, 0.0, total - mean,
                 [[0.0] * l for _ in range(l)], [0.0] * l, grad,
                 [0.0] * l, 0.0, dphi)
 
@@ -890,26 +871,15 @@ def particle_potential_1d(trap: float = 1.0, alpha: float = 0.7,
     U = (1/2) trap x^2 + alpha sin(x) cos(tau) + beta cos(x) sin(tau).
     """
 
-    def c(x):
-        return alpha * math.sin(x[0])
-
-    def s(x):
-        return beta * math.cos(x[0])
-
-    mode = HarmonicMode(
-        k=1, c=c, s=s,
-        dc=lambda x: np.array([alpha * math.cos(x[0])]),
-        ds=lambda x: np.array([-beta * math.sin(x[0])]),
-        d2c=lambda x: np.array([[-alpha * math.sin(x[0])]]),
-        d2s=lambda x: np.array([[-beta * math.cos(x[0])]]),
-        d3c=lambda x: np.array([[[-alpha * math.cos(x[0])]]]),
-        d3s=lambda x: np.array([[[beta * math.sin(x[0])]]]))
+    def jet(x):
+        sx, cx = math.sin(x[0]), math.cos(x[0])
+        return (alpha * sx, beta * cx, [alpha * cx], [-beta * sx],
+                [[-alpha * sx]], [[-beta * cx]],
+                [[[-alpha * cx]]], [[[beta * sx]]])
 
     return OscillatingPotential(
-        dim_base=1,
-        fourier_modes=(mode,),
-        mean_part=lambda x: 0.5 * trap * x[0] ** 2,
-        grad_mean=lambda x: np.array([trap * x[0]]))
+        dim_base=1, fourier_modes=(HarmonicMode(k=1, jet=jet),),
+        mean=lambda x: (0.5 * trap * x[0] ** 2, [trap * x[0]]))
 
 
 def particle_potential_2d(trap: float = 1.0, alpha: float = 0.7,
@@ -919,33 +889,30 @@ def particle_potential_2d(trap: float = 1.0, alpha: float = 0.7,
     U = (1/2) trap |x|^2 + f(x) cos(tau) + g(x) sin(tau) with
     f = alpha sin(x1 + 0.3 x2) and g = beta cos(0.7 x1 - x2); the
     resulting <S'' V'> has a curl, so the averaged magnetic form is
-    nonzero.
+    nonzero. The jets take their inner products with numpy's dot, so U
+    rounds as the same closed form written on arrays.
     """
     w1 = np.array([1.0, 0.3])
     w2 = np.array([0.7, -1.0])
-    w1_cubed = np.multiply.outer(np.outer(w1, w1), w1)
-    w2_cubed = np.multiply.outer(np.outer(w2, w2), w2)
+    w1_sq, w2_sq = np.outer(w1, w1), np.outer(w2, w2)
+    w1_cubed = np.multiply.outer(w1_sq, w1)
+    w2_cubed = np.multiply.outer(w2_sq, w2)
 
-    def c(x):
-        return alpha * math.sin(float(w1 @ x))
+    def jet(x):
+        x = np.array(x)
+        u1, u2 = float(w1 @ x), float(w2 @ x)
+        s1, c1 = math.sin(u1), math.cos(u1)
+        s2, c2 = math.sin(u2), math.cos(u2)
+        return (alpha * s1, beta * c2, alpha * c1 * w1, -beta * s2 * w2,
+                -alpha * s1 * w1_sq, -beta * c2 * w2_sq,
+                -alpha * c1 * w1_cubed, beta * s2 * w2_cubed)
 
-    def s(x):
-        return beta * math.cos(float(w2 @ x))
-
-    mode = HarmonicMode(
-        k=1, c=c, s=s,
-        dc=lambda x: alpha * math.cos(float(w1 @ x)) * w1,
-        ds=lambda x: -beta * math.sin(float(w2 @ x)) * w2,
-        d2c=lambda x: -alpha * math.sin(float(w1 @ x)) * np.outer(w1, w1),
-        d2s=lambda x: -beta * math.cos(float(w2 @ x)) * np.outer(w2, w2),
-        d3c=lambda x: -alpha * math.cos(float(w1 @ x)) * w1_cubed,
-        d3s=lambda x: beta * math.sin(float(w2 @ x)) * w2_cubed)
+    def mean(x):
+        x = np.array(x)
+        return 0.5 * trap * float(x @ x), trap * x
 
     return OscillatingPotential(
-        dim_base=2,
-        fourier_modes=(mode,),
-        mean_part=lambda x: 0.5 * trap * float(x @ x),
-        grad_mean=lambda x: trap * np.asarray(x, dtype=float))
+        dim_base=2, fourier_modes=(HarmonicMode(k=1, jet=jet),), mean=mean)
 
 
 def uniform_field_averaged(strength: float = 0.8,

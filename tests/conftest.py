@@ -17,21 +17,53 @@ def pendulum_drive():
 
     pendulum_drive(params) is the zero-mean potential
     -amp l cos(x / l) cos(tau) of the vibrating suspension at frozen
-    angle, one harmonic with its gradient declared. Its induced potential
-    (eps omega)^2 / 2 <V' . V'> is the Kapitza term
+    angle, one harmonic whose jet gives every slot in closed form. Its
+    induced potential (eps omega)^2 / 2 <V' . V'> is the Kapitza term
     (1/4) mu^2 amp^2 sin^2(x / l).
     """
     def drive(params):
         l = params.length
         amp = params.amplitude
-        mode = HarmonicMode(
-            k=1, c=lambda x: -amp * l * math.cos(x[0] / l),
-            s=lambda x: 0.0,
-            dc=lambda x: np.array([amp * math.sin(x[0] / l)]),
-            ds=lambda x: np.zeros(1))
+
+        def jet(x):
+            sx, cx = math.sin(x[0] / l), math.cos(x[0] / l)
+            return (-amp * l * cx, 0.0, [amp * sx], [0.0],
+                    [[amp / l * cx]], [[0.0]],
+                    [[[-amp / l ** 2 * sx]]], [[[0.0]]])
+
         return OscillatingPotential(
-            dim_base=1, fourier_modes=(mode,), mean_part=lambda x: 0.0)
+            dim_base=1, fourier_modes=(HarmonicMode(k=1, jet=jet),),
+            mean=lambda x: (0.0, [0.0]))
     return drive
+
+
+def hessian(f, x: np.ndarray) -> np.ndarray:
+    """Central-difference Hessian; entry [i, j] is d2f/dx_i dx_j.
+
+    The step 5e-4 * max(1, |x|_inf) is wider than the first-derivative
+    step of fastslow._derivatives, so that round-off does not dominate.
+    f may be array-valued; the shape of its values trails the two indices.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    h = 5e-4 * max(1.0, float(np.max(np.abs(x))))
+
+    def fx(y):
+        return np.asarray(f(y), dtype=float)
+
+    f0 = fx(x)
+    out = np.empty((n, n) + f0.shape)
+    for i in range(n):
+        ei = np.zeros(n)
+        ei[i] = h
+        out[i, i] = (fx(x + ei) - 2.0 * f0 + fx(x - ei)) / (h * h)
+        for j in range(i + 1, n):
+            ej = np.zeros(n)
+            ej[j] = h
+            mixed = (fx(x + ei + ej) - fx(x + ei - ej)
+                     - fx(x - ei + ej) + fx(x - ei - ej))
+            out[i, j] = out[j, i] = mixed / (4.0 * h * h)
+    return out
 
 
 def _antiderivative_samples(U, x, order):
@@ -54,14 +86,15 @@ def spectral_reference():
     spectral_reference(U, x) samples U(x, tau) on FIBER_GRID and returns
     its grid mean, the samples V and S of the zero-mean first and second
     tau-antiderivatives of U - Ubar, <V' . V'> and <S'' V'>. The spatial
-    derivatives are the central differences of fastslow._derivatives
-    applied to the rFFT antiderivatives: a second route to what
-    OscillatingPotential's declared harmonics give in closed form.
+    derivatives are central differences, fastslow._derivatives.jacobian
+    and the wide-step hessian above, applied to the rFFT antiderivatives:
+    a second route to what OscillatingPotential's declared harmonics give
+    in closed form.
     """
     def reference(U, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         vp = fd.jacobian(lambda pt: _antiderivative_samples(U, pt, 1), x)
-        spp = fd.hessian(lambda pt: _antiderivative_samples(U, pt, 2), x)
+        spp = hessian(lambda pt: _antiderivative_samples(U, pt, 2), x)
         return SimpleNamespace(
             mean=float(np.mean([U(x, tau) for tau in FIBER_GRID])),
             V=_antiderivative_samples(U, x, 1),

@@ -113,6 +113,15 @@ NESTED_METADATA = {"experiment": "pendulum", "config": "mu = 3.0\n",
                               "a": {"temperature": "Grüße, 温度 °C"}}}
 
 
+def reference_read_csv(path) -> dict[str, np.ndarray]:
+    """The whole-file read_csv that the line reader replaced, verbatim."""
+    lines = Path(path).read_text().strip().split("\n")
+    names = lines[0].split(",")
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    data = np.array(rows) if rows else np.empty((0, len(names)))
+    return {name: data[:, i] for i, name in enumerate(names)}
+
+
 def oracle_trajectory(kind: str, n: int) -> Trajectory:
     """n rows of the kind's columns: floats over many magnitudes with
     the special values spread through every column, times from -0.0."""
@@ -398,6 +407,47 @@ class TestBlockedEmission:
         start = readme.index(head) + len(head)
         assert (readme[start:readme.index("```", start)]
                 == shipped_config_text("pendulum"))
+
+
+class TestLineRead:
+    """read_csv against the whole-file reader it replaced."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [0, 1, BLOCK + 1])
+    def test_floats_equal_the_whole_file_reader(self, tmp_path, kind, n):
+        path = tmp_path / "traj.csv"
+        emit_csv(oracle_trajectory(kind, n), path)
+        got, want = read_csv(path), reference_read_csv(path)
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    @pytest.mark.parametrize("row", ["4,5", "4,5,6,7"],
+                             ids=["short", "long"])
+    def test_ragged_row_names_its_line(self, tmp_path, row):
+        path = tmp_path / "ragged.csv"
+        path.write_text(f"t,a,b\n1,2,3\n{row}\n7,8,9\n")
+        with pytest.raises(ValueError, match="line 3 has"):
+            read_csv(path)
+
+    def test_read_memory_beyond_the_floats_is_bounded(self, tmp_path):
+        def read_peak(n: int) -> tuple[int, int]:
+            path = tmp_path / f"{n}.csv"
+            emit_csv(oracle_trajectory("generic", n), path)
+            tracemalloc.start()
+            try:
+                width = len(read_csv(path))
+                return tracemalloc.get_traced_memory()[1], width
+            finally:
+                tracemalloc.stop()
+
+        read_peak(BLOCK)  # first-call allocations
+        (small, width), (large, _) = read_peak(20_000), read_peak(200_000)
+        # The floats read take 8 bytes each; what the reader holds beside
+        # them may grow by less than 1 MiB. The whole-file reader's peak
+        # grows by 11 times the floats.
+        floats = 8 * width * (200_000 - 20_000)
+        assert large - small < floats + 2 ** 20, (small, large, floats)
 
 
 class TestRunExperiment:

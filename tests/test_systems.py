@@ -20,13 +20,14 @@ import pytest
 
 from fastslow import (DiskParams, DomainError, HarmonicMode,
                       IntegratorConfig, OscillatingPotential, PendulumParams,
-                      PhaseStateReduced, SurfaceMetric,
+                      PhaseStateFull, PhaseStateReduced, SurfaceMetric,
                       curvature_identity_residual, difference_jets,
                       disk_connection,
                       disk_magnetic_rhs, disk_mass_matrix, disk_momentum,
                       disk_velocity, effective_potential, exponential_surface,
                       fiber_inertia, gaussian_curvature, integrate_autonomous,
-                      integrate_reduced_canonical, magnetic_form,
+                      integrate_full, integrate_reduced_canonical,
+                      integrate_reduced_magnetic, magnetic_form,
                       mean_grad_antiderivative_sq, mean_hess_cross_term,
                       mechanical_connection,
                       oscillating_particle_averaged, particle_invariant_metric,
@@ -487,19 +488,24 @@ def closed_form_particle_2d(x, tau, trap=1.0, alpha=0.7, beta=0.4):
             + s * math.sin(tau))
 
 
+def constant_jet(x):
+    """Jet of the harmonic c = 1, s = 0 on a 1-d base."""
+    return 1.0, 0.0, [0.0], [0.0], [[0.0]], [[0.0]], [[[0.0]]], [[[0.0]]]
+
+
 class TestOscillatingPotential:
     def test_harmonic_index_positive(self):
         for k in (0, 1.5, 2.0, -1):
             with pytest.raises(ValueError, match="k"):
-                HarmonicMode(k=k, c=lambda x: 1.0, s=lambda x: 0.0)
-        mode = HarmonicMode(k=np.int64(2), c=lambda x: 1.0, s=lambda x: 0.0)
+                HarmonicMode(k=k, jet=constant_jet)
+        mode = HarmonicMode(k=np.int64(2), jet=constant_jet)
         assert mode.k == 2
 
     def test_mean_via_quadrature_matches_declared(self, spectral_reference):
         pot = particle_potential_1d()
         x = np.array([0.8])
         ref = spectral_reference(closed_form_particle_1d, x)
-        assert abs(ref.mean - pot.mean(x)) < 1e-12
+        assert abs(ref.mean - pot.mean(x.tolist())[0]) < 1e-12
 
     @pytest.mark.parametrize("pot, closed_form, dim", [
         (particle_potential_1d(), closed_form_particle_1d, 1),
@@ -531,12 +537,13 @@ class TestAntiderivatives:
 
     def test_constant_potential_has_zero_antiderivative(self):
         # No harmonics: U is its mean and both antiderivative means vanish.
-        pot = OscillatingPotential(dim_base=1, fourier_modes=(),
-                                   mean_part=lambda x: 0.5 * x[0] ** 2)
+        pot = OscillatingPotential(
+            dim_base=1, fourier_modes=(),
+            mean=lambda x: (0.5 * x[0] ** 2, [x[0]]))
         x = np.array([0.7])
         assert mean_grad_antiderivative_sq(pot, x) == 0.0
         assert np.array_equal(mean_hess_cross_term(pot, x), [0.0])
-        assert pot.U(x, 1.3) == pot.mean(x)
+        assert pot.U(x, 1.3) == pot.mean(x.tolist())[0]
 
 
 class TestParticleMeans:
@@ -585,7 +592,7 @@ class TestAveragedParticle:
             [0.8])[:3]
         a2, _, U2 = oscillating_particle_averaged(pot, 0.02, mu).slow(
             [0.8])[:3]
-        ubar = pot.mean(x)
+        ubar = pot.mean(x.tolist())[0]
         ratio_U = (U1 - ubar) / (U2 - ubar)
         ratio_a = a1[0] / a2[0]
         assert abs(ratio_U - 4.0) < 1e-10
@@ -622,14 +629,6 @@ class TestAveragedParticle:
         assert np.max(np.abs(jet[4] - fd.gradient(slot(1), x))) < 1e-8
         assert np.max(np.abs(jet[3] - fd.jacobian(slot(0), x))) < a0_tol
 
-    def test_third_derivative_fallback_matches_declared(self):
-        mode = particle_potential_2d().fourier_modes[0]
-        bare = HarmonicMode(k=1, c=mode.c, s=mode.s, dc=mode.dc, ds=mode.ds,
-                            d2c=mode.d2c, d2s=mode.d2s)
-        x = np.array([0.4, -0.3])
-        assert np.max(np.abs(bare.third_c(x) - mode.third_c(x))) < 1e-8
-        assert np.max(np.abs(bare.third_s(x) - mode.third_s(x))) < 1e-8
-
     def test_invariant_metric_reproduces_reference(self):
         # Fiber inertia 1 / (eps^2 <V'.V'>), connection eps^3 <S'' V'>.
         eps = 0.05
@@ -645,13 +644,14 @@ class TestAveragedParticle:
     @pytest.mark.parametrize("modes", [
         (),
         # V' is proportional to dc = 2x, which vanishes at the sample x = 0.
-        (HarmonicMode(k=1, c=lambda x: x[0] ** 2, s=lambda x: 0.0,
-                      dc=lambda x: np.array([2.0 * x[0]]),
-                      ds=lambda x: np.zeros(1)),),
+        (HarmonicMode(k=1, jet=lambda x: (
+            x[0] ** 2, 0.0, [2.0 * x[0]], [0.0], [[2.0]], [[0.0]],
+            [[[0.0]]], [[[0.0]]])),),
     ], ids=["no_modes", "zero_gradient"])
     def test_invariant_metric_rejects_degenerate_fiber_inertia(self, modes):
-        pot = OscillatingPotential(dim_base=1, fourier_modes=modes,
-                                   mean_part=lambda x: 0.5 * x[0] ** 2)
+        pot = OscillatingPotential(
+            dim_base=1, fourier_modes=modes,
+            mean=lambda x: (0.5 * x[0] ** 2, [x[0]]))
         with pytest.raises(ValueError,
                            match=r"degenerate fiber inertia .* at q=\[0\.\]"):
             particle_invariant_metric(pot, 0.05,
@@ -661,11 +661,12 @@ class TestAveragedParticle:
         pot = particle_potential_1d()
         system, avg = particle_systems(pot, epsilon=1e-2, mu=1.0)
         x = np.array([0.8])
-        assert abs(avg.slow([0.8])[2] - pot.mean(x)) < 1e-14
+        ubar = pot.mean([0.8])[0]
+        assert abs(avg.slow([0.8])[2] - ubar) < 1e-14
         # The oscillation enters the suspension at order eps.
         U0, U1 = system.slow([0.8])[2], system.fast([0.8], 0.3)[2]
-        gap = U0 + system.epsilon * U1 - pot.mean(x)
-        want = 1e-2 * (pot.U(x, 0.3) - pot.mean(x))
+        gap = U0 + system.epsilon * U1 - ubar
+        want = 1e-2 * (pot.U(x, 0.3) - ubar)
         assert abs(gap - want) < 1e-14
 
 
@@ -684,6 +685,35 @@ SHIPPED_JETS = {
     "particle_2d": lambda: particle_systems(particle_potential_2d(),
                                             epsilon=0.01, mu=1.3)[0],
 }
+
+
+# Each potential's harmonic jets and its mean jet, built with the
+# pendulum_drive fixture where it needs it.
+POTENTIALS = {
+    "particle_1d": lambda drive: particle_potential_1d(),
+    "particle_2d": lambda drive: particle_potential_2d(),
+    "pendulum_drive": lambda drive: drive(PendulumParams(
+        length=1.7, gravity=1.3, amplitude=0.6, mu=2.2, epsilon=0.01)),
+}
+
+# (derivative slot, slot below it) in a harmonic jet: dc of c, ds of s,
+# d2c of dc, d2s of ds, d3c of d2c and d3s of d2s.
+HARMONIC_SLOT_PAIRS = ((2, 0), (3, 1), (4, 2), (5, 3), (6, 4), (7, 5))
+
+
+def counted_harmonics(pot):
+    """pot with each harmonic jet logging its calls, and the log."""
+    calls = []
+
+    def counted(jet):
+        def wrapped(x):
+            calls.append(x)
+            return jet(x)
+        return wrapped
+
+    return replace(pot, fourier_modes=tuple(
+        HarmonicMode(k=m.k, jet=counted(m.jet))
+        for m in pot.fourier_modes)), calls
 
 
 def value_jets(system):
@@ -710,6 +740,64 @@ class TestJets:
                     gap = np.max(np.abs(np.asarray(g, dtype=float)
                                         - np.asarray(w, dtype=float)))
                     assert gap <= JET_TOL * scale, (slot + 3, q, phi)
+
+    @pytest.mark.parametrize("name", sorted(POTENTIALS))
+    def test_potential_slots_match_differences_of_the_slot_below(
+            self, name, pendulum_drive):
+        pot = POTENTIALS[name](pendulum_drive)
+        jets = [(pot.mean, ((1, 0),))] + [
+            (m.jet, HARMONIC_SLOT_PAIRS) for m in pot.fourier_modes]
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            x = rng.uniform(-3.0, 3.0, pot.dim_base)
+            for jet, pairs in jets:
+                got = jet(x.tolist())
+                for slot, below in pairs:
+                    want = fd.jacobian(
+                        lambda y: jet(y.tolist())[below], x)
+                    scale = max(1.0, float(np.max(np.abs(
+                        np.asarray(got[below], dtype=float)))))
+                    gap = np.max(np.abs(np.asarray(got[slot], dtype=float)
+                                        - want))
+                    assert gap <= JET_TOL * scale, (slot, x)
+
+    @pytest.mark.parametrize("make_pot",
+                             [particle_potential_1d, particle_potential_2d],
+                             ids=["1d", "2d"])
+    def test_each_jet_call_calls_each_harmonic_jet_once(self, make_pot):
+        # The full field and the energy log call the fast jet, and the
+        # averaged particle's reduced field and energy log its slow jet;
+        # each of those calls calls the one harmonic jet once.
+        pot, harmonic_calls = counted_harmonics(make_pot())
+        n = pot.dim_base
+        system = particle_systems(pot, epsilon=0.01, mu=1.0)[0]
+        avg = oscillating_particle_averaged(pot, 0.05, 1.3)
+        jet_calls = []
+
+        def fast(q, phi):
+            jet_calls.append(q)
+            return system.fast(q, phi)
+
+        def slow(q):
+            jet_calls.append(q)
+            return avg.slow(q)
+
+        rk4 = IntegratorConfig(method="rk4", dt=0.1)
+        harmonic_calls.clear()
+        system.slow([0.8] * n)
+        assert harmonic_calls == []
+        full = integrate_full(
+            replace(system, fast=fast),
+            PhaseStateFull(q=np.full(n, 0.8), p=np.full(n, 0.3), phi=0.0,
+                           gamma=1.0), 1.0, rk4)
+        assert len(jet_calls) == len(harmonic_calls) > 4 * (len(full) - 1)
+        jet_calls.clear()
+        harmonic_calls.clear()
+        reduced = integrate_reduced_magnetic(
+            replace(avg, slow=slow),
+            PhaseStateReduced(Q=np.full(n, 0.8), P=np.full(n, 0.3),
+                              chart="magnetic"), 1.0, rk4)
+        assert len(jet_calls) == len(harmonic_calls) > 4 * (len(reduced) - 1)
 
     def test_difference_jets_are_the_stencils_exactly(self):
         def a0(q):
