@@ -28,6 +28,14 @@ a reduced one started from matching initial data; the averaging theorem
 bounds the sum by a constant times eps on that window, and halving eps
 should roughly halve the sup error. The constant itself is never
 asserted, only the observed ratios.
+
+The chord update of _midpoint_step, the guess of _extrapolate and the
+dot products written sum(map(mul, ...)) add in index order through the
+built-in sum(). That is plain left-to-right float addition on CPython
+3.10 and 3.11 only: from 3.12 on, sum() of floats is compensated
+(Neumaier) summation, so sum([1e16, 1.0, -1e16]) is 1.0 there and 0.0
+on 3.11, and these values, with the output bytes, may differ between
+the two.
 """
 
 from __future__ import annotations

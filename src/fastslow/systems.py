@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._derivatives import gradient, jacobian
+from ._derivatives import jacobian
 from .averaging import AveragedSystem, FastSlowSystem, _floats, \
     average_coefficients
 from .bundle_geometry import TrivialBundleMetric
@@ -233,23 +233,19 @@ class DomainError(ValueError):
 class SurfaceMetric:
     """Orthogonal surface metric a11 dq1^2 + a22 dq2^2 on a chart.
 
-    d_sqrt_a11 and d_sqrt_a22, when given, return the two partial
-    derivatives of sqrt(a11) and sqrt(a22); central differences with
-    step 1e-6 * max(1, |q|_inf) fill in otherwise. domain holds the
-    closed chart rectangle ((q1_min, q1_max), (q2_min, q2_max)) and
-    operations reject points outside it.
-
-    Each callable receives the point as an indexable pair of floats, a
-    tuple or an array, and reads it as q[0] and q[1]; the disk fields
-    and the curvature stencils pass tuples. a11 and a22 return a real,
-    d_sqrt_a11 and d_sqrt_a22 any pair of reals (a tuple, a list or an
-    array). The public grad_sqrt_a11 and grad_sqrt_a22 return arrays.
+    jet(q) -> (a11, a22, d_sqrt_a11, d_sqrt_a22) gives the two metric
+    coefficients and the partial derivatives (d1, d2) of sqrt(a11) and
+    sqrt(a22) at q from one call. q is a tuple of two floats, read as
+    q[0] and q[1]; a11 and a22 are reals, and each partial slot is any
+    pair of reals (a tuple, a list or an array), read once with float().
+    Every point the disk code visits calls the jet once, so a disk field
+    evaluation makes 5 calls, and the code takes the square roots
+    itself. domain holds the closed chart rectangle
+    ((q1_min, q1_max), (q2_min, q2_max)) and operations reject points
+    outside it.
     """
 
-    a11: Callable[[Sequence[float]], float]
-    a22: Callable[[Sequence[float]], float]
-    d_sqrt_a11: Callable[[Sequence[float]], Sequence[float]] | None = None
-    d_sqrt_a22: Callable[[Sequence[float]], Sequence[float]] | None = None
+    jet: Callable[[tuple], tuple]
     domain: tuple = ((-np.inf, np.inf), (-np.inf, np.inf))
     name: str = "surface"
 
@@ -266,30 +262,11 @@ class SurfaceMetric:
                 f"point {np.array([x, y])} lies outside the declared chart "
                 f"domain {self.domain} of {self.name}")
 
-    def sqrt_a11(self, q: np.ndarray) -> float:
-        return _positive_sqrt("a11", float(self.a11(q)), q)
 
-    def sqrt_a22(self, q: np.ndarray) -> float:
-        return _positive_sqrt("a22", float(self.a22(q)), q)
-
-    def grad_sqrt_a11(self, q: np.ndarray) -> np.ndarray:
-        return np.array(self._partials(1, q))
-
-    def grad_sqrt_a22(self, q: np.ndarray) -> np.ndarray:
-        return np.array(self._partials(2, q))
-
-    def _partials(self, j: int, q) -> tuple[float, float]:
-        """(d1, d2) sqrt(a_jj) at q as floats, j = 1 or 2: the declared
-        d_sqrt_ajj, or central differences of sqrt_ajj without one."""
-        d = self.d_sqrt_a11 if j == 1 else self.d_sqrt_a22
-        if d is None:
-            sqrt = self.sqrt_a11 if j == 1 else self.sqrt_a22
-            return tuple(gradient(sqrt, np.asarray(q, dtype=float)).tolist())
-        g1, g2 = d(q)
-        return float(g1), float(g2)
-
-
-def _positive_sqrt(name: str, val: float, q) -> float:
+def _positive_sqrt(name: str, val, q) -> float:
+    """sqrt(val) for the jet's coefficient name at q, val read with
+    float(); a value that is not positive raises ValueError."""
+    val = float(val)
     if not val > 0.0:
         raise ValueError(f"{name} must be positive, got {val:.3e} "
                          f"at q={np.asarray(q, dtype=float)}")
@@ -300,29 +277,23 @@ def sphere_surface(radius: float = 1.0) -> SurfaceMetric:
     """Round sphere in colatitude q1 and longitude q2 (poles excluded)."""
     r = float(radius)
     return SurfaceMetric(
-        a11=lambda q: r * r,
-        a22=lambda q: r * r * math.sin(q[0]) ** 2,
-        d_sqrt_a11=lambda q: (0.0, 0.0),
-        d_sqrt_a22=lambda q: (r * math.cos(q[0]), 0.0),
+        jet=lambda q: (r * r, r * r * math.sin(q[0]) ** 2,
+                       (0.0, 0.0), (r * math.cos(q[0]), 0.0)),
         domain=((0.02, math.pi - 0.02), (-np.inf, np.inf)),
         name=f"sphere(radius={r})")
 
 
 def plane_surface() -> SurfaceMetric:
     """Euclidean plane in Cartesian coordinates."""
-    return SurfaceMetric(
-        a11=lambda q: 1.0, a22=lambda q: 1.0,
-        d_sqrt_a11=lambda q: (0.0, 0.0), d_sqrt_a22=lambda q: (0.0, 0.0),
-        name="plane")
+    return SurfaceMetric(jet=lambda q: (1.0, 1.0, (0.0, 0.0), (0.0, 0.0)),
+                         name="plane")
 
 
 def exponential_surface() -> SurfaceMetric:
     """Metric dq1^2 + e^{2 q1} dq2^2 of constant curvature -1."""
     return SurfaceMetric(
-        a11=lambda q: 1.0,
-        a22=lambda q: math.exp(2.0 * q[0]),
-        d_sqrt_a11=lambda q: (0.0, 0.0),
-        d_sqrt_a22=lambda q: (math.exp(q[0]), 0.0),
+        jet=lambda q: (1.0, math.exp(2.0 * q[0]),
+                       (0.0, 0.0), (math.exp(q[0]), 0.0)),
         domain=((-10.0, 10.0), (-np.inf, np.inf)),
         name="exponential")
 
@@ -345,17 +316,26 @@ def _curvature_divergence(surface: SurfaceMetric, q) -> float:
     """d1(d1 sqrt(a22) / sqrt(a11)) + d2(d2 sqrt(a11) / sqrt(a22)) at q.
 
     q is a pair of floats in the domain. The outer derivatives are
-    central differences on _stencil in Python floats, and the surface
-    callables receive each stencil point as a tuple. K is
-    -div / sqrt(a11 a22).
+    central differences on _stencil in Python floats, with one jet call
+    at each of the four stencil points. K is -div / sqrt(a11 a22).
     """
-    h, (p1, m1, p2, m2) = _stencil(q)
-    d, s11, s22 = surface._partials, surface.sqrt_a11, surface.sqrt_a22
+    h, points = _stencil(q)
+    p1, m1, p2, m2 = points
     # d1 sqrt(a22) / sqrt(a11) at q +- h e1, d2 sqrt(a11) / sqrt(a22) at
     # q +- h e2.
-    return (((d(2, p1)[0] / s11(p1) - d(2, m1)[0] / s11(m1))
-             + (d(1, p2)[1] / s22(p2) - d(1, m2)[1] / s22(m2)))
+    (a1p, _, _, g1p), (a1m, _, _, g1m), (_, a2p, g2p, _), (_, a2m, g2m, _) \
+        = map(surface.jet, points)
+    return (((float(g1p[0]) / _positive_sqrt("a11", a1p, p1)
+              - float(g1m[0]) / _positive_sqrt("a11", a1m, m1))
+             + (float(g2p[1]) / _positive_sqrt("a22", a2p, p2)
+                - float(g2m[1]) / _positive_sqrt("a22", a2m, m2)))
             / (2.0 * h))
+
+
+def _density(surface: SurfaceMetric, q) -> float:
+    """sqrt(a11) * sqrt(a22) at q, a pair of floats, from one jet call."""
+    a11, a22 = surface.jet(q)[:2]
+    return _positive_sqrt("a11", a11, q) * _positive_sqrt("a22", a22, q)
 
 
 def gaussian_curvature(surface: SurfaceMetric, q: np.ndarray) -> float:
@@ -364,21 +344,21 @@ def gaussian_curvature(surface: SurfaceMetric, q: np.ndarray) -> float:
     K = -(1 / sqrt(a11 a22)) [ d1( d1 sqrt(a22) / sqrt(a11) )
                              + d2( d2 sqrt(a11) / sqrt(a22) ) ].
 
-    The inner first derivatives use the analytic partials when the
-    surface carries them; the outer derivatives are always central
-    differences with step 1e-5 * max(1, |q|_inf), computed in Python
-    floats.
+    The inner first derivatives are the jet's partial slots; the outer
+    derivatives are central differences with step
+    1e-5 * max(1, |q|_inf), computed in Python floats. The jet is called
+    at the four stencil points and once at q.
     """
-    q = surface.require_in_domain(q)
-    div = _curvature_divergence(surface, q.tolist())
-    return -div / (surface.sqrt_a11(q) * surface.sqrt_a22(q))
+    q = tuple(surface.require_in_domain(q).tolist())
+    return -_curvature_divergence(surface, q) / _density(surface, q)
 
 
 def _connection(surface: SurfaceMetric, q) -> tuple[float, float]:
     """disk_connection at q, a pair of floats, as a pair of floats."""
     surface._check(*q)
-    return (surface._partials(1, q)[1] / surface.sqrt_a22(q),
-            -surface._partials(2, q)[0] / surface.sqrt_a11(q))
+    a11, a22, d11, d22 = surface.jet(q)
+    return (float(d11[1]) / _positive_sqrt("a22", a22, q),
+            -float(d22[0]) / _positive_sqrt("a11", a11, q))
 
 
 def disk_connection(surface: SurfaceMetric, q: np.ndarray) -> np.ndarray:
@@ -404,13 +384,13 @@ def curvature_identity_residual(surface: SurfaceMetric,
     disk_connection, so this is an independent check of the curvature
     rather than a restatement of its formula.
     """
-    q = surface.require_in_domain(q)
-    h, (p1, m1, p2, m2) = _stencil(q.tolist())
+    q = tuple(surface.require_in_domain(q).tolist())
+    h, (p1, m1, p2, m2) = _stencil(q)
     curl = ((_connection(surface, p1)[1] - _connection(surface, m1)[1])
             - (_connection(surface, p2)[0] - _connection(surface, m2)[0])) \
         / (2.0 * h)
-    dens = surface.sqrt_a11(q) * surface.sqrt_a22(q)
-    return curl - dens * gaussian_curvature(surface, q)
+    dens = _density(surface, q)
+    return curl - dens * (-_curvature_divergence(surface, q) / dens)
 
 
 @dataclass(frozen=True)
@@ -452,38 +432,44 @@ def _second_form_matrix(params: DiskParams, q: np.ndarray) -> np.ndarray:
     return params.inertia_diametral * np.array([[f11, f12], [f12, f22]])
 
 
-def _disk_mass(params: DiskParams, surface: SurfaceMetric, q) -> tuple:
-    """(M, a11, a22) at q, M = m diag(a11, a22) + I_d * second form as
-    rows of Python floats. No check is made; the second form receives q
-    as an array and is added on arrays."""
+def _disk_mass(params: DiskParams, q, a11: float, a22: float) -> list:
+    """M = m diag(a11, a22) + I_d * second form at q, a pair of floats, as
+    rows of Python floats; a11 and a22 are the surface's at q. No check
+    is made; the second form receives q as an array and is added on
+    arrays."""
     m = params.mass
-    a11, a22 = float(surface.a11(q)), float(surface.a22(q))
     mass = [[m * a11, 0.0], [0.0, m * a22]]
     if params.second_form is not None:
         mass = (np.array(mass) + _second_form_matrix(
             params, np.asarray(q, dtype=float))).tolist()
-    return mass, a11, a22
+    return mass
+
+
+def _mass_at(params: DiskParams, surface: SurfaceMetric, q) -> list:
+    """_disk_mass at q, a pair of floats, from one jet call."""
+    a11, a22 = surface.jet(q)[:2]
+    return _disk_mass(params, q, float(a11), float(a22))
 
 
 def _disk_geometry(params: DiskParams, surface: SurfaceMetric, q) -> tuple:
-    """(M, dM, sqrt(a11), sqrt(a22)) at q, in Python floats, from one
-    evaluation of a11 and a22.
+    """(M, dM, sqrt(a11), sqrt(a22)) at q, a pair of floats, in Python
+    floats from one jet call.
 
     dM[i] = d M / d q_i. The metric part is closed form,
-    d_i (m a_jj) = 2 m sqrt(a_jj) d_i sqrt(a_jj), through the surface's
-    partials; only the optional second form is differentiated, by central
-    differences, and added on arrays.
+    d_i (m a_jj) = 2 m sqrt(a_jj) d_i sqrt(a_jj), through the jet's
+    partial slots; only the optional second form is differentiated, by
+    central differences, and added on arrays.
     """
-    mass, a11, a22 = _disk_mass(params, surface, q)
+    a11, a22, (g11, g12), (g21, g22) = surface.jet(q)
+    a11, a22 = float(a11), float(a22)
+    mass = _disk_mass(params, q, a11, a22)
     m = params.mass
     s11 = _positive_sqrt("a11", a11, q)
-    g11, g12 = surface._partials(1, q)
     c11 = 2.0 * m * s11
     s22 = _positive_sqrt("a22", a22, q)
-    g21, g22 = surface._partials(2, q)
     c22 = 2.0 * m * s22
-    dmass = [[[c11 * g11, 0.0], [0.0, c22 * g21]],
-             [[c11 * g12, 0.0], [0.0, c22 * g22]]]
+    dmass = [[[c11 * float(g11), 0.0], [0.0, c22 * float(g21)]],
+             [[c11 * float(g12), 0.0], [0.0, c22 * float(g22)]]]
     if params.second_form is not None:
         dmass = (np.array(dmass) + jacobian(
             lambda x: _second_form_matrix(params, x),
@@ -494,8 +480,7 @@ def _disk_geometry(params: DiskParams, surface: SurfaceMetric, q) -> tuple:
 def disk_mass_matrix(params: DiskParams, surface: SurfaceMetric,
                      q: np.ndarray) -> np.ndarray:
     """Slow kinetic matrix M(q) = m diag(a11, a22) + I_d * second form."""
-    return np.array(_disk_mass(params, surface,
-                               np.asarray(q, dtype=float))[0])
+    return np.array(_mass_at(params, surface, tuple(_floats(q))))
 
 
 def _solve2(a: list, b) -> list:
@@ -522,7 +507,8 @@ def _contract(dmass: list, u0: float, u1: float) -> list:
     two nonzero products numpy's BLAS kernel may fuse a multiply-add,
     and the two results can then differ by a rounding.
     """
-    return [[0.0 + x0 * u0 + x1 * u1 for x0, x1 in d] for d in dmass]
+    return [[0.0 + a * u0 + b * u1, 0.0 + c * u0 + d * u1]
+            for (a, b), (c, d) in dmass]
 
 
 def spinning_disk_rhs(params: DiskParams,
@@ -540,7 +526,8 @@ def spinning_disk_rhs(params: DiskParams,
     partial derivatives of M are closed-form; only an optional second
     form is differentiated by central differences. The field is
     assembled in Python floats from one evaluation of the local geometry
-    (_disk_geometry), and the surface callables receive q as a tuple.
+    (_disk_geometry) and the curvature stencil: 5 jet calls, each point
+    a tuple of floats.
     """
     mu = params.mu
 
@@ -552,14 +539,14 @@ def spinning_disk_rhs(params: DiskParams,
         dens = s11 * s22
         # dens * mu * gaussian_curvature(surface, q), q checked once.
         coef = dens * mu * (-_curvature_divergence(surface, q) / dens)
-        force = [coef * -u1, coef * u0]
-        # d/dt (M u) - (1/2) u . d_i M u = force_i, with du[i] = d_i M u
-        du = _contract(dmass, u0, u1)
-        du_u = [0.0 + a * u0 + b * u1 for a, b in du]
-        u_du = [0.0 + u0 * a + u1 * b for a, b in zip(*du)]
-        udot = _solve2(mass, [f + 0.5 * x - y
-                              for f, x, y in zip(force, du_u, u_du)])
-        return [u0, u1] + udot
+        # d/dt (M u) - (1/2) u . d_i M u = force_i, with rows d_i M u of
+        # du = [[a, b], [c, d]]: force + (1/2) du u - u . du, written out.
+        (a, b), (c, d) = _contract(dmass, u0, u1)
+        return [u0, u1] + _solve2(mass, [
+            coef * -u1 + 0.5 * (0.0 + a * u0 + b * u1)
+            - (0.0 + u0 * a + u1 * c),
+            coef * u0 + 0.5 * (0.0 + c * u0 + d * u1)
+            - (0.0 + u0 * b + u1 * d)])
 
     return rhs
 
@@ -577,7 +564,7 @@ def disk_velocity(params: DiskParams, surface: SurfaceMetric,
 
     No domain check is made, as disk_mass_matrix makes none.
     """
-    mass = _disk_mass(params, surface, tuple(_floats(q)))[0]
+    mass = _mass_at(params, surface, tuple(_floats(q)))
     return np.array(_solve2(mass, p1))
 
 
@@ -594,9 +581,9 @@ def disk_magnetic_rhs(params: DiskParams,
     the Lorentz-force form of spinning_disk_rhs: B^T v is its gyroscopic
     force. The returned callable maps z = (Q1, Q2, P1_1, P1_2), a list or
     an array, to its time derivative as a list, assembled in Python
-    floats from one evaluation of the local geometry (_disk_geometry), as
-    spinning_disk_rhs is. Each dot product of B^T v is a sum from +0 in
-    index order.
+    floats from one evaluation of the local geometry (_disk_geometry) and
+    5 jet calls, as spinning_disk_rhs is. Each dot product of B^T v is a
+    sum from +0 in index order.
     """
     mu = params.mu
 
@@ -610,8 +597,8 @@ def disk_magnetic_rhs(params: DiskParams,
         v = _solve2(mass, [p0, p1])
         v0, v1 = v
         # grad_Q H = -(1/2) v . d_i M v, and B's columns dotted with v.
-        grad = [-0.5 * (0.0 + x0 * v0 + x1 * v1)
-                for x0, x1 in _contract(dmass, v0, v1)]
+        (a, b), (d, e) = _contract(dmass, v0, v1)
+        grad = [-0.5 * (0.0 + a * v0 + b * v1), -0.5 * (0.0 + d * v0 + e * v1)]
         b_field = [[0.0 * c, 1.0 * c], [-1.0 * c, 0.0 * c]]
         return v + [-g + sum(map(mul, col, v))
                     for g, col in zip(grad, zip(*b_field))]

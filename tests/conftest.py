@@ -107,31 +107,46 @@ def spectral_reference():
 # ---------------------------------------------------------------------------
 # The spinning-disk formulas as they were computed on numpy arrays, kept as
 # the reference for the float path of fastslow.systems: the geometry, the
-# Lagrangian field and the magnetic-chart field.
+# Lagrangian field and the magnetic-chart field. Each reads the surface
+# jet through _jet, as floats and arrays.
+
+
+def _jet(surface, x):
+    """(a11, a22, grad sqrt(a11), grad sqrt(a22)) at the point x, the
+    coefficients as floats and the partials as arrays."""
+    a11, a22, d11, d22 = surface.jet(
+        tuple(np.asarray(x, dtype=float).tolist()))
+    return (float(a11), float(a22), np.array(d11, dtype=float),
+            np.array(d22, dtype=float))
+
+
+def _density(surface, x):
+    a11, a22 = _jet(surface, x)[:2]
+    return math.sqrt(a11) * math.sqrt(a22)
 
 
 def _numpy_gaussian_curvature(surface, q):
     q = surface.require_in_domain(q)
 
     def r1(x):
-        return surface.grad_sqrt_a22(x)[0] / surface.sqrt_a11(x)
+        a11, _, _, g22 = _jet(surface, x)
+        return g22[0] / math.sqrt(a11)
 
     def r2(x):
-        return surface.grad_sqrt_a11(x)[1] / surface.sqrt_a22(x)
+        _, a22, g11, _ = _jet(surface, x)
+        return g11[1] / math.sqrt(a22)
 
     h = 1e-5 * max(1.0, float(np.max(np.abs(q))))
     e1 = np.array([h, 0.0])
     e2 = np.array([0.0, h])
     div = ((r1(q + e1) - r1(q - e1)) + (r2(q + e2) - r2(q - e2))) / (2.0 * h)
-    return -div / (surface.sqrt_a11(q) * surface.sqrt_a22(q))
+    return -div / _density(surface, q)
 
 
 def _numpy_disk_connection(surface, q):
     q = surface.require_in_domain(q)
-    return np.array([
-        surface.grad_sqrt_a11(q)[1] / surface.sqrt_a22(q),
-        -surface.grad_sqrt_a22(q)[0] / surface.sqrt_a11(q),
-    ])
+    a11, a22, g11, g22 = _jet(surface, q)
+    return np.array([g11[1] / math.sqrt(a22), -g22[0] / math.sqrt(a11)])
 
 
 def _numpy_curvature_identity_residual(surface, q):
@@ -143,7 +158,7 @@ def _numpy_curvature_identity_residual(surface, q):
              - _numpy_disk_connection(surface, q - e1)[1])
             - (_numpy_disk_connection(surface, q + e2)[0]
                - _numpy_disk_connection(surface, q - e2)[0])) / (2.0 * h)
-    dens = surface.sqrt_a11(q) * surface.sqrt_a22(q)
+    dens = _density(surface, q)
     return float(curl - dens * _numpy_gaussian_curvature(surface, q))
 
 
@@ -159,8 +174,8 @@ def _numpy_second_form_matrix(params, q):
 
 def _numpy_metric_mass(params, surface, q):
     m = params.mass
-    return np.array([[m * float(surface.a11(q)), 0.0],
-                     [0.0, m * float(surface.a22(q))]])
+    a11, a22 = _jet(surface, q)[:2]
+    return np.array([[m * a11, 0.0], [0.0, m * a22]])
 
 
 def _numpy_disk_mass_matrix(params, surface, q):
@@ -175,8 +190,9 @@ def _numpy_mass_and_derivatives(params, surface, q):
     m = params.mass
     mass = _numpy_metric_mass(params, surface, q)
     dmass = np.zeros((2, 2, 2))
-    dmass[:, 0, 0] = 2.0 * m * surface.sqrt_a11(q) * surface.grad_sqrt_a11(q)
-    dmass[:, 1, 1] = 2.0 * m * surface.sqrt_a22(q) * surface.grad_sqrt_a22(q)
+    a11, a22, g11, g22 = _jet(surface, q)
+    dmass[:, 0, 0] = 2.0 * m * math.sqrt(a11) * g11
+    dmass[:, 1, 1] = 2.0 * m * math.sqrt(a22) * g22
     if params.second_form is not None:
         def form(x):
             return params.inertia_diametral * _numpy_second_form_matrix(
@@ -206,7 +222,7 @@ def _numpy_disk_rhs(params, surface):
         surface.require_in_domain(q)
         mass, dmass = _numpy_mass_and_derivatives(params, surface, q)
         kcurv = _numpy_gaussian_curvature(surface, q)
-        dens = surface.sqrt_a11(q) * surface.sqrt_a22(q)
+        dens = _density(surface, q)
         force = dens * mu * kcurv * np.array([-u[1], u[0]])
         du = dmass @ u
         udot = _numpy_solve2(mass, force + 0.5 * (du @ u) - u @ du)
@@ -231,7 +247,7 @@ def _numpy_magnetic_field(params, surface):
         return _numpy_solve2(_numpy_disk_mass_matrix(params, surface, Q), P1)
 
     def b_field(Q):
-        dens = surface.sqrt_a11(Q) * surface.sqrt_a22(Q)
+        dens = _density(surface, Q)
         k = _numpy_gaussian_curvature(surface, Q)
         return dens * mu * k * np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -250,10 +266,8 @@ def _sphere(radius, pair):
     """The round sphere of sphere_surface, its partials built by pair."""
     r = float(radius)
     return SurfaceMetric(
-        a11=lambda q: r * r,
-        a22=lambda q: r * r * math.sin(q[0]) ** 2,
-        d_sqrt_a11=lambda q: pair(0.0, 0.0),
-        d_sqrt_a22=lambda q: pair(r * math.cos(q[0]), 0.0),
+        jet=lambda q: (r * r, r * r * math.sin(q[0]) ** 2, pair(0.0, 0.0),
+                       pair(r * math.cos(q[0]), 0.0)),
         domain=((0.02, math.pi - 0.02), (-np.inf, np.inf)),
         name=f"sphere(radius={r})")
 
@@ -276,9 +290,9 @@ def disk_reference():
     magnetic_field(params, surface), the last the numpy counterpart of
     disk_magnetic_rhs.
     array_sphere(radius) and tuple_sphere(radius) are two copies of the
-    shipped round sphere: the first's partials return numpy arrays, as
-    sphere_surface's did when the formulas above were its code, the
-    second's return tuples.
+    shipped round sphere: the first's jet returns its partials as numpy
+    arrays, as sphere_surface's partials were when the formulas above
+    were its code, the second's as tuples.
     """
     return SimpleNamespace(
         gaussian_curvature=_numpy_gaussian_curvature,

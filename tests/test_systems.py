@@ -174,10 +174,16 @@ class TestSurfaces:
             rhs(np.array([0.001, 0.0, 0.1, 0.1]))
 
     def test_degenerate_metric_rejected(self):
-        surface = SurfaceMetric(a11=lambda q: 1.0,
-                                a22=lambda q: -1.0)
-        with pytest.raises(ValueError, match="a22"):
-            surface.sqrt_a22(np.zeros(2))
+        surface = SurfaceMetric(
+            jet=lambda q: (1.0, -1.0, (0.0, 0.0), (0.0, 0.0)))
+        q = np.array([0.3, 0.2])
+        field = spinning_disk_rhs(DiskParams(), surface)
+        for call in (lambda: gaussian_curvature(surface, q),
+                     lambda: disk_connection(surface, q),
+                     lambda: curvature_identity_residual(surface, q),
+                     lambda: field([*q, 0.1, 0.2])):
+            with pytest.raises(ValueError, match="a22 must be positive"):
+                call()
 
 
 class TestSpinningDisk:
@@ -256,12 +262,20 @@ class TestSpinningDisk:
         assert DiskParams(inertia_axial=2.0, omega_axial=1.5).mu == 3.0
 
 
-def _no_partials_surface():
-    # No d_sqrt_* callables: grad_sqrt_a11/a22 take their central
-    # differences.
-    return SurfaceMetric(a11=lambda q: 2.0 + math.sin(q[0]) * math.cos(q[1]),
-                         a22=lambda q: 1.0 + q[0] ** 2 + 0.5 * q[1] ** 2,
-                         name="no-partials")
+def _wavy_surface():
+    # Both coefficients vary in both coordinates, so each row of dM has
+    # two nonzero products.
+    def jet(q):
+        x, y = q
+        a11 = 2.0 + math.sin(x) * math.cos(y)
+        a22 = 1.0 + x ** 2 + 0.5 * y ** 2
+        s11, s22 = math.sqrt(a11), math.sqrt(a22)
+        return (a11, a22,
+                (math.cos(x) * math.cos(y) / (2.0 * s11),
+                 -math.sin(x) * math.sin(y) / (2.0 * s11)),
+                (x / s22, 0.5 * y / s22))
+
+    return SurfaceMetric(jet=jet, name="wavy")
 
 
 def _curved_second_form(q, v):
@@ -281,7 +295,7 @@ DISK_CASES = [
      ((-3.0, 3.0), (-3.0, 3.0))),
     ("exponential", exponential_surface(), DiskParams(),
      ((-1.0, 1.0), (-3.0, 3.0))),
-    ("no_partials", _no_partials_surface(), DiskParams(mass=0.7),
+    ("wavy", _wavy_surface(), DiskParams(mass=0.7),
      ((-2.0, 2.0), (-2.0, 2.0))),
     ("second_form", sphere_surface(1.0),
      DiskParams(inertia_diametral=0.5, second_form=_curved_second_form),
@@ -465,12 +479,63 @@ class TestSurfaceContract:
         assert "[0.01999" in str(got.value)
 
     def test_partials_keep_their_array_contract(self):
-        for surface in (sphere_surface(1.0), _no_partials_surface()):
-            q = np.array([1.1, 0.4])
-            for grad in (surface.grad_sqrt_a11, surface.grad_sqrt_a22):
-                got = grad(q)
-                assert isinstance(got, np.ndarray) and got.shape == (2,)
-                assert same_bits(grad(tuple(q.tolist())), got)
+        # A jet may return its partials as any pair of reals: disk_connection
+        # reads them with float() and returns an array.
+        for surface in (sphere_surface(1.0), _wavy_surface()):
+            q = (1.1, 0.4)
+            a11, a22, d11, d22 = surface.jet(q)
+            array_jet = replace(surface, jet=lambda x: (
+                a11, a22, np.array(d11), np.array(d22)))
+            got = disk_connection(surface, np.array(q))
+            assert isinstance(got, np.ndarray) and got.shape == (2,)
+            assert same_bits(got, [d11[1] / math.sqrt(a22),
+                                   -d22[0] / math.sqrt(a11)])
+            assert same_bits(disk_connection(array_jet, np.array(q)), got)
+
+
+SHIPPED_SURFACES = {
+    "sphere": lambda: sphere_surface(1.3),
+    "plane": plane_surface,
+    "exponential": exponential_surface,
+}
+
+
+class TestSurfaceJets:
+    @pytest.mark.parametrize("name", sorted(SHIPPED_SURFACES))
+    def test_partial_slots_match_differences_of_the_roots(self, name):
+        # JET_TOL's bound: h = 1e-6 max(1, |q|_inf) and |q| <= 3.
+        surface = SHIPPED_SURFACES[name]()
+        (lo1, hi1), (lo2, hi2) = surface.domain
+        box = ((max(lo1, -3.0), min(hi1, 3.0)), (max(lo2, -3.0),
+                                                 min(hi2, 3.0)))
+        for q in _disk_points(box, n=300, seed=37):
+            got = surface.jet(tuple(q.tolist()))
+            for j in (0, 1):
+                want = fd.gradient(
+                    lambda x: math.sqrt(surface.jet(tuple(x.tolist()))[j]), q)
+                scale = max(1.0, math.sqrt(got[j]))
+                gap = np.max(np.abs(np.array(got[2 + j]) - want))
+                assert gap <= JET_TOL * scale, (name, j, q)
+
+    @pytest.mark.parametrize("make_field",
+                             [spinning_disk_rhs, disk_magnetic_rhs],
+                             ids=["lagrangian", "magnetic"])
+    def test_each_field_call_calls_the_jet_five_times(self, make_field):
+        # Once at q for the mass matrix and its derivatives, once at each
+        # point of the curvature stencil; every point a tuple of floats.
+        surface = sphere_surface(1.0)
+        calls = []
+
+        def jet(q):
+            calls.append(q)
+            return surface.jet(q)
+
+        field = make_field(DiskParams(), replace(surface, jet=jet))
+        field(np.array([1.0, 0.3, 0.1, 0.5]))
+        assert len(calls) == 5
+        assert calls[0] == (1.0, 0.3)
+        assert all(type(p) is tuple and list(map(type, p)) == [float, float]
+                   for p in calls)
 
 
 def closed_form_particle_1d(x, tau, trap=1.0, alpha=0.7, beta=0.4):
