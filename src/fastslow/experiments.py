@@ -29,9 +29,8 @@ import numpy as np
 from .bundle_geometry import PhaseStateFull, PhaseStateReduced
 from .integrators import (IntegratorConfig, _integration, closeness_case,
                           integrate_autonomous)
-from .lie_poisson import (BUILTIN_ALGEBRAS, EulerSystem,
-                          extended_hamiltonian_field, integrate_euler,
-                          load_algebra, shift_cocycle)
+from .lie_poisson import (BUILTIN_ALGEBRAS, EulerSystem, _extended_field,
+                          integrate_euler, load_algebra, shift_cocycle)
 from .systems import (DiskParams, PendulumParams,
                       curvature_identity_residual, disk_magnetic_rhs,
                       disk_mass_matrix, disk_momentum, disk_velocity,
@@ -279,8 +278,7 @@ def _run_euler(config: ExperimentConfig, base_dir: Path) -> tuple:
     cocycle = shift_cocycle(algebra, shift)
     steps = max(1, int(np.floor(min(10.0, horizon) / cfg.dt + 1e-9)))
     traj_ext = integrate_autonomous(
-        lambda xi: extended_hamiltonian_field(algebra, cocycle,
-                                              system.inertia, xi),
+        _extended_field(algebra, cocycle, system.inertia),
         xi0, traj.times[min(steps, len(traj) - 1)], cfg,
         state_labels=traj.state_labels, kind="euler", dim_base=algebra.dim)
     equiv = float(np.max(np.abs(traj.values[:len(traj_ext)]

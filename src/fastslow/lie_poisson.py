@@ -20,6 +20,12 @@ On so(3) with L = 0 this is the rigid body: ad*_X xi = xi x X.
 Energy, the quadratic Casimirs, and |xi - L|^2 are all quadratic, so
 the implicit midpoint rule conserves them to solver tolerance; their
 logged drift measures Newton slop rather than method error.
+
+Every per-step and per-node evaluation works on Python floats over the
+nonzero entries of c, I^{-1} and sigma, listed once per closure as
+(index..., value) terms in C order: each component is a float sum from
++0.0 over its terms in that order, so no BLAS kernel and no built-in
+sum() rounds a value of a run.
 """
 
 from __future__ import annotations
@@ -29,7 +35,9 @@ from typing import Callable
 
 import numpy as np
 
-from .integrators import IntegratorConfig, Trajectory, integrate_autonomous
+from .averaging import _floats
+from .integrators import (IntegratorConfig, Trajectory, _row_blocks,
+                          integrate_autonomous)
 
 JACOBI_TOL = 1e-12
 COCYCLE_TOL = 1e-12
@@ -45,11 +53,29 @@ def _cyclic_residual(c: np.ndarray, t: np.ndarray) -> float:
                                + np.moveaxis(a, 0, 2))))
 
 
-def _ad_star(c2: np.ndarray, X: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """(ad*_X xi)_j = sum_{i,k} xi_k c^k_ij X_i, with c2 the (n*n, n)
-    reshape of the structure constants."""
-    n = len(X)
-    return X @ (c2 @ xi).reshape(n, n)
+def _terms(a: np.ndarray) -> list:
+    """The nonzero entries of a as (index..., value) tuples in C order."""
+    nonzero = np.nonzero(a)
+    return list(zip(*(i.tolist() for i in nonzero), a[nonzero].tolist()))
+
+
+def _matvec(terms: list, x: list) -> list:
+    """(A x)_i = sum_j A_ij x_j over the (i, j, A_ij) terms of A, as a
+    list of floats, each component added from +0.0 in term order."""
+    out = [0.0] * len(x)
+    for i, j, a in terms:
+        out[i] += a * x[j]
+    return out
+
+
+def _ad_star(terms: list, X: list, xi: list) -> list:
+    """(ad*_X xi)_j = sum_{i,k} xi_k c^k_ij X_i over the (i, j, k, c^k_ij)
+    terms of the structure constants, as a list of floats, each
+    component added from +0.0 in term order."""
+    out = [0.0] * len(X)
+    for i, j, k, c in terms:
+        out[j] += c * X[i] * xi[k]
+    return out
 
 
 @dataclass(frozen=True)
@@ -135,9 +161,8 @@ def coadjoint_action(algebra: LieAlgebraData, X: np.ndarray,
     so(3) it is the cross product xi x X. The Euler fields share its
     product, _ad_star.
     """
-    c2 = algebra.structure_constants.reshape(-1, algebra.dim)
-    return _ad_star(c2, np.asarray(X, dtype=float),
-                    np.asarray(xi, dtype=float))
+    return np.array(_ad_star(_terms(algebra.structure_constants),
+                             _floats(X), _floats(xi)))
 
 
 def shift_cocycle(algebra: LieAlgebraData, shift: np.ndarray) -> Cocycle:
@@ -214,17 +239,20 @@ class EulerSystem:
         return float(0.5 * xi @ self.velocity(xi))
 
 
-def _euler_field(system: EulerSystem) -> Callable[[list], np.ndarray]:
-    """The field of euler_vector_field as a closure; I^{-1} and the (n*n, n)
-    matrix of structure constants that _ad_star takes are formed once.
-    It takes xi as a list or an array and makes it an array once."""
-    inertia_inv = np.linalg.inv(system.inertia)
-    shift = system.shift
-    c2 = system.algebra.structure_constants.reshape(-1, system.algebra.dim)
+def _euler_field(system: EulerSystem) -> Callable[[list], list]:
+    """The field of euler_vector_field as a closure on lists of floats.
 
-    def f(xi) -> np.ndarray:
-        xi = np.array(xi, dtype=float)
-        return -_ad_star(c2, inertia_inv @ xi, xi - shift)
+    The terms of I^{-1} and of the structure constants are formed once;
+    each call forms X = I^{-1} xi with _matvec and returns
+    -ad*_X (xi - L) with _ad_star, all in Python floats.
+    """
+    inverse = _terms(np.linalg.inv(system.inertia))
+    brackets = _terms(system.algebra.structure_constants)
+    shift = system.shift.tolist()
+
+    def f(xi: list) -> list:
+        moved = [x - s for x, s in zip(xi, shift)]
+        return [-a for a in _ad_star(brackets, _matvec(inverse, xi), moved)]
 
     return f
 
@@ -235,7 +263,25 @@ def euler_vector_field(system: EulerSystem, xi: np.ndarray) -> np.ndarray:
     The field is orthogonal to the angular velocity I^{-1} xi, so the
     kinetic energy is conserved at the level of the vector field.
     """
-    return _euler_field(system)(xi)
+    return np.array(_euler_field(system)(_floats(xi)))
+
+
+def _extended_field(algebra: LieAlgebraData, cocycle: Cocycle | None,
+                    inertia: np.ndarray) -> Callable[[list], list]:
+    """The field of extended_hamiltonian_field as a closure on lists of
+    floats, shaped like _euler_field: the terms of I^{-1}, of the
+    structure constants and of sigma are formed once. As sigma is
+    antisymmetric, -dH . sigma is the product sigma dH."""
+    inverse = _terms(np.linalg.inv(np.asarray(inertia, dtype=float)))
+    brackets = _terms(algebra.structure_constants)
+    sigma = [] if cocycle is None else _terms(cocycle.sigma)
+
+    def f(xi: list) -> list:
+        dh = _matvec(inverse, xi)
+        return [s - a for a, s in zip(_ad_star(brackets, dh, xi),
+                                      _matvec(sigma, dh))]
+
+    return f
 
 
 def extended_hamiltonian_field(algebra: LieAlgebraData,
@@ -250,12 +296,7 @@ def extended_hamiltonian_field(algebra: LieAlgebraData,
     field is -ad*_{dH} (xi - L), euler_vector_field of the shifted system:
     the two-path identity behind the shift-equivalence check.
     """
-    xi = np.asarray(xi, dtype=float)
-    dh = np.linalg.solve(np.asarray(inertia, dtype=float), xi)
-    out = -coadjoint_action(algebra, dh, xi)
-    if cocycle is not None:
-        out -= dh @ cocycle.sigma
-    return out
+    return np.array(_extended_field(algebra, cocycle, inertia)(_floats(xi)))
 
 
 def integrate_euler(system: EulerSystem, xi0: np.ndarray, horizon: float,
@@ -266,22 +307,33 @@ def integrate_euler(system: EulerSystem, xi0: np.ndarray, horizon: float,
     momentum slot, and |xi - L|^2 as "casimir_shifted"; for so(3)-like
     algebras the latter is the Casimir of the shifted flow. All three
     are quadratic, so implicit midpoint keeps their drift at the Newton
-    tolerance.
+    tolerance. The logs are taken after the run in one pass of Python
+    floats, one block of nodes at a time (_row_blocks): I^{-1} xi is
+    _matvec over the field's terms, and each sum over the components is
+    added from +0.0 in index order.
     """
     xi0 = np.asarray(xi0, dtype=float)
     n = system.algebra.dim
     if xi0.shape != (n,):
         raise ValueError("xi0 must have length dim")
-    inertia_inv = np.linalg.inv(system.inertia)
-    shift = system.shift
     labels = tuple(f"xi{i + 1}" for i in range(n))
-    return integrate_autonomous(
+    traj = integrate_autonomous(
         _euler_field(system), xi0, horizon, config, state_labels=labels,
-        kind="euler", dim_base=n,
-        logs={"energy": lambda z: float(0.5 * z @ inertia_inv @ z),
-              "momentum": lambda z: float(z @ z),
-              "casimir_shifted": lambda z: float((z - shift) @ (z - shift))},
-        meta={"algebra": system.algebra.name})
+        kind="euler", dim_base=n, meta={"algebra": system.algebra.name})
+    inverse = _terms(np.linalg.inv(system.inertia))
+    shift = system.shift.tolist()
+    energy, momentum, casimir = np.empty((3, len(traj)))
+    for rows in _row_blocks(len(traj)):
+        for i, z in enumerate(traj.values[rows].tolist(), rows.start):
+            e = m = c = 0.0
+            for x, v, s in zip(z, _matvec(inverse, z), shift):
+                e += x * v
+                m += x * x
+                c += (x - s) * (x - s)
+            energy[i], momentum[i], casimir[i] = 0.5 * e, m, c
+    traj.invariant_log = {"energy": energy, "momentum": momentum,
+                          "casimir_shifted": casimir}
+    return traj
 
 
 # ---------------------------------------------------------------------------

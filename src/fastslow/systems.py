@@ -596,12 +596,13 @@ def disk_magnetic_rhs(params: DiskParams,
         c = dens * mu * (-_curvature_divergence(surface, q) / dens)
         v = _solve2(mass, [p0, p1])
         v0, v1 = v
-        # grad_Q H = -(1/2) v . d_i M v, and B's columns dotted with v.
+        # grad_Q H = -(1/2) v . d_i M v, and the columns of
+        # B = [[0.0 * c, 1.0 * c], [-1.0 * c, 0.0 * c]] dotted with v.
         (a, b), (d, e) = _contract(dmass, v0, v1)
-        grad = [-0.5 * (0.0 + a * v0 + b * v1), -0.5 * (0.0 + d * v0 + e * v1)]
-        b_field = [[0.0 * c, 1.0 * c], [-1.0 * c, 0.0 * c]]
-        return v + [-g + sum(map(mul, col, v))
-                    for g, col in zip(grad, zip(*b_field))]
+        g0 = -0.5 * (0.0 + a * v0 + b * v1)
+        g1 = -0.5 * (0.0 + d * v0 + e * v1)
+        return v + [-g0 + (0.0 + 0.0 * c * v0 + -1.0 * c * v1),
+                    -g1 + (0.0 + 1.0 * c * v0 + 0.0 * c * v1)]
 
     return rhs
 

@@ -30,7 +30,7 @@ from fastslow.cli import (ConfigError, ExperimentConfig, emit_csv, emit_json,
                           load_config, main, parse_config, read_csv,
                           run_experiment, serialize_config,
                           shipped_config_text)
-from fastslow.lie_poisson import EulerSystem, integrate_euler, so3
+from fastslow.lie_poisson import Cocycle, EulerSystem, integrate_euler, so3
 
 SO3_FILE_TEXT = "dim 3\n0 1 2 1.0\n1 2 0 1.0\n2 0 1 1.0\n"
 
@@ -520,6 +520,26 @@ class TestRunExperiment:
         assert np.array_equal(extension.times, euler.times[:3334])
         check = next(r for r in records if r.name == "shift_equivalence_sup")
         assert check.passed
+
+    def test_shift_equivalence_catches_a_sign_flipped_cocycle(
+            self, tmp_path, monkeypatch):
+        # With a nonzero shift the extension flow sees a nonzero cocycle,
+        # so a cocycle of the wrong sign must fail the two-path check.
+        config = parse_config(EULER_FAST_CONFIG.replace(
+            "horizon = 5.0", "horizon = 5.0\nshift = 0.2, -0.4, 0.5"))
+        run = experiments.TABLE["euler"].run
+
+        def equivalence(records):
+            return next(r for r in records
+                        if r.name == "shift_equivalence_sup")
+
+        assert equivalence(run(config, tmp_path)[1]).passed
+        genuine = experiments.shift_cocycle
+        monkeypatch.setattr(experiments, "shift_cocycle", lambda alg, L: (
+            Cocycle(sigma=-genuine(alg, L).sigma)))
+        flipped = equivalence(run(config, tmp_path)[1])
+        assert not flipped.passed
+        assert flipped.observed > 1e-3
 
     def test_sweep_outputs_identical_serial_and_parallel(
             self, tmp_path, monkeypatch):

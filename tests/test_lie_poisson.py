@@ -6,7 +6,10 @@ product xi x X; the rigid-body vector field follows componentwise from
 that action; shift cocycles are structure-constant contractions small
 enough to compute by hand; and the extended bracket on linear
 functions must satisfy the Jacobi identity whenever the cocycle
-identity holds, which is the joint consistency check for both.
+identity holds, which is the joint consistency check for both. The
+float closures of the Euler and extension fields are pinned by einsum
+contractions of the same arrays, and the invariant logs by float sums
+written out in index order.
 """
 
 from importlib import resources
@@ -23,6 +26,7 @@ from fastslow import (BUILTIN_ALGEBRAS, Cocycle, EulerSystem,
                       extended_hamiltonian_field, heisenberg3,
                       integrate_autonomous, integrate_euler, load_algebra,
                       make_cocycle, oscillator4, shift_cocycle, so3)
+from fastslow.lie_poisson import _euler_field, _extended_field
 
 MIDPOINT = IntegratorConfig(method="implicit_midpoint", dt=1e-2)
 
@@ -346,6 +350,63 @@ class TestEulerSystem:
                     assert abs(field[j] - expected) < 1e-14, (name, j)
 
 
+def einsum_euler_field(c, inertia, shift, xi):
+    """-ad*_X (xi - L) with X = I^{-1} xi, contracted by einsum."""
+    x = np.einsum("ij,j->i", np.linalg.inv(inertia), xi)
+    return -np.einsum("ijk,i,k->j", c, x, xi - shift)
+
+
+def einsum_extended_field(c, inertia, sigma, xi):
+    """-ad*_{dH} xi - dH . sigma with dH = I^{-1} xi, contracted by
+    einsum."""
+    dh = np.einsum("ij,j->i", np.linalg.inv(inertia), xi)
+    return (-np.einsum("ijk,i,k->j", c, dh, xi)
+            - np.einsum("i,ij->j", dh, sigma))
+
+
+class TestFloatFields:
+    @pytest.mark.parametrize("name", sorted(BUILTIN_ALGEBRAS))
+    def test_closures_match_einsum_oracle(self, name):
+        # Random SPD inertia, a random shift and its coboundary; both
+        # closures take and return lists of Python floats.
+        rng = np.random.default_rng(61)
+        alg = BUILTIN_ALGEBRAS[name]()
+        c = alg.structure_constants
+        for _ in range(20):
+            inertia = random_spd(rng, alg.dim)
+            shift = rng.standard_normal(alg.dim)
+            coc = shift_cocycle(alg, shift)
+            euler = _euler_field(EulerSystem(algebra=alg, inertia=inertia,
+                                             shift=shift))
+            extended = _extended_field(alg, coc, inertia)
+            xi = rng.standard_normal(alg.dim)
+            for got, want in (
+                    (euler(xi.tolist()),
+                     einsum_euler_field(c, inertia, shift, xi)),
+                    (extended(xi.tolist()),
+                     einsum_extended_field(c, inertia, coc.sigma, xi))):
+                assert type(got) is list
+                assert all(type(v) is float for v in got)
+                assert np.max(np.abs(np.array(got) - want)) <= 1e-15, name
+
+    @pytest.mark.parametrize("name", ["so3", "heisenberg3", "oscillator4"])
+    def test_sign_flipped_cocycle_misses_the_shifted_field(self, name):
+        # The shift-equivalence check compares these two fields; with a
+        # nonzero shift a cocycle of the wrong sign must not pass it.
+        rng = np.random.default_rng(67)
+        alg = BUILTIN_ALGEBRAS[name]()
+        inertia = random_spd(rng, alg.dim)
+        shift = rng.standard_normal(alg.dim)
+        system = EulerSystem(algebra=alg, inertia=inertia, shift=shift)
+        flipped = Cocycle(sigma=-shift_cocycle(alg, shift).sigma)
+        for _ in range(5):
+            xi = rng.standard_normal(alg.dim)
+            gap = np.max(np.abs(
+                euler_vector_field(system, xi)
+                - extended_hamiltonian_field(alg, flipped, inertia, xi)))
+            assert gap > 1e-3, name
+
+
 class TestIntegration:
     def test_rigid_body_invariants_over_long_horizon(self):
         system = EulerSystem(algebra=so3(), inertia=np.diag([1.0, 2.0, 3.0]))
@@ -367,8 +428,12 @@ class TestIntegration:
         assert traj.state_labels == ("xi1", "xi2", "xi3")
         assert traj.kind == "euler"
         assert traj.meta["algebra"] == "so3"
-        assert traj.invariant_log["momentum"][0] == xi0 @ xi0
-        want_casimir = (xi0 - shift) @ (xi0 - shift)
+        # Each log adds its terms from +0.0 in index order, in floats.
+        want_momentum = want_casimir = 0.0
+        for x, s in zip(xi0.tolist(), shift.tolist()):
+            want_momentum += x * x
+            want_casimir += (x - s) * (x - s)
+        assert traj.invariant_log["momentum"][0] == want_momentum
         assert traj.invariant_log["casimir_shifted"][0] == want_casimir
 
     def test_shifted_casimir_is_conserved_not_plain_momentum(self):
