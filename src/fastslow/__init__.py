@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 from .averaging import (AveragedSystem, AveragingError, FastSlowSystem,
                         average_coefficients, averaged_hamiltonian,
-                        difference_jets, effective_potential, magnetic_form)
+                        effective_potential, magnetic_form)
 from .bundle_geometry import (PhaseStateFull, PhaseStateReduced,
                               TrivialBundleMetric, convert_chart,
                               fiber_inertia, gram_matrix,
@@ -59,7 +59,7 @@ __all__ = [
     "abelian", "average_coefficients", "averaged_hamiltonian",
     "closeness_report", "coadjoint_action",
     "cocycle_identity_residual", "convert_chart",
-    "curvature_identity_residual", "difference_jets", "disk_connection",
+    "curvature_identity_residual", "disk_connection",
     "disk_magnetic_rhs",
     "disk_mass_matrix", "disk_momentum", "disk_velocity",
     "effective_potential",

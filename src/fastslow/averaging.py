@@ -44,10 +44,11 @@ d a0_j / d q_i, and jac_q_a1 has the same layout. A vector or matrix
 slot is a (nested) list of floats or an array, a scalar slot a float:
 the full field and the energy log read a list as it is and turn an
 array into floats once (_floats), and every other reader makes an array
-of a slot. Every field and log calls each jet once per evaluation. A
-caller with values only builds both jets with difference_jets. The jets
-of systems.OscillatingPotential, one per harmonic and one for the fiber
-mean, take q and fill their slots by the same contract.
+of a slot. Every field and log calls each jet once per evaluation and
+reads its derivative slots as given: nothing here differences a value
+slot. The jets of systems.OscillatingPotential, one per harmonic and
+one for the fiber mean, take q and fill their slots by the same
+contract.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._derivatives import gradient, jacobian, phi_derivative
 from .bundle_geometry import _default_base_samples
 
 ZERO_MEAN_TOL = 1e-10
@@ -94,39 +94,6 @@ def fiber_mean(samples: np.ndarray) -> np.ndarray:
     exponentially accurate for analytic integrands.
     """
     return np.mean(np.asarray(samples, dtype=float), axis=0)
-
-
-def difference_jets(slow_values: Callable, fast_values: Callable
-                    ) -> tuple[Callable, Callable]:
-    """The two jets of a FastSlowSystem from value-only ones; the slow
-    jet alone serves an AveragedSystem.
-
-    slow_values(q) -> (a0, h0, U0) and fast_values(q, phi) -> (a1, h1, U1)
-    receive q as a float array. Every derivative slot is the central
-    difference of fastslow._derivatives on one value slot: jacobian for
-    a0 and a1, gradient for the scalars, phi_derivative in phi.
-    """
-    def slot(fn, k):
-        return lambda *args: fn(*args)[k]
-
-    def slow(q):
-        q = np.asarray(q, dtype=float)
-        return (*slow_values(q), jacobian(slot(slow_values, 0), q),
-                gradient(slot(slow_values, 1), q),
-                gradient(slot(slow_values, 2), q))
-
-    def fast(q, phi):
-        q = np.asarray(q, dtype=float)
-        a1, h1, U1 = (slot(fast_values, k) for k in range(3))
-        return (*fast_values(q, phi),
-                jacobian(lambda x: a1(x, phi), q),
-                gradient(lambda x: h1(x, phi), q),
-                gradient(lambda x: U1(x, phi), q),
-                phi_derivative(a1, q, phi),
-                float(phi_derivative(h1, q, phi)),
-                float(phi_derivative(U1, q, phi)))
-
-    return slow, fast
 
 
 @dataclass(frozen=True)

@@ -176,7 +176,6 @@ def _run_disk(config: ExperimentConfig, base_dir: Path) -> tuple:
         raise ValueError(f"unknown surface {p['surface']!r}")
     surface = surfaces[p["surface"]]()
     params = DiskParams(mass=p["mass"], inertia_axial=p["inertia_axial"],
-                        inertia_diametral=p["inertia_diametral"],
                         omega_axial=p["omega_axial"])
     _, cfg = integrator_configs(config)
     horizon = p["horizon"]
@@ -340,7 +339,6 @@ TABLE: dict[str, Experiment] = {
          ("radius", "1.0", "sphere radius (sphere only)"),
          ("mass", "1.0", "disk mass"),
          ("inertia_axial", "1.0", "moment about the spin axis"),
-         ("inertia_diametral", "0.5", "moment about a diameter"),
          ("omega_axial", "2.0", "spin rate (mu = inertia_axial * rate)"),
          ("q1_0", "1.0471975511965976", "initial q1"),
          ("q2_0", "0.0", "initial q2"),

@@ -30,7 +30,7 @@ sum() rounds a value of a run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -203,12 +203,15 @@ class EulerSystem:
     """Euler equation data: algebra, inertia tensor, momentum shift.
 
     inertia must be symmetric (to 1e-14) and positive definite
-    (Cholesky); shift is the momentum offset L.
+    (Cholesky); shift is the momentum offset L. The terms of I^{-1} are
+    formed once, here, and read by the field, the invariant logs,
+    velocity and energy.
     """
 
     algebra: LieAlgebraData
     inertia: np.ndarray
     shift: np.ndarray | None = None
+    _inverse: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         inertia = np.asarray(self.inertia, dtype=float)
@@ -224,6 +227,7 @@ class EulerSystem:
         except np.linalg.LinAlgError as err:
             raise ValueError("inertia is not positive definite") from err
         object.__setattr__(self, "inertia", inertia)
+        object.__setattr__(self, "_inverse", _terms(np.linalg.inv(inertia)))
         shift = (np.zeros(n) if self.shift is None
                  else np.asarray(self.shift, dtype=float))
         if shift.shape != (n,):
@@ -231,22 +235,27 @@ class EulerSystem:
         object.__setattr__(self, "shift", shift)
 
     def velocity(self, xi: np.ndarray) -> np.ndarray:
-        """Angular velocity I^{-1} xi."""
-        return np.linalg.solve(self.inertia, np.asarray(xi, dtype=float))
+        """Angular velocity I^{-1} xi (_matvec)."""
+        return np.array(_matvec(self._inverse, _floats(xi)))
 
     def energy(self, xi: np.ndarray) -> float:
-        xi = np.asarray(xi, dtype=float)
-        return float(0.5 * xi @ self.velocity(xi))
+        """(1/2) <xi, I^{-1} xi>, the float sum of integrate_euler's
+        energy log, so the two agree bit for bit."""
+        xi = _floats(xi)
+        e = 0.0
+        for x, v in zip(xi, _matvec(self._inverse, xi)):
+            e += x * v
+        return 0.5 * e
 
 
 def _euler_field(system: EulerSystem) -> Callable[[list], list]:
     """The field of euler_vector_field as a closure on lists of floats.
 
-    The terms of I^{-1} and of the structure constants are formed once;
-    each call forms X = I^{-1} xi with _matvec and returns
-    -ad*_X (xi - L) with _ad_star, all in Python floats.
+    The terms of the structure constants are formed once, and those of
+    I^{-1} are the system's; each call forms X = I^{-1} xi with _matvec
+    and returns -ad*_X (xi - L) with _ad_star, all in Python floats.
     """
-    inverse = _terms(np.linalg.inv(system.inertia))
+    inverse = system._inverse
     brackets = _terms(system.algebra.structure_constants)
     shift = system.shift.tolist()
 
@@ -309,7 +318,7 @@ def integrate_euler(system: EulerSystem, xi0: np.ndarray, horizon: float,
     are quadratic, so implicit midpoint keeps their drift at the Newton
     tolerance. The logs are taken after the run in one pass of Python
     floats, one block of nodes at a time (_row_blocks): I^{-1} xi is
-    _matvec over the field's terms, and each sum over the components is
+    _matvec over the system's terms, and each sum over the components is
     added from +0.0 in index order.
     """
     xi0 = np.asarray(xi0, dtype=float)
@@ -320,7 +329,7 @@ def integrate_euler(system: EulerSystem, xi0: np.ndarray, horizon: float,
     traj = integrate_autonomous(
         _euler_field(system), xi0, horizon, config, state_labels=labels,
         kind="euler", dim_base=n, meta={"algebra": system.algebra.name})
-    inverse = _terms(np.linalg.inv(system.inertia))
+    inverse = system._inverse
     shift = system.shift.tolist()
     energy, momentum, casimir = np.empty((3, len(traj)))
     for rows in _row_blocks(len(traj)):

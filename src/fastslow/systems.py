@@ -38,7 +38,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._derivatives import jacobian
 from .averaging import AveragedSystem, FastSlowSystem, _floats, \
     average_coefficients
 from .bundle_geometry import TrivialBundleMetric
@@ -397,22 +396,19 @@ def curvature_identity_residual(surface: SurfaceMetric,
 class DiskParams:
     """Disk of mass m spinning about its surface-normal axis.
 
-    inertia_axial and inertia_diametral are the moments about the spin
-    axis and a diameter; omega_axial is the (fast) spin rate, so the
-    conserved axial momentum is mu = inertia_axial * omega_axial.
-    second_form(q, qdot) -> real adds the quadratic normal-curvature
-    contribution of the carrying surface to the kinetic energy; it
-    defaults to zero.
+    inertia_axial is the moment about the spin axis and omega_axial the
+    (fast) spin rate, so the conserved axial momentum is
+    mu = inertia_axial * omega_axial. The slow kinetic energy is the
+    translational (1/2) m (a11 qdot1^2 + a22 qdot2^2); the tilting of
+    the axis as it follows the surface normal is not modelled.
     """
 
     mass: float = 1.0
     inertia_axial: float = 1.0
-    inertia_diametral: float = 0.5
     omega_axial: float = 2.0
-    second_form: Callable[[np.ndarray, np.ndarray], float] | None = None
 
     def __post_init__(self) -> None:
-        for name in ("mass", "inertia_axial", "inertia_diametral"):
+        for name in ("mass", "inertia_axial"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
 
@@ -421,48 +417,29 @@ class DiskParams:
         return self.inertia_axial * self.omega_axial
 
 
-def _second_form_matrix(params: DiskParams, q: np.ndarray) -> np.ndarray:
-    """I_d times the second form's matrix at q, by polarization."""
-    f = params.second_form
-    e1 = np.array([1.0, 0.0])
-    e2 = np.array([0.0, 1.0])
-    f11 = float(f(q, e1))
-    f22 = float(f(q, e2))
-    f12 = 0.5 * (float(f(q, e1 + e2)) - f11 - f22)
-    return params.inertia_diametral * np.array([[f11, f12], [f12, f22]])
-
-
-def _disk_mass(params: DiskParams, q, a11: float, a22: float) -> list:
-    """M = m diag(a11, a22) + I_d * second form at q, a pair of floats, as
-    rows of Python floats; a11 and a22 are the surface's at q. No check
-    is made; the second form receives q as an array and is added on
-    arrays."""
+def _disk_mass(params: DiskParams, a11: float, a22: float) -> list:
+    """M = m diag(a11, a22) as rows of Python floats; a11 and a22 are
+    the surface's at the point. No check is made."""
     m = params.mass
-    mass = [[m * a11, 0.0], [0.0, m * a22]]
-    if params.second_form is not None:
-        mass = (np.array(mass) + _second_form_matrix(
-            params, np.asarray(q, dtype=float))).tolist()
-    return mass
+    return [[m * a11, 0.0], [0.0, m * a22]]
 
 
 def _mass_at(params: DiskParams, surface: SurfaceMetric, q) -> list:
     """_disk_mass at q, a pair of floats, from one jet call."""
     a11, a22 = surface.jet(q)[:2]
-    return _disk_mass(params, q, float(a11), float(a22))
+    return _disk_mass(params, float(a11), float(a22))
 
 
 def _disk_geometry(params: DiskParams, surface: SurfaceMetric, q) -> tuple:
     """(M, dM, sqrt(a11), sqrt(a22)) at q, a pair of floats, in Python
     floats from one jet call.
 
-    dM[i] = d M / d q_i. The metric part is closed form,
-    d_i (m a_jj) = 2 m sqrt(a_jj) d_i sqrt(a_jj), through the jet's
-    partial slots; only the optional second form is differentiated, by
-    central differences, and added on arrays.
+    dM[i] = d M / d q_i in closed form, d_i (m a_jj) =
+    2 m sqrt(a_jj) d_i sqrt(a_jj), through the jet's partial slots.
     """
     a11, a22, (g11, g12), (g21, g22) = surface.jet(q)
     a11, a22 = float(a11), float(a22)
-    mass = _disk_mass(params, q, a11, a22)
+    mass = _disk_mass(params, a11, a22)
     m = params.mass
     s11 = _positive_sqrt("a11", a11, q)
     c11 = 2.0 * m * s11
@@ -470,16 +447,12 @@ def _disk_geometry(params: DiskParams, surface: SurfaceMetric, q) -> tuple:
     c22 = 2.0 * m * s22
     dmass = [[[c11 * float(g11), 0.0], [0.0, c22 * float(g21)]],
              [[c11 * float(g12), 0.0], [0.0, c22 * float(g22)]]]
-    if params.second_form is not None:
-        dmass = (np.array(dmass) + jacobian(
-            lambda x: _second_form_matrix(params, x),
-            np.asarray(q, dtype=float))).tolist()
     return mass, dmass, s11, s22
 
 
 def disk_mass_matrix(params: DiskParams, surface: SurfaceMetric,
                      q: np.ndarray) -> np.ndarray:
-    """Slow kinetic matrix M(q) = m diag(a11, a22) + I_d * second form."""
+    """Slow kinetic matrix M(q) = m diag(a11, a22)."""
     return np.array(_mass_at(params, surface, tuple(_floats(q))))
 
 
@@ -523,9 +496,8 @@ def spinning_disk_rhs(params: DiskParams,
     proportional to the Gaussian curvature. The returned callable maps
     z = (q1, q2, u1, u2) to its time derivative; with mu = 0 the flow
     is geodesic for M, and on a flat surface it is straight lines. The
-    partial derivatives of M are closed-form; only an optional second
-    form is differentiated by central differences. The field is
-    assembled in Python floats from one evaluation of the local geometry
+    partial derivatives of M are closed-form. The field is assembled in
+    Python floats from one evaluation of the local geometry
     (_disk_geometry) and the curvature stencil: 5 jet calls, each point
     a tuple of floats.
     """

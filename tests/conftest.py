@@ -1,4 +1,9 @@
-"""Fixtures shared by several test modules."""
+"""Fixtures and finite-difference oracles shared by several test modules.
+
+The finite-difference oracles (fastslow._derivatives.jacobian, and
+gradient, phi_derivative, hessian and the difference jets defined here)
+are imported from this module: `from conftest import gradient`.
+"""
 
 import math
 from types import SimpleNamespace
@@ -7,7 +12,7 @@ import numpy as np
 import pytest
 
 from fastslow import HarmonicMode, OscillatingPotential, SurfaceMetric
-from fastslow import _derivatives as fd
+from fastslow._derivatives import FIRST_ORDER_STEP, jacobian, step_size
 from fastslow.averaging import FIBER_GRID, FIBER_NODES
 
 
@@ -35,6 +40,91 @@ def pendulum_drive():
             dim_base=1, fourier_modes=(HarmonicMode(k=1, jet=jet),),
             mean=lambda x: (0.0, [0.0]))
     return drive
+
+
+def gradient(f, x: np.ndarray) -> np.ndarray:
+    """Central-difference gradient of a scalar function of a vector,
+    with the step of fastslow._derivatives.jacobian."""
+    x = np.asarray(x, dtype=float)
+    h = step_size(x)
+    g = np.empty_like(x)
+    for i in range(x.size):
+        e = np.zeros(x.size)
+        e[i] = h
+        g[i] = (f(x + e) - f(x - e)) / (2.0 * h)
+    return g
+
+
+def phi_derivative(f, q: np.ndarray, phi: float) -> np.ndarray:
+    """Central difference of f(q, phi) in the fiber angle phi, with the
+    fixed step 1e-6."""
+    h = FIRST_ORDER_STEP
+    hi = np.asarray(f(q, phi + h), dtype=float)
+    lo = np.asarray(f(q, phi - h), dtype=float)
+    return (hi - lo) / (2.0 * h)
+
+
+def _stencil(values, x):
+    """(h, [(values(x + h e_i), values(x - h e_i)) for each i]): the step
+    and points of jacobian and gradient, one call per point."""
+    h = step_size(x)
+    pairs = []
+    for i in range(x.size):
+        e = np.zeros(x.size)
+        e[i] = h
+        pairs.append((values(x + e), values(x - e)))
+    return h, pairs
+
+
+def _quotients(h, pairs, k):
+    """Row i is the central quotient of value slot k in x_i, by
+    jacobian's expression; on a scalar slot it rounds as gradient's."""
+    return np.array([(np.asarray(hi[k], dtype=float)
+                      - np.asarray(lo[k], dtype=float)) / (2.0 * h)
+                     for hi, lo in pairs])
+
+
+def slow_difference_jet(slow_values):
+    """The slow jet of a FastSlowSystem or AveragedSystem from a
+    value-only one, slow_values(q) -> (a0, h0, U0) with q a float array.
+
+    Each derivative slot is, to the bit, jacobian's (a0) or gradient's
+    (h0, U0) central difference of its value slot; the stencil calls
+    slow_values once per point for all three slots.
+    """
+    def slow(q):
+        q = np.asarray(q, dtype=float)
+        h, pairs = _stencil(slow_values, q)
+        return (*slow_values(q), *(_quotients(h, pairs, k) for k in range(3)))
+
+    return slow
+
+
+def fast_difference_jet(fast_values):
+    """The fast jet of a FastSlowSystem from a value-only one,
+    fast_values(q, phi) -> (a1, h1, U1) with q a float array.
+
+    The q slots are those of slow_difference_jet at fixed phi, and the
+    phi slots phi_derivative's, to the bit, from one call at each of
+    phi +- 1e-6 for all three slots.
+    """
+    def fast(q, phi):
+        q = np.asarray(q, dtype=float)
+        h, pairs = _stencil(lambda x: fast_values(x, phi), q)
+        dphi = [(np.asarray(hi, dtype=float) - np.asarray(lo, dtype=float))
+                / (2.0 * FIRST_ORDER_STEP)
+                for hi, lo in zip(fast_values(q, phi + FIRST_ORDER_STEP),
+                                  fast_values(q, phi - FIRST_ORDER_STEP))]
+        return (*fast_values(q, phi),
+                *(_quotients(h, pairs, k) for k in range(3)),
+                dphi[0], float(dphi[1]), float(dphi[2]))
+
+    return fast
+
+
+def difference_jets(slow_values, fast_values):
+    """Both jets of a FastSlowSystem from value-only ones."""
+    return slow_difference_jet(slow_values), fast_difference_jet(fast_values)
 
 
 def hessian(f, x: np.ndarray) -> np.ndarray:
@@ -93,7 +183,7 @@ def spectral_reference():
     """
     def reference(U, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        vp = fd.jacobian(lambda pt: _antiderivative_samples(U, pt, 1), x)
+        vp = jacobian(lambda pt: _antiderivative_samples(U, pt, 1), x)
         spp = hessian(lambda pt: _antiderivative_samples(U, pt, 2), x)
         return SimpleNamespace(
             mean=float(np.mean([U(x, tau) for tau in FIBER_GRID])),
@@ -162,16 +252,6 @@ def _numpy_curvature_identity_residual(surface, q):
     return float(curl - dens * _numpy_gaussian_curvature(surface, q))
 
 
-def _numpy_second_form_matrix(params, q):
-    f = params.second_form
-    e1 = np.array([1.0, 0.0])
-    e2 = np.array([0.0, 1.0])
-    f11 = float(f(q, e1))
-    f22 = float(f(q, e2))
-    f12 = 0.5 * (float(f(q, e1 + e2)) - f11 - f22)
-    return np.array([[f11, f12], [f12, f22]])
-
-
 def _numpy_metric_mass(params, surface, q):
     m = params.mass
     a11, a22 = _jet(surface, q)[:2]
@@ -179,11 +259,7 @@ def _numpy_metric_mass(params, surface, q):
 
 
 def _numpy_disk_mass_matrix(params, surface, q):
-    q = np.asarray(q, dtype=float)
-    mass = _numpy_metric_mass(params, surface, q)
-    if params.second_form is not None:
-        mass += params.inertia_diametral * _numpy_second_form_matrix(params, q)
-    return mass
+    return _numpy_metric_mass(params, surface, np.asarray(q, dtype=float))
 
 
 def _numpy_mass_and_derivatives(params, surface, q):
@@ -193,13 +269,6 @@ def _numpy_mass_and_derivatives(params, surface, q):
     a11, a22, g11, g22 = _jet(surface, q)
     dmass[:, 0, 0] = 2.0 * m * math.sqrt(a11) * g11
     dmass[:, 1, 1] = 2.0 * m * math.sqrt(a22) * g22
-    if params.second_form is not None:
-        def form(x):
-            return params.inertia_diametral * _numpy_second_form_matrix(
-                params, x)
-
-        mass += form(q)
-        dmass += fd.jacobian(form, q)
     return mass, dmass
 
 

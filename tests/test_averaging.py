@@ -11,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 from fastslow import (AveragedSystem, AveragingError, FastSlowSystem,
                       IntegratorConfig, PhaseStateReduced,
                       average_coefficients, averaged_hamiltonian,
-                      difference_jets, effective_potential,
+                      effective_potential,
                       integrate_reduced_magnetic, magnetic_form,
                       uniform_field_averaged)
 from fastslow.averaging import FIBER_GRID, fiber_mean
+
+from conftest import difference_jets, slow_difference_jet
 
 # Hand-computed: a0 = (1,), h0 = 1, U0 = 0.5, mu = 1, P = (1,)
 # Hbar = 1/2 + 1 + 1/2 + 1/2 = 2.5.
@@ -37,9 +39,8 @@ def constant_coefficient_system(a0, h0, U0, a1=None, h1=None, U1=None,
 
 def value_jet(values):
     """The slow jet of value-only averaged data values(Q) -> (a0, h0, U0),
-    its derivatives central differences (difference_jets; the fast jet
-    is not used)."""
-    return difference_jets(values, None)[0]
+    its derivatives central differences (slow_difference_jet)."""
+    return slow_difference_jet(values)
 
 
 def synthetic_averaged(mu=1.0):

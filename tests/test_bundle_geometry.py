@@ -17,14 +17,15 @@ from hypothesis import given, settings, strategies as st
 
 from fastslow import (AveragedSystem, IntegratorConfig, PendulumParams,
                       PhaseStateFull, PhaseStateReduced, TrivialBundleMetric,
-                      convert_chart, difference_jets, fiber_inertia,
+                      convert_chart, fiber_inertia,
                       gram_matrix,
                       integrate_autonomous, integrate_reduced_canonical,
                       invariant_metric_from_averaged,
                       mean_grad_antiderivative_sq, mechanical_connection,
                       metric_eval, momentum_map, pendulum_systems,
                       uniform_field_averaged)
-from fastslow._derivatives import gradient
+
+from conftest import gradient, slow_difference_jet
 
 # Hand-computed: a = (0.5, 0), h = 2, u = (3, 0), xi = 1
 # J = h (a . u + xi) = 2 * (1.5 + 1) = 5.
@@ -147,8 +148,8 @@ class TestMomentumGammaIdentity:
         def h0(q):
             return 2.0 + q[0] * q[0]
 
-        avg = AveragedSystem(dim_base=2, slow=difference_jets(
-            lambda q: (a0(q), h0(q), 0.0), None)[0], mu=1.3)
+        avg = AveragedSystem(dim_base=2, slow=slow_difference_jet(
+            lambda q: (a0(q), h0(q), 0.0)), mu=1.3)
         q = np.array([q1, q2])
         metric = invariant_metric_from_averaged(avg, sample_points=[q])
         p = np.array([p1, p2])

@@ -952,17 +952,25 @@ class TestCommandLine:
         for fragment in fragments:
             assert fragment in lines[0]
 
-    @pytest.mark.parametrize("experiment, line", [
-        ("euler", "horizon = abc"),
-        ("disk", "mass = heavy"),
-        ("custom", "horizon = 5.0"),
-    ], ids=["euler", "disk", "custom"])
+    @pytest.mark.parametrize("experiment, line, message", [
+        ("euler", "horizon = abc",
+         "line 3: parameter 'horizon' must be a float, got 'abc'"),
+        ("disk", "mass = heavy",
+         "line 3: parameter 'mass' must be a float, got 'heavy'"),
+        ("custom", "horizon = 5.0",
+         "missing parameter 'algebra_file' for experiment 'custom'"),
+        # The disk has no second fundamental form, which this key fed.
+        ("disk", "inertia_diametral = 0.5",
+         "line 3: unknown parameter 'inertia_diametral' for experiment "
+         "'disk'"),
+    ], ids=["euler", "disk", "custom", "disk-inertia_diametral"])
     def test_run_exit_two_on_bad_parameter(self, tmp_path, capsys,
-                                           experiment, line):
+                                           experiment, line, message):
         path = tmp_path / "bad.cfg"
         path.write_text(f"experiment = {experiment}\n[parameters]\n{line}\n")
         assert main(["run", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("invalid config")
+        assert capsys.readouterr().err == f"invalid config:\n{message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_run_exit_two_on_unwritable_output(self, tmp_path, capsys):
         (tmp_path / "blocker").write_text("a regular file\n")

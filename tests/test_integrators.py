@@ -10,9 +10,10 @@ accuracy. On a linear field dz/dt = A z the midpoint step is the closed
 form (I - dt/2 A)^-1 (I + dt/2 A), and the chord Newton solver must
 reproduce steps that build a fresh Jacobian each time, whatever
 starting guess the extrapolating predictor chose. A system whose
-jets are the central differences of their value slots (difference_jets)
-must flow as the same system with analytic ones. Every field gets a
-list of Python floats on every call of integrate_autonomous. The full
+jets are the central differences of their value slots (the difference
+jets of tests/conftest.py) must flow as the same system with analytic
+ones. Every field gets a list of Python floats on every call of
+integrate_autonomous. The full
 field, assembled in Python floats from one call of each jet, must
 reproduce bit for bit the numpy assembly it replaced on the shipped
 pendulum and particles,
@@ -35,8 +36,8 @@ from fastslow import (AveragedSystem, EulerSystem, FastSlowSystem,
                       IntegrationError, IntegratorConfig, PendulumParams,
                       PhaseStateFull, PhaseStateReduced, Trajectory,
                       average_coefficients, averaged_hamiltonian,
-                      closeness_report, difference_jets,
-                      effective_potential, euler_vector_field,
+                      closeness_report, effective_potential,
+                      euler_vector_field,
                       full_velocities,
                       hermite_interpolate, integrate_autonomous,
                       integrate_euler, integrate_full,
@@ -45,6 +46,8 @@ from fastslow import (AveragedSystem, EulerSystem, FastSlowSystem,
                       oscillating_particle_averaged, particle_potential_1d,
                       particle_potential_2d, particle_systems,
                       pendulum_systems, so3, uniform_field_averaged)
+
+from conftest import difference_jets, slow_difference_jet
 
 MIDPOINT = IntegratorConfig(method="implicit_midpoint", dt=1e-2)
 RK4_FINE = IntegratorConfig(method="rk4", dt=1e-3)
@@ -1031,9 +1034,9 @@ def counted_slow(avg):
 
 def value_only(avg):
     """avg with each derivative slot of its jet a central difference of
-    its values (difference_jets; the fast jet is not used)."""
-    return dataclasses.replace(avg, slow=difference_jets(
-        lambda q: avg.slow(q.tolist())[:3], None)[0])
+    its values (slow_difference_jet)."""
+    return dataclasses.replace(avg, slow=slow_difference_jet(
+        lambda q: avg.slow(q.tolist())[:3]))
 
 
 class TestDerivativeFallbacks:

@@ -9,7 +9,7 @@ functions must satisfy the Jacobi identity whenever the cocycle
 identity holds, which is the joint consistency check for both. The
 float closures of the Euler and extension fields are pinned by einsum
 contractions of the same arrays, and the invariant logs by float sums
-written out in index order.
+written out in index order; EulerSystem.energy is the energy log's sum.
 """
 
 from importlib import resources
@@ -26,6 +26,8 @@ from fastslow import (BUILTIN_ALGEBRAS, Cocycle, EulerSystem,
                       extended_hamiltonian_field, heisenberg3,
                       integrate_autonomous, integrate_euler, load_algebra,
                       make_cocycle, oscillator4, shift_cocycle, so3)
+from fastslow.cli import parse_config, shipped_config_text
+from fastslow.experiments import _params, integrator_configs
 from fastslow.lie_poisson import _euler_field, _extended_field
 
 MIDPOINT = IntegratorConfig(method="implicit_midpoint", dt=1e-2)
@@ -435,6 +437,20 @@ class TestIntegration:
             want_casimir += (x - s) * (x - s)
         assert traj.invariant_log["momentum"][0] == want_momentum
         assert traj.invariant_log["casimir_shifted"][0] == want_casimir
+
+    def test_energy_is_the_logged_energy_on_the_shipped_run(self):
+        # One energy: EulerSystem.energy and the run's log share the
+        # terms of I^{-1} and the float sum, so they agree to the bit.
+        config = parse_config(shipped_config_text("euler"))
+        p = _params(config)
+        system = EulerSystem(algebra=BUILTIN_ALGEBRAS[p["algebra"]](),
+                             inertia=np.diag(p["inertia"]),
+                             shift=np.asarray(p["shift"], dtype=float))
+        traj = integrate_euler(system, np.asarray(p["xi0"], dtype=float),
+                               p["horizon"], integrator_configs(config)[1])
+        logged = traj.invariant_log["energy"].tolist()
+        assert len(logged) == 10_001
+        assert [system.energy(row) for row in traj.values] == logged
 
     def test_shifted_casimir_is_conserved_not_plain_momentum(self):
         shift = np.array([0.0, 0.0, 0.8])

@@ -9,7 +9,9 @@ sphere, the plane, and the e^{2 q1} metric have Gaussian curvatures
 <V'.V'> = (alpha^2 cos^2 x + beta^2 sin^2 x) / 2 and
 <S'' V'> = alpha beta / 2. Each hand-fused jet of a shipped system
 matches the central differences of its own value slots, and the jets
-of difference_jets are the stencils of fastslow._derivatives exactly.
+of the oracle difference_jets are the stencils of jacobian, gradient
+and phi_derivative exactly (fd: the finite-difference oracles of
+tests/conftest.py).
 """
 
 import math
@@ -21,8 +23,7 @@ import pytest
 from fastslow import (DiskParams, DomainError, HarmonicMode,
                       IntegratorConfig, OscillatingPotential, PendulumParams,
                       PhaseStateFull, PhaseStateReduced, SurfaceMetric,
-                      curvature_identity_residual, difference_jets,
-                      disk_connection,
+                      curvature_identity_residual, disk_connection,
                       disk_magnetic_rhs, disk_mass_matrix, disk_momentum,
                       disk_velocity, effective_potential, exponential_surface,
                       fiber_inertia, gaussian_curvature, integrate_autonomous,
@@ -35,10 +36,12 @@ from fastslow import (DiskParams, DomainError, HarmonicMode,
                       particle_systems, pendulum_systems, plane_surface,
                       simulate_physical_pendulum, sphere_surface,
                       spinning_disk_rhs, uniform_field_averaged)
-from fastslow import _derivatives as fd
 from fastslow.averaging import FIBER_GRID
 from fastslow.experiments import TABLE
 from fastslow.systems import _disk_geometry, _solve2
+
+import conftest as fd
+from conftest import difference_jets
 
 RK4 = IntegratorConfig(method="rk4", dt=1e-3)
 
@@ -249,13 +252,6 @@ class TestSpinningDisk:
         assert np.max(np.abs(disk_velocity(params, surface, q, p1) - u)) \
             < 1e-12
 
-    def test_second_form_enters_mass_matrix(self):
-        params = DiskParams(mass=1.0, inertia_diametral=0.5,
-                            second_form=lambda q, v: (v[0] + v[1]) ** 2)
-        m = disk_mass_matrix(params, plane_surface(), np.zeros(2))
-        want = np.eye(2) + 0.5 * np.ones((2, 2))
-        assert np.max(np.abs(m - want)) < 1e-14
-
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError, match="mass"):
             DiskParams(mass=0.0)
@@ -278,12 +274,6 @@ def _wavy_surface():
     return SurfaceMetric(jet=jet, name="wavy")
 
 
-def _curved_second_form(q, v):
-    return ((1.0 + 0.3 * math.sin(q[0])) * v[0] ** 2
-            + 2.0 * 0.2 * q[1] * v[0] * v[1]
-            + (0.5 + 0.1 * q[0] ** 2) * v[1] ** 2)
-
-
 # (label, surface, disk parameters, sampling box inside the chart domain).
 # The sphere box stops 0.3 short of the poles: near them H grows like
 # 1 / sin^2 q1 and the central-difference reference, not the closed form,
@@ -297,9 +287,6 @@ DISK_CASES = [
      ((-1.0, 1.0), (-3.0, 3.0))),
     ("wavy", _wavy_surface(), DiskParams(mass=0.7),
      ((-2.0, 2.0), (-2.0, 2.0))),
-    ("second_form", sphere_surface(1.0),
-     DiskParams(inertia_diametral=0.5, second_form=_curved_second_form),
-     ((0.3, math.pi - 0.3), (-2.0, 2.0))),
 ]
 
 
