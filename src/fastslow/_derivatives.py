@@ -1,8 +1,8 @@
 """Central finite-difference Jacobian of the implicit midpoint solve.
 
-Its one caller is the chord iteration matrix of
-integrators._midpoint_step; every shipped system gives its other
-derivatives in closed form. The stencil in x uses the step
+Its one caller is the chord iteration matrix of the implicit midpoint
+loop (integrators._midpoint_loop); every shipped system gives its
+other derivatives in closed form. The stencil in x uses the step
 1e-6 * max(1, |x|_inf).
 """
 

@@ -54,7 +54,6 @@ contract.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -84,6 +83,15 @@ def _floats(x) -> list:
     """x as nested Python floats: a list as it is, taken to hold floats
     already, anything else by way of np.asarray(x, dtype=float)."""
     return x if type(x) is list else np.asarray(x, dtype=float).tolist()
+
+
+def _dot(u, v) -> float:
+    """u . v for sequences of floats: the products added from +0.0 in
+    index order, which no BLAS kernel or CPython version rounds apart."""
+    total = 0.0
+    for a, b in zip(u, v):
+        total += a * b
+    return total
 
 
 def fiber_mean(samples: np.ndarray) -> np.ndarray:
@@ -135,16 +143,20 @@ class FastSlowSystem:
         product adds its terms in index order from +0, as
         integrators._full_rhs does.
         """
-        q = _floats(q)
-        p = _floats(p)
+        if type(q) is not list:
+            q = _floats(q)
+        if type(p) is not list:
+            p = _floats(p)
         gamma = float(gamma)
         eps = self.epsilon
         a0, h0, U0 = self.slow(q)[:3]
         a1, h1, U1 = self.fast(q, phi)[:3]
         h = float(h0) + eps * float(h1)
-        ap = sum([(x + eps * y) * p_i
-                  for x, y, p_i in zip(_floats(a0), _floats(a1), p)])
-        energy = (0.5 * sum(map(mul, p, p)) + gamma * ap
+        ap = pp = 0.0
+        for x, y, p_i in zip(_floats(a0), _floats(a1), p):
+            ap += (x + eps * y) * p_i
+            pp += p_i * p_i
+        energy = (0.5 * pp + gamma * ap
                   + 0.5 * h * gamma * gamma + (float(U0) + eps * float(U1)))
         return energy, ap + h * gamma
 

@@ -20,12 +20,12 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from operator import mul
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from .averaging import _dot
 from .bundle_geometry import PhaseStateFull, PhaseStateReduced
 from .integrators import (IntegratorConfig, _integration, closeness_case,
                           integrate_autonomous)
@@ -190,8 +190,7 @@ def _run_disk(config: ExperimentConfig, base_dir: Path) -> tuple:
         u = z[2:].tolist()
         half = [0.5 * x for x in u]
         mass = disk_mass_matrix(params, surface, z[:2]).tolist()
-        return sum(map(mul, [sum(map(mul, half, col)) for col in zip(*mass)],
-                       u))
+        return _dot([_dot(half, col) for col in zip(*mass)], u)
 
     with _integration("Lagrangian integration"):
         lagrangian = integrate_autonomous(
@@ -205,7 +204,7 @@ def _run_disk(config: ExperimentConfig, base_dir: Path) -> tuple:
 
     def hamiltonian(z):
         v = disk_velocity(params, surface, z[:2], z[2:]).tolist()
-        return sum(map(mul, [0.5 * x for x in z[2:].tolist()], v))
+        return _dot([0.5 * x for x in z[2:].tolist()], v)
 
     with _integration("magnetic-chart integration"):
         magnetic = integrate_autonomous(

@@ -29,29 +29,32 @@ bounds the sum by a constant times eps on that window, and halving eps
 should roughly halve the sup error. The constant itself is never
 asserted, only the observed ratios.
 
-The chord update of _midpoint_step, the guess of _extrapolate and the
-dot products written sum(map(mul, ...)) add in index order through the
-built-in sum(). That is plain left-to-right float addition on CPython
-3.10 and 3.11 only: from 3.12 on, sum() of floats is compensated
-(Neumaier) summation, so sum([1e16, 1.0, -1e16]) is 1.0 there and 0.0
-on 3.11, and these values, with the output bytes, may differ between
-the two.
+Every sum of the steps and fields here is written out as float
+additions from +0.0 in index order, never through the built-in sum(),
+which from CPython 3.12 on is compensated (Neumaier) summation:
+sum([1e16, 1.0, -1e16]) is 1.0 there and 0.0 on 3.11. What numpy still
+computes is the chord matrix (a LAPACK inverse), the averaged energy
+logs (averaged_hamiltonian, effective_potential), the a0 terms of the
+magnetic chart's field and the two-dimensional particle potential
+(fastslow.systems). Equal output bytes across CPython versions are
+checked on 3.10 and 3.11 only.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
+import string
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from operator import mul, sub
 from typing import Callable, Literal, Sequence
 
 import numpy as np
 
 from ._derivatives import jacobian
-from .averaging import AveragedSystem, FastSlowSystem, _floats, \
+from .averaging import AveragedSystem, FastSlowSystem, _dot, _floats, \
     averaged_hamiltonian, effective_potential
 from .bundle_geometry import PhaseStateFull, PhaseStateReduced, convert_chart
 
@@ -199,105 +202,187 @@ def _rk4_step(f, z, dt: float) -> list:
             for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
 
 
-def _midpoint_step(f, z, dt: float, guess, tol: float, max_iter: int,
-                   inv: list | None = None, *,
-                   counts: dict | None = None) -> tuple[list, list]:
-    """One implicit midpoint step z' = z + dt f((z + z')/2) by chord Newton.
+_MIDPOINT_LOOP = """\
+def midpoint_loop(f, z, values, steps, n_full, dt_full, rem, sign, tol,
+                  max_iter):
+    isfinite = math.isfinite
+    $z = z
+    $differences = 0.0
+    $sizes = 0.0
+    rows, fresh, dt_prev = 1, True, None
+    updates = jacobians = evals = 0
+    try:
+        for i in range(steps):
+            dt = dt_full if i < n_full else rem
+            h = sign * dt
+            if i == 0:
+                $c = _floats(f([$z]))
+                evals += 1
+                $euler_guess
+            elif dt != dt_prev:
+                ratio = dt / dt_prev
+                $linear_guess
+                fresh = True  # the iteration matrix belongs to one dt
+            else:
+                $extrapolated_guess
+            $z_size
+            bound = tol * max(1.0, zmax)
+            jac = 0
+            $residual
+            for k in range(max_iter):
+                if fresh:
+                    $inverse = np.linalg.inv(np.eye($n) - 0.5 * h * jacobian(
+                        lambda x: f(x.tolist()), [$y]).T).tolist()
+                    jac += 1
+                    fresh = False
+                $chord_update
+                if not ($x_finite):
+                    raise IntegrationError("Newton iterate became non-finite")
+                prev = err
+                $residual
+                if err <= bound:
+                    if prev <= bound or k == max_iter - 1:
+                        break
+                elif err > 0.1 * prev:
+                    fresh = True
+            else:
+                raise IntegrationError(
+                    f"implicit midpoint Newton did not converge: residual "
+                    f"{err:.3e} after {max_iter} updates (tol {tol:.1e})")
+            updates += k + 1
+            evals += k + 2 + 2 * $n * jac
+            jacobians += jac
+            $table_update
+            $table_sizes
+            if rows <= PREDICTOR_MAX_ORDER:
+                rows += 1
+            dt_prev = dt
+            values[i + 1] = ($z)
+    except (IntegrationError, ValueError) as err:
+        _raise_at_step(err, i, dt_full)
+    return updates, jacobians, evals
+"""
 
-    inv is the inverse of I - dt/2 J from an earlier step with the same
-    dt, as rows of floats, or None. It is rebuilt at the current iterate
-    whenever an update leaves the residual above tolerance and shrinks
-    it less than tenfold, so a hard step falls back to full Newton. Once
-    the residual meets tolerance one more update is taken, if max_iter
-    allows, and accepted if it meets tolerance too; long runs then drift
-    less. Returns z', as a list of floats, and the inverse used last,
-    for the next step to reuse. A converged step adds its chord updates,
-    evaluations of f (2n per central-difference Jacobian included) and
-    Jacobians to counts, when given, under "newton_updates", "rhs_evals"
-    and "jacobians".
 
-    z and guess may be arrays or lists of floats; f receives the
-    midpoint, and each point of the central-difference Jacobian, as a
-    list. Everything else is Python floats: the iterate,
-    the midpoint, the residual, their max-norms and the chord update,
-    whose component i is row i of inv dotted with the residual, summed
-    from +0 in index order. Only the Jacobian and its inverse are made
-    by numpy, and the inverse is turned into rows of floats once, so no
-    BLAS kernel rounds a number of the step. A non-finite residual
-    component raises IntegrationError at once: the max-norm of Python's
-    max skips a NaN that does not come first.
+def _midpoint_source(n: int) -> str:
+    """The source of _MIDPOINT_LOOP for states of n floats.
+
+    A line that holds one $name only becomes that block of lines, at its
+    indentation; every other $name is an inline list. Every float of a
+    step is a local named by kind and component: the state z, the guess
+    and Newton iterate x, the midpoint y, the field value c, the
+    residual r, the inverse a{row}_{col} of I - dt/2 J, and the backward
+    differences d{k}_{i} = nabla^k z_n, k = 1 .. PREDICTOR_MAX_ORDER, of
+    the accepted nodes (row 0 of the table is z), with their max-norms
+    s{k}; rows counts the rows of the table. Each sum adds its terms from
+    +0.0 in index order, the chord update one product per statement, so
+    that no expression nests deeper as n grows, and each max-norm is a
+    chain of comparisons that picks what max(map(abs, v)) picks.
     """
-    z = _floats(z)
-    znew = _floats(guess)
-    bound = tol * max(1.0, max(map(abs, z)))
-    jacobians = 0
+    top = PREDICTOR_MAX_ORDER
+    comp = range(n)
 
-    def residual(znew: list) -> tuple[list, list, float]:
-        mid = [0.5 * (a + b) for a, b in zip(z, znew)]
-        res = [b - a - dt * c for a, b, c in zip(z, znew, _floats(f(mid)))]
-        if not all(map(math.isfinite, res)):
-            raise IntegrationError("implicit midpoint residual is non-finite")
-        return mid, res, max(map(abs, res))
+    def names(fmt: str) -> str:
+        return ", ".join(fmt.format(i=i) for i in comp) + ","
 
-    mid, res, err = residual(znew)
-    for k in range(max_iter):
-        if inv is None:
-            inv = np.linalg.inv(np.eye(len(z)) - 0.5 * dt * jacobian(
-                lambda x: f(x.tolist()), mid).T).tolist()
-            jacobians += 1
-        znew = [a - sum(map(mul, row, res)) for a, row in zip(znew, inv)]
-        if not all(map(math.isfinite, znew)):
-            raise IntegrationError("Newton iterate became non-finite")
-        prev = err
-        mid, res, err = residual(znew)
-        if err <= bound:
-            if prev <= bound or k == max_iter - 1:
-                if counts is not None:
-                    counts["newton_updates"] += k + 1
-                    counts["rhs_evals"] += k + 2 + 2 * len(z) * jacobians
-                    counts["jacobians"] += jacobians
-                return znew, inv
-        elif err > 0.1 * prev:
-            inv = None
-    raise IntegrationError(
-        f"implicit midpoint Newton did not converge: residual {err:.3e} "
-        f"after {max_iter} updates (tol {tol:.1e})")
+    def lines(fmt: str) -> list:
+        return [fmt.format(i=i) for i in comp]
+
+    def max_abs(target: str, var: str) -> list:
+        out = [f"{target} = abs({var}0)"]
+        for i in range(1, n):
+            out += [f"t = abs({var}{i})", f"if t > {target}:",
+                    f"    {target} = t"]
+        return out
+
+    def guess(k: int) -> list:
+        # Order k, raised while the table has the next row and its size
+        # falls: the order selection of Hairer & Wanner, Solving ODEs II,
+        # IV.8, for the polynomial through the newest k + 1 nodes.
+        terms = "".join(f" + d{j}_{{i}}" for j in range(1, k + 1))
+        sums = lines("x{i} = 0.0 + z{i}" + terms)
+        if k == top:
+            return sums
+        return [f"if rows > {k + 1} and s{k + 1} < s{k}:",
+                *["    " + line for line in guess(k + 1)],
+                "else:", *["    " + line for line in sums]]
+
+    residual = [*lines("y{i} = 0.5 * (z{i} + x{i})"),
+                f"{names('c{i}')} = _floats(f([{names('y{i}')}]))",
+                *lines("r{i} = x{i} - z{i} - h * c{i}"),
+                f"if not ({' and '.join(lines('isfinite(r{i})'))}):",
+                '    raise IntegrationError("implicit midpoint residual is '
+                'non-finite")',
+                *max_abs("err", "r")]
+    chord, table = [], []
+    for i in comp:
+        chord += [f"u = 0.0 + a{i}_0 * r0",
+                  *[f"u += a{i}_{j} * r{j}" for j in range(1, n)],
+                  f"x{i} -= u"]
+        # Row k of the new table is its row k - 1 minus the old row k - 1.
+        table += [f"e1 = x{i} - z{i}",
+                  *[f"e{k} = e{k - 1} - d{k - 1}_{i}"
+                    for k in range(2, top + 1)],
+                  *[f"d{k}_{i} = e{k}" for k in range(top, 0, -1)],
+                  f"z{i} = x{i}"]
+    blocks = {
+        "euler_guess": lines("x{i} = z{i} + h * c{i}"),
+        "linear_guess": lines("x{i} = z{i} + ratio * d1_{i}"),
+        "extrapolated_guess": guess(1),
+        "z_size": max_abs("zmax", "z"),
+        "residual": residual,
+        "chord_update": chord,
+        "table_update": table,
+        "table_sizes": [line for k in range(1, top + 1)
+                        for line in max_abs(f"s{k}", f"d{k}_")],
+    }
+    inline = {
+        "n": str(n), "z": names("z{i}"), "c": names("c{i}"),
+        "y": names("y{i}"),
+        "x_finite": " and ".join(lines("isfinite(x{i})")),
+        "inverse": " ".join(f"({names(f'a{r}_{{i}}')})," for r in comp),
+        "differences": " = ".join(f"d{k}_{i}" for k in range(1, top + 1)
+                                  for i in comp),
+        "sizes": " = ".join(f"s{k}" for k in range(1, top + 1)),
+    }
+    out = []
+    for line in _MIDPOINT_LOOP.splitlines():
+        body = line.lstrip()
+        if body[1:] in blocks:
+            pad = line[:len(line) - len(body)]
+            out += [pad + block_line for block_line in blocks[body[1:]]]
+        else:
+            out.append(string.Template(line).substitute(inline))
+    return "\n".join(out) + "\n"
 
 
-def _difference_table(table: list, z: list) -> tuple[list, list]:
-    """The backward differences after node z is accepted, and their sizes.
+@functools.cache
+def _midpoint_loop(n: int) -> Callable:
+    """The implicit midpoint loop for states of n floats, compiled from
+    _midpoint_source(n) at its first use, as dataclasses builds methods.
 
-    table holds the rows nabla^k z_n, k = 0 .. m-1, as lists of floats.
-    The new rows are z, then nabla^k z_{n+1} = nabla^(k-1) z_{n+1} -
-    nabla^(k-1) z_n up to k = PREDICTOR_MAX_ORDER; size[k] is the
-    max-norm of row k (size[0], unused, is 0.0).
+    It runs in this module's namespace, so it looks jacobian up on each
+    use. Called as loop(f, z, values, steps, n_full, dt_full, rem, sign,
+    tol, max_iter), it takes the steps of integrate_autonomous from z, a
+    list, stores node i + 1 into values[i + 1], and returns the run's
+    Newton updates, Jacobians and evaluations of f.
     """
-    rows, size = [z], [0.0]
-    for older in table[:PREDICTOR_MAX_ORDER]:
-        z = list(map(sub, z, older))
-        rows.append(z)
-        size.append(max(map(abs, z)))
-    return rows, size
+    namespace = {}
+    exec(compile(_midpoint_source(n), f"<implicit midpoint loop, n={n}>",
+                 "exec"), globals(), namespace)
+    return namespace["midpoint_loop"]
 
 
-def _extrapolate(table: list, size: list) -> list:
-    """Predict the next node from the differences of m >= 2 nodes of
-    equal step, a table of m rows.
-
-    The guess z_n + nabla z_n + ... + nabla^k z_n, summed per component
-    from +0 in that order, is the polynomial through the newest k+1
-    nodes, taken one step ahead. As in the order selection of Adams and
-    BDF codes (Hairer & Wanner, Solving ODEs II, IV.8), k starts at 1,
-    linear extrapolation, and is raised while
-    |nabla^{k+1} z_n|_inf < |nabla^k z_n|_inf, so a rough or
-    under-resolved history keeps a low order. table and size are those
-    of _difference_table.
-    """
-    m = len(table)
-    k = 1
-    while k + 1 < m and size[k + 1] < size[k]:
-        k += 1
-    return list(map(sum, zip(*table[:k + 1])))
+def _raise_at_step(err: Exception, i: int, dt: float):
+    """Raise err, an IntegrationError or a ValueError from step i, again
+    with "step i (t=...)" in front of its message. An IntegrationError
+    becomes a new one that carries the step; a ValueError (a DomainError
+    or LinAlgError, say) keeps its type."""
+    prefix = f"step {i} (t={i * dt:.6g}): "
+    if isinstance(err, IntegrationError):
+        raise IntegrationError(prefix + str(err), step=i) from err
+    err.args = (prefix + str(err),)
+    raise err
 
 
 def integrate_autonomous(f: Callable[[list], list | np.ndarray],
@@ -313,8 +398,8 @@ def integrate_autonomous(f: Callable[[list], list | np.ndarray],
                          backward: bool = False) -> Trajectory:
     """Integrate dz/dt = f(z) over [0, horizon] and log invariants.
 
-    horizon must be positive and finite; anything else raises ValueError
-    before a step is taken. The run takes n = floor(horizon / dt + 1e-9)
+    horizon must be positive and finite and z0 must hold at least one
+    float; anything else raises ValueError before a step is taken. The run takes n = floor(horizon / dt + 1e-9)
     steps of dt, then one partial step of the remainder when it exceeds
     1e-12 max(1, horizon). Node i is at i * dt and the last at horizon,
     so a run to a node's time retakes the steps before it. No step, or
@@ -331,27 +416,44 @@ def integrate_autonomous(f: Callable[[list], list | np.ndarray],
     in front of its message, and a ValueError raised by f (a DomainError
     or LinAlgError, say) keeps its type and gains the same prefix.
 
-    The implicit midpoint solve starts from z + dt f(z) on the first
-    step, from linear extrapolation on a step whose size differs from
-    the last one (the final partial step), and otherwise from the
-    variable-order extrapolation of _extrapolate through the newest
-    PREDICTOR_MAX_ORDER + 1 nodes at most. Its meta then also holds the
+    The implicit midpoint step z' = z + dt f((z + z')/2) is solved by
+    chord Newton. The iteration matrix, the inverse of I - dt/2 J with J
+    the central-difference Jacobian at the midpoint, is kept from step to
+    step. It is built on the first step and again on a step whose size
+    differs from the last one (the final partial step), and whenever an
+    update leaves the residual above tolerance and shrinks it less than
+    tenfold, so a hard step falls back to full Newton. Once the max-norm
+    residual meets newton_tol max(1, |z|_inf), one more update is taken,
+    if newton_max_iter allows, and accepted if it meets tolerance too;
+    long runs then drift less. A non-finite residual or iterate, or no
+    convergence within newton_max_iter updates, raises IntegrationError.
+
+    The solve starts from z + dt f(z) on the first step, from linear
+    extrapolation on a step whose size differs from the last one, and
+    otherwise from the polynomial through the newest k + 1 nodes taken
+    one step ahead, z_n + nabla z_n + ... + nabla^k z_n in backward
+    differences. As in the order selection of Adams and BDF codes
+    (Hairer & Wanner, Solving ODEs II, IV.8), k starts at 1 and is
+    raised, up to PREDICTOR_MAX_ORDER, while
+    |nabla^{k+1} z_n|_inf < |nabla^k z_n|_inf, so a rough or
+    under-resolved history keeps a low order. meta then also holds the
     run's totals "newton_updates", "jacobians" and "rhs_evals" (every
     evaluation of f the steps made, Jacobian columns included). The
     returned trajectory carries no derivs.
 
     f receives a list of Python floats on every call and returns a list
-    of floats or an array. Both methods carry the state from step to
-    step as a list, the form _midpoint_step and _rk4_step return, and
-    store each node into the preallocated values array. The midpoint
-    rule keeps the backward differences of the accepted nodes as a float
-    table, updated once per step by _difference_table, and every guess
-    after the first is formed from it in floats.
+    of floats or an array. The midpoint rule runs as one loop compiled
+    for the state size (_midpoint_loop), in which every number of a step
+    is a Python float: numpy makes only the Jacobian and its inverse,
+    which is turned into floats once, so no BLAS kernel rounds a number
+    of a step. RK4 takes the list steps of _rk4_step. Both store each
+    node into the preallocated values array.
     """
     z0 = np.asarray(z0, dtype=float)
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise ValueError("horizon must be positive and finite")
-    midpoint = config.method != "rk4"
+    if z0.size == 0:
+        raise ValueError("z0 must hold at least one float")
     sign = -1.0 if backward else 1.0
     try:
         n = int(np.floor(horizon / config.dt + 1e-9))
@@ -369,47 +471,23 @@ def integrate_autonomous(f: Callable[[list], list | np.ndarray],
         raise ValueError(f"horizon {horizon:.6g} at dt {config.dt:.6g} "
                          "takes no step")
     values[0] = z0
-    z = z0.tolist()
-    dt_prev = None
-    inv = None
-    table = [z]
-    counts = {"newton_updates": 0, "jacobians": 0, "rhs_evals": 0}
-    for i in range(steps):
-        dt = config.dt if i < n else rem
-        dt_signed = sign * dt
+    counts = {}
+    if config.method != "rk4":
+        counts = dict(zip(("newton_updates", "jacobians", "rhs_evals"),
+                          _midpoint_loop(z0.size)(
+                              f, z0.tolist(), values, steps, n, config.dt,
+                              rem, sign, config.newton_tol,
+                              config.newton_max_iter)))
+    else:
+        z = z0.tolist()
         try:
-            if not midpoint:
-                znew = _rk4_step(f, z, dt_signed)
-                # _midpoint_step checks every iterate it takes itself.
-                if not all(map(math.isfinite, znew)):
+            for i in range(steps):
+                z = _rk4_step(f, z, sign * (config.dt if i < n else rem))
+                if not all(map(math.isfinite, z)):
                     raise IntegrationError("state became non-finite")
-            else:
-                if i == 0:
-                    guess = [a + dt_signed * b
-                             for a, b in zip(z, _floats(f(z)))]
-                    counts["rhs_evals"] += 1
-                elif dt != dt_prev:
-                    ratio = dt / dt_prev
-                    guess = [a + ratio * b for a, b in zip(*table[:2])]
-                    inv = None  # the iteration matrix belongs to one dt
-                else:
-                    guess = _extrapolate(table, size)
-                znew, inv = _midpoint_step(f, z, dt_signed, guess,
-                                           config.newton_tol,
-                                           config.newton_max_iter, inv,
-                                           counts=counts)
-                table, size = _difference_table(table, znew)
-        except IntegrationError as err:
-            raise IntegrationError(
-                f"step {i} (t={i * config.dt:.6g}): {err}", step=i) from err
-        except ValueError as err:
-            # A field that rejects its state (a DomainError, LinAlgError)
-            # keeps its type; its message gains the step and time.
-            err.args = (f"step {i} (t={i * config.dt:.6g}): {err}",)
-            raise
-        dt_prev = dt
-        z = znew
-        values[i + 1] = z
+                values[i + 1] = z
+        except (IntegrationError, ValueError) as err:
+            _raise_at_step(err, i, config.dt)
     times = np.arange(steps + 1) * config.dt
     times[steps] = horizon
     invariant_log = {name: np.array([fn(values[i])
@@ -418,7 +496,7 @@ def integrate_autonomous(f: Callable[[list], list | np.ndarray],
     return Trajectory(times=times, values=values,
                       state_labels=tuple(state_labels), kind=kind,
                       dim_base=dim_base, invariant_log=invariant_log,
-                      meta={**(meta or {}), **(counts if midpoint else {})})
+                      meta={**(meta or {}), **counts})
 
 
 def _full_rhs(system: FastSlowSystem) -> Callable[[list], list]:
@@ -552,15 +630,14 @@ def integrate_reduced_canonical(avg: AveragedSystem,
     mu = avg.mu
     slow = avg.slow
 
-    def f(z) -> np.ndarray:
-        z = np.array(z, dtype=float)
+    def f(z: list) -> list:
         P = z[l:]
-        a0, _, _, ga0, gh0, gU0 = slow(z[:l].tolist())
-        dQ = P + mu * np.asarray(a0, dtype=float)
-        dP = -(mu * (np.asarray(ga0, dtype=float) @ P)
-               + 0.5 * mu * mu * np.asarray(gh0, dtype=float)
-               + np.asarray(gU0, dtype=float))
-        return np.concatenate([dQ, dP])
+        a0, _, _, ga0, gh0, gU0 = slow(z[:l])
+        a0, ga0, gh0, gU0 = map(_floats, (a0, ga0, gh0, gU0))
+        out = [P_i + mu * a_i for P_i, a_i in zip(P, a0)]
+        for row, gh_i, gU_i in zip(ga0, gh0, gU0):
+            out.append(-(mu * _dot(row, P) + 0.5 * mu * mu * gh_i + gU_i))
+        return out
 
     labels = tuple([f"Q{i + 1}" for i in range(l)]
                    + [f"P{i + 1}" for i in range(l)])
@@ -572,8 +649,10 @@ def integrate_reduced_canonical(avg: AveragedSystem,
         meta={"mu": mu, "clock": "slow"})
     if "rhs_evals" in traj.meta:
         traj.meta["rhs_evals"] += len(traj)
-    return dataclasses.replace(
-        traj, derivs=np.array([f(z) for z in traj.values]))
+    derivs = np.empty_like(traj.values)
+    for rows in _row_blocks(len(traj)):
+        derivs[rows] = [f(z) for z in traj.values[rows].tolist()]
+    return dataclasses.replace(traj, derivs=derivs)
 
 
 def integrate_reduced_magnetic(avg: AveragedSystem,
@@ -607,7 +686,7 @@ def integrate_reduced_magnetic(avg: AveragedSystem,
                                      - 2.0 * (ga0 @ a0))
                     + np.asarray(gU0, dtype=float))
         # Column i of B = mu (ga0 - ga0^T) dotted with v, summed from +0.
-        dP1 = [-g_i + sum(map(mul, col, v))
+        dP1 = [-g_i + _dot(col, v)
                for g_i, col in zip(g, zip(*_floats(mu * (ga0 - ga0.T))))]
         return v + dP1
 

@@ -33,12 +33,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .averaging import AveragedSystem, FastSlowSystem, _floats, \
+from .averaging import AveragedSystem, FastSlowSystem, _dot, _floats, \
     average_coefficients
 from .bundle_geometry import TrivialBundleMetric
 from .integrators import Trajectory
@@ -641,10 +640,6 @@ class OscillatingPotential:
 def _point(x) -> list:
     """x, a float or a sequence of floats, as a list of floats."""
     return np.atleast_1d(np.asarray(x, dtype=float)).tolist()
-
-
-def _dot(u, v) -> float:
-    return sum(map(mul, u, v))
 
 
 def _harmonic_means(potential: OscillatingPotential, x: list) -> tuple:

@@ -17,10 +17,14 @@ integrate_autonomous. The full
 field, assembled in Python floats from one call of each jet, must
 reproduce bit for bit the numpy assembly it replaced on the shipped
 pendulum and particles,
-and so must the float chord step the numpy step it replaced, with the
-chord update written as the float sum it documents. The predictor's
-difference table extrapolates integer polynomials exactly and selects
-the order the matrix-product differences it replaced selected. The
+and so must the list chord step (_midpoint_step, kept here as the
+oracle of the compiled loop) the numpy step it replaced, with the
+chord update written as the float sum it documents. The list
+predictor's difference table extrapolates integer polynomials exactly
+and selects the order the matrix-product differences it replaced
+selected. The compiled implicit midpoint loop of integrate_autonomous
+must reproduce a step-by-step run of that list oracle bit for bit: its
+nodes, its counts, the points it calls the field at and its errors. The
 energy and phi_dot logs and the closeness report, taken in row blocks,
 must equal bit for bit the one-pass formulas they replaced.
 """
@@ -32,6 +36,7 @@ import numpy as np
 import pytest
 
 from fastslow import integrators
+from fastslow.averaging import _floats
 from fastslow import (AveragedSystem, EulerSystem, FastSlowSystem,
                       IntegrationError, IntegratorConfig, PendulumParams,
                       PhaseStateFull, PhaseStateReduced, Trajectory,
@@ -250,6 +255,14 @@ class TestSteppers:
                                  state_labels=("x",), kind="generic",
                                  dim_base=1)
 
+    @pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
+    def test_rejects_an_empty_state(self, method):
+        with pytest.raises(ValueError, match="at least one float"):
+            integrate_autonomous(lambda z: z, np.zeros(0), 1.0,
+                                 IntegratorConfig(method=method, dt=0.1),
+                                 state_labels=(), kind="generic",
+                                 dim_base=1)
+
     @pytest.mark.parametrize("horizon", [1e-13, 5e-13])
     def test_rejects_horizon_shorter_than_a_step(self, horizon):
         # floor(horizon / dt) is 0 and the remainder is within 1e-12, so
@@ -291,19 +304,12 @@ def counted_jacobians(monkeypatch):
     return points
 
 
-def fresh_step_error(f, traj, config):
-    """Largest gap between each node and a midpoint step taken afresh,
-    with a new Jacobian and an explicit Euler guess, from the node before
-    it; every step of traj must have size config.dt."""
-    dt = config.dt
-    worst = 0.0
-    for z, row in zip(traj.values[:-1], traj.values[1:]):
-        fresh, _ = integrators._midpoint_step(
-            f, z, dt, z + dt * np.asarray(f(z.tolist())), config.newton_tol,
-            config.newton_max_iter)
-        worst = max(worst, float(np.max(np.abs(row - fresh))))
-    return worst
-
+# The list implementation of the implicit midpoint rule that the
+# compiled loop of integrators._midpoint_loop replaced, kept as its
+# oracle: _midpoint_step, _difference_table and _extrapolate, and the
+# midpoint branch of integrate_autonomous's step loop in oracle_run.
+# Their sums are float_dot and a loop from +0.0, the additions of the
+# built-in sum() they used on CPython 3.10 and 3.11.
 
 def float_dot(row, res):
     """row . res as the chord update documents it: the rounded products
@@ -314,6 +320,135 @@ def float_dot(row, res):
     return total
 
 
+def _midpoint_step(f, z, dt, guess, tol, max_iter, inv=None, *,
+                   counts=None):
+    """One implicit midpoint step z' = z + dt f((z + z')/2) by chord
+    Newton, on lists of floats. inv is the inverse of I - dt/2 J from an
+    earlier step with the same dt, as rows of floats, or None. Returns
+    z' and the inverse used last; a converged step adds its chord
+    updates, evaluations of f and Jacobians to counts."""
+    z = _floats(z)
+    znew = _floats(guess)
+    bound = tol * max(1.0, max(map(abs, z)))
+    jacobians = 0
+
+    def residual(znew):
+        mid = [0.5 * (a + b) for a, b in zip(z, znew)]
+        res = [b - a - dt * c for a, b, c in zip(z, znew, _floats(f(mid)))]
+        if not all(map(math.isfinite, res)):
+            raise IntegrationError("implicit midpoint residual is non-finite")
+        return mid, res, max(map(abs, res))
+
+    mid, res, err = residual(znew)
+    for k in range(max_iter):
+        if inv is None:
+            inv = np.linalg.inv(
+                np.eye(len(z)) - 0.5 * dt * integrators.jacobian(
+                    lambda x: f(x.tolist()), mid).T).tolist()
+            jacobians += 1
+        znew = [a - float_dot(row, res) for a, row in zip(znew, inv)]
+        if not all(map(math.isfinite, znew)):
+            raise IntegrationError("Newton iterate became non-finite")
+        prev = err
+        mid, res, err = residual(znew)
+        if err <= bound:
+            if prev <= bound or k == max_iter - 1:
+                if counts is not None:
+                    counts["newton_updates"] += k + 1
+                    counts["rhs_evals"] += k + 2 + 2 * len(z) * jacobians
+                    counts["jacobians"] += jacobians
+                return znew, inv
+        elif err > 0.1 * prev:
+            inv = None
+    raise IntegrationError(
+        f"implicit midpoint Newton did not converge: residual {err:.3e} "
+        f"after {max_iter} updates (tol {tol:.1e})")
+
+
+def _difference_table(table, z):
+    """The backward differences after node z is accepted, and their
+    max-norms: rows z, then nabla^k z_{n+1} = nabla^(k-1) z_{n+1} -
+    nabla^(k-1) z_n up to k = PREDICTOR_MAX_ORDER (size[0] is 0.0)."""
+    rows, size = [z], [0.0]
+    for older in table[:integrators.PREDICTOR_MAX_ORDER]:
+        z = [a - b for a, b in zip(z, older)]
+        rows.append(z)
+        size.append(max(map(abs, z)))
+    return rows, size
+
+
+def _extrapolate(table, size):
+    """The guess z_n + nabla z_n + ... + nabla^k z_n from a table of m >= 2
+    rows, with k raised from 1 while the next row is smaller."""
+    m = len(table)
+    k = 1
+    while k + 1 < m and size[k + 1] < size[k]:
+        k += 1
+    guess = []
+    for column in zip(*table[:k + 1]):
+        total = 0.0
+        for x in column:
+            total += x
+        guess.append(total)
+    return guess
+
+
+def oracle_run(f, z0, horizon, config, backward=False):
+    """The nodes and counts of an implicit midpoint integrate_autonomous
+    run, step by step through the list oracle, with its step errors."""
+    z0 = np.asarray(z0, dtype=float)
+    sign = -1.0 if backward else 1.0
+    n = int(np.floor(horizon / config.dt + 1e-9))
+    rem = horizon - n * config.dt
+    steps = n + 1 if rem > 1e-12 * max(1.0, horizon) else n
+    values = np.empty((steps + 1, z0.size))
+    values[0] = z0
+    z = z0.tolist()
+    dt_prev = inv = None
+    table = [z]
+    counts = {"newton_updates": 0, "jacobians": 0, "rhs_evals": 0}
+    for i in range(steps):
+        dt = config.dt if i < n else rem
+        dt_signed = sign * dt
+        try:
+            if i == 0:
+                guess = [a + dt_signed * b for a, b in zip(z, _floats(f(z)))]
+                counts["rhs_evals"] += 1
+            elif dt != dt_prev:
+                ratio = dt / dt_prev
+                guess = [a + ratio * b for a, b in zip(*table[:2])]
+                inv = None
+            else:
+                guess = _extrapolate(table, size)
+            z, inv = _midpoint_step(f, z, dt_signed, guess, config.newton_tol,
+                                    config.newton_max_iter, inv,
+                                    counts=counts)
+            table, size = _difference_table(table, z)
+        except IntegrationError as err:
+            raise IntegrationError(
+                f"step {i} (t={i * config.dt:.6g}): {err}", step=i) from err
+        except ValueError as err:
+            err.args = (f"step {i} (t={i * config.dt:.6g}): {err}",)
+            raise
+        dt_prev = dt
+        values[i + 1] = z
+    return values, counts
+
+
+def fresh_step_error(f, traj, config):
+    """Largest gap between each node and a midpoint step taken afresh,
+    with a new Jacobian and an explicit Euler guess, from the node before
+    it; every step of traj must have size config.dt."""
+    dt = config.dt
+    worst = 0.0
+    for z, row in zip(traj.values[:-1], traj.values[1:]):
+        fresh, _ = _midpoint_step(
+            f, z, dt, z + dt * np.asarray(f(z.tolist())), config.newton_tol,
+            config.newton_max_iter)
+        worst = max(worst, float(np.max(np.abs(row - fresh))))
+    return worst
+
+
 def array_field(f):
     """f, which takes a list, as a field of arrays, for the references."""
     return lambda x: np.asarray(f(np.asarray(x).tolist()), dtype=float)
@@ -322,7 +457,7 @@ def array_field(f):
 def numpy_midpoint_step(f, z, dt, guess, tol, max_iter, inv=None, *,
                         counts=None):
     """The chord Newton step as it was computed on numpy arrays, the
-    reference for the float step of integrators._midpoint_step. Only its
+    reference for the float step of _midpoint_step. Only its
     chord update, once inv @ res, is the documented float sum (float_dot
     of each row of inv with the residual), so that no BLAS kernel rounds
     the reference either. f takes lists, as integrate_autonomous's
@@ -371,6 +506,21 @@ def step_field(name):
     if name == "linear_2d":
         a = np.array([[-0.3, 1.0], [-2.0, 0.1]])
         return lambda z: a @ z, 2, 0.1
+    if name == "van_der_pol":
+        # Under-resolved at mu = 5 and dt = 0.2 (TestPredictor): several
+        # large chord updates per step.
+        return (lambda z: [z[1], 5.0 * (1.0 - z[0] ** 2) * z[1] - z[0]], 2,
+                0.2)
+    if name == "ring_12":
+        # Six pendulums on a ring, each coupled to its two neighbours: a
+        # state of 12 floats, positions then velocities. The step is
+        # coarse, so that the rounding of each chord update shows.
+        def ring(z):
+            x = z[:6]
+            return z[6:] + [-math.sin(x[i]) + 0.3 * (x[i - 1] - 2.0 * x[i]
+                                                     + x[(i + 1) % 6])
+                            for i in range(6)]
+        return ring, 12, 0.3
     # The poor-contraction case of TestChordNewton: the cached matrix
     # stops contracting and is rebuilt mid-sequence.
     return lambda z: -np.sin(z), 1, 0.5
@@ -480,7 +630,7 @@ class TestFloatStep:
             want, want_inv = numpy_midpoint_step(
                 recorded(f, want_args), np.array(z), dt, np.array(guess),
                 1e-12, 50, want_inv, counts=want_counts)
-            got, got_inv = integrators._midpoint_step(
+            got, got_inv = _midpoint_step(
                 recorded(f, got_args), z, dt, guess, 1e-12, 50, got_inv,
                 counts=got_counts)
             assert got_args == want_args, trial
@@ -490,6 +640,88 @@ class TestFloatStep:
         assert want_counts["newton_updates"] > 300
         if name == "poor_contraction":
             assert want_counts["jacobians"] > 1
+
+
+class TestMidpointLoop:
+    """The compiled midpoint loop is the list oracle bit for bit: its
+    nodes, its meta counts, the points it calls f at and its errors."""
+
+    @pytest.mark.parametrize("backward", [False, True],
+                             ids=["forward", "backward"])
+    @pytest.mark.parametrize("name", ["pendulum", "euler_so3", "linear_2d",
+                                      "poor_contraction", "van_der_pol",
+                                      "ring_12"])
+    def test_loop_is_the_list_oracle_bit_for_bit(self, name, backward):
+        f, n, dt = step_field(name)
+        z0 = np.random.default_rng(17).uniform(-1.0, 1.0, n)
+        if name == "poor_contraction":
+            # Near the rest point the flow leaves, forward or backward.
+            z0 = np.array([0.1 if backward else 3.0])
+        # 40 full steps raise the guess to its top order; the partial
+        # last step falls back to a linear guess and a new matrix.
+        config = IntegratorConfig(dt=dt)
+        want_args, got_args = [], []
+        want, counts = oracle_run(recorded(f, want_args), z0, 40.5 * dt,
+                                  config, backward)
+        traj = integrate_autonomous(
+            recorded(f, got_args), z0, 40.5 * dt, config,
+            state_labels=[f"z{i}" for i in range(n)], kind="generic",
+            dim_base=1, backward=backward)
+        assert len(traj) == 42
+        assert got_args == want_args
+        assert traj.values.tobytes() == want.tobytes()
+        assert traj.meta == counts
+        assert counts["jacobians"] > (2 if name == "poor_contraction" else 1)
+
+    @staticmethod
+    def failing_run(case):
+        """(f, z0, horizon, config) of a run that fails on the case's path."""
+        if case == "nonfinite_residual":
+            return (lambda z: [1.0 if z[0] < 0.55 else math.inf], [0.0],
+                    1.0, IntegratorConfig(dt=0.1))
+        if case == "nonfinite_iterate":
+            # 1 - (dt/2) c = 2**-40, so the chord matrix is about 1.1e12
+            # and the first update from z = 1e300 overflows.
+            c = 2.0 * (1.0 - 2.0 ** -40)
+            return (lambda z: [c * z[0]], [1e300], 1.0,
+                    IntegratorConfig(dt=1.0))
+        if case == "no_convergence":
+            # dz/dt = z^2 from z = 1 blows up at t = 1; step 4 is the
+            # first that needs more than 8 updates.
+            return (lambda z: [z[0] * z[0]], [1.0], 2.0,
+                    IntegratorConfig(dt=0.1, newton_max_iter=8))
+
+        def f(z):
+            if z[0] > 0.32:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return [1.0]
+
+        return f, [0.0], 1.0, IntegratorConfig(dt=0.1)
+
+    @pytest.mark.parametrize("case, message", [
+        ("nonfinite_residual", "implicit midpoint residual is non-finite"),
+        ("nonfinite_iterate", "Newton iterate became non-finite"),
+        ("no_convergence", "implicit midpoint Newton did not converge"),
+        ("value_error", "Singular matrix")])
+    def test_errors_are_the_oracles(self, case, message):
+        f, z0, horizon, config = self.failing_run(case)
+        with pytest.raises((IntegrationError, ValueError)) as want:
+            oracle_run(f, z0, horizon, config)
+        with pytest.raises((IntegrationError, ValueError)) as got:
+            integrate_autonomous(f, np.array(z0), horizon, config,
+                                 state_labels=("x",), kind="generic",
+                                 dim_base=1)
+        assert message in str(want.value)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert (getattr(got.value, "step", None)
+                == getattr(want.value, "step", None))
+
+    def test_one_loop_per_state_size(self):
+        assert (integrators._midpoint_loop(3)
+                is integrators._midpoint_loop(3))
+        assert (integrators._midpoint_loop(3)
+                is not integrators._midpoint_loop(4))
 
 
 def numpy_rk4_step(f, z, dt):
@@ -531,7 +763,7 @@ _BACKWARD = np.array([[(-1.0) ** i * math.comb(j, i)
 
 
 def reference_extrapolate(history):
-    """integrators._extrapolate as it was before the difference table:
+    """_extrapolate as it was before the difference table:
     the backward differences of m >= 2 nodes (newest first) by a matrix
     product, and the order selection kept verbatim. Returns the guess and
     the order k it selected."""
@@ -545,11 +777,11 @@ def reference_extrapolate(history):
 
 
 def difference_table(nodes):
-    """The table of integrators._difference_table after nodes, oldest
+    """The table of _difference_table after nodes, oldest
     first, have been accepted one by one, and its row sizes."""
     table, size = [list(nodes[0])], [0.0]
     for z in nodes[1:]:
-        table, size = integrators._difference_table(table, list(z))
+        table, size = _difference_table(table, list(z))
     return table, size
 
 
@@ -560,7 +792,7 @@ def selected_order(table, size):
     guess, their sum up to row k, is 2^k - 1.
     """
     markers = [[0.0]] + [[2.0 ** j] for j in range(len(table) - 1)]
-    guess = integrators._extrapolate(markers, size)[0]
+    guess = _extrapolate(markers, size)[0]
     return int(guess + 1.0).bit_length() - 1
 
 
@@ -589,7 +821,7 @@ class TestDifferenceTable:
             assert selected_order(table, size) == min(d + 1,
                                                       len(table) - 1), trial
             if n > d:
-                assert integrators._extrapolate(table, size) == poly(n), trial
+                assert _extrapolate(table, size) == poly(n), trial
 
     def test_selects_the_order_of_the_matrix_differences(self):
         # Smooth histories whose differences up to order 5 stay far above
@@ -605,7 +837,7 @@ class TestDifferenceTable:
             table, size = difference_table(nodes.tolist())
             guess, want = reference_extrapolate(nodes[::-1])
             assert selected_order(table, size) == want, trial
-            assert np.max(np.abs(integrators._extrapolate(table, size)
+            assert np.max(np.abs(_extrapolate(table, size)
                                  - guess)) <= 1e-13, trial
             orders.add(want)
         assert orders == {1, 2, 3, 4, 5}

@@ -1,11 +1,20 @@
-"""The package namespace.
+"""The package namespace and its source.
 
-Oracle: `from fastslow import *` must import exactly the names listed
+Oracles: `from fastslow import *` must import exactly the names listed
 in fastslow.__all__, each once, and each must be the attribute of the
-same name.
+same name. No module of the package, and no source the implicit
+midpoint loop is compiled from, names the built-in sum: from CPython
+3.12 on it adds floats with compensated summation, so a value it forms
+could differ between CPython versions.
 """
 
+import ast
+from pathlib import Path
+
+import pytest
+
 import fastslow
+from fastslow import integrators
 
 
 def test_all_lists_each_public_name_once_and_resolves():
@@ -14,3 +23,24 @@ def test_all_lists_each_public_name_once_and_resolves():
     assert len(set(fastslow.__all__)) == len(fastslow.__all__)
     for name in fastslow.__all__:
         assert namespace[name] is getattr(fastslow, name)
+
+
+def builtin_sum_uses(source: str, name: str) -> list:
+    """Where source reads the name sum: a call, or sum passed to map."""
+    return [f"{name}:{node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and node.id == "sum"
+            and isinstance(node.ctx, ast.Load)]
+
+
+def test_no_module_uses_the_builtin_sum():
+    paths = sorted(Path(fastslow.__file__).parent.glob("*.py"))
+    assert len(paths) > 5
+    uses = [use for path in paths
+            for use in builtin_sum_uses(path.read_text(), path.name)]
+    assert uses == []
+
+
+@pytest.mark.parametrize("n", [1, 4, 12])
+def test_the_midpoint_loop_source_uses_no_builtin_sum(n):
+    assert builtin_sum_uses(integrators._midpoint_source(n),
+                            f"midpoint loop n={n}") == []
