@@ -25,15 +25,13 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .averaging import _dot
 from .bundle_geometry import PhaseStateFull, PhaseStateReduced
-from .integrators import (IntegratorConfig, _integration, closeness_case,
-                          integrate_autonomous)
+from .integrators import (IntegratorConfig, _integration, _row_blocks,
+                          closeness_case, integrate_autonomous)
 from .lie_poisson import (BUILTIN_ALGEBRAS, EulerSystem, _extended_field,
                           integrate_euler, load_algebra, shift_cocycle)
-from .systems import (DiskParams, PendulumParams,
-                      curvature_identity_residual, disk_magnetic_rhs,
-                      disk_mass_matrix, disk_momentum, disk_velocity,
+from .systems import (DiskParams, PendulumParams, _curvature_residual,
+                      _mass_at, _solve_mass, disk_magnetic_rhs, disk_momentum,
                       exponential_surface, particle_potential_1d,
                       particle_systems, pendulum_systems, plane_surface,
                       sphere_surface, spinning_disk_rhs)
@@ -184,45 +182,59 @@ def _run_disk(config: ExperimentConfig, base_dir: Path) -> tuple:
 
     rhs = spinning_disk_rhs(params, surface)
 
-    # The energy logs group as 0.5 * u @ M @ u and 0.5 * P1 @ v, with
-    # each dot a sum from +0 in index order, so no BLAS kernel rounds them.
-    def energy(z):
-        u = z[2:].tolist()
-        half = [0.5 * x for x in u]
-        mass = disk_mass_matrix(params, surface, z[:2]).tolist()
-        return _dot([_dot(half, col) for col in zip(*mass)], u)
+    # The node passes, one _row_blocks block of Python floats at a time,
+    # each M from one jet call (_mass_at). The energy logs group as
+    # 0.5 * u @ M @ u and 0.5 * P1 @ v, each dot a sum from +0 in index
+    # order with the zero entries of M, so no BLAS kernel rounds them;
+    # v = M^{-1} P1 is disk_velocity's.
+    def energy(q1, q2, v0, v1):
+        ma11, ma22 = _mass_at(params, surface, (q1, q2))
+        h0, h1 = 0.5 * v0, 0.5 * v1
+        return (0.0 + (0.0 + h0 * ma11 + h1 * 0.0) * v0
+                + (0.0 + h0 * 0.0 + h1 * ma22) * v1)
+
+    def hamiltonian_and_velocity(q1, q2, p0, p1):
+        v0, v1 = _solve_mass(*_mass_at(params, surface, (q1, q2)), p0, p1)
+        return 0.0 + 0.5 * p0 * v0 + 0.5 * p1 * v1, v0, v1
+
+    def node_pass(traj, fn, shape):
+        out = np.empty((len(traj), *shape))
+        for rows in _row_blocks(len(traj)):
+            for i, z in enumerate(traj.values[rows].tolist(), rows.start):
+                out[i] = fn(*z)
+        return out
 
     with _integration("Lagrangian integration"):
         lagrangian = integrate_autonomous(
             rhs, np.concatenate([q0, u0]), horizon, cfg,
             state_labels=("q1", "q2", "u1", "u2"), kind="disk_lagrangian",
-            dim_base=2,
-            logs={"energy": energy, "momentum": lambda z: params.mu},
-            meta={"surface": surface.name})
+            dim_base=2, meta={"surface": surface.name})
+        lagrangian.invariant_log = {
+            "energy": node_pass(lagrangian, energy, ()),
+            "momentum": np.full(len(lagrangian), params.mu)}
 
     p1 = disk_momentum(params, surface, q0, u0)
-
-    def hamiltonian(z):
-        v = disk_velocity(params, surface, z[:2], z[2:]).tolist()
-        return _dot([0.5 * x for x in z[2:].tolist()], v)
 
     with _integration("magnetic-chart integration"):
         magnetic = integrate_autonomous(
             disk_magnetic_rhs(params, surface), np.concatenate([q0, p1]),
             horizon, cfg, state_labels=("Q1", "Q2", "P1_1", "P1_2"),
             kind="reduced_magnetic", dim_base=2,
-            logs={"energy": hamiltonian, "momentum": lambda z: params.mu},
             meta={"mu": params.mu, "clock": "slow"})
+        log = node_pass(magnetic, hamiltonian_and_velocity, (3,))
+        magnetic.invariant_log = {"energy": log[:, 0].copy(),
+                                  "momentum": np.full(len(magnetic),
+                                                      params.mu)}
 
     # Two-path deviation: positions, and velocities u = M(q)^{-1} P1.
-    u_mag = [disk_velocity(params, surface, z[:2], z[2:])
-             for z in magnetic.values]
     dev = float(np.max(np.abs(lagrangian.values - np.hstack(
-        [magnetic.values[:, :2], u_mag]))))
+        [magnetic.values[:, :2], log[:, 1:]]))))
 
+    # The grid lies inside the chart, so each point goes to the
+    # residual's float body as a pair of floats, unchecked.
     grid1, grid2 = _curvature_grid(surface)
-    worst = max(abs(curvature_identity_residual(surface, np.array([v1, v2])))
-                for v1 in grid1 for v2 in grid2)
+    worst = max(abs(_curvature_residual(surface, (v1, v2)))
+                for v1 in grid1.tolist() for v2 in grid2.tolist())
 
     meta = {"surface": surface.name}
     return (

@@ -34,10 +34,9 @@ additions from +0.0 in index order, never through the built-in sum(),
 which from CPython 3.12 on is compensated (Neumaier) summation:
 sum([1e16, 1.0, -1e16]) is 1.0 there and 0.0 on 3.11. What numpy still
 computes is the chord matrix (a LAPACK inverse), the averaged energy
-logs (averaged_hamiltonian, effective_potential), the a0 terms of the
-magnetic chart's field and the two-dimensional particle potential
-(fastslow.systems). Equal output bytes across CPython versions are
-checked on 3.10 and 3.11 only.
+logs (averaged_hamiltonian, effective_potential) and the a0 terms of
+the magnetic chart's field. Equal output bytes across CPython versions
+are checked on 3.10 and 3.11 only.
 """
 
 from __future__ import annotations

@@ -315,18 +315,23 @@ def _curvature_divergence(surface: SurfaceMetric, q) -> float:
 
     q is a pair of floats in the domain. The outer derivatives are
     central differences on _stencil in Python floats, with one jet call
-    at each of the four stencil points. K is -div / sqrt(a11 a22).
+    at each of the four stencil points. K is -div / sqrt(a11 a22). A
+    coefficient that is not positive raises _positive_sqrt's ValueError.
     """
-    h, points = _stencil(q)
-    p1, m1, p2, m2 = points
+    h, (p1, m1, p2, m2) = _stencil(q)
+    jet = surface.jet
     # d1 sqrt(a22) / sqrt(a11) at q +- h e1, d2 sqrt(a11) / sqrt(a22) at
     # q +- h e2.
     (a1p, _, _, g1p), (a1m, _, _, g1m), (_, a2p, g2p, _), (_, a2m, g2m, _) \
-        = map(surface.jet, points)
-    return (((float(g1p[0]) / _positive_sqrt("a11", a1p, p1)
-              - float(g1m[0]) / _positive_sqrt("a11", a1m, m1))
-             + (float(g2p[1]) / _positive_sqrt("a22", a2p, p2)
-                - float(g2m[1]) / _positive_sqrt("a22", a2m, m2)))
+        = jet(p1), jet(m1), jet(p2), jet(m2)
+    return (((float(g1p[0]) / (math.sqrt(a1p) if a1p > 0.0 else
+                               _positive_sqrt("a11", a1p, p1))
+              - float(g1m[0]) / (math.sqrt(a1m) if a1m > 0.0 else
+                                 _positive_sqrt("a11", a1m, m1)))
+             + (float(g2p[1]) / (math.sqrt(a2p) if a2p > 0.0 else
+                                 _positive_sqrt("a22", a2p, p2))
+                - float(g2m[1]) / (math.sqrt(a2m) if a2m > 0.0 else
+                                   _positive_sqrt("a22", a2m, m2))))
             / (2.0 * h))
 
 
@@ -382,7 +387,13 @@ def curvature_identity_residual(surface: SurfaceMetric,
     disk_connection, so this is an independent check of the curvature
     rather than a restatement of its formula.
     """
-    q = tuple(surface.require_in_domain(q).tolist())
+    return _curvature_residual(
+        surface, tuple(surface.require_in_domain(q).tolist()))
+
+
+def _curvature_residual(surface: SurfaceMetric, q) -> float:
+    """curvature_identity_residual at q, a pair of floats that the caller
+    has checked against the chart; the stencil points are checked here."""
     h, (p1, m1, p2, m2) = _stencil(q)
     curl = ((_connection(surface, p1)[1] - _connection(surface, m1)[1])
             - (_connection(surface, p2)[0] - _connection(surface, m2)[0])) \
@@ -416,71 +427,72 @@ class DiskParams:
         return self.inertia_axial * self.omega_axial
 
 
-def _disk_mass(params: DiskParams, a11: float, a22: float) -> list:
-    """M = m diag(a11, a22) as rows of Python floats; a11 and a22 are
-    the surface's at the point. No check is made."""
-    m = params.mass
-    return [[m * a11, 0.0], [0.0, m * a22]]
-
-
-def _mass_at(params: DiskParams, surface: SurfaceMetric, q) -> list:
-    """_disk_mass at q, a pair of floats, from one jet call."""
+def _mass_at(params: DiskParams, surface: SurfaceMetric,
+             q) -> tuple[float, float]:
+    """(m a11, m a22), the diagonal of M = m diag(a11, a22) at q, a pair
+    of floats, from one jet call. No check is made."""
     a11, a22 = surface.jet(q)[:2]
-    return _disk_mass(params, float(a11), float(a22))
-
-
-def _disk_geometry(params: DiskParams, surface: SurfaceMetric, q) -> tuple:
-    """(M, dM, sqrt(a11), sqrt(a22)) at q, a pair of floats, in Python
-    floats from one jet call.
-
-    dM[i] = d M / d q_i in closed form, d_i (m a_jj) =
-    2 m sqrt(a_jj) d_i sqrt(a_jj), through the jet's partial slots.
-    """
-    a11, a22, (g11, g12), (g21, g22) = surface.jet(q)
-    a11, a22 = float(a11), float(a22)
-    mass = _disk_mass(params, a11, a22)
     m = params.mass
-    s11 = _positive_sqrt("a11", a11, q)
-    c11 = 2.0 * m * s11
-    s22 = _positive_sqrt("a22", a22, q)
-    c22 = 2.0 * m * s22
-    dmass = [[[c11 * float(g11), 0.0], [0.0, c22 * float(g21)]],
-             [[c11 * float(g12), 0.0], [0.0, c22 * float(g22)]]]
-    return mass, dmass, s11, s22
+    return m * float(a11), m * float(a22)
+
+
+def _solve_mass(ma11: float, ma22: float, b0: float,
+                b1: float) -> tuple[float, float]:
+    """M^{-1} (b0, b1) for M = diag(ma11, ma22), in floats.
+
+    Cramer's rule for the 2 x 2 matrix [[ma11, 0], [0, ma22]] with its
+    zero entries multiplied in: each product, in its order, is that of
+    the general 2 x 2 Cramer solve (kept in tests/conftest.py as the
+    reference), so the result has its bits, the sign of a zero and a NaN
+    from 0 * inf included. A zero determinant raises LinAlgError as
+    np.linalg does.
+    """
+    det = ma11 * ma22 - 0.0 * 0.0
+    if det == 0.0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return (ma22 * b0 - 0.0 * b1) / det, (ma11 * b1 - 0.0 * b0) / det
+
+
+def _disk_local(params: DiskParams,
+                surface: SurfaceMetric) -> Callable[[float, float], tuple]:
+    """The local geometry both disk fields are built from.
+
+    The returned callable maps the coordinates q1, q2 of a point to
+    (m a11, m a22, d1 M11, d1 M22, d2 M11, d2 M22, c) in Python floats:
+    the diagonal of M = m diag(a11, a22), the four entries of dM that
+    are not identically zero, d_i M_jj = 2 m sqrt(a_jj) d_i sqrt(a_jj)
+    through the jet's partial slots, and the gyroscopic coefficient
+    c = sqrt(a11 a22) mu K, formed as dens * mu * (-div / dens) with
+    div of _curvature_divergence. It checks the point against the chart
+    and makes 5 jet calls, one at q and one at each stencil point. A
+    coefficient at q that is not positive raises _positive_sqrt's
+    ValueError.
+    """
+    m, mu = params.mass, params.mu
+    two_m = 2.0 * m
+    jet, check = surface.jet, surface._check
+
+    def local(q1: float, q2: float) -> tuple:
+        check(q1, q2)
+        q = (q1, q2)
+        a11, a22, (g11, g12), (g21, g22) = jet(q)
+        a11, a22 = float(a11), float(a22)
+        s11 = math.sqrt(a11) if a11 > 0.0 else _positive_sqrt("a11", a11, q)
+        s22 = math.sqrt(a22) if a22 > 0.0 else _positive_sqrt("a22", a22, q)
+        c11, c22 = two_m * s11, two_m * s22
+        dens = s11 * s22
+        return (m * a11, m * a22, c11 * float(g11), c22 * float(g21),
+                c11 * float(g12), c22 * float(g22),
+                dens * mu * (-_curvature_divergence(surface, q) / dens))
+
+    return local
 
 
 def disk_mass_matrix(params: DiskParams, surface: SurfaceMetric,
                      q: np.ndarray) -> np.ndarray:
     """Slow kinetic matrix M(q) = m diag(a11, a22)."""
-    return np.array(_mass_at(params, surface, tuple(_floats(q))))
-
-
-def _solve2(a: list, b) -> list:
-    """Solution x of the 2 x 2 system a x = b by Cramer's rule, in floats.
-
-    a holds the rows of the matrix as floats; b is a pair of floats or an
-    array. A singular matrix raises LinAlgError as np.linalg does.
-    """
-    (a00, a01), (a10, a11) = a
-    b0, b1 = _floats(b)
-    det = a00 * a11 - a01 * a10
-    if det == 0.0:
-        raise np.linalg.LinAlgError("Singular matrix")
-    return [(a11 * b0 - a01 * b1) / det, (a00 * b1 - a10 * b0) / det]
-
-
-def _contract(dmass: list, u0: float, u1: float) -> list:
-    """dmass @ (u0, u1) for dmass of shape (2, 2, 2): rows d_i M u.
-
-    Each dot product is 0 + x0 u0 + x1 u1, numpy's result bit for bit
-    whenever at most one of its two products is nonzero: on the sphere,
-    the plane and the exponential chart, where every entry of dM but
-    d_1 M_22 is zero, the disk fields are numpy's to the last bit. With
-    two nonzero products numpy's BLAS kernel may fuse a multiply-add,
-    and the two results can then differ by a rounding.
-    """
-    return [[0.0 + a * u0 + b * u1, 0.0 + c * u0 + d * u1]
-            for (a, b), (c, d) in dmass]
+    ma11, ma22 = _mass_at(params, surface, tuple(_floats(q)))
+    return np.array([[ma11, 0.0], [0.0, ma22]])
 
 
 def spinning_disk_rhs(params: DiskParams,
@@ -495,29 +507,29 @@ def spinning_disk_rhs(params: DiskParams,
     proportional to the Gaussian curvature. The returned callable maps
     z = (q1, q2, u1, u2) to its time derivative; with mu = 0 the flow
     is geodesic for M, and on a flat surface it is straight lines. The
-    partial derivatives of M are closed-form. The field is assembled in
-    Python floats from one evaluation of the local geometry
-    (_disk_geometry) and the curvature stencil: 5 jet calls, each point
-    a tuple of floats.
+    partial derivatives of M are closed-form. Each evaluation calls the
+    local-geometry kernel _disk_local once (5 jet calls, each point a
+    tuple of floats) and finishes in Python floats: the rows d_i M u
+    and the dots of the force are sums from +0 in index order, the zero
+    entries of M and dM included, and M is inverted by _solve_mass.
     """
-    mu = params.mu
+    local = _disk_local(params, surface)
 
     def rhs(z) -> list:
         q1, q2, u0, u1 = _floats(z)
-        surface._check(q1, q2)
-        q = (q1, q2)
-        mass, dmass, s11, s22 = _disk_geometry(params, surface, q)
-        dens = s11 * s22
-        # dens * mu * gaussian_curvature(surface, q), q checked once.
-        coef = dens * mu * (-_curvature_divergence(surface, q) / dens)
+        ma11, ma22, d1m11, d1m22, d2m11, d2m22, coef = local(q1, q2)
         # d/dt (M u) - (1/2) u . d_i M u = force_i, with rows d_i M u of
         # du = [[a, b], [c, d]]: force + (1/2) du u - u . du, written out.
-        (a, b), (c, d) = _contract(dmass, u0, u1)
-        return [u0, u1] + _solve2(mass, [
+        a = 0.0 + d1m11 * u0 + 0.0 * u1
+        b = 0.0 + 0.0 * u0 + d1m22 * u1
+        c = 0.0 + d2m11 * u0 + 0.0 * u1
+        d = 0.0 + 0.0 * u0 + d2m22 * u1
+        return [u0, u1, *_solve_mass(
+            ma11, ma22,
             coef * -u1 + 0.5 * (0.0 + a * u0 + b * u1)
             - (0.0 + u0 * a + u1 * c),
             coef * u0 + 0.5 * (0.0 + c * u0 + d * u1)
-            - (0.0 + u0 * b + u1 * d)])
+            - (0.0 + u0 * b + u1 * d))]
 
     return rhs
 
@@ -533,10 +545,13 @@ def disk_velocity(params: DiskParams, surface: SurfaceMetric,
                   q: np.ndarray, p1: np.ndarray) -> np.ndarray:
     """Velocity u = M(q)^{-1} P1, the inverse of disk_momentum.
 
-    No domain check is made, as disk_mass_matrix makes none.
+    One jet call (_mass_at) and the solve of the disk fields
+    (_solve_mass), so u is the magnetic field's velocity bit for bit. No
+    domain check is made, as disk_mass_matrix makes none.
     """
-    mass = _mass_at(params, surface, tuple(_floats(q)))
-    return np.array(_solve2(mass, p1))
+    ma11, ma22 = _mass_at(params, surface, tuple(_floats(q)))
+    b0, b1 = _floats(p1)
+    return np.array(_solve_mass(ma11, ma22, b0, b1))
 
 
 def disk_magnetic_rhs(params: DiskParams,
@@ -551,29 +566,27 @@ def disk_magnetic_rhs(params: DiskParams,
 
     the Lorentz-force form of spinning_disk_rhs: B^T v is its gyroscopic
     force. The returned callable maps z = (Q1, Q2, P1_1, P1_2), a list or
-    an array, to its time derivative as a list, assembled in Python
-    floats from one evaluation of the local geometry (_disk_geometry) and
-    5 jet calls, as spinning_disk_rhs is. Each dot product of B^T v is a
-    sum from +0 in index order.
+    an array, to its time derivative as a list. Like spinning_disk_rhs it
+    calls the local-geometry kernel _disk_local once (5 jet calls) and
+    finishes in Python floats; each dot product, of dM v with v and of
+    B^T v, is a sum from +0 in index order, its zero terms included.
     """
-    mu = params.mu
+    local = _disk_local(params, surface)
 
     def rhs(z) -> list:
         q1, q2, p0, p1 = _floats(z)
-        surface._check(q1, q2)
-        q = (q1, q2)
-        mass, dmass, s11, s22 = _disk_geometry(params, surface, q)
-        dens = s11 * s22
-        c = dens * mu * (-_curvature_divergence(surface, q) / dens)
-        v = _solve2(mass, [p0, p1])
-        v0, v1 = v
+        ma11, ma22, d1m11, d1m22, d2m11, d2m22, c = local(q1, q2)
+        v0, v1 = _solve_mass(ma11, ma22, p0, p1)
         # grad_Q H = -(1/2) v . d_i M v, and the columns of
         # B = [[0.0 * c, 1.0 * c], [-1.0 * c, 0.0 * c]] dotted with v.
-        (a, b), (d, e) = _contract(dmass, v0, v1)
+        a = 0.0 + d1m11 * v0 + 0.0 * v1
+        b = 0.0 + 0.0 * v0 + d1m22 * v1
+        d = 0.0 + d2m11 * v0 + 0.0 * v1
+        e = 0.0 + 0.0 * v0 + d2m22 * v1
         g0 = -0.5 * (0.0 + a * v0 + b * v1)
         g1 = -0.5 * (0.0 + d * v0 + e * v1)
-        return v + [-g0 + (0.0 + 0.0 * c * v0 + -1.0 * c * v1),
-                    -g1 + (0.0 + 1.0 * c * v0 + 0.0 * c * v1)]
+        return [v0, v1, -g0 + (0.0 + 0.0 * c * v0 + -1.0 * c * v1),
+                -g1 + (0.0 + 1.0 * c * v0 + 0.0 * c * v1)]
 
     return rhs
 
@@ -844,18 +857,20 @@ def particle_potential_2d(trap: float = 1.0, alpha: float = 0.7,
     U = (1/2) trap |x|^2 + f(x) cos(tau) + g(x) sin(tau) with
     f = alpha sin(x1 + 0.3 x2) and g = beta cos(0.7 x1 - x2); the
     resulting <S'' V'> has a curl, so the averaged magnetic form is
-    nonzero. The jets take their inner products with numpy's dot, so U
-    rounds as the same closed form written on arrays.
+    nonzero. The inner products w1 . x, w2 . x and x . x are float sums
+    from +0 in index order, so U rounds alike under every BLAS kernel.
     """
     w1 = np.array([1.0, 0.3])
     w2 = np.array([0.7, -1.0])
     w1_sq, w2_sq = np.outer(w1, w1), np.outer(w2, w2)
     w1_cubed = np.multiply.outer(w1_sq, w1)
     w2_cubed = np.multiply.outer(w2_sq, w2)
+    (w11, w12), (w21, w22) = w1.tolist(), w2.tolist()
 
     def jet(x):
-        x = np.array(x)
-        u1, u2 = float(w1 @ x), float(w2 @ x)
+        x1, x2 = map(float, x)
+        u1 = 0.0 + w11 * x1 + w12 * x2
+        u2 = 0.0 + w21 * x1 + w22 * x2
         s1, c1 = math.sin(u1), math.cos(u1)
         s2, c2 = math.sin(u2), math.cos(u2)
         return (alpha * s1, beta * c2, alpha * c1 * w1, -beta * s2 * w2,
@@ -863,8 +878,8 @@ def particle_potential_2d(trap: float = 1.0, alpha: float = 0.7,
                 -alpha * c1 * w1_cubed, beta * s2 * w2_cubed)
 
     def mean(x):
-        x = np.array(x)
-        return 0.5 * trap * float(x @ x), trap * x
+        x1, x2 = map(float, x)
+        return 0.5 * trap * (0.0 + x1 * x1 + x2 * x2), trap * np.array(x)
 
     return OscillatingPotential(
         dim_base=2, fourier_modes=(HarmonicMode(k=1, jet=jet),), mean=mean)

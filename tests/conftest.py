@@ -1,8 +1,9 @@
-"""Fixtures and finite-difference oracles shared by several test modules.
+"""Fixtures and oracles shared by several test modules.
 
 The finite-difference oracles (fastslow._derivatives.jacobian, and
 gradient, phi_derivative, hessian and the difference jets defined here)
-are imported from this module: `from conftest import gradient`.
+and the float disk fields on the general 2 x 2 forms are imported from
+this module: `from conftest import gradient`.
 """
 
 import math
@@ -13,7 +14,9 @@ import pytest
 
 from fastslow import HarmonicMode, OscillatingPotential, SurfaceMetric
 from fastslow._derivatives import FIRST_ORDER_STEP, jacobian, step_size
-from fastslow.averaging import FIBER_GRID, FIBER_NODES
+from fastslow.averaging import FIBER_GRID, FIBER_NODES, _floats
+from fastslow.systems import _positive_sqrt
+from fastslow.systems import _stencil as disk_stencil
 
 
 @pytest.fixture
@@ -329,6 +332,115 @@ def _numpy_magnetic_field(params, surface):
         return np.concatenate([v, dP1])
 
     return f
+
+
+# ---------------------------------------------------------------------------
+# The float disk fields as they were written on the general 2 x 2 forms (a
+# nested-list M and dM, a Cramer solve of a full 2 x 2 system and a full
+# 2 x 2 x 2 contraction), kept as the bit-for-bit reference for the fields
+# built on the local-geometry kernel fastslow.systems._disk_local.
+
+
+def _float_curvature_divergence(surface, q):
+    """d1(d1 sqrt(a22) / sqrt(a11)) + d2(d2 sqrt(a11) / sqrt(a22)) at q, a
+    pair of floats, by central differences on the curvature stencil."""
+    h, points = disk_stencil(q)
+    p1, m1, p2, m2 = points
+    (a1p, _, _, g1p), (a1m, _, _, g1m), (_, a2p, g2p, _), (_, a2m, g2m, _) \
+        = map(surface.jet, points)
+    return (((float(g1p[0]) / _positive_sqrt("a11", a1p, p1)
+              - float(g1m[0]) / _positive_sqrt("a11", a1m, m1))
+             + (float(g2p[1]) / _positive_sqrt("a22", a2p, p2)
+                - float(g2m[1]) / _positive_sqrt("a22", a2m, m2)))
+            / (2.0 * h))
+
+
+def _disk_mass(params, a11, a22):
+    m = params.mass
+    return [[m * a11, 0.0], [0.0, m * a22]]
+
+
+def _disk_geometry(params, surface, q):
+    """(M, dM, sqrt(a11), sqrt(a22)) at q, a pair of floats, in Python
+    floats from one jet call; dM[i] = d M / d q_i in closed form."""
+    a11, a22, (g11, g12), (g21, g22) = surface.jet(q)
+    a11, a22 = float(a11), float(a22)
+    mass = _disk_mass(params, a11, a22)
+    m = params.mass
+    s11 = _positive_sqrt("a11", a11, q)
+    c11 = 2.0 * m * s11
+    s22 = _positive_sqrt("a22", a22, q)
+    c22 = 2.0 * m * s22
+    dmass = [[[c11 * float(g11), 0.0], [0.0, c22 * float(g21)]],
+             [[c11 * float(g12), 0.0], [0.0, c22 * float(g22)]]]
+    return mass, dmass, s11, s22
+
+
+def _solve2(a, b):
+    """Solution x of the 2 x 2 system a x = b by Cramer's rule, in floats.
+    A singular matrix raises LinAlgError as np.linalg does."""
+    (a00, a01), (a10, a11) = a
+    b0, b1 = _floats(b)
+    det = a00 * a11 - a01 * a10
+    if det == 0.0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return [(a11 * b0 - a01 * b1) / det, (a00 * b1 - a10 * b0) / det]
+
+
+def _contract(dmass, u0, u1):
+    """dmass @ (u0, u1) for dmass of shape (2, 2, 2): rows d_i M u, each
+    dot 0 + x0 u0 + x1 u1."""
+    return [[0.0 + a * u0 + b * u1, 0.0 + c * u0 + d * u1]
+            for (a, b), (c, d) in dmass]
+
+
+def float_spinning_disk_rhs(params, surface):
+    """spinning_disk_rhs on the general 2 x 2 forms."""
+    mu = params.mu
+
+    def rhs(z):
+        q1, q2, u0, u1 = _floats(z)
+        surface._check(q1, q2)
+        q = (q1, q2)
+        mass, dmass, s11, s22 = _disk_geometry(params, surface, q)
+        dens = s11 * s22
+        coef = dens * mu * (-_float_curvature_divergence(surface, q) / dens)
+        (a, b), (c, d) = _contract(dmass, u0, u1)
+        return [u0, u1] + _solve2(mass, [
+            coef * -u1 + 0.5 * (0.0 + a * u0 + b * u1)
+            - (0.0 + u0 * a + u1 * c),
+            coef * u0 + 0.5 * (0.0 + c * u0 + d * u1)
+            - (0.0 + u0 * b + u1 * d)])
+
+    return rhs
+
+
+def float_disk_magnetic_rhs(params, surface):
+    """disk_magnetic_rhs on the general 2 x 2 forms."""
+    mu = params.mu
+
+    def rhs(z):
+        q1, q2, p0, p1 = _floats(z)
+        surface._check(q1, q2)
+        q = (q1, q2)
+        mass, dmass, s11, s22 = _disk_geometry(params, surface, q)
+        dens = s11 * s22
+        c = dens * mu * (-_float_curvature_divergence(surface, q) / dens)
+        v = _solve2(mass, [p0, p1])
+        v0, v1 = v
+        (a, b), (d, e) = _contract(dmass, v0, v1)
+        g0 = -0.5 * (0.0 + a * v0 + b * v1)
+        g1 = -0.5 * (0.0 + d * v0 + e * v1)
+        return v + [-g0 + (0.0 + 0.0 * c * v0 + -1.0 * c * v1),
+                    -g1 + (0.0 + 1.0 * c * v0 + 0.0 * c * v1)]
+
+    return rhs
+
+
+def float_disk_velocity(params, surface, q, p1):
+    """disk_velocity on the general 2 x 2 solve."""
+    a11, a22 = surface.jet(tuple(_floats(q)))[:2]
+    return np.array(_solve2(_disk_mass(params, float(a11), float(a22)), p1))
 
 
 def _sphere(radius, pair):

@@ -38,10 +38,12 @@ from fastslow import (DiskParams, DomainError, HarmonicMode,
                       spinning_disk_rhs, uniform_field_averaged)
 from fastslow.averaging import FIBER_GRID
 from fastslow.experiments import TABLE
-from fastslow.systems import _disk_geometry, _solve2
+from fastslow.systems import _stencil
 
 import conftest as fd
-from conftest import difference_jets
+from conftest import (_disk_geometry, _solve2, difference_jets,
+                      float_disk_magnetic_rhs, float_disk_velocity,
+                      float_spinning_disk_rhs)
 
 RK4 = IntegratorConfig(method="rk4", dt=1e-3)
 
@@ -410,6 +412,97 @@ class TestFloatDiskPath:
                         <= 1e-13 * max(1.0, np.max(np.abs(want))), z
 
 
+def outcome(call):
+    """The bytes of call()'s result as floats, or its exception's type and
+    message."""
+    try:
+        return np.asarray(call(), dtype=float).tobytes()
+    except Exception as err:  # the error is the outcome compared
+        return type(err), str(err)
+
+
+# Velocities whose zeros, signed zeros and non-finite entries meet the
+# zero entries of M and dM in the products of the fields.
+SPECIAL_VELOCITIES = [(0.0, 0.0), (-0.0, -0.0), (-0.0, 0.3), (0.7, -0.0),
+                      (math.inf, 0.5), (-0.2, math.inf), (math.nan, 1.0)]
+
+
+class TestDiskKernel:
+    """The disk fields and disk_velocity, built on the local-geometry
+    kernel, against the float fields on the general 2 x 2 forms that they
+    replaced (tests/conftest.py): the same bits, and the same exception
+    type and message."""
+
+    @pytest.mark.parametrize("label, surface, params, box", DISK_CASES,
+                             ids=[case[0] for case in DISK_CASES])
+    def test_fields_are_the_float_oracle_bit_for_bit(self, label, surface,
+                                                     params, box):
+        pairs = [(spinning_disk_rhs(params, surface),
+                  float_spinning_disk_rhs(params, surface)),
+                 (disk_magnetic_rhs(params, surface),
+                  float_disk_magnetic_rhs(params, surface))]
+        rng = np.random.default_rng(19)
+        for k, q in enumerate(_disk_points(box, n=200)):
+            u = (rng.normal(size=2) * 10.0 ** rng.integers(-3, 3)).tolist()
+            for v in (u, SPECIAL_VELOCITIES[k % len(SPECIAL_VELOCITIES)]):
+                z = [*q.tolist(), *v]
+                for got, want in pairs:
+                    assert outcome(lambda: got(z)) == outcome(
+                        lambda: want(z)), z
+                    assert outcome(lambda: got(np.array(z))) == outcome(
+                        lambda: want(z)), z
+                assert outcome(lambda: disk_velocity(
+                    params, surface, q, v)) == outcome(
+                    lambda: float_disk_velocity(params, surface, q, v)), z
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("where, name", [
+        (0, "a11"), (0, "a22"), (1, "a11"), (2, "a11"), (3, "a22"),
+        (4, "a22")], ids=["q-a11", "q-a22", "q+he1-a11", "q-he1-a11",
+                          "q+he2-a22", "q-he2-a22"])
+    def test_a_bad_coefficient_raises_as_the_oracle(self, name, value,
+                                                    where):
+        # The coefficient is bad at one point of the field's five: at q,
+        # or at a stencil point whose root of that coefficient is taken.
+        sphere = sphere_surface(1.0)
+        q = (1.1, 0.4)
+        bad = [q, *_stencil(q)[1]][where]
+
+        def jet(x):
+            a11, a22, d11, d22 = sphere.jet(x)
+            if x == bad:
+                a11, a22 = (value, a22) if name == "a11" else (a11, value)
+            return a11, a22, d11, d22
+
+        self.assert_as_the_oracle(replace(sphere, jet=jet), [*q, 0.3, -0.2])
+
+    @pytest.mark.parametrize("z", [
+        (math.nan, 0.3, 0.1, 0.2), (0.3, math.nan, 0.1, 0.2),
+        (0.001, 0.3, 0.1, 0.2), (math.pi - 0.01, -1.0, 0.1, 0.2)],
+        ids=["nan-q1", "nan-q2", "north", "south"])
+    def test_a_point_off_the_chart_raises_as_the_oracle(self, z):
+        self.assert_as_the_oracle(sphere_surface(1.0), list(z))
+
+    def test_a_singular_mass_raises_as_the_oracle(self):
+        # a11 a22 m^2 underflows to 0: Cramer's determinant is zero.
+        surface = SurfaceMetric(
+            jet=lambda q: (1e-200, 1e-200, (0.0, 0.0), (0.0, 0.0)))
+        self.assert_as_the_oracle(surface, [0.3, 0.2, 0.1, 0.2])
+
+    @staticmethod
+    def assert_as_the_oracle(surface, z):
+        params = DiskParams()
+        for make, make_oracle in ((spinning_disk_rhs, float_spinning_disk_rhs),
+                                  (disk_magnetic_rhs,
+                                   float_disk_magnetic_rhs)):
+            got = outcome(lambda: make(params, surface)(z))
+            assert got == outcome(lambda: make_oracle(params, surface)(z))
+            assert isinstance(got, tuple), got
+        assert outcome(lambda: disk_velocity(
+            params, surface, z[:2], z[2:])) == outcome(
+            lambda: float_disk_velocity(params, surface, z[:2], z[2:]))
+
+
 class TestSurfaceContract:
     """Surface callables get pairs of floats and may return any pair."""
 
@@ -533,10 +626,12 @@ def closed_form_particle_1d(x, tau, trap=1.0, alpha=0.7, beta=0.4):
 
 
 def closed_form_particle_2d(x, tau, trap=1.0, alpha=0.7, beta=0.4):
-    """U of particle_potential_2d, written out by hand."""
-    c = alpha * math.sin(float(np.array([1.0, 0.3]) @ x))
-    s = beta * math.cos(float(np.array([0.7, -1.0]) @ x))
-    return (0.5 * trap * float(x @ x) + c * math.cos(tau)
+    """U of particle_potential_2d, written out by hand, each inner product
+    a float sum from +0 in index order."""
+    x1, x2 = float(x[0]), float(x[1])
+    c = alpha * math.sin(0.0 + 1.0 * x1 + 0.3 * x2)
+    s = beta * math.cos(0.0 + 0.7 * x1 + -1.0 * x2)
+    return (0.5 * trap * (0.0 + x1 * x1 + x2 * x2) + c * math.cos(tau)
             + s * math.sin(tau))
 
 
