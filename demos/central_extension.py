@@ -40,9 +40,8 @@ def main():
         eta_field, XI0 - SHIFT, HORIZON, CONFIG,
         state_labels=("eta1", "eta2", "eta3"), kind="euler", dim_base=3)
     via_bracket = integrate_autonomous(
-        lambda xi: extended_hamiltonian_field(algebra, cocycle, INERTIA, xi),
-        XI0, HORIZON, CONFIG,
-        state_labels=("xi1", "xi2", "xi3"), kind="euler", dim_base=3)
+        extended_hamiltonian_field(algebra, cocycle, INERTIA), XI0, HORIZON,
+        CONFIG, state_labels=("xi1", "xi2", "xi3"), kind="euler", dim_base=3)
 
     gap_eta = float(np.max(np.abs(direct.values - SHIFT - via_eta.values)))
     gap_bracket = float(np.max(np.abs(direct.values - via_bracket.values)))

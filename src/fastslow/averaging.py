@@ -42,9 +42,9 @@ FastSlowSystem holds both and AveragedSystem the slow one. q is a list
 of dim_base Python floats and phi a float. grad_a0[i][j] is
 d a0_j / d q_i, and jac_q_a1 has the same layout. A vector or matrix
 slot is a (nested) list of floats or an array, a scalar slot a float:
-the full field and the energy log read a list as it is and turn an
-array into floats once (_floats), and every other reader makes an array
-of a slot. Every field and log calls each jet once per evaluation and
+every field and energy log reads a list as it is and turns an array
+into floats once (_floats), and any other reader makes an array of a
+slot. Every field and log calls each jet once per evaluation and
 reads its derivative slots as given: nothing here differences a value
 slot. The jets of systems.OscillatingPotential, one per harmonic and
 one for the fiber mean, take q and fill their slots by the same
@@ -244,12 +244,12 @@ def average_coefficients(system: FastSlowSystem,
 
 def averaged_hamiltonian(avg: AveragedSystem, Q: np.ndarray,
                          P: np.ndarray) -> float:
-    """Hbar = (1/2) P.P + mu a0(Q).P + (1/2) mu^2 h0(Q) + U0(Q)."""
-    P = np.asarray(P, dtype=float)
+    """Hbar = (1/2) P.P + mu a0(Q).P + (1/2) mu^2 h0(Q) + U0(Q), in
+    Python floats, each dot a _dot."""
+    P = _floats(P)
     a0, h0, U0 = avg.slow(_floats(Q))[:3]
-    a0 = np.asarray(a0, dtype=float)
-    return float(0.5 * (P @ P) + avg.mu * (a0 @ P)
-                 + 0.5 * avg.mu ** 2 * float(h0) + float(U0))
+    return (0.5 * _dot(P, P) + avg.mu * _dot(_floats(a0), P)
+            + 0.5 * avg.mu ** 2 * float(h0) + float(U0))
 
 
 def effective_potential(avg: AveragedSystem, Q: np.ndarray) -> float:
@@ -257,11 +257,11 @@ def effective_potential(avg: AveragedSystem, Q: np.ndarray) -> float:
 
     Ubar_mu = (1/2) mu^2 (h0 - a0 . a0) + U0, so that the averaged
     Hamiltonian equals (1/2) |P1|^2 + Ubar_mu with P1 = P + mu a0(Q).
+    It is formed in Python floats, a0 . a0 a _dot.
     """
     a0, h0, U0 = avg.slow(_floats(Q))[:3]
-    a0 = np.asarray(a0, dtype=float)
-    return float(0.5 * avg.mu ** 2 * (float(h0) - float(a0 @ a0))
-                 + float(U0))
+    a0 = _floats(a0)
+    return 0.5 * avg.mu ** 2 * (float(h0) - _dot(a0, a0)) + float(U0)
 
 
 def magnetic_form(avg: AveragedSystem, Q: np.ndarray) -> np.ndarray:

@@ -26,15 +26,17 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .bundle_geometry import PhaseStateFull, PhaseStateReduced
-from .integrators import (IntegratorConfig, _integration, _row_blocks,
+from .integrators import (IntegratorConfig, _integration, _nodes,
                           closeness_case, integrate_autonomous)
-from .lie_poisson import (BUILTIN_ALGEBRAS, EulerSystem, _extended_field,
-                          integrate_euler, load_algebra, shift_cocycle)
-from .systems import (DiskParams, PendulumParams, _curvature_residual,
-                      _mass_at, _solve_mass, disk_magnetic_rhs, disk_momentum,
-                      exponential_surface, particle_potential_1d,
-                      particle_systems, pendulum_systems, plane_surface,
-                      sphere_surface, spinning_disk_rhs)
+from .lie_poisson import (BUILTIN_ALGEBRAS, EulerSystem,
+                          extended_hamiltonian_field, integrate_euler,
+                          load_algebra, shift_cocycle)
+from .systems import (DiskParams, PendulumParams, _mass_at, _solve_mass,
+                      curvature_identity_residual, disk_magnetic_rhs,
+                      disk_momentum, exponential_surface,
+                      particle_potential_1d, particle_systems,
+                      pendulum_systems, plane_surface, sphere_surface,
+                      spinning_disk_rhs)
 
 if TYPE_CHECKING:
     from .cli import ExperimentConfig
@@ -180,37 +182,25 @@ def _run_disk(config: ExperimentConfig, base_dir: Path) -> tuple:
     q0 = np.array([p["q1_0"], p["q2_0"]])
     u0 = np.array([p["u1_0"], p["u2_0"]])
 
-    rhs = spinning_disk_rhs(params, surface)
-
-    # The node passes, one _row_blocks block of Python floats at a time,
-    # each M from one jet call (_mass_at). The energy logs group as
-    # 0.5 * u @ M @ u and 0.5 * P1 @ v, each dot a sum from +0 in index
-    # order with the zero entries of M, so no BLAS kernel rounds them;
-    # v = M^{-1} P1 is disk_velocity's.
-    def energy(q1, q2, v0, v1):
-        ma11, ma22 = _mass_at(params, surface, (q1, q2))
-        h0, h1 = 0.5 * v0, 0.5 * v1
-        return (0.0 + (0.0 + h0 * ma11 + h1 * 0.0) * v0
-                + (0.0 + h0 * 0.0 + h1 * ma22) * v1)
-
-    def hamiltonian_and_velocity(q1, q2, p0, p1):
-        v0, v1 = _solve_mass(*_mass_at(params, surface, (q1, q2)), p0, p1)
-        return 0.0 + 0.5 * p0 * v0 + 0.5 * p1 * v1, v0, v1
-
-    def node_pass(traj, fn, shape):
-        out = np.empty((len(traj), *shape))
-        for rows in _row_blocks(len(traj)):
-            for i, z in enumerate(traj.values[rows].tolist(), rows.start):
-                out[i] = fn(*z)
-        return out
-
+    # Each node log is one node pass (_nodes), each M from one jet call
+    # (_mass_at). The energy logs group as 0.5 * u @ M @ u and
+    # 0.5 * P1 @ v, each dot a sum from +0 in index order with the zero
+    # entries of M, so no BLAS kernel rounds them; v = M^{-1} P1 is
+    # disk_velocity's.
     with _integration("Lagrangian integration"):
         lagrangian = integrate_autonomous(
-            rhs, np.concatenate([q0, u0]), horizon, cfg,
-            state_labels=("q1", "q2", "u1", "u2"), kind="disk_lagrangian",
-            dim_base=2, meta={"surface": surface.name})
+            spinning_disk_rhs(params, surface), np.concatenate([q0, u0]),
+            horizon, cfg, state_labels=("q1", "q2", "u1", "u2"),
+            kind="disk_lagrangian", dim_base=2,
+            meta={"surface": surface.name})
+        energy = np.empty(len(lagrangian))
+        for i, (q1, q2, v0, v1) in _nodes(lagrangian.values):
+            ma11, ma22 = _mass_at(params, surface, (q1, q2))
+            h0, h1 = 0.5 * v0, 0.5 * v1
+            energy[i] = (0.0 + (0.0 + h0 * ma11 + h1 * 0.0) * v0
+                         + (0.0 + h0 * 0.0 + h1 * ma22) * v1)
         lagrangian.invariant_log = {
-            "energy": node_pass(lagrangian, energy, ()),
+            "energy": energy,
             "momentum": np.full(len(lagrangian), params.mu)}
 
     p1 = disk_momentum(params, surface, q0, u0)
@@ -221,19 +211,21 @@ def _run_disk(config: ExperimentConfig, base_dir: Path) -> tuple:
             horizon, cfg, state_labels=("Q1", "Q2", "P1_1", "P1_2"),
             kind="reduced_magnetic", dim_base=2,
             meta={"mu": params.mu, "clock": "slow"})
-        log = node_pass(magnetic, hamiltonian_and_velocity, (3,))
-        magnetic.invariant_log = {"energy": log[:, 0].copy(),
+        energy, u1, u2 = np.empty((3, len(magnetic)))
+        for i, (q1, q2, b0, b1) in _nodes(magnetic.values):
+            v0, v1 = u1[i], u2[i] = _solve_mass(
+                *_mass_at(params, surface, (q1, q2)), b0, b1)
+            energy[i] = 0.0 + 0.5 * b0 * v0 + 0.5 * b1 * v1
+        magnetic.invariant_log = {"energy": energy,
                                   "momentum": np.full(len(magnetic),
                                                       params.mu)}
 
     # Two-path deviation: positions, and velocities u = M(q)^{-1} P1.
-    dev = float(np.max(np.abs(lagrangian.values - np.hstack(
-        [magnetic.values[:, :2], log[:, 1:]]))))
+    dev = float(np.max(np.abs(lagrangian.values - np.column_stack(
+        [magnetic.values[:, :2], u1, u2]))))
 
-    # The grid lies inside the chart, so each point goes to the
-    # residual's float body as a pair of floats, unchecked.
     grid1, grid2 = _curvature_grid(surface)
-    worst = max(abs(_curvature_residual(surface, (v1, v2)))
+    worst = max(abs(curvature_identity_residual(surface, (v1, v2)))
                 for v1 in grid1.tolist() for v2 in grid2.tolist())
 
     meta = {"surface": surface.name}
@@ -288,7 +280,7 @@ def _run_euler(config: ExperimentConfig, base_dir: Path) -> tuple:
     cocycle = shift_cocycle(algebra, shift)
     steps = max(1, int(np.floor(min(10.0, horizon) / cfg.dt + 1e-9)))
     traj_ext = integrate_autonomous(
-        _extended_field(algebra, cocycle, system.inertia),
+        extended_hamiltonian_field(algebra, cocycle, system.inertia),
         xi0, traj.times[min(steps, len(traj) - 1)], cfg,
         state_labels=traj.state_labels, kind="euler", dim_base=algebra.dim)
     equiv = float(np.max(np.abs(traj.values[:len(traj_ext)]

@@ -33,10 +33,8 @@ Every sum of the steps and fields here is written out as float
 additions from +0.0 in index order, never through the built-in sum(),
 which from CPython 3.12 on is compensated (Neumaier) summation:
 sum([1e16, 1.0, -1e16]) is 1.0 there and 0.0 on 3.11. What numpy still
-computes is the chord matrix (a LAPACK inverse), the averaged energy
-logs (averaged_hamiltonian, effective_potential) and the a0 terms of
-the magnetic chart's field. Equal output bytes across CPython versions
-are checked on 3.10 and 3.11 only.
+computes is the chord matrix (a LAPACK inverse). Equal output bytes
+across CPython versions are checked on 3.10 and 3.11 only.
 """
 
 from __future__ import annotations
@@ -61,9 +59,9 @@ TWO_PI = 2.0 * np.pi
 IC_MATCH_TOL = 1e-12
 HORIZON_FACTOR_MAX = 10.0
 PREDICTOR_MAX_ORDER = 5
-# Rows per block of a pass over a whole trajectory (the node logs of
-# integrate_full, closeness_report, and the writers of fastslow.cli), so
-# that a pass holds one block of Python floats or temporaries at a time.
+# Rows per block of a pass over a whole trajectory (every node log,
+# closeness_report, and the writers of fastslow.cli), so that a pass
+# holds one block of Python floats or temporaries at a time.
 _BLOCK_ROWS = 4096
 
 
@@ -71,6 +69,14 @@ def _row_blocks(n: int):
     """The slices of rows 0 .. n-1 in blocks of _BLOCK_ROWS, in order."""
     for start in range(0, n, _BLOCK_ROWS):
         yield slice(start, min(start + _BLOCK_ROWS, n))
+
+
+def _nodes(values: np.ndarray):
+    """(i, row i of values as a list of floats) for every row in order,
+    one _row_blocks block turned into floats at a time: the node pass of
+    every per-node log."""
+    for rows in _row_blocks(len(values)):
+        yield from enumerate(values[rows].tolist(), rows.start)
 
 
 class IntegrationError(RuntimeError):
@@ -140,7 +146,7 @@ class Trajectory:
     integrate_full logs "energy", "momentum" (gamma) and "phi_dot"; the
     integrate_reduced_* wrappers "energy" and the constant "momentum" mu;
     integrate_euler "energy", "momentum" (|xi|^2) and "casimir_shifted";
-    a bare integrate_autonomous run only the logs it is given.
+    a bare integrate_autonomous run has no logs.
     """
 
     times: np.ndarray
@@ -392,24 +398,24 @@ def integrate_autonomous(f: Callable[[list], list | np.ndarray],
                          state_labels: Sequence[str],
                          kind: str,
                          dim_base: int,
-                         logs: dict | None = None,
                          meta: dict | None = None,
                          backward: bool = False) -> Trajectory:
-    """Integrate dz/dt = f(z) over [0, horizon] and log invariants.
+    """Integrate dz/dt = f(z) over [0, horizon].
 
     horizon must be positive and finite and z0 must hold at least one
-    float; anything else raises ValueError before a step is taken. The run takes n = floor(horizon / dt + 1e-9)
-    steps of dt, then one partial step of the remainder when it exceeds
-    1e-12 max(1, horizon). Node i is at i * dt and the last at horizon,
-    so a run to a node's time retakes the steps before it. No step, or
-    more steps than numpy can store (2**62 or so, or more than memory
-    holds), raises ValueError before a step is taken, too.
+    float; anything else raises ValueError before a step is taken. The
+    run takes n = floor(horizon / dt + 1e-9) steps of dt, then one
+    partial step of the remainder when it exceeds 1e-12 max(1, horizon).
+    Node i is at i * dt and the last at horizon, so a run to a node's
+    time retakes the steps before it. No step, or more steps than numpy
+    can store (2**62 or so, or more than memory holds), raises
+    ValueError before a step is taken, too.
 
     With backward=True the steps are taken with -dt (the reported times
     still increase from 0), which together with a forward run forms the
-    time-reversal test of the symmetric midpoint rule. logs maps
-    invariant names to per-state callables; each is evaluated at every
-    node into invariant_log under its name, in the order given.
+    time-reversal test of the symmetric midpoint rule. The returned
+    trajectory has an empty invariant_log: each caller that logs takes
+    its logs after the run, in one node pass (_nodes).
 
     An IntegrationError from a step is raised again with "step i (t=...)"
     in front of its message, and a ValueError raised by f (a DomainError
@@ -489,13 +495,9 @@ def integrate_autonomous(f: Callable[[list], list | np.ndarray],
             _raise_at_step(err, i, config.dt)
     times = np.arange(steps + 1) * config.dt
     times[steps] = horizon
-    invariant_log = {name: np.array([fn(values[i])
-                                     for i in range(values.shape[0])])
-                     for name, fn in (logs or {}).items()}
     return Trajectory(times=times, values=values,
                       state_labels=tuple(state_labels), kind=kind,
-                      dim_base=dim_base, invariant_log=invariant_log,
-                      meta={**(meta or {}), **counts})
+                      dim_base=dim_base, meta={**(meta or {}), **counts})
 
 
 def _full_rhs(system: FastSlowSystem) -> Callable[[list], list]:
@@ -576,8 +578,8 @@ def integrate_full(system: FastSlowSystem, state0: PhaseStateFull,
     speed dphi/dtau (negated for a backward run) are logged at every
     node. The stored phi column is wrapped to [0, 2*pi). There are no
     derivs, so "rhs_evals" counts the solver's evaluations alone. The
-    logs are taken one block of nodes at a time (_row_blocks), so they
-    hold one block of Python floats at most.
+    logs are taken in one node pass (_nodes), so they hold one block of
+    Python floats at most.
     """
     eps = system.epsilon
     if horizon > HORIZON_FACTOR_MAX / eps * (1.0 + 1e-9):
@@ -598,10 +600,9 @@ def integrate_full(system: FastSlowSystem, state0: PhaseStateFull,
     # One evaluation of a and h per node gives both the energy and the
     # fiber speed, the phi component of _full_rhs term for term.
     energy, phi_dot = np.empty((2, len(traj)))
-    for rows in _row_blocks(len(traj)):
-        for i, z in enumerate(traj.values[rows].tolist(), rows.start):
-            energy[i], phi_dot[i] = system.energy_and_fiber_speed(
-                z[:l], z[l:2 * l], z[2 * l], z[2 * l + 1])
+    for i, z in _nodes(traj.values):
+        energy[i], phi_dot[i] = system.energy_and_fiber_speed(
+            z[:l], z[l:2 * l], z[2 * l], z[2 * l + 1])
     phi_dot *= sign
     traj.invariant_log = {"energy": energy,
                           "momentum": traj.values[:, 2 * l + 1].copy(),
@@ -621,7 +622,8 @@ def integrate_reduced_canonical(avg: AveragedSystem,
     change, so no epsilon enters. The averaged energy is logged, and the
     momentum log holds the constant mu (exactly, since mu is a parameter
     of the flow rather than an evolving state). derivs holds the field at
-    every node, and meta["rhs_evals"], if present, counts those calls.
+    every node, taken with the energy in one node pass (_nodes), and
+    meta["rhs_evals"], if present, counts those calls.
     """
     state0 = convert_chart(state0, lambda Q: avg.slow(_floats(Q))[0],
                            avg.mu, "canonical")
@@ -643,14 +645,15 @@ def integrate_reduced_canonical(avg: AveragedSystem,
     traj = integrate_autonomous(
         f, state0.as_array(), horizon, config, state_labels=labels,
         kind="reduced_canonical", dim_base=l,
-        logs={"energy": lambda z: averaged_hamiltonian(avg, z[:l], z[l:]),
-              "momentum": lambda z: mu},
         meta={"mu": mu, "clock": "slow"})
     if "rhs_evals" in traj.meta:
         traj.meta["rhs_evals"] += len(traj)
-    derivs = np.empty_like(traj.values)
-    for rows in _row_blocks(len(traj)):
-        derivs[rows] = [f(z) for z in traj.values[rows].tolist()]
+    energy, derivs = np.empty(len(traj)), np.empty_like(traj.values)
+    for i, z in _nodes(traj.values):
+        energy[i] = averaged_hamiltonian(avg, z[:l], z[l:])
+        derivs[i] = f(z)
+    traj.invariant_log = {"energy": energy,
+                          "momentum": np.full(len(traj), mu)}
     return dataclasses.replace(traj, derivs=derivs)
 
 
@@ -666,40 +669,41 @@ def integrate_reduced_magnetic(avg: AveragedSystem,
     a Lorentz force with magnetic matrix B. A reduction whose kinetic
     energy is not (1/2)|P1|^2, such as the disk of
     systems.disk_magnetic_rhs, has a field of its own for
-    integrate_autonomous. The field is assembled in Python floats; as in
-    _full_rhs, B^T v is a sum from +0 in index order, numpy's dot bit for
-    bit when no row of it has two nonzero products (dim_base 1 and 2,
-    where B is antisymmetric).
+    integrate_autonomous. The field and the energy log (one node pass)
+    are Python floats; as in _full_rhs, each dot is a sum from +0 in
+    index order, numpy's dot bit for bit when it has one nonzero product.
     """
     state0 = convert_chart(state0, lambda Q: avg.slow(_floats(Q))[0],
                            avg.mu, "magnetic")
     l = avg.dim_base
     mu = avg.mu
     slow = avg.slow
+    half_mu2 = 0.5 * mu * mu
+    rows = range(l)
 
     def f(z: list) -> list:
         v = _floats(z[l:])
         a0, _, _, ga0, gh0, gU0 = slow(_floats(z[:l]))
-        a0, ga0 = np.asarray(a0, dtype=float), np.asarray(ga0, dtype=float)
-        g = _floats(0.5 * mu * mu * (np.asarray(gh0, dtype=float)
-                                     - 2.0 * (ga0 @ a0))
-                    + np.asarray(gU0, dtype=float))
-        # Column i of B = mu (ga0 - ga0^T) dotted with v, summed from +0.
-        dP1 = [-g_i + _dot(col, v)
-               for g_i, col in zip(g, zip(*_floats(mu * (ga0 - ga0.T))))]
-        return v + dP1
-
-    def energy(z: np.ndarray) -> float:
-        P1 = z[l:]
-        return float(0.5 * (P1 @ P1) + effective_potential(avg, z[:l]))
+        a0, ga0, gh0, gU0 = map(_floats, (a0, ga0, gh0, gU0))
+        # -grad Ubar_mu = -(0.5 mu^2 (gh0 - 2 ga0 a0) + gU0), plus column
+        # i of B = mu (ga0 - ga0^T) dotted with v.
+        return v + [-(half_mu2 * (gh0[i] - 2.0 * _dot(ga0[i], a0)) + gU0[i])
+                    + _dot([mu * (ga0[k][i] - ga0[i][k]) for k in rows], v)
+                    for i in rows]
 
     labels = tuple([f"Q{i + 1}" for i in range(l)]
                    + [f"P1_{i + 1}" for i in range(l)])
-    return integrate_autonomous(
+    traj = integrate_autonomous(
         f, state0.as_array(), horizon, config, state_labels=labels,
         kind="reduced_magnetic", dim_base=l,
-        logs={"energy": energy, "momentum": lambda z: mu},
         meta={"mu": mu, "clock": "slow"})
+    energy = np.empty(len(traj))
+    for i, z in _nodes(traj.values):
+        P1 = z[l:]
+        energy[i] = 0.5 * _dot(P1, P1) + effective_potential(avg, z[:l])
+    traj.invariant_log = {"energy": energy,
+                          "momentum": np.full(len(traj), mu)}
+    return traj
 
 
 def hermite_interpolate(times: np.ndarray, values: np.ndarray,

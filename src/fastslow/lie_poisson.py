@@ -22,10 +22,10 @@ the implicit midpoint rule conserves them to solver tolerance; their
 logged drift measures Newton slop rather than method error.
 
 Every per-step and per-node evaluation works on Python floats over the
-nonzero entries of c, I^{-1} and sigma, listed once per closure as
-(index..., value) terms in C order: each component is a float sum from
-+0.0 over its terms in that order, so no BLAS kernel and no built-in
-sum() rounds a value of a run.
+nonzero entries of c, I^{-1} and sigma, listed once per algebra, system
+or field as (index..., value) terms in C order: each component is a
+float sum from +0.0 over its terms in that order, so no BLAS kernel and
+no built-in sum() rounds a value of a run.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .averaging import _floats
-from .integrators import (IntegratorConfig, Trajectory, _row_blocks,
+from .integrators import (IntegratorConfig, Trajectory, _nodes,
                           integrate_autonomous)
 
 JACOBI_TOL = 1e-12
@@ -84,12 +84,14 @@ class LieAlgebraData:
 
     structure_constants[i, j, k] is the e_k coefficient of [e_i, e_j].
     Antisymmetry in (i, j) must hold exactly; the Jacobi identity is
-    enforced to 1e-12 at construction.
+    enforced to 1e-12 at construction, where the terms of c are formed
+    once for coadjoint_action and the field factories.
     """
 
     dim: int
     structure_constants: np.ndarray
     name: str = "algebra"
+    _brackets: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         c = np.asarray(self.structure_constants, dtype=float)
@@ -105,6 +107,7 @@ class LieAlgebraData:
             raise ValueError(
                 f"Jacobi identity violated: max residual {worst:.3e} "
                 f"exceeds {JACOBI_TOL:.1e}")
+        object.__setattr__(self, "_brackets", _terms(c))
 
     def bracket(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -161,8 +164,7 @@ def coadjoint_action(algebra: LieAlgebraData, X: np.ndarray,
     so(3) it is the cross product xi x X. The Euler fields share its
     product, _ad_star.
     """
-    return np.array(_ad_star(_terms(algebra.structure_constants),
-                             _floats(X), _floats(xi)))
+    return np.array(_ad_star(algebra._brackets, _floats(X), _floats(xi)))
 
 
 def shift_cocycle(algebra: LieAlgebraData, shift: np.ndarray) -> Cocycle:
@@ -248,15 +250,15 @@ class EulerSystem:
         return 0.5 * e
 
 
-def _euler_field(system: EulerSystem) -> Callable[[list], list]:
-    """The field of euler_vector_field as a closure on lists of floats.
+def euler_vector_field(system: EulerSystem) -> Callable[[list], list]:
+    """Shifted Euler equation dxi/dt = -ad*_{I^{-1} xi} (xi - L), as a
+    closure on lists of floats over the terms of I^{-1} and of c.
 
-    The terms of the structure constants are formed once, and those of
-    I^{-1} are the system's; each call forms X = I^{-1} xi with _matvec
-    and returns -ad*_X (xi - L) with _ad_star, all in Python floats.
+    The field is orthogonal to the angular velocity I^{-1} xi, so the
+    kinetic energy is conserved at the level of the vector field.
     """
     inverse = system._inverse
-    brackets = _terms(system.algebra.structure_constants)
+    brackets = system.algebra._brackets
     shift = system.shift.tolist()
 
     def f(xi: list) -> list:
@@ -266,23 +268,24 @@ def _euler_field(system: EulerSystem) -> Callable[[list], list]:
     return f
 
 
-def euler_vector_field(system: EulerSystem, xi: np.ndarray) -> np.ndarray:
-    """Shifted Euler equation dxi/dt = -ad*_{I^{-1} xi} (xi - L).
+def extended_hamiltonian_field(algebra: LieAlgebraData,
+                               cocycle: Cocycle | None,
+                               inertia: np.ndarray
+                               ) -> Callable[[list], list]:
+    """Flow of H = (1/2) <xi, I^{-1} xi> under the extended bracket.
 
-    The field is orthogonal to the angular velocity I^{-1} xi, so the
-    kinetic energy is conserved at the level of the vector field.
+    Component j is {H, xi_j}(xi), in closed form -ad*_{dH} xi - dH . sigma
+    with dH = I^{-1} xi. For the coboundary of a shift L,
+    (dH . sigma)_j = -sum_{i,k} dH_i L_k c^k_ij = -(ad*_{dH} L)_j, so the
+    field is -ad*_{dH} (xi - L), euler_vector_field of the shifted system:
+    the two-path identity behind the shift-equivalence check.
+
+    Returned as a closure on lists of floats, for which the terms of
+    I^{-1} and of sigma are formed once; as sigma is antisymmetric,
+    -dH . sigma is the product sigma dH.
     """
-    return np.array(_euler_field(system)(_floats(xi)))
-
-
-def _extended_field(algebra: LieAlgebraData, cocycle: Cocycle | None,
-                    inertia: np.ndarray) -> Callable[[list], list]:
-    """The field of extended_hamiltonian_field as a closure on lists of
-    floats, shaped like _euler_field: the terms of I^{-1}, of the
-    structure constants and of sigma are formed once. As sigma is
-    antisymmetric, -dH . sigma is the product sigma dH."""
     inverse = _terms(np.linalg.inv(np.asarray(inertia, dtype=float)))
-    brackets = _terms(algebra.structure_constants)
+    brackets = algebra._brackets
     sigma = [] if cocycle is None else _terms(cocycle.sigma)
 
     def f(xi: list) -> list:
@@ -291,21 +294,6 @@ def _extended_field(algebra: LieAlgebraData, cocycle: Cocycle | None,
                                       _matvec(sigma, dh))]
 
     return f
-
-
-def extended_hamiltonian_field(algebra: LieAlgebraData,
-                               cocycle: Cocycle | None,
-                               inertia: np.ndarray,
-                               xi: np.ndarray) -> np.ndarray:
-    """Flow of H = (1/2) <xi, I^{-1} xi> under the extended bracket.
-
-    Component j is {H, xi_j}(xi), in closed form -ad*_{dH} xi - dH . sigma
-    with dH = I^{-1} xi. For the coboundary of a shift L,
-    (dH . sigma)_j = -sum_{i,k} dH_i L_k c^k_ij = -(ad*_{dH} L)_j, so the
-    field is -ad*_{dH} (xi - L), euler_vector_field of the shifted system:
-    the two-path identity behind the shift-equivalence check.
-    """
-    return np.array(_extended_field(algebra, cocycle, inertia)(_floats(xi)))
 
 
 def integrate_euler(system: EulerSystem, xi0: np.ndarray, horizon: float,
@@ -317,7 +305,7 @@ def integrate_euler(system: EulerSystem, xi0: np.ndarray, horizon: float,
     algebras the latter is the Casimir of the shifted flow. All three
     are quadratic, so implicit midpoint keeps their drift at the Newton
     tolerance. The logs are taken after the run in one pass of Python
-    floats, one block of nodes at a time (_row_blocks): I^{-1} xi is
+    floats, one block of nodes at a time (_nodes): I^{-1} xi is
     _matvec over the system's terms, and each sum over the components is
     added from +0.0 in index order.
     """
@@ -327,19 +315,19 @@ def integrate_euler(system: EulerSystem, xi0: np.ndarray, horizon: float,
         raise ValueError("xi0 must have length dim")
     labels = tuple(f"xi{i + 1}" for i in range(n))
     traj = integrate_autonomous(
-        _euler_field(system), xi0, horizon, config, state_labels=labels,
-        kind="euler", dim_base=n, meta={"algebra": system.algebra.name})
+        euler_vector_field(system), xi0, horizon, config,
+        state_labels=labels, kind="euler", dim_base=n,
+        meta={"algebra": system.algebra.name})
     inverse = system._inverse
     shift = system.shift.tolist()
     energy, momentum, casimir = np.empty((3, len(traj)))
-    for rows in _row_blocks(len(traj)):
-        for i, z in enumerate(traj.values[rows].tolist(), rows.start):
-            e = m = c = 0.0
-            for x, v, s in zip(z, _matvec(inverse, z), shift):
-                e += x * v
-                m += x * x
-                c += (x - s) * (x - s)
-            energy[i], momentum[i], casimir[i] = 0.5 * e, m, c
+    for i, z in _nodes(traj.values):
+        e = m = c = 0.0
+        for x, v, s in zip(z, _matvec(inverse, z), shift):
+            e += x * v
+            m += x * x
+            c += (x - s) * (x - s)
+        energy[i], momentum[i], casimir[i] = 0.5 * e, m, c
     traj.invariant_log = {"energy": energy, "momentum": momentum,
                           "casimir_shifted": casimir}
     return traj

@@ -379,21 +379,18 @@ def disk_connection(surface: SurfaceMetric, q: np.ndarray) -> np.ndarray:
         surface, tuple(np.asarray(q, dtype=float).tolist())))
 
 
-def curvature_identity_residual(surface: SurfaceMetric,
-                                q: np.ndarray) -> float:
+def curvature_identity_residual(surface: SurfaceMetric, q) -> float:
     """Residual d(A . dq) - sqrt(a11 a22) K at q (finite differences).
 
     The curl of the connection is computed with central differences of
     disk_connection, so this is an independent check of the curvature
-    rather than a restatement of its formula.
+    rather than a restatement of its formula. q (an array, a list or a
+    tuple) is read as two floats and checked against the chart, and so
+    is each stencil point.
     """
-    return _curvature_residual(
-        surface, tuple(surface.require_in_domain(q).tolist()))
-
-
-def _curvature_residual(surface: SurfaceMetric, q) -> float:
-    """curvature_identity_residual at q, a pair of floats that the caller
-    has checked against the chart; the stencil points are checked here."""
+    x, y = q
+    q = (float(x), float(y))
+    surface._check(*q)
     h, (p1, m1, p2, m2) = _stencil(q)
     curl = ((_connection(surface, p1)[1] - _connection(surface, m1)[1])
             - (_connection(surface, p2)[0] - _connection(surface, m2)[0])) \

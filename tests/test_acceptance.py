@@ -310,8 +310,7 @@ def test_8_lie_poisson_suite():
         state_labels=("eta1", "eta2", "eta3"), kind="euler", dim_base=3)
     coc = shift_cocycle(alg, shift)
     traj_ext = integrate_autonomous(
-        lambda xi: extended_hamiltonian_field(alg, coc, inertia, xi),
-        xi0, 10.0, MIDPOINT,
+        extended_hamiltonian_field(alg, coc, inertia), xi0, 10.0, MIDPOINT,
         state_labels=("xi1", "xi2", "xi3"), kind="euler", dim_base=3)
     two_path = max(
         float(np.max(np.abs(traj_xi.values - shift - traj_eta.values))),

@@ -26,7 +26,8 @@ selected. The compiled implicit midpoint loop of integrate_autonomous
 must reproduce a step-by-step run of that list oracle bit for bit: its
 nodes, its counts, the points it calls the field at and its errors. The
 energy and phi_dot logs and the closeness report, taken in row blocks,
-must equal bit for bit the one-pass formulas they replaced.
+must equal bit for bit the one-pass formulas they replaced, and each
+reduced energy log the per-node call of its formula.
 """
 
 import dataclasses
@@ -502,7 +503,7 @@ def step_field(name):
         return integrators._full_rhs(system), 4, 1e-2
     if name == "euler_so3":
         system = EulerSystem(algebra=so3(), inertia=np.diag([1.0, 2.0, 3.0]))
-        return lambda z: euler_vector_field(system, z), 3, 1e-2
+        return euler_vector_field(system), 3, 1e-2
     if name == "linear_2d":
         a = np.array([[-0.3, 1.0], [-2.0, 0.1]])
         return lambda z: a @ z, 2, 0.1
@@ -852,7 +853,7 @@ class TestPredictor:
         system = EulerSystem(algebra=so3(), inertia=np.diag([1.0, 2.0, 3.0]))
         traj = integrate_euler(system, np.array([0.1, 1.0, 0.1]), 10.0,
                                self.EULER)
-        return traj, lambda z: euler_vector_field(system, z)
+        return traj, euler_vector_field(system)
 
     def test_euler_takes_one_update_per_step(self):
         traj, _ = self.euler_run()
@@ -1196,6 +1197,51 @@ class TestReducedSystems:
             reader()
             assert len(calls) == 1
 
+    @pytest.mark.parametrize("name", ["pendulum", "uniform-field"])
+    def test_magnetic_run_is_the_numpy_formulas(self, name):
+        # The float field and energies against the numpy expressions they
+        # replaced. Each dot of the field has one nonzero product on
+        # these systems, so no BLAS kernel rounds the reference apart;
+        # the energies are compared in one dimension, where |P1|^2 and
+        # a0 . a0 have one term too.
+        if name == "pendulum":
+            avg = pendulum_systems(PendulumParams())[1]
+            start = PhaseStateReduced(Q=np.array([2.0]), P=np.array([0.3]))
+        else:
+            avg = uniform_field_averaged(0.8, 1.3)
+            start = PhaseStateReduced(Q=np.array([1.0, 0.2]),
+                                      P=np.array([-0.1, 0.5]))
+        mu, l = avg.mu, avg.dim_base
+
+        def slots(Q):
+            return [np.asarray(x, dtype=float) for x in avg.slow(Q.tolist())]
+
+        def numpy_field(z):
+            z = np.asarray(z)
+            a0, _, _, ga0, gh0, gU0 = slots(z[:l])
+            g = 0.5 * mu * mu * (gh0 - 2.0 * (ga0 @ a0)) + gU0
+            return np.concatenate([z[l:],
+                                   -g + (mu * (ga0 - ga0.T)).T @ z[l:]])
+
+        traj = integrate_reduced_magnetic(avg, start, 1.0, RK4_FINE)
+        ref = integrate_autonomous(numpy_field, traj.values[0], 1.0,
+                                   RK4_FINE, state_labels=traj.state_labels,
+                                   kind="reduced_magnetic", dim_base=l)
+        assert traj.values.tobytes() == ref.values.tobytes()
+        if l == 1:
+            energy = []
+            for z in traj.values:
+                a0, h0, U0 = slots(z[:1])[:3]
+                Ubar = float(0.5 * mu ** 2 * (float(h0) - float(a0 @ a0))
+                             + float(U0))
+                energy.append(float(0.5 * (z[1:] @ z[1:]) + Ubar))
+                P = z[1:] - mu * a0
+                assert effective_potential(avg, z[:1]) == Ubar
+                assert averaged_hamiltonian(avg, z[:1], P) == float(
+                    0.5 * (P @ P) + mu * (a0 @ P)
+                    + 0.5 * mu ** 2 * float(h0) + float(U0))
+            assert bits(traj.invariant_log["energy"]) == bits(energy)
+
     def test_reduced_energy_over_hundred_thousand_steps(self):
         _, avg = pendulum_systems(PendulumParams())
         start = PhaseStateReduced(Q=np.array([2.0]), P=np.array([0.0]))
@@ -1460,6 +1506,25 @@ class TestRowBlocks:
                 IntegratorConfig(dt=1e-3))
             assert bits(report_sups(closeness_report(full, red, system))) \
                 == bits(reference_sups(full, red, system))
+
+    @pytest.mark.parametrize("chart", ["canonical", "magnetic"])
+    def test_reduced_energy_logs_are_the_per_node_calls(self, chart):
+        # Runs longer than one block, logged one block at a time after
+        # the run: each energy must be its formula called at that node.
+        _, avg = pendulum_systems(PendulumParams(epsilon=1e-2))
+        start = PhaseStateReduced(Q=np.array([2.0]), P=np.array([0.3]))
+        if chart == "canonical":
+            traj = integrate_reduced_canonical(avg, start, 5.0, RK4_FINE)
+            want = [averaged_hamiltonian(avg, z[:1], z[1:])
+                    for z in traj.values]
+        else:
+            traj = integrate_reduced_magnetic(avg, start, 5.0, RK4_FINE)
+            want = [0.5 * float(z[1:] @ z[1:])
+                    + effective_potential(avg, z[:1]) for z in traj.values]
+        assert len(traj) > integrators._BLOCK_ROWS
+        assert bits(traj.invariant_log["energy"]) == bits(want)
+        assert bits(traj.invariant_log["momentum"]) == bits(
+            [avg.mu] * len(traj))
 
     def test_two_dimensional_report_with_a_nan_is_bit_equal(self):
         # Hand-made trajectories of dim_base 2, more than two blocks

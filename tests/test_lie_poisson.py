@@ -7,9 +7,11 @@ that action; shift cocycles are structure-constant contractions small
 enough to compute by hand; and the extended bracket on linear
 functions must satisfy the Jacobi identity whenever the cocycle
 identity holds, which is the joint consistency check for both. The
-float closures of the Euler and extension fields are pinned by einsum
-contractions of the same arrays, and the invariant logs by float sums
-written out in index order; EulerSystem.energy is the energy log's sum.
+closures that the Euler and extension field factories return are pinned
+by einsum contractions of the same arrays, and counted calls show that
+they form no terms of their own; the invariant logs are pinned by float
+sums written out in index order; EulerSystem.energy is the energy log's
+sum.
 """
 
 from importlib import resources
@@ -26,9 +28,9 @@ from fastslow import (BUILTIN_ALGEBRAS, Cocycle, EulerSystem,
                       extended_hamiltonian_field, heisenberg3,
                       integrate_autonomous, integrate_euler, load_algebra,
                       make_cocycle, oscillator4, shift_cocycle, so3)
+from fastslow import lie_poisson
 from fastslow.cli import parse_config, shipped_config_text
 from fastslow.experiments import _params, integrator_configs
-from fastslow.lie_poisson import _euler_field, _extended_field
 
 MIDPOINT = IntegratorConfig(method="implicit_midpoint", dt=1e-2)
 
@@ -276,7 +278,7 @@ class TestEulerSystem:
         rng = np.random.default_rng(29)
         for _ in range(10):
             xi = rng.standard_normal(3)
-            field = euler_vector_field(system, xi)
+            field = np.array(euler_vector_field(system)(xi.tolist()))
             direct = -coadjoint_action(so3(), system.velocity(xi), xi)
             assert np.max(np.abs(field - direct)) < 1e-15
             want = np.array([
@@ -289,7 +291,7 @@ class TestEulerSystem:
         shift = np.array([0.4, -0.2, 0.9])
         system = EulerSystem(algebra=so3(), inertia=np.diag([1.0, 2.0, 3.0]),
                              shift=shift)
-        assert np.array_equal(euler_vector_field(system, shift), np.zeros(3))
+        assert euler_vector_field(system)(shift.tolist()) == [0.0] * 3
 
     def test_energy_orthogonality(self):
         # <field, I^{-1} xi> = <xi - L, [v, v]> = 0 for every state.
@@ -299,10 +301,11 @@ class TestEulerSystem:
             system = EulerSystem(
                 algebra=alg, inertia=random_spd(rng, alg.dim),
                 shift=rng.standard_normal(alg.dim))
+            field = euler_vector_field(system)
             for _ in range(10):
                 xi = rng.standard_normal(alg.dim)
-                field = euler_vector_field(system, xi)
-                assert abs(field @ system.velocity(xi)) < 1e-13
+                value = np.array(field(xi.tolist()))
+                assert abs(value @ system.velocity(xi)) < 1e-13
 
     def test_extended_field_matches_shifted_euler(self):
         # Coboundary cocycles and momentum shifts generate the same
@@ -313,13 +316,13 @@ class TestEulerSystem:
             inertia = random_spd(rng, alg.dim)
             shift = rng.standard_normal(alg.dim)
             system = EulerSystem(algebra=alg, inertia=inertia, shift=shift)
-            coc = shift_cocycle(alg, shift)
+            euler = euler_vector_field(system)
+            extended = extended_hamiltonian_field(
+                alg, shift_cocycle(alg, shift), inertia)
             for _ in range(5):
-                xi = rng.standard_normal(alg.dim)
-                from_euler = euler_vector_field(system, xi)
-                from_bracket = extended_hamiltonian_field(
-                    alg, coc, inertia, xi)
-                assert np.max(np.abs(from_euler - from_bracket)) < 1e-13, name
+                xi = rng.standard_normal(alg.dim).tolist()
+                gap = np.array(euler(xi)) - np.array(extended(xi))
+                assert np.max(np.abs(gap)) < 1e-13, name
 
     def test_extended_field_is_the_bracket_componentwise(self):
         # The closed form -ad*_{dH} xi - dH . sigma against its
@@ -342,10 +345,11 @@ class TestEulerSystem:
                                      [1.1, -0.8, 0.0]]))))
         for name, alg, coc in cases:
             inertia = random_spd(rng, alg.dim)
+            extended = extended_hamiltonian_field(alg, coc, inertia)
             for _ in range(5):
                 xi = rng.standard_normal(alg.dim)
                 dh = np.linalg.solve(inertia, xi)
-                field = extended_hamiltonian_field(alg, coc, inertia, xi)
+                field = extended(xi.tolist())
                 for j in range(alg.dim):
                     expected = extended_bracket(alg, coc, dh,
                                                 basis(alg.dim, j), xi)
@@ -378,9 +382,9 @@ class TestFloatFields:
             inertia = random_spd(rng, alg.dim)
             shift = rng.standard_normal(alg.dim)
             coc = shift_cocycle(alg, shift)
-            euler = _euler_field(EulerSystem(algebra=alg, inertia=inertia,
-                                             shift=shift))
-            extended = _extended_field(alg, coc, inertia)
+            euler = euler_vector_field(EulerSystem(
+                algebra=alg, inertia=inertia, shift=shift))
+            extended = extended_hamiltonian_field(alg, coc, inertia)
             xi = rng.standard_normal(alg.dim)
             for got, want in (
                     (euler(xi.tolist()),
@@ -401,12 +405,64 @@ class TestFloatFields:
         shift = rng.standard_normal(alg.dim)
         system = EulerSystem(algebra=alg, inertia=inertia, shift=shift)
         flipped = Cocycle(sigma=-shift_cocycle(alg, shift).sigma)
+        euler = euler_vector_field(system)
+        extended = extended_hamiltonian_field(alg, flipped, inertia)
         for _ in range(5):
-            xi = rng.standard_normal(alg.dim)
-            gap = np.max(np.abs(
-                euler_vector_field(system, xi)
-                - extended_hamiltonian_field(alg, flipped, inertia, xi)))
+            xi = rng.standard_normal(alg.dim).tolist()
+            gap = np.max(np.abs(np.array(euler(xi)) - np.array(extended(xi))))
             assert gap > 1e-3, name
+
+
+def count_term_builds(monkeypatch) -> dict:
+    """Count the calls of lie_poisson._terms and np.linalg.inv from here
+    on; the returned dict holds the counts."""
+    calls = {"_terms": 0, "inv": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(lie_poisson, "_terms",
+                        counted("_terms", lie_poisson._terms))
+    monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+    return calls
+
+
+class TestFieldFactories:
+    """The terms of c are formed once per algebra, those of I^{-1} and
+    sigma once per field; a field call and the coadjoint action form
+    none."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_ALGEBRAS))
+    def test_field_calls_form_no_terms(self, monkeypatch, name):
+        rng = np.random.default_rng(73)
+        alg = BUILTIN_ALGEBRAS[name]()
+        inertia = random_spd(rng, alg.dim)
+        shift = rng.standard_normal(alg.dim)
+        coc = shift_cocycle(alg, shift)
+        calls = count_term_builds(monkeypatch)
+        fields = (euler_vector_field(EulerSystem(algebra=alg,
+                                                 inertia=inertia,
+                                                 shift=shift)),
+                  extended_hamiltonian_field(alg, coc, inertia))
+        # The counters see the factories and the system build their terms.
+        assert calls["_terms"] > 0 and calls["inv"] > 0
+        calls.update(_terms=0, inv=0)
+        for field in fields:
+            for _ in range(100):
+                field(rng.standard_normal(alg.dim).tolist())
+        assert calls == {"_terms": 0, "inv": 0}
+
+    def test_coadjoint_action_forms_no_terms(self, monkeypatch):
+        alg = oscillator4()
+        rng = np.random.default_rng(79)
+        calls = count_term_builds(monkeypatch)
+        for _ in range(100):
+            coadjoint_action(alg, rng.standard_normal(4),
+                             rng.standard_normal(4))
+        assert calls["_terms"] == 0
 
 
 class TestIntegration:
@@ -518,8 +574,7 @@ class TestIntegration:
         xi0 = rng.standard_normal(4)
         traj_euler = integrate_euler(system, xi0, 10.0, MIDPOINT)
         traj_bracket = integrate_autonomous(
-            lambda xi: extended_hamiltonian_field(alg, coc, inertia, xi),
-            xi0, 10.0, MIDPOINT,
+            extended_hamiltonian_field(alg, coc, inertia), xi0, 10.0, MIDPOINT,
             state_labels=("xi1", "xi2", "xi3", "xi4"), kind="euler",
             dim_base=4)
         gap = np.max(np.abs(traj_euler.values - traj_bracket.values))

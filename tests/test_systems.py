@@ -38,7 +38,7 @@ from fastslow import (DiskParams, DomainError, HarmonicMode,
                       spinning_disk_rhs, uniform_field_averaged)
 from fastslow.averaging import FIBER_GRID
 from fastslow.experiments import TABLE
-from fastslow.systems import _stencil
+from fastslow.systems import _disk_local, _stencil
 
 import conftest as fd
 from conftest import (_disk_geometry, _solve2, difference_jets,
@@ -218,15 +218,12 @@ class TestSpinningDisk:
         rhs = spinning_disk_rhs(params, surface)
         z0 = np.array([math.pi / 3.0, 0.0, 0.1, 0.5])
 
-        def energy(z):
-            m = disk_mass_matrix(params, surface, z[:2])
-            return float(0.5 * z[2:] @ m @ z[2:])
-
         traj = integrate_autonomous(rhs, z0, 10.0, RK4,
                                     state_labels=("q1", "q2", "u1", "u2"),
-                                    kind="disk", dim_base=2,
-                                    logs={"energy": energy})
-        log = traj.invariant_log["energy"]
+                                    kind="disk", dim_base=2)
+        assert traj.invariant_log == {}
+        log = np.array([0.5 * z[2:] @ disk_mass_matrix(params, surface, z[:2])
+                        @ z[2:] for z in traj.values])
         assert np.max(np.abs(log - log[0])) < 1e-8
 
     def test_reduced_magnetic_chart_matches_lagrangian_route(self):
@@ -301,7 +298,38 @@ def _disk_points(box, n=25, seed=7):
 
 class TestDiskClosedForms:
     """Closed-form mass-matrix derivatives and 2 x 2 solves against the
-    finite-difference and np.linalg references."""
+    finite-difference and np.linalg references, and the local-geometry
+    kernel of the disk fields against the mass matrix, its differences
+    and the curvature."""
+
+    @pytest.mark.parametrize("label, surface, params, box", DISK_CASES,
+                             ids=[case[0] for case in DISK_CASES])
+    def test_local_geometry_is_the_mass_matrix_and_curvature(
+            self, label, surface, params, box):
+        # Step h = 1e-5. On these boxes |d^3 M| <= 60 (8 e^2 on the
+        # exponential chart) and |M| <= 8, so each central difference is
+        # within h^2 / 6 * 60 + 2.2e-16 * 8 / h, about 1.2e-9, of dM.
+        h, tol = 1e-5, 1e-8
+        local = _disk_local(params, surface)
+        for q in _disk_points(box):
+            ma11, ma22, d1m11, d1m22, d2m11, d2m22, c = local(*q.tolist())
+            mass = disk_mass_matrix(params, surface, q)
+            assert same_bits([ma11, ma22], [mass[0, 0], mass[1, 1]])
+            for axis, (dm11, dm22) in enumerate(((d1m11, d1m22),
+                                                 (d2m11, d2m22))):
+                step = h * np.eye(2)[axis]
+                want = (disk_mass_matrix(params, surface, q + step)
+                        - disk_mass_matrix(params, surface, q - step)) \
+                    / (2.0 * h)
+                assert abs(dm11 - want[0, 0]) < tol, (label, q, axis)
+                assert abs(dm22 - want[1, 1]) < tol, (label, q, axis)
+            a11, a22 = surface.jet(tuple(q.tolist()))[:2]
+            dens = math.sqrt(a11) * math.sqrt(a22)
+            assert same_bits(c, dens * params.mu
+                             * gaussian_curvature(surface, q))
+            if label == "sphere":
+                # sqrt(a11 a22) = r^2 sin q1 and K = 1 / r^2.
+                assert abs(c - params.mu * math.sin(q[0])) < 1e-8
 
     @pytest.mark.parametrize("label, surface, params, box", DISK_CASES,
                              ids=[case[0] for case in DISK_CASES])
@@ -540,11 +568,23 @@ class TestSurfaceContract:
             surface.require_in_domain(np.array(q))
         params = DiskParams()
         z = np.array([*q, 0.1, 0.2])
-        for field in (spinning_disk_rhs(params, surface),
-                      disk_magnetic_rhs(params, surface)):
+        calls = [lambda f=field: f(z) for field in (
+            spinning_disk_rhs(params, surface),
+            disk_magnetic_rhs(params, surface))]
+        # The residual reads q as an array, a list or a tuple.
+        calls += [lambda pair=pair: curvature_identity_residual(surface, pair)
+                  for pair in (np.array(q), list(q), q)]
+        for call in calls:
             with pytest.raises(DomainError) as got:
-                field(z)
+                call()
             assert str(got.value) == str(want.value)
+
+    def test_residual_reads_any_pair_of_reals(self):
+        surface = sphere_surface(1.3)
+        q = [1.1, -0.4]
+        got = [curvature_identity_residual(surface, pair)
+               for pair in (np.array(q), q, tuple(q))]
+        assert same_bits(got, [got[0]] * 3)
 
     def test_residual_rejects_a_stencil_point_as_before(self, disk_reference):
         # q is inside the chart but q - h e1 is not: the connection at the
