@@ -58,7 +58,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bundle_geometry import _default_base_samples
+from .bundle_geometry import _default_base_samples, _dot
 
 ZERO_MEAN_TOL = 1e-10
 TWO_PI = 2.0 * np.pi
@@ -83,15 +83,6 @@ def _floats(x) -> list:
     """x as nested Python floats: a list as it is, taken to hold floats
     already, anything else by way of np.asarray(x, dtype=float)."""
     return x if type(x) is list else np.asarray(x, dtype=float).tolist()
-
-
-def _dot(u, v) -> float:
-    """u . v for sequences of floats: the products added from +0.0 in
-    index order, which no BLAS kernel or CPython version rounds apart."""
-    total = 0.0
-    for a, b in zip(u, v):
-        total += a * b
-    return total
 
 
 def fiber_mean(samples: np.ndarray) -> np.ndarray:

@@ -34,6 +34,15 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 
+def _dot(u, v) -> float:
+    """u . v for sequences of floats: the products added from +0.0 in
+    index order, which no BLAS kernel or CPython version rounds apart."""
+    total = 0.0
+    for a, b in zip(u, v):
+        total += a * b
+    return total
+
+
 def _default_base_samples(dim_base: int) -> list[np.ndarray]:
     """Deterministic base points used for constructor validation."""
     pts = [
@@ -206,16 +215,18 @@ def metric_eval(metric: TrivialBundleMetric, q: np.ndarray,
     """Squared length of the bundle velocity (u, gamma at the fiber slot).
 
     Evaluates u.u + h (gamma + a.u)^2, the contraction of the Gram
-    matrix with (u, gamma).
+    matrix with (u, gamma), in floats; each dot is a _dot.
     """
     q = np.asarray(q, dtype=float)
     u = np.asarray(u, dtype=float)
     pieces = np.concatenate([q, u, [gamma]])
     if not np.all(np.isfinite(pieces)):
         raise ValueError("non-finite inputs to metric_eval")
-    a = np.asarray(metric.a(q), dtype=float)
+    a = np.asarray(metric.a(q), dtype=float).tolist()
     h = float(metric.h(q))
-    val = float(u @ u + h * (gamma + a @ u) ** 2)
+    u = u.tolist()
+    w = float(gamma) + _dot(a, u)
+    val = _dot(u, u) + h * (w * w)
     if not np.isfinite(val):
         raise ValueError("metric evaluation produced a non-finite value")
     return val
@@ -232,12 +243,12 @@ def fiber_inertia(metric: TrivialBundleMetric, q: np.ndarray) -> float:
 
 def momentum_map(metric: TrivialBundleMetric, q: np.ndarray,
                  u: np.ndarray, xi: float) -> float:
-    """Momentum J = h (a . u + xi) of the fiber rotation action."""
+    """Momentum J = h (a . u + xi) of the fiber rotation action; a . u
+    is a _dot."""
     q = np.asarray(q, dtype=float)
-    u = np.asarray(u, dtype=float)
-    a = np.asarray(metric.a(q), dtype=float)
-    h = float(metric.h(q))
-    return float(h * (a @ u + xi))
+    u = np.asarray(u, dtype=float).tolist()
+    a = np.asarray(metric.a(q), dtype=float).tolist()
+    return float(metric.h(q)) * (_dot(a, u) + float(xi))
 
 
 def mechanical_connection(metric: TrivialBundleMetric,
@@ -275,8 +286,8 @@ def invariant_metric_from_averaged(avg, sample_points=()) -> TrivialBundleMetric
     def h(q):
         q = np.asarray(q, dtype=float)
         a0q, h0q = avg.slow(q.tolist())[:2]
-        a0q = np.asarray(a0q, dtype=float)
-        denom = float(h0q) - float(a0q @ a0q)
+        a0q = np.asarray(a0q, dtype=float).tolist()
+        denom = float(h0q) - _dot(a0q, a0q)
         if denom <= 0.0:
             raise ValueError(
                 "h0 - a0.a0 is not positive; the averaged system has no "

@@ -896,7 +896,7 @@ def uniform_field_averaged(strength: float = 0.8,
     def slow(q):
         q = np.asarray(q, dtype=float)
         return (np.array([-0.5 * b * q[1], 0.5 * b * q[0]]),
-                0.25 * b * b * float(q @ q), 0.0,
+                0.25 * b * b * _dot(q.tolist(), q.tolist()), 0.0,
                 np.array([[0.0, 0.5 * b], [-0.5 * b, 0.0]]),
                 0.5 * b * b * q, np.zeros(2))
 

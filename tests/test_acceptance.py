@@ -9,9 +9,11 @@ the halving-ratio law of the averaging theorem.
 """
 
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from fastslow import (BUILTIN_ALGEBRAS, EulerSystem,
                       FastSlowSystem, IntegratorConfig, PendulumParams,
@@ -31,7 +33,7 @@ from fastslow import (BUILTIN_ALGEBRAS, EulerSystem,
                       simulate_physical_pendulum, so3, sphere_surface,
                       uniform_field_averaged)
 from fastslow.cli import parse_config, shipped_config_text
-from fastslow.experiments import TABLE
+from fastslow.experiments import TABLE, _closeness_case
 
 MIDPOINT = IntegratorConfig(method="implicit_midpoint", dt=1e-2)
 
@@ -380,3 +382,66 @@ def test_9_conservation_suite():
            f"conserved exactly: {bool(mu_exact)}; time-reversal gap "
            f"{reversal:.2e} (tol 1e-9)",
            time.perf_counter() - start, 60.0)
+
+
+# The full step of the shipped sweeps. The step is converged when, at
+# every epsilon of the sweep, the run at dt_full / 2 moves each of the
+# four sup errors by less than STEP_TOLERANCE of its value there, and
+# the largest gap over shared nodes of |q - q'| + |p - p'| + |gamma -
+# gamma'| is less than STEP_TOLERANCE of sup_error_total. By the
+# triangle inequality the gap bounds what the step adds to the checked
+# error, also where a sup over an oscillation hides a phase error. The
+# shipped dt_full is the largest candidate that is converged.
+STEP_TOLERANCE = 0.01
+STEP_CANDIDATES = (0.02, 0.04, 0.08)
+
+
+def step_halving_changes(config):
+    """Per epsilon of config's sweep: (eps, largest relative change of
+    sup_error_q, _p, _gamma and _total, largest node gap over
+    sup_error_total) between the runs at dt_full and at dt_full / 2."""
+    half = replace(config, dt_full=config.dt_full / 2)
+    rows = []
+    for eps in config.epsilon_sweep:
+        full, _, coarse = _closeness_case(config, eps)
+        fine_full, _, fine = _closeness_case(half, eps)
+        moved = max(abs(getattr(coarse, name) / getattr(fine, name) - 1.0)
+                    for name in ("sup_error_q", "sup_error_p",
+                                 "sup_error_gamma", "sup_error_total"))
+        shared = fine_full.values[::2]
+        assert np.array_equal(fine_full.times[::2], full.times)
+        l = full.dim_base
+        gap = (np.linalg.norm(full.values[:, :l] - shared[:, :l], axis=1)
+               + np.linalg.norm(full.values[:, l:2 * l]
+                                - shared[:, l:2 * l], axis=1)
+               + np.abs(full.values[:, -1] - shared[:, -1]))
+        rows.append((eps, moved, float(gap.max()) / coarse.sup_error_total))
+    return rows
+
+
+def step_is_converged(rows) -> bool:
+    return all(moved < STEP_TOLERANCE and gap < STEP_TOLERANCE
+               for _, moved, gap in rows)
+
+
+@pytest.mark.parametrize("label", ["pendulum", "particle"])
+def test_shipped_full_step_is_converged(label):
+    config = parse_config(shipped_config_text(label))
+    rows = step_halving_changes(config)
+    print(f"{label} dt_full {config.dt_full!r}: " + "; ".join(
+        f"eps {eps!r} moves {moved:.3%}, gap {gap:.3%}"
+        for eps, moved, gap in rows))
+    assert step_is_converged(rows), rows
+    assert config.dt_full in STEP_CANDIDATES
+    coarser = [dt for dt in STEP_CANDIDATES if dt > config.dt_full]
+    if coarser:
+        assert not step_is_converged(step_halving_changes(
+            replace(config, dt_full=coarser[0])))
+
+
+def test_step_halving_guard_rejects_the_pendulum_at_0_16():
+    # Halving 0.16 moves the pendulum's sup errors by about 2%, so the
+    # 1% bound must fail there.
+    config = replace(parse_config(shipped_config_text("pendulum")),
+                     dt_full=0.16)
+    assert not step_is_converged(step_halving_changes(config))

@@ -300,3 +300,38 @@ class TestPhaseStates:
         s = PhaseStateReduced(Q=[0.0], P=[1.0])
         mag = convert_chart(s, lambda q: np.array([0.5]), 2.0, to="magnetic")
         assert mag.P[0] == pytest.approx(2.0, abs=1e-15)
+
+
+class TestDotsAreFloatSums:
+    """Each dot of metric_eval, momentum_map, the fiber inertia of
+    invariant_metric_from_averaged and the h0 of uniform_field_averaged
+    adds its products from +0.0 in index order, so it equals the
+    written-out float sum bit for bit, whatever the BLAS kernel."""
+
+    def test_dots_equal_the_in_order_float_sums(self):
+        def a0(q):
+            return [0.3 * math.sin(q[1]), 0.2 * q[0]]
+
+        def slow(q):
+            return (a0(q), 2.0 + q[0] * q[0], 0.0,
+                    [[0.0, 0.3 * math.cos(q[1])], [0.2, 0.0]],
+                    [2.0 * q[0], 0.0], [0.0, 0.0])
+
+        metric = invariant_metric_from_averaged(
+            AveragedSystem(dim_base=2, slow=slow, mu=1.3))
+        field = uniform_field_averaged(0.8, 1.0)
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            (q0, q1), (u0, u1) = rng.uniform(-2.0, 2.0, (2, 2)).tolist()
+            gamma, xi = rng.uniform(-2.0, 2.0, 2).tolist()
+            b0, b1 = a0([q0, q1])
+            h = 1.0 / ((2.0 + q0 * q0) - (0.0 + b0 * b0 + b1 * b1))
+            assert metric.h(np.array([q0, q1])) == h
+            a_u = 0.0 + -b0 * u0 + -b1 * u1
+            w = gamma + a_u
+            assert (metric_eval(metric, [q0, q1], [u0, u1], gamma)
+                    == (0.0 + u0 * u0 + u1 * u1) + h * (w * w))
+            assert (momentum_map(metric, [q0, q1], [u0, u1], xi)
+                    == h * (a_u + xi))
+            assert (field.slow([q0, q1])[1]
+                    == 0.25 * 0.8 * 0.8 * (0.0 + q0 * q0 + q1 * q1))

@@ -766,10 +766,11 @@ class TestCommandLine:
     def test_sweep_error_names_the_epsilon_and_the_integration(
             self, tmp_path, capsys, monkeypatch):
         # The full run at eps 0.01 gets the fast-time horizon
-        # 1e-15 / 0.01, too short for a step of 0.01.
+        # 1e-15 / 0.01, too short for a step of dt_full.
         monkeypatch.setenv("FASTSLOW_THREADS", "1")
         text = shipped_config_text("particle")
         assert "horizon_factor = 1.0" in text
+        dt_full = parse_config(text).dt_full
         path = tmp_path / "run.cfg"
         path.write_text(text.replace("horizon_factor = 1.0",
                                      "horizon_factor = 1e-15"))
@@ -777,8 +778,8 @@ class TestCommandLine:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            "experiment particle failed: horizon 1e-13 at dt 0.01 takes no "
-            "step (in the full integration at eps=0.01)"]
+            f"experiment particle failed: horizon 1e-13 at dt {dt_full:.6g} "
+            "takes no step (in the full integration at eps=0.01)"]
         assert not (tmp_path / "out").exists()
 
     def test_sweep_error_keeps_its_type_and_step(self, monkeypatch):
