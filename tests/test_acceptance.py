@@ -32,6 +32,7 @@ from fastslow import (BUILTIN_ALGEBRAS, EulerSystem,
                       pendulum_systems, plane_surface, shift_cocycle,
                       simulate_physical_pendulum, so3, sphere_surface,
                       uniform_field_averaged)
+from fastslow import experiments
 from fastslow.cli import parse_config, shipped_config_text
 from fastslow.experiments import TABLE, _closeness_case
 
@@ -445,3 +446,86 @@ def test_step_halving_guard_rejects_the_pendulum_at_0_16():
     config = replace(parse_config(shipped_config_text("pendulum")),
                      dt_full=0.16)
     assert not step_is_converged(step_halving_changes(config))
+
+
+# The reduced step of the disk. Its check, magnetic_chart_two_path_sup,
+# resolves a gap between the two paths down to its threshold tol. The
+# step is converged when the two-path sup at dt_reduced is below
+# STEP_TOLERANCE * tol, so the check keeps 100 times headroom, and when,
+# for each trajectory, the run at dt_reduced / 2 moves no shared node
+# by more than STEP_TOLERANCE * tol in the max norm. The shipped
+# dt_reduced is the largest candidate that is converged.
+DISK_STEP_CANDIDATES = (0.002, 0.004, 0.008)
+
+
+def disk_step_halving(config):
+    """(two-path sup over tol, {trajectory: largest node gap over tol})
+    between the disk runs at dt_reduced and at dt_reduced / 2."""
+    coarse, records = TABLE["disk"].run(config, Path.cwd())
+    fine, _ = TABLE["disk"].run(
+        replace(config, dt_reduced=config.dt_reduced / 2), Path.cwd())
+    check = next(r for r in records
+                 if r.name == "magnetic_chart_two_path_sup")
+    gaps = {}
+    for name, (traj, _) in coarse.items():
+        shared = fine[name][0]
+        assert np.array_equal(shared.times[::2], traj.times)
+        gaps[name] = float(np.max(np.abs(
+            traj.values - shared.values[::2]))) / check.threshold
+    return check.observed / check.threshold, gaps
+
+
+def disk_step_is_converged(sup, gaps) -> bool:
+    return sup < STEP_TOLERANCE and max(gaps.values()) < STEP_TOLERANCE
+
+
+# The exponential chart runs with dt_reduced = 0.002 in the disk config
+# CI generates from the shipped one (.github/workflows/tests.yml, "The
+# disk on the plane and on the exponential chart"): there 0.008 leaves
+# a two-path sup of about 22% of tol. The plane's gap is 0 at every
+# step, so it keeps the shipped step.
+@pytest.mark.parametrize("surface, dt_reduced", [
+    ("sphere", None), ("exponential", 0.002)], ids=["sphere", "exponential"])
+def test_shipped_disk_step_is_converged(surface, dt_reduced):
+    config = parse_config(shipped_config_text("disk").replace(
+        "surface = sphere", f"surface = {surface}"))
+    if dt_reduced is not None:
+        config = replace(config, dt_reduced=dt_reduced)
+    sup, gaps = disk_step_halving(config)
+    print(f"{surface} disk at dt_reduced {config.dt_reduced!r}: "
+          f"two-path sup {sup:.3%} of tol; node gaps " + ", ".join(
+              f"{name} {gap:.3%}" for name, gap in gaps.items()))
+    assert disk_step_is_converged(sup, gaps), (sup, gaps)
+    assert config.dt_reduced in DISK_STEP_CANDIDATES
+    coarser = [dt for dt in DISK_STEP_CANDIDATES if dt > config.dt_reduced]
+    if coarser:
+        assert not disk_step_is_converged(*disk_step_halving(
+            replace(config, dt_reduced=coarser[0])))
+
+
+def test_step_halving_guard_rejects_the_disk_at_0_016():
+    # Halving 0.016 moves the disk's nodes by about 13% of tol, and its
+    # two-path sup is about 3.6% of tol, so the guard must fail there.
+    config = replace(parse_config(shipped_config_text("disk")),
+                     dt_reduced=0.016)
+    assert not disk_step_is_converged(*disk_step_halving(config))
+
+
+@pytest.mark.parametrize("factor", [1.0 + 1e-7, -1.0],
+                         ids=["spin-off-by-1e-7", "spin-flipped"])
+def test_disk_two_path_check_catches_a_wrong_spin(monkeypatch, factor):
+    # At the shipped step the two-path check must still resolve a
+    # magnetic-chart field built with a spin off by a relative 1e-7
+    # (a gap of about 1.17e-6), and one with the spin's sign flipped.
+    config = parse_config(shipped_config_text("disk"))
+    genuine = experiments.disk_magnetic_rhs
+    monkeypatch.setattr(
+        experiments, "disk_magnetic_rhs", lambda params, surface: genuine(
+            replace(params, omega_axial=params.omega_axial * factor),
+            surface))
+    _, records = TABLE["disk"].run(config, Path.cwd())
+    check = next(r for r in records
+                 if r.name == "magnetic_chart_two_path_sup")
+    print(f"spin times {factor!r}: two-path sup {check.observed:.3e} "
+          f"(tol {check.threshold:g})")
+    assert not check.passed

@@ -832,8 +832,9 @@ class TestCommandLine:
 
     def test_run_error_in_a_field_names_the_step(self, tmp_path, capsys):
         # The shipped disk config started near the pole and heading for it:
-        # the Lagrangian run leaves the sphere's chart at step 161.
+        # the Lagrangian run leaves the sphere's chart at step 20.
         text = shipped_config_text("disk")
+        dt = parse_config(text).dt_reduced
         for old, new in (("q1_0 = 1.0471975511965976", "q1_0 = 0.1"),
                          ("u1_0 = 0.1", "u1_0 = -0.5")):
             assert old in text
@@ -846,22 +847,23 @@ class TestCommandLine:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(
-            "experiment disk failed: step 161 (t=0.161): point [")
+            f"experiment disk failed: step 20 (t={20 * dt:.6g}): point [")
         assert "outside the declared chart domain" in lines[0]
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("path, error, message", [
-        ("Lagrangian", None, "step 161 (t=0.161): point ["),
-        ("magnetic-chart", DomainError, "step 3 (t=0.003): injected"),
-        ("magnetic-chart", IntegrationError, "step 3 (t=0.003): injected"),
+    @pytest.mark.parametrize("path, error, step, message", [
+        ("Lagrangian", None, 20, "point ["),
+        ("magnetic-chart", DomainError, 3, "injected"),
+        ("magnetic-chart", IntegrationError, 3, "injected"),
     ], ids=["lagrangian", "magnetic-value-error", "magnetic-integration"])
     def test_run_error_in_a_disk_field_names_the_path(
-            self, tmp_path, capsys, monkeypatch, path, error, message):
+            self, tmp_path, capsys, monkeypatch, path, error, step, message):
         # The Lagrangian run of the config above leaves the chart; the
         # magnetic-chart field is made to fail at the first RK4 stage of
         # step 3, its 13th call, after a Lagrangian run that passes.
         text = shipped_config_text("disk").replace("horizon = 10.0",
                                                    "horizon = 0.5")
+        dt = parse_config(text).dt_reduced
         if error is None:
             text = text.replace("q1_0 = 1.0471975511965976", "q1_0 = 0.1") \
                 .replace("u1_0 = 0.1", "u1_0 = -0.5")
@@ -889,7 +891,8 @@ class TestCommandLine:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith(f"experiment disk failed: {message}")
+        assert lines[0].startswith(f"experiment disk failed: step {step} "
+                                   f"(t={step * dt:.6g}): {message}")
         assert lines[0].endswith(f" (in the {path} integration)")
         assert not (tmp_path / "out").exists()
 
