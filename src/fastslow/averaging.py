@@ -216,8 +216,8 @@ def average_coefficients(system: FastSlowSystem,
                     f"total fiber inertia h0 + eps h1 is not positive at "
                     f"q={q}, phi={phi:.3f} (value {total:.3e})",
                     coefficient="h", point=q, residual=total)
-        a0q = np.asarray(a0q, dtype=float)
-        inv = h0q - float(a0q @ a0q)
+        a0q = _floats(a0q)
+        inv = h0q - _dot(a0q, a0q)
         if not np.isfinite(inv):
             raise AveragingError(
                 f"h0 - a0.a0 is not finite at q={q}", coefficient="h0",

@@ -752,10 +752,12 @@ class ClosenessReport:
     epsilon: float
 
 
-def closeness_report(full: Trajectory, reduced: Trajectory,
-                     system: FastSlowSystem) -> ClosenessReport:
+def closeness_report(full: Trajectory,
+                     reduced: Trajectory) -> ClosenessReport:
     """Compare a full trajectory against a canonical-chart reduced one.
 
+    dim_base, mu and epsilon are read from the full run, where
+    integrate_full stores them (dim_base, meta["mu"], meta["epsilon"]).
     Initial conditions must match to 1e-12 ((q, p)(0) = (Q, P)(0) and
     gamma(0) = mu). The reduced trajectory, as integrate_reduced_canonical
     returns it, is cubic-Hermite interpolated to the full trajectory's
@@ -776,9 +778,9 @@ def closeness_report(full: Trajectory, reduced: Trajectory,
     if reduced.derivs is None:
         raise ValueError("the reduced trajectory has no derivative column "
                          "(derivs); integrate_reduced_canonical gives one")
-    l = system.dim_base
-    mu = system.mu
-    eps = system.epsilon
+    l = full.dim_base
+    mu = full.meta["mu"]
+    eps = full.meta["epsilon"]
     red_values = reduced.values
 
     dq0 = float(np.max(np.abs(full.values[0, :l] - red_values[0, :l])))
@@ -809,29 +811,3 @@ def closeness_report(full: Trajectory, reduced: Trajectory,
     return ClosenessReport(
         sup_error_q=sup_q, sup_error_p=sup_p, sup_error_gamma=sup_g,
         sup_error_total=sup_total, horizon=float(s_cap / eps), epsilon=eps)
-
-
-def closeness_case(system: FastSlowSystem, averaged: AveragedSystem,
-                   state_full: PhaseStateFull,
-                   state_reduced: PhaseStateReduced, horizon_slow: float,
-                   config_full: IntegratorConfig,
-                   config_reduced: IntegratorConfig
-                   ) -> tuple[Trajectory, Trajectory, ClosenessReport]:
-    """One epsilon of a sweep: integrate both systems and compare them.
-
-    The full system runs to the fast time horizon_slow / eps and the
-    averaged one to the slow time horizon_slow. An IntegrationError or
-    ValueError from either run names the run and the epsilon at the end
-    of its message, as in "(in the full integration at eps=0.005)".
-    The epsilon sweep of fastslow.experiments (`fastslow verify pendulum`
-    and `particle`) runs this once per epsilon and forms the halving
-    ratios from the reports.
-    """
-    eps = system.epsilon
-    with _integration(f"full integration at eps={eps!r}"):
-        full = integrate_full(system, state_full, horizon_slow / eps,
-                              config_full)
-    with _integration(f"averaged integration at eps={eps!r}"):
-        reduced = integrate_reduced_canonical(averaged, state_reduced,
-                                              horizon_slow, config_reduced)
-    return full, reduced, closeness_report(full, reduced, system)

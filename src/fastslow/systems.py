@@ -40,7 +40,7 @@ import numpy as np
 from .averaging import AveragedSystem, FastSlowSystem, _dot, _floats, \
     average_coefficients
 from .bundle_geometry import TrivialBundleMetric
-from .integrators import Trajectory
+from .integrators import IntegrationError, Trajectory, _raise_at_step
 
 TWO_PI = 2.0 * np.pi
 
@@ -152,7 +152,8 @@ def simulate_physical_pendulum(params: PendulumParams, theta0: float,
     1/epsilon. stop_when(t, theta, p) aborts the run early when it
     returns True (the trigger time is stored in meta["stopped_at"]).
     Every accepted step is offered to stop_when even when only each
-    store_every-th state is kept.
+    store_every-th state is kept. Bad horizons and the errors of a step
+    are raised as integrate_autonomous raises them.
     """
     l = params.length
     g = params.gravity
@@ -160,6 +161,8 @@ def simulate_physical_pendulum(params: PendulumParams, theta0: float,
     omega = params.omega
     if horizon is None:
         horizon = 1.0 / params.epsilon
+    if not (horizon > 0.0 and math.isfinite(horizon)):
+        raise ValueError("horizon must be positive and finite")
     dt = (TWO_PI / omega) / 64.0
     n_steps = int(math.ceil(horizon / dt - 1e-9))
     if store_every is None:
@@ -179,31 +182,34 @@ def simulate_physical_pendulum(params: PendulumParams, theta0: float,
     theta, p = float(theta0), float(p0)
     t = 0.0
     stopped_at = None
-    for k in range(n_steps):
-        step = min(dt, horizon - t)
-        phi = omega * t
-        k1t, k1p = rhs(theta, p, phi)
-        half = 0.5 * step
-        k2t, k2p = rhs(theta + half * k1t, p + half * k1p,
-                       phi + half * omega)
-        k3t, k3p = rhs(theta + half * k2t, p + half * k2p,
-                       phi + half * omega)
-        k4t, k4p = rhs(theta + step * k3t, p + step * k3p,
-                       phi + step * omega)
-        theta += step / 6.0 * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-        p += step / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        t += step
-        if not (math.isfinite(theta) and math.isfinite(p)):
-            raise RuntimeError(f"pendulum state became non-finite at step {k}")
-        if (k + 1) % store_every == 0 or k == n_steps - 1:
-            times.append(t)
-            rows.append((theta, p, math.fmod(omega * t, TWO_PI)))
-        if stop_when is not None and stop_when(t, theta, p):
-            stopped_at = t
-            if times[-1] != t:
+    try:
+        for k in range(n_steps):
+            step = min(dt, horizon - t)
+            phi = omega * t
+            k1t, k1p = rhs(theta, p, phi)
+            half = 0.5 * step
+            k2t, k2p = rhs(theta + half * k1t, p + half * k1p,
+                           phi + half * omega)
+            k3t, k3p = rhs(theta + half * k2t, p + half * k2p,
+                           phi + half * omega)
+            k4t, k4p = rhs(theta + step * k3t, p + step * k3p,
+                           phi + step * omega)
+            theta += step / 6.0 * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
+            p += step / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+            t += step
+            if not (math.isfinite(theta) and math.isfinite(p)):
+                raise IntegrationError("state became non-finite")
+            if (k + 1) % store_every == 0 or k == n_steps - 1:
                 times.append(t)
                 rows.append((theta, p, math.fmod(omega * t, TWO_PI)))
-            break
+            if stop_when is not None and stop_when(t, theta, p):
+                stopped_at = t
+                if times[-1] != t:
+                    times.append(t)
+                    rows.append((theta, p, math.fmod(omega * t, TWO_PI)))
+                break
+    except (IntegrationError, ValueError) as err:
+        _raise_at_step(err, k, dt)
 
     values = np.array(rows)
     energies = np.empty(values.shape[0])
@@ -534,8 +540,9 @@ def spinning_disk_rhs(params: DiskParams,
 def disk_momentum(params: DiskParams, surface: SurfaceMetric,
                   q: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Shifted-chart momentum P1 = M(q) u matching spinning_disk_rhs."""
-    return disk_mass_matrix(params, surface, np.asarray(q, dtype=float)) \
-        @ np.asarray(u, dtype=float)
+    ma11, ma22 = _mass_at(params, surface, tuple(_floats(q)))
+    u0, u1 = _floats(u)
+    return np.array([0.0 + ma11 * u0 + 0.0 * u1, 0.0 + 0.0 * u0 + ma22 * u1])
 
 
 def disk_velocity(params: DiskParams, surface: SurfaceMetric,

@@ -18,8 +18,8 @@ import pytest
 from fastslow import (BUILTIN_ALGEBRAS, EulerSystem,
                       FastSlowSystem, IntegratorConfig, PendulumParams,
                       PhaseStateFull, PhaseStateReduced, average_coefficients,
-                      averaged_hamiltonian, coadjoint_action,
-                      curvature_identity_residual,
+                      averaged_hamiltonian, closeness_report,
+                      coadjoint_action, curvature_identity_residual,
                       effective_potential, euler_vector_field,
                       exponential_surface, extended_bracket,
                       extended_hamiltonian_field, full_velocities,
@@ -34,7 +34,7 @@ from fastslow import (BUILTIN_ALGEBRAS, EulerSystem,
                       uniform_field_averaged)
 from fastslow import experiments
 from fastslow.cli import parse_config, shipped_config_text
-from fastslow.experiments import TABLE, _closeness_case
+from fastslow.experiments import TABLE, _averaged_run, _full_run
 
 MIDPOINT = IntegratorConfig(method="implicit_midpoint", dt=1e-2)
 
@@ -402,10 +402,13 @@ def step_halving_changes(config):
     sup_error_q, _p, _gamma and _total, largest node gap over
     sup_error_total) between the runs at dt_full and at dt_full / 2."""
     half = replace(config, dt_full=config.dt_full / 2)
+    reduced = _averaged_run(config)
     rows = []
     for eps in config.epsilon_sweep:
-        full, _, coarse = _closeness_case(config, eps)
-        fine_full, _, fine = _closeness_case(half, eps)
+        full = _full_run(config, eps)
+        fine_full = _full_run(half, eps)
+        coarse = closeness_report(full, reduced)
+        fine = closeness_report(fine_full, reduced)
         moved = max(abs(getattr(coarse, name) / getattr(fine, name) - 1.0)
                     for name in ("sup_error_q", "sup_error_p",
                                  "sup_error_gamma", "sup_error_total"))
@@ -438,6 +441,23 @@ def test_shipped_full_step_is_converged(label):
     if coarser:
         assert not step_is_converged(step_halving_changes(
             replace(config, dt_full=coarser[0])))
+
+
+@pytest.mark.parametrize("label", [name for name, experiment in TABLE.items()
+                                   if experiment.build is not None])
+def test_sweep_averaged_run_does_not_depend_on_epsilon(label):
+    # A sweep makes one averaged run, from the build at its first
+    # epsilon, and compares every full run with it; the run built at
+    # any other epsilon of the sweep must be the same bit for bit.
+    config = parse_config(shipped_config_text(label))
+    reduced = _averaged_run(config)
+    for eps in config.epsilon_sweep:
+        other = _averaged_run(replace(config, epsilon_sweep=(eps,)))
+        assert np.array_equal(other.values, reduced.values), eps
+        assert np.array_equal(other.derivs, reduced.derivs), eps
+        assert other.invariant_log.keys() == reduced.invariant_log.keys()
+        for name, log in reduced.invariant_log.items():
+            assert np.array_equal(other.invariant_log[name], log), (eps, name)
 
 
 def test_step_halving_guard_rejects_the_pendulum_at_0_16():

@@ -15,15 +15,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fastslow import (AveragedSystem, IntegratorConfig, PendulumParams,
-                      PhaseStateFull, PhaseStateReduced, TrivialBundleMetric,
-                      convert_chart, fiber_inertia,
-                      gram_matrix,
+from fastslow import (AveragedSystem, DiskParams, FastSlowSystem,
+                      IntegratorConfig, PendulumParams, PhaseStateFull,
+                      PhaseStateReduced, TrivialBundleMetric,
+                      average_coefficients, convert_chart, disk_momentum,
+                      fiber_inertia, gram_matrix,
                       integrate_autonomous, integrate_reduced_canonical,
                       invariant_metric_from_averaged,
                       mean_grad_antiderivative_sq, mechanical_connection,
                       metric_eval, momentum_map, pendulum_systems,
-                      uniform_field_averaged)
+                      sphere_surface, uniform_field_averaged)
+from fastslow.systems import _mass_at
 
 from conftest import gradient, slow_difference_jet
 
@@ -304,9 +306,11 @@ class TestPhaseStates:
 
 class TestDotsAreFloatSums:
     """Each dot of metric_eval, momentum_map, the fiber inertia of
-    invariant_metric_from_averaged and the h0 of uniform_field_averaged
-    adds its products from +0.0 in index order, so it equals the
-    written-out float sum bit for bit, whatever the BLAS kernel."""
+    invariant_metric_from_averaged, the h0 of uniform_field_averaged,
+    the h0 - a0 . a0 of average_coefficients and the M u of
+    disk_momentum adds its products from +0.0 in index order, so it
+    equals the written-out float sum bit for bit, whatever the BLAS
+    kernel."""
 
     def test_dots_equal_the_in_order_float_sums(self):
         def a0(q):
@@ -335,3 +339,31 @@ class TestDotsAreFloatSums:
                     == h * (a_u + xi))
             assert (field.slow([q0, q1])[1]
                     == 0.25 * 0.8 * 0.8 * (0.0 + q0 * q0 + q1 * q1))
+
+    def test_averaging_and_disk_momentum_dots_equal_the_float_sums(self):
+        def a0(q):
+            return [0.3 * math.sin(q[1]), 0.2 * q[0]]
+
+        system = FastSlowSystem(
+            dim_base=2,
+            slow=lambda q: (a0(q), 2.0 + q[0] * q[0], 0.0,
+                            [[0.0, 0.2], [0.3 * math.cos(q[1]), 0.0]],
+                            [2.0 * q[0], 0.0], [0.0, 0.0]),
+            fast=lambda q, phi: ([0.0, 0.0], 0.0, 0.0, [[0.0, 0.0]] * 2,
+                                 [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], 0.0,
+                                 0.0),
+            epsilon=0.01, mu=1.0)
+        params = DiskParams(mass=1.3, inertia_axial=1.0, omega_axial=2.0)
+        surface = sphere_surface(1.0)
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            (q0, q1), (u0, u1) = rng.uniform(0.2, 2.0, (2, 2)).tolist()
+            b0, b1 = a0([q0, q1])
+            avg = average_coefficients(system,
+                                       sample_points=[np.array([q0, q1])])
+            assert (avg.diagnostics["inertia_inverse_min"]
+                    == (2.0 + q0 * q0) - (0.0 + b0 * b0 + b1 * b1))
+            ma11, ma22 = _mass_at(params, surface, (q0, q1))
+            assert disk_momentum(params, surface, np.array([q0, q1]),
+                                 np.array([u0, u1])).tolist() == [
+                0.0 + ma11 * u0 + 0.0 * u1, 0.0 + 0.0 * u0 + ma22 * u1]

@@ -546,14 +546,19 @@ class TestRunExperiment:
         config = parse_config(
             PARTICLE_SWEEP_TEMPLATE.format(sweep="0.02, 0.01"))
         # The halving ratio is the first epsilon's sup error over the
-        # second's, each from its own closeness_case, bit for bit.
-        errors = [integrators.closeness_case(
-            *particle_systems(particle_potential_1d(), eps, 1.0),
+        # second's, each full run compared with the one averaged run,
+        # bit for bit.
+        cfg_full, cfg_reduced = experiments.integrator_configs(config)
+        reduced = integrators.integrate_reduced_canonical(
+            particle_systems(particle_potential_1d(), 0.02, 1.0)[1],
+            PhaseStateReduced(Q=np.array([0.8]), P=np.array([0.3])),
+            config.horizon_factor, cfg_reduced)
+        errors = [integrators.closeness_report(integrators.integrate_full(
+            particle_systems(particle_potential_1d(), eps, 1.0)[0],
             PhaseStateFull(q=np.array([0.8]), p=np.array([0.3]), phi=0.0,
                            gamma=1.0),
-            PhaseStateReduced(Q=np.array([0.8]), P=np.array([0.3])),
-            config.horizon_factor, *experiments.integrator_configs(config)
-        )[2].sup_error_total for eps in (0.02, 0.01)]
+            config.horizon_factor / eps, cfg_full), reduced).sup_error_total
+            for eps in (0.02, 0.01)]
         outputs = []
         for sub, workers in (("serial", "1"), ("parallel", "2")):
             monkeypatch.setenv("FASTSLOW_THREADS", workers)
@@ -568,8 +573,7 @@ class TestRunExperiment:
             outputs.append(tuple(
                 (out / name).read_bytes()
                 for name in ("full_eps0.02.csv", "full_eps0.01.csv",
-                             "reduced_eps0.02.csv", "reduced_eps0.01.csv",
-                             "report.json")))
+                             "reduced.csv", "report.json")))
         assert outputs[0] == outputs[1]
 
 
@@ -786,15 +790,14 @@ class TestCommandLine:
         def fail(*args):
             raise IntegrationError("step 3 (t=0.003): injected", step=3)
 
-        monkeypatch.setattr(integrators, "integrate_reduced_canonical", fail)
+        monkeypatch.setattr(experiments, "integrate_reduced_canonical", fail)
         config = parse_config(
             PARTICLE_SWEEP_TEMPLATE.format(sweep="0.02, 0.01"))
         with pytest.raises(IntegrationError) as excinfo:
-            experiments._closeness_case(config, 0.02)
+            experiments._averaged_run(config)
         assert excinfo.value.step == 3
         assert str(excinfo.value) == (
-            "step 3 (t=0.003): injected (in the averaged integration at "
-            "eps=0.02)")
+            "step 3 (t=0.003): injected (in the averaged integration)")
 
     def test_run_exit_two_on_missing_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 2
@@ -929,7 +932,7 @@ class TestCommandLine:
     @pytest.mark.parametrize("module, name, fails_for, text, fragments", [
         (experiments, "integrate_euler", lambda system: True,
          EULER_FAST_CONFIG, ("euler", "step 7 (t=0.07)")),
-        (integrators, "integrate_full", lambda system: system.epsilon == 0.005,
+        (experiments, "integrate_full", lambda system: system.epsilon == 0.005,
          PARTICLE_SWEEP_TEMPLATE.format(sweep="0.02, 0.005"),
          ("particle", "eps=0.005", "step 7 (t=0.07)")),
     ], ids=["euler", "particle"])

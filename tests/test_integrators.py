@@ -1261,7 +1261,7 @@ class TestReducedSystems:
         full = integrate_full(system, s_full, 100.0,
                               IntegratorConfig(method="rk4", dt=1e-2))
         red = integrate_reduced_canonical(avg, s_red, 1.0, RK4_FINE)
-        report = closeness_report(full, red, system)
+        report = closeness_report(full, red)
         assert report.sup_error_total < 1e-9
 
     def test_uniform_field_orbit_radius(self):
@@ -1389,7 +1389,7 @@ class TestCloseness:
             avg, PhaseStateReduced(Q=np.array([0.5]), P=np.array([0.2])),
             1.0, MIDPOINT)
         with pytest.raises(ValueError, match="initial conditions"):
-            closeness_report(full, red, system)
+            closeness_report(full, red)
 
     def test_rejects_wrong_trajectory_kinds(self):
         system = phi_independent_system()
@@ -1397,7 +1397,7 @@ class TestCloseness:
             lambda z: np.zeros(1), np.zeros(1), 1.0, MIDPOINT,
             state_labels=("x",), kind="generic", dim_base=1)
         with pytest.raises(ValueError, match="full"):
-            closeness_report(traj, traj, system)
+            closeness_report(traj, traj)
 
     def test_rejects_magnetic_chart_reduced_trajectory(self):
         system = phi_independent_system()
@@ -1411,7 +1411,7 @@ class TestCloseness:
             avg, PhaseStateReduced(Q=np.array([0.4]), P=np.array([0.2])),
             1.0, MIDPOINT)
         with pytest.raises(ValueError, match="reduced_magnetic"):
-            closeness_report(full, red, system)
+            closeness_report(full, red)
 
     def test_rejects_reduced_trajectory_without_derivs(self):
         system = phi_independent_system()
@@ -1425,7 +1425,7 @@ class TestCloseness:
             MIDPOINT, state_labels=("Q1", "P1"), kind="reduced_canonical",
             dim_base=1)
         with pytest.raises(ValueError, match="derivative column"):
-            closeness_report(full, red, system)
+            closeness_report(full, red)
 
 
 def reference_full_logs(system, values, sign=1.0):
@@ -1504,7 +1504,7 @@ class TestRowBlocks:
             red = integrate_reduced_canonical(
                 avg, PhaseStateReduced(Q=q0, P=p0), 1.0,
                 IntegratorConfig(dt=1e-3))
-            assert bits(report_sups(closeness_report(full, red, system))) \
+            assert bits(report_sups(closeness_report(full, red))) \
                 == bits(reference_sups(full, red, system))
 
     @pytest.mark.parametrize("chart", ["canonical", "magnetic"])
@@ -1541,14 +1541,15 @@ class TestRowBlocks:
         red_values[0] = values[0, :4]
         full = Trajectory(times=times, values=values,
                           state_labels=("q1", "q2", "p1", "p2", "phi",
-                                        "gamma"), kind="full", dim_base=2)
+                                        "gamma"), kind="full", dim_base=2,
+                          meta={"epsilon": 1e-2, "mu": system.mu})
         red = Trajectory(times=red_times, values=red_values,
                          state_labels=("Q1", "Q2", "P1", "P2"),
                          kind="reduced_canonical", dim_base=2,
                          derivs=rng.standard_normal((501, 4)))
-        assert bits(report_sups(closeness_report(full, red, system))) \
+        assert bits(report_sups(closeness_report(full, red))) \
             == bits(reference_sups(full, red, system))
         full.values[n - 2, 1] = np.nan
-        got = report_sups(closeness_report(full, red, system))
+        got = report_sups(closeness_report(full, red))
         assert bits(got) == bits(reference_sups(full, red, system))
         assert math.isnan(got[0]) and math.isnan(got[3])

@@ -21,7 +21,8 @@ import numpy as np
 import pytest
 
 from fastslow import (DiskParams, DomainError, HarmonicMode,
-                      IntegratorConfig, OscillatingPotential, PendulumParams,
+                      IntegrationError, IntegratorConfig,
+                      OscillatingPotential, PendulumParams,
                       PhaseStateFull, PhaseStateReduced, SurfaceMetric,
                       curvature_identity_residual, disk_connection,
                       disk_magnetic_rhs, disk_mass_matrix, disk_momentum,
@@ -142,6 +143,26 @@ class TestPhysicalPendulum:
         assert traj.kind == "pendulum_physical"
         assert traj.times[-1] == pytest.approx(1.0)
         assert np.all(np.isfinite(traj.invariant_log["energy"]))
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_a_horizon_not_positive_and_finite(self, horizon):
+        with pytest.raises(ValueError) as excinfo:
+            simulate_physical_pendulum(PendulumParams(), 2.0, 0.0,
+                                       horizon=horizon)
+        assert str(excinfo.value) == "horizon must be positive and finite"
+
+    @pytest.mark.parametrize("p0, error, message", [
+        (1e308, IntegrationError, "state became non-finite"),
+        (math.inf, ValueError, "math domain error"),
+    ], ids=["overflow", "infinite"])
+    def test_step_error_names_the_step(self, p0, error, message):
+        with pytest.raises(error) as excinfo:
+            simulate_physical_pendulum(PendulumParams(), 2.0, p0,
+                                       horizon=1.0)
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == f"step 0 (t=0): {message}"
+        if error is IntegrationError:
+            assert excinfo.value.step == 0
 
 
 class TestSurfaces:
