@@ -131,8 +131,9 @@ class FastSlowSystem:
 
         Both share one call of each jet. a, h and U are assembled in
         Python floats, each x0 + eps x1 per component, and each dot
-        product adds its terms in index order from +0, as
-        integrators._full_rhs does.
+        product adds its terms in index order from +0, as the full field
+        compiled per dim_base (integrators._full_rhs) writes them out,
+        so the fiber speed is that field's phi component bit for bit.
         """
         if type(q) is not list:
             q = _floats(q)

@@ -350,8 +350,15 @@ def _midpoint_source(n: int) -> str:
                                   for i in comp),
         "sizes": " = ".join(f"s{k}" for k in range(1, top + 1)),
     }
+    return _expand(_MIDPOINT_LOOP, blocks, inline)
+
+
+def _expand(template: str, blocks: dict, inline: dict) -> str:
+    """template with a line that holds one $name only replaced by the
+    lines of blocks[name], at its indentation, and every other $name by
+    the string inline[name]."""
     out = []
-    for line in _MIDPOINT_LOOP.splitlines():
+    for line in template.splitlines():
         body = line.lstrip()
         if body[1:] in blocks:
             pad = line[:len(line) - len(body)]
@@ -361,21 +368,103 @@ def _midpoint_source(n: int) -> str:
     return "\n".join(out) + "\n"
 
 
+def _compiled(source: str, filename: str, name: str) -> Callable:
+    """The function name defined by source, run in this module's
+    namespace (as dataclasses builds methods)."""
+    namespace = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    return namespace[name]
+
+
 @functools.cache
 def _midpoint_loop(n: int) -> Callable:
     """The implicit midpoint loop for states of n floats, compiled from
-    _midpoint_source(n) at its first use, as dataclasses builds methods.
+    _midpoint_source(n) at its first use.
 
-    It runs in this module's namespace, so it looks jacobian up on each
-    use. Called as loop(f, z, values, steps, n_full, dt_full, rem, sign,
-    tol, max_iter), it takes the steps of integrate_autonomous from z, a
+    Called as loop(f, z, values, steps, n_full, dt_full, rem, sign, tol,
+    max_iter), it takes the steps of integrate_autonomous from z, a
     list, stores node i + 1 into values[i + 1], and returns the run's
     Newton updates, Jacobians and evaluations of f.
     """
-    namespace = {}
-    exec(compile(_midpoint_source(n), f"<implicit midpoint loop, n={n}>",
-                 "exec"), globals(), namespace)
-    return namespace["midpoint_loop"]
+    return _compiled(_midpoint_source(n), f"<implicit midpoint loop, n={n}>",
+                     "midpoint_loop")
+
+
+_FULL_FIELD = """\
+def full_field(slow, fast, eps):
+    neg_eps = -eps
+
+    def rhs(z):
+        $z = z
+        q = [$q]
+        a0, h0, _, ga0, gh0, gU0 = slow(q)
+        a1, h1, _, ga1, gh1, gU1, da1, dh1, dU1 = fast(q, phi)
+        $slots
+        half_gam2 = 0.5 * gam * gam
+        $coefficients
+        $momentum_rows
+        ap = 0.0$ap
+        dap = 0.0$dap
+        return [$out
+                ap + (h0 + eps * h1) * gam,
+                neg_eps * (gam * dap + half_gam2 * dh1 + dU1)]
+
+    return rhs
+"""
+
+
+def _full_field_source(l: int) -> str:
+    """The source of _FULL_FIELD for dim_base l, expanded as the midpoint
+    loop's is. The state unpacks into q{i}, p{i}, phi and gam, and each
+    slot into locals named after it and its indices (ga0_{i}_{k} is
+    ga0[i][k]), once a vector or matrix slot that is not a list is turned
+    into floats (_floats) and a scalar one that is not a float by
+    float(). a_{i} is a0 + eps a1, and dp{i} is row i of dp/dtau.
+    """
+    comp = range(l)
+    vectors = ("a0", "gh0", "gU0", "a1", "gh1", "gU1", "da1")
+
+    def names(fmt: str) -> str:
+        return ", ".join(fmt.format(i=i) for i in comp) + ","
+
+    def dot(fmt: str) -> str:
+        return "".join(" + " + fmt.format(i=i) + " * p" + str(i)
+                       for i in comp)
+
+    slots = []
+    for s in vectors + ("ga0", "ga1"):
+        unpacked = (names(s + "_{i}") if s in vectors else " ".join(
+            f"({names(s + f'_{i}_{{i}}')})," for i in comp))
+        slots += [f"if type({s}) is not list:", f"    {s} = _floats({s})",
+                  f"{unpacked} = {s}"]
+    for s in ("h0", "h1", "dh1", "dU1"):
+        slots += [f"if type({s}) is not float:", f"    {s} = float({s})"]
+    rows = []
+    for i in comp:
+        rows += [f"jp = 0.0{dot(f'(ga0_{i}_{{i}} + eps * ga1_{i}_{{i}})')}",
+                 f"dp{i} = neg_eps * (gam * jp + half_gam2 * (gh0_{i} + eps "
+                 f"* gh1_{i}) + (gU0_{i} + eps * gU1_{i}))"]
+    blocks = {
+        "slots": slots,
+        "coefficients": [f"a_{i} = a0_{i} + eps * a1_{i}" for i in comp],
+        "momentum_rows": rows,
+    }
+    inline = {
+        "z": names("q{i}") + " " + names("p{i}") + " phi, gam",
+        "q": names("q{i}"),
+        "ap": dot("a_{i}"), "dap": dot("da1_{i}"),
+        "out": names("eps * (p{i} + gam * a_{i})") + " " + names("dp{i}"),
+    }
+    return _expand(_FULL_FIELD, blocks, inline)
+
+
+@functools.cache
+def _full_field(l: int) -> Callable:
+    """The factory of the full field for dim_base l, compiled from
+    _full_field_source(l) at its first use: full_field(slow, fast, eps)
+    returns the field of a system with those jets and epsilon."""
+    return _compiled(_full_field_source(l), f"<full field, dim_base={l}>",
+                     "full_field")
 
 
 def _raise_at_step(err: Exception, i: int, dt: float):
@@ -388,6 +477,16 @@ def _raise_at_step(err: Exception, i: int, dt: float):
         raise IntegrationError(prefix + str(err), step=i) from err
     err.args = (prefix + str(err),)
     raise err
+
+
+def _step_count_error(horizon: float, dt: float, *,
+                      too_many: bool) -> ValueError:
+    """The error of a run of horizon at dt that takes more steps than
+    can be stored (too_many) or no step at all, raised before a step."""
+    if too_many:
+        return ValueError(f"horizon {horizon:.6g} at dt {dt:.6g} takes "
+                          f"{horizon / dt:.6g} steps, too many to store")
+    return ValueError(f"horizon {horizon:.6g} at dt {dt:.6g} takes no step")
 
 
 def integrate_autonomous(f: Callable[[list], list | np.ndarray],
@@ -469,12 +568,9 @@ def integrate_autonomous(f: Callable[[list], list | np.ndarray],
         # horizon / dt may overflow to inf; numpy refuses an array of more
         # than 2**63 bytes with ValueError, and memory it cannot get with
         # MemoryError.
-        raise ValueError(
-            f"horizon {horizon:.6g} at dt {config.dt:.6g} takes "
-            f"{horizon / config.dt:.6g} steps, too many to store") from err
+        raise _step_count_error(horizon, config.dt, too_many=True) from err
     if steps == 0:
-        raise ValueError(f"horizon {horizon:.6g} at dt {config.dt:.6g} "
-                         "takes no step")
+        raise _step_count_error(horizon, config.dt, too_many=False)
     values[0] = z0
     counts = {}
     if config.method != "rk4":
@@ -503,50 +599,18 @@ def integrate_autonomous(f: Callable[[list], list | np.ndarray],
 def _full_rhs(system: FastSlowSystem) -> Callable[[list], list]:
     """The full field in fast time, on lists of Python floats.
 
-    Each evaluation makes one call of each jet of the system and reads
-    their slots under its contract: a list as it is, an array turned
-    into floats once. Each x0 + eps x1 is formed per component, and a dot
-    product adds the rounded products in index order from +0. For
-    dim_base 1 that is numpy's dot bit for bit; longer dots can differ
-    from a BLAS kernel that fuses multiply-adds, by rounding alone.
+    It is the field compiled for the system's dim_base at its first use
+    (_full_field), as the midpoint loop is for each state size. Each
+    evaluation makes one call of each jet and reads their slots under
+    its contract: a list as it is, an array turned into floats once; a
+    vector or matrix slot holds dim_base entries per index. Each x0 +
+    eps x1 is formed per component, and a dot product adds the rounded
+    products in index order from +0. For dim_base 1 that is numpy's dot
+    bit for bit; longer dots can differ from a BLAS kernel that fuses
+    multiply-adds, by rounding alone.
     """
-    l = system.dim_base
-    eps = system.epsilon
-    slow, fast = system.slow, system.fast
-    rows = range(l)
-
-    def rhs(z: list) -> list:
-        q = z[:l]
-        p = z[l:2 * l]
-        phi, gam = z[2 * l], z[2 * l + 1]
-        a0, h0, _, ga0, gh0, gU0 = slow(q)
-        a1, h1, _, ga1, gh1, gU1, da1, dh1, dU1 = fast(q, phi)
-        a0, ga0, gh0, gU0, a1, ga1, gh1, gU1, da1 = map(
-            _floats, (a0, ga0, gh0, gU0, a1, ga1, gh1, gU1, da1))
-        half_gam2 = 0.5 * gam * gam
-        out = []
-        ap = 0.0
-        for i in rows:
-            a_i = a0[i] + eps * a1[i]
-            out.append(eps * (p[i] + gam * a_i))
-            ap += a_i * p[i]
-        # Row i: jac_a[i] . p, d_i h and d_i U, each coefficient x + eps y.
-        for i in rows:
-            j0, j1 = ga0[i], ga1[i]
-            jp = 0.0
-            for k in rows:
-                jp += (j0[k] + eps * j1[k]) * p[k]
-            out.append(-eps * (gam * jp + half_gam2 * (gh0[i] + eps * gh1[i])
-                               + (gU0[i] + eps * gU1[i])))
-        dap = 0.0
-        for i in rows:
-            dap += da1[i] * p[i]
-        out.append(ap + (float(h0) + eps * float(h1)) * gam)
-        out.append(-eps * (gam * dap + half_gam2 * float(dh1)
-                           + float(dU1)))
-        return out
-
-    return rhs
+    return _full_field(system.dim_base)(system.slow, system.fast,
+                                        system.epsilon)
 
 
 def full_velocities(system: FastSlowSystem,
@@ -598,7 +662,8 @@ def integrate_full(system: FastSlowSystem, state0: PhaseStateFull,
         meta={"epsilon": eps, "mu": system.mu, "clock": "slow (t = eps tau)"},
         backward=backward)
     # One evaluation of a and h per node gives both the energy and the
-    # fiber speed, the phi component of _full_rhs term for term.
+    # fiber speed, the phi component of the compiled field (_full_rhs)
+    # term for term: the same sums in the same order.
     energy, phi_dot = np.empty((2, len(traj)))
     for i, z in _nodes(traj.values):
         energy[i], phi_dot[i] = system.energy_and_fiber_speed(
@@ -670,8 +735,9 @@ def integrate_reduced_magnetic(avg: AveragedSystem,
     energy is not (1/2)|P1|^2, such as the disk of
     systems.disk_magnetic_rhs, has a field of its own for
     integrate_autonomous. The field and the energy log (one node pass)
-    are Python floats; as in _full_rhs, each dot is a sum from +0 in
-    index order, numpy's dot bit for bit when it has one nonzero product.
+    are Python floats; each dot is a _dot, a sum from +0 in index order
+    as the compiled full field (_full_rhs) writes its dots out, numpy's
+    dot bit for bit when it has one nonzero product.
     """
     state0 = convert_chart(state0, lambda Q: avg.slow(_floats(Q))[0],
                            avg.mu, "magnetic")

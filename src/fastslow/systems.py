@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -40,7 +41,8 @@ import numpy as np
 from .averaging import AveragedSystem, FastSlowSystem, _dot, _floats, \
     average_coefficients
 from .bundle_geometry import TrivialBundleMetric
-from .integrators import IntegrationError, Trajectory, _raise_at_step
+from .integrators import IntegrationError, Trajectory, _raise_at_step, \
+    _step_count_error
 
 TWO_PI = 2.0 * np.pi
 
@@ -152,8 +154,9 @@ def simulate_physical_pendulum(params: PendulumParams, theta0: float,
     1/epsilon. stop_when(t, theta, p) aborts the run early when it
     returns True (the trigger time is stored in meta["stopped_at"]).
     Every accepted step is offered to stop_when even when only each
-    store_every-th state is kept. Bad horizons and the errors of a step
-    are raised as integrate_autonomous raises them.
+    store_every-th state is kept. Bad horizons, a horizon that takes no
+    step or more steps than numpy can index among them, and the errors
+    of a step are raised as integrate_autonomous raises them.
     """
     l = params.length
     g = params.gravity
@@ -164,7 +167,12 @@ def simulate_physical_pendulum(params: PendulumParams, theta0: float,
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise ValueError("horizon must be positive and finite")
     dt = (TWO_PI / omega) / 64.0
-    n_steps = int(math.ceil(horizon / dt - 1e-9))
+    count = horizon / dt - 1e-9
+    # A step count above sys.maxsize is one numpy cannot index, and a run
+    # that never ends; both errors are raised before the first step.
+    if not 0.0 < count <= sys.maxsize:
+        raise _step_count_error(horizon, dt, too_many=count > 0.0)
+    n_steps = math.ceil(count)
     if store_every is None:
         store_every = max(1, int(math.ceil(n_steps / 20000)))
 

@@ -16,7 +16,9 @@ ones. Every field gets a list of Python floats on every call of
 integrate_autonomous. The full
 field, assembled in Python floats from one call of each jet, must
 reproduce bit for bit the numpy assembly it replaced on the shipped
-pendulum and particles,
+pendulum and particles, and the field compiled per dim_base the
+closure it replaced (float_full_rhs) on the shipped systems and on a
+3-d system whose jets return arrays, signed zeros included;
 and so must the list chord step (_midpoint_step, kept here as the
 oracle of the compiled loop) the numpy step it replaced, with the
 chord update written as the float sum it documents. The list
@@ -939,6 +941,91 @@ class TestTrajectory:
         assert np.array_equal(view.P, [0.2])
 
 
+def float_full_rhs(system):
+    """The full field as a closure on lists of floats, the body of
+    integrators._full_rhs before the field was compiled per dim_base,
+    kept as the oracle of the compiled field: the slots turned into
+    floats through _floats, rows and dots as loops over range(l)."""
+    l = system.dim_base
+    eps = system.epsilon
+    slow, fast = system.slow, system.fast
+    rows = range(l)
+
+    def rhs(z: list) -> list:
+        q = z[:l]
+        p = z[l:2 * l]
+        phi, gam = z[2 * l], z[2 * l + 1]
+        a0, h0, _, ga0, gh0, gU0 = slow(q)
+        a1, h1, _, ga1, gh1, gU1, da1, dh1, dU1 = fast(q, phi)
+        a0, ga0, gh0, gU0, a1, ga1, gh1, gU1, da1 = map(
+            _floats, (a0, ga0, gh0, gU0, a1, ga1, gh1, gU1, da1))
+        half_gam2 = 0.5 * gam * gam
+        out = []
+        ap = 0.0
+        for i in rows:
+            a_i = a0[i] + eps * a1[i]
+            out.append(eps * (p[i] + gam * a_i))
+            ap += a_i * p[i]
+        # Row i: jac_a[i] . p, d_i h and d_i U, each coefficient x + eps y.
+        for i in rows:
+            j0, j1 = ga0[i], ga1[i]
+            jp = 0.0
+            for k in rows:
+                jp += (j0[k] + eps * j1[k]) * p[k]
+            out.append(-eps * (gam * jp + half_gam2 * (gh0[i] + eps * gh1[i])
+                               + (gU0[i] + eps * gU1[i])))
+        dap = 0.0
+        for i in rows:
+            dap += da1[i] * p[i]
+        out.append(ap + (float(h0) + eps * float(h1)) * gam)
+        out.append(-eps * (gam * dap + half_gam2 * float(dh1)
+                           + float(dU1)))
+        return out
+
+    return rhs
+
+
+def array_jet_system_3d():
+    """A 3-d system whose jets return numpy arrays for every vector and
+    matrix slot and numpy floats for every scalar slot: a = 0.3 sin(W q)
+    + 0.2 eps cos(W q + phi), h = 2 + |q|^2 + (eps/2) cos(phi) |q|^2 and
+    U = (1/2) |q|^2 + (eps/2) sin(phi) |q|^2. Every gradient of h and U
+    is a multiple of q, so at q = -0.0 it is -0.0 as often as +0.0."""
+    w = np.array([[0.4, -1.1, 0.3], [0.9, 0.2, -0.7], [-0.5, 0.6, 1.3]])
+
+    def slow(q):
+        x = np.asarray(q)
+        xx = x @ x
+        return (0.3 * np.sin(w @ x), 2.0 + xx, 0.5 * xx,
+                0.3 * (w.T * np.cos(w @ x)), 2.0 * x, x.copy())
+
+    def fast(q, phi):
+        x = np.asarray(q)
+        xx = x @ x
+        s, c = np.sin(w @ x + phi), np.cos(w @ x + phi)
+        return (0.2 * c, 0.5 * np.cos(phi) * xx, 0.5 * np.sin(phi) * xx,
+                -0.2 * (w.T * s), np.cos(phi) * x, np.sin(phi) * x,
+                -0.2 * s, -0.5 * np.sin(phi) * xx, 0.5 * np.cos(phi) * xx)
+
+    return FastSlowSystem(dim_base=3, slow=slow, fast=fast, epsilon=0.05,
+                          mu=1.1)
+
+
+def signed_zero_states(rng, l, n):
+    """n random full states of dim_base l. In about half of the rows q,
+    and in about half p, is made of zeros of random signs, and gamma is
+    +0.0 in a third of the rows and -0.0 in a third, so that some
+    components are sums of signed zeros only."""
+    states = rng.uniform(-3.0, 3.0, (n, 2 * l + 2))
+    zeros = np.copysign(0.0, rng.uniform(-1.0, 1.0, (n, 2 * l)))
+    for cols in (slice(0, l), slice(l, 2 * l)):
+        rows = rng.random(n) < 0.5
+        states[rows, cols] = zeros[rows, cols]
+    states[:, 2 * l + 1] = np.choose(rng.integers(3, size=n),
+                                     [0.0, -0.0, states[:, 2 * l + 1]])
+    return states
+
+
 def numpy_full_rhs(system):
     """The full field as it was assembled in numpy arrays, on the slots
     of the system's jets, kept as the reference for the float assembly
@@ -984,6 +1071,23 @@ SHIPPED_FULL_SYSTEMS = {
 
 
 class TestFullSystem:
+    @pytest.mark.parametrize("name", [*sorted(SHIPPED_FULL_SYSTEMS),
+                                      "array_jets_3d"])
+    def test_compiled_field_is_the_float_oracle_bit_for_bit(self, name):
+        system = SHIPPED_FULL_SYSTEMS.get(name, array_jet_system_3d)()
+        l = system.dim_base
+        got, want = integrators._full_rhs(system), float_full_rhs(system)
+        for z in signed_zero_states(np.random.default_rng(11), l, 2000):
+            z = z.tolist()
+            out = got(z)
+            assert all(type(x) is float for x in out)
+            # tobytes tells -0.0 from +0.0, which == would not.
+            assert np.array(out).tobytes() == np.array(want(z)).tobytes(), z
+
+    def test_one_compiled_field_per_dim_base(self):
+        assert integrators._full_field(2) is integrators._full_field(2)
+        assert integrators._full_field(2) is not integrators._full_field(3)
+
     @pytest.mark.parametrize("name", sorted(SHIPPED_FULL_SYSTEMS))
     def test_float_field_is_the_numpy_field_bit_for_bit(self, name):
         system = SHIPPED_FULL_SYSTEMS[name]()

@@ -3,9 +3,9 @@
 Oracles: `from fastslow import *` must import exactly the names listed
 in fastslow.__all__, each once, and each must be the attribute of the
 same name. No module of the package, and no source the implicit
-midpoint loop is compiled from, names the built-in sum: from CPython
-3.12 on it adds floats with compensated summation, so a value it forms
-could differ between CPython versions.
+midpoint loop or the full field is compiled from, names the built-in
+sum: from CPython 3.12 on it adds floats with compensated summation, so
+a value it forms could differ between CPython versions.
 """
 
 import ast
@@ -44,3 +44,9 @@ def test_no_module_uses_the_builtin_sum():
 def test_the_midpoint_loop_source_uses_no_builtin_sum(n):
     assert builtin_sum_uses(integrators._midpoint_source(n),
                             f"midpoint loop n={n}") == []
+
+
+@pytest.mark.parametrize("l", [1, 2, 5])
+def test_the_full_field_source_uses_no_builtin_sum(l):
+    assert builtin_sum_uses(integrators._full_field_source(l),
+                            f"full field dim_base={l}") == []

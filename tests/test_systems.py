@@ -151,6 +151,24 @@ class TestPhysicalPendulum:
                                        horizon=horizon)
         assert str(excinfo.value) == "horizon must be positive and finite"
 
+    @pytest.mark.parametrize("horizon, message", [
+        (1e-300, "takes no step"),
+        (1e300, "steps, too many to store"),
+    ], ids=["no_step", "too_many"])
+    def test_rejects_a_step_count_before_the_first_step(self, horizon,
+                                                        message):
+        def no_step_taken(t, theta, p):
+            raise AssertionError(f"a step was taken, to t={t}")
+
+        params = PendulumParams()
+        dt = (2.0 * math.pi / params.omega) / 64.0
+        with pytest.raises(ValueError) as excinfo:
+            simulate_physical_pendulum(params, 2.0, 0.0, horizon=horizon,
+                                       stop_when=no_step_taken)
+        assert str(excinfo.value).startswith(
+            f"horizon {horizon:.6g} at dt {dt:.6g} takes ")
+        assert str(excinfo.value).endswith(message)
+
     @pytest.mark.parametrize("p0, error, message", [
         (1e308, IntegrationError, "state became non-finite"),
         (math.inf, ValueError, "math domain error"),
