@@ -12,7 +12,7 @@ fastslow.experiments.
 
 Runs are deterministic: the same config produces byte-identical output
 files (no wall-clock content, fixed float formatting with 17 significant
-digits), whether an epsilon sweep runs serially or across processes.
+digits).
 """
 
 from __future__ import annotations

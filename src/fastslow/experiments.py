@@ -8,18 +8,14 @@ report order; base_dir anchors relative paths.
 
 pendulum and particle check that halving eps roughly halves the sup
 error between each epsilon's full run and the one averaged run, whose
-system holds no eps; the full runs go in parallel processes, at most
-FASTSLOW_THREADS (default: all cores). disk checks the curvature drift
-of the reduction two ways. euler and custom check the Euler equation
-on a central extension.
+system holds no eps; the full runs go one after another in the calling
+process. disk checks the curvature drift of the reduction two ways.
+euler and custom check the Euler equation on a central extension.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -130,27 +126,13 @@ def _averaged_run(config: ExperimentConfig) -> Trajectory:
             config.horizon_factor, integrator_configs(config)[1])
 
 
-def _worker_count(n_cases: int) -> int:
-    try:
-        cap = max(1, int(os.environ["FASTSLOW_THREADS"]))
-    except (KeyError, ValueError):
-        cap = os.cpu_count() or 1
-    return max(1, min(n_cases, cap))
-
-
 def _run_sweep(config: ExperimentConfig, base_dir: Path) -> tuple:
     cases = config.epsilon_sweep
     if len(cases) < 2:
         # Each check compares two epsilons; fewer would pass unchecked.
         raise ValueError(f"epsilon_sweep needs at least two epsilons, got "
                          f"{len(cases)}")
-    workers = _worker_count(len(cases))
-    if workers == 1:
-        fulls = [_full_run(config, eps) for eps in cases]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            fulls = list(pool.map(functools.partial(_full_run, config),
-                                  cases))
+    fulls = [_full_run(config, eps) for eps in cases]
     reduced = _averaged_run(config)
     trajectories = {f"full_eps{eps!r}": (full, {"epsilon": eps})
                     for eps, full in zip(cases, fulls)}

@@ -489,6 +489,16 @@ def _step_count_error(horizon: float, dt: float, *,
     return ValueError(f"horizon {horizon:.6g} at dt {dt:.6g} takes no step")
 
 
+def _check_horizon(horizon: float, epsilon: float) -> None:
+    """Raise a ValueError, before a step, for a run of the epsilon
+    system beyond the supported horizon HORIZON_FACTOR_MAX / epsilon."""
+    if horizon > HORIZON_FACTOR_MAX / epsilon * (1.0 + 1e-9):
+        raise ValueError(
+            f"horizon {horizon:.6g} exceeds the supported bound "
+            f"{HORIZON_FACTOR_MAX:g}/epsilon = "
+            f"{HORIZON_FACTOR_MAX / epsilon:.6g}")
+
+
 def integrate_autonomous(f: Callable[[list], list | np.ndarray],
                          z0: np.ndarray,
                          horizon: float,
@@ -646,10 +656,7 @@ def integrate_full(system: FastSlowSystem, state0: PhaseStateFull,
     Python floats at most.
     """
     eps = system.epsilon
-    if horizon > HORIZON_FACTOR_MAX / eps * (1.0 + 1e-9):
-        raise ValueError(
-            f"horizon {horizon:.6g} exceeds the supported bound "
-            f"10/epsilon = {HORIZON_FACTOR_MAX / eps:.6g}")
+    _check_horizon(horizon, eps)
     l = system.dim_base
     f = _full_rhs(system)
     sign = -1.0 if backward else 1.0

@@ -41,8 +41,8 @@ import numpy as np
 from .averaging import AveragedSystem, FastSlowSystem, _dot, _floats, \
     average_coefficients
 from .bundle_geometry import TrivialBundleMetric
-from .integrators import IntegrationError, Trajectory, _raise_at_step, \
-    _step_count_error
+from .integrators import IntegrationError, Trajectory, _check_horizon, \
+    _raise_at_step, _step_count_error
 
 TWO_PI = 2.0 * np.pi
 
@@ -156,7 +156,9 @@ def simulate_physical_pendulum(params: PendulumParams, theta0: float,
     Every accepted step is offered to stop_when even when only each
     store_every-th state is kept. Bad horizons, a horizon that takes no
     step or more steps than numpy can index among them, and the errors
-    of a step are raised as integrate_autonomous raises them.
+    of a step are raised as integrate_autonomous raises them; a horizon
+    beyond 10 / epsilon is refused as integrate_full refuses it, after
+    the step-count checks and before the first step.
     """
     l = params.length
     g = params.gravity
@@ -172,6 +174,7 @@ def simulate_physical_pendulum(params: PendulumParams, theta0: float,
     # that never ends; both errors are raised before the first step.
     if not 0.0 < count <= sys.maxsize:
         raise _step_count_error(horizon, dt, too_many=count > 0.0)
+    _check_horizon(horizon, params.epsilon)
     n_steps = math.ceil(count)
     if store_every is None:
         store_every = max(1, int(math.ceil(n_steps / 20000)))

@@ -86,7 +86,7 @@ def test_2_epsilon_closeness_ratios():
     # Full and averaged trajectories must stay O(eps)-close up to the
     # slow horizon: halving eps should roughly halve the sup error. The
     # sweeps are those `fastslow verify` runs on the shipped pendulum and
-    # particle configs, in its worker processes.
+    # particle configs.
     details = []
     ok = True
     for label in ("pendulum", "particle"):

@@ -3,10 +3,10 @@
 Oracles: the config grammar is small enough to enumerate violations by
 hand with their line numbers; CSV output at 17 significant digits must
 round-trip float64 bit-exactly; and runs are deterministic, so byte
-comparison across repeated and parallel runs is the ground truth for
-the output contract. The block writers must give the bytes of the
-one-shot writers they replaced, kept here verbatim, and hold one block
-of rows beyond the trajectory whatever its length.
+comparison across repeated runs is the ground truth for the output
+contract. The block writers must give the bytes of the one-shot writers
+they replaced, kept here verbatim, and hold one block of rows beyond the
+trajectory whatever its length.
 """
 
 import json
@@ -541,8 +541,7 @@ class TestRunExperiment:
         assert not flipped.passed
         assert flipped.observed > 1e-3
 
-    def test_sweep_outputs_identical_serial_and_parallel(
-            self, tmp_path, monkeypatch):
+    def test_sweep_ratio_is_the_independent_runs_error_ratio(self, tmp_path):
         config = parse_config(
             PARTICLE_SWEEP_TEMPLATE.format(sweep="0.02, 0.01"))
         # The halving ratio is the first epsilon's sup error over the
@@ -559,22 +558,27 @@ class TestRunExperiment:
                            gamma=1.0),
             config.horizon_factor / eps, cfg_full), reduced).sup_error_total
             for eps in (0.02, 0.01)]
-        outputs = []
-        for sub, workers in (("serial", "1"), ("parallel", "2")):
-            monkeypatch.setenv("FASTSLOW_THREADS", workers)
-            base = tmp_path / sub
-            base.mkdir()
-            report = run_experiment(config, base_dir=base)
-            assert report.overall
-            assert report.records[0].name == (
-                "closeness_ratio_0.02_to_0.01_lower")
-            assert report.records[0].observed == errors[0] / errors[1]
-            out = base / "out"
-            outputs.append(tuple(
-                (out / name).read_bytes()
-                for name in ("full_eps0.02.csv", "full_eps0.01.csv",
-                             "reduced.csv", "report.json")))
-        assert outputs[0] == outputs[1]
+        report = run_experiment(config, base_dir=tmp_path)
+        assert report.overall
+        assert report.records[0].name == "closeness_ratio_0.02_to_0.01_lower"
+        assert report.records[0].observed == errors[0] / errors[1]
+
+    def test_sweep_runs_each_full_run_in_this_process(self, monkeypatch):
+        # FASTSLOW_THREADS is not read: whatever it says, each full run is
+        # a call in this process, in sweep order.
+        monkeypatch.setenv("FASTSLOW_THREADS", "2")
+        calls = []
+        original = experiments.integrate_full
+
+        def recorded(system, *args, **kwargs):
+            calls.append((os.getpid(), system.epsilon))
+            return original(system, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "integrate_full", recorded)
+        config = parse_config(
+            PARTICLE_SWEEP_TEMPLATE.format(sweep="0.04, 0.02, 0.01"))
+        experiments.TABLE["particle"].run(config, Path.cwd())
+        assert calls == [(os.getpid(), eps) for eps in (0.04, 0.02, 0.01)]
 
 
 class TestCommandLine:
@@ -586,11 +590,9 @@ class TestCommandLine:
         assert "[PASS]" in out
         assert out.strip().endswith("overall: PASS")
 
-    def test_run_exit_one_on_failed_check(self, tmp_path, capsys,
-                                          monkeypatch):
+    def test_run_exit_one_on_failed_check(self, tmp_path, capsys):
         # A near-flat sweep cannot show the halving ratio: the error
         # shrinks by about 0.04/0.036, far below the 1.5 window floor.
-        monkeypatch.setenv("FASTSLOW_THREADS", "1")
         path = tmp_path / "flat.cfg"
         path.write_text(
             PARTICLE_SWEEP_TEMPLATE.format(sweep="0.04, 0.036"))
@@ -744,11 +746,9 @@ class TestCommandLine:
         assert lines[0].endswith(f" takes no step{suffix}")
         assert not (tmp_path / "out").exists()
 
-    def test_run_exit_two_on_a_zero_sup_error(self, tmp_path, capsys,
-                                              monkeypatch):
+    def test_run_exit_two_on_a_zero_sup_error(self, tmp_path, capsys):
         # A particle at rest in an unforced trap stays at rest in both
         # flows, so every sup error is 0 and no ratio is defined.
-        monkeypatch.setenv("FASTSLOW_THREADS", "1")
         text = shipped_config_text("particle")
         for old, new in (("alpha = 0.7", "alpha = 0.0"),
                          ("beta = 0.4", "beta = 0.0"),
@@ -768,10 +768,9 @@ class TestCommandLine:
         assert not (tmp_path / "out").exists()
 
     def test_sweep_error_names_the_epsilon_and_the_integration(
-            self, tmp_path, capsys, monkeypatch):
+            self, tmp_path, capsys):
         # The full run at eps 0.01 gets the fast-time horizon
         # 1e-15 / 0.01, too short for a step of dt_full.
-        monkeypatch.setenv("FASTSLOW_THREADS", "1")
         text = shipped_config_text("particle")
         assert "horizon_factor = 1.0" in text
         dt_full = parse_config(text).dt_full
@@ -948,7 +947,6 @@ class TestCommandLine:
             return original(system, *args, **kwargs)
 
         monkeypatch.setattr(module, name, fail)
-        monkeypatch.setenv("FASTSLOW_THREADS", "1")
         path = tmp_path / "run.cfg"
         path.write_text(text)
         assert main(["run", str(path)]) == 2

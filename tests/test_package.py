@@ -5,10 +5,15 @@ in fastslow.__all__, each once, and each must be the attribute of the
 same name. No module of the package, and no source the implicit
 midpoint loop or the full field is compiled from, names the built-in
 sum: from CPython 3.12 on it adds floats with compensated summation, so
-a value it forms could differ between CPython versions.
+a value it forms could differ between CPython versions. The command
+line runs every integration in the calling process, so importing it
+loads no process pool.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +28,18 @@ def test_all_lists_each_public_name_once_and_resolves():
     assert len(set(fastslow.__all__)) == len(fastslow.__all__)
     for name in fastslow.__all__:
         assert namespace[name] is getattr(fastslow, name)
+
+
+def test_importing_the_command_line_loads_no_process_pool():
+    src = Path(fastslow.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, fastslow.cli; print(sorted("
+         "{'multiprocessing', 'concurrent.futures.process'} & "
+         "sys.modules.keys()))"],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def builtin_sum_uses(source: str, name: str) -> list:

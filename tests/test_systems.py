@@ -169,6 +169,26 @@ class TestPhysicalPendulum:
             f"horizon {horizon:.6g} at dt {dt:.6g} takes ")
         assert str(excinfo.value).endswith(message)
 
+    def test_rejects_a_horizon_beyond_the_bound_before_the_first_step(self):
+        # horizon 1e12 is about 6.1e15 steps, a count numpy could index;
+        # it is refused at integrate_full's bound 10 / epsilon.
+        def no_step_taken(t, theta, p):
+            raise AssertionError(f"a step was taken, to t={t}")
+
+        params = PendulumParams()
+        message = ("horizon 1e+12 exceeds the supported bound "
+                   "10/epsilon = 2000")
+        with pytest.raises(ValueError) as excinfo:
+            simulate_physical_pendulum(params, 2.0, 0.0, horizon=1e12,
+                                       stop_when=no_step_taken)
+        assert str(excinfo.value) == message
+        system = pendulum_systems(params)[0]
+        with pytest.raises(ValueError) as excinfo:
+            integrate_full(system, PhaseStateFull(
+                q=np.array([2.0]), p=np.array([0.0]), phi=0.0,
+                gamma=system.mu), 1e12, RK4)
+        assert str(excinfo.value) == message
+
     @pytest.mark.parametrize("p0, error, message", [
         (1e308, IntegrationError, "state became non-finite"),
         (math.inf, ValueError, "math domain error"),
