@@ -25,19 +25,25 @@ Every per-step and per-node evaluation works on Python floats over the
 nonzero entries of c, I^{-1} and sigma, listed once per algebra, system
 or field as (index..., value) terms in C order: each component is a
 float sum from +0.0 over its terms in that order, so no BLAS kernel and
-no built-in sum() rounds a value of a run.
+no built-in sum() rounds a value of a run. The Euler field and the
+extension's field are compiled, as integrators compiles the midpoint
+loop and the full field, at their first use for each sparsity pattern
+(the index tuples of the terms): straight-line code over scalar locals,
+made by a factory that takes the terms' values, so systems that share a
+pattern share one compiled factory.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .averaging import _floats
-from .integrators import (IntegratorConfig, Trajectory, _nodes,
-                          integrate_autonomous)
+from .integrators import (IntegratorConfig, Trajectory, _compiled, _expand,
+                          _nodes, integrate_autonomous)
 
 JACOBI_TOL = 1e-12
 COCYCLE_TOL = 1e-12
@@ -121,7 +127,7 @@ class LieAlgebraData:
 
 @dataclass(frozen=True)
 class Cocycle:
-    """Antisymmetric scalar 2-cocycle sigma(X, Y) = X . sigma_matrix Y."""
+    """Finite antisymmetric scalar 2-cocycle sigma(X, Y) = X . sigma Y."""
 
     sigma: np.ndarray
 
@@ -130,6 +136,8 @@ class Cocycle:
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ValueError("sigma must be a square matrix")
         object.__setattr__(self, "sigma", s)
+        if not np.all(np.isfinite(s)):
+            raise ValueError("sigma must be finite")
         if np.any(s + s.T != 0.0):
             raise ValueError("sigma must be antisymmetric (exactly)")
 
@@ -161,8 +169,8 @@ def coadjoint_action(algebra: LieAlgebraData, X: np.ndarray,
     """Coadjoint action (ad*_X xi)_j = sum_{i,k} xi_k c^k_ij X_i.
 
     Defined by the pairing identity <ad*_X xi, Y> = <xi, [X, Y]>; on
-    so(3) it is the cross product xi x X. The Euler fields share its
-    product, _ad_star.
+    so(3) it is the cross product xi x X. The compiled Euler fields add
+    the products of _ad_star in its order.
     """
     return np.array(_ad_star(algebra._brackets, _floats(X), _floats(xi)))
 
@@ -204,10 +212,10 @@ def extended_bracket(algebra: LieAlgebraData, cocycle: Cocycle | None,
 class EulerSystem:
     """Euler equation data: algebra, inertia tensor, momentum shift.
 
-    inertia must be symmetric (to 1e-14) and positive definite
-    (Cholesky); shift is the momentum offset L. The terms of I^{-1} are
-    formed once, here, and read by the field, the invariant logs,
-    velocity and energy.
+    inertia must be finite, symmetric (to 1e-14) and positive definite
+    (Cholesky); shift, the momentum offset L, must be finite. The terms
+    of I^{-1} are formed once, here, and read by the field, the
+    invariant logs, velocity and energy.
     """
 
     algebra: LieAlgebraData
@@ -220,6 +228,8 @@ class EulerSystem:
         n = self.algebra.dim
         if inertia.shape != (n, n):
             raise ValueError("inertia must be dim x dim")
+        if not np.all(np.isfinite(inertia)):
+            raise ValueError("inertia must be finite")
         asym = float(np.max(np.abs(inertia - inertia.T)))
         if asym > INERTIA_SYMMETRY_TOL:
             raise ValueError(
@@ -234,6 +244,8 @@ class EulerSystem:
                  else np.asarray(self.shift, dtype=float))
         if shift.shape != (n,):
             raise ValueError("shift must have length dim")
+        if not np.all(np.isfinite(shift)):
+            raise ValueError("shift must be finite")
         object.__setattr__(self, "shift", shift)
 
     def velocity(self, xi: np.ndarray) -> np.ndarray:
@@ -250,22 +262,109 @@ class EulerSystem:
         return 0.5 * e
 
 
+_LIE_POISSON_FIELD = """\
+def lie_poisson_field(values):
+    $values
+
+    def f(xi):
+        $xi = xi
+        $velocity
+        $moved
+        $coadjoint
+        $cocycle
+        return [$out]
+
+    return f
+"""
+
+
+def _sum_lines(name: str, products: list) -> list:
+    """For each component i, the lines that add the products[i] to
+    {name}{i} from +0.0 in order, one product per statement, so that no
+    expression nests deeper as the algebra grows; with no products,
+    {name}{i} is 0.0."""
+    lines = []
+    for i, terms in enumerate(products):
+        first = f" + {terms[0]}" if terms else ""
+        lines += [f"{name}{i} = 0.0{first}",
+                  *(f"{name}{i} += {p}" for p in terms[1:])]
+    return lines
+
+
+def _lie_poisson_source(n: int, inverse: tuple, brackets: tuple,
+                        sigma: tuple, shift: bool) -> str:
+    """The source of _LIE_POISSON_FIELD for the sparsity pattern given by
+    n and the index tuples of the terms of I^{-1}, c and sigma, expanded
+    as integrators' midpoint loop is.
+
+    The factory binds its values, one per term of I^{-1}, c and sigma in
+    that order and then L if shift, as locals a{t}, c{t}, s{t} and l{k}.
+    xi unpacks into x{k}; v{i} is (I^{-1} xi)_i and o{j} the ad* product
+    over the terms of c, over m{k} = x{k} - l{k} with a shift and over xi
+    itself without. The Euler field (shift) returns -o, the extension's
+    (sigma, no shift) w - o with w = sigma v. Each sum runs over its
+    terms in term order, as _matvec and _ad_star add them.
+    """
+    comp = range(n)
+    values = ([f"a{t}" for t in range(len(inverse))]
+              + [f"c{t}" for t in range(len(brackets))]
+              + [f"s{t}" for t in range(len(sigma))]
+              + ([f"l{k}" for k in comp] if shift else []))
+    moving = "m" if shift else "x"
+    v, o, w = ([[] for _ in comp] for _ in range(3))
+    for t, (i, j) in enumerate(inverse):
+        v[i].append(f"a{t} * x{j}")
+    for t, (i, j, k) in enumerate(brackets):
+        o[j].append(f"c{t} * v{i} * {moving}{k}")
+    for t, (i, j) in enumerate(sigma):
+        w[i].append(f"s{t} * v{j}")
+    blocks = {
+        "values": [", ".join(values) + ", = values"] if values else [],
+        "velocity": _sum_lines("v", v),
+        "moved": [f"m{k} = x{k} - l{k}" for k in comp] if shift else [],
+        "coadjoint": _sum_lines("o", o),
+        "cocycle": [] if shift else _sum_lines("w", w),
+    }
+    inline = {
+        "xi": ", ".join(f"x{k}" for k in comp) + ",",
+        "out": ", ".join(f"-o{j}" if shift else f"w{j} - o{j}"
+                         for j in comp),
+    }
+    return _expand(_LIE_POISSON_FIELD, blocks, inline)
+
+
+@functools.cache
+def _lie_poisson_field(n: int, inverse: tuple, brackets: tuple,
+                       sigma: tuple, shift: bool) -> Callable:
+    """The factory of the Lie-Poisson field of one sparsity pattern,
+    compiled from _lie_poisson_source at its first use: called with the
+    pattern's values, it returns the field on lists of n floats."""
+    return _compiled(_lie_poisson_source(n, inverse, brackets, sigma, shift),
+                     f"<Lie-Poisson field, n={n}>", "lie_poisson_field")
+
+
+def _field(n: int, inverse: list, brackets: list, sigma: list,
+           shift: list | None) -> Callable[[list], list]:
+    """The compiled field of these terms (and of the shift L, if any):
+    the factory of their sparsity pattern, called with their values."""
+    def pattern(terms):
+        return tuple(term[:-1] for term in terms)
+
+    factory = _lie_poisson_field(n, pattern(inverse), pattern(brackets),
+                                 pattern(sigma), shift is not None)
+    return factory(tuple([term[-1] for terms in (inverse, brackets, sigma)
+                          for term in terms] + (shift or [])))
+
+
 def euler_vector_field(system: EulerSystem) -> Callable[[list], list]:
-    """Shifted Euler equation dxi/dt = -ad*_{I^{-1} xi} (xi - L), as a
-    closure on lists of floats over the terms of I^{-1} and of c.
+    """Shifted Euler equation dxi/dt = -ad*_{I^{-1} xi} (xi - L), on
+    lists of floats, compiled over the terms of I^{-1} and of c (_field).
 
     The field is orthogonal to the angular velocity I^{-1} xi, so the
     kinetic energy is conserved at the level of the vector field.
     """
-    inverse = system._inverse
-    brackets = system.algebra._brackets
-    shift = system.shift.tolist()
-
-    def f(xi: list) -> list:
-        moved = [x - s for x, s in zip(xi, shift)]
-        return [-a for a in _ad_star(brackets, _matvec(inverse, xi), moved)]
-
-    return f
+    return _field(system.algebra.dim, system._inverse,
+                  system.algebra._brackets, [], system.shift.tolist())
 
 
 def extended_hamiltonian_field(algebra: LieAlgebraData,
@@ -280,20 +379,13 @@ def extended_hamiltonian_field(algebra: LieAlgebraData,
     field is -ad*_{dH} (xi - L), euler_vector_field of the shifted system:
     the two-path identity behind the shift-equivalence check.
 
-    Returned as a closure on lists of floats, for which the terms of
-    I^{-1} and of sigma are formed once; as sigma is antisymmetric,
-    -dH . sigma is the product sigma dH.
+    Returned as a field on lists of floats, compiled over the terms of
+    I^{-1} and of sigma, which are formed once, and of c (_field); as
+    sigma is antisymmetric, -dH . sigma is the product sigma dH.
     """
     inverse = _terms(np.linalg.inv(np.asarray(inertia, dtype=float)))
-    brackets = algebra._brackets
     sigma = [] if cocycle is None else _terms(cocycle.sigma)
-
-    def f(xi: list) -> list:
-        dh = _matvec(inverse, xi)
-        return [s - a for a, s in zip(_ad_star(brackets, dh, xi),
-                                      _matvec(sigma, dh))]
-
-    return f
+    return _field(algebra.dim, inverse, algebra._brackets, sigma, None)
 
 
 def integrate_euler(system: EulerSystem, xi0: np.ndarray, horizon: float,
@@ -307,12 +399,15 @@ def integrate_euler(system: EulerSystem, xi0: np.ndarray, horizon: float,
     tolerance. The logs are taken after the run in one pass of Python
     floats, one block of nodes at a time (_nodes): I^{-1} xi is
     _matvec over the system's terms, and each sum over the components is
-    added from +0.0 in index order.
+    added from +0.0 in index order. An xi0 that is not dim finite floats
+    raises ValueError before a step.
     """
     xi0 = np.asarray(xi0, dtype=float)
     n = system.algebra.dim
     if xi0.shape != (n,):
         raise ValueError("xi0 must have length dim")
+    if not np.all(np.isfinite(xi0)):
+        raise ValueError("xi0 must be finite")
     labels = tuple(f"xi{i + 1}" for i in range(n))
     traj = integrate_autonomous(
         euler_vector_field(system), xi0, horizon, config,

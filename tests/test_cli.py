@@ -701,6 +701,29 @@ class TestCommandLine:
                                    "horizon must be positive and finite")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("line, bad, message", [
+        ("inertia = 1.0, 2.0, 3.0", "inertia = inf, 2.0, 3.0",
+         "inertia must be finite"),
+        ("inertia = 1.0, 2.0, 3.0", "inertia = nan, 2.0, 3.0",
+         "inertia must be finite"),
+        ("shift = 0.0, 0.0, 0.0", "shift = 0.2, inf, 0.5",
+         "shift must be finite"),
+        ("xi0 = 0.1, 1.0, 0.1", "xi0 = 0.1, nan, 0.1", "xi0 must be finite"),
+    ], ids=["inertia_inf", "inertia_nan", "shift_inf", "xi0_nan"])
+    def test_run_exit_two_on_non_finite_euler_data(self, tmp_path, capsys,
+                                                   line, bad, message):
+        # Unchecked, an infinite moment of inertia would pass every check,
+        # and a NaN one fail only at the first step's residual.
+        text = shipped_config_text("euler")
+        assert line in text
+        path = tmp_path / "run.cfg"
+        path.write_text(text.replace(line, bad))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"experiment euler failed: {message}\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("experiment, line", [
         ("euler", "horizon = 100.0"), ("disk", "horizon = 10.0"),
     ], ids=["euler", "disk"])

@@ -7,11 +7,16 @@ that action; shift cocycles are structure-constant contractions small
 enough to compute by hand; and the extended bracket on linear
 functions must satisfy the Jacobi identity whenever the cocycle
 identity holds, which is the joint consistency check for both. The
-closures that the Euler and extension field factories return are pinned
+fields that the Euler and extension field factories return are pinned
 by einsum contractions of the same arrays, and counted calls show that
-they form no terms of their own; the invariant logs are pinned by float
-sums written out in index order; EulerSystem.energy is the energy log's
-sum.
+they form no terms of their own. The compiled fields must reproduce bit
+for bit the closures over _matvec and _ad_star they replaced
+(float_euler_field and float_extended_field, kept here as their
+oracles), signed zeros and non-finite shifts included, and systems of
+one sparsity pattern share one compiled factory. Non-finite inertia,
+shift, sigma or xi0 is refused before a step. The invariant logs are
+pinned by float sums written out in index order; EulerSystem.energy is
+the energy log's sum.
 """
 
 from importlib import resources
@@ -262,6 +267,28 @@ class TestEulerSystem:
         with pytest.raises(ValueError, match="shift"):
             EulerSystem(algebra=alg, inertia=np.eye(3), shift=np.ones(2))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_data_rejected(self, bad):
+        # Unchecked, an infinite moment of inertia would pass every check
+        # of a run (with a RuntimeWarning from the symmetry test), a NaN
+        # one the symmetry test and Cholesky, and a NaN sigma would read
+        # as asymmetric.
+        alg = so3()
+        inertia = np.diag([bad, 2.0, 3.0])
+        with pytest.raises(ValueError, match="^inertia must be finite$"):
+            EulerSystem(algebra=alg, inertia=inertia)
+        with pytest.raises(ValueError, match="^shift must be finite$"):
+            EulerSystem(algebra=alg, inertia=np.eye(3),
+                        shift=np.array([0.2, bad, 0.5]))
+        sigma = SHIFT_E3_SIGMA.copy()
+        sigma[0, 1], sigma[1, 0] = bad, -bad
+        with pytest.raises(ValueError, match="^sigma must be finite$"):
+            Cocycle(sigma=sigma)
+        system = EulerSystem(algebra=alg, inertia=np.eye(3))
+        with pytest.raises(ValueError, match="^xi0 must be finite$"):
+            integrate_euler(system, np.array([0.1, bad, 0.1]), 1.0, MIDPOINT)
+
     def test_velocity_and_energy(self):
         system = EulerSystem(algebra=so3(), inertia=np.diag([1.0, 2.0, 3.0]))
         xi = np.ones(3)
@@ -411,6 +438,150 @@ class TestFloatFields:
             xi = rng.standard_normal(alg.dim).tolist()
             gap = np.max(np.abs(np.array(euler(xi)) - np.array(extended(xi))))
             assert gap > 1e-3, name
+
+
+def float_euler_field(system):
+    """The Euler field as the closure over _matvec and _ad_star that
+    euler_vector_field returned before it was compiled per sparsity
+    pattern, kept as the oracle of the compiled field."""
+    inverse = system._inverse
+    brackets = system.algebra._brackets
+    shift = system.shift.tolist()
+
+    def f(xi: list) -> list:
+        moved = [x - s for x, s in zip(xi, shift)]
+        return [-a for a in lie_poisson._ad_star(
+            brackets, lie_poisson._matvec(inverse, xi), moved)]
+
+    return f
+
+
+def float_extended_field(algebra, cocycle, inertia):
+    """The extension's field as the closure over _matvec and _ad_star
+    that extended_hamiltonian_field returned before it was compiled per
+    sparsity pattern, kept as the oracle of the compiled field."""
+    inverse = lie_poisson._terms(np.linalg.inv(np.asarray(inertia,
+                                                          dtype=float)))
+    brackets = algebra._brackets
+    sigma = [] if cocycle is None else lie_poisson._terms(cocycle.sigma)
+
+    def f(xi: list) -> list:
+        dh = lie_poisson._matvec(inverse, xi)
+        return [s - a for a, s in zip(
+            lie_poisson._ad_star(brackets, dh, xi),
+            lie_poisson._matvec(sigma, dh))]
+
+    return f
+
+
+# A 5-d filiform nilpotent algebra in the loader's format: [e0, e1] =
+# 0.5 e2, [e0, e2] = -1.5 e3, [e0, e3] = 2 e4, [e1, e2] = 0.75 e4.
+FILIFORM5 = "dim 5\n0 1 2 0.5\n0 2 3 -1.5\n0 3 4 2.0\n1 2 4 0.75"
+ORACLE_ALGEBRAS = {
+    **BUILTIN_ALGEBRAS,
+    "filiform5": lambda: load_algebra(FILIFORM5, name="filiform5"),
+}
+
+
+def signed_zero_states(rng, n, count):
+    """count random states of n floats; about a third of the entries,
+    and every entry of every eighth row, are zeros of random signs, so
+    that some products and sums are of signed zeros only."""
+    states = rng.uniform(-3.0, 3.0, (count, n))
+    zeros = np.copysign(0.0, rng.uniform(-1.0, 1.0, (count, n)))
+    picked = rng.random((count, n)) < 1.0 / 3.0
+    picked[::8] = True
+    states[picked] = zeros[picked]
+    return states
+
+
+def assert_same_bits(got, want, n, seed):
+    """got and want give the same float bits on signed_zero_states."""
+    for xi in signed_zero_states(np.random.default_rng(seed), n, 2000):
+        xi = xi.tolist()
+        out = got(xi)
+        assert type(out) is list and all(type(x) is float for x in out)
+        # tobytes tells -0.0 from +0.0, and NaN bits apart, which == would
+        # not.
+        assert np.array(out).tobytes() == np.array(want(xi)).tobytes(), xi
+
+
+def non_finite(obj, name, values):
+    """obj, a frozen dataclass, with the array field name set to values
+    after its checks have passed: the factories' own handling of a
+    non-finite value."""
+    object.__setattr__(obj, name, np.asarray(values, dtype=float))
+    return obj
+
+
+class TestCompiledFields:
+    @pytest.mark.parametrize("shift", ["zero", "nonzero", "nan"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+    def test_euler_field_is_the_float_oracle_bit_for_bit(self, name, shift):
+        rng = np.random.default_rng(83)
+        alg = ORACLE_ALGEBRAS[name]()
+        n = alg.dim
+        for inertia in (np.diag(rng.uniform(0.5, 3.0, n)),
+                        random_spd(rng, n)):
+            system = EulerSystem(algebra=alg, inertia=inertia,
+                                 shift=(rng.standard_normal(n)
+                                        if shift == "nonzero" else None))
+            if shift == "nan":
+                non_finite(system, "shift", np.where(
+                    np.arange(n) == 1, np.nan, rng.standard_normal(n)))
+            assert_same_bits(euler_vector_field(system),
+                             float_euler_field(system), n, 89)
+
+    @pytest.mark.parametrize("cocycle", ["none", "zero_shift", "coboundary",
+                                         "nan"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+    def test_extended_field_is_the_float_oracle_bit_for_bit(self, name,
+                                                            cocycle):
+        rng = np.random.default_rng(97)
+        alg = ORACLE_ALGEBRAS[name]()
+        n = alg.dim
+        coc = {"none": None,
+               "zero_shift": shift_cocycle(alg, np.zeros(n)),
+               "coboundary": shift_cocycle(alg, rng.standard_normal(n)),
+               "nan": non_finite(Cocycle(sigma=np.zeros((n, n))), "sigma",
+                                 np.where(np.eye(n)[::-1] == 1.0, np.nan,
+                                          0.0))}[cocycle]
+        inertia = random_spd(rng, n)
+        assert_same_bits(extended_hamiltonian_field(alg, coc, inertia),
+                         float_extended_field(alg, coc, inertia), n, 101)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_extended_field_on_closed_non_coboundary(self, n):
+        # On an abelian algebra every antisymmetric sigma is closed and
+        # only sigma = 0 is a coboundary; c has no terms, so the field is
+        # sigma I^{-1} xi alone.
+        rng = np.random.default_rng(103)
+        sigma = np.triu(rng.standard_normal((n, n)), 1)
+        coc = make_cocycle(abelian(n), sigma - sigma.T)
+        inertia = random_spd(rng, n)
+        assert_same_bits(extended_hamiltonian_field(abelian(n), coc, inertia),
+                         float_extended_field(abelian(n), coc, inertia),
+                         n, 107)
+
+    def test_one_compiled_factory_per_sparsity_pattern(self):
+        # Values are bound, never compiled in: two systems of one pattern
+        # share the factory, and so the code of their fields.
+        pattern = (3, ((0, 0), (1, 1), (2, 2)),
+                   tuple(t[:3] for t in so3()._brackets), (), True)
+        assert (lie_poisson._lie_poisson_field(*pattern)
+                is lie_poisson._lie_poisson_field(*pattern))
+        diagonal = [euler_vector_field(EulerSystem(
+            algebra=so3(), inertia=np.diag(d), shift=s)) for d, s in (
+                ([1.0, 2.0, 3.0], None), ([4.0, 0.5, 7.0], [0.2, -0.4, 0.5]))]
+        assert diagonal[0].__code__ is diagonal[1].__code__
+        xi = [0.3, -0.7, 1.1]
+        assert diagonal[0](xi) != diagonal[1](xi)
+        dense = euler_vector_field(EulerSystem(
+            algebra=so3(), inertia=random_spd(np.random.default_rng(109), 3)))
+        extended = extended_hamiltonian_field(so3(), None,
+                                              np.diag([1.0, 2.0, 3.0]))
+        for other in (dense, extended):
+            assert other.__code__ is not diagonal[0].__code__
 
 
 def count_term_builds(monkeypatch) -> dict:

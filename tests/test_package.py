@@ -3,11 +3,11 @@
 Oracles: `from fastslow import *` must import exactly the names listed
 in fastslow.__all__, each once, and each must be the attribute of the
 same name. No module of the package, and no source the implicit
-midpoint loop or the full field is compiled from, names the built-in
-sum: from CPython 3.12 on it adds floats with compensated summation, so
-a value it forms could differ between CPython versions. The command
-line runs every integration in the calling process, so importing it
-loads no process pool.
+midpoint loop, the full field or a Lie-Poisson field is compiled from,
+names the built-in sum: from CPython 3.12 on it adds floats with
+compensated summation, so a value it forms could differ between CPython
+versions. The command line runs every integration in the calling
+process, so importing it loads no process pool.
 """
 
 import ast
@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import fastslow
-from fastslow import integrators
+from fastslow import integrators, lie_poisson
 
 
 def test_all_lists_each_public_name_once_and_resolves():
@@ -67,3 +67,16 @@ def test_the_midpoint_loop_source_uses_no_builtin_sum(n):
 def test_the_full_field_source_uses_no_builtin_sum(l):
     assert builtin_sum_uses(integrators._full_field_source(l),
                             f"full field dim_base={l}") == []
+
+
+@pytest.mark.parametrize("name", sorted(fastslow.BUILTIN_ALGEBRAS))
+@pytest.mark.parametrize("field", ["euler", "extended"])
+def test_the_lie_poisson_field_source_uses_no_builtin_sum(name, field):
+    # A dense I^{-1} and sigma, so that every sum has several terms.
+    algebra = fastslow.BUILTIN_ALGEBRAS[name]()
+    n = algebra.dim
+    pairs = tuple((i, j) for i in range(n) for j in range(n))
+    source = lie_poisson._lie_poisson_source(
+        n, pairs, tuple(t[:3] for t in algebra._brackets),
+        () if field == "euler" else pairs, field == "euler")
+    assert builtin_sum_uses(source, f"{field} field on {name}") == []
