@@ -40,15 +40,17 @@ and phi, say) is done once per evaluation:
 
 FastSlowSystem holds both and AveragedSystem the slow one. q is a list
 of dim_base Python floats and phi a float. grad_a0[i][j] is
-d a0_j / d q_i, and jac_q_a1 has the same layout. A vector or matrix
-slot is a (nested) list of floats or an array, a scalar slot a float:
-every field and energy log reads a list as it is and turns an array
-into floats once (_floats), and any other reader makes an array of a
-slot. Every field and log calls each jet once per evaluation and
-reads its derivative slots as given: nothing here differences a value
-slot. The jets of systems.OscillatingPotential, one per harmonic and
-one for the fiber mean, take q and fill their slots by the same
-contract.
+d a0_j / d q_i, and jac_q_a1 has the same layout. Every field and log
+calls each jet once per evaluation and reads its derivative slots as
+given: nothing here differences a value slot.
+
+The jet format, of these jets and of the harmonic, mean and surface
+jets of fastslow.systems: every slot is a Python float or a (nested)
+list (or tuple) of them, with dim_base entries per index, and every
+field, log and kernel reads it as it is, with no conversion per call.
+A jet whose slots hold numpy float64 values still runs, with the same
+bits (numpy rounds +, -, * and / of float64 as Python does), only
+slower, and the values it feeds are then numpy floats.
 """
 
 from __future__ import annotations
@@ -99,8 +101,9 @@ def fiber_mean(samples: np.ndarray) -> np.ndarray:
 class FastSlowSystem:
     """Coefficient data of a fast-oscillating natural Hamiltonian system.
 
-    slow and fast are the two coefficient jets (module docstring). a1, h1
-    and U1 must have zero fiber mean. epsilon > 0 is the timescale ratio
+    slow and fast are the two coefficient jets, in the jet format of the
+    module docstring. a1, h1 and U1 must have zero fiber mean.
+    epsilon > 0 is the timescale ratio
     and mu the conserved leading-order fiber momentum, so the fast
     frequency is omega = mu / epsilon.
     """
@@ -135,21 +138,17 @@ class FastSlowSystem:
         compiled per dim_base (integrators._full_rhs) writes them out,
         so the fiber speed is that field's phi component bit for bit.
         """
-        if type(q) is not list:
-            q = _floats(q)
-        if type(p) is not list:
-            p = _floats(p)
-        gamma = float(gamma)
+        q, p, gamma = _floats(q), _floats(p), float(gamma)
         eps = self.epsilon
         a0, h0, U0 = self.slow(q)[:3]
         a1, h1, U1 = self.fast(q, phi)[:3]
-        h = float(h0) + eps * float(h1)
+        h = h0 + eps * h1
         ap = pp = 0.0
-        for x, y, p_i in zip(_floats(a0), _floats(a1), p):
+        for x, y, p_i in zip(a0, a1, p):
             ap += (x + eps * y) * p_i
             pp += p_i * p_i
         energy = (0.5 * pp + gamma * ap
-                  + 0.5 * h * gamma * gamma + (float(U0) + eps * float(U1)))
+                  + 0.5 * h * gamma * gamma + (U0 + eps * U1))
         return energy, ap + h * gamma
 
 
@@ -185,12 +184,15 @@ def average_coefficients(system: FastSlowSystem,
     an AveragingError naming the offending coefficient and point. The
     returned system holds the slow jet of the input as it is, and
     records the worst residual means, together with the minimum of
-    h0 - a0 . a0 over the samples, in diagnostics.
+    h0 - a0 . a0 over the samples, in diagnostics. sample_points None
+    takes the default samples; an empty sequence raises ValueError.
     """
     if sample_points is None:
         pts = _default_base_samples(system.dim_base)
     else:
         pts = [np.asarray(p, dtype=float) for p in sample_points]
+        if not pts:
+            raise ValueError("sample_points must hold at least one point")
     residuals = {"a1": 0.0, "h1": 0.0, "U1": 0.0}
     inertia_min = np.inf
     for q in pts:
@@ -198,8 +200,7 @@ def average_coefficients(system: FastSlowSystem,
         a0q, h0q = system.slow(ql)[:2]
         jets = [system.fast(ql, phi)[:3] for phi in FIBER_GRID]
         for k, name in enumerate(residuals):
-            samples = np.array([np.asarray(jet[k], dtype=float)
-                                for jet in jets])
+            samples = np.array([jet[k] for jet in jets], dtype=float)
             scale = max(1.0, float(np.max(np.abs(samples))))
             mean = fiber_mean(samples)
             worst = float(np.max(np.abs(np.atleast_1d(mean))))
@@ -209,15 +210,13 @@ def average_coefficients(system: FastSlowSystem,
                     f"{worst:.3e} at q={q}",
                     coefficient=name, point=q, residual=worst)
             residuals[name] = max(residuals[name], worst)
-        h0q = float(h0q)
         for phi, jet in zip(FIBER_GRID, jets):
-            total = h0q + system.epsilon * float(jet[1])
+            total = h0q + system.epsilon * jet[1]
             if not total > 0.0:
                 raise AveragingError(
                     f"total fiber inertia h0 + eps h1 is not positive at "
                     f"q={q}, phi={phi:.3f} (value {total:.3e})",
                     coefficient="h", point=q, residual=total)
-        a0q = _floats(a0q)
         inv = h0q - _dot(a0q, a0q)
         if not np.isfinite(inv):
             raise AveragingError(
@@ -240,8 +239,8 @@ def averaged_hamiltonian(avg: AveragedSystem, Q: np.ndarray,
     Python floats, each dot a _dot."""
     P = _floats(P)
     a0, h0, U0 = avg.slow(_floats(Q))[:3]
-    return (0.5 * _dot(P, P) + avg.mu * _dot(_floats(a0), P)
-            + 0.5 * avg.mu ** 2 * float(h0) + float(U0))
+    return (0.5 * _dot(P, P) + avg.mu * _dot(a0, P)
+            + 0.5 * avg.mu ** 2 * h0 + U0)
 
 
 def effective_potential(avg: AveragedSystem, Q: np.ndarray) -> float:
@@ -252,8 +251,7 @@ def effective_potential(avg: AveragedSystem, Q: np.ndarray) -> float:
     It is formed in Python floats, a0 . a0 a _dot.
     """
     a0, h0, U0 = avg.slow(_floats(Q))[:3]
-    a0 = _floats(a0)
-    return 0.5 * avg.mu ** 2 * (float(h0) - _dot(a0, a0)) + float(U0)
+    return 0.5 * avg.mu ** 2 * (h0 - _dot(a0, a0)) + U0
 
 
 def magnetic_form(avg: AveragedSystem, Q: np.ndarray) -> np.ndarray:

@@ -158,15 +158,15 @@ class TrivialBundleMetric:
     """Kaluza-Klein metric |u|^2 + h(q) (xi + a(q) . u)^2 on a trivial
     circle bundle.
 
-    a(q) is the connection coefficient (length dim_base) and h(q) > 0
-    the fiber inertia. Neither takes phi, so the fiber rotation acts by
-    isometries by construction. The Gram matrix is positive definite
-    wherever h > 0; the constructor checks the shape and finiteness of
+    a(q) is the connection coefficient (dim_base floats, a list or an
+    array) and h(q) > 0 the fiber inertia. Neither takes phi, so the
+    fiber rotation acts by isometries by construction. The Gram matrix
+    is positive definite wherever h > 0; the constructor checks the shape and finiteness of
     a and h, and h > 0, at each sample point.
     """
 
     dim_base: int
-    a: Callable[[np.ndarray], np.ndarray]
+    a: Callable[[np.ndarray], Sequence[float]]
     h: Callable[[np.ndarray], float]
     sample_points: tuple = ()
 
@@ -275,19 +275,19 @@ def invariant_metric_from_averaged(avg, sample_points=()) -> TrivialBundleMetric
     of the corresponding full flows. Raises when h0 - a0 . a0 is not
     positive at the validation samples, since no Riemannian metric
     matches then. sample_points overrides the constructor validation
-    points, e.g. to keep them away from zeros of the inertia.
+    points, e.g. to keep them away from zeros of the inertia. The slots
+    of the slow jet are read as they are (the jet format of
+    fastslow.averaging).
     """
     dim = int(avg.dim_base)
 
     def a(q):
-        q = np.asarray(q, dtype=float)
-        return -np.asarray(avg.slow(q.tolist())[0], dtype=float)
+        return [-x for x in avg.slow(np.asarray(q, dtype=float).tolist())[0]]
 
     def h(q):
         q = np.asarray(q, dtype=float)
         a0q, h0q = avg.slow(q.tolist())[:2]
-        a0q = np.asarray(a0q, dtype=float).tolist()
-        denom = float(h0q) - _dot(a0q, a0q)
+        denom = h0q - _dot(a0q, a0q)
         if denom <= 0.0:
             raise ValueError(
                 "h0 - a0.a0 is not positive; the averaged system has no "

@@ -416,10 +416,9 @@ def full_field(slow, fast, eps):
 def _full_field_source(l: int) -> str:
     """The source of _FULL_FIELD for dim_base l, expanded as the midpoint
     loop's is. The state unpacks into q{i}, p{i}, phi and gam, and each
-    slot into locals named after it and its indices (ga0_{i}_{k} is
-    ga0[i][k]), once a vector or matrix slot that is not a list is turned
-    into floats (_floats) and a scalar one that is not a float by
-    float(). a_{i} is a0 + eps a1, and dp{i} is row i of dp/dtau.
+    slot, as the jet format of fastslow.averaging gives it, into locals
+    named after it and its indices (ga0_{i}_{k} is ga0[i][k]), with no
+    conversion. a_{i} is a0 + eps a1, and dp{i} is row i of dp/dtau.
     """
     comp = range(l)
     vectors = ("a0", "gh0", "gU0", "a1", "gh1", "gU1", "da1")
@@ -431,14 +430,9 @@ def _full_field_source(l: int) -> str:
         return "".join(" + " + fmt.format(i=i) + " * p" + str(i)
                        for i in comp)
 
-    slots = []
-    for s in vectors + ("ga0", "ga1"):
-        unpacked = (names(s + "_{i}") if s in vectors else " ".join(
-            f"({names(s + f'_{i}_{{i}}')})," for i in comp))
-        slots += [f"if type({s}) is not list:", f"    {s} = _floats({s})",
-                  f"{unpacked} = {s}"]
-    for s in ("h0", "h1", "dh1", "dU1"):
-        slots += [f"if type({s}) is not float:", f"    {s} = float({s})"]
+    slots = [f"{names(s + '_{i}')} = {s}" for s in vectors] + [
+        " ".join(f"({names(s + f'_{i}_{{i}}')})," for i in comp) + f" = {s}"
+        for s in ("ga0", "ga1")]
     rows = []
     for i in comp:
         rows += [f"jp = 0.0{dot(f'(ga0_{i}_{{i}} + eps * ga1_{i}_{{i}})')}",
@@ -611,9 +605,8 @@ def _full_rhs(system: FastSlowSystem) -> Callable[[list], list]:
 
     It is the field compiled for the system's dim_base at its first use
     (_full_field), as the midpoint loop is for each state size. Each
-    evaluation makes one call of each jet and reads their slots under
-    its contract: a list as it is, an array turned into floats once; a
-    vector or matrix slot holds dim_base entries per index. Each x0 +
+    evaluation makes one call of each jet and reads their slots as they
+    are (the jet format of fastslow.averaging). Each x0 +
     eps x1 is formed per component, and a dot product adds the rounded
     products in index order from +0. For dim_base 1 that is numpy's dot
     bit for bit; longer dots can differ from a BLAS kernel that fuses
@@ -706,7 +699,6 @@ def integrate_reduced_canonical(avg: AveragedSystem,
     def f(z: list) -> list:
         P = z[l:]
         a0, _, _, ga0, gh0, gU0 = slow(z[:l])
-        a0, ga0, gh0, gU0 = map(_floats, (a0, ga0, gh0, gU0))
         out = [P_i + mu * a_i for P_i, a_i in zip(P, a0)]
         for row, gh_i, gU_i in zip(ga0, gh0, gU0):
             out.append(-(mu * _dot(row, P) + 0.5 * mu * mu * gh_i + gU_i))
@@ -755,9 +747,8 @@ def integrate_reduced_magnetic(avg: AveragedSystem,
     rows = range(l)
 
     def f(z: list) -> list:
-        v = _floats(z[l:])
-        a0, _, _, ga0, gh0, gU0 = slow(_floats(z[:l]))
-        a0, ga0, gh0, gU0 = map(_floats, (a0, ga0, gh0, gU0))
+        v = z[l:]
+        a0, _, _, ga0, gh0, gU0 = slow(z[:l])
         # -grad Ubar_mu = -(0.5 mu^2 (gh0 - 2 ga0 a0) + gU0), plus column
         # i of B = mu (ga0 - ga0^T) dotted with v.
         return v + [-(half_mu2 * (gh0[i] - 2.0 * _dot(ga0[i], a0)) + gU0[i])

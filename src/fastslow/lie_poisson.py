@@ -381,11 +381,16 @@ def extended_hamiltonian_field(algebra: LieAlgebraData,
 
     Returned as a field on lists of floats, compiled over the terms of
     I^{-1} and of sigma, which are formed once, and of c (_field); as
-    sigma is antisymmetric, -dH . sigma is the product sigma dH.
+    sigma is antisymmetric, -dH . sigma is the product sigma dH. The
+    inertia is checked by EulerSystem, whose I^{-1} terms the field
+    takes; a sigma that is not dim x dim raises ValueError.
     """
-    inverse = _terms(np.linalg.inv(np.asarray(inertia, dtype=float)))
+    n = algebra.dim
+    if cocycle is not None and cocycle.sigma.shape != (n, n):
+        raise ValueError("sigma must be dim x dim")
+    inverse = EulerSystem(algebra=algebra, inertia=inertia)._inverse
     sigma = [] if cocycle is None else _terms(cocycle.sigma)
-    return _field(algebra.dim, inverse, algebra._brackets, sigma, None)
+    return _field(n, inverse, algebra._brackets, sigma, None)
 
 
 def integrate_euler(system: EulerSystem, xi0: np.ndarray, horizon: float,

@@ -98,10 +98,8 @@ def pendulum_systems(params: PendulumParams,
         (1/4) mu^2 amp^2 sin^2(x / l) - g l cos(x / l)
 
     exactly, for every fiber_floor. The two jets share sin and cos of
-    x / l, and the fast jet those of phi and 2 phi; every vector or matrix
-    slot is a list of Python floats, which the full field and the energy
-    log read without a conversion. The averaged system holds the same
-    slow jet (average_coefficients).
+    x / l, and the fast jet those of phi and 2 phi. The averaged system
+    holds the same slow jet (average_coefficients).
     """
     l = params.length
     g = params.gravity
@@ -251,8 +249,9 @@ class SurfaceMetric:
     jet(q) -> (a11, a22, d_sqrt_a11, d_sqrt_a22) gives the two metric
     coefficients and the partial derivatives (d1, d2) of sqrt(a11) and
     sqrt(a22) at q from one call. q is a tuple of two floats, read as
-    q[0] and q[1]; a11 and a22 are reals, and each partial slot is any
-    pair of reals (a tuple, a list or an array), read once with float().
+    q[0] and q[1]. The slots follow the jet format of the averaging
+    module docstring: a11 and a22 are floats, and each partial slot is a
+    pair of floats (a tuple on the shipped surfaces), read as it is.
     Every point the disk code visits calls the jet once, so a disk field
     evaluation makes 5 calls, and the code takes the square roots
     itself. domain holds the closed chart rectangle
@@ -278,10 +277,9 @@ class SurfaceMetric:
                 f"domain {self.domain} of {self.name}")
 
 
-def _positive_sqrt(name: str, val, q) -> float:
-    """sqrt(val) for the jet's coefficient name at q, val read with
-    float(); a value that is not positive raises ValueError."""
-    val = float(val)
+def _positive_sqrt(name: str, val: float, q) -> float:
+    """sqrt(val) for the jet's coefficient name at q; a value that is not
+    positive raises ValueError."""
     if not val > 0.0:
         raise ValueError(f"{name} must be positive, got {val:.3e} "
                          f"at q={np.asarray(q, dtype=float)}")
@@ -341,14 +339,14 @@ def _curvature_divergence(surface: SurfaceMetric, q) -> float:
     # q +- h e2.
     (a1p, _, _, g1p), (a1m, _, _, g1m), (_, a2p, g2p, _), (_, a2m, g2m, _) \
         = jet(p1), jet(m1), jet(p2), jet(m2)
-    return (((float(g1p[0]) / (math.sqrt(a1p) if a1p > 0.0 else
-                               _positive_sqrt("a11", a1p, p1))
-              - float(g1m[0]) / (math.sqrt(a1m) if a1m > 0.0 else
-                                 _positive_sqrt("a11", a1m, m1)))
-             + (float(g2p[1]) / (math.sqrt(a2p) if a2p > 0.0 else
-                                 _positive_sqrt("a22", a2p, p2))
-                - float(g2m[1]) / (math.sqrt(a2m) if a2m > 0.0 else
-                                   _positive_sqrt("a22", a2m, m2))))
+    return (((g1p[0] / (math.sqrt(a1p) if a1p > 0.0 else
+                        _positive_sqrt("a11", a1p, p1))
+              - g1m[0] / (math.sqrt(a1m) if a1m > 0.0 else
+                          _positive_sqrt("a11", a1m, m1)))
+             + (g2p[1] / (math.sqrt(a2p) if a2p > 0.0 else
+                          _positive_sqrt("a22", a2p, p2))
+                - g2m[1] / (math.sqrt(a2m) if a2m > 0.0 else
+                            _positive_sqrt("a22", a2m, m2))))
             / (2.0 * h))
 
 
@@ -377,8 +375,8 @@ def _connection(surface: SurfaceMetric, q) -> tuple[float, float]:
     """disk_connection at q, a pair of floats, as a pair of floats."""
     surface._check(*q)
     a11, a22, d11, d22 = surface.jet(q)
-    return (float(d11[1]) / _positive_sqrt("a22", a22, q),
-            -float(d22[0]) / _positive_sqrt("a11", a11, q))
+    return (d11[1] / _positive_sqrt("a22", a22, q),
+            -d22[0] / _positive_sqrt("a11", a11, q))
 
 
 def disk_connection(surface: SurfaceMetric, q: np.ndarray) -> np.ndarray:
@@ -447,7 +445,7 @@ def _mass_at(params: DiskParams, surface: SurfaceMetric,
     of floats, from one jet call. No check is made."""
     a11, a22 = surface.jet(q)[:2]
     m = params.mass
-    return m * float(a11), m * float(a22)
+    return m * a11, m * a22
 
 
 def _solve_mass(ma11: float, ma22: float, b0: float,
@@ -490,13 +488,11 @@ def _disk_local(params: DiskParams,
         check(q1, q2)
         q = (q1, q2)
         a11, a22, (g11, g12), (g21, g22) = jet(q)
-        a11, a22 = float(a11), float(a22)
         s11 = math.sqrt(a11) if a11 > 0.0 else _positive_sqrt("a11", a11, q)
         s22 = math.sqrt(a22) if a22 > 0.0 else _positive_sqrt("a22", a22, q)
         c11, c22 = two_m * s11, two_m * s22
         dens = s11 * s22
-        return (m * a11, m * a22, c11 * float(g11), c22 * float(g21),
-                c11 * float(g12), c22 * float(g22),
+        return (m * a11, m * a22, c11 * g11, c22 * g21, c11 * g12, c22 * g22,
                 dens * mu * (-_curvature_divergence(surface, q) / dens))
 
     return local
@@ -618,7 +614,7 @@ class HarmonicMode:
     jet(x) -> (c, s, dc, ds, d2c, d2s, d3c, d3s) gives c and s, their
     gradients, Hessians and third-derivative tensors from one call, with
     d2c[i][j] = d_i d_j c and d3c[i][j][l] = d_i d_j d_l c. x is a list
-    of dim_base floats, and the slots follow the jet contract of the
+    of dim_base floats, and the slots follow the jet format of the
     averaging module docstring.
     """
 
@@ -639,7 +635,8 @@ class OscillatingPotential:
     fourier_modes the harmonics of the oscillating part, so U is
     2*pi-periodic in the fast phase tau by construction and every fiber
     mean taken below is an exact sum over the harmonics. Both kinds of
-    jet take x as a list of floats. A periodic coefficient that is not
+    jet take x as a list of floats and fill their slots in the jet format
+    of the averaging module docstring. A periodic coefficient that is not
     declared by its harmonics is averaged by average_coefficients on
     FIBER_GRID.
     """
@@ -688,7 +685,7 @@ def _harmonic_means(potential: OscillatingPotential, x: list) -> tuple:
     vv, cross = 0.0, [0.0] * n
     grad_vv, grad_cross = [0.0] * n, [[0.0] * n for _ in range(n)]
     for m in potential.fourier_modes:
-        dc, ds, hc, hs, tc, ts = map(_floats, m.jet(x)[2:])
+        dc, ds, hc, hs, tc, ts = m.jet(x)[2:]
         k2, k3 = m.k ** 2, 2.0 * m.k ** 3
         hc_t, hs_t = list(zip(*hc)), list(zip(*hs))
         vv += (_dot(dc, dc) + _dot(ds, ds)) / (2.0 * k2)
@@ -755,7 +752,7 @@ def oscillating_particle_averaged(potential: OscillatingPotential,
         ubar, grad_ubar = potential.mean(q)
         return ([c3 * v for v in cross], 0.0, ubar + c2 * vv,
                 [[c3 * v for v in row] for row in grad_cross], [0.0] * n,
-                [g + c2 * v for g, v in zip(_floats(grad_ubar), grad_vv)])
+                [g + c2 * v for g, v in zip(grad_ubar, grad_vv)])
 
     samples = [np.full(n, v) for v in (0.4, 0.9, -1.2)]
     inertia_min = min(-_dot(a0, a0)
@@ -813,10 +810,9 @@ def particle_systems(potential: OscillatingPotential, epsilon: float,
     U - Ubar), so averaging keeps only Ubar: this is the regime of the
     closeness theorem, where the eps^2 and eps^3 corrections of
     oscillating_particle_averaged are below the theorem's own accuracy
-    and are dropped. The identically zero slots are fresh lists of 0.0,
-    not arrays. Both jets pass q, a list of floats, on to the mean jet,
-    and the fast jet calls each harmonic jet once; with cos and sin of
-    k phi it sums U1, grad_q_U1 and dphi_U1 in Python floats, in the
+    and are dropped. Both jets pass q, a list of floats, on to the mean
+    jet, and the fast jet calls each harmonic jet once; with cos and sin
+    of k phi it sums U1, grad_q_U1 and dphi_U1 in Python floats, in the
     grouping of OscillatingPotential.U.
     """
     l = potential.dim_base
@@ -834,8 +830,7 @@ def particle_systems(potential: OscillatingPotential, epsilon: float,
             cv, sv, dc, ds = m.jet(q)[:4]
             ck, sk = math.cos(m.k * phi), math.sin(m.k * phi)
             total = total + cv * ck + sv * sk
-            grad = [t + (u * ck + v * sk)
-                    for t, u, v in zip(grad, _floats(dc), _floats(ds))]
+            grad = [t + (u * ck + v * sk) for t, u, v in zip(grad, dc, ds)]
             dphi += m.k * (-cv * sk + sv * ck)
         return ([0.0] * l, 0.0, total - mean,
                 [[0.0] * l for _ in range(l)], [0.0] * l, grad,
@@ -875,26 +870,31 @@ def particle_potential_2d(trap: float = 1.0, alpha: float = 0.7,
     nonzero. The inner products w1 . x, w2 . x and x . x are float sums
     from +0 in index order, so U rounds alike under every BLAS kernel.
     """
-    w1 = np.array([1.0, 0.3])
-    w2 = np.array([0.7, -1.0])
-    w1_sq, w2_sq = np.outer(w1, w1), np.outer(w2, w2)
-    w1_cubed = np.multiply.outer(w1_sq, w1)
-    w2_cubed = np.multiply.outer(w2_sq, w2)
-    (w11, w12), (w21, w22) = w1.tolist(), w2.tolist()
+    w1, w2 = [1.0, 0.3], [0.7, -1.0]
+    (w11, w12), (w21, w22) = w1, w2
+    w1_sq = [[a * b for b in w1] for a in w1]
+    w2_sq = [[a * b for b in w2] for a in w2]
+    w1_cubed = [[[ab * c for c in w1] for ab in row] for row in w1_sq]
+    w2_cubed = [[[ab * c for c in w2] for ab in row] for row in w2_sq]
 
     def jet(x):
-        x1, x2 = map(float, x)
+        x1, x2 = x
         u1 = 0.0 + w11 * x1 + w12 * x2
         u2 = 0.0 + w21 * x1 + w22 * x2
         s1, c1 = math.sin(u1), math.cos(u1)
         s2, c2 = math.sin(u2), math.cos(u2)
-        return (alpha * s1, beta * c2, alpha * c1 * w1, -beta * s2 * w2,
-                -alpha * s1 * w1_sq, -beta * c2 * w2_sq,
-                -alpha * c1 * w1_cubed, beta * s2 * w2_cubed)
+        k1, k2, k3 = alpha * c1, -beta * s2, -alpha * s1
+        k4, k5, k6 = -beta * c2, -alpha * c1, beta * s2
+        return (alpha * s1, beta * c2,
+                [k1 * w for w in w1], [k2 * w for w in w2],
+                [[k3 * w for w in r] for r in w1_sq],
+                [[k4 * w for w in r] for r in w2_sq],
+                [[[k5 * w for w in r] for r in m] for m in w1_cubed],
+                [[[k6 * w for w in r] for r in m] for m in w2_cubed])
 
     def mean(x):
-        x1, x2 = map(float, x)
-        return 0.5 * trap * (0.0 + x1 * x1 + x2 * x2), trap * np.array(x)
+        x1, x2 = x
+        return 0.5 * trap * (0.0 + x1 * x1 + x2 * x2), [trap * x1, trap * x2]
 
     return OscillatingPotential(
         dim_base=2, fourier_modes=(HarmonicMode(k=1, jet=jet),), mean=mean)
@@ -912,10 +912,9 @@ def uniform_field_averaged(strength: float = 0.8,
     b = float(strength)
 
     def slow(q):
-        q = np.asarray(q, dtype=float)
-        return (np.array([-0.5 * b * q[1], 0.5 * b * q[0]]),
-                0.25 * b * b * _dot(q.tolist(), q.tolist()), 0.0,
-                np.array([[0.0, 0.5 * b], [-0.5 * b, 0.0]]),
-                0.5 * b * b * q, np.zeros(2))
+        q1, q2 = q
+        return ([-0.5 * b * q2, 0.5 * b * q1], 0.25 * b * b * _dot(q, q), 0.0,
+                [[0.0, 0.5 * b], [-0.5 * b, 0.0]],
+                [0.5 * b * b * q1, 0.5 * b * b * q2], [0.0, 0.0])
 
     return AveragedSystem(dim_base=2, slow=slow, mu=float(mu))

@@ -353,7 +353,7 @@ def test_9_conservation_suite():
         field, PhaseStateReduced(Q=q0, P=p0), 10.0, MIDPOINT)
     magnetic = integrate_reduced_magnetic(
         field, PhaseStateReduced(
-            Q=q0, P=p0 + field.mu * field.slow(q0.tolist())[0],
+            Q=q0, P=p0 + field.mu * np.array(field.slow(q0.tolist())[0]),
             chart="magnetic"), 10.0, MIDPOINT)
     mu_exact = (np.all(canonical.invariant_log["momentum"] == field.mu)
                 and np.all(magnetic.invariant_log["momentum"] == field.mu))

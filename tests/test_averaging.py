@@ -160,6 +160,18 @@ class TestAverageCoefficients:
         assert len(stored) == 2
         assert np.array_equal(stored[0], pts[0])
 
+    def test_empty_sample_points_raise(self):
+        # With no point, nothing would be checked: this U1 has fiber mean
+        # 5, and inertia_inverse_min would read inf.
+        system = constant_coefficient_system(
+            a0=0.0, h0=1.0, U0=lambda q: 0.0,
+            U1=lambda q, phi: 5.0 + np.cos(phi))
+        with pytest.raises(AveragingError):
+            average_coefficients(system, sample_points=None)
+        with pytest.raises(ValueError,
+                           match="^sample_points must hold at least one"):
+            average_coefficients(system, sample_points=[])
+
     def test_negative_inertia_inverse_is_reported_not_raised(self):
         # h0 - a0.a0 < 0 is a diagnostic, not an error.
         system = constant_coefficient_system(

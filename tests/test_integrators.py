@@ -18,7 +18,9 @@ field, assembled in Python floats from one call of each jet, must
 reproduce bit for bit the numpy assembly it replaced on the shipped
 pendulum and particles, and the field compiled per dim_base the
 closure it replaced (float_full_rhs) on the shipped systems and on a
-3-d system whose jets return arrays, signed zeros included;
+dense 3-d system in the jet format, signed zeros included, and a system
+whose jets return that system's slots as numpy arrays and floats must
+integrate to its bytes, full and reduced, logs included;
 and so must the list chord step (_midpoint_step, kept here as the
 oracle of the compiled loop) the numpy step it replaced, with the
 chord update written as the float sum it documents. The list
@@ -39,7 +41,7 @@ import numpy as np
 import pytest
 
 from fastslow import integrators
-from fastslow.averaging import _floats
+from fastslow.averaging import _dot, _floats
 from fastslow import (AveragedSystem, EulerSystem, FastSlowSystem,
                       IntegrationError, IntegratorConfig, PendulumParams,
                       PhaseStateFull, PhaseStateReduced, Trajectory,
@@ -985,30 +987,43 @@ def float_full_rhs(system):
     return rhs
 
 
-def array_jet_system_3d():
-    """A 3-d system whose jets return numpy arrays for every vector and
-    matrix slot and numpy floats for every scalar slot: a = 0.3 sin(W q)
+def list_jet_system_3d():
+    """A 3-d system whose jets fill every slot in the jet format, floats
+    and lists of floats, with dense matrix slots: a = 0.3 sin(W q)
     + 0.2 eps cos(W q + phi), h = 2 + |q|^2 + (eps/2) cos(phi) |q|^2 and
     U = (1/2) |q|^2 + (eps/2) sin(phi) |q|^2. Every gradient of h and U
     is a multiple of q, so at q = -0.0 it is -0.0 as often as +0.0."""
-    w = np.array([[0.4, -1.1, 0.3], [0.9, 0.2, -0.7], [-0.5, 0.6, 1.3]])
+    w = [[0.4, -1.1, 0.3], [0.9, 0.2, -0.7], [-0.5, 0.6, 1.3]]
+    comp = range(3)
 
     def slow(q):
-        x = np.asarray(q)
-        xx = x @ x
-        return (0.3 * np.sin(w @ x), 2.0 + xx, 0.5 * xx,
-                0.3 * (w.T * np.cos(w @ x)), 2.0 * x, x.copy())
+        wq, xx = [_dot(row, q) for row in w], _dot(q, q)
+        return ([0.3 * math.sin(u) for u in wq], 2.0 + xx, 0.5 * xx,
+                [[0.3 * (w[j][i] * math.cos(wq[j])) for j in comp]
+                 for i in comp],
+                [2.0 * x for x in q], list(q))
 
     def fast(q, phi):
-        x = np.asarray(q)
-        xx = x @ x
-        s, c = np.sin(w @ x + phi), np.cos(w @ x + phi)
-        return (0.2 * c, 0.5 * np.cos(phi) * xx, 0.5 * np.sin(phi) * xx,
-                -0.2 * (w.T * s), np.cos(phi) * x, np.sin(phi) * x,
-                -0.2 * s, -0.5 * np.sin(phi) * xx, 0.5 * np.cos(phi) * xx)
+        xx = _dot(q, q)
+        s = [math.sin(_dot(row, q) + phi) for row in w]
+        c = [math.cos(_dot(row, q) + phi) for row in w]
+        sp, cp = math.sin(phi), math.cos(phi)
+        return ([0.2 * x for x in c], 0.5 * cp * xx, 0.5 * sp * xx,
+                [[-0.2 * (w[j][i] * s[j]) for j in comp] for i in comp],
+                [cp * x for x in q], [sp * x for x in q],
+                [-0.2 * x for x in s], -0.5 * sp * xx, 0.5 * cp * xx)
 
     return FastSlowSystem(dim_base=3, slow=slow, fast=fast, epsilon=0.05,
                           mu=1.1)
+
+
+def as_arrays(jet):
+    """jet with each list slot returned as a numpy array and each float
+    slot as a numpy float: the same values, outside the jet format."""
+    def wrapped(*args):
+        return tuple(np.array(x) if type(x) is list else np.float64(x)
+                     for x in jet(*args))
+    return wrapped
 
 
 def signed_zero_states(rng, l, n):
@@ -1072,9 +1087,9 @@ SHIPPED_FULL_SYSTEMS = {
 
 class TestFullSystem:
     @pytest.mark.parametrize("name", [*sorted(SHIPPED_FULL_SYSTEMS),
-                                      "array_jets_3d"])
+                                      "list_jets_3d"])
     def test_compiled_field_is_the_float_oracle_bit_for_bit(self, name):
-        system = SHIPPED_FULL_SYSTEMS.get(name, array_jet_system_3d)()
+        system = SHIPPED_FULL_SYSTEMS.get(name, list_jet_system_3d)()
         l = system.dim_base
         got, want = integrators._full_rhs(system), float_full_rhs(system)
         for z in signed_zero_states(np.random.default_rng(11), l, 2000):
@@ -1083,6 +1098,37 @@ class TestFullSystem:
             assert all(type(x) is float for x in out)
             # tobytes tells -0.0 from +0.0, which == would not.
             assert np.array(out).tobytes() == np.array(want(z)).tobytes(), z
+
+    @pytest.mark.parametrize("config", [MIDPOINT, RK4_FINE],
+                             ids=["midpoint", "rk4"])
+    def test_array_jets_integrate_as_their_list_twins(self, config):
+        # numpy float64 rounds +, -, * and / as Python floats do, so jets
+        # that return arrays need no conversion to give the same bytes.
+        lists = list_jet_system_3d()
+        arrays = dataclasses.replace(lists, slow=as_arrays(lists.slow),
+                                     fast=as_arrays(lists.fast))
+        start = PhaseStateFull(q=[0.4, -0.3, 0.8], p=[0.2, 0.5, -0.1],
+                               phi=0.5, gamma=lists.mu)
+        reduced_start = PhaseStateReduced(Q=start.q, P=start.p)
+        runs = [(integrate_full(system, start, 1.0, config),
+                 integrate_reduced_canonical(
+                     AveragedSystem(dim_base=3, slow=system.slow,
+                                    mu=system.mu),
+                     reduced_start, 0.5, config))
+                for system in (lists, arrays)]
+        z = start.as_array().tolist()
+        assert type(integrators._full_rhs(arrays)(z)[0]) is np.float64
+        for want, got in zip(*runs):
+            assert got.meta == want.meta
+            assert got.times.tobytes() == want.times.tobytes()
+            assert got.values.tobytes() == want.values.tobytes()
+            assert (got.derivs is None) == (want.derivs is None)
+            if want.derivs is not None:
+                assert got.derivs.tobytes() == want.derivs.tobytes()
+            assert got.invariant_log.keys() == want.invariant_log.keys()
+            for name, log in want.invariant_log.items():
+                assert got.invariant_log[name].tobytes() == log.tobytes(), \
+                    name
 
     def test_one_compiled_field_per_dim_base(self):
         assert integrators._full_field(2) is integrators._full_field(2)

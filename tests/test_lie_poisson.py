@@ -584,6 +584,28 @@ class TestCompiledFields:
             assert other.__code__ is not diagonal[0].__code__
 
 
+class TestExtendedFieldArguments:
+    """extended_hamiltonian_field checks the inertia as EulerSystem does,
+    and the size of sigma against the algebra, before it builds a
+    field."""
+
+    @pytest.mark.parametrize("algebra, cocycle, inertia, message", [
+        (so3, None, np.eye(2), "inertia must be dim x dim"),
+        (so3, Cocycle(sigma=[[0.0, 1.0], [-1.0, 0.0]]), np.eye(3),
+         "sigma must be dim x dim"),
+        (so3, None, [[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+         "inertia is not symmetric"),
+        (so3, None, np.diag([-1.0, 1.0, 1.0]),
+         "inertia is not positive definite"),
+        (so3, None, np.diag([np.nan, 1.0, 1.0]), "inertia must be finite"),
+        (lambda: abelian(1), None, [[np.inf]], "inertia must be finite"),
+    ], ids=["inertia_2x2", "sigma_2x2", "inertia_not_symmetric",
+            "inertia_not_positive", "inertia_nan", "inertia_inf"])
+    def test_bad_argument_raises(self, algebra, cocycle, inertia, message):
+        with pytest.raises(ValueError, match="^" + message):
+            extended_hamiltonian_field(algebra(), cocycle, inertia)
+
+
 def count_term_builds(monkeypatch) -> dict:
     """Count the calls of lie_poisson._terms and np.linalg.inv from here
     on; the returned dict holds the counts."""

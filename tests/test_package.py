@@ -7,7 +7,9 @@ midpoint loop, the full field or a Lie-Poisson field is compiled from,
 names the built-in sum: from CPython 3.12 on it adds floats with
 compensated summation, so a value it forms could differ between CPython
 versions. The command line runs every integration in the calling
-process, so importing it loads no process pool.
+process, so importing it loads no process pool. The compiled full
+field reads the jets' slots as they are (the jet format of
+fastslow.averaging), so its source converts none of them.
 """
 
 import ast
@@ -67,6 +69,13 @@ def test_the_midpoint_loop_source_uses_no_builtin_sum(n):
 def test_the_full_field_source_uses_no_builtin_sum(l):
     assert builtin_sum_uses(integrators._full_field_source(l),
                             f"full field dim_base={l}") == []
+
+
+@pytest.mark.parametrize("l", [1, 2, 5])
+def test_the_full_field_source_converts_no_slot(l):
+    source = integrators._full_field_source(l)
+    assert [word for word in ("_floats", "type(", "float(")
+            if word in source] == []
 
 
 @pytest.mark.parametrize("name", sorted(fastslow.BUILTIN_ALGEBRAS))
