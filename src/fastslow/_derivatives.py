@@ -1,7 +1,7 @@
 """Central finite-difference Jacobian of the implicit midpoint solve.
 
 Its one caller is the chord iteration matrix of the implicit midpoint
-loop (integrators._midpoint_loop); every shipped system gives its
+loop (integrators._midpoint_source); every shipped system gives its
 other derivatives in closed form. The stencil in x uses the step
 1e-6 * max(1, |x|_inf).
 """

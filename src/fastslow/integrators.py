@@ -34,7 +34,8 @@ additions from +0.0 in index order, never through the built-in sum(),
 which from CPython 3.12 on is compensated (Neumaier) summation:
 sum([1e16, 1.0, -1e16]) is 1.0 there and 0.0 on 3.11. What numpy still
 computes is the chord matrix (a LAPACK inverse). CI compares the
-output bytes of the four shipped configs under CPython 3.11 and 3.12.
+output bytes of the four shipped configs, and of the euler config with
+a nonzero momentum shift, under CPython 3.11 and 3.12.
 """
 
 from __future__ import annotations
@@ -270,7 +271,11 @@ def midpoint_loop(f, z, values, steps, n_full, dt_full, rem, sign, tol,
 
 
 def _midpoint_source(n: int) -> str:
-    """The source of _MIDPOINT_LOOP for states of n floats.
+    """The source of _MIDPOINT_LOOP for states of n floats. Its
+    midpoint_loop(f, z, values, steps, n_full, dt_full, rem, sign, tol,
+    max_iter) takes the steps of integrate_autonomous from z, a list,
+    stores node i + 1 into values[i + 1], and returns the run's Newton
+    updates, Jacobians and evaluations of f.
 
     A line that holds one $name only becomes that block of lines, at its
     indentation; every other $name is an inline list. Every float of a
@@ -368,26 +373,19 @@ def _expand(template: str, blocks: dict, inline: dict) -> str:
     return "\n".join(out) + "\n"
 
 
-def _compiled(source: str, filename: str, name: str) -> Callable:
-    """The function name defined by source, run in this module's
-    namespace (as dataclasses builds methods)."""
-    namespace = {}
-    exec(compile(source, filename, "exec"), globals(), namespace)
-    return namespace[name]
+# The reprs of the non-finite floats, which generated code may hold.
+inf, nan = math.inf, math.nan
 
 
 @functools.cache
-def _midpoint_loop(n: int) -> Callable:
-    """The implicit midpoint loop for states of n floats, compiled from
-    _midpoint_source(n) at its first use.
-
-    Called as loop(f, z, values, steps, n_full, dt_full, rem, sign, tol,
-    max_iter), it takes the steps of integrate_autonomous from z, a
-    list, stores node i + 1 into values[i + 1], and returns the run's
-    Newton updates, Jacobians and evaluations of f.
-    """
-    return _compiled(_midpoint_source(n), f"<implicit midpoint loop, n={n}>",
-                     "midpoint_loop")
+def _compiled(source: str) -> Callable:
+    """The one function that source defines, compiled at the first call
+    with this source text and run in this module's namespace (as
+    dataclasses builds methods): the one cache of generated code."""
+    namespace = {}
+    exec(compile(source, "<generated>", "exec"), globals(), namespace)
+    (function,) = namespace.values()
+    return function
 
 
 _FULL_FIELD = """\
@@ -415,10 +413,12 @@ def full_field(slow, fast, eps):
 
 def _full_field_source(l: int) -> str:
     """The source of _FULL_FIELD for dim_base l, expanded as the midpoint
-    loop's is. The state unpacks into q{i}, p{i}, phi and gam, and each
-    slot, as the jet format of fastslow.averaging gives it, into locals
-    named after it and its indices (ga0_{i}_{k} is ga0[i][k]), with no
-    conversion. a_{i} is a0 + eps a1, and dp{i} is row i of dp/dtau.
+    loop's is. Its full_field(slow, fast, eps) returns the field of a
+    system with those jets and epsilon. The state unpacks into q{i},
+    p{i}, phi and gam, and each slot, as the jet format of
+    fastslow.averaging gives it, into locals named after it and its
+    indices (ga0_{i}_{k} is ga0[i][k]), with no conversion. a_{i} is
+    a0 + eps a1, and dp{i} is row i of dp/dtau.
     """
     comp = range(l)
     vectors = ("a0", "gh0", "gU0", "a1", "gh1", "gU1", "da1")
@@ -450,15 +450,6 @@ def _full_field_source(l: int) -> str:
         "out": names("eps * (p{i} + gam * a_{i})") + " " + names("dp{i}"),
     }
     return _expand(_FULL_FIELD, blocks, inline)
-
-
-@functools.cache
-def _full_field(l: int) -> Callable:
-    """The factory of the full field for dim_base l, compiled from
-    _full_field_source(l) at its first use: full_field(slow, fast, eps)
-    returns the field of a system with those jets and epsilon."""
-    return _compiled(_full_field_source(l), f"<full field, dim_base={l}>",
-                     "full_field")
 
 
 def _raise_at_step(err: Exception, i: int, dt: float):
@@ -551,11 +542,11 @@ def integrate_autonomous(f: Callable[[list], list | np.ndarray],
 
     f receives a list of Python floats on every call and returns a list
     of floats or an array. The midpoint rule runs as one loop compiled
-    for the state size (_midpoint_loop), in which every number of a step
-    is a Python float: numpy makes only the Jacobian and its inverse,
-    which is turned into floats once, so no BLAS kernel rounds a number
-    of a step. RK4 takes the list steps of _rk4_step. Both store each
-    node into the preallocated values array.
+    for the state size (_midpoint_source), in which every number of a
+    step is a Python float: numpy makes only the Jacobian and its
+    inverse, which is turned into floats once, so no BLAS kernel rounds a
+    number of a step. RK4 takes the list steps of _rk4_step. Both store
+    each node into the preallocated values array.
     """
     z0 = np.asarray(z0, dtype=float)
     if not (horizon > 0.0 and math.isfinite(horizon)):
@@ -579,7 +570,7 @@ def integrate_autonomous(f: Callable[[list], list | np.ndarray],
     counts = {}
     if config.method != "rk4":
         counts = dict(zip(("newton_updates", "jacobians", "rhs_evals"),
-                          _midpoint_loop(z0.size)(
+                          _compiled(_midpoint_source(z0.size))(
                               f, z0.tolist(), values, steps, n, config.dt,
                               rem, sign, config.newton_tol,
                               config.newton_max_iter)))
@@ -604,16 +595,16 @@ def _full_rhs(system: FastSlowSystem) -> Callable[[list], list]:
     """The full field in fast time, on lists of Python floats.
 
     It is the field compiled for the system's dim_base at its first use
-    (_full_field), as the midpoint loop is for each state size. Each
-    evaluation makes one call of each jet and reads their slots as they
-    are (the jet format of fastslow.averaging). Each x0 +
-    eps x1 is formed per component, and a dot product adds the rounded
-    products in index order from +0. For dim_base 1 that is numpy's dot
+    (_full_field_source), as the midpoint loop is for each state size.
+    Each evaluation makes one call of each jet and reads their slots as
+    they are (the jet format of fastslow.averaging). Each x0 + eps x1 is
+    formed per component, and a dot product adds the rounded products in
+    index order from +0. For dim_base 1 that is numpy's dot
     bit for bit; longer dots can differ from a BLAS kernel that fuses
     multiply-adds, by rounding alone.
     """
-    return _full_field(system.dim_base)(system.slow, system.fast,
-                                        system.epsilon)
+    return _compiled(_full_field_source(system.dim_base))(
+        system.slow, system.fast, system.epsilon)
 
 
 def full_velocities(system: FastSlowSystem,

@@ -27,15 +27,13 @@ or field as (index..., value) terms in C order: each component is a
 float sum from +0.0 over its terms in that order, so no BLAS kernel and
 no built-in sum() rounds a value of a run. The Euler field and the
 extension's field are compiled, as integrators compiles the midpoint
-loop and the full field, at their first use for each sparsity pattern
-(the index tuples of the terms): straight-line code over scalar locals,
-made by a factory that takes the terms' values, so systems that share a
-pattern share one compiled factory.
+loop and the full field: straight-line code over scalar locals, with
+each term value written in, generated for each field and compiled once
+per source text (integrators._compiled).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -213,9 +211,9 @@ class EulerSystem:
     """Euler equation data: algebra, inertia tensor, momentum shift.
 
     inertia must be finite, symmetric (to 1e-14) and positive definite
-    (Cholesky); shift, the momentum offset L, must be finite. The terms
-    of I^{-1} are formed once, here, and read by the field, the
-    invariant logs, velocity and energy.
+    (Cholesky), with a finite inverse; shift, the momentum offset L, must
+    be finite. The terms of I^{-1} are formed once, here, and read by the
+    field, the invariant logs, velocity and energy.
     """
 
     algebra: LieAlgebraData
@@ -238,8 +236,12 @@ class EulerSystem:
             np.linalg.cholesky(inertia)
         except np.linalg.LinAlgError as err:
             raise ValueError("inertia is not positive definite") from err
+        inverse = np.linalg.inv(inertia)
+        if not np.all(np.isfinite(inverse)):
+            raise ValueError("inertia is too near singular: its inverse is "
+                             "not finite")
         object.__setattr__(self, "inertia", inertia)
-        object.__setattr__(self, "_inverse", _terms(np.linalg.inv(inertia)))
+        object.__setattr__(self, "_inverse", _terms(inverse))
         shift = (np.zeros(n) if self.shift is None
                  else np.asarray(self.shift, dtype=float))
         if shift.shape != (n,):
@@ -263,18 +265,13 @@ class EulerSystem:
 
 
 _LIE_POISSON_FIELD = """\
-def lie_poisson_field(values):
-    $values
-
-    def f(xi):
-        $xi = xi
-        $velocity
-        $moved
-        $coadjoint
-        $cocycle
-        return [$out]
-
-    return f
+def lie_poisson_field(xi):
+    $xi = xi
+    $velocity
+    $moved
+    $coadjoint
+    $cocycle
+    return [$out]
 """
 
 
@@ -291,80 +288,56 @@ def _sum_lines(name: str, products: list) -> list:
     return lines
 
 
-def _lie_poisson_source(n: int, inverse: tuple, brackets: tuple,
-                        sigma: tuple, shift: bool) -> str:
-    """The source of _LIE_POISSON_FIELD for the sparsity pattern given by
-    n and the index tuples of the terms of I^{-1}, c and sigma, expanded
-    as integrators' midpoint loop is.
+def _lie_poisson_source(n: int, inverse: list, brackets: list,
+                        sigma: list, shift: list | None) -> str:
+    """The source of _LIE_POISSON_FIELD, the field on lists of n floats
+    of these terms of I^{-1}, c and sigma and of the shift L, if any,
+    expanded as integrators' midpoint loop is.
 
-    The factory binds its values, one per term of I^{-1}, c and sigma in
-    that order and then L if shift, as locals a{t}, c{t}, s{t} and l{k}.
-    xi unpacks into x{k}; v{i} is (I^{-1} xi)_i and o{j} the ad* product
-    over the terms of c, over m{k} = x{k} - l{k} with a shift and over xi
-    itself without. The Euler field (shift) returns -o, the extension's
-    (sigma, no shift) w - o with w = sigma v. Each sum runs over its
-    terms in term order, as _matvec and _ad_star add them.
+    Each term value and each L_k is written into the code as its repr,
+    which gives back every finite float; inf and nan name themselves in
+    the namespace the code runs in (integrators._compiled). xi unpacks
+    into x{k}; v{i} is (I^{-1} xi)_i and o{j} the ad* product over the
+    terms of c, over m{k} = x{k} - L_k with a shift and over xi itself
+    without. The Euler field (shift) returns -o, the extension's (sigma,
+    no shift) w - o with w = sigma v. Each sum runs over its terms in
+    term order, as _matvec and _ad_star add them.
     """
     comp = range(n)
-    values = ([f"a{t}" for t in range(len(inverse))]
-              + [f"c{t}" for t in range(len(brackets))]
-              + [f"s{t}" for t in range(len(sigma))]
-              + ([f"l{k}" for k in comp] if shift else []))
-    moving = "m" if shift else "x"
+    moving = "x" if shift is None else "m"
     v, o, w = ([[] for _ in comp] for _ in range(3))
-    for t, (i, j) in enumerate(inverse):
-        v[i].append(f"a{t} * x{j}")
-    for t, (i, j, k) in enumerate(brackets):
-        o[j].append(f"c{t} * v{i} * {moving}{k}")
-    for t, (i, j) in enumerate(sigma):
-        w[i].append(f"s{t} * v{j}")
+    for i, j, a in inverse:
+        v[i].append(f"{a!r} * x{j}")
+    for i, j, k, c in brackets:
+        o[j].append(f"{c!r} * v{i} * {moving}{k}")
+    for i, j, s in sigma:
+        w[i].append(f"{s!r} * v{j}")
     blocks = {
-        "values": [", ".join(values) + ", = values"] if values else [],
         "velocity": _sum_lines("v", v),
-        "moved": [f"m{k} = x{k} - l{k}" for k in comp] if shift else [],
+        "moved": ([] if shift is None
+                  else [f"m{k} = x{k} - {l!r}" for k, l in enumerate(shift)]),
         "coadjoint": _sum_lines("o", o),
-        "cocycle": [] if shift else _sum_lines("w", w),
+        "cocycle": _sum_lines("w", w) if shift is None else [],
     }
     inline = {
         "xi": ", ".join(f"x{k}" for k in comp) + ",",
-        "out": ", ".join(f"-o{j}" if shift else f"w{j} - o{j}"
+        "out": ", ".join(f"w{j} - o{j}" if shift is None else f"-o{j}"
                          for j in comp),
     }
     return _expand(_LIE_POISSON_FIELD, blocks, inline)
 
 
-@functools.cache
-def _lie_poisson_field(n: int, inverse: tuple, brackets: tuple,
-                       sigma: tuple, shift: bool) -> Callable:
-    """The factory of the Lie-Poisson field of one sparsity pattern,
-    compiled from _lie_poisson_source at its first use: called with the
-    pattern's values, it returns the field on lists of n floats."""
-    return _compiled(_lie_poisson_source(n, inverse, brackets, sigma, shift),
-                     f"<Lie-Poisson field, n={n}>", "lie_poisson_field")
-
-
-def _field(n: int, inverse: list, brackets: list, sigma: list,
-           shift: list | None) -> Callable[[list], list]:
-    """The compiled field of these terms (and of the shift L, if any):
-    the factory of their sparsity pattern, called with their values."""
-    def pattern(terms):
-        return tuple(term[:-1] for term in terms)
-
-    factory = _lie_poisson_field(n, pattern(inverse), pattern(brackets),
-                                 pattern(sigma), shift is not None)
-    return factory(tuple([term[-1] for terms in (inverse, brackets, sigma)
-                          for term in terms] + (shift or [])))
-
-
 def euler_vector_field(system: EulerSystem) -> Callable[[list], list]:
     """Shifted Euler equation dxi/dt = -ad*_{I^{-1} xi} (xi - L), on
-    lists of floats, compiled over the terms of I^{-1} and of c (_field).
+    lists of floats, compiled over the terms of I^{-1} and of c
+    (_lie_poisson_source).
 
     The field is orthogonal to the angular velocity I^{-1} xi, so the
     kinetic energy is conserved at the level of the vector field.
     """
-    return _field(system.algebra.dim, system._inverse,
-                  system.algebra._brackets, [], system.shift.tolist())
+    return _compiled(_lie_poisson_source(
+        system.algebra.dim, system._inverse, system.algebra._brackets, [],
+        system.shift.tolist()))
 
 
 def extended_hamiltonian_field(algebra: LieAlgebraData,
@@ -380,17 +353,19 @@ def extended_hamiltonian_field(algebra: LieAlgebraData,
     the two-path identity behind the shift-equivalence check.
 
     Returned as a field on lists of floats, compiled over the terms of
-    I^{-1} and of sigma, which are formed once, and of c (_field); as
-    sigma is antisymmetric, -dH . sigma is the product sigma dH. The
-    inertia is checked by EulerSystem, whose I^{-1} terms the field
-    takes; a sigma that is not dim x dim raises ValueError.
+    I^{-1} and of sigma, which are formed once, and of c
+    (_lie_poisson_source); as sigma is antisymmetric, -dH . sigma is the
+    product sigma dH. The inertia is checked by EulerSystem, whose I^{-1}
+    terms the field takes; a sigma that is not dim x dim raises
+    ValueError.
     """
     n = algebra.dim
     if cocycle is not None and cocycle.sigma.shape != (n, n):
         raise ValueError("sigma must be dim x dim")
     inverse = EulerSystem(algebra=algebra, inertia=inertia)._inverse
     sigma = [] if cocycle is None else _terms(cocycle.sigma)
-    return _field(n, inverse, algebra._brackets, sigma, None)
+    return _compiled(_lie_poisson_source(n, inverse, algebra._brackets,
+                                         sigma, None))
 
 
 def integrate_euler(system: EulerSystem, xi0: np.ndarray, horizon: float,
@@ -491,7 +466,7 @@ def load_algebra(text: str, name: str = "algebra") -> LieAlgebraData:
                 errors.append(f"line {lineno}: expected `dim N`, got {raw!r}")
                 continue
             try:
-                dim = int(parts[1])
+                dim, dim_line = int(parts[1]), lineno
             except ValueError:
                 errors.append(f"line {lineno}: bad dimension {parts[1]!r}")
                 continue
@@ -523,7 +498,15 @@ def load_algebra(text: str, name: str = "algebra") -> LieAlgebraData:
     if errors:
         raise ValueError("invalid algebra file:\n" + "\n".join(errors))
 
-    c = np.zeros((dim, dim, dim))
+    try:
+        c = np.zeros((dim, dim, dim))
+    except (MemoryError, ValueError) as err:
+        # numpy refuses an array of more than 2**63 bytes with ValueError,
+        # and memory it cannot get with MemoryError.
+        raise ValueError(
+            f"invalid algebra file:\nline {dim_line}: dimension {dim} is "
+            f"too large: its {dim}^3 structure constants cannot be "
+            f"allocated") from err
     seen: dict[tuple[int, int, int], tuple[int, float]] = {}
     for lineno, i, j, k, value in rows:
         for ii, jj, vv in ((i, j, value), (j, i, -value)):

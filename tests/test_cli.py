@@ -710,11 +710,15 @@ class TestCommandLine:
         ("shift = 0.0, 0.0, 0.0", "shift = 0.2, inf, 0.5",
          "shift must be finite"),
         ("xi0 = 0.1, 1.0, 0.1", "xi0 = 0.1, nan, 0.1", "xi0 must be finite"),
-    ], ids=["inertia_inf", "inertia_nan", "shift_inf", "xi0_nan"])
+        ("inertia = 1.0, 2.0, 3.0", "inertia = 1e-310, 2.0, 3.0",
+         "inertia is too near singular: its inverse is not finite"),
+    ], ids=["inertia_inf", "inertia_nan", "shift_inf", "xi0_nan",
+            "inertia_near_singular"])
     def test_run_exit_two_on_non_finite_euler_data(self, tmp_path, capsys,
                                                    line, bad, message):
         # Unchecked, an infinite moment of inertia would pass every check,
-        # and a NaN one fail only at the first step's residual.
+        # and a NaN one, or one whose inverse overflows, fail only at the
+        # first step's residual.
         text = shipped_config_text("euler")
         assert line in text
         path = tmp_path / "run.cfg"
@@ -950,6 +954,31 @@ class TestCommandLine:
         assert capsys.readouterr().out.endswith("overall: PASS\n")
         doc = json.loads((tmp_path / "out" / "euler.json").read_text())
         assert doc["metadata"]["algebra"] == "2024"
+
+    @pytest.mark.parametrize("dim", [100000, 10000000])
+    def test_run_exit_two_on_unallocatable_algebra_dim(self, tmp_path, capsys,
+                                                       monkeypatch, dim):
+        # numpy refuses 10^21 structure constants before it allocates
+        # anything; 10^15 of them fail for want of memory, which is faked
+        # here, so that nothing is allocated for real.
+        real_zeros = np.zeros
+
+        def zeros(shape, *args, **kwargs):
+            if shape == (100000,) * 3:
+                raise MemoryError("Unable to allocate 7.11 PiB")
+            return real_zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", zeros)
+        (tmp_path / "big.alg").write_text(f"dim {dim}\n0 1 2 1.0\n")
+        path = tmp_path / "run.cfg"
+        path.write_text("experiment = custom\n[parameters]\n"
+                        "algebra_file = big.alg\nhorizon = 5.0\n")
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"experiment custom failed: invalid algebra file:\nline 1: "
+                f"dimension {dim} is too large: its {dim}^3 structure "
+                f"constants cannot be allocated\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("module, name, fails_for, text, fragments", [
         (experiments, "integrate_euler", lambda system: True,

@@ -722,11 +722,12 @@ class TestMidpointLoop:
         assert (getattr(got.value, "step", None)
                 == getattr(want.value, "step", None))
 
-    def test_one_loop_per_state_size(self):
-        assert (integrators._midpoint_loop(3)
-                is integrators._midpoint_loop(3))
-        assert (integrators._midpoint_loop(3)
-                is not integrators._midpoint_loop(4))
+    def test_one_compiled_loop_per_source(self):
+        # The one cache of generated code is keyed by the source text.
+        loop = integrators._compiled(integrators._midpoint_source(3))
+        assert integrators._compiled(integrators._midpoint_source(3)) is loop
+        assert (integrators._compiled(integrators._midpoint_source(4)).__code__
+                is not loop.__code__)
 
 
 def numpy_rk4_step(f, z, dt):
@@ -1130,9 +1131,13 @@ class TestFullSystem:
                 assert got.invariant_log[name].tobytes() == log.tobytes(), \
                     name
 
-    def test_one_compiled_field_per_dim_base(self):
-        assert integrators._full_field(2) is integrators._full_field(2)
-        assert integrators._full_field(2) is not integrators._full_field(3)
+    def test_one_compiled_field_per_source(self):
+        # Systems of one dim_base share the source, and so the code of
+        # their fields; the jets and epsilon are bound, not written in.
+        fields = [integrators._full_rhs(SHIPPED_FULL_SYSTEMS[name]())
+                  for name in ("particle_2d", "particle_1d", "pendulum")]
+        assert fields[1].__code__ is fields[2].__code__
+        assert fields[0].__code__ is not fields[1].__code__
 
     @pytest.mark.parametrize("name", sorted(SHIPPED_FULL_SYSTEMS))
     def test_float_field_is_the_numpy_field_bit_for_bit(self, name):

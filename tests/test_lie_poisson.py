@@ -278,6 +278,10 @@ class TestEulerSystem:
         inertia = np.diag([bad, 2.0, 3.0])
         with pytest.raises(ValueError, match="^inertia must be finite$"):
             EulerSystem(algebra=alg, inertia=inertia)
+        # A finite inertia whose inverse is not: 1 / 1e-310 overflows.
+        with pytest.raises(ValueError, match="^inertia is too near singular: "
+                                             "its inverse is not finite$"):
+            EulerSystem(algebra=alg, inertia=np.diag([1e-310, 2.0, 3.0]))
         with pytest.raises(ValueError, match="^shift must be finite$"):
             EulerSystem(algebra=alg, inertia=np.eye(3),
                         shift=np.array([0.2, bad, 0.5]))
@@ -514,8 +518,20 @@ def non_finite(obj, name, values):
     return obj
 
 
+# Finite values whose bits the reprs written into a compiled field must
+# give back.
+TINY = {"signed_zero": -0.0, "subnormal": 5e-324}
+
+
+def upper_minus_lower(value, n):
+    """The n x n antisymmetric matrix with value above the diagonal and
+    0.0 - value below it: -0.0 and +0.0 entries for value -0.0."""
+    upper = np.triu(np.full((n, n), value), 1)
+    return upper - upper.T
+
+
 class TestCompiledFields:
-    @pytest.mark.parametrize("shift", ["zero", "nonzero", "nan"])
+    @pytest.mark.parametrize("shift", ["zero", "nonzero", "nan", *TINY])
     @pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
     def test_euler_field_is_the_float_oracle_bit_for_bit(self, name, shift):
         rng = np.random.default_rng(83)
@@ -525,7 +541,9 @@ class TestCompiledFields:
                         random_spd(rng, n)):
             system = EulerSystem(algebra=alg, inertia=inertia,
                                  shift=(rng.standard_normal(n)
-                                        if shift == "nonzero" else None))
+                                        if shift == "nonzero" else
+                                        TINY[shift] * (-1.0) ** np.arange(n)
+                                        if shift in TINY else None))
             if shift == "nan":
                 non_finite(system, "shift", np.where(
                     np.arange(n) == 1, np.nan, rng.standard_normal(n)))
@@ -533,7 +551,7 @@ class TestCompiledFields:
                              float_euler_field(system), n, 89)
 
     @pytest.mark.parametrize("cocycle", ["none", "zero_shift", "coboundary",
-                                         "nan"])
+                                         "nan", *TINY])
     @pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
     def test_extended_field_is_the_float_oracle_bit_for_bit(self, name,
                                                             cocycle):
@@ -545,7 +563,9 @@ class TestCompiledFields:
                "coboundary": shift_cocycle(alg, rng.standard_normal(n)),
                "nan": non_finite(Cocycle(sigma=np.zeros((n, n))), "sigma",
                                  np.where(np.eye(n)[::-1] == 1.0, np.nan,
-                                          0.0))}[cocycle]
+                                          0.0)),
+               **{tiny: make_cocycle(alg, upper_minus_lower(value, n))
+                  for tiny, value in TINY.items()}}[cocycle]
         inertia = random_spd(rng, n)
         assert_same_bits(extended_hamiltonian_field(alg, coc, inertia),
                          float_extended_field(alg, coc, inertia), n, 101)
@@ -563,25 +583,22 @@ class TestCompiledFields:
                          float_extended_field(abelian(n), coc, inertia),
                          n, 107)
 
-    def test_one_compiled_factory_per_sparsity_pattern(self):
-        # Values are bound, never compiled in: two systems of one pattern
-        # share the factory, and so the code of their fields.
-        pattern = (3, ((0, 0), (1, 1), (2, 2)),
-                   tuple(t[:3] for t in so3()._brackets), (), True)
-        assert (lie_poisson._lie_poisson_field(*pattern)
-                is lie_poisson._lie_poisson_field(*pattern))
-        diagonal = [euler_vector_field(EulerSystem(
-            algebra=so3(), inertia=np.diag(d), shift=s)) for d, s in (
-                ([1.0, 2.0, 3.0], None), ([4.0, 0.5, 7.0], [0.2, -0.4, 0.5]))]
-        assert diagonal[0].__code__ is diagonal[1].__code__
+    def test_one_compiled_field_per_source(self):
+        # Values are written into the code: equal systems share one
+        # function, and systems of one pattern but other values do not
+        # share code.
+        def field(inertia, shift=None):
+            return euler_vector_field(EulerSystem(
+                algebra=so3(), inertia=np.diag(inertia), shift=shift))
+
+        assert field([1.0, 2.0, 3.0]) is field([1.0, 2.0, 3.0])
+        others = [field([4.0, 0.5, 7.0]), field([1.0, 2.0, 3.0], [0.2, 0, 0]),
+                  extended_hamiltonian_field(so3(), None,
+                                             np.diag([1.0, 2.0, 3.0]))]
+        for other in others:
+            assert other.__code__ is not field([1.0, 2.0, 3.0]).__code__
         xi = [0.3, -0.7, 1.1]
-        assert diagonal[0](xi) != diagonal[1](xi)
-        dense = euler_vector_field(EulerSystem(
-            algebra=so3(), inertia=random_spd(np.random.default_rng(109), 3)))
-        extended = extended_hamiltonian_field(so3(), None,
-                                              np.diag([1.0, 2.0, 3.0]))
-        for other in (dense, extended):
-            assert other.__code__ is not diagonal[0].__code__
+        assert field([1.0, 2.0, 3.0])(xi) != others[0](xi)
 
 
 class TestExtendedFieldArguments:
@@ -599,8 +616,11 @@ class TestExtendedFieldArguments:
          "inertia is not positive definite"),
         (so3, None, np.diag([np.nan, 1.0, 1.0]), "inertia must be finite"),
         (lambda: abelian(1), None, [[np.inf]], "inertia must be finite"),
+        (so3, None, np.diag([1e-310, 2.0, 3.0]),
+         "inertia is too near singular"),
     ], ids=["inertia_2x2", "sigma_2x2", "inertia_not_symmetric",
-            "inertia_not_positive", "inertia_nan", "inertia_inf"])
+            "inertia_not_positive", "inertia_nan", "inertia_inf",
+            "inertia_near_singular"])
     def test_bad_argument_raises(self, algebra, cocycle, inertia, message):
         with pytest.raises(ValueError, match="^" + message):
             extended_hamiltonian_field(algebra(), cocycle, inertia)
@@ -855,6 +875,32 @@ dim 3
             load_algebra("dim three\n")
         with pytest.raises(ValueError, match="must be positive"):
             load_algebra("dim 0\n")
+
+    def test_dimension_numpy_refuses_reported_with_its_line(self):
+        # 10^21 structure constants: numpy refuses the array before it
+        # allocates anything.
+        with pytest.raises(ValueError, match=(
+                "^invalid algebra file:\nline 2: dimension 10000000 is too "
+                "large: its 10000000\\^3 structure constants cannot be "
+                "allocated$")):
+            load_algebra("# huge\ndim 10000000\n0 1 2 1.0\n")
+
+    def test_dimension_out_of_memory_reported_with_its_line(self,
+                                                            monkeypatch):
+        # 8e15 bytes: the allocation is faked to fail as numpy's does when
+        # memory runs out, so that nothing is allocated for real.
+        shapes = []
+
+        def zeros(shape):
+            shapes.append(shape)
+            raise MemoryError("Unable to allocate 7.11 PiB")
+
+        monkeypatch.setattr(lie_poisson.np, "zeros", zeros)
+        with pytest.raises(ValueError, match=(
+                "^invalid algebra file:\nline 1: dimension 100000 is too "
+                "large")):
+            load_algebra("dim 100000\n0 1 2 1.0\n")
+        assert shapes == [(100000,) * 3]
 
     def test_loaded_algebra_integrates(self):
         loaded = load_algebra(self.SO3_TEXT)

@@ -84,8 +84,9 @@ def test_the_lie_poisson_field_source_uses_no_builtin_sum(name, field):
     # A dense I^{-1} and sigma, so that every sum has several terms.
     algebra = fastslow.BUILTIN_ALGEBRAS[name]()
     n = algebra.dim
-    pairs = tuple((i, j) for i in range(n) for j in range(n))
+    dense = [(i, j, 0.5) for i in range(n) for j in range(n)]
+    euler = field == "euler"
     source = lie_poisson._lie_poisson_source(
-        n, pairs, tuple(t[:3] for t in algebra._brackets),
-        () if field == "euler" else pairs, field == "euler")
+        n, dense, algebra._brackets, [] if euler else dense,
+        [0.25] * n if euler else None)
     assert builtin_sum_uses(source, f"{field} field on {name}") == []
