@@ -20,7 +20,7 @@ The default method is the implicit midpoint rule, solved by chord Newton
 integration; Hairer, Lubich & Wanner, Geometric Numerical Integration,
 VIII.6) warm-started by polynomial extrapolation of the accepted nodes,
 of order up to 5 chosen per step; classical RK4 is a non-symplectic
-reference.
+reference. Both run as one float loop generated per state size.
 
 closeness_report measures sup_{t in [0, min(horizons, 1)]} of the
 deviations |q - Q|, |p - P|, |gamma - mu| between a full trajectory and
@@ -34,8 +34,8 @@ additions from +0.0 in index order, never through the built-in sum(),
 which from CPython 3.12 on is compensated (Neumaier) summation:
 sum([1e16, 1.0, -1e16]) is 1.0 there and 0.0 on 3.11. What numpy still
 computes is the chord matrix (a LAPACK inverse). CI compares the
-output bytes of the four shipped configs, and of the euler config with
-a nonzero momentum shift, under CPython 3.11 and 3.12.
+output bytes of the four shipped configs, of euler with a nonzero
+shift and of the disk on the exponential chart under CPython 3.11 and 3.12.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ TWO_PI = 2.0 * np.pi
 IC_MATCH_TOL = 1e-12
 HORIZON_FACTOR_MAX = 10.0
 PREDICTOR_MAX_ORDER = 5
+_COMPILED_MAX = 256  # the most recently used functions _compiled keeps
 # Rows per block of a pass over a whole trajectory (every node log,
 # closeness_report, and the writers of fastslow.cli), so that a pass
 # holds one block of Python floats or temporaries at a time.
@@ -188,26 +189,6 @@ class Trajectory:
         raise ValueError(f"kind {self.kind!r} has no typed state view")
 
 
-def _rk4_step(f, z, dt: float) -> list:
-    """One classical RK4 step, on lists of Python floats.
-
-    z may be an array or a list of floats, and the new state is returned
-    as a list. f receives each stage point as a list. The stage points
-    z + (dt/2) k and z + dt k and the update
-    z + (dt/6) (((k1 + 2 k2) + 2 k3) + k4) are grouped as numpy groups
-    the same expressions on arrays, so every component has numpy's bits.
-    """
-    z = _floats(z)
-    half = 0.5 * dt
-    k1 = _floats(f(z))
-    k2 = _floats(f([a + half * b for a, b in zip(z, k1)]))
-    k3 = _floats(f([a + half * b for a, b in zip(z, k2)]))
-    k4 = _floats(f([a + dt * b for a, b in zip(z, k3)]))
-    sixth = dt / 6.0
-    return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
-
-
 _MIDPOINT_LOOP = """\
 def midpoint_loop(f, z, values, steps, n_full, dt_full, rem, sign, tol,
                   max_iter):
@@ -292,9 +273,6 @@ def _midpoint_source(n: int) -> str:
     top = PREDICTOR_MAX_ORDER
     comp = range(n)
 
-    def names(fmt: str) -> str:
-        return ", ".join(fmt.format(i=i) for i in comp) + ","
-
     def lines(fmt: str) -> list:
         return [fmt.format(i=i) for i in comp]
 
@@ -318,7 +296,7 @@ def _midpoint_source(n: int) -> str:
                 "else:", *["    " + line for line in sums]]
 
     residual = [*lines("y{i} = 0.5 * (z{i} + x{i})"),
-                f"{names('c{i}')} = _floats(f([{names('y{i}')}]))",
+                f"{_names('c{i}', n)} = _floats(f([{_names('y{i}', n)}]))",
                 *lines("r{i} = x{i} - z{i} - h * c{i}"),
                 f"if not ({' and '.join(lines('isfinite(r{i})'))}):",
                 '    raise IntegrationError("implicit midpoint residual is '
@@ -347,15 +325,59 @@ def _midpoint_source(n: int) -> str:
                         for line in max_abs(f"s{k}", f"d{k}_")],
     }
     inline = {
-        "n": str(n), "z": names("z{i}"), "c": names("c{i}"),
-        "y": names("y{i}"),
+        "n": str(n), "z": _names("z{i}", n), "c": _names("c{i}", n),
+        "y": _names("y{i}", n),
         "x_finite": " and ".join(lines("isfinite(x{i})")),
-        "inverse": " ".join(f"({names(f'a{r}_{{i}}')})," for r in comp),
+        "inverse": " ".join(f"({_names(f'a{r}_{{i}}', n)})," for r in comp),
         "differences": " = ".join(f"d{k}_{i}" for k in range(1, top + 1)
                                   for i in comp),
         "sizes": " = ".join(f"s{k}" for k in range(1, top + 1)),
     }
     return _expand(_MIDPOINT_LOOP, blocks, inline)
+
+
+_RK4_LOOP = """\
+def rk4_loop(f, z, values, steps, n_full, dt_full, rem, sign):
+    isfinite = math.isfinite
+    $z = z
+    try:
+        for i in range(steps):
+            dt = sign * (dt_full if i < n_full else rem)
+            half = 0.5 * dt
+            $k1 = c if type(c := f([$z])) is list else _floats(c)
+            $k2 = c if type(c := f([$half_k1])) is list else _floats(c)
+            $k3 = c if type(c := f([$half_k2])) is list else _floats(c)
+            $k4 = c if type(c := f([$full_k3])) is list else _floats(c)
+            sixth = dt / 6.0
+            $z = $update
+            if not ($z_finite):
+                raise IntegrationError("state became non-finite")
+            values[i + 1] = ($z)
+    except (IntegrationError, ValueError) as err:
+        _raise_at_step(err, i, dt_full)
+"""
+
+
+def _rk4_source(n: int) -> str:
+    """The source of _RK4_LOOP for states of n floats, expanded as in
+    _midpoint_source with the state z{i} and the stages k1_{i} .. k4_{i}.
+    Stage points and update are grouped as numpy groups z + half * k and
+    z + sixth * (k1 + 2 k2 + 2 k3 + k4) on arrays, so bits match numpy's."""
+    return _expand(_RK4_LOOP, {}, {
+        "z": _names("z{i}", n), "k1": _names("k1_{i}", n),
+        "k2": _names("k2_{i}", n), "k3": _names("k3_{i}", n),
+        "k4": _names("k4_{i}", n),
+        "z_finite": " and ".join(f"isfinite(z{i})" for i in range(n)),
+        "half_k1": _names("z{i} + half * k1_{i}", n),
+        "half_k2": _names("z{i} + half * k2_{i}", n),
+        "full_k3": _names("z{i} + dt * k3_{i}", n),
+        "update": _names("z{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i}"
+                         " + k4_{i})", n)})
+
+
+def _names(fmt: str, n: int) -> str:
+    """fmt formatted for i = 0 .. n - 1, as the items of a tuple."""
+    return ", ".join(fmt.format(i=i) for i in range(n)) + ","
 
 
 def _expand(template: str, blocks: dict, inline: dict) -> str:
@@ -377,7 +399,7 @@ def _expand(template: str, blocks: dict, inline: dict) -> str:
 inf, nan = math.inf, math.nan
 
 
-@functools.cache
+@functools.lru_cache(maxsize=_COMPILED_MAX)
 def _compiled(source: str) -> Callable:
     """The one function that source defines, compiled at the first call
     with this source text and run in this module's namespace (as
@@ -423,15 +445,13 @@ def _full_field_source(l: int) -> str:
     comp = range(l)
     vectors = ("a0", "gh0", "gU0", "a1", "gh1", "gU1", "da1")
 
-    def names(fmt: str) -> str:
-        return ", ".join(fmt.format(i=i) for i in comp) + ","
-
     def dot(fmt: str) -> str:
         return "".join(" + " + fmt.format(i=i) + " * p" + str(i)
                        for i in comp)
 
-    slots = [f"{names(s + '_{i}')} = {s}" for s in vectors] + [
-        " ".join(f"({names(s + f'_{i}_{{i}}')})," for i in comp) + f" = {s}"
+    slots = [f"{_names(s + '_{i}', l)} = {s}" for s in vectors] + [
+        " ".join(f"({_names(s + f'_{i}_{{i}}', l)}),"
+                 for i in comp) + f" = {s}"
         for s in ("ga0", "ga1")]
     rows = []
     for i in comp:
@@ -444,10 +464,11 @@ def _full_field_source(l: int) -> str:
         "momentum_rows": rows,
     }
     inline = {
-        "z": names("q{i}") + " " + names("p{i}") + " phi, gam",
-        "q": names("q{i}"),
+        "z": _names("q{i}", l) + " " + _names("p{i}", l) + " phi, gam",
+        "q": _names("q{i}", l),
         "ap": dot("a_{i}"), "dap": dot("da1_{i}"),
-        "out": names("eps * (p{i} + gam * a_{i})") + " " + names("dp{i}"),
+        "out": (_names("eps * (p{i} + gam * a_{i})", l) + " "
+                + _names("dp{i}", l)),
     }
     return _expand(_FULL_FIELD, blocks, inline)
 
@@ -541,12 +562,12 @@ def integrate_autonomous(f: Callable[[list], list | np.ndarray],
     returned trajectory carries no derivs.
 
     f receives a list of Python floats on every call and returns a list
-    of floats or an array. The midpoint rule runs as one loop compiled
-    for the state size (_midpoint_source), in which every number of a
-    step is a Python float: numpy makes only the Jacobian and its
-    inverse, which is turned into floats once, so no BLAS kernel rounds a
-    number of a step. RK4 takes the list steps of _rk4_step. Both store
-    each node into the preallocated values array.
+    of floats or an array. Each method runs as one loop compiled for the
+    state size (_midpoint_source, _rk4_source), in which every number of
+    a step is a Python float: numpy makes only the midpoint rule's
+    Jacobian and its inverse, which is turned into floats once, so no
+    BLAS kernel rounds a number of a step. Both loops store each node
+    into the preallocated values array.
     """
     z0 = np.asarray(z0, dtype=float)
     if not (horizon > 0.0 and math.isfinite(horizon)):
@@ -575,15 +596,8 @@ def integrate_autonomous(f: Callable[[list], list | np.ndarray],
                               rem, sign, config.newton_tol,
                               config.newton_max_iter)))
     else:
-        z = z0.tolist()
-        try:
-            for i in range(steps):
-                z = _rk4_step(f, z, sign * (config.dt if i < n else rem))
-                if not all(map(math.isfinite, z)):
-                    raise IntegrationError("state became non-finite")
-                values[i + 1] = z
-        except (IntegrationError, ValueError) as err:
-            _raise_at_step(err, i, config.dt)
+        _compiled(_rk4_source(z0.size))(f, z0.tolist(), values, steps, n,
+                                        config.dt, rem, sign)
     times = np.arange(steps + 1) * config.dt
     times[steps] = horizon
     return Trajectory(times=times, values=values,

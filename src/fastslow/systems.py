@@ -253,10 +253,10 @@ class SurfaceMetric:
     module docstring: a11 and a22 are floats, and each partial slot is a
     pair of floats (a tuple on the shipped surfaces), read as it is.
     Every point the disk code visits calls the jet once, so a disk field
-    evaluation makes 5 calls, and the code takes the square roots
-    itself. domain holds the closed chart rectangle
-    ((q1_min, q1_max), (q2_min, q2_max)) and operations reject points
-    outside it.
+    evaluation and a curvature_identity_residual each make 5 calls, and
+    the code takes the square roots itself. domain holds the closed
+    chart rectangle ((q1_min, q1_max), (q2_min, q2_max)) and operations
+    reject points outside it.
     """
 
     jet: Callable[[tuple], tuple]
@@ -325,28 +325,26 @@ def _stencil(q) -> tuple[float, tuple]:
                (x + 0.0, y + h), (x - 0.0, y - h))
 
 
-def _curvature_divergence(surface: SurfaceMetric, q) -> float:
+def _curvature_divergence(h: float, points: tuple, jets) -> float:
     """d1(d1 sqrt(a22) / sqrt(a11)) + d2(d2 sqrt(a11) / sqrt(a22)) at q.
 
-    q is a pair of floats in the domain. The outer derivatives are
-    central differences on _stencil in Python floats, with one jet call
-    at each of the four stencil points. K is -div / sqrt(a11 a22). A
-    coefficient that is not positive raises _positive_sqrt's ValueError.
+    h and points are _stencil(q) and jets the jet's values at those four
+    points, in their order. The outer derivatives are central differences
+    in Python floats. K is -div / sqrt(a11 a22). A coefficient that is
+    not positive raises _positive_sqrt's ValueError.
     """
-    h, (p1, m1, p2, m2) = _stencil(q)
-    jet = surface.jet
     # d1 sqrt(a22) / sqrt(a11) at q +- h e1, d2 sqrt(a11) / sqrt(a22) at
     # q +- h e2.
     (a1p, _, _, g1p), (a1m, _, _, g1m), (_, a2p, g2p, _), (_, a2m, g2m, _) \
-        = jet(p1), jet(m1), jet(p2), jet(m2)
+        = jets
     return (((g1p[0] / (math.sqrt(a1p) if a1p > 0.0 else
-                        _positive_sqrt("a11", a1p, p1))
+                        _positive_sqrt("a11", a1p, points[0]))
               - g1m[0] / (math.sqrt(a1m) if a1m > 0.0 else
-                          _positive_sqrt("a11", a1m, m1)))
+                          _positive_sqrt("a11", a1m, points[1])))
              + (g2p[1] / (math.sqrt(a2p) if a2p > 0.0 else
-                          _positive_sqrt("a22", a2p, p2))
+                          _positive_sqrt("a22", a2p, points[2]))
                 - g2m[1] / (math.sqrt(a2m) if a2m > 0.0 else
-                            _positive_sqrt("a22", a2m, m2))))
+                            _positive_sqrt("a22", a2m, points[3]))))
             / (2.0 * h))
 
 
@@ -368,15 +366,17 @@ def gaussian_curvature(surface: SurfaceMetric, q: np.ndarray) -> float:
     at the four stencil points and once at q.
     """
     q = tuple(surface.require_in_domain(q).tolist())
-    return -_curvature_divergence(surface, q) / _density(surface, q)
+    h, points = _stencil(q)
+    return (-_curvature_divergence(h, points, map(surface.jet, points))
+            / _density(surface, q))
 
 
-def _connection(surface: SurfaceMetric, q) -> tuple[float, float]:
-    """disk_connection at q, a pair of floats, as a pair of floats."""
+def _connection(surface: SurfaceMetric, q) -> tuple:
+    """disk_connection at q, a pair of floats, as two floats, and the jet."""
     surface._check(*q)
-    a11, a22, d11, d22 = surface.jet(q)
+    a11, a22, d11, d22 = jet = surface.jet(q)
     return (d11[1] / _positive_sqrt("a22", a22, q),
-            -d22[0] / _positive_sqrt("a11", a11, q))
+            -d22[0] / _positive_sqrt("a11", a11, q), jet)
 
 
 def disk_connection(surface: SurfaceMetric, q: np.ndarray) -> np.ndarray:
@@ -391,7 +391,7 @@ def disk_connection(surface: SurfaceMetric, q: np.ndarray) -> np.ndarray:
     A = (0, -cos q1).
     """
     return np.array(_connection(
-        surface, tuple(np.asarray(q, dtype=float).tolist())))
+        surface, tuple(np.asarray(q, dtype=float).tolist()))[:2])
 
 
 def curvature_identity_residual(surface: SurfaceMetric, q) -> float:
@@ -401,17 +401,19 @@ def curvature_identity_residual(surface: SurfaceMetric, q) -> float:
     disk_connection, so this is an independent check of the curvature
     rather than a restatement of its formula. q (an array, a list or a
     tuple) is read as two floats and checked against the chart, and so
-    is each stencil point.
+    is each stencil point. The jet is called at each stencil point, for
+    the connection and K's divergence both, and at q: 5 calls.
     """
     x, y = q
     q = (float(x), float(y))
     surface._check(*q)
-    h, (p1, m1, p2, m2) = _stencil(q)
-    curl = ((_connection(surface, p1)[1] - _connection(surface, m1)[1])
-            - (_connection(surface, p2)[0] - _connection(surface, m2)[0])) \
-        / (2.0 * h)
+    h, points = _stencil(q)
+    (_, b1p, j1p), (_, b1m, j1m), (b2p, _, j2p), (b2m, _, j2m) = (
+        _connection(surface, p) for p in points)
+    curl = ((b1p - b1m) - (b2p - b2m)) / (2.0 * h)
     dens = _density(surface, q)
-    return curl - dens * (-_curvature_divergence(surface, q) / dens)
+    return curl - dens * (-_curvature_divergence(
+        h, points, (j1p, j1m, j2p, j2m)) / dens)
 
 
 @dataclass(frozen=True)
@@ -492,8 +494,12 @@ def _disk_local(params: DiskParams,
         s22 = math.sqrt(a22) if a22 > 0.0 else _positive_sqrt("a22", a22, q)
         c11, c22 = two_m * s11, two_m * s22
         dens = s11 * s22
+        h, points = _stencil(q)
+        p1, m1, p2, m2 = points
+        div = _curvature_divergence(h, points,
+                                    (jet(p1), jet(m1), jet(p2), jet(m2)))
         return (m * a11, m * a22, c11 * g11, c22 * g21, c11 * g12, c22 * g22,
-                dens * mu * (-_curvature_divergence(surface, q) / dens))
+                dens * mu * (-div / dens))
 
     return local
 

@@ -42,9 +42,10 @@ import pytest
 
 from fastslow import integrators
 from fastslow.averaging import _dot, _floats
-from fastslow import (AveragedSystem, EulerSystem, FastSlowSystem,
-                      IntegrationError, IntegratorConfig, PendulumParams,
-                      PhaseStateFull, PhaseStateReduced, Trajectory,
+from fastslow import (AveragedSystem, DomainError, EulerSystem,
+                      FastSlowSystem, IntegrationError, IntegratorConfig,
+                      PendulumParams, PhaseStateFull, PhaseStateReduced,
+                      Trajectory,
                       average_coefficients, averaged_hamiltonian,
                       closeness_report, effective_potential,
                       euler_vector_field,
@@ -732,8 +733,8 @@ class TestMidpointLoop:
 
 def numpy_rk4_step(f, z, dt):
     """The RK4 step as it was computed on numpy arrays, kept verbatim as
-    the reference for the float step of integrators._rk4_step, with f
-    taking lists."""
+    the reference for the compiled RK4 loop of integrate_autonomous, with
+    f taking lists."""
     f = array_field(f)
     k1 = f(z)
     k2 = f(z + 0.5 * dt * k1)
@@ -743,22 +744,76 @@ def numpy_rk4_step(f, z, dt):
 
 
 class TestFloatRK4:
-    """The float RK4 step is the numpy step bit for bit."""
+    """The compiled RK4 loop of integrate_autonomous is a loop of the
+    numpy step bit for bit, and raises as the interpreted loop did."""
+
+    @staticmethod
+    def run(f, z0, horizon, dt, backward=False):
+        return integrate_autonomous(
+            f, np.asarray(z0, dtype=float), horizon,
+            IntegratorConfig(method="rk4", dt=dt),
+            state_labels=tuple(f"z{i}" for i in range(len(z0))),
+            kind="generic", dim_base=1, backward=backward).values
 
     @pytest.mark.parametrize("backward", [False, True],
                              ids=["forward", "backward"])
     @pytest.mark.parametrize("name", ["linear_2d", "pendulum"])
     def test_float_rk4_is_the_numpy_rk4_bit_for_bit(self, name, backward):
+        # linear_2d returns an array, the pendulum's full field a list. The
+        # horizon ends in a partial step, sized as integrate_autonomous
+        # sizes it.
         f, n, dt = step_field(name)
-        dt = -dt if backward else dt
-        want = np.random.default_rng(7).uniform(-1.0, 1.0, n)
-        got = want.copy()
-        for step in range(200):
-            want_args, got_args = [], []
-            want = numpy_rk4_step(recorded(f, want_args), want, dt)
-            got = integrators._rk4_step(recorded(f, got_args), got, dt)
-            assert got_args == want_args, step
-            assert np.array(got).tobytes() == want.tobytes(), step
+        z0 = np.random.default_rng(7).uniform(-1.0, 1.0, n)
+        horizon = 200.37 * dt
+        full = int(np.floor(horizon / dt + 1e-9))
+        rem = horizon - full * dt
+        sign = -1.0 if backward else 1.0
+        want, want_args = [z0], []
+        for i in range(full + 1):
+            want.append(numpy_rk4_step(recorded(f, want_args), want[-1],
+                                       sign * (dt if i < full else rem)))
+        got_args = []
+        got = self.run(recorded(f, got_args), z0, horizon, dt, backward)
+        assert len(got) == full + 2 and 0.0 < rem < dt
+        assert got_args == want_args
+        assert got.tobytes() == np.array(want).tobytes()
+
+    @staticmethod
+    def until(value):
+        """A field of 1 below 0.25 that returns value at or above it."""
+        return lambda z: [1.0] if z[0] < 0.25 else [value]
+
+    def test_a_nonfinite_state_raises_with_its_step(self):
+        # Step 2 starts at 0.2 and its second stage is at 0.25.
+        with pytest.raises(IntegrationError) as err:
+            self.run(self.until(math.inf), [0.0], 1.0, 0.1)
+        assert str(err.value) == "step 2 (t=0.2): state became non-finite"
+        assert err.value.step == 2
+
+    def test_a_domain_error_keeps_its_type_and_gains_the_step(self):
+        def f(z):
+            if z[0] >= 0.25:
+                raise DomainError(f"point {z[0]:.2f} lies outside")
+            return [1.0]
+
+        with pytest.raises(DomainError) as err:
+            self.run(f, [0.0], 1.0, 0.1)
+        assert str(err.value) == "step 2 (t=0.2): point 0.25 lies outside"
+
+    def test_runs_of_one_state_size_share_one_compiled_loop(
+            self, monkeypatch):
+        loops, compiled = [], integrators._compiled
+
+        def recording(source):
+            loops.append(compiled(source))
+            return loops[-1]
+
+        monkeypatch.setattr(integrators, "_compiled", recording)
+        self.run(lambda z: [z[1], -z[0]], [1.0, 0.0], 1.0, 0.1)
+        self.run(lambda z: np.array(z), [0.5, -0.5], 0.3, 0.1, True)
+        self.run(lambda z: [1.0, 2.0, 3.0], [0.0, 0.0, 0.0], 1.0, 0.1)
+        assert loops[0] is loops[1]
+        assert loops[2].__code__ is not loops[0].__code__
 
 
 # Row j of _BACKWARD[:m, :m] @ (z_n, z_{n-1}, ..., z_{n-m+1}) is the

@@ -12,8 +12,10 @@ by einsum contractions of the same arrays, and counted calls show that
 they form no terms of their own. The compiled fields must reproduce bit
 for bit the closures over _matvec and _ad_star they replaced
 (float_euler_field and float_extended_field, kept here as their
-oracles), signed zeros and non-finite shifts included, and systems of
-one sparsity pattern share one compiled factory. Non-finite inertia,
+oracles), signed zeros and non-finite shifts included, and equal
+systems share one compiled field. The one cache of compiled code stays
+within its bound, and a field compiled again after its eviction gives
+the same bits. Non-finite inertia,
 shift, sigma or xi0 is refused before a step. The invariant logs are
 pinned by float sums written out in index order; EulerSystem.energy is
 the energy log's sum.
@@ -33,7 +35,7 @@ from fastslow import (BUILTIN_ALGEBRAS, Cocycle, EulerSystem,
                       extended_hamiltonian_field, heisenberg3,
                       integrate_autonomous, integrate_euler, load_algebra,
                       make_cocycle, oscillator4, shift_cocycle, so3)
-from fastslow import lie_poisson
+from fastslow import integrators, lie_poisson
 from fastslow.cli import parse_config, shipped_config_text
 from fastslow.experiments import _params, integrator_configs
 
@@ -599,6 +601,24 @@ class TestCompiledFields:
             assert other.__code__ is not field([1.0, 2.0, 3.0]).__code__
         xi = [0.3, -0.7, 1.1]
         assert field([1.0, 2.0, 3.0])(xi) != others[0](xi)
+
+    def test_the_cache_of_generated_code_is_bounded(self):
+        # 2,000 fields of distinct inertia evict the first one, which is
+        # compiled again from its source and gives the same bits.
+        def field(k):
+            return euler_vector_field(EulerSystem(
+                algebra=so3(), inertia=np.diag([1.0, 2.0, 3.0 + k / 7.0])))
+
+        xi = [0.3, -0.7, 1.1]
+        first = field(0)
+        want = first(xi)
+        for k in range(1, 2000):
+            field(k)
+        assert (integrators._compiled.cache_info().currsize
+                <= integrators._COMPILED_MAX)
+        again = field(0)
+        assert again is not first
+        assert np.array(again(xi)).tobytes() == np.array(want).tobytes()
 
 
 class TestExtendedFieldArguments:

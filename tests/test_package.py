@@ -3,8 +3,8 @@
 Oracles: `from fastslow import *` must import exactly the names listed
 in fastslow.__all__, each once, and each must be the attribute of the
 same name. No module of the package, and no source the implicit
-midpoint loop, the full field or a Lie-Poisson field is compiled from,
-names the built-in sum: from CPython 3.12 on it adds floats with
+midpoint loop, the RK4 loop, the full field or a Lie-Poisson field is
+compiled from, names the built-in sum: from CPython 3.12 on it adds floats with
 compensated summation, so a value it forms could differ between CPython
 versions. The command line runs every integration in the calling
 process, so importing it loads no process pool. The compiled full
@@ -63,6 +63,12 @@ def test_no_module_uses_the_builtin_sum():
 def test_the_midpoint_loop_source_uses_no_builtin_sum(n):
     assert builtin_sum_uses(integrators._midpoint_source(n),
                             f"midpoint loop n={n}") == []
+
+
+@pytest.mark.parametrize("n", [1, 4, 12])
+def test_the_rk4_loop_source_uses_no_builtin_sum(n):
+    assert builtin_sum_uses(integrators._rk4_source(n),
+                            f"rk4 loop n={n}") == []
 
 
 @pytest.mark.parametrize("l", [1, 2, 5])

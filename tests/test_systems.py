@@ -11,7 +11,8 @@ sphere, the plane, and the e^{2 q1} metric have Gaussian curvatures
 matches the central differences of its own value slots, and the jets
 of the oracle difference_jets are the stencils of jacobian, gradient
 and phi_derivative exactly (fd: the finite-difference oracles of
-tests/conftest.py).
+tests/conftest.py). A disk field evaluation and a curvature identity
+residual each call the surface jet five times.
 """
 
 import math
@@ -715,6 +716,28 @@ class TestSurfaceJets:
         assert calls[0] == (1.0, 0.3)
         assert all(type(p) is tuple and list(map(type, p)) == [float, float]
                    for p in calls)
+
+    @pytest.mark.parametrize("label, surface, params, box", DISK_CASES,
+                             ids=[case[0] for case in DISK_CASES])
+    def test_each_residual_calls_the_jet_five_times(
+            self, disk_reference, label, surface, params, box):
+        # Once at each stencil point, for the connection and the
+        # divergence both, and once at q for the density; the residual is
+        # the numpy residual's bits.
+        calls = []
+
+        def jet(q):
+            calls.append(q)
+            return surface.jet(q)
+
+        counted = replace(surface, jet=jet)
+        for q in _disk_points(box, n=50, seed=41):
+            calls.clear()
+            got = curvature_identity_residual(counted, q)
+            assert calls == [*_stencil(tuple(q.tolist()))[1],
+                             tuple(q.tolist())]
+            assert same_bits(
+                got, disk_reference.curvature_identity_residual(surface, q))
 
 
 def closed_form_particle_1d(x, tau, trap=1.0, alpha=0.7, beta=0.4):
