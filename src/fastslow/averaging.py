@@ -179,13 +179,14 @@ def average_coefficients(system: FastSlowSystem,
     """Averaged system of a fast-slow system, with residual diagnostics.
 
     Verifies at the sample points that the oscillating coefficients a1,
-    h1, U1 have fiber mean below 1e-10 (relative to their own scale) and
-    that the total inertia h0 + eps h1 stays positive; violations raise
-    an AveragingError naming the offending coefficient and point. The
-    returned system holds the slow jet of the input as it is, and
-    records the worst residual means, together with the minimum of
-    h0 - a0 . a0 over the samples, in diagnostics. sample_points None
-    takes the default samples; an empty sequence raises ValueError.
+    h1, U1 have fiber mean below 1e-10 (relative to their own scale; a
+    NaN mean is not) and that the total inertia h0 + eps h1 stays
+    positive; violations raise an AveragingError naming the offending
+    coefficient and point. The returned system holds the slow jet of
+    the input as it is, and records the worst residual means, together
+    with the minimum of h0 - a0 . a0 over the samples, in diagnostics.
+    sample_points None takes the default samples; an empty sequence
+    raises ValueError.
     """
     if sample_points is None:
         pts = _default_base_samples(system.dim_base)
@@ -204,7 +205,7 @@ def average_coefficients(system: FastSlowSystem,
             scale = max(1.0, float(np.max(np.abs(samples))))
             mean = fiber_mean(samples)
             worst = float(np.max(np.abs(np.atleast_1d(mean))))
-            if worst > ZERO_MEAN_TOL * scale:
+            if not worst <= ZERO_MEAN_TOL * scale:
                 raise AveragingError(
                     f"coefficient {name} has nonzero fiber mean "
                     f"{worst:.3e} at q={q}",

@@ -24,8 +24,9 @@ import numpy as np
 
 from .bundle_geometry import PhaseStateFull, PhaseStateReduced
 from .integrators import (IntegratorConfig, Trajectory, _integration,
-                          _nodes, closeness_report, integrate_autonomous,
-                          integrate_full, integrate_reduced_canonical)
+                          _nodes, _step_plan, closeness_report,
+                          integrate_autonomous, integrate_full,
+                          integrate_reduced_canonical)
 from .lie_poisson import (BUILTIN_ALGEBRAS, EulerSystem,
                           extended_hamiltonian_field, integrate_euler,
                           load_algebra, shift_cocycle)
@@ -269,14 +270,14 @@ def _run_euler(config: ExperimentConfig, base_dir: Path) -> tuple:
     casimir_drift = float(np.max(np.abs(casimir - casimir[0])))
 
     # Shift equivalence: the extended-bracket flow of the kinetic
-    # Hamiltonian must match the shifted Euler flow, node by node, on
-    # the run's nodes up to t = min(10, horizon), and at least its first
-    # step. Integrating to a node's own time retakes the steps before it.
+    # Hamiltonian must match the shifted Euler flow, node by node, over
+    # the full steps of dt to t = min(10, horizon), at least one. A run
+    # to a node's own time retakes the steps before it.
     cocycle = shift_cocycle(algebra, shift)
-    steps = max(1, int(np.floor(min(10.0, horizon) / cfg.dt + 1e-9)))
+    node = max(1, _step_plan(min(10.0, horizon), cfg.dt)[0])
     traj_ext = integrate_autonomous(
         extended_hamiltonian_field(algebra, cocycle, system.inertia),
-        xi0, traj.times[min(steps, len(traj) - 1)], cfg,
+        xi0, traj.times[node], cfg,
         state_labels=traj.state_labels, kind="euler", dim_base=algebra.dim)
     equiv = float(np.max(np.abs(traj.values[:len(traj_ext)]
                                 - traj_ext.values)))

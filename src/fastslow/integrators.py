@@ -45,6 +45,7 @@ import functools
 import math
 import numbers
 import string
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Literal, Sequence
@@ -203,7 +204,7 @@ def midpoint_loop(f, z, values, steps, n_full, dt_full, rem, sign, tol,
             dt = dt_full if i < n_full else rem
             h = sign * dt
             if i == 0:
-                $c = _floats(f([$z]))
+                $c = c if type(c := f([$z])) is list else _floats(c)
                 evals += 1
                 $euler_guess
             elif dt != dt_prev:
@@ -296,7 +297,8 @@ def _midpoint_source(n: int) -> str:
                 "else:", *["    " + line for line in sums]]
 
     residual = [*lines("y{i} = 0.5 * (z{i} + x{i})"),
-                f"{_names('c{i}', n)} = _floats(f([{_names('y{i}', n)}]))",
+                f"{_names('c{i}', n)} = c if type(c := f(["
+                f"{_names('y{i}', n)}])) is list else _floats(c)",
                 *lines("r{i} = x{i} - z{i} - h * c{i}"),
                 f"if not ({' and '.join(lines('isfinite(r{i})'))}):",
                 '    raise IntegrationError("implicit midpoint residual is '
@@ -485,14 +487,29 @@ def _raise_at_step(err: Exception, i: int, dt: float):
     raise err
 
 
-def _step_count_error(horizon: float, dt: float, *,
-                      too_many: bool) -> ValueError:
+def _step_count_error(horizon: float, dt: float) -> ValueError:
     """The error of a run of horizon at dt that takes more steps than
-    can be stored (too_many) or no step at all, raised before a step."""
-    if too_many:
-        return ValueError(f"horizon {horizon:.6g} at dt {dt:.6g} takes "
-                          f"{horizon / dt:.6g} steps, too many to store")
-    return ValueError(f"horizon {horizon:.6g} at dt {dt:.6g} takes no step")
+    can be stored, raised before a step."""
+    return ValueError(f"horizon {horizon:.6g} at dt {dt:.6g} takes "
+                      f"{horizon / dt:.6g} steps, too many to store")
+
+
+def _step_plan(horizon: float, dt: float) -> tuple[int, float, int]:
+    """(n, rem, steps): n = floor(horizon / dt + 1e-9) steps of dt, then
+    one of rem = horizon - n dt if rem > 1e-12 max(1, horizon). A horizon
+    not positive and finite, no step or over sys.maxsize raise ValueError."""
+    if not (horizon > 0.0 and math.isfinite(horizon)):
+        raise ValueError("horizon must be positive and finite")
+    count = horizon / dt + 1e-9
+    if not count < sys.maxsize:  # so steps <= n + 1 <= sys.maxsize
+        raise _step_count_error(horizon, dt)
+    n = int(count)
+    rem = horizon - n * dt
+    steps = n + 1 if rem > 1e-12 * max(1.0, horizon) else n
+    if steps == 0:
+        raise ValueError(f"horizon {horizon:.6g} at dt {dt:.6g} takes no "
+                         "step")
+    return n, rem, steps
 
 
 def _check_horizon(horizon: float, epsilon: float) -> None:
@@ -517,14 +534,11 @@ def integrate_autonomous(f: Callable[[list], list | np.ndarray],
                          backward: bool = False) -> Trajectory:
     """Integrate dz/dt = f(z) over [0, horizon].
 
-    horizon must be positive and finite and z0 must hold at least one
-    float; anything else raises ValueError before a step is taken. The
-    run takes n = floor(horizon / dt + 1e-9) steps of dt, then one
-    partial step of the remainder when it exceeds 1e-12 max(1, horizon).
-    Node i is at i * dt and the last at horizon, so a run to a node's
-    time retakes the steps before it. No step, or more steps than numpy
-    can store (2**62 or so, or more than memory holds), raises
-    ValueError before a step is taken, too.
+    The run takes the steps of _step_plan(horizon, dt). Node i is at
+    i * dt and the last at horizon, so a run to a node's time retakes
+    the steps before it. A horizon _step_plan refuses, more steps than
+    numpy can store (2**62 or so, or more than memory holds), or a z0
+    of no float raises ValueError before a step is taken.
 
     With backward=True the steps are taken with -dt (the reported times
     still increase from 0), which together with a forward run forms the
@@ -570,23 +584,16 @@ def integrate_autonomous(f: Callable[[list], list | np.ndarray],
     into the preallocated values array.
     """
     z0 = np.asarray(z0, dtype=float)
-    if not (horizon > 0.0 and math.isfinite(horizon)):
-        raise ValueError("horizon must be positive and finite")
+    n, rem, steps = _step_plan(horizon, config.dt)
     if z0.size == 0:
         raise ValueError("z0 must hold at least one float")
     sign = -1.0 if backward else 1.0
     try:
-        n = int(np.floor(horizon / config.dt + 1e-9))
-        rem = horizon - n * config.dt
-        steps = n + 1 if rem > 1e-12 * max(1.0, horizon) else n
         values = np.empty((steps + 1, z0.size))
-    except (OverflowError, ValueError, MemoryError) as err:
-        # horizon / dt may overflow to inf; numpy refuses an array of more
-        # than 2**63 bytes with ValueError, and memory it cannot get with
-        # MemoryError.
-        raise _step_count_error(horizon, config.dt, too_many=True) from err
-    if steps == 0:
-        raise _step_count_error(horizon, config.dt, too_many=False)
+    except (ValueError, MemoryError) as err:
+        # numpy refuses an array of more than 2**63 bytes with ValueError,
+        # and memory it cannot get with MemoryError.
+        raise _step_count_error(horizon, config.dt) from err
     values[0] = z0
     counts = {}
     if config.method != "rk4":

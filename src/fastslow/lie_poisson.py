@@ -51,10 +51,17 @@ INERTIA_SYMMETRY_TOL = 1e-14
 def _cyclic_residual(c: np.ndarray, t: np.ndarray) -> float:
     """Max |a_ijk.. + a_jki.. + a_kij..| with a_ijk.. = sum_m c^m_ij t_mk..:
     the Jacobi identity for t = c, the cocycle identity for t = sigma.
-    einsum, not BLAS, sums it, so no BLAS kernel enters the value."""
-    a = np.einsum("ijm,m...->ij...", c, t)
-    return float(np.max(np.abs(a + np.moveaxis(a, 2, 0)
-                               + np.moveaxis(a, 0, 2))))
+    It is taken one leading index i at a time, so that the arrays it
+    holds have the size of t, not of a (dim^4 floats for t = c), and a
+    NaN term makes it NaN. einsum, not BLAS, sums it, so no BLAS kernel
+    enters the value."""
+    worst = []
+    for i in range(c.shape[0]):
+        a_ijk = np.einsum("jm,m...->j...", c[i], t)
+        a_jki = np.einsum("jkm,m...->jk...", c, t[:, i])
+        a_kij = np.einsum("km,mj...->jk...", c[:, i], t)
+        worst.append(np.max(np.abs(a_ijk + a_jki + a_kij)))
+    return float(np.max(worst))
 
 
 def _terms(a: np.ndarray) -> list:
@@ -88,13 +95,16 @@ class LieAlgebraData:
 
     structure_constants[i, j, k] is the e_k coefficient of [e_i, e_j].
     Antisymmetry in (i, j) must hold exactly; the Jacobi identity is
-    enforced to 1e-12 at construction, where the terms of c are formed
-    once for coadjoint_action and the field factories.
+    enforced to 1e-12 at construction, where its residual (jacobiator)
+    and the terms of c are formed once, the terms for coadjoint_action
+    and the field factories. A residual that cannot be allocated raises
+    ValueError.
     """
 
     dim: int
     structure_constants: np.ndarray
     name: str = "algebra"
+    _jacobiator: float = field(init=False, repr=False, compare=False)
     _brackets: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -106,11 +116,17 @@ class LieAlgebraData:
             raise ValueError(
                 "structure constants must be antisymmetric in the lower "
                 "indices (exactly)")
-        worst = self.jacobiator()
-        if worst > JACOBI_TOL:
+        try:
+            worst = _cyclic_residual(c, c)
+        except MemoryError as err:
+            raise ValueError(
+                f"dimension {self.dim} is too large: the Jacobi check of "
+                f"its structure constants cannot be allocated") from err
+        if not worst <= JACOBI_TOL:
             raise ValueError(
                 f"Jacobi identity violated: max residual {worst:.3e} "
                 f"exceeds {JACOBI_TOL:.1e}")
+        object.__setattr__(self, "_jacobiator", worst)
         object.__setattr__(self, "_brackets", _terms(c))
 
     def bracket(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -119,8 +135,7 @@ class LieAlgebraData:
         return np.einsum("i,j,ijk->k", X, Y, self.structure_constants)
 
     def jacobiator(self) -> float:
-        c = self.structure_constants
-        return _cyclic_residual(c, c)
+        return self._jacobiator
 
 
 @dataclass(frozen=True)
@@ -155,7 +170,7 @@ def make_cocycle(algebra: LieAlgebraData, sigma: np.ndarray) -> Cocycle:
     """Validated cocycle: antisymmetric and closed on the given algebra."""
     coc = Cocycle(sigma=np.asarray(sigma, dtype=float))
     worst = cocycle_identity_residual(algebra, coc)
-    if worst > COCYCLE_TOL:
+    if not worst <= COCYCLE_TOL:
         raise ValueError(
             f"cocycle identity violated on {algebra.name}: max residual "
             f"{worst:.3e} exceeds {COCYCLE_TOL:.1e}")

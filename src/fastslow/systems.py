@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -42,7 +41,7 @@ from .averaging import AveragedSystem, FastSlowSystem, _dot, _floats, \
     average_coefficients
 from .bundle_geometry import TrivialBundleMetric
 from .integrators import IntegrationError, Trajectory, _check_horizon, \
-    _raise_at_step, _step_count_error
+    _raise_at_step, _step_plan
 
 TWO_PI = 2.0 * np.pi
 
@@ -148,15 +147,17 @@ def simulate_physical_pendulum(params: PendulumParams, theta0: float,
 
     i.e. the drive enters at strength O(1/epsilon); this is the system
     the averaged pendulum approximates. Integration is classical RK4
-    with a step of a 64th of the drive period; horizon defaults to
-    1/epsilon. stop_when(t, theta, p) aborts the run early when it
-    returns True (the trigger time is stored in meta["stopped_at"]).
-    Every accepted step is offered to stop_when even when only each
-    store_every-th state is kept. Bad horizons, a horizon that takes no
-    step or more steps than numpy can index among them, and the errors
-    of a step are raised as integrate_autonomous raises them; a horizon
-    beyond 10 / epsilon is refused as integrate_full refuses it, after
-    the step-count checks and before the first step.
+    with a step dt of a 64th of the drive period on the clock of
+    integrate_autonomous: the steps of _step_plan(horizon, dt), node k
+    at k dt, the last at horizon, and the drive phase omega t from the
+    time t of each step's first node. horizon defaults to 1/epsilon.
+    stop_when(t, theta, p) aborts the run early when it returns True
+    (the trigger time is stored in meta["stopped_at"]). Every accepted
+    step is offered to stop_when even when only each store_every-th
+    state is kept. A horizon _step_plan refuses and the errors of a step
+    are raised as integrate_autonomous raises them; a horizon beyond
+    10 / epsilon is refused as integrate_full refuses it, after the
+    step-count checks and before the first step.
     """
     l = params.length
     g = params.gravity
@@ -164,18 +165,11 @@ def simulate_physical_pendulum(params: PendulumParams, theta0: float,
     omega = params.omega
     if horizon is None:
         horizon = 1.0 / params.epsilon
-    if not (horizon > 0.0 and math.isfinite(horizon)):
-        raise ValueError("horizon must be positive and finite")
     dt = (TWO_PI / omega) / 64.0
-    count = horizon / dt - 1e-9
-    # A step count above sys.maxsize is one numpy cannot index, and a run
-    # that never ends; both errors are raised before the first step.
-    if not 0.0 < count <= sys.maxsize:
-        raise _step_count_error(horizon, dt, too_many=count > 0.0)
+    n, rem, steps = _step_plan(horizon, dt)
     _check_horizon(horizon, params.epsilon)
-    n_steps = math.ceil(count)
     if store_every is None:
-        store_every = max(1, int(math.ceil(n_steps / 20000)))
+        store_every = max(1, int(math.ceil(steps / 20000)))
 
     gl = g * l
     inv_l2 = 1.0 / (l * l)
@@ -186,15 +180,18 @@ def simulate_physical_pendulum(params: PendulumParams, theta0: float,
         v = (p - aml * sin_phi * math.sin(theta)) * inv_l2
         return v, v * aml * sin_phi * math.cos(theta) - gl * math.sin(theta)
 
-    times = [0.0]
-    rows = [(theta0, p0, 0.0)]
+    def row(t: float, theta: float, p: float) -> tuple:  # a stored node
+        phi = math.fmod(omega * t, TWO_PI)
+        v = (p - aml * math.sin(phi) * math.sin(theta)) * inv_l2
+        return t, theta, p, phi, 0.5 * l * l * v * v - gl * math.cos(theta)
+
     theta, p = float(theta0), float(p0)
-    t = 0.0
+    rows = [row(0.0, theta, p)]
     stopped_at = None
     try:
-        for k in range(n_steps):
-            step = min(dt, horizon - t)
-            phi = omega * t
+        for k in range(steps):
+            step = dt if k < n else rem
+            phi = omega * (k * dt)
             k1t, k1p = rhs(theta, p, phi)
             half = 0.5 * step
             k2t, k2p = rhs(theta + half * k1t, p + half * k1p,
@@ -205,32 +202,24 @@ def simulate_physical_pendulum(params: PendulumParams, theta0: float,
                            phi + step * omega)
             theta += step / 6.0 * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
             p += step / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            t += step
             if not (math.isfinite(theta) and math.isfinite(p)):
                 raise IntegrationError("state became non-finite")
-            if (k + 1) % store_every == 0 or k == n_steps - 1:
-                times.append(t)
-                rows.append((theta, p, math.fmod(omega * t, TWO_PI)))
-            if stop_when is not None and stop_when(t, theta, p):
+            t = (k + 1) * dt if k + 1 < steps else horizon
+            stop = stop_when is not None and stop_when(t, theta, p)
+            if stop or (k + 1) % store_every == 0 or k + 1 == steps:
+                rows.append(row(t, theta, p))
+            if stop:
                 stopped_at = t
-                if times[-1] != t:
-                    times.append(t)
-                    rows.append((theta, p, math.fmod(omega * t, TWO_PI)))
                 break
     except (IntegrationError, ValueError) as err:
         _raise_at_step(err, k, dt)
 
-    values = np.array(rows)
-    energies = np.empty(values.shape[0])
-    for i, (th, pp, ph) in enumerate(rows):
-        v = (pp - aml * math.sin(ph) * math.sin(th)) * inv_l2
-        energies[i] = 0.5 * l * l * v * v - gl * math.cos(th)
+    table = np.array(rows)
     return Trajectory(
-        times=np.array(times), values=values,
+        times=table[:, 0], values=table[:, 1:4],
         state_labels=("theta", "p_theta", "phi"), kind="pendulum_physical",
-        dim_base=1,
-        invariant_log={"energy": energies,
-                       "momentum": np.zeros(values.shape[0])},
+        dim_base=1, invariant_log={"energy": table[:, 4],
+                                   "momentum": np.zeros(len(rows))},
         meta={"omega": omega, "clock": "physical", "stopped_at": stopped_at})
 
 
@@ -287,8 +276,12 @@ def _positive_sqrt(name: str, val: float, q) -> float:
 
 
 def sphere_surface(radius: float = 1.0) -> SurfaceMetric:
-    """Round sphere in colatitude q1 and longitude q2 (poles excluded)."""
+    """Round sphere in colatitude q1 and longitude q2 (poles excluded);
+    a radius that is not positive and finite raises ValueError."""
     r = float(radius)
+    if not (r > 0.0 and math.isfinite(r)):
+        raise ValueError(f"sphere radius must be positive and finite, "
+                         f"got {r!r}")
     return SurfaceMetric(
         jet=lambda q: (r * r, r * r * math.sin(q[0]) ** 2,
                        (0.0, 0.0), (r * math.cos(q[0]), 0.0)),

@@ -13,6 +13,7 @@ from fastslow import (AveragedSystem, AveragingError, FastSlowSystem,
                       average_coefficients, averaged_hamiltonian,
                       effective_potential,
                       integrate_reduced_magnetic, magnetic_form,
+                      particle_potential_1d, particle_systems,
                       uniform_field_averaged)
 from fastslow.averaging import FIBER_GRID, fiber_mean
 
@@ -113,6 +114,17 @@ class TestAverageCoefficients:
         assert err.value.coefficient == "U1"
         assert err.value.point is not None
         assert abs(err.value.residual - 0.1) < 1e-12
+
+    def test_nan_fiber_mean_raises_naming_coefficient(self):
+        # A NaN mean fails every comparison: unchecked, it passed the
+        # zero-mean test and was recorded as a residual of 0.0.
+        with pytest.raises(AveragingError) as err:
+            particle_systems(particle_potential_1d(alpha=np.nan), 0.01)
+        assert err.value.coefficient == "U1"
+        assert err.value.point.tolist() == [0.0]
+        assert np.isnan(err.value.residual)
+        assert str(err.value) == (
+            "coefficient U1 has nonzero fiber mean nan at q=[0.]")
 
     def test_nonpositive_total_inertia_raises(self):
         system = constant_coefficient_system(

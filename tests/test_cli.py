@@ -25,7 +25,7 @@ import fastslow
 from fastslow import (DomainError, IntegrationError, IntegratorConfig,
                       PhaseStateFull, PhaseStateReduced, Trajectory,
                       particle_potential_1d, particle_systems)
-from fastslow import experiments, integrators
+from fastslow import experiments, integrators, lie_poisson
 from fastslow.cli import (ConfigError, ExperimentConfig, emit_csv, emit_json,
                           load_config, main, parse_config, read_csv,
                           run_experiment, serialize_config,
@@ -978,6 +978,74 @@ class TestCommandLine:
             "", f"experiment custom failed: invalid algebra file:\nline 1: "
                 f"dimension {dim} is too large: its {dim}^3 structure "
                 f"constants cannot be allocated\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment", ["euler", "custom"])
+    def test_run_exit_two_on_an_unallocatable_jacobi_check(
+            self, tmp_path, capsys, monkeypatch, experiment):
+        # The residual holds a few arrays of dim^3 floats at a time, 8 MB
+        # each at dim 100. Its failure is faked here, so that nothing is
+        # allocated for real; it must not escape as a MemoryError.
+        def out_of_memory(c, t):
+            raise MemoryError("Unable to allocate 11.9 GiB")
+
+        (tmp_path / "so3.alg").write_text(SO3_FILE_TEXT)
+        monkeypatch.setattr(lie_poisson, "_cyclic_residual", out_of_memory)
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            EULER_FAST_CONFIG if experiment == "euler" else
+            "experiment = custom\n[parameters]\nalgebra_file = so3.alg\n"
+            "horizon = 5.0\n")
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"experiment {experiment} failed: invalid algebra file: "
+                "dimension 3 is too large: the Jacobi check of its "
+                "structure constants cannot be allocated\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_an_euler_run_computes_the_jacobi_residual_once(
+            self, tmp_path, capsys, monkeypatch):
+        # The check record reads the residual the algebra's construction
+        # stored. The shift's cocycle check (t = sigma, 2-d) is not
+        # counted.
+        calls = []
+        real = lie_poisson._cyclic_residual
+
+        def counted(c, t):
+            calls.append(t.ndim)
+            return real(c, t)
+
+        monkeypatch.setattr(lie_poisson, "_cyclic_residual", counted)
+        path = tmp_path / "run.cfg"
+        path.write_text(EULER_FAST_CONFIG.replace(
+            "horizon = 5.0", "shift = 0.2, -0.4, 0.5\nhorizon = 5.0"))
+        assert main(["run", str(path)]) == 0
+        assert "jacobiator_max" in capsys.readouterr().out
+        assert calls.count(3) == 1
+
+    @pytest.mark.parametrize("experiment, line, bad, message", [
+        ("disk", "radius = 1.0", "radius = -1.0",
+         "sphere radius must be positive and finite, got -1.0"),
+        ("disk", "radius = 1.0", "radius = 0.0",
+         "sphere radius must be positive and finite, got 0.0"),
+        ("disk", "radius = 1.0", "radius = nan",
+         "sphere radius must be positive and finite, got nan"),
+        ("particle", "alpha = 0.7", "alpha = nan",
+         "coefficient U1 has nonzero fiber mean nan at q=[0.]"),
+    ], ids=["radius_negative", "radius_zero", "radius_nan", "alpha_nan"])
+    def test_run_exit_two_on_a_bad_system_parameter(self, tmp_path, capsys,
+                                                    experiment, line, bad,
+                                                    message):
+        # Unchecked, radius -1 ran as a surface of curvature -1 and failed
+        # a check (exit 1); radius 0 or nan, and a NaN alpha, failed only
+        # at the first step.
+        text = shipped_config_text(experiment)
+        assert line in text
+        path = tmp_path / "run.cfg"
+        path.write_text(text.replace(line, bad))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"experiment {experiment} failed: {message}\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("module, name, fails_for, text, fragments", [

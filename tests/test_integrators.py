@@ -31,7 +31,8 @@ must reproduce a step-by-step run of that list oracle bit for bit: its
 nodes, its counts, the points it calls the field at and its errors. The
 energy and phi_dot logs and the closeness report, taken in row blocks,
 must equal bit for bit the one-pass formulas they replaced, and each
-reduced energy log the per-node call of its formula.
+reduced energy log the per-node call of its formula. _step_plan is
+pinned by hand-counted plans and its refusals.
 """
 
 import dataclasses
@@ -295,6 +296,54 @@ class TestSteppers:
     def test_integral_float_iteration_cap_is_stored_as_int(self):
         cap = IntegratorConfig(newton_max_iter=40.0).newton_max_iter
         assert cap == 40 and type(cap) is int
+
+
+class TestStepPlan:
+    """_step_plan, the one step rule of every stepping loop."""
+
+    @pytest.mark.parametrize("horizon, dt, plan", [
+        (1.0, 0.25, (4, 0.0, 4)),
+        # 0.3 / 0.1 rounds below 3, and 3 steps of 0.1 overshoot 0.3 by
+        # an ulp: three steps, the last node stamped at the horizon.
+        (0.3, 0.1, (3, 0.3 - 3 * 0.1, 3)),
+        (1.0, 0.3, (3, 1.0 - 3 * 0.3, 4)),
+        (0.05, 0.1, (0, 0.05, 1)),
+        (2.0 ** 62, 1.0, (2 ** 62, 0.0, 2 ** 62)),
+    ], ids=["exact_multiple", "rounded_multiple", "partial_last_step",
+            "one_partial_step", "2**62_steps"])
+    def test_plan(self, horizon, dt, plan):
+        assert integrators._step_plan(horizon, dt) == plan
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_a_horizon_not_positive_and_finite(self, horizon):
+        with pytest.raises(ValueError) as excinfo:
+            integrators._step_plan(horizon, 0.1)
+        assert str(excinfo.value) == "horizon must be positive and finite"
+
+    @pytest.mark.parametrize("horizon, dt, message", [
+        (5e-13, 0.1, "takes no step"),
+        (1e300, 1e-10, "steps, too many to store"),
+        (2.0 ** 63, 1.0, "steps, too many to store"),
+        (1e300, 1e-3, "steps, too many to store"),
+    ], ids=["no_step", "overflow_to_inf", "over_sys.maxsize",
+            "far_over_sys.maxsize"])
+    def test_rejects_a_step_count(self, horizon, dt, message):
+        with pytest.raises(ValueError) as excinfo:
+            integrators._step_plan(horizon, dt)
+        assert str(excinfo.value).startswith(
+            f"horizon {horizon:.6g} at dt {dt:.6g} takes ")
+        assert str(excinfo.value).endswith(message)
+
+    @pytest.mark.parametrize("horizon", [1.0, 0.3, 0.05])
+    def test_integrate_autonomous_takes_the_plan(self, horizon):
+        # Node i at i dt, the last at the horizon, one node per step.
+        config = IntegratorConfig(method="rk4", dt=0.1)
+        traj = integrate_autonomous(lambda z: [-z[0]], np.ones(1), horizon,
+                                    config, state_labels=("x",),
+                                    kind="generic", dim_base=1)
+        steps = integrators._step_plan(horizon, 0.1)[2]
+        assert traj.times.tolist() == [i * 0.1 for i in range(steps)] + [
+            horizon]
 
 
 def counted_jacobians(monkeypatch):

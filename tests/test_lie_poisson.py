@@ -15,7 +15,9 @@ for bit the closures over _matvec and _ad_star they replaced
 oracles), signed zeros and non-finite shifts included, and equal
 systems share one compiled field. The one cache of compiled code stays
 within its bound, and a field compiled again after its eviction gives
-the same bits. Non-finite inertia,
+the same bits. The cyclic sum of the Jacobi and cocycle checks, taken
+one leading index at a time, equals the dense dim^4 form bit for bit,
+and an algebra computes it once. Non-finite inertia,
 shift, sigma or xi0 is refused before a step. The invariant logs are
 pinned by float sums written out in index order; EulerSystem.energy is
 the energy log's sum.
@@ -106,6 +108,62 @@ class TestAlgebraData:
         with pytest.raises(ValueError, match="Jacobi"):
             LieAlgebraData(dim=3, structure_constants=c)
 
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_jacobi_enforced_on_a_nan_residual(self):
+        # so(3) scaled by 1e200: each product overflows and the cyclic sum
+        # of inf and -inf is NaN, which every comparison fails.
+        with pytest.raises(ValueError, match="max residual nan exceeds"):
+            LieAlgebraData(dim=3,
+                           structure_constants=so3().structure_constants
+                           * 1e200)
+
+    @pytest.mark.parametrize("n", [3, 5, 8, 13])
+    def test_sliced_residual_is_the_dense_one_bit_for_bit(self, n):
+        # The oracle holds all dim^4 terms a_ijkl at once.
+        def dense(c, t):
+            a = np.einsum("ijm,m...->ij...", c, t)
+            return float(np.max(np.abs(a + np.moveaxis(a, 2, 0)
+                                       + np.moveaxis(a, 0, 2))))
+
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            c = rng.standard_normal((n, n, n))
+            c -= np.transpose(c, (1, 0, 2))
+            sigma = rng.standard_normal((n, n))
+            sigma -= sigma.T
+            for t in (c, sigma):
+                assert lie_poisson._cyclic_residual(c, t) == dense(c, t)
+
+    def test_the_residual_is_computed_once(self, monkeypatch):
+        calls = []
+        real = lie_poisson._cyclic_residual
+
+        def counted(c, t):
+            calls.append(t.ndim)
+            return real(c, t)
+
+        monkeypatch.setattr(lie_poisson, "_cyclic_residual", counted)
+        alg = so3()
+        assert (alg.jacobiator(), alg.jacobiator()) == (0.0, 0.0)
+        assert calls == [3]
+
+    def test_an_unallocatable_residual_raises_value_error(self,
+                                                          monkeypatch):
+        # Faked, so that nothing is allocated for real.
+        def out_of_memory(c, t):
+            raise MemoryError("Unable to allocate 11.9 GiB")
+
+        c = so3().structure_constants
+        monkeypatch.setattr(lie_poisson, "_cyclic_residual", out_of_memory)
+        message = ("dimension 3 is too large: the Jacobi check of its "
+                   "structure constants cannot be allocated")
+        with pytest.raises(ValueError) as excinfo:
+            LieAlgebraData(dim=3, structure_constants=c)
+        assert str(excinfo.value) == message
+        with pytest.raises(ValueError) as excinfo:
+            so3()
+        assert str(excinfo.value) == f"invalid algebra file: {message}"
+
     def test_shape_enforced(self):
         with pytest.raises(ValueError, match="dim"):
             LieAlgebraData(dim=3, structure_constants=np.zeros((2, 2, 2)))
@@ -179,6 +237,18 @@ class TestCocycles:
         sigma[3, 0], sigma[0, 3] = 1.0, -1.0
         assert cocycle_identity_residual(alg, Cocycle(sigma=sigma)) == 1.0
         with pytest.raises(ValueError, match="cocycle identity"):
+            make_cocycle(alg, sigma)
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_make_cocycle_rejects_a_nan_residual(self):
+        # so(3) scaled by 1e150 passes its Jacobi check (1e300 products);
+        # a sigma of 1e200 overflows, and inf - inf leaves NaN.
+        alg = LieAlgebraData(dim=3,
+                             structure_constants=so3().structure_constants
+                             * 1e150)
+        sigma = 1e200 * np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0],
+                                  [1.0, -1.0, 0.0]])
+        with pytest.raises(ValueError, match="max residual nan exceeds"):
             make_cocycle(alg, sigma)
 
     def test_every_antisymmetric_form_closed_on_so3_and_heisenberg(self):

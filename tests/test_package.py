@@ -9,7 +9,9 @@ compensated summation, so a value it forms could differ between CPython
 versions. The command line runs every integration in the calling
 process, so importing it loads no process pool. The compiled full
 field reads the jets' slots as they are (the jet format of
-fastslow.averaging), so its source converts none of them.
+fastslow.averaging), so its source converts none of them. Both
+generated loops read each value of the field in one form, an inline
+list test before _floats.
 """
 
 import ast
@@ -69,6 +71,40 @@ def test_the_midpoint_loop_source_uses_no_builtin_sum(n):
 def test_the_rk4_loop_source_uses_no_builtin_sum(n):
     assert builtin_sum_uses(integrators._rk4_source(n),
                             f"rk4 loop n={n}") == []
+
+
+def field_calls(source: str) -> tuple[list, list]:
+    """The calls of the field f in source, as two lists of source
+    segments: the inline list tests c if type(c := f(...)) is list else
+    _floats(c) that hold one, and the other calls of f or _floats."""
+    tree = ast.parse(source)
+    tests, inside = [], set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.IfExp)
+                and ast.unparse(node.orelse) == "_floats(c)"
+                and isinstance(node.test, ast.Compare)
+                and ast.unparse(node.test).startswith("type((c := f(")
+                and ast.unparse(node.test).endswith(")) is list")):
+            tests.append(ast.unparse(node))
+            inside |= {id(sub) for sub in ast.walk(node)}
+    others = [ast.unparse(node) for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name)
+              and node.func.id in ("f", "_floats") and id(node) not in inside]
+    return tests, others
+
+
+@pytest.mark.parametrize("n", [1, 4, 12])
+def test_the_loops_read_the_field_through_the_inline_list_test(n):
+    # Both generated loops read a value of f in one form: the midpoint
+    # loop at its first step's Euler guess and in its residual (written
+    # before the Newton updates and after each); its one other call of f
+    # is the Jacobian's, which reads arrays.
+    tests, others = field_calls(integrators._midpoint_source(n))
+    assert len(tests) == 3
+    assert others == ["f(x.tolist())"]
+    tests, others = field_calls(integrators._rk4_source(n))
+    assert len(tests) == 4 and others == []
 
 
 @pytest.mark.parametrize("l", [1, 2, 5])

@@ -12,7 +12,9 @@ matches the central differences of its own value slots, and the jets
 of the oracle difference_jets are the stencils of jacobian, gradient
 and phi_derivative exactly (fd: the finite-difference oracles of
 tests/conftest.py). A disk field evaluation and a curvature identity
-residual each call the surface jet five times.
+residual each call the surface jet five times. The physical pendulum
+keeps the clock of integrate_autonomous: node k at k dt exactly, the
+last at the horizon, with the drive phase and energy of those times.
 """
 
 import math
@@ -40,6 +42,7 @@ from fastslow import (DiskParams, DomainError, HarmonicMode,
                       spinning_disk_rhs, uniform_field_averaged)
 from fastslow.averaging import FIBER_GRID
 from fastslow.experiments import TABLE
+from fastslow.integrators import _step_plan
 from fastslow.systems import _disk_local, _stencil
 
 import conftest as fd
@@ -203,6 +206,46 @@ class TestPhysicalPendulum:
         if error is IntegrationError:
             assert excinfo.value.step == 0
 
+    @pytest.mark.parametrize("periods, store_every", [
+        (None, 1), (None, 7), (10.0, 3),
+    ], ids=["partial_last_step", "store_every_7", "whole_periods"])
+    def test_nodes_are_on_the_clock_of_integrate_autonomous(
+            self, periods, store_every):
+        # Node k at k dt and the last at the horizon, each stored with its
+        # drive phase omega t mod 2 pi and the energy of its row, as the
+        # pass over the stored rows gave it; stop_when sees every node.
+        params = PendulumParams(epsilon=5e-3)
+        dt = (2.0 * math.pi / params.omega) / 64.0
+        horizon = 1.0 if periods is None else periods * 64.0 * dt
+        seen = []
+        traj = simulate_physical_pendulum(
+            params, 2.0, 0.3, horizon=horizon, store_every=store_every,
+            stop_when=lambda t, theta, p: seen.append(t))
+        steps = _step_plan(horizon, dt)[2]
+        clock = [k * dt for k in range(steps)] + [horizon]
+        assert seen == clock[1:]
+        assert traj.times.tolist() == clock[::store_every] + (
+            [] if steps % store_every == 0 else [horizon])
+        theta, p, phi = traj.values.T.tolist()
+        assert phi == [math.fmod(params.omega * t, 2.0 * math.pi)
+                       for t in traj.times.tolist()]
+        aml = params.amplitude * params.mu * params.length
+        energy = []
+        for th, pp, ph in zip(theta, p, phi):
+            v = (pp - aml * math.sin(ph) * math.sin(th)) / params.length ** 2
+            energy.append(0.5 * params.length ** 2 * v * v
+                          - params.gravity * params.length * math.cos(th))
+        assert traj.invariant_log["energy"].tolist() == energy
+
+    def test_a_stop_is_stamped_on_the_clock(self):
+        params = PendulumParams(epsilon=5e-3)
+        dt = (2.0 * math.pi / params.omega) / 64.0
+        traj = simulate_physical_pendulum(
+            params, 2.0, 0.3, horizon=1.0, store_every=1000,
+            stop_when=lambda t, theta, p: t >= 500 * dt)
+        assert traj.meta["stopped_at"] == 500 * dt
+        assert traj.times.tolist() == [0.0, 500 * dt]
+
 
 class TestSurfaces:
     def test_gaussian_curvatures(self):
@@ -215,6 +258,17 @@ class TestSurfaces:
             assert abs(gaussian_curvature(plane_surface(), q)) < 1e-9
         assert abs(gaussian_curvature(exponential_surface(),
                                       np.array([0.4, 1.0])) + 1.0) < 1e-9
+
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf,
+                                        -math.inf])
+    def test_sphere_rejects_a_radius_not_positive_and_finite(self, radius):
+        # Unchecked, radius -1 ran as a surface of curvature -1 (its jet
+        # gives d sqrt(a22) = r cos q1 while sqrt(a22) = |r| sin q1), and
+        # 0 or nan failed only at the first step.
+        with pytest.raises(ValueError) as excinfo:
+            sphere_surface(radius)
+        assert str(excinfo.value) == (
+            f"sphere radius must be positive and finite, got {radius!r}")
 
     def test_sphere_connection_closed_form(self):
         surface = sphere_surface(1.0)
