@@ -11,8 +11,10 @@ schemas. What each experiment computes and checks is defined in
 fastslow.experiments.
 
 Runs are deterministic: the same config produces byte-identical output
-files (no wall-clock content, fixed float formatting with 17 significant
-digits).
+files (no wall-clock content; every float is written as its repr, the
+shortest text that reads back as the same float). A trajectory's CSV and
+its JSON twin are written in one pass that formats each float once, so
+their numbers are the same text.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from array import array
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -300,23 +304,86 @@ def _columns(trajectory: Trajectory) -> list[tuple[str, np.ndarray]]:
     return columns
 
 
-def emit_csv(trajectory: Trajectory, path: str | Path) -> None:
-    """Write `t,<state columns>,energy,momentum` with 17 digit floats.
+# json.dumps's names for the floats whose repr is nan, inf and -inf.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-    The format round-trips float64 exactly and the bytes depend only on
-    the trajectory, so identical runs give identical files. An empty
-    trajectory produces just the header line. The rows are formatted and
-    written one block at a time (integrators._row_blocks), so the writer
-    holds one block beyond the trajectory itself. A log without one value
-    per node raises ValueError before the file is opened.
+
+def _texts(column: np.ndarray) -> list[str]:
+    """repr of each float: the shortest text that reads back as it."""
+    return list(map(repr, column.tolist()))
+
+
+def _json_body(texts: list[str]) -> str:
+    """Float texts as json.dumps writes their list, without brackets."""
+    body = ", ".join(texts)
+    if "n" in body:  # nan, inf or -inf: no finite repr has an n
+        body = ", ".join([_JSON_NONFINITE.get(text, text) for text in texts])
+    return body
+
+
+def _write_json(fh, columns: list[tuple[str, np.ndarray]], kind: str,
+                meta: str, bodies) -> None:
+    """Write emit_json's document to fh, bodies(i) giving the list body
+    of column i one block at a time."""
+    # A name that repeats keeps its later column, as in a dict of them.
+    order = {name: i for i, (name, _) in enumerate(columns)}
+    fh.write(f'{{"column_order": {json.dumps([n for n, _ in columns])}, '
+             '"columns": {')
+    for k, name in enumerate(sorted(order)):
+        fh.write(f'{", " if k else ""}{json.dumps(name)}: [')
+        for j, body in enumerate(bodies(order[name])):
+            fh.write(f", {body}" if j else body)
+        fh.write("]")
+    fh.write(f'}}, "kind": {json.dumps(kind)}, "metadata": {meta}}}')
+
+
+def emit_csv(trajectory: Trajectory, path: str | Path,
+             twin: str | Path | None = None,
+             metadata: dict | None = None) -> None:
+    """Write `t,<state columns>,energy,momentum`, and with twin its JSON
+    twin (emit_json's bytes, with metadata) from the same float texts.
+
+    Every float is written as its repr, the shortest text that reads
+    back as the same float64, so the file round-trips exactly and its
+    bytes depend only on the trajectory. An empty trajectory produces
+    just the header line. The rows are formatted one block at a time
+    (integrators._row_blocks), each float once for both files, so the
+    writer holds one block beyond the trajectory itself. The twin's
+    column-major text is spooled block by block to a temporary file in
+    its directory, which no outcome leaves behind, and copied out column
+    by column. A log without one value per node (ValueError) and
+    metadata json cannot encode (TypeError, ValueError) raise before
+    either file is opened.
     """
     columns = _columns(trajectory)
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(name for name, _ in columns) + "\n")
-        for rows in _row_blocks(len(trajectory)):
-            fh.writelines(row % values for values in zip(
-                *(column[rows].tolist() for _, column in columns)))
+    meta = None if twin is None else json.dumps(metadata or {},
+                                                sort_keys=True)
+    with (nullcontext() if twin is None else tempfile.TemporaryFile(
+            dir=Path(twin).parent)) as spool:
+        # (offset, length) in the spool of each column of each block.
+        index = []
+        with open(path, "w") as fh:
+            fh.write(",".join(name for name, _ in columns) + "\n")
+            for rows in _row_blocks(len(trajectory)):
+                texts = [_texts(column[rows]) for _, column in columns]
+                fh.write("\n".join(map(",".join, zip(*texts))))
+                fh.write("\n")
+                if spool is not None:
+                    for column in texts:
+                        body = _json_body(column).encode()
+                        index.append((spool.tell(), len(body)))
+                        spool.write(body)
+                # Freed now, or the next block's texts are made while
+                # these live.
+                del texts
+        if spool is not None:
+            def bodies(i):
+                for start, length in index[i::len(columns)]:
+                    spool.seek(start)
+                    yield spool.read(length).decode()
+
+            with open(twin, "w") as fh:
+                _write_json(fh, columns, trajectory.kind, meta, bodies)
 
 
 def read_csv(path: str | Path) -> dict[str, np.ndarray]:
@@ -325,10 +392,14 @@ def read_csv(path: str | Path) -> dict[str, np.ndarray]:
     The rows are parsed one line at a time into one flat array of
     floats, so the reader holds the floats and one line. A row with
     another number of fields than the header raises ValueError naming
-    its line; a header-only file gives empty columns.
+    its line; a header-only file gives empty columns, and a file without
+    a header line (an empty one) raises ValueError naming the path.
     """
     with open(path) as fh:
-        names = fh.readline().rstrip("\n").split(",")
+        header = fh.readline().rstrip("\n")
+        if not header:
+            raise ValueError(f"{path}: no header line")
+        names = header.split(",")
         data = array("d")
         for number, line in enumerate(fh, start=2):
             fields = line.split(",")
@@ -343,34 +414,31 @@ def read_csv(path: str | Path) -> dict[str, np.ndarray]:
 
 def emit_json(trajectory: Trajectory, path: str | Path,
               metadata: dict | None = None) -> None:
-    """JSON mirror of emit_csv plus run metadata.
+    """JSON mirror of emit_csv plus run metadata, for a run that writes
+    no CSV.
 
     The bytes are json.dumps(doc, sort_keys=True) of the doc with keys
     column_order, columns, kind and metadata; columns maps each name of
     emit_csv's header to its list of floats, and a name that repeats
-    keeps its later column. The file is written piece by piece, each
-    column one block of rows at a time (integrators._row_blocks), so the
-    writer holds one block beyond the trajectory itself. The metadata is
-    serialized first: metadata json cannot encode raises (TypeError,
-    ValueError) and leaves no file, as does a log without one value per
-    node (ValueError).
+    keeps its later column. Each float is emit_csv's repr text, and nan,
+    inf and -inf are NaN, Infinity and -Infinity, as json.dumps writes
+    them. The file is written piece by piece, each column one block of
+    rows at a time (integrators._row_blocks), so the writer holds one
+    block beyond the trajectory itself. The metadata is serialized
+    first: metadata json cannot encode raises (TypeError, ValueError)
+    and leaves no file, as does a log without one value per node
+    (ValueError).
     """
     meta = json.dumps(metadata or {}, sort_keys=True)
-    pairs = _columns(trajectory)
-    columns = dict(pairs)
+    columns = _columns(trajectory)
+
+    def bodies(i):
+        column = columns[i][1]
+        for rows in _row_blocks(len(column)):
+            yield _json_body(_texts(column[rows]))
+
     with open(path, "w") as fh:
-        fh.write(f'{{"column_order": {json.dumps([n for n, _ in pairs])}, '
-                 '"columns": {')
-        for k, name in enumerate(sorted(columns)):
-            fh.write(f'{", " if k else ""}{json.dumps(name)}: [')
-            column = columns[name]
-            for j, rows in enumerate(_row_blocks(len(column))):
-                # Each block's list without its brackets, joined by ", ".
-                text = json.dumps(column[rows].tolist())[1:-1]
-                fh.write(f", {text}" if j else text)
-            fh.write("]")
-        fh.write(f'}}, "kind": {json.dumps(trajectory.kind)}, '
-                 f'"metadata": {meta}}}')
+        _write_json(fh, columns, trajectory.kind, meta, bodies)
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +479,12 @@ class VerificationReport:
 def _write_trajectory(trajectory: Trajectory, stem: Path,
                       config: ExperimentConfig, metadata: dict) -> None:
     # Not Path.with_suffix: stems like "full_eps0.01" would lose ".01".
-    if "csv" in config.formats:
-        emit_csv(trajectory, stem.parent / (stem.name + ".csv"))
-    if "json" in config.formats:
-        emit_json(trajectory, stem.parent / (stem.name + ".json"), metadata)
+    twin = stem.parent / (stem.name + ".json")
+    if "csv" not in config.formats:
+        emit_json(trajectory, twin, metadata)
+    else:
+        emit_csv(trajectory, stem.parent / (stem.name + ".csv"),
+                 twin if "json" in config.formats else None, metadata)
 
 
 def run_experiment(config: ExperimentConfig,

@@ -64,8 +64,11 @@ PREDICTOR_MAX_ORDER = 5
 _COMPILED_MAX = 256  # the most recently used functions _compiled keeps
 # Rows per block of a pass over a whole trajectory (every node log,
 # closeness_report, and the writers of fastslow.cli), so that a pass
-# holds one block of Python floats or temporaries at a time.
-_BLOCK_ROWS = 4096
+# holds one block of Python floats or temporaries at a time. The writers
+# hold the repr text of a whole block, about 70 bytes a float: at 4096
+# rows that raised the peak RSS of `fastslow verify euler` by 3 MB
+# (8%); at 512 rows a block of 7 columns holds about 0.25 MB.
+_BLOCK_ROWS = 512
 
 
 def _row_blocks(n: int):

@@ -1,12 +1,15 @@
 """Tests for the config front end, file formats, and experiment runner.
 
 Oracles: the config grammar is small enough to enumerate violations by
-hand with their line numbers; CSV output at 17 significant digits must
+hand with their line numbers; CSV output, each float its repr, must
 round-trip float64 bit-exactly; and runs are deterministic, so byte
 comparison across repeated runs is the ground truth for the output
 contract. The block writers must give the bytes of the one-shot writers
-they replaced, kept here verbatim, and hold one block of rows beyond the
-trajectory whatever its length.
+they replaced, kept here verbatim but for the CSV float format (repr
+where it was %.17g), and hold one block of rows beyond the trajectory
+whatever its length. A CSV and its JSON twin written in one call share
+their number text: each CSV field is the JSON number token, json.dumps's
+NaN, Infinity and -Infinity standing for nan, inf and -inf.
 """
 
 import json
@@ -59,14 +62,15 @@ output_dir = out
 
 
 def reference_emit_csv(trajectory: Trajectory, path) -> None:
-    """The one-shot emit_csv that the block writer replaced, verbatim."""
+    """The one-shot emit_csv that the block writer replaced, verbatim but
+    for its float format, moved from %.17g to repr (%r)."""
     n = len(trajectory)
     energy = trajectory.invariant_log.get("energy", np.zeros(n))
     momentum = trajectory.invariant_log.get("momentum", np.zeros(n))
     cols = ["t", *trajectory.state_labels, "energy", "momentum"]
     table = np.column_stack([trajectory.times, trajectory.values, energy,
                              momentum])
-    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    row = ",".join(["%r"] * len(cols)) + "\n"
     # One tolist of the columns, rows zipped from them and written one by
     # one: no row list is made, and the rows' text is never held at once.
     with open(path, "w") as fh:
@@ -139,6 +143,17 @@ def oracle_trajectory(kind: str, n: int) -> Trajectory:
         kind="generic" if kind == "collision" else kind, dim_base=1,
         invariant_log={name: data[:, len(labels) + j]
                        for j, name in enumerate(logs)})
+
+
+def oracle_columns(trajectory: Trajectory) -> dict[str, np.ndarray]:
+    """The output columns by name, a repeated name keeping its later
+    column, a missing log zeros."""
+    n = len(trajectory)
+    log = trajectory.invariant_log
+    return dict([("t", trajectory.times),
+                 *zip(trajectory.state_labels, trajectory.values.T),
+                 *((name, log.get(name, np.zeros(n)))
+                   for name in ("energy", "momentum"))])
 
 
 def small_trajectory():
@@ -311,7 +326,7 @@ class TestOutputFiles:
         assert len(lines) == 3
         assert lines[0] == "t,a,b,energy,momentum"
         assert lines[2] == ",".join(
-            format(v, ".17g") for v in (0.5, 3.0, 4.0, 0.125, 1.0))
+            map(repr, (0.5, 3.0, 4.0, 0.125, 1.0)))
 
     def test_csv_round_trip_is_bit_exact(self, tmp_path):
         system = EulerSystem(algebra=so3(), inertia=np.diag([1.0, 2.0, 3.0]))
@@ -355,6 +370,44 @@ class TestBlockedEmission:
         assert ((tmp_path / "block.json").read_bytes()
                 == (tmp_path / "ref.json").read_bytes())
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize(
+        "n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_one_call_writes_both_files_from_one_text(self, tmp_path, kind,
+                                                      n):
+        traj = oracle_trajectory(kind, n)
+        csv, twin = tmp_path / "traj.csv", tmp_path / "traj.json"
+        emit_csv(traj, csv, twin=twin, metadata=NESTED_METADATA)
+        reference_emit_csv(traj, tmp_path / "ref.csv")
+        reference_emit_json(traj, tmp_path / "ref.json", NESTED_METADATA)
+        assert csv.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert twin.read_bytes() == (tmp_path / "ref.json").read_bytes()
+        # Each CSV field is the JSON number token of the same value.
+        header, *lines = csv.read_text().splitlines()
+        rows = [line.split(",") for line in lines]
+        fields = {name: [row[i] for row in rows]
+                  for i, name in enumerate(header.split(","))}
+        with open(twin) as fh:
+            doc = json.load(fh, parse_float=str, parse_constant=str)
+        json_name = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+        assert list(doc["columns"]) == sorted(fields)
+        for name, texts in fields.items():
+            assert doc["columns"][name] == [json_name.get(text, text)
+                                            for text in texts], name
+        # Both files read back bit for bit.
+        want = oracle_columns(traj)
+        got_csv = read_csv(csv)
+        with open(twin) as fh:
+            got_json = json.load(fh)["columns"]
+        assert list(got_csv) == list(want) and sorted(got_json) == sorted(
+            want)
+        for name, column in want.items():
+            assert got_csv[name].tobytes() == column.tobytes(), name
+            assert (np.array(got_json[name], dtype=float).tobytes()
+                    == column.tobytes()), name
+        assert sorted(os.listdir(tmp_path)) == [
+            "ref.csv", "ref.json", "traj.csv", "traj.json"]
+
     def test_json_without_metadata(self, tmp_path):
         traj = oracle_trajectory("full", BLOCK + 1)
         emit_json(traj, tmp_path / "block.json")
@@ -363,8 +416,9 @@ class TestBlockedEmission:
                 == (tmp_path / "ref.json").read_bytes())
 
     def test_log_of_another_length(self, tmp_path):
-        # Both writers reject a shorter or a longer log before the file
-        # is opened.
+        # Every writer rejects a shorter or a longer log before a file is
+        # opened; the call that writes both files leaves neither, and no
+        # spool.
         traj = oracle_trajectory("full", BLOCK + 1)
         energy = traj.invariant_log["energy"]
         for log in (energy[:-1], np.append(energy, 0.0)):
@@ -376,23 +430,54 @@ class TestBlockedEmission:
             with pytest.raises(ValueError, match="'energy'"):
                 emit_json(traj, tmp_path / "traj.json")
             assert not (tmp_path / "traj.json").exists()
+            with pytest.raises(ValueError, match="'energy'"):
+                emit_csv(traj, tmp_path / "traj.csv",
+                         twin=tmp_path / "traj.json",
+                         metadata=NESTED_METADATA)
+            assert os.listdir(tmp_path) == []
 
     def test_unserializable_metadata_leaves_no_file(self, tmp_path):
-        path = tmp_path / "traj.json"
-        with pytest.raises(TypeError):
-            emit_json(small_trajectory(), path, metadata={"x": object()})
-        assert not path.exists()
+        # json.dumps cannot encode an object (TypeError) or a dict that
+        # holds itself (ValueError).
+        circular = {}
+        circular["self"] = circular
+        path, csv = tmp_path / "traj.json", tmp_path / "traj.csv"
+        for metadata, error in (({"x": object()}, TypeError),
+                                (circular, ValueError)):
+            with pytest.raises(error):
+                emit_json(small_trajectory(), path, metadata=metadata)
+            assert not path.exists()
+            with pytest.raises(error):
+                emit_csv(small_trajectory(), csv, twin=path,
+                         metadata=metadata)
+            assert os.listdir(tmp_path) == []
 
-    def test_emission_memory_beyond_the_trajectory_is_one_block(self):
+    def test_a_failed_twin_leaves_no_spool(self, tmp_path):
+        # The twin's path is a directory, so its open fails after the
+        # CSV is written: the CSV stays, and nothing else is left.
+        (tmp_path / "traj.json").mkdir()
+        with pytest.raises(IsADirectoryError):
+            emit_csv(oracle_trajectory("full", BLOCK + 1),
+                     tmp_path / "traj.csv", twin=tmp_path / "traj.json")
+        assert sorted(os.listdir(tmp_path)) == ["traj.csv", "traj.json"]
+        assert os.listdir(tmp_path / "traj.json") == []
+
+    def test_emission_memory_beyond_the_trajectory_is_one_block(
+            self, tmp_path):
         def emission_peak(n: int) -> int:
             traj = oracle_trajectory("generic", n)
             tracemalloc.start()
             try:
                 emit_csv(traj, os.devnull)
-                csv_peak = tracemalloc.get_traced_memory()[1]
+                peaks = [tracemalloc.get_traced_memory()[1]]
                 tracemalloc.reset_peak()
                 emit_json(traj, os.devnull, NESTED_METADATA)
-                return max(csv_peak, tracemalloc.get_traced_memory()[1])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.reset_peak()
+                emit_csv(traj, tmp_path / "traj.csv",
+                         twin=tmp_path / "traj.json",
+                         metadata=NESTED_METADATA)
+                return max(*peaks, tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
 
@@ -428,6 +513,14 @@ class TestLineRead:
         path = tmp_path / "ragged.csv"
         path.write_text(f"t,a,b\n1,2,3\n{row}\n7,8,9\n")
         with pytest.raises(ValueError, match="line 3 has"):
+            read_csv(path)
+
+    @pytest.mark.parametrize("text", ["", "\n"], ids=["empty", "blank"])
+    def test_a_file_without_a_header_names_its_path(self, tmp_path, text):
+        # A truncated output reads as no columns, not as a column "".
+        path = tmp_path / "truncated.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="truncated.csv: no header"):
             read_csv(path)
 
     def test_read_memory_beyond_the_floats_is_bounded(self, tmp_path):
@@ -476,6 +569,26 @@ class TestRunExperiment:
                 (base / "out" / "euler.csv").read_bytes(),
                 (base / "out" / "report.json").read_bytes()))
         assert outputs[0] == outputs[1]
+
+    def test_one_format_alone_writes_the_bytes_of_both(self, tmp_path):
+        # A config of one format writes only that file, with the bytes
+        # the default (both formats, one call) gives it.
+        config = parse_config(EULER_FAST_CONFIG)
+        files = {}
+        for formats in (("csv", "json"), ("csv",), ("json",)):
+            base = tmp_path / "_".join(formats)
+            base.mkdir()
+            run_experiment(replace(config, formats=formats), base_dir=base)
+            files[formats] = {path.name: path.read_bytes()
+                              for path in (base / "out").iterdir()}
+        both = files[("csv", "json")]
+        assert sorted(both) == ["euler.csv", "euler.json", "report.json"]
+        assert sorted(files[("csv",)]) == ["euler.csv", "report.json"]
+        assert files[("csv",)]["euler.csv"] == both["euler.csv"]
+        # The JSON's metadata holds the config, whose formats differ.
+        assert sorted(files[("json",)]) == ["euler.json", "report.json"]
+        assert files[("json",)]["euler.json"].replace(
+            b"formats = json", b"formats = csv, json") == both["euler.json"]
 
     def test_custom_algebra_file(self, tmp_path):
         (tmp_path / "my_algebra.alg").write_text(SO3_FILE_TEXT)
