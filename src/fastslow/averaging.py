@@ -55,6 +55,7 @@ slower, and the values it feeds are then numpy floats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -97,6 +98,11 @@ def fiber_mean(samples: np.ndarray) -> np.ndarray:
     return np.mean(np.asarray(samples, dtype=float), axis=0)
 
 
+def _check_mu(mu: float) -> None:
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu!r}")
+
+
 @dataclass(frozen=True)
 class FastSlowSystem:
     """Coefficient data of a fast-oscillating natural Hamiltonian system.
@@ -119,6 +125,7 @@ class FastSlowSystem:
             raise ValueError("dim_base must be a positive integer")
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
+        _check_mu(self.mu)
 
     @property
     def omega(self) -> float:
@@ -171,6 +178,7 @@ class AveragedSystem:
     def __post_init__(self) -> None:
         if self.dim_base < 1:
             raise ValueError("dim_base must be a positive integer")
+        _check_mu(self.mu)
 
 
 def average_coefficients(system: FastSlowSystem,

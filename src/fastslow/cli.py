@@ -12,9 +12,11 @@ fastslow.experiments.
 
 Runs are deterministic: the same config produces byte-identical output
 files (no wall-clock content; every float is written as its repr, the
-shortest text that reads back as the same float). A trajectory's CSV and
-its JSON twin are written in one pass that formats each float once, so
-their numbers are the same text.
+shortest text that reads back as the same float). The writer alone
+decides a trajectory file's columns: t, the state, then the energy and
+momentum logs the trajectory has, each once. A trajectory's CSV and its
+JSON twin, or its JSON alone, are written in one block pass (_emit) that
+formats each float once, so their numbers are the same text.
 """
 
 from __future__ import annotations
@@ -288,15 +290,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def _columns(trajectory: Trajectory) -> list[tuple[str, np.ndarray]]:
     """The output columns in file order, as (name, view) pairs: t, the
-    state columns, energy and momentum, a missing log read as zeros. A
-    column without one value per node raises ValueError."""
+    state columns, then whichever of the energy and momentum logs the
+    trajectory has. A column without one value per node raises
+    ValueError."""
     n = len(trajectory)
-    zeros = np.broadcast_to(0.0, (n,))
     log = trajectory.invariant_log
     columns = [("t", trajectory.times),
                *zip(trajectory.state_labels, trajectory.values.T),
-               *((name, np.asarray(log.get(name, zeros), dtype=float))
-                 for name in ("energy", "momentum"))]
+               *((name, np.asarray(log[name], dtype=float))
+                 for name in ("energy", "momentum") if name in log)]
     for name, column in columns:
         if np.shape(column) != (n,):
             raise ValueError(f"column {name!r} has shape {np.shape(column)}, "
@@ -321,38 +323,17 @@ def _json_body(texts: list[str]) -> str:
     return body
 
 
-def _write_json(fh, columns: list[tuple[str, np.ndarray]], kind: str,
-                meta: str, bodies) -> None:
-    """Write emit_json's document to fh, bodies(i) giving the list body
-    of column i one block at a time."""
-    # A name that repeats keeps its later column, as in a dict of them.
-    order = {name: i for i, (name, _) in enumerate(columns)}
-    fh.write(f'{{"column_order": {json.dumps([n for n, _ in columns])}, '
-             '"columns": {')
-    for k, name in enumerate(sorted(order)):
-        fh.write(f'{", " if k else ""}{json.dumps(name)}: [')
-        for j, body in enumerate(bodies(order[name])):
-            fh.write(f", {body}" if j else body)
-        fh.write("]")
-    fh.write(f'}}, "kind": {json.dumps(kind)}, "metadata": {meta}}}')
+def _emit(trajectory: Trajectory, path: str | Path | None,
+          twin: str | Path | None, metadata: dict | None) -> None:
+    """Write the CSV at path and the JSON at twin, either one None for no
+    file, in one pass over the rows that formats each float once.
 
-
-def emit_csv(trajectory: Trajectory, path: str | Path,
-             twin: str | Path | None = None,
-             metadata: dict | None = None) -> None:
-    """Write `t,<state columns>,energy,momentum`, and with twin its JSON
-    twin (emit_json's bytes, with metadata) from the same float texts.
-
-    Every float is written as its repr, the shortest text that reads
-    back as the same float64, so the file round-trips exactly and its
-    bytes depend only on the trajectory. An empty trajectory produces
-    just the header line. The rows are formatted one block at a time
-    (integrators._row_blocks), each float once for both files, so the
-    writer holds one block beyond the trajectory itself. The twin's
-    column-major text is spooled block by block to a temporary file in
-    its directory, which no outcome leaves behind, and copied out column
-    by column. A log without one value per node (ValueError) and
-    metadata json cannot encode (TypeError, ValueError) raise before
+    The rows are formatted one block at a time (integrators._row_blocks),
+    so the writer holds one block beyond the trajectory itself. The
+    JSON's column-major text is spooled block by block to a temporary
+    file in its directory, which no outcome leaves behind, and copied
+    out column by column. A log without one value per node (ValueError)
+    and metadata json cannot encode (TypeError, ValueError) raise before
     either file is opened.
     """
     columns = _columns(trajectory)
@@ -362,28 +343,55 @@ def emit_csv(trajectory: Trajectory, path: str | Path,
             dir=Path(twin).parent)) as spool:
         # (offset, length) in the spool of each column of each block.
         index = []
-        with open(path, "w") as fh:
-            fh.write(",".join(name for name, _ in columns) + "\n")
+        with (nullcontext() if path is None else open(path, "w")) as fh:
+            if fh is not None:
+                fh.write(",".join(name for name, _ in columns) + "\n")
             for rows in _row_blocks(len(trajectory)):
                 texts = [_texts(column[rows]) for _, column in columns]
-                fh.write("\n".join(map(",".join, zip(*texts))))
-                fh.write("\n")
+                if fh is not None:
+                    fh.write("\n".join(map(",".join, zip(*texts))))
+                    fh.write("\n")
                 if spool is not None:
-                    for column in texts:
-                        body = _json_body(column).encode()
-                        index.append((spool.tell(), len(body)))
-                        spool.write(body)
+                    # A comprehension, so that no name outlives the loop
+                    # holding a column's texts or body.
+                    index += [(spool.tell(),
+                               spool.write(_json_body(column).encode()))
+                              for column in texts]
                 # Freed now, or the next block's texts are made while
                 # these live.
                 del texts
-        if spool is not None:
-            def bodies(i):
-                for start, length in index[i::len(columns)]:
+        if spool is None:
+            return
+        # A name that repeats keeps its later column, as in a dict of them.
+        order = {name: i for i, (name, _) in enumerate(columns)}
+        with open(twin, "w") as fh:
+            fh.write(f'{{"column_order": '
+                     f'{json.dumps([n for n, _ in columns])}, "columns": {{')
+            for k, name in enumerate(sorted(order)):
+                fh.write(f'{", " if k else ""}{json.dumps(name)}: [')
+                for j, (start, length) in enumerate(
+                        index[order[name]::len(columns)]):
                     spool.seek(start)
-                    yield spool.read(length).decode()
+                    body = spool.read(length).decode()
+                    fh.write(f", {body}" if j else body)
+                fh.write("]")
+            fh.write(f'}}, "kind": {json.dumps(trajectory.kind)}, '
+                     f'"metadata": {meta}}}')
 
-            with open(twin, "w") as fh:
-                _write_json(fh, columns, trajectory.kind, meta, bodies)
+
+def emit_csv(trajectory: Trajectory, path: str | Path,
+             twin: str | Path | None = None,
+             metadata: dict | None = None) -> None:
+    """Write `t,<state columns>` and then whichever of the energy and
+    momentum logs the trajectory has, and with twin its JSON twin
+    (emit_json's bytes, with metadata), in _emit's one block pass.
+
+    Every float is written as its repr, the shortest text that reads
+    back as the same float64, so the file round-trips exactly and its
+    bytes depend only on the trajectory. An empty trajectory produces
+    just the header line.
+    """
+    _emit(trajectory, path, twin, metadata)
 
 
 def read_csv(path: str | Path) -> dict[str, np.ndarray]:
@@ -422,23 +430,10 @@ def emit_json(trajectory: Trajectory, path: str | Path,
     emit_csv's header to its list of floats, and a name that repeats
     keeps its later column. Each float is emit_csv's repr text, and nan,
     inf and -inf are NaN, Infinity and -Infinity, as json.dumps writes
-    them. The file is written piece by piece, each column one block of
-    rows at a time (integrators._row_blocks), so the writer holds one
-    block beyond the trajectory itself. The metadata is serialized
-    first: metadata json cannot encode raises (TypeError, ValueError)
-    and leaves no file, as does a log without one value per node
-    (ValueError).
+    them. The file is written by _emit's one block pass, as emit_csv's
+    twin is.
     """
-    meta = json.dumps(metadata or {}, sort_keys=True)
-    columns = _columns(trajectory)
-
-    def bodies(i):
-        column = columns[i][1]
-        for rows in _row_blocks(len(column)):
-            yield _json_body(_texts(column[rows]))
-
-    with open(path, "w") as fh:
-        _write_json(fh, columns, trajectory.kind, meta, bodies)
+    _emit(trajectory, None, path, metadata)
 
 
 # ---------------------------------------------------------------------------

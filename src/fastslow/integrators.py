@@ -148,11 +148,13 @@ class Trajectory:
     one state per row. derivs, the state derivative in the same clock as
     times for cubic Hermite interpolation, is set by
     integrate_reduced_canonical only and is None on every other
-    trajectory. invariant_log maps names to arrays aligned with times:
-    integrate_full logs "energy", "momentum" (gamma) and "phi_dot"; the
-    integrate_reduced_* wrappers "energy" and the constant "momentum" mu;
-    integrate_euler "energy", "momentum" (|xi|^2) and "casimir_shifted";
-    a bare integrate_autonomous run has no logs.
+    trajectory. invariant_log maps names to arrays aligned with times,
+    and holds only quantities that are not already state columns:
+    integrate_full logs "energy" and "phi_dot" (gamma is its state
+    column); the integrate_reduced_* wrappers "energy" and the constant
+    "momentum" mu; integrate_euler "energy", "momentum" (|xi|^2) and
+    "casimir_shifted"; simulate_physical_pendulum "energy"; a bare
+    integrate_autonomous run has no logs.
     """
 
     times: np.ndarray
@@ -656,12 +658,12 @@ def integrate_full(system: FastSlowSystem, state0: PhaseStateFull,
 
     horizon and config.dt are measured in the fast time tau and horizon
     may not exceed 10 / epsilon; the returned time column is the slow
-    time t = eps * tau. Energy, the fiber momentum gamma, and the fiber
-    speed dphi/dtau (negated for a backward run) are logged at every
-    node. The stored phi column is wrapped to [0, 2*pi). There are no
-    derivs, so "rhs_evals" counts the solver's evaluations alone. The
-    logs are taken in one node pass (_nodes), so they hold one block of
-    Python floats at most.
+    time t = eps * tau. Energy and the fiber speed dphi/dtau (negated
+    for a backward run) are logged at every node; the fiber momentum
+    gamma is the last state column. The stored phi column is wrapped to
+    [0, 2*pi). There are no derivs, so "rhs_evals" counts the solver's
+    evaluations alone. The logs are taken in one node pass (_nodes), so
+    they hold one block of Python floats at most.
     """
     eps = system.epsilon
     _check_horizon(horizon, eps)
@@ -684,9 +686,7 @@ def integrate_full(system: FastSlowSystem, state0: PhaseStateFull,
         energy[i], phi_dot[i] = system.energy_and_fiber_speed(
             z[:l], z[l:2 * l], z[2 * l], z[2 * l + 1])
     phi_dot *= sign
-    traj.invariant_log = {"energy": energy,
-                          "momentum": traj.values[:, 2 * l + 1].copy(),
-                          "phi_dot": phi_dot}
+    traj.invariant_log = {"energy": energy, "phi_dot": phi_dot}
     traj.times = eps * traj.times
     traj.values[:, 2 * l] = np.mod(traj.values[:, 2 * l], TWO_PI)
     return traj

@@ -46,6 +46,21 @@ from .integrators import IntegrationError, Trajectory, _check_horizon, \
 TWO_PI = 2.0 * np.pi
 
 
+def _check_finite(params, positive: tuple[str, ...],
+                  real: tuple[str, ...]) -> None:
+    """Raise ValueError for the first field named in positive that is not
+    positive and finite, or in real that is not finite."""
+    for name in positive:
+        value = getattr(params, name)
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, "
+                             f"got {value!r}")
+    for name in real:
+        value = getattr(params, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Vertically driven pendulum
 
@@ -66,9 +81,8 @@ class PendulumParams:
     epsilon: float = 5e-3
 
     def __post_init__(self) -> None:
-        for name in ("length", "gravity", "amplitude", "epsilon"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+        _check_finite(self, ("length", "gravity", "amplitude", "epsilon"),
+                      ("mu",))
 
     @property
     def omega(self) -> float:
@@ -218,8 +232,7 @@ def simulate_physical_pendulum(params: PendulumParams, theta0: float,
     return Trajectory(
         times=table[:, 0], values=table[:, 1:4],
         state_labels=("theta", "p_theta", "phi"), kind="pendulum_physical",
-        dim_base=1, invariant_log={"energy": table[:, 4],
-                                   "momentum": np.zeros(len(rows))},
+        dim_base=1, invariant_log={"energy": table[:, 4]},
         meta={"omega": omega, "clock": "physical", "stopped_at": stopped_at})
 
 
@@ -425,9 +438,10 @@ class DiskParams:
     omega_axial: float = 2.0
 
     def __post_init__(self) -> None:
-        for name in ("mass", "inertia_axial"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+        _check_finite(self, ("mass", "inertia_axial"), ("omega_axial",))
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu = inertia_axial * omega_axial must be "
+                             f"finite, got {self.mu!r}")
 
     @property
     def mu(self) -> float:

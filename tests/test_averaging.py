@@ -4,6 +4,8 @@ Expected values are hand-computed closed forms: trigonometric moments
 (mean of cos^2 is 1/2) and Bessel integrals for quadrature exactness.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,6 +127,19 @@ class TestAverageCoefficients:
         assert np.isnan(err.value.residual)
         assert str(err.value) == (
             "coefficient U1 has nonzero fiber mean nan at q=[0.]")
+
+    @pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mu_refused_by_both_systems(self, mu):
+        # Unchecked, a particle with mu = inf failed only at its first
+        # step, as "non-finite entries in phase state".
+        with pytest.raises(ValueError) as err:
+            particle_systems(particle_potential_1d(), 0.01, mu)
+        assert str(err.value) == f"mu must be finite, got {mu!r}"
+        system, avg = particle_systems(particle_potential_1d(), 0.01)
+        for made in (lambda: replace(system, mu=mu),
+                     lambda: replace(avg, mu=mu)):
+            with pytest.raises(ValueError, match="^mu must be finite, got"):
+                made()
 
     def test_nonpositive_total_inertia_raises(self):
         system = constant_coefficient_system(

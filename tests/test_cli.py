@@ -6,10 +6,12 @@ round-trip float64 bit-exactly; and runs are deterministic, so byte
 comparison across repeated runs is the ground truth for the output
 contract. The block writers must give the bytes of the one-shot writers
 they replaced, kept here verbatim but for the CSV float format (repr
-where it was %.17g), and hold one block of rows beyond the trajectory
-whatever its length. A CSV and its JSON twin written in one call share
-their number text: each CSV field is the JSON number token, json.dumps's
-NaN, Infinity and -Infinity standing for nan, inf and -inf.
+where it was %.17g) and for the logs (a log the trajectory lacks is left
+out, where it was written as zeros), and hold one block of rows beyond
+the trajectory whatever its length. A CSV and its JSON twin written in
+one call share their number text: each CSV field is the JSON number
+token, json.dumps's NaN, Infinity and -Infinity standing for nan, inf
+and -inf.
 """
 
 import json
@@ -63,13 +65,15 @@ output_dir = out
 
 def reference_emit_csv(trajectory: Trajectory, path) -> None:
     """The one-shot emit_csv that the block writer replaced, verbatim but
-    for its float format, moved from %.17g to repr (%r)."""
-    n = len(trajectory)
-    energy = trajectory.invariant_log.get("energy", np.zeros(n))
-    momentum = trajectory.invariant_log.get("momentum", np.zeros(n))
-    cols = ["t", *trajectory.state_labels, "energy", "momentum"]
-    table = np.column_stack([trajectory.times, trajectory.values, energy,
-                             momentum])
+    for its float format, moved from %.17g to repr (%r), and for its
+    logs: each of energy and momentum is written only if the trajectory
+    has it, where the one-shot writer wrote zeros."""
+    logs = [name for name in ("energy", "momentum")
+            if name in trajectory.invariant_log]
+    cols = ["t", *trajectory.state_labels, *logs]
+    table = np.column_stack([trajectory.times, trajectory.values,
+                             *(trajectory.invariant_log[name]
+                               for name in logs)])
     row = ",".join(["%r"] * len(cols)) + "\n"
     # One tolist of the columns, rows zipped from them and written one by
     # one: no row list is made, and the rows' text is never held at once.
@@ -80,17 +84,18 @@ def reference_emit_csv(trajectory: Trajectory, path) -> None:
 
 def reference_emit_json(trajectory: Trajectory, path,
                         metadata: dict | None = None) -> None:
-    """The one-shot emit_json that the block writer replaced, verbatim."""
-    n = len(trajectory)
-    energy = trajectory.invariant_log.get("energy", np.zeros(n))
-    momentum = trajectory.invariant_log.get("momentum", np.zeros(n))
+    """The one-shot emit_json that the block writer replaced, verbatim but
+    for its logs, each written only if the trajectory has it."""
+    logs = [name for name in ("energy", "momentum")
+            if name in trajectory.invariant_log]
     columns = {"t": trajectory.times.tolist()}
     for j, label in enumerate(trajectory.state_labels):
         columns[label] = trajectory.values[:, j].tolist()
-    columns["energy"] = np.asarray(energy, dtype=float).tolist()
-    columns["momentum"] = np.asarray(momentum, dtype=float).tolist()
+    for name in logs:
+        columns[name] = np.asarray(trajectory.invariant_log[name],
+                                   dtype=float).tolist()
     doc = {
-        "column_order": ["t", *trajectory.state_labels, "energy", "momentum"],
+        "column_order": ["t", *trajectory.state_labels, *logs],
         "columns": columns,
         "kind": trajectory.kind,
         "metadata": metadata or {},
@@ -100,10 +105,11 @@ def reference_emit_json(trajectory: Trajectory, path,
 
 BLOCK = integrators._BLOCK_ROWS
 # Each kind's state labels and logs as its integrator writes them; the
-# generic kind has no energy or momentum log, and "collision" has state
-# labels that repeat names of the output columns.
+# generic kind has no energy or momentum log, "collision" has state
+# labels that repeat names of the output columns, and "full" no momentum
+# log (gamma is its state column).
 KINDS = {
-    "full": (("q1", "p1", "phi", "gamma"), ("energy", "momentum", "phi_dot")),
+    "full": (("q1", "p1", "phi", "gamma"), ("energy", "phi_dot")),
     "reduced_canonical": (("Q1", "P1"), ("energy", "momentum")),
     "euler": (("xi1", "xi2", "xi3"),
               ("energy", "momentum", "casimir_shifted")),
@@ -147,13 +153,12 @@ def oracle_trajectory(kind: str, n: int) -> Trajectory:
 
 def oracle_columns(trajectory: Trajectory) -> dict[str, np.ndarray]:
     """The output columns by name, a repeated name keeping its later
-    column, a missing log zeros."""
-    n = len(trajectory)
+    column, a missing log left out."""
     log = trajectory.invariant_log
     return dict([("t", trajectory.times),
                  *zip(trajectory.state_labels, trajectory.values.T),
-                 *((name, log.get(name, np.zeros(n)))
-                   for name in ("energy", "momentum"))])
+                 *((name, log[name]) for name in ("energy", "momentum")
+                   if name in log)])
 
 
 def small_trajectory():
@@ -317,7 +322,37 @@ class TestOutputFiles:
                            dim_base=1)
         path = tmp_path / "empty.csv"
         emit_csv(empty, path)
-        assert path.read_text() == "t,a,b,energy,momentum\n"
+        assert path.read_text() == "t,a,b\n"
+
+    @pytest.mark.parametrize("logs, header", [
+        ((), "t,a,b"),
+        (("energy",), "t,a,b,energy"),
+        (("momentum",), "t,a,b,momentum"),
+        (("phi_dot", "momentum", "energy"), "t,a,b,energy,momentum"),
+    ], ids=["none", "energy", "momentum", "all"])
+    def test_header_names_the_logs_the_trajectory_has(self, tmp_path, logs,
+                                                      header):
+        # No log is filled in: each column is a quantity the run logged,
+        # energy before momentum, and a log of another name is not
+        # written.
+        traj = replace(small_trajectory(), invariant_log={
+            name: np.array([0.25, 0.125]) for name in logs})
+        emit_csv(traj, tmp_path / "traj.csv", twin=tmp_path / "traj.json")
+        assert (tmp_path / "traj.csv").read_text().split("\n")[0] == header
+        doc = json.loads((tmp_path / "traj.json").read_text())
+        assert doc["column_order"] == header.split(",")
+
+    def test_sweep_files_write_gamma_once(self, tmp_path):
+        # gamma is each full run's last state column; it is not written
+        # again as a momentum log. The averaged run logs mu as momentum.
+        run_experiment(parse_config(
+            PARTICLE_SWEEP_TEMPLATE.format(sweep="0.02, 0.01")),
+            base_dir=tmp_path)
+        headers = {path.name: path.read_text().split("\n")[0]
+                   for path in (tmp_path / "out").glob("*.csv")}
+        assert headers == {"full_eps0.02.csv": "t,q1,p1,phi,gamma,energy",
+                           "full_eps0.01.csv": "t,q1,p1,phi,gamma,energy",
+                           "reduced.csv": "t,Q1,P1,energy,momentum"}
 
     def test_two_step_trajectory_layout(self, tmp_path):
         path = tmp_path / "small.csv"
@@ -462,10 +497,19 @@ class TestBlockedEmission:
         assert sorted(os.listdir(tmp_path)) == ["traj.csv", "traj.json"]
         assert os.listdir(tmp_path / "traj.json") == []
 
+    def test_a_failed_json_leaves_no_spool(self, tmp_path):
+        # emit_json spools too: its path is a directory, so its open
+        # fails after the spool is made, and nothing is left.
+        (tmp_path / "traj.json").mkdir()
+        with pytest.raises(IsADirectoryError):
+            emit_json(oracle_trajectory("full", BLOCK + 1),
+                      tmp_path / "traj.json", NESTED_METADATA)
+        assert os.listdir(tmp_path) == ["traj.json"]
+        assert os.listdir(tmp_path / "traj.json") == []
+
     def test_emission_memory_beyond_the_trajectory_is_one_block(
             self, tmp_path):
-        def emission_peak(n: int) -> int:
-            traj = oracle_trajectory("generic", n)
+        def emission_peak(traj: Trajectory) -> int:
             tracemalloc.start()
             try:
                 emit_csv(traj, os.devnull)
@@ -481,9 +525,44 @@ class TestBlockedEmission:
             finally:
                 tracemalloc.stop()
 
-        emission_peak(BLOCK)  # first-call allocations
-        small, large = emission_peak(20_000), emission_peak(200_000)
+        def block_text(traj: Trajectory) -> int:
+            """The most memory one block's repr texts take, a list of
+            them per output column, over the blocks of traj."""
+            columns = oracle_columns(traj).values()
+            sizes = []
+            tracemalloc.start()
+            try:
+                for rows in integrators._row_blocks(len(traj)):
+                    base = tracemalloc.get_traced_memory()[0]
+                    texts = [list(map(repr, column[rows].tolist()))
+                             for column in columns]
+                    sizes.append(tracemalloc.get_traced_memory()[0] - base)
+                    del texts
+            finally:
+                tracemalloc.stop()
+            return max(sizes)
+
+        def oracle(n: int) -> Trajectory:
+            return oracle_trajectory("generic", n)
+
+        emission_peak(oracle(BLOCK))  # first-call allocations
+        small, large = emission_peak(oracle(20_000)), emission_peak(
+            oracle(200_000))
         assert large - small < 2 ** 20, (small, large)
+        # The growth above cannot see a constant number of extra blocks,
+        # so the peak is also bounded by the texts of two blocks, T each.
+        # A block of k columns and B rows holds B k texts of c characters
+        # at about 57 + c bytes each (object and list slot): T = B k
+        # (57 + c). Writing its CSV joins B row strings, 57 + k (c + 1)
+        # bytes each, into the block's text, B k (c + 1), which is then
+        # encoded, as much again: at most B (57 + 2 k (c + 1)) beside T.
+        # For the six output columns of the full kind, k = 6 and c about
+        # 20, that is 0.65 T, and the JSON spool's index and the file
+        # buffers add a few KiB: about 1.7 T in all. A writer that holds
+        # one block's texts while it makes the next holds 2 T.
+        traj = oracle_trajectory("full", 20_000)
+        peak, block = emission_peak(traj), block_text(traj)
+        assert peak < 2 * block, (peak, block)
 
     def test_readme_quotes_the_shipped_pendulum_config(self):
         readme = (Path(__file__).resolve().parents[1]

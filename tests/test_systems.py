@@ -122,6 +122,25 @@ class TestPendulumAveraging:
         assert avg.mu == params.mu
         assert system.omega == pytest.approx(300.0)
 
+    @pytest.mark.parametrize("name", ["length", "gravity", "amplitude",
+                                      "epsilon"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    def test_params_refuse_a_value_not_positive_and_finite(self, name,
+                                                           value):
+        # Unchecked, length = inf failed as a nonzero fiber mean nan, and
+        # gravity = inf ran with a numpy RuntimeWarning.
+        with pytest.raises(ValueError) as excinfo:
+            PendulumParams(**{name: value})
+        assert str(excinfo.value) == (
+            f"{name} must be positive and finite, got {value!r}")
+
+    @pytest.mark.parametrize("mu", [math.inf, -math.inf, math.nan])
+    def test_params_refuse_a_non_finite_mu(self, mu):
+        with pytest.raises(ValueError) as excinfo:
+            PendulumParams(mu=mu)
+        assert str(excinfo.value) == f"mu must be finite, got {mu!r}"
+        assert PendulumParams(mu=-3.0).omega == -600.0
+
 
 class TestPhysicalPendulum:
     def test_above_threshold_stays_inverted(self):
@@ -369,6 +388,28 @@ class TestSpinningDisk:
         with pytest.raises(ValueError, match="mass"):
             DiskParams(mass=0.0)
         assert DiskParams(inertia_axial=2.0, omega_axial=1.5).mu == 3.0
+        # Finite factors whose product overflows are refused too.
+        with pytest.raises(ValueError, match="^mu = inertia_axial \\* "
+                           "omega_axial must be finite, got inf$"):
+            DiskParams(inertia_axial=1e200, omega_axial=1e200)
+
+    @pytest.mark.parametrize("name", ["mass", "inertia_axial"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    def test_params_refuse_a_value_not_positive_and_finite(self, name,
+                                                           value):
+        # Unchecked, mass = inf or inertia_axial = inf failed at step 0 as
+        # a point [nan nan] outside the chart domain.
+        with pytest.raises(ValueError) as excinfo:
+            DiskParams(**{name: value})
+        assert str(excinfo.value) == (
+            f"{name} must be positive and finite, got {value!r}")
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_params_refuse_a_non_finite_spin(self, value):
+        with pytest.raises(ValueError) as excinfo:
+            DiskParams(omega_axial=value)
+        assert str(excinfo.value) == (
+            f"omega_axial must be finite, got {value!r}")
 
 
 def _wavy_surface():
