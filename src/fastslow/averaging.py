@@ -51,6 +51,14 @@ field, log and kernel reads it as it is, with no conversion per call.
 A jet whose slots hold numpy float64 values still runs, with the same
 bits (numpy rounds +, -, * and / of float64 as Python does), only
 slower, and the values it feeds are then numpy floats.
+
+Every scalar input of a run, here and in fastslow.systems,
+fastslow.integrators, fastslow.experiments and the config parser, is
+checked by one rule, _check_finite: epsilon, a horizon and each length,
+mass or other physical scale must be positive and finite, and mu, each
+harmonic amplitude or trap stiffness and each initial coordinate
+finite. A value that breaks it raises
+ValueError("<name> must be [positive and ]finite, got <value>").
 """
 
 from __future__ import annotations
@@ -98,9 +106,12 @@ def fiber_mean(samples: np.ndarray) -> np.ndarray:
     return np.mean(np.asarray(samples, dtype=float), axis=0)
 
 
-def _check_mu(mu: float) -> None:
-    if not math.isfinite(mu):
-        raise ValueError(f"mu must be finite, got {mu!r}")
+def _check_finite(name: str, value: float, positive: bool = False) -> None:
+    """Raise the scalar input rule's ValueError (module docstring) for a
+    value that is not finite or, with positive, not positive and finite."""
+    if not (0.0 < value < math.inf if positive else math.isfinite(value)):
+        rule = "positive and finite" if positive else "finite"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -108,10 +119,10 @@ class FastSlowSystem:
     """Coefficient data of a fast-oscillating natural Hamiltonian system.
 
     slow and fast are the two coefficient jets, in the jet format of the
-    module docstring. a1, h1 and U1 must have zero fiber mean.
-    epsilon > 0 is the timescale ratio
-    and mu the conserved leading-order fiber momentum, so the fast
-    frequency is omega = mu / epsilon.
+    module docstring. a1, h1 and U1 must have zero fiber mean. epsilon,
+    positive and finite, is the timescale ratio and mu, finite, the
+    conserved leading-order fiber momentum, so the fast frequency is
+    omega = mu / epsilon.
     """
 
     dim_base: int
@@ -123,9 +134,8 @@ class FastSlowSystem:
     def __post_init__(self) -> None:
         if self.dim_base < 1:
             raise ValueError("dim_base must be a positive integer")
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
-        _check_mu(self.mu)
+        _check_finite("epsilon", self.epsilon, positive=True)
+        _check_finite("mu", self.mu)
 
     @property
     def omega(self) -> float:
@@ -178,7 +188,7 @@ class AveragedSystem:
     def __post_init__(self) -> None:
         if self.dim_base < 1:
             raise ValueError("dim_base must be a positive integer")
-        _check_mu(self.mu)
+        _check_finite("mu", self.mu)
 
 
 def average_coefficients(system: FastSlowSystem,

@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .averaging import _check_finite
 from .experiments import (PARAMETER_DEFAULTS, TABLE, CheckRecord,
                           parse_value)
 # integrate_autonomous is not called here; perfbench's self-test checks
@@ -148,7 +149,8 @@ def _parameter_errors(experiment: str,
 def _setting(key: str, value) -> tuple[object, list[str]]:
     """A section key's value as its ExperimentConfig field holds it, and
     the rules the value breaks. An [integrator] key is checked by an
-    IntegratorConfig built from it alone, dt_full and dt_reduced as dt."""
+    IntegratorConfig built from it alone, dt_full and dt_reduced as dt,
+    and each epsilon_sweep value by _check_finite, as every epsilon is."""
     if key in SECTIONS["integrator"]:
         name = "dt" if key.startswith("dt_") else key
         try:
@@ -161,8 +163,11 @@ def _setting(key: str, value) -> tuple[object, list[str]]:
                 isinstance(v, float) for v in sweep):
             return value, ["epsilon_sweep must be a comma list of floats"]
         errors = []
-        if any(not v > 0.0 for v in sweep):
-            errors.append("epsilon values must be positive")
+        for v in sweep:
+            try:
+                _check_finite("epsilon", v, positive=True)
+            except ValueError as err:
+                errors.append(str(err))
         if any(sweep[i] <= sweep[i + 1] for i in range(len(sweep) - 1)):
             errors.append("epsilon_sweep must be strictly decreasing")
         return sweep, errors

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from .averaging import _check_finite
 from .bundle_geometry import PhaseStateFull, PhaseStateReduced
 from .integrators import (IntegratorConfig, Trajectory, _integration,
                           _nodes, _step_plan, closeness_report,
@@ -92,6 +93,8 @@ def integrator_configs(config: ExperimentConfig
 
 
 def _pendulum_build(p: dict, eps: float) -> tuple:
+    for key in ("theta0", "p0"):
+        _check_finite(key, p[key])
     params = PendulumParams(length=p["length"], gravity=p["gravity"],
                             amplitude=p["amplitude"], mu=p["mu"],
                             epsilon=eps)
@@ -100,6 +103,8 @@ def _pendulum_build(p: dict, eps: float) -> tuple:
 
 
 def _particle_build(p: dict, eps: float) -> tuple:
+    for key in ("x0", "p0"):
+        _check_finite(key, p[key])
     pot = particle_potential_1d(trap=p["trap"], alpha=p["alpha"],
                                 beta=p["beta"])
     system, avg = particle_systems(pot, eps, p["mu"])
@@ -175,6 +180,8 @@ def _run_disk(config: ExperimentConfig, base_dir: Path) -> tuple:
                         omega_axial=p["omega_axial"])
     _, cfg = integrator_configs(config)
     horizon = p["horizon"]
+    for key in ("q1_0", "q2_0", "u1_0", "u2_0"):
+        _check_finite(key, p[key])
     q0 = np.array([p["q1_0"], p["q2_0"]])
     u0 = np.array([p["u1_0"], p["u2_0"]])
 
@@ -262,7 +269,8 @@ def _run_euler(config: ExperimentConfig, base_dir: Path) -> tuple:
 
     system = EulerSystem(algebra=algebra, inertia=np.diag(inertia_diag),
                          shift=shift)
-    traj = integrate_euler(system, xi0, horizon, cfg)
+    with _integration("Euler integration"):
+        traj = integrate_euler(system, xi0, horizon, cfg)
 
     energy = traj.invariant_log["energy"]
     energy_drift = float(np.max(np.abs(energy - energy[0])))
@@ -275,10 +283,11 @@ def _run_euler(config: ExperimentConfig, base_dir: Path) -> tuple:
     # to a node's own time retakes the steps before it.
     cocycle = shift_cocycle(algebra, shift)
     node = max(1, _step_plan(min(10.0, horizon), cfg.dt)[0])
-    traj_ext = integrate_autonomous(
-        extended_hamiltonian_field(algebra, cocycle, system.inertia),
-        xi0, traj.times[node], cfg,
-        state_labels=traj.state_labels, kind="euler", dim_base=algebra.dim)
+    with _integration("extension-flow integration"):
+        traj_ext = integrate_autonomous(
+            extended_hamiltonian_field(algebra, cocycle, system.inertia),
+            xi0, traj.times[node], cfg, state_labels=traj.state_labels,
+            kind="euler", dim_base=algebra.dim)
     equiv = float(np.max(np.abs(traj.values[:len(traj_ext)]
                                 - traj_ext.values)))
 

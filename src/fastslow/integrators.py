@@ -53,11 +53,10 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from ._derivatives import jacobian
-from .averaging import AveragedSystem, FastSlowSystem, _dot, _floats, \
-    averaged_hamiltonian, effective_potential
+from .averaging import TWO_PI, AveragedSystem, FastSlowSystem, \
+    _check_finite, _dot, _floats, averaged_hamiltonian, effective_potential
 from .bundle_geometry import PhaseStateFull, PhaseStateReduced, convert_chart
 
-TWO_PI = 2.0 * np.pi
 IC_MATCH_TOL = 1e-12
 HORIZON_FACTOR_MAX = 10.0
 PREDICTOR_MAX_ORDER = 5
@@ -196,8 +195,7 @@ class Trajectory:
 
 
 _MIDPOINT_LOOP = """\
-def midpoint_loop(f, z, values, steps, n_full, dt_full, rem, sign, tol,
-                  max_iter):
+def midpoint_loop(f, z, values, steps, n_full, dt_full, rem, tol, max_iter):
     isfinite = math.isfinite
     $z = z
     $differences = 0.0
@@ -207,7 +205,6 @@ def midpoint_loop(f, z, values, steps, n_full, dt_full, rem, sign, tol,
     try:
         for i in range(steps):
             dt = dt_full if i < n_full else rem
-            h = sign * dt
             if i == 0:
                 $c = c if type(c := f([$z])) is list else _floats(c)
                 evals += 1
@@ -224,7 +221,7 @@ def midpoint_loop(f, z, values, steps, n_full, dt_full, rem, sign, tol,
             $residual
             for k in range(max_iter):
                 if fresh:
-                    $inverse = np.linalg.inv(np.eye($n) - 0.5 * h * jacobian(
+                    $inverse = np.linalg.inv(np.eye($n) - 0.5 * dt * jacobian(
                         lambda x: f(x.tolist()), [$y]).T).tolist()
                     jac += 1
                     fresh = False
@@ -259,7 +256,7 @@ def midpoint_loop(f, z, values, steps, n_full, dt_full, rem, sign, tol,
 
 def _midpoint_source(n: int) -> str:
     """The source of _MIDPOINT_LOOP for states of n floats. Its
-    midpoint_loop(f, z, values, steps, n_full, dt_full, rem, sign, tol,
+    midpoint_loop(f, z, values, steps, n_full, dt_full, rem, tol,
     max_iter) takes the steps of integrate_autonomous from z, a list,
     stores node i + 1 into values[i + 1], and returns the run's Newton
     updates, Jacobians and evaluations of f.
@@ -304,7 +301,7 @@ def _midpoint_source(n: int) -> str:
     residual = [*lines("y{i} = 0.5 * (z{i} + x{i})"),
                 f"{_names('c{i}', n)} = c if type(c := f(["
                 f"{_names('y{i}', n)}])) is list else _floats(c)",
-                *lines("r{i} = x{i} - z{i} - h * c{i}"),
+                *lines("r{i} = x{i} - z{i} - dt * c{i}"),
                 f"if not ({' and '.join(lines('isfinite(r{i})'))}):",
                 '    raise IntegrationError("implicit midpoint residual is '
                 'non-finite")',
@@ -321,7 +318,7 @@ def _midpoint_source(n: int) -> str:
                   *[f"d{k}_{i} = e{k}" for k in range(top, 0, -1)],
                   f"z{i} = x{i}"]
     blocks = {
-        "euler_guess": lines("x{i} = z{i} + h * c{i}"),
+        "euler_guess": lines("x{i} = z{i} + dt * c{i}"),
         "linear_guess": lines("x{i} = z{i} + ratio * d1_{i}"),
         "extrapolated_guess": guess(1),
         "z_size": max_abs("zmax", "z"),
@@ -344,12 +341,12 @@ def _midpoint_source(n: int) -> str:
 
 
 _RK4_LOOP = """\
-def rk4_loop(f, z, values, steps, n_full, dt_full, rem, sign):
+def rk4_loop(f, z, values, steps, n_full, dt_full, rem):
     isfinite = math.isfinite
     $z = z
     try:
         for i in range(steps):
-            dt = sign * (dt_full if i < n_full else rem)
+            dt = dt_full if i < n_full else rem
             half = 0.5 * dt
             $k1 = c if type(c := f([$z])) is list else _floats(c)
             $k2 = c if type(c := f([$half_k1])) is list else _floats(c)
@@ -502,9 +499,9 @@ def _step_count_error(horizon: float, dt: float) -> ValueError:
 def _step_plan(horizon: float, dt: float) -> tuple[int, float, int]:
     """(n, rem, steps): n = floor(horizon / dt + 1e-9) steps of dt, then
     one of rem = horizon - n dt if rem > 1e-12 max(1, horizon). A horizon
-    not positive and finite, no step or over sys.maxsize raise ValueError."""
-    if not (horizon > 0.0 and math.isfinite(horizon)):
-        raise ValueError("horizon must be positive and finite")
+    not positive and finite (_check_finite), no step or over sys.maxsize
+    raise ValueError."""
+    _check_finite("horizon", horizon, positive=True)
     count = horizon / dt + 1e-9
     if not count < sys.maxsize:  # so steps <= n + 1 <= sys.maxsize
         raise _step_count_error(horizon, dt)
@@ -535,8 +532,7 @@ def integrate_autonomous(f: Callable[[list], list | np.ndarray],
                          state_labels: Sequence[str],
                          kind: str,
                          dim_base: int,
-                         meta: dict | None = None,
-                         backward: bool = False) -> Trajectory:
+                         meta: dict | None = None) -> Trajectory:
     """Integrate dz/dt = f(z) over [0, horizon].
 
     The run takes the steps of _step_plan(horizon, dt). Node i is at
@@ -545,11 +541,11 @@ def integrate_autonomous(f: Callable[[list], list | np.ndarray],
     numpy can store (2**62 or so, or more than memory holds), or a z0
     of no float raises ValueError before a step is taken.
 
-    With backward=True the steps are taken with -dt (the reported times
-    still increase from 0), which together with a forward run forms the
-    time-reversal test of the symmetric midpoint rule. The returned
-    trajectory has an empty invariant_log: each caller that logs takes
-    its logs after the run, in one node pass (_nodes).
+    To run backward, pass -f: the times still increase from 0, and since
+    IEEE negation is exact, dt (-f) rounds as (-dt) f does, the
+    central-difference Jacobian of -f included. The returned trajectory
+    has an empty invariant_log: each caller that logs takes its logs
+    after the run, in one node pass (_nodes).
 
     An IntegrationError from a step is raised again with "step i (t=...)"
     in front of its message, and a ValueError raised by f (a DomainError
@@ -592,7 +588,6 @@ def integrate_autonomous(f: Callable[[list], list | np.ndarray],
     n, rem, steps = _step_plan(horizon, config.dt)
     if z0.size == 0:
         raise ValueError("z0 must hold at least one float")
-    sign = -1.0 if backward else 1.0
     try:
         values = np.empty((steps + 1, z0.size))
     except (ValueError, MemoryError) as err:
@@ -605,11 +600,10 @@ def integrate_autonomous(f: Callable[[list], list | np.ndarray],
         counts = dict(zip(("newton_updates", "jacobians", "rhs_evals"),
                           _compiled(_midpoint_source(z0.size))(
                               f, z0.tolist(), values, steps, n, config.dt,
-                              rem, sign, config.newton_tol,
-                              config.newton_max_iter)))
+                              rem, config.newton_tol, config.newton_max_iter)))
     else:
         _compiled(_rk4_source(z0.size))(f, z0.tolist(), values, steps, n,
-                                        config.dt, rem, sign)
+                                        config.dt, rem)
     times = np.arange(steps + 1) * config.dt
     times[steps] = horizon
     return Trajectory(times=times, values=values,
@@ -658,26 +652,27 @@ def integrate_full(system: FastSlowSystem, state0: PhaseStateFull,
 
     horizon and config.dt are measured in the fast time tau and horizon
     may not exceed 10 / epsilon; the returned time column is the slow
-    time t = eps * tau. Energy and the fiber speed dphi/dtau (negated
-    for a backward run) are logged at every node; the fiber momentum
-    gamma is the last state column. The stored phi column is wrapped to
-    [0, 2*pi). There are no derivs, so "rhs_evals" counts the solver's
-    evaluations alone. The logs are taken in one node pass (_nodes), so
-    they hold one block of Python floats at most.
+    time t = eps * tau. backward=True integrates the negated field, so
+    that with a forward run it forms the time-reversal test of the
+    symmetric midpoint rule. Energy and the fiber speed dphi/dtau
+    (negated for a backward run) are logged at every node; the fiber
+    momentum gamma is the last state column. The stored phi column is
+    wrapped to [0, 2*pi). There are no derivs, so "rhs_evals" counts the
+    solver's evaluations alone. The logs are taken in one node pass
+    (_nodes), so they hold one block of Python floats at most.
     """
     eps = system.epsilon
     _check_horizon(horizon, eps)
     l = system.dim_base
-    f = _full_rhs(system)
-    sign = -1.0 if backward else 1.0
+    rhs = _full_rhs(system)
+    f = (lambda z: [-v for v in rhs(z)]) if backward else rhs
     labels = tuple([f"q{i + 1}" for i in range(l)]
                    + [f"p{i + 1}" for i in range(l)] + ["phi", "gamma"])
 
     traj = integrate_autonomous(
         f, state0.as_array(), horizon, config, state_labels=labels,
         kind="full", dim_base=l,
-        meta={"epsilon": eps, "mu": system.mu, "clock": "slow (t = eps tau)"},
-        backward=backward)
+        meta={"epsilon": eps, "mu": system.mu, "clock": "slow (t = eps tau)"})
     # One evaluation of a and h per node gives both the energy and the
     # fiber speed, the phi component of the compiled field (_full_rhs)
     # term for term: the same sums in the same order.
@@ -685,7 +680,8 @@ def integrate_full(system: FastSlowSystem, state0: PhaseStateFull,
     for i, z in _nodes(traj.values):
         energy[i], phi_dot[i] = system.energy_and_fiber_speed(
             z[:l], z[l:2 * l], z[2 * l], z[2 * l + 1])
-    phi_dot *= sign
+    if backward:
+        phi_dot = -phi_dot
     traj.invariant_log = {"energy": energy, "phi_dot": phi_dot}
     traj.times = eps * traj.times
     traj.values[:, 2 * l] = np.mod(traj.values[:, 2 * l], TWO_PI)

@@ -37,29 +37,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .averaging import AveragedSystem, FastSlowSystem, _dot, _floats, \
-    average_coefficients
+from .averaging import TWO_PI, AveragedSystem, FastSlowSystem, \
+    _check_finite, _dot, _floats, average_coefficients
 from .bundle_geometry import TrivialBundleMetric
 from .integrators import IntegrationError, Trajectory, _check_horizon, \
     _raise_at_step, _step_plan
-
-TWO_PI = 2.0 * np.pi
-
-
-def _check_finite(params, positive: tuple[str, ...],
-                  real: tuple[str, ...]) -> None:
-    """Raise ValueError for the first field named in positive that is not
-    positive and finite, or in real that is not finite."""
-    for name in positive:
-        value = getattr(params, name)
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, "
-                             f"got {value!r}")
-    for name in real:
-        value = getattr(params, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-
 
 # ---------------------------------------------------------------------------
 # Vertically driven pendulum
@@ -81,8 +63,9 @@ class PendulumParams:
     epsilon: float = 5e-3
 
     def __post_init__(self) -> None:
-        _check_finite(self, ("length", "gravity", "amplitude", "epsilon"),
-                      ("mu",))
+        for name in ("length", "gravity", "amplitude", "epsilon"):
+            _check_finite(name, getattr(self, name), positive=True)
+        _check_finite("mu", self.mu)
 
     @property
     def omega(self) -> float:
@@ -103,10 +86,11 @@ def pendulum_systems(params: PendulumParams,
     """Fast-slow suspension of the driven pendulum and its average.
 
     Works in the arclength chart x = length * theta. The suspension
-    trick adds a fiber circle carrying the drive phase; fiber_floor is
-    the x-independent part of the fiber inertia (any positive value
-    gives the same slow dynamics because the induced constant potential
-    shift is absorbed into U0). The averaged effective potential is
+    trick adds a fiber circle carrying the drive phase; fiber_floor, a
+    finite float, is the x-independent part of the fiber inertia (any
+    positive value gives the same slow dynamics because the induced
+    constant potential shift is absorbed into U0). The averaged
+    effective potential is
 
         (1/4) mu^2 amp^2 sin^2(x / l) - g l cos(x / l)
 
@@ -119,6 +103,7 @@ def pendulum_systems(params: PendulumParams,
     amp = params.amplitude
     amp2 = amp ** 2
     c = float(fiber_floor)
+    _check_finite("fiber_floor", c)
     shift = 0.5 * params.mu ** 2 * c
 
     def slow(q):
@@ -292,9 +277,7 @@ def sphere_surface(radius: float = 1.0) -> SurfaceMetric:
     """Round sphere in colatitude q1 and longitude q2 (poles excluded);
     a radius that is not positive and finite raises ValueError."""
     r = float(radius)
-    if not (r > 0.0 and math.isfinite(r)):
-        raise ValueError(f"sphere radius must be positive and finite, "
-                         f"got {r!r}")
+    _check_finite("sphere radius", r, positive=True)
     return SurfaceMetric(
         jet=lambda q: (r * r, r * r * math.sin(q[0]) ** 2,
                        (0.0, 0.0), (r * math.cos(q[0]), 0.0)),
@@ -438,10 +421,10 @@ class DiskParams:
     omega_axial: float = 2.0
 
     def __post_init__(self) -> None:
-        _check_finite(self, ("mass", "inertia_axial"), ("omega_axial",))
-        if not math.isfinite(self.mu):
-            raise ValueError(f"mu = inertia_axial * omega_axial must be "
-                             f"finite, got {self.mu!r}")
+        for name in ("mass", "inertia_axial"):
+            _check_finite(name, getattr(self, name), positive=True)
+        _check_finite("omega_axial", self.omega_axial)
+        _check_finite("mu = inertia_axial * omega_axial", self.mu)
 
     @property
     def mu(self) -> float:
@@ -753,8 +736,7 @@ def oscillating_particle_averaged(potential: OscillatingPotential,
     (_harmonic_means), so grad_U0 and grad_a0 are the exact
     per-harmonic sums; its slots are lists of floats.
     """
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
+    _check_finite("epsilon", epsilon, positive=True)
     eps = float(epsilon)
     n = potential.dim_base
     c2 = 0.5 * eps ** 2 * mu ** 2
@@ -859,8 +841,11 @@ def particle_potential_1d(trap: float = 1.0, alpha: float = 0.7,
                           beta: float = 0.4) -> OscillatingPotential:
     """1-d trap with one oscillating harmonic pair.
 
-    U = (1/2) trap x^2 + alpha sin(x) cos(tau) + beta cos(x) sin(tau).
+    U = (1/2) trap x^2 + alpha sin(x) cos(tau) + beta cos(x) sin(tau),
+    with trap, alpha and beta finite.
     """
+    for name, value in (("trap", trap), ("alpha", alpha), ("beta", beta)):
+        _check_finite(name, value)
 
     def jet(x):
         sx, cx = math.sin(x[0]), math.cos(x[0])
@@ -880,9 +865,12 @@ def particle_potential_2d(trap: float = 1.0, alpha: float = 0.7,
     U = (1/2) trap |x|^2 + f(x) cos(tau) + g(x) sin(tau) with
     f = alpha sin(x1 + 0.3 x2) and g = beta cos(0.7 x1 - x2); the
     resulting <S'' V'> has a curl, so the averaged magnetic form is
-    nonzero. The inner products w1 . x, w2 . x and x . x are float sums
-    from +0 in index order, so U rounds alike under every BLAS kernel.
+    nonzero. trap, alpha and beta must be finite. The inner products
+    w1 . x, w2 . x and x . x are float sums from +0 in index order, so U
+    rounds alike under every BLAS kernel.
     """
+    for name, value in (("trap", trap), ("alpha", alpha), ("beta", beta)):
+        _check_finite(name, value)
     w1, w2 = [1.0, 0.3], [0.7, -1.0]
     (w11, w12), (w21, w22) = w1, w2
     w1_sq = [[a * b for b in w1] for a in w1]

@@ -120,8 +120,10 @@ class TestAverageCoefficients:
     def test_nan_fiber_mean_raises_naming_coefficient(self):
         # A NaN mean fails every comparison: unchecked, it passed the
         # zero-mean test and was recorded as a residual of 0.0.
+        system = constant_coefficient_system(
+            0.0, 1.0, lambda q: 0.0, U1=lambda q, phi: np.nan)
         with pytest.raises(AveragingError) as err:
-            particle_systems(particle_potential_1d(alpha=np.nan), 0.01)
+            average_coefficients(system)
         assert err.value.coefficient == "U1"
         assert err.value.point.tolist() == [0.0]
         assert np.isnan(err.value.residual)

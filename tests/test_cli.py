@@ -196,6 +196,21 @@ class TestConfigParsing:
             parse_config("experiment = pendulum\n[sweep]\n"
                          "epsilon_sweep = 1e-2, 2e-2\n")
 
+    @pytest.mark.parametrize("sweep, value", [
+        ("inf, 0.01", math.inf), ("nan, 0.01", math.nan),
+        ("0.02, 0.0", 0.0), ("0.02, -0.01", -0.01),
+    ], ids=["inf", "nan", "zero", "negative"])
+    def test_sweep_value_not_positive_and_finite_rejected(self, sweep,
+                                                          value):
+        # Unchecked, an infinite epsilon reached the particle's averaging
+        # check as a total fiber inertia of nan.
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config("experiment = particle\n[sweep]\n"
+                         f"epsilon_sweep = {sweep}\n")
+        assert str(excinfo.value) == (
+            "invalid config:\nline 3: epsilon must be positive and finite, "
+            f"got {value!r}")
+
     def test_every_violation_reported_with_line_numbers(self):
         text = ("experiment = particle\n"
                 "pi = 3\n"
@@ -901,7 +916,8 @@ class TestCommandLine:
          "inertia must be finite"),
         ("shift = 0.0, 0.0, 0.0", "shift = 0.2, inf, 0.5",
          "shift must be finite"),
-        ("xi0 = 0.1, 1.0, 0.1", "xi0 = 0.1, nan, 0.1", "xi0 must be finite"),
+        ("xi0 = 0.1, 1.0, 0.1", "xi0 = 0.1, nan, 0.1",
+         "xi0 must be finite (in the Euler integration)"),
         ("inertia = 1.0, 2.0, 3.0", "inertia = 1e-310, 2.0, 3.0",
          "inertia is too near singular: its inverse is not finite"),
     ], ids=["inertia_inf", "inertia_nan", "shift_inf", "xi0_nan",
@@ -943,7 +959,7 @@ class TestCommandLine:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("experiment, line, value, suffix", [
-        ("euler", "horizon = 100.0", "1e-13", ""),
+        ("euler", "horizon = 100.0", "1e-13", " (in the Euler integration)"),
         ("disk", "horizon = 10.0", "5e-13",
          " (in the Lagrangian integration)"),
     ], ids=["euler", "disk"])
@@ -1222,15 +1238,37 @@ class TestCommandLine:
          "sphere radius must be positive and finite, got 0.0"),
         ("disk", "radius = 1.0", "radius = nan",
          "sphere radius must be positive and finite, got nan"),
+        ("pendulum", "fiber_floor = 1.0", "fiber_floor = nan",
+         "fiber_floor must be finite, got nan"),
+        ("pendulum", "theta0 = 2.0", "theta0 = nan",
+         "theta0 must be finite, got nan"),
+        ("pendulum", "p0 = 0.0", "p0 = inf", "p0 must be finite, got inf"),
+        ("particle", "trap = 1.0", "trap = inf",
+         "trap must be finite, got inf"),
         ("particle", "alpha = 0.7", "alpha = nan",
-         "coefficient U1 has nonzero fiber mean nan at q=[0.]"),
-    ], ids=["radius_negative", "radius_zero", "radius_nan", "alpha_nan"])
+         "alpha must be finite, got nan"),
+        ("particle", "beta = 0.4", "beta = -inf",
+         "beta must be finite, got -inf"),
+        ("particle", "x0 = 0.8", "x0 = nan", "x0 must be finite, got nan"),
+        ("particle", "p0 = 0.3", "p0 = -inf", "p0 must be finite, got -inf"),
+        ("disk", "q1_0 = 1.0471975511965976", "q1_0 = nan",
+         "q1_0 must be finite, got nan"),
+        ("disk", "q2_0 = 0.0", "q2_0 = inf", "q2_0 must be finite, got inf"),
+        ("disk", "u1_0 = 0.1", "u1_0 = inf", "u1_0 must be finite, got inf"),
+        ("disk", "u2_0 = 0.5", "u2_0 = nan", "u2_0 must be finite, got nan"),
+    ], ids=["radius_negative", "radius_zero", "radius_nan",
+            "fiber_floor_nan", "theta0_nan", "pendulum_p0_inf", "trap_inf",
+            "alpha_nan", "beta_inf", "x0_nan", "particle_p0_inf", "q1_0_nan",
+            "q2_0_inf", "u1_0_inf", "u2_0_nan"])
     def test_run_exit_two_on_a_bad_system_parameter(self, tmp_path, capsys,
                                                     experiment, line, bad,
                                                     message):
         # Unchecked, radius -1 ran as a surface of curvature -1 and failed
-        # a check (exit 1); radius 0 or nan, and a NaN alpha, failed only
-        # at the first step.
+        # a check (exit 1); radius 0 or nan failed only at the first step.
+        # A non-finite fiber_floor, trap or alpha failed the averaging
+        # checks under a message that named a coefficient, u1_0 = inf as a
+        # point outside the chart, and a NaN initial coordinate as
+        # non-finite entries in the phase state.
         text = shipped_config_text(experiment)
         assert line in text
         path = tmp_path / "run.cfg"
@@ -1242,11 +1280,17 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("module, name, fails_for, text, fragments", [
         (experiments, "integrate_euler", lambda system: True,
-         EULER_FAST_CONFIG, ("euler", "step 7 (t=0.07)")),
+         EULER_FAST_CONFIG,
+         ("euler", "step 7 (t=0.07)", "(in the Euler integration)")),
+        # integrate_euler calls lie_poisson's own binding, so only the
+        # shift-equivalence run takes this one.
+        (experiments, "integrate_autonomous", lambda field: True,
+         EULER_FAST_CONFIG,
+         ("euler", "step 7 (t=0.07)", "(in the extension-flow integration)")),
         (experiments, "integrate_full", lambda system: system.epsilon == 0.005,
          PARTICLE_SWEEP_TEMPLATE.format(sweep="0.02, 0.005"),
          ("particle", "eps=0.005", "step 7 (t=0.07)")),
-    ], ids=["euler", "particle"])
+    ], ids=["euler", "euler-extension-flow", "particle"])
     def test_run_exit_two_on_integration_error(self, tmp_path, capsys,
                                                monkeypatch, module, name,
                                                fails_for, text, fragments):

@@ -106,8 +106,8 @@ class TestSteppers:
     def test_backward_steps_run_the_reversed_flow(self):
         f = lambda z: z
         traj = integrate_autonomous(
-            f, np.array([1.0]), 1.0, RK4_FINE,
-            state_labels=("x",), kind="generic", dim_base=1, backward=True)
+            negated(f), np.array([1.0]), 1.0, RK4_FINE,
+            state_labels=("x",), kind="generic", dim_base=1)
         assert traj.times[-1] == pytest.approx(1.0)
         assert np.all(np.diff(traj.times) > 0.0)
         assert abs(traj.values[-1, 0] - np.exp(-1.0)) < 1e-10
@@ -318,7 +318,8 @@ class TestStepPlan:
     def test_rejects_a_horizon_not_positive_and_finite(self, horizon):
         with pytest.raises(ValueError) as excinfo:
             integrators._step_plan(horizon, 0.1)
-        assert str(excinfo.value) == "horizon must be positive and finite"
+        assert str(excinfo.value) == (
+            f"horizon must be positive and finite, got {horizon!r}")
 
     @pytest.mark.parametrize("horizon, dt, message", [
         (5e-13, 0.1, "takes no step"),
@@ -581,6 +582,12 @@ def step_field(name):
     return lambda z: -np.sin(z), 1, 0.5
 
 
+def negated(f):
+    """The field -f: a backward run of integrate_autonomous is the
+    forward run of the negated field."""
+    return lambda z: [-v for v in f(z)]
+
+
 def recorded(f, log):
     """f, appending the bytes of every argument it is called with to log."""
     def wrapped(z):
@@ -599,10 +606,10 @@ class TestChordNewton:
     A = np.array([[-0.3, 1.0], [-2.0, 0.1]])
 
     def linear_run(self, horizon, config, backward=False):
+        f = lambda z: self.A @ z
         return integrate_autonomous(
-            lambda z: self.A @ z, np.array([1.0, -0.5]), horizon, config,
-            state_labels=("x", "y"), kind="generic", dim_base=1,
-            backward=backward)
+            negated(f) if backward else f, np.array([1.0, -0.5]), horizon,
+            config, state_labels=("x", "y"), kind="generic", dim_base=1)
 
     def test_single_update_accepted_when_converged(self):
         # Newton is exact on a linear field, so one update per step meets
@@ -718,10 +725,11 @@ class TestMidpointLoop:
         want_args, got_args = [], []
         want, counts = oracle_run(recorded(f, want_args), z0, 40.5 * dt,
                                   config, backward)
+        got_f = recorded(f, got_args)
         traj = integrate_autonomous(
-            recorded(f, got_args), z0, 40.5 * dt, config,
+            negated(got_f) if backward else got_f, z0, 40.5 * dt, config,
             state_labels=[f"z{i}" for i in range(n)], kind="generic",
-            dim_base=1, backward=backward)
+            dim_base=1)
         assert len(traj) == 42
         assert got_args == want_args
         assert traj.values.tobytes() == want.tobytes()
@@ -799,10 +807,10 @@ class TestFloatRK4:
     @staticmethod
     def run(f, z0, horizon, dt, backward=False):
         return integrate_autonomous(
-            f, np.asarray(z0, dtype=float), horizon,
-            IntegratorConfig(method="rk4", dt=dt),
+            negated(f) if backward else f, np.asarray(z0, dtype=float),
+            horizon, IntegratorConfig(method="rk4", dt=dt),
             state_labels=tuple(f"z{i}" for i in range(len(z0))),
-            kind="generic", dim_base=1, backward=backward).values
+            kind="generic", dim_base=1).values
 
     @pytest.mark.parametrize("backward", [False, True],
                              ids=["forward", "backward"])
@@ -1751,10 +1759,11 @@ class TestRowBlocks:
         full = integrate_full(system, start, 100.0, MIDPOINT,
                               backward=backward)
         assert len(full) > 2 * integrators._BLOCK_ROWS
+        f = integrators._full_rhs(system)
         raw = integrate_autonomous(
-            integrators._full_rhs(system), start.as_array(), 100.0,
+            negated(f) if backward else f, start.as_array(), 100.0,
             MIDPOINT, state_labels=full.state_labels, kind="full",
-            dim_base=1, backward=backward)
+            dim_base=1)
         energy, phi_dot = reference_full_logs(system, raw.values,
                                               -1.0 if backward else 1.0)
         assert bits(full.invariant_log["energy"]) == bits(energy)

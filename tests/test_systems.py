@@ -141,6 +141,15 @@ class TestPendulumAveraging:
         assert str(excinfo.value) == f"mu must be finite, got {mu!r}"
         assert PendulumParams(mu=-3.0).omega == -600.0
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_systems_refuse_a_non_finite_fiber_floor(self, value):
+        # Unchecked, nan failed as a total fiber inertia that is not
+        # positive, and inf as an h0 - a0.a0 that is not finite.
+        with pytest.raises(ValueError) as excinfo:
+            pendulum_systems(PendulumParams(), fiber_floor=value)
+        assert str(excinfo.value) == (
+            f"fiber_floor must be finite, got {value!r}")
+
 
 class TestPhysicalPendulum:
     def test_above_threshold_stays_inverted(self):
@@ -172,7 +181,8 @@ class TestPhysicalPendulum:
         with pytest.raises(ValueError) as excinfo:
             simulate_physical_pendulum(PendulumParams(), 2.0, 0.0,
                                        horizon=horizon)
-        assert str(excinfo.value) == "horizon must be positive and finite"
+        assert str(excinfo.value) == (
+            f"horizon must be positive and finite, got {horizon!r}")
 
     @pytest.mark.parametrize("horizon, message", [
         (1e-300, "takes no step"),
@@ -934,6 +944,33 @@ class TestParticleMeans:
 
 
 class TestAveragedParticle:
+    @pytest.mark.parametrize("make", [particle_potential_1d,
+                                      particle_potential_2d],
+                             ids=["1d", "2d"])
+    @pytest.mark.parametrize("name", ["trap", "alpha", "beta"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_potentials_refuse_a_non_finite_coefficient(self, make, name,
+                                                        value):
+        # Unchecked, trap = inf made a potential whose averaging failed
+        # as a fiber mean of nan.
+        with pytest.raises(ValueError) as excinfo:
+            make(**{name: value})
+        assert str(excinfo.value) == f"{name} must be finite, got {value!r}"
+
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan, 0.0, -0.01])
+    def test_systems_refuse_an_epsilon_not_positive_and_finite(self,
+                                                               epsilon):
+        # Unchecked, particle_systems let epsilon = inf through to a
+        # total fiber inertia of nan.
+        pot = particle_potential_1d()
+        for make in (lambda: particle_systems(pot, epsilon),
+                     lambda: oscillating_particle_averaged(pot, epsilon,
+                                                           1.0)):
+            with pytest.raises(ValueError) as excinfo:
+                make()
+            assert str(excinfo.value) == (
+                f"epsilon must be positive and finite, got {epsilon!r}")
+
     def test_slow_hamiltonian_assembly(self):
         eps, mu = 0.05, 1.3
         pot = particle_potential_1d(trap=1.0, alpha=0.7, beta=0.4)
